@@ -24,7 +24,7 @@
 //!   witness-path walk is skipped there and performed once per outer
 //!   iteration for candidate selection.
 
-use super::ReferencePlatform;
+use super::{RefAllocation, ReferencePlatform};
 use mcsched_ptg::{Ptg, TaskId};
 
 /// Reusable per-PTG state for one allocation run.
@@ -33,7 +33,7 @@ use mcsched_ptg::{Ptg, TaskId};
 /// iteration order of `Ptg::preds` / `Ptg::succs` and of the topological
 /// order, so tie-breaking is unchanged) — the level passes then run over
 /// contiguous `u32` index arrays instead of chasing per-node vectors.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct AllocScratch {
     /// Execution time of each task under the current allocation.
     pub times: Vec<f64>,
@@ -306,6 +306,16 @@ impl AllocScratch {
                 }
             }
         }
+    }
+
+    /// Sets every task's allocation at once and rebuilds the levels with the
+    /// full passes: the same values, bit for bit, as
+    /// [`AllocScratch::set_procs`] task by task, in one pass.
+    pub fn set_all(&mut self, alloc: &RefAllocation) {
+        for t in 0..self.times.len() {
+            self.refresh(t, alloc.procs_of(t));
+        }
+        self.full_levels();
     }
 
     /// Critical-path length and its arg-max task under the current levels

@@ -14,7 +14,7 @@ pub(crate) mod fast;
 pub mod scrap;
 
 pub use cpa::cpa_allocate;
-pub use scrap::{scrap_allocate, scrap_max_allocate, ScrapVariant};
+pub use scrap::{scrap_allocate, scrap_max_allocate, ScrapLog, ScrapVariant};
 
 use mcsched_platform::Platform;
 use mcsched_ptg::{Ptg, TaskId};
@@ -167,6 +167,12 @@ impl ReferencePlatform {
         self.total_power
     }
 
+    /// Power budget allowed by constraint `beta`, in reference processors
+    /// (β is clamped to `[0, 1]`).
+    pub fn budget_procs(&self, beta: f64) -> f64 {
+        beta.clamp(0.0, 1.0) * self.ref_procs as f64
+    }
+
     /// Execution time of task `t` of `ptg` on `n` reference processors.
     pub fn task_time(&self, ptg: &Ptg, t: TaskId, n: usize) -> f64 {
         ptg.task(t).parallel_time(n, self.ref_speed)
@@ -236,6 +242,40 @@ impl RefAllocation {
     }
 }
 
+/// The β = 1 allocation of one PTG — its dedicated-platform allocation —
+/// in the form from which the same procedure's constrained allocations of
+/// that PTG are derived
+/// ([`crate::policy::AllocationPolicy::allocate_from`]).
+#[derive(Debug, Clone)]
+pub enum DedicatedAllocation {
+    /// The allocation alone: runs under β < 1 start afresh.
+    Plain(RefAllocation),
+    /// A SCRAP or SCRAP-MAX run with its trial log: runs of the same
+    /// procedure under β < 1 resume from it.
+    Logged(Box<ScrapLog>),
+}
+
+impl DedicatedAllocation {
+    /// The β = 1 allocation.
+    #[must_use]
+    pub fn allocation(&self) -> &RefAllocation {
+        match self {
+            DedicatedAllocation::Plain(allocation) => allocation,
+            DedicatedAllocation::Logged(log) => log.allocation(),
+        }
+    }
+
+    /// The allocation of a `variant` run under `beta`, resumed from the
+    /// log; `None` when there is no log of that procedure.
+    #[must_use]
+    pub fn resume(&self, variant: ScrapVariant, beta: f64) -> Option<RefAllocation> {
+        match self {
+            DedicatedAllocation::Logged(log) if log.variant() == variant => Some(log.resume(beta)),
+            _ => None,
+        }
+    }
+}
+
 /// Quantities shared by the allocation procedures to check resource
 /// constraints on a PTG.
 #[derive(Debug, Clone)]
@@ -258,11 +298,6 @@ impl<'a> ConstraintChecker<'a> {
             num_levels: s.level_widths.len(),
             levels: s.levels,
         }
-    }
-
-    /// Power budget allowed by constraint `beta`, in reference processors.
-    pub fn budget_procs(&self, beta: f64) -> f64 {
-        beta.clamp(0.0, 1.0) * self.reference.procs() as f64
     }
 
     /// SCRAP's global check: average power usage of the allocation over the
@@ -405,16 +440,10 @@ mod tests {
 
     #[test]
     fn budget_scales_with_beta() {
-        let p = platform();
-        let r = ReferencePlatform::new(&p);
-        let g = chain(2);
-        let checker = ConstraintChecker::new(&r, &g);
-        assert!((checker.budget_procs(1.0) - 30.0).abs() < 1e-9);
-        assert!((checker.budget_procs(0.5) - 15.0).abs() < 1e-9);
-        assert!(
-            (checker.budget_procs(2.0) - 30.0).abs() < 1e-9,
-            "beta is clamped"
-        );
+        let r = ReferencePlatform::new(&platform());
+        assert!((r.budget_procs(1.0) - 30.0).abs() < 1e-9);
+        assert!((r.budget_procs(0.5) - 15.0).abs() < 1e-9);
+        assert!((r.budget_procs(2.0) - 30.0).abs() < 1e-9, "beta is clamped");
     }
 
     #[test]

@@ -25,6 +25,21 @@
 //! task; the procedure stops when every critical-path task is frozen, has
 //! reached the largest single-cluster allocation, or no longer benefits from
 //! an extra processor.
+//!
+//! ## Resuming from the β = 1 run
+//!
+//! A run depends on β only through the violation test `load > budget(β)`,
+//! where the *load* of a tentative grant is the average power usage (and,
+//! for SCRAP-MAX, the larger of it and the task's level total). Two runs of
+//! one PTG under `β < 1` and `β = 1` therefore make the same trials as long
+//! as they agree on every outcome, and they can only disagree on a grant
+//! that stands at β = 1 with a load above `budget(β)`: a trial violated at
+//! β = 1 is violated under any smaller budget. A [`ScrapLog`] records the
+//! trials of the β = 1 run; [`ScrapLog::resume`] finds the first granted
+//! trial whose load exceeds the smaller budget, rebuilds the state just
+//! before it and runs the grant loop on from there. The result is
+//! bit-identical to a fresh run under β, and the dedicated baseline of the
+//! same PTG — which is the β = 1 run — comes for free.
 
 use super::fast::AllocScratch;
 use super::{ConstraintChecker, RefAllocation, ReferencePlatform};
@@ -58,95 +73,277 @@ fn run(
     beta: f64,
     variant: ScrapVariant,
 ) -> RefAllocation {
-    let n = ptg.num_tasks();
-    let mut alloc = RefAllocation::one_per_task(n);
-    if n == 0 {
-        return alloc;
-    }
-    let checker = ConstraintChecker::new(reference, ptg);
-    let budget = checker.budget_procs(beta);
-    let max_per_task = reference.max_task_procs();
-    let mut frozen = vec![false; n];
-    let mut scratch = AllocScratch::new(reference, ptg);
-    // Running per-level allocation totals (SCRAP-MAX's check quantity).
-    // All addends are integers well below 2^53, so the running total is
-    // exactly the ordered `level_usage` sum, bit for bit.
-    let mut level_sums = vec![0usize; checker.num_levels];
-    for t in 0..n {
-        level_sums[checker.levels[t]] += 1;
-    }
+    Run::new(reference, ptg, variant).finish(threshold(reference, beta), 0)
+}
 
-    // Safety bound: each task can gain at most `max_per_task - 1` processors,
-    // so the loop terminates after at most n * max_per_task iterations.
-    let max_iters = n * max_per_task + 1;
-    let mut grants = 0u64;
-    // Critical path under the current allocation (communication costs are
-    // ignored during allocation, as in the paper). The entry task is carried
-    // across iterations: after a successful grant the inner loop already
-    // computed the new critical path for the constraint check, so the scan
-    // is not repeated.
-    let (_, mut entry) = scratch.cp();
-    'outer: for _ in 0..max_iters {
-        scratch.witness_path(entry);
-        // Candidates: critical-path tasks that are not frozen, still below
-        // the single-cluster bound and that actually benefit from one more
-        // processor, consumed best-first (largest execution-time gain, then
-        // lowest task id). A failed candidate is frozen — and a revert
-        // restores the scratch bitwise — so re-scanning for the argmax after
-        // each freeze yields exactly the sorted consumption order without
-        // materializing the candidate list.
-        loop {
-            let mut best: Option<(f64, usize)> = None;
-            for &t in &scratch.path {
-                if frozen[t] || alloc.procs_of(t) >= max_per_task {
-                    continue;
-                }
-                let gain = scratch.times[t] - scratch.next_times[t];
-                if gain <= 0.0 {
-                    continue;
-                }
-                best = match best {
-                    Some((bg, bt)) if gain.total_cmp(&bg).then(bt.cmp(&t)).is_le() => {
-                        Some((bg, bt))
-                    }
-                    _ => Some((gain, t)),
-                };
-            }
-            let Some((_, t)) = best else {
-                // No eligible critical-path task is left: the allocation is
-                // final.
-                break 'outer;
-            };
-            alloc.add_proc(t);
-            level_sums[checker.levels[t]] += 1;
-            scratch.set_procs(t, alloc.procs_of(t));
-            let (cp, cp_entry, area) = scratch.cp_and_area();
-            let usage = if cp <= 0.0 {
-                0.0
-            } else {
-                area / cp / reference.speed()
-            };
-            let global_violated = usage > budget + 1e-9;
-            let violated = match variant {
-                ScrapVariant::Global => global_violated,
-                ScrapVariant::PerLevel => {
-                    global_violated || level_sums[checker.levels[t]] as f64 > budget + 1e-9
-                }
-            };
-            if violated {
-                alloc.remove_proc(t);
-                level_sums[checker.levels[t]] -= 1;
-                scratch.set_procs(t, alloc.procs_of(t));
-                frozen[t] = true;
-            } else {
-                grants += 1;
-                entry = cp_entry;
-                continue 'outer;
-            }
+/// The largest load a grant may reach under `beta`: the power budget in
+/// reference processors, plus the tolerance every check allows.
+fn threshold(reference: &ReferencePlatform, beta: f64) -> f64 {
+    reference.budget_procs(beta) + 1e-9
+}
+
+/// Flag of a [`Trials::tasks`] entry whose grant stood.
+const GRANTED: u32 = 1 << 31;
+
+/// The tentative grants of a logged run. The *load* of a grant is the
+/// quantity the violation test compares with the budget: the average power
+/// usage after the grant, and for SCRAP-MAX the larger of it and the task's
+/// level total.
+#[derive(Debug, Clone, Default)]
+struct Trials {
+    /// Every trial's task, in order, with [`GRANTED`] set when it stood.
+    tasks: Vec<u32>,
+    /// Positions in `tasks` of the granted trials whose load exceeds every
+    /// earlier granted load, so [`Trials::peak_loads`] increase. The first
+    /// grant that a smaller budget violates is always one of them, so the
+    /// other loads are not kept.
+    peaks: Vec<u32>,
+    /// The loads of the `peaks` trials.
+    peak_loads: Vec<f64>,
+}
+
+impl Trials {
+    fn push(&mut self, task: usize, load: f64, granted: bool) {
+        // A NaN load is never above a budget, so it is never a peak.
+        if granted && load > self.peak_loads.last().copied().unwrap_or(f64::NEG_INFINITY) {
+            self.peaks.push(self.tasks.len() as u32);
+            self.peak_loads.push(load);
+        }
+        self.tasks
+            .push(task as u32 | if granted { GRANTED } else { 0 });
+    }
+}
+
+/// The state of a SCRAP or SCRAP-MAX run: the allocation, the frozen
+/// candidates and the caches the grant loop reads.
+#[derive(Debug, Clone)]
+struct Run {
+    variant: ScrapVariant,
+    speed: f64,
+    max_per_task: usize,
+    levels: Vec<usize>,
+    /// Running per-level allocation totals (SCRAP-MAX's check quantity).
+    /// All addends are integers well below 2^53, so the running total is
+    /// exactly the ordered `level_usage` sum, bit for bit.
+    level_sums: Vec<usize>,
+    alloc: RefAllocation,
+    frozen: Vec<bool>,
+    scratch: AllocScratch,
+}
+
+impl Run {
+    /// The state before the first grant: one processor per task.
+    fn new(reference: &ReferencePlatform, ptg: &Ptg, variant: ScrapVariant) -> Self {
+        let n = ptg.num_tasks();
+        let checker = ConstraintChecker::new(reference, ptg);
+        let mut level_sums = vec![0usize; checker.num_levels];
+        for &level in &checker.levels {
+            level_sums[level] += 1;
+        }
+        Self {
+            variant,
+            speed: reference.speed(),
+            max_per_task: reference.max_task_procs(),
+            levels: checker.levels,
+            level_sums,
+            alloc: RefAllocation::one_per_task(n),
+            frozen: vec![false; n],
+            scratch: AllocScratch::new(reference, ptg),
         }
     }
-    mcsched_obs::histogram!("alloc.grants").record(grants);
-    alloc
+
+    /// Runs the grant loop to the end without a log and returns the
+    /// allocation.
+    fn finish(mut self, threshold: f64, grants_so_far: usize) -> RefAllocation {
+        let grants = self.grant(threshold, grants_so_far, None);
+        mcsched_obs::histogram!("alloc.grants").record(grants);
+        self.alloc
+    }
+
+    /// The grant loop: grows the allocation until no critical-path
+    /// candidate is left, starting with outer iteration `iter` (one outer
+    /// iteration per grant made so far). A grant stands when its load is at
+    /// most `threshold`. Every tentative grant is appended to `log` when one
+    /// is given. Returns the number of grants made.
+    fn grant(&mut self, threshold: f64, mut iter: usize, mut log: Option<&mut Trials>) -> u64 {
+        let n = self.alloc.counts().len();
+        if n == 0 {
+            return 0;
+        }
+        // Safety bound: each task can gain at most `max_per_task - 1`
+        // processors, so the loop terminates after at most n * max_per_task
+        // iterations.
+        let max_iters = n * self.max_per_task + 1;
+        let mut grants = 0u64;
+        // Critical path under the current allocation (communication costs
+        // are ignored during allocation, as in the paper). The entry task is
+        // carried across iterations: after a successful grant the inner loop
+        // already computed the new critical path for the constraint check,
+        // so the scan is not repeated.
+        let (_, mut entry) = self.scratch.cp();
+        'outer: while iter < max_iters {
+            iter += 1;
+            self.scratch.witness_path(entry);
+            // Candidates: critical-path tasks that are not frozen, still
+            // below the single-cluster bound and that actually benefit from
+            // one more processor, consumed best-first (largest execution-time
+            // gain, then lowest task id). A failed candidate is frozen — and
+            // a revert restores the scratch bitwise — so re-scanning for the
+            // argmax after each freeze yields exactly the sorted consumption
+            // order without materializing the candidate list.
+            loop {
+                let mut best: Option<(f64, usize)> = None;
+                for &t in &self.scratch.path {
+                    if self.frozen[t] || self.alloc.procs_of(t) >= self.max_per_task {
+                        continue;
+                    }
+                    let gain = self.scratch.times[t] - self.scratch.next_times[t];
+                    if gain <= 0.0 {
+                        continue;
+                    }
+                    best = match best {
+                        Some((bg, bt)) if gain.total_cmp(&bg).then(bt.cmp(&t)).is_le() => {
+                            Some((bg, bt))
+                        }
+                        _ => Some((gain, t)),
+                    };
+                }
+                let Some((_, t)) = best else {
+                    // No eligible critical-path task is left: the allocation
+                    // is final.
+                    break 'outer;
+                };
+                let level = self.levels[t];
+                self.alloc.add_proc(t);
+                self.level_sums[level] += 1;
+                self.scratch.set_procs(t, self.alloc.procs_of(t));
+                let (cp, cp_entry, area) = self.scratch.cp_and_area();
+                let usage = if cp <= 0.0 {
+                    0.0
+                } else {
+                    area / cp / self.speed
+                };
+                // `max` keeps the non-NaN operand, so `load > threshold` is
+                // exactly "usage or level total over the budget".
+                let load = match self.variant {
+                    ScrapVariant::Global => usage,
+                    ScrapVariant::PerLevel => usage.max(self.level_sums[level] as f64),
+                };
+                let violated = load > threshold;
+                if let Some(log) = log.as_deref_mut() {
+                    log.push(t, load, !violated);
+                }
+                if !violated {
+                    grants += 1;
+                    entry = cp_entry;
+                    continue 'outer;
+                }
+                self.alloc.remove_proc(t);
+                self.level_sums[level] -= 1;
+                self.scratch.set_procs(t, self.alloc.procs_of(t));
+                self.frozen[t] = true;
+            }
+        }
+        grants
+    }
+}
+
+/// A SCRAP or SCRAP-MAX run at β = 1 together with its trial log, from
+/// which the same procedure's run on the same PTG under any β resumes (see
+/// the module docs). Its allocation is the PTG's dedicated-platform
+/// allocation.
+#[derive(Debug, Clone)]
+pub struct ScrapLog {
+    reference: ReferencePlatform,
+    /// The state before the first grant, cloned by every resume.
+    start: Run,
+    trials: Trials,
+    grants: u64,
+    allocation: RefAllocation,
+}
+
+impl ScrapLog {
+    /// Runs `variant` on `ptg` at β = 1 and records its trials.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the PTG has 2³¹ tasks or more.
+    #[must_use]
+    pub fn record(reference: &ReferencePlatform, ptg: &Ptg, variant: ScrapVariant) -> Self {
+        assert!(ptg.num_tasks() < GRANTED as usize, "too many tasks to log");
+        let start = Run::new(reference, ptg, variant);
+        let mut run = start.clone();
+        let mut trials = Trials::default();
+        let grants = run.grant(threshold(reference, 1.0), 0, Some(&mut trials));
+        mcsched_obs::histogram!("alloc.grants").record(grants);
+        // The log lives as long as its scenario: drop the growth slack.
+        trials.tasks.shrink_to_fit();
+        trials.peaks.shrink_to_fit();
+        trials.peak_loads.shrink_to_fit();
+        Self {
+            reference: reference.clone(),
+            start,
+            trials,
+            grants,
+            allocation: run.alloc,
+        }
+    }
+
+    /// The procedure that was run.
+    #[must_use]
+    pub fn variant(&self) -> ScrapVariant {
+        self.start.variant
+    }
+
+    /// The β = 1 allocation.
+    #[must_use]
+    pub fn allocation(&self) -> &RefAllocation {
+        &self.allocation
+    }
+
+    /// The allocation the same procedure computes for the same PTG under
+    /// `beta`, bit-identical to a fresh run: the log is replayed up to the
+    /// first grant that `beta`'s budget violates and the grant loop goes on
+    /// from there. The replayed grants are counted by the
+    /// `alloc.replayed_grants` counter, the computed ones by the
+    /// `alloc.grants` histogram.
+    #[must_use]
+    pub fn resume(&self, beta: f64) -> RefAllocation {
+        let limit = threshold(&self.reference, beta);
+        if limit.is_nan() {
+            // A NaN budget violates nothing, while the log's violations
+            // stand: no outcome of the log is known to repeat. Any other β
+            // is clamped to at most 1, so its budget is at most the log's.
+            return self.start.clone().finish(limit, 0);
+        }
+        let trials = &self.trials;
+        let Some(&split) = trials
+            .peaks
+            .get(trials.peak_loads.partition_point(|&load| load <= limit))
+        else {
+            mcsched_obs::counter!("alloc.replayed_grants").add(self.grants);
+            mcsched_obs::histogram!("alloc.grants").record(0);
+            return self.allocation.clone();
+        };
+        let mut run = self.start.clone();
+        let mut replayed = 0usize;
+        for &entry in &trials.tasks[..split as usize] {
+            let t = (entry & !GRANTED) as usize;
+            if entry & GRANTED != 0 {
+                run.alloc.add_proc(t);
+                run.level_sums[run.levels[t]] += 1;
+                replayed += 1;
+            } else {
+                run.frozen[t] = true;
+            }
+        }
+        // The loop goes on within the same outer iteration, whose witness
+        // path follows from the rebuilt state: it retries the diverging
+        // grant, which `beta`'s budget violates, and freezes its task.
+        run.scratch.set_all(&run.alloc);
+        mcsched_obs::counter!("alloc.replayed_grants").add(replayed as u64);
+        run.finish(limit, replayed)
+    }
 }
 
 #[cfg(test)]
@@ -198,6 +395,46 @@ mod tests {
             el * 1e3,
             el * 1e6 / calls as f64,
             el * 1e9 / grants.max(1) as f64
+        );
+        // The constrained allocations of the same PTGs, run afresh and
+        // resumed from their β = 1 logs.
+        let logs: Vec<ScrapLog> = refs
+            .iter()
+            .flat_map(|r| {
+                ptgs.iter()
+                    .map(move |g| ScrapLog::record(r, g, ScrapVariant::PerLevel))
+            })
+            .collect();
+        let betas = [0.5, 0.25, 0.1];
+        let best_of_5 = |f: &dyn Fn()| {
+            (0..5)
+                .map(|_| {
+                    let start = std::time::Instant::now();
+                    f();
+                    start.elapsed().as_secs_f64()
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let fresh = best_of_5(&|| {
+            for r in &refs {
+                for g in &ptgs {
+                    for &b in &betas {
+                        std::hint::black_box(scrap_max_allocate(r, g, b));
+                    }
+                }
+            }
+        });
+        let resumed = best_of_5(&|| {
+            for log in &logs {
+                for &b in &betas {
+                    std::hint::black_box(log.resume(b));
+                }
+            }
+        });
+        eprintln!(
+            "beta {betas:?}: fresh {:.1} ms, resumed {:.1} ms",
+            fresh * 1e3,
+            resumed * 1e3
         );
     }
     use crate::allocation::ConstraintChecker;
@@ -284,7 +521,7 @@ mod tests {
         let beta = 0.25;
         let a = scrap_allocate(&r, &g, beta);
         let checker = ConstraintChecker::new(&r, &g);
-        assert!(checker.average_usage(&a) <= checker.budget_procs(beta) + 1e-9);
+        assert!(checker.average_usage(&a) <= r.budget_procs(beta) + 1e-9);
     }
 
     #[test]
@@ -387,7 +624,7 @@ mod tests {
             return alloc;
         }
         let checker = ConstraintChecker::new(reference, ptg);
-        let budget = checker.budget_procs(beta);
+        let budget = reference.budget_procs(beta);
         let max_per_task = reference.max_task_procs();
         let mut frozen = vec![false; n];
         for _ in 0..n * max_per_task + 1 {
@@ -513,23 +750,44 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Checks the fast path and runs resumed from the β = 1 log against the
+    /// naive spec at `betas`, and resumed runs against fresh ones at the
+    /// edges of the log: a β whose budget is exactly a peak load (the grant
+    /// stands) or just below it (the run diverges there), plus a zero, a
+    /// clamped and a NaN β.
+    fn check_against_spec(r: &ReferencePlatform, g: &Ptg, betas: &[f64], case: usize) {
+        for variant in [ScrapVariant::Global, ScrapVariant::PerLevel] {
+            let log = ScrapLog::record(r, g, variant);
+            assert_eq!(*log.allocation(), run(r, g, 1.0, variant), "case {case}");
+            for &beta in betas {
+                let naive = naive_run(r, g, beta, variant);
+                let context = format!("case {case} beta {beta} variant {variant:?}");
+                assert_eq!(run(r, g, beta, variant), naive, "fast path: {context}");
+                assert_eq!(log.resume(beta), naive, "resumed: {context}");
+            }
+            let loads = &log.trials.peak_loads;
+            let procs = r.procs() as f64;
+            let mut edges = vec![0.0, 1.5, f64::NAN];
+            for &load in loads.iter().step_by((loads.len() / 6).max(1)) {
+                edges.extend([load / procs, (load - 2e-9) / procs]);
+            }
+            for beta in edges {
+                assert_eq!(
+                    log.resume(beta),
+                    run(r, g, beta, variant),
+                    "resumed at an edge: case {case} beta {beta} variant {variant:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn flag_fallback_matches_naive_reference_beyond_64_tasks() {
         let mut seed = 0xFA11_BACCu64;
         for case in 0..4usize {
             let g = large_random_ptg(&mut seed);
             assert!(g.num_tasks() > 64, "case {case} must take the fallback");
-            let r = hetero_reference();
-            for beta in [0.3, 1.0] {
-                for variant in [ScrapVariant::Global, ScrapVariant::PerLevel] {
-                    let fast = run(&r, &g, beta, variant);
-                    let naive = naive_run(&r, &g, beta, variant);
-                    assert_eq!(
-                        fast, naive,
-                        "divergence: case {case} beta {beta} variant {variant:?}"
-                    );
-                }
-            }
+            check_against_spec(&hetero_reference(), &g, &[0.3, 1.0], case);
         }
     }
 
@@ -543,16 +801,7 @@ mod tests {
             } else {
                 hetero_reference()
             };
-            for beta in [0.1, 0.3, 0.7, 1.0] {
-                for variant in [ScrapVariant::Global, ScrapVariant::PerLevel] {
-                    let fast = run(&r, &g, beta, variant);
-                    let naive = naive_run(&r, &g, beta, variant);
-                    assert_eq!(
-                        fast, naive,
-                        "divergence: case {case} beta {beta} variant {variant:?}"
-                    );
-                }
-            }
+            check_against_spec(&r, &g, &[0.1, 0.3, 0.7, 1.0], case);
         }
     }
 }

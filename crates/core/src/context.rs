@@ -11,7 +11,12 @@
 //! * the per-strategy β vectors and constrained allocations, previously
 //!   re-derived by duplicated zip/allocate loops in the scheduler;
 //! * the **dedicated makespans** (`M_own`), previously re-simulated once per
-//!   strategy — the N+1 shape of `ConcurrentScheduler::evaluate`.
+//!   strategy — the N+1 shape of `ConcurrentScheduler::evaluate`;
+//! * the **β = 1 allocation** of every application, run once and shared by
+//!   its dedicated baseline, by the selfish strategy and — through the
+//!   SCRAP trial log — by its constrained allocations under every other
+//!   strategy, which resume from the log instead of re-running the shared
+//!   prefix of grants.
 //!
 //! A [`ScheduleContext`] owns all of them for one `(platform, ptgs, base
 //! config)` triple. The scheduler, the ablation binaries and the `mcsched-exp`
@@ -23,7 +28,9 @@
 //! The caches use interior mutability behind mutexes, so a context can be
 //! shared by reference across the fan-out threads of a campaign.
 
-use crate::allocation::{AllocationProcedure, RefAllocation, ReferencePlatform};
+use crate::allocation::{
+    AllocationProcedure, DedicatedAllocation, RefAllocation, ReferencePlatform,
+};
 use crate::constraint::ConstraintStrategy;
 use crate::error::SchedError;
 use crate::mapping::{MappingConfig, Schedule};
@@ -35,7 +42,7 @@ use mcsched_simx::{Engine, SimOutcome, SimWorkload, SiteNetwork};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::scheduler::SchedulerConfig;
 
@@ -75,6 +82,11 @@ pub struct ScheduleContext<'a> {
     engine: EngineStore<'a>,
     betas: Mutex<BetaCache>,
     allocations: Mutex<AllocationCache>,
+    /// The β = 1 allocation of every application under the base allocation
+    /// policy, computed once and shared by its dedicated baseline and by its
+    /// allocations under every strategy.
+    dedicated_allocations: Vec<OnceLock<Arc<DedicatedAllocation>>>,
+    dedicated_allocation_runs: AtomicUsize,
     /// One slot (and one lock) per application, so concurrent callers of a
     /// shared context can compute different baselines in parallel while each
     /// individual baseline is still simulated exactly once.
@@ -117,6 +129,8 @@ impl<'a> ScheduleContext<'a> {
             engine: EngineStore::Owned(Box::new(Engine::new(platform))),
             betas: Mutex::new(HashMap::new()),
             allocations: Mutex::new(HashMap::new()),
+            dedicated_allocations: (0..ptgs.len()).map(|_| OnceLock::new()).collect(),
+            dedicated_allocation_runs: AtomicUsize::new(0),
             dedicated: (0..ptgs.len()).map(|_| Mutex::new(None)).collect(),
             dedicated_sims: AtomicUsize::new(0),
             concurrent_sims: AtomicUsize::new(0),
@@ -155,6 +169,8 @@ impl<'a> ScheduleContext<'a> {
             engine: EngineStore::Shared(engine),
             betas: Mutex::new(HashMap::new()),
             allocations: Mutex::new(HashMap::new()),
+            dedicated_allocations: (0..ptgs.len()).map(|_| OnceLock::new()).collect(),
+            dedicated_allocation_runs: AtomicUsize::new(0),
             dedicated: (0..ptgs.len()).map(|_| Mutex::new(None)).collect(),
             dedicated_sims: AtomicUsize::new(0),
             concurrent_sims: AtomicUsize::new(0),
@@ -268,27 +284,97 @@ impl<'a> ScheduleContext<'a> {
 
     /// Constrained allocations of every application under the
     /// `(constraint, allocation)` policy pair, memoized by their cache keys.
+    /// Under the base allocation policy, an application's β = 1 allocation
+    /// is its [`ScheduleContext::dedicated_allocation`], and a smaller β
+    /// resumes from that one once it has been computed.
     pub fn allocations_for(
         &self,
         constraint: &dyn ConstraintPolicy,
         allocation: &dyn AllocationPolicy,
     ) -> Arc<Vec<RefAllocation>> {
         let betas = self.betas_for(constraint);
+        let key = (constraint.cache_key(), allocation.cache_key());
         let mut cache = self.allocations.lock();
-        Arc::clone(
-            cache
-                .entry((constraint.cache_key(), allocation.cache_key()))
-                .or_insert_with(|| {
-                    let _p = mcsched_obs::phase::scope("beta+alloc");
-                    Arc::new(
-                        self.ptgs
-                            .iter()
-                            .zip(betas.iter())
-                            .map(|(ptg, &beta)| allocation.allocate(self.reference(), ptg, beta))
-                            .collect(),
-                    )
-                }),
-        )
+        if let Some(allocations) = cache.get(&key) {
+            return Arc::clone(allocations);
+        }
+        // A β = 1 allocation is the dedicated one. A smaller β resumes from
+        // the dedicated allocation when one is at hand but never starts one:
+        // a schedule without dedicated baselines would pay for it.
+        let base = key.1 == self.base_allocation.cache_key();
+        let dedicated: Vec<Option<Arc<DedicatedAllocation>>> = betas
+            .iter()
+            .enumerate()
+            .map(|(app, &beta)| match (base, beta >= 1.0) {
+                (false, _) => None,
+                (true, true) => Some(self.dedicated_allocation(app)),
+                (true, false) => self.dedicated_allocations[app].get().cloned(),
+            })
+            .collect();
+        let _p = mcsched_obs::phase::scope("beta+alloc");
+        let allocations: Arc<Vec<RefAllocation>> = Arc::new(
+            self.ptgs
+                .iter()
+                .zip(betas.iter())
+                .zip(&dedicated)
+                .map(|((ptg, &beta), dedicated)| match dedicated {
+                    Some(d) => allocation.allocate_from(d, self.reference(), ptg, beta),
+                    None => allocation.allocate(self.reference(), ptg, beta),
+                })
+                .collect(),
+        );
+        cache.insert(key, Arc::clone(&allocations));
+        allocations
+    }
+
+    /// The β = 1 allocation of application `app` under the base allocation
+    /// policy ([`AllocationPolicy::dedicated`]): the allocation of its
+    /// dedicated baseline, from which its allocations under every strategy
+    /// derive. Computed once per application, by the first caller.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `app` is out of range for the scenario's applications.
+    pub fn dedicated_allocation(&self, app: usize) -> Arc<DedicatedAllocation> {
+        Arc::clone(self.dedicated_allocations[app].get_or_init(|| {
+            self.dedicated_allocation_runs
+                .fetch_add(1, Ordering::Relaxed);
+            let _p = mcsched_obs::phase::scope("beta+alloc");
+            Arc::new(
+                self.base_allocation
+                    .dedicated(self.reference(), &self.ptgs[app]),
+            )
+        }))
+    }
+
+    /// Number of β = 1 allocations computed so far (at most one per
+    /// application, however many strategies are evaluated).
+    pub fn dedicated_allocation_runs(&self) -> usize {
+        self.dedicated_allocation_runs.load(Ordering::Relaxed)
+    }
+
+    /// Returns the context with the applications' β = 1 allocations given,
+    /// one per application in submission order — for a caller that keeps
+    /// them across contexts over a changing application set, as the online
+    /// scheduler does across re-plans. Each must come from
+    /// [`ScheduleContext::dedicated_allocation`] of a context with the same
+    /// base allocation policy and platform.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count differs from the number of applications.
+    #[must_use]
+    pub fn with_dedicated_allocations(
+        mut self,
+        allocations: Vec<Arc<DedicatedAllocation>>,
+    ) -> Self {
+        assert_eq!(
+            allocations.len(),
+            self.ptgs.len(),
+            "one dedicated allocation per application"
+        );
+        self.dedicated_allocations = allocations.into_iter().map(OnceLock::from).collect();
+        self
     }
 
     /// β constraints under a built-in strategy (enum convenience over
@@ -435,19 +521,15 @@ impl<'a> ScheduleContext<'a> {
     /// allocation, single-application mapping, simulation — all through the
     /// context's base policies.
     fn simulate_dedicated(&self, app: usize) -> Result<f64, SchedError> {
-        let ptg = &self.ptgs[app];
-        let alloc = {
-            let _p = mcsched_obs::phase::scope("beta+alloc");
-            self.base_allocation.allocate(self.reference(), ptg, 1.0)
-        };
+        let dedicated = self.dedicated_allocation(app);
         let schedule = {
             let _p = mcsched_obs::phase::scope("mapping");
             self.base_mapping.map(&MappingRequest {
                 reference: self.reference(),
                 network: self.engine().network(),
                 platform: self.platform,
-                ptgs: std::slice::from_ref(ptg),
-                allocations: std::slice::from_ref(&alloc),
+                ptgs: std::slice::from_ref(&self.ptgs[app]),
+                allocations: std::slice::from_ref(dedicated.allocation()),
                 release_times: &[0.0],
             })
         };
@@ -516,19 +598,47 @@ mod tests {
     #[test]
     fn allocations_are_memoized_and_match_direct_computation() {
         let platform = grid5000::rennes();
-        let apps = ptgs(2, 3);
+        let apps = ptgs(3, 3);
         let ctx = ScheduleContext::new(&platform, &apps);
         let strategy = ConstraintStrategy::EqualShare;
         let first = ctx.allocations(strategy, AllocationProcedure::ScrapMax);
         let second = ctx.allocations(strategy, AllocationProcedure::ScrapMax);
         assert!(Arc::ptr_eq(&first, &second));
+        assert_eq!(
+            ctx.dedicated_allocation_runs(),
+            0,
+            "β < 1 starts no β = 1 run"
+        );
 
+        // Every strategy's allocations — resumed from the base procedure's
+        // β = 1 runs once the selfish strategy made them, or run afresh —
+        // equal a direct run, and the base procedure runs at β = 1 once per
+        // application for all of them and the dedicated baselines.
         let reference = ReferencePlatform::new(&platform);
-        let betas = strategy.betas(&apps, &reference);
-        for ((ptg, alloc), &beta) in apps.iter().zip(first.iter()).zip(&betas) {
-            let direct = AllocationProcedure::ScrapMax.allocate(&reference, ptg, beta);
-            assert_eq!(*alloc, direct);
+        for procedure in [AllocationProcedure::ScrapMax, AllocationProcedure::Scrap] {
+            for strategy in ConstraintStrategy::paper_set() {
+                let allocations = ctx.allocations(strategy, procedure);
+                let betas = strategy.betas(&apps, &reference);
+                for ((ptg, alloc), &beta) in apps.iter().zip(allocations.iter()).zip(&betas) {
+                    assert_eq!(*alloc, procedure.allocate(&reference, ptg, beta));
+                }
+            }
         }
+        ctx.dedicated_makespans().unwrap();
+        assert_eq!(ctx.dedicated_allocation_runs(), apps.len());
+
+        // A context given those β = 1 runs computes none of its own.
+        let seeded = ScheduleContext::new(&platform, &apps).with_dedicated_allocations(
+            (0..apps.len())
+                .map(|app| ctx.dedicated_allocation(app))
+                .collect(),
+        );
+        assert_eq!(
+            *seeded.allocations(strategy, AllocationProcedure::ScrapMax),
+            *first
+        );
+        assert_eq!(seeded.dedicated_makespans(), ctx.dedicated_makespans());
+        assert_eq!(seeded.dedicated_allocation_runs(), 0);
     }
 
     #[test]

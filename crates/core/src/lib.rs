@@ -50,7 +50,7 @@ pub mod profile;
 pub mod scheduler;
 pub mod workload;
 
-pub use allocation::{AllocationProcedure, RefAllocation, ReferencePlatform};
+pub use allocation::{AllocationProcedure, DedicatedAllocation, RefAllocation, ReferencePlatform};
 pub use constraint::{Characteristic, ConstraintStrategy};
 pub use context::ScheduleContext;
 pub use error::{PolicyKind, SchedError};

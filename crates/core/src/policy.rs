@@ -45,8 +45,8 @@
 //! ```
 
 use crate::allocation::{
-    cpa_allocate, scrap_allocate, scrap_max_allocate, AllocationProcedure, RefAllocation,
-    ReferencePlatform,
+    cpa_allocate, scrap_allocate, scrap_max_allocate, AllocationProcedure, DedicatedAllocation,
+    RefAllocation, ReferencePlatform, ScrapLog, ScrapVariant,
 };
 use crate::constraint::{Characteristic, ConstraintStrategy};
 use crate::error::{PolicyKind, SchedError};
@@ -96,6 +96,32 @@ pub trait AllocationPolicy: std::fmt::Debug + Send + Sync {
 
     /// Runs the procedure on one PTG under resource constraint `beta`.
     fn allocate(&self, reference: &ReferencePlatform, ptg: &Ptg, beta: f64) -> RefAllocation;
+
+    /// The β = 1 allocation of `ptg` — its dedicated-platform allocation —
+    /// kept in the form [`AllocationPolicy::allocate_from`] derives the
+    /// PTG's constrained allocations from. The default keeps the allocation
+    /// alone.
+    fn dedicated(&self, reference: &ReferencePlatform, ptg: &Ptg) -> DedicatedAllocation {
+        DedicatedAllocation::Plain(self.allocate(reference, ptg, 1.0))
+    }
+
+    /// Equal to `allocate(reference, ptg, beta)`, given what this policy's
+    /// [`AllocationPolicy::dedicated`] returned for the same reference view
+    /// and PTG. The default reuses the dedicated allocation at β = 1 and
+    /// runs the procedure otherwise.
+    fn allocate_from(
+        &self,
+        dedicated: &DedicatedAllocation,
+        reference: &ReferencePlatform,
+        ptg: &Ptg,
+        beta: f64,
+    ) -> RefAllocation {
+        if beta == 1.0 {
+            dedicated.allocation().clone()
+        } else {
+            self.allocate(reference, ptg, beta)
+        }
+    }
 }
 
 /// Everything a [`MappingPolicy`] needs to place the allocated tasks of a
@@ -284,6 +310,26 @@ impl AllocationPolicy for ScrapAllocation {
     fn allocate(&self, reference: &ReferencePlatform, ptg: &Ptg, beta: f64) -> RefAllocation {
         scrap_allocate(reference, ptg, beta)
     }
+
+    fn dedicated(&self, reference: &ReferencePlatform, ptg: &Ptg) -> DedicatedAllocation {
+        DedicatedAllocation::Logged(Box::new(ScrapLog::record(
+            reference,
+            ptg,
+            ScrapVariant::Global,
+        )))
+    }
+
+    fn allocate_from(
+        &self,
+        dedicated: &DedicatedAllocation,
+        reference: &ReferencePlatform,
+        ptg: &Ptg,
+        beta: f64,
+    ) -> RefAllocation {
+        dedicated
+            .resume(ScrapVariant::Global, beta)
+            .unwrap_or_else(|| self.allocate(reference, ptg, beta))
+    }
 }
 
 /// SCRAP-MAX — the constraint is applied independently to every precedence
@@ -299,6 +345,26 @@ impl AllocationPolicy for ScrapMaxAllocation {
     fn allocate(&self, reference: &ReferencePlatform, ptg: &Ptg, beta: f64) -> RefAllocation {
         scrap_max_allocate(reference, ptg, beta)
     }
+
+    fn dedicated(&self, reference: &ReferencePlatform, ptg: &Ptg) -> DedicatedAllocation {
+        DedicatedAllocation::Logged(Box::new(ScrapLog::record(
+            reference,
+            ptg,
+            ScrapVariant::PerLevel,
+        )))
+    }
+
+    fn allocate_from(
+        &self,
+        dedicated: &DedicatedAllocation,
+        reference: &ReferencePlatform,
+        ptg: &Ptg,
+        beta: f64,
+    ) -> RefAllocation {
+        dedicated
+            .resume(ScrapVariant::PerLevel, beta)
+            .unwrap_or_else(|| self.allocate(reference, ptg, beta))
+    }
 }
 
 /// CPA-style unconstrained allocation (related work; stops when the critical
@@ -313,6 +379,16 @@ impl AllocationPolicy for CpaAllocation {
 
     fn allocate(&self, reference: &ReferencePlatform, ptg: &Ptg, _beta: f64) -> RefAllocation {
         cpa_allocate(reference, ptg)
+    }
+
+    fn allocate_from(
+        &self,
+        dedicated: &DedicatedAllocation,
+        _reference: &ReferencePlatform,
+        _ptg: &Ptg,
+        _beta: f64,
+    ) -> RefAllocation {
+        dedicated.allocation().clone()
     }
 }
 

@@ -384,8 +384,10 @@ impl ConcurrentScheduler {
     ///
     /// See [`ConcurrentScheduler::schedule`].
     pub fn evaluate_in(&self, context: &ScheduleContext<'_>) -> Result<EvaluatedRun, SchedError> {
-        let run = self.schedule_in(context)?;
+        // Baselines first: the constrained allocations then resume from
+        // their β = 1 allocations.
         let dedicated = context.dedicated_makespans()?;
+        let run = self.schedule_in(context)?;
         let fairness = fairness_report(&dedicated, &run.app_makespans());
         Ok(EvaluatedRun {
             run,

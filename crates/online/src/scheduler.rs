@@ -31,24 +31,34 @@
 //! [`ScheduleContext::with_shared_engine`]: routing tables are built once
 //! and the engine's scratch-arena pool stays warm across the entire run
 //! (the simx kernel's pause/resume contract — no arena is rebuilt between
-//! events).
+//! events). Likewise each job's β = 1 allocation, computed once at
+//! admission for its dedicated baseline, is handed to every later
+//! context ([`ScheduleContext::with_dedicated_allocations`]), so a re-plan
+//! resumes each resident's allocation from its SCRAP trial log.
 
 use crate::config::{AdmissionPolicy, OnlineConfig, ReschedulePolicy};
 use crate::metrics::{AdmissionCounters, JobOutcome, OnlineReport, SERIES_COLUMNS};
-use mcsched_core::{slowdown, ConcurrentScheduler, ReferencePlatform, SchedError, ScheduleContext};
+use mcsched_core::{
+    slowdown, ConcurrentScheduler, DedicatedAllocation, ReferencePlatform, SchedError,
+    ScheduleContext,
+};
 use mcsched_obs::{phase, TimeSeries};
 use mcsched_platform::Platform;
 use mcsched_ptg::Ptg;
 use mcsched_simx::Engine;
 use mcsched_workload::{Arrival, JobStream, StreamRequest, WorkloadSource};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Bookkeeping of one resident (admitted, scheduled, not yet completed) job.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct Resident {
     index: u64,
     arrival: f64,
     dedicated: f64,
+    /// The job's β = 1 allocation, computed at admission for its dedicated
+    /// baseline; every re-plan derives the job's allocation from it.
+    allocation: Arc<DedicatedAllocation>,
     /// Committed absolute finish from the last simulation (`None` while the
     /// job had not fully started within a capped horizon).
     finish: Option<f64>,
@@ -412,7 +422,7 @@ impl LoopState<'_, '_> {
                 let _g = phase::scope("workload-gen");
                 self.stream.materialize(&arrival)
             };
-            let dedicated = {
+            let (dedicated, allocation) = {
                 let slice = std::slice::from_ref(&ptg);
                 let ctx = ScheduleContext::with_shared_engine(
                     self.engine,
@@ -420,13 +430,14 @@ impl LoopState<'_, '_> {
                     slice,
                     self.cfg.base,
                 );
-                ctx.dedicated_makespan(0)?
+                (ctx.dedicated_makespan(0)?, ctx.dedicated_allocation(0))
             };
             self.res_ptgs.push(ptg);
             self.res_meta.push(Resident {
                 index,
                 arrival: release_time,
                 dedicated,
+                allocation,
                 finish: None,
                 busy: 0.0,
             });
@@ -444,6 +455,12 @@ impl LoopState<'_, '_> {
             self.reference,
             &self.res_ptgs,
             self.cfg.base,
+        )
+        .with_dedicated_allocations(
+            self.res_meta
+                .iter()
+                .map(|r| Arc::clone(&r.allocation))
+                .collect(),
         );
         let allocations = self.scheduler.allocate_in(&ctx);
         let schedule = ctx.map_with(
