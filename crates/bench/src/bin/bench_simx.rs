@@ -3,21 +3,26 @@
 //! writes the measurements as machine-readable JSON — the simulation-kernel
 //! companion of `BENCH_runtime.json`.
 //!
-//! Three synthetic workload families stress the three structures the kernel
-//! refactor rebuilt, on a real Grid'5000 site:
+//! Four synthetic workload families stress the structures the kernel
+//! refactors rebuilt, on a real Grid'5000 site:
 //!
 //! * `wide-ready` — hundreds of independent jobs, no transfers: the
 //!   incremental ready set and the priority dispatch order dominate;
 //! * `layered-dag` — a layered DAG with mixed local / zero-byte / remote
 //!   transfers: event-queue traffic plus route resolution dominate;
 //! * `contended-links` — few jobs, many large cross-cluster transfers: the
-//!   max-min fair flow network and its cached completion horizon dominate.
+//!   max-min fair flow network and its cached completion horizon dominate;
+//! * `dense-fanout` — stages of jobs spread over every cluster, each stage
+//!   feeding the next all-to-all: well over 100 flows are in flight at once
+//!   over a handful of routes, so the per-event rate recomputation
+//!   dominates.
 //!
 //! Both implementations run the *same* workloads; before any timing each
 //! family is checked bit-for-bit (makespans) so the speedup column never
 //! compares diverging simulations. An "event" is one job start, job
 //! completion, transfer start or transfer delivery — `events_per_sec` is
-//! the kernel's sustained throughput over those.
+//! the kernel's sustained throughput over those. `flows_peak` is the most
+//! flows the engine had in flight at once (the `simx.flows_peak` gauge).
 //!
 //! ```sh
 //! cargo run --release -p mcsched-bench --bin bench_simx -- --out BENCH_simx.json
@@ -141,6 +146,33 @@ fn build_family(family: &str, n: usize, platform: &Platform, seed: u64) -> SimWo
                 }
             }
         }
+        "dense-fanout" => {
+            // Stage `s` job `i` runs alone on one processor of cluster
+            // `(s + i) mod nc`, so a stage's jobs start and finish together
+            // and its `WIDTH²` transfers to the next stage are all in flight
+            // at once, crossing at most `nc²` distinct routes.
+            const WIDTH: usize = 12;
+            let nc = platform.num_clusters();
+            let stages = (n / WIDTH).max(2);
+            for s in 0..stages {
+                for i in 0..WIDTH {
+                    w.add_job(SimJob::new(
+                        format!("j{}", w.num_jobs()),
+                        ProcSet::contiguous((s + i) % nc, i / nc, 1),
+                        1.0,
+                        s as u64,
+                    ));
+                }
+            }
+            for s in 1..stages {
+                for i in 0..WIDTH {
+                    for j in 0..WIDTH {
+                        let bytes = rng.gen_range(1.0e7..4.0e8);
+                        w.add_transfer((s - 1) * WIDTH + i, s * WIDTH + j, bytes);
+                    }
+                }
+            }
+        }
         other => unreachable!("unknown family {other}"),
     }
     w
@@ -152,6 +184,7 @@ struct Measurement {
     jobs: usize,
     transfers: usize,
     events: usize,
+    flows_peak: u64,
     mean_us: f64,
     min_us: f64,
     max_us: f64,
@@ -166,12 +199,14 @@ fn main() {
             ("wide-ready", 24),
             ("layered-dag", 24),
             ("contended-links", 16),
+            ("dense-fanout", 24),
         ]
     } else {
         &[
             ("wide-ready", 256),
             ("layered-dag", 256),
             ("contended-links", 128),
+            ("dense-fanout", 96),
         ]
     };
     eprintln!(
@@ -191,6 +226,8 @@ fn main() {
         // Bit-identity gate: a speedup over a diverging simulation would be
         // meaningless, so check before timing.
         let fast = engine.execute(&workload).expect("engine runs");
+        // The gauge's current value is the peak of the run just made.
+        let flows_peak = mcsched_obs::metrics::gauge("simx.flows_peak").get();
         let reference = reference_execute(&platform, &workload).expect("reference runs");
         assert_eq!(
             fast.makespan.to_bits(),
@@ -244,6 +281,7 @@ fn main() {
                 jobs,
                 transfers,
                 events,
+                flows_peak,
                 mean_us,
                 min_us: min,
                 max_us: max,
@@ -274,13 +312,15 @@ fn main() {
     for (i, m) in measurements.iter().enumerate() {
         json.push_str(&format!(
             "    {{\"family\": \"{}\", \"impl\": \"{}\", \"jobs\": {}, \"transfers\": {}, \
-             \"events_per_execute\": {}, \"per_execute_us\": {{\"mean\": {:.3}, \"min\": {:.3}, \
-             \"max\": {:.3}}}, \"events_per_sec\": {:.0}}}{}\n",
+             \"events_per_execute\": {}, \"flows_peak\": {}, \
+             \"per_execute_us\": {{\"mean\": {:.3}, \"min\": {:.3}, \"max\": {:.3}}}, \
+             \"events_per_sec\": {:.0}}}{}\n",
             m.family,
             m.implementation,
             m.jobs,
             m.transfers,
             m.events,
+            m.flows_peak,
             m.mean_us,
             m.min_us,
             m.max_us,

@@ -366,9 +366,12 @@ impl<'a> Engine<'a> {
         // The ready set and the busy map only change on the flagged paths
         // below; while the flag is clear a dispatch could not start anything.
         let mut dispatch_dirty = false;
-        // Event accounting stays in a local and is flushed to the obs
-        // counters once per run, keeping the loop body free of atomics.
+        // Event and flow-network accounting stays in locals and is flushed
+        // to the obs registry once per run, keeping the loop body free of
+        // atomics. Every flow start or completion recomputes the fair rates.
         let mut events = 0u64;
+        let mut flow_recomputes = 0u64;
+        let mut flows_peak = 0usize;
 
         loop {
             if finished == n {
@@ -398,6 +401,7 @@ impl<'a> Engine<'a> {
                 }
                 s.flows.complete(now, tid);
                 events += 1;
+                flow_recomputes += 1;
                 let tr = &workload.transfers[tid];
                 transfer_records[tid] = Some(TransferRecord {
                     transfer: tid,
@@ -428,6 +432,8 @@ impl<'a> Engine<'a> {
                         let route = s.transfer_routes[tid];
                         s.flows
                             .start(now, tid, route.links(), workload.transfers[tid].bytes);
+                        flow_recomputes += 1;
+                        flows_peak = flows_peak.max(s.flows.len());
                     }
                     Ev::JobFinish(j) => {
                         finished += 1;
@@ -508,6 +514,8 @@ impl<'a> Engine<'a> {
         mcsched_obs::counter!("simx.runs").inc();
         mcsched_obs::counter!("simx.events").add(events);
         mcsched_obs::counter!("simx.jobs").add(finished as u64);
+        mcsched_obs::counter!("simx.flow_recomputes").add(flow_recomputes);
+        mcsched_obs::gauge!("simx.flows_peak").set(flows_peak as u64);
         let trace = ExecutionTrace {
             jobs: job_records,
             transfers: transfer_records,

@@ -193,3 +193,81 @@ fn engine_is_bit_identical_under_concurrent_execution() {
         });
     });
 }
+
+/// Draws a dense-contention workload: `stages` stages of `width` one-processor
+/// jobs on randomly chosen clusters, every stage feeding the next
+/// all-to-all. A stage's jobs start and finish together, so its `width²`
+/// transfers are in flight at once over at most `nc²` distinct routes.
+/// Volumes come from a small set, so equal-size flows start at the same
+/// instant and their completions tie.
+fn dense_all_to_all(rng: &mut ChaCha8Rng, platform: &Platform) -> SimWorkload {
+    let width = rng.gen_range(18..=22);
+    let stages = rng.gen_range(2..=3);
+    let nc = platform.num_clusters();
+    let mut w = SimWorkload::new();
+    for s in 0..stages {
+        let mut used = vec![0usize; nc];
+        for _ in 0..width {
+            let cluster = rng.gen_range(0..nc);
+            w.add_job(SimJob::new(
+                format!("j{}", w.num_jobs()),
+                ProcSet::contiguous(cluster, used[cluster], 1),
+                [1.0, 1.0, 2.0][rng.gen_range(0..3)],
+                s as u64,
+            ));
+            used[cluster] += 1;
+        }
+    }
+    for s in 1..stages {
+        for i in 0..width {
+            for j in 0..width {
+                let bytes = [1.25e7, 5.0e7, 1.25e8, 3.0e8][rng.gen_range(0..4)];
+                w.add_transfer((s - 1) * width + i, s * width + j, bytes);
+            }
+        }
+    }
+    w
+}
+
+/// Most inter-cluster transfers whose `[start, finish)` spans contain one
+/// common instant (a transfer start).
+fn peak_inter_cluster_transfers(workload: &SimWorkload, outcome: &SimOutcome) -> usize {
+    let spans: Vec<(f64, f64)> = workload
+        .transfers
+        .iter()
+        .zip(&outcome.trace.transfers)
+        .filter(|(t, _)| {
+            workload.jobs[t.from].procs.cluster() != workload.jobs[t.to].procs.cluster()
+        })
+        .map(|(_, r)| {
+            let r = r.as_ref().expect("transfer delivered");
+            (r.start, r.finish)
+        })
+        .collect();
+    spans
+        .iter()
+        .map(|&(at, _)| spans.iter().filter(|&&(s, f)| s <= at && at < f).count())
+        .max()
+        .unwrap_or(0)
+}
+
+#[test]
+fn engine_matches_reference_under_dense_all_to_all_contention() {
+    // One shared-switch and one per-cluster-switch site: the max-min fair
+    // network sees more than a hundred concurrent inter-cluster flows.
+    for platform in [grid5000::lille(), grid5000::nancy()] {
+        let engine = Engine::new(&platform);
+        QuickCheck::new(0xDE45_E000).cases(4).run(|rng, _size| {
+            let workload = dense_all_to_all(rng, &platform);
+            let fast = engine.execute(&workload).expect("engine run");
+            let reference = reference_execute(&platform, &workload).expect("reference run");
+            assert_bit_identical(&fast, &reference);
+            let peak = peak_inter_cluster_transfers(&workload, &reference);
+            assert!(
+                peak >= 100,
+                "{}: only {peak} inter-cluster flows in flight",
+                platform.name()
+            );
+        });
+    }
+}
