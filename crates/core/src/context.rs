@@ -277,7 +277,7 @@ impl<'a> ScheduleContext<'a> {
     pub fn betas_for(&self, policy: &dyn ConstraintPolicy) -> Arc<Vec<f64>> {
         let mut cache = self.betas.lock();
         Arc::clone(cache.entry(policy.cache_key()).or_insert_with(|| {
-            let _p = mcsched_obs::phase::scope("beta+alloc");
+            let _p = mcsched_obs::span!("beta+alloc");
             Arc::new(policy.betas(self.ptgs, self.reference()))
         }))
     }
@@ -311,7 +311,7 @@ impl<'a> ScheduleContext<'a> {
                 (true, false) => self.dedicated_allocations[app].get().cloned(),
             })
             .collect();
-        let _p = mcsched_obs::phase::scope("beta+alloc");
+        let _p = mcsched_obs::span!("beta+alloc");
         let allocations: Arc<Vec<RefAllocation>> = Arc::new(
             self.ptgs
                 .iter()
@@ -339,7 +339,7 @@ impl<'a> ScheduleContext<'a> {
         Arc::clone(self.dedicated_allocations[app].get_or_init(|| {
             self.dedicated_allocation_runs
                 .fetch_add(1, Ordering::Relaxed);
-            let _p = mcsched_obs::phase::scope("beta+alloc");
+            let _p = mcsched_obs::span!("beta+alloc");
             Arc::new(
                 self.base_allocation
                     .dedicated(self.reference(), &self.ptgs[app]),
@@ -405,7 +405,7 @@ impl<'a> ScheduleContext<'a> {
     /// [`SchedError::Sim`], indicating a scheduler bug).
     pub fn execute(&self, workload: &SimWorkload) -> Result<SimOutcome, SchedError> {
         self.concurrent_sims.fetch_add(1, Ordering::Relaxed);
-        let _p = mcsched_obs::phase::scope("simx-execute");
+        let _p = mcsched_obs::span!("simx-execute");
         self.engine().execute(workload).map_err(SchedError::from)
     }
 
@@ -417,7 +417,7 @@ impl<'a> ScheduleContext<'a> {
         allocations: &[RefAllocation],
         release_times: &[f64],
     ) -> Schedule {
-        let _p = mcsched_obs::phase::scope("mapping");
+        let _p = mcsched_obs::span!("mapping");
         mapping.map(&MappingRequest {
             reference: self.reference(),
             network: self.engine().network(),
@@ -523,7 +523,7 @@ impl<'a> ScheduleContext<'a> {
     fn simulate_dedicated(&self, app: usize) -> Result<f64, SchedError> {
         let dedicated = self.dedicated_allocation(app);
         let schedule = {
-            let _p = mcsched_obs::phase::scope("mapping");
+            let _p = mcsched_obs::span!("mapping");
             self.base_mapping.map(&MappingRequest {
                 reference: self.reference(),
                 network: self.engine().network(),
@@ -534,7 +534,7 @@ impl<'a> ScheduleContext<'a> {
             })
         };
         self.dedicated_sims.fetch_add(1, Ordering::Relaxed);
-        let _p = mcsched_obs::phase::scope("simx-execute");
+        let _p = mcsched_obs::span!("simx-execute");
         let outcome = self.engine().execute(&schedule.workload)?;
         Ok(outcome.makespan)
     }

@@ -46,7 +46,6 @@ pub mod error;
 pub mod mapping;
 pub mod metrics;
 pub mod policy;
-pub mod profile;
 pub mod scheduler;
 pub mod workload;
 

@@ -6,6 +6,7 @@ use mcsched_ptg::gen::PtgClass;
 
 fn main() {
     let opts = CliOptions::from_env();
+    let obs = opts.obs.start();
     for packing in [true, false] {
         let base = if opts.full {
             CampaignConfig::paper(PtgClass::Random)
@@ -32,5 +33,5 @@ fn main() {
          slightly-too-large processor set, so makespans without packing should be no better\n\
          than with it."
     );
-    opts.finish();
+    obs.finish();
 }

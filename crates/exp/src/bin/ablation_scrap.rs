@@ -9,6 +9,7 @@ use mcsched_ptg::gen::PtgClass;
 
 fn main() {
     let opts = CliOptions::from_env();
+    let obs = opts.obs.start();
     for procedure in [AllocationProcedure::Scrap, AllocationProcedure::ScrapMax] {
         let base = if opts.full {
             CampaignConfig::paper(PtgClass::Random)
@@ -37,5 +38,5 @@ fn main() {
          time; SCRAP-MAX's per-level constraint avoids this and yields shorter schedules\n\
          when the constraint is loose."
     );
-    opts.finish();
+    obs.finish();
 }

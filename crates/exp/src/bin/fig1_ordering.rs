@@ -27,6 +27,7 @@ fn chain(name: &str, gflops: &[f64]) -> Ptg {
 
 fn main() {
     let opts = mcsched_exp::CliOptions::from_env();
+    let obs = opts.obs.start();
     // Two identical 1 GFlop/s processors, as in the figure.
     let platform = PlatformBuilder::new("figure1")
         .cluster("c", 2, 1.0)
@@ -88,5 +89,5 @@ fn main() {
         "The small PTG starts immediately with the ready-task ordering, while the global\n\
          ordering postpones it behind the first task of the big PTG (Figure 1 of the paper)."
     );
-    opts.finish();
+    obs.finish();
 }

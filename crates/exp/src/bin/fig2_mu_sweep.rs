@@ -9,6 +9,7 @@ use mcsched_exp::{CliOptions, MuSweepConfig};
 
 fn main() {
     let opts = CliOptions::from_env();
+    let obs = opts.obs.start();
     let base = if opts.full {
         MuSweepConfig::paper()
     } else {
@@ -31,5 +32,5 @@ fn main() {
          increases; mu = 0.7 offers the balance the paper selects for WPS-work."
     );
     opts.write_mu_sweep_csv(&config, &points);
-    opts.finish();
+    obs.finish();
 }

@@ -9,6 +9,7 @@ use mcsched_ptg::gen::PtgClass;
 
 fn main() {
     let opts = CliOptions::from_env();
+    let obs = opts.obs.start();
     let base = if opts.full {
         CampaignConfig::paper(PtgClass::Random)
     } else {
@@ -32,5 +33,5 @@ fn main() {
          fair but achieve the best makespans."
     );
     opts.write_campaign_csv(&config, &result);
-    opts.finish();
+    obs.finish();
 }

@@ -7,6 +7,7 @@ use mcsched_ptg::gen::PtgClass;
 
 fn main() {
     let opts = CliOptions::from_env();
+    let obs = opts.obs.start();
     let base = if opts.full {
         CampaignConfig::paper(PtgClass::Fft)
     } else {
@@ -30,5 +31,5 @@ fn main() {
          (up to ~2x the best for 10 concurrent PTGs)."
     );
     opts.write_campaign_csv(&config, &result);
-    opts.finish();
+    obs.finish();
 }

@@ -9,6 +9,7 @@ use mcsched_ptg::gen::PtgClass;
 
 fn main() {
     let opts = CliOptions::from_env();
+    let obs = opts.obs.start();
     let base = if opts.full {
         CampaignConfig::paper(PtgClass::Strassen)
     } else {
@@ -31,5 +32,5 @@ fn main() {
          makespan; PS-work remains the least fair / shortest-schedule strategy."
     );
     opts.write_campaign_csv(&config, &result);
-    opts.finish();
+    obs.finish();
 }

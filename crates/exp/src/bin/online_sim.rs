@@ -144,7 +144,7 @@ fn main() {
             "--threads" => spec.threads = numeric(&arg, &value(&mut it, &arg)),
             "--seed" => spec.base.seed = numeric(&arg, &value(&mut it, &arg)),
             "--csv" => csv = Some(value(&mut it, &arg)),
-            "--profile" => mcsched_core::profile::enable(),
+            "--profile" => obs.profile = true,
             "--quiet" => obs.quiet = true,
             "--obs-trace" => obs.trace = Some(PathBuf::from(value(&mut it, &arg))),
             "--obs-journal" => obs.journal = Some(PathBuf::from(value(&mut it, &arg))),
@@ -155,8 +155,7 @@ fn main() {
         }
     }
     obs = obs.or(mcsched_obs::ObsOptions::from_env());
-    obs.activate();
-    mcsched_obs::set_thread_label("main");
+    let run = obs.start();
     if series.is_none() {
         series = std::env::var_os("MCSCHED_OBS_SERIES")
             .filter(|v| !v.is_empty())
@@ -203,6 +202,5 @@ fn main() {
         }
         mcsched_obs::note!("obs: time series written to {}", path.display());
     }
-    mcsched_core::profile::report();
-    obs.finish();
+    run.finish();
 }

@@ -5,6 +5,7 @@ use mcsched_platform::grid5000;
 
 fn main() {
     let opts = mcsched_exp::CliOptions::from_env();
+    let obs = opts.obs.start();
     println!("Table 1: multi-cluster subsets of the Grid'5000 platform");
     println!(
         "{:<8} {:<10} {:>7} {:>9}   {:>12} {:>15} {:>14}",
@@ -43,5 +44,5 @@ fn main() {
     println!(
         "Paper reference values: 99/167/229/180 processors, 20.2%/6.1%/36.8%/34.7% heterogeneity."
     );
-    opts.finish();
+    obs.finish();
 }

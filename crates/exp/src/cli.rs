@@ -47,7 +47,10 @@
 //! * `--progress` — narrate one stderr line per completed data point;
 //! * `--profile` — print per-phase wall-clock timings (workload generation,
 //!   β + allocation, mapping, simulation, statistics) to stderr at the end
-//!   of the run (equivalent to setting `MCSCHED_PROFILE=1`);
+//!   of the run (equivalent to setting `MCSCHED_PROFILE=1`). The timings
+//!   are the run's span durations summed by name, aggregated across worker
+//!   threads; without a trace export only those sums are kept, so memory
+//!   stays bounded;
 //! * `--obs-trace PATH` — enable structured tracing and write the span
 //!   timeline as Chrome-trace JSON (loadable in Perfetto /
 //!   `chrome://tracing`) at the end of the run;
@@ -69,7 +72,7 @@
 //! Each `--obs-*`/`--quiet` flag has an environment equivalent
 //! (`MCSCHED_OBS_TRACE`, `MCSCHED_OBS_JOURNAL`, `MCSCHED_OBS_METRICS`,
 //! `MCSCHED_OBS_DIR`, `MCSCHED_QUIET`; flags win), and `MCSCHED_OBS=1`
-//! enables tracing with no export — see [`mcsched_obs::ObsOptions`].
+//! records spans with no export — see [`mcsched_obs::ObsOptions`].
 //!
 //! Malformed values of numeric flags (`--threads abc`, `--ci 1.5`, a
 //! missing value) are hard errors: the binaries print the problem and exit
@@ -124,10 +127,9 @@ pub struct CliOptions {
     pub shard: Option<(usize, usize)>,
     /// Narrate per-data-point progress on stderr (`--progress`).
     pub progress: bool,
-    /// Print per-phase wall-clock timings on stderr (`--profile`).
-    pub profile: bool,
-    /// Observability exports and sink verbosity (`--obs-trace`,
-    /// `--obs-journal`, `--obs-metrics`, `--quiet`).
+    /// Observability exports, the phase report and sink verbosity
+    /// (`--obs-trace`, `--obs-journal`, `--obs-metrics`, `--obs-dir`,
+    /// `--profile`, `--quiet`).
     pub obs: mcsched_obs::ObsOptions,
 }
 
@@ -171,7 +173,7 @@ impl CliOptions {
                 "--full" => opts.full = true,
                 "--no-resume" => opts.no_resume = true,
                 "--progress" => opts.progress = true,
-                "--profile" => opts.profile = true,
+                "--profile" => opts.obs.profile = true,
                 "--combinations" => {
                     opts.combinations = Some(numeric(&arg, &value(&mut it, &arg)?)?);
                 }
@@ -264,33 +266,18 @@ impl CliOptions {
     }
 
     /// Parses the current process arguments, exiting with status 2 on a
-    /// malformed flag value. Also activates the run's instrumentation:
-    /// `--profile` enables phase timing, and the merged `--obs-*`/
-    /// environment options enable tracing and configure the stderr sink
-    /// (flags take precedence over `MCSCHED_OBS_*` variables).
+    /// malformed flag value, and merges the environment into the
+    /// observability options (flags take precedence over `MCSCHED_OBS_*`,
+    /// `MCSCHED_PROFILE` and `MCSCHED_QUIET`). Binaries then bracket their
+    /// work with `opts.obs.start()` and `ObsRun::finish`.
     pub fn from_env() -> Self {
         let mut opts = Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
             eprintln!("error: {e}");
             std::process::exit(2);
         });
-        if opts.profile {
-            mcsched_core::profile::enable();
-        }
         opts.obs = opts.obs.or(mcsched_obs::ObsOptions::from_env());
         opts.obs.run = Some(mcsched_obs::manifest::shard_label(opts.shard));
-        opts.obs.activate();
-        mcsched_obs::set_thread_label("main");
         opts
-    }
-
-    /// Ends the run's instrumentation: prints the per-phase profile to
-    /// stderr when `--profile` (or `MCSCHED_PROFILE=1`) is active, then
-    /// drains the trace buffers and writes every requested `--obs-*`
-    /// artefact. Binaries call this as their last statement; it is a no-op
-    /// otherwise.
-    pub fn finish(&self) {
-        mcsched_core::profile::report();
-        self.obs.finish();
     }
 
     /// Resolves the `--allocation` override into the built-in procedure
@@ -744,18 +731,17 @@ mod tests {
             "--obs-dir",
             "/tmp/fleet",
             "--quiet",
+            "--profile",
         ]);
         assert_eq!(o.obs.trace, Some(PathBuf::from("/tmp/t.json")));
         assert_eq!(o.obs.journal, Some(PathBuf::from("/tmp/j.jsonl")));
         assert_eq!(o.obs.metrics, Some(PathBuf::from("/tmp/m.csv")));
         assert_eq!(o.obs.dir, Some(PathBuf::from("/tmp/fleet")));
-        assert!(o.obs.quiet);
-        assert!(o.obs.wants_export());
+        assert!(o.obs.quiet && o.obs.profile);
         assert!(parse_err(&["--obs-trace"]).contains("expects a value"));
         assert!(parse_err(&["--obs-dir"]).contains("expects a value"));
         let plain = parse(&[]);
-        assert!(!plain.obs.wants_export());
-        assert!(!plain.obs.quiet);
+        assert!(!plain.obs.quiet && !plain.obs.profile);
     }
 
     #[test]

@@ -10,6 +10,11 @@
 //! global result mutex, no nesting) so `bench_runtime` can measure the
 //! replacement against it; it will be removed once that trajectory is
 //! established. New code must use the runtime pool.
+//!
+//! Its scoped threads run untraced: unlike the pool, it does not carry the
+//! caller's [`mcsched_obs::Collector`] into its workers, so their spans
+//! record nothing. Its only caller, `bench_runtime`'s `legacy-fanout`
+//! family, runs without a collector anyway.
 
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,7 +46,8 @@ pub fn resolve_threads(configured: usize) -> usize {
 /// Propagates panics from `f` (the scope joins every worker).
 #[deprecated(
     since = "0.1.0",
-    note = "use `mcsched_runtime::run_indexed` (persistent work-stealing pool, nested fan-outs)"
+    note = "use `mcsched_runtime::run_indexed` (persistent work-stealing pool, nested fan-outs, \
+            traced tasks); this executor runs its workers untraced"
 )]
 #[allow(deprecated)]
 pub fn run_indexed<T, F>(threads: usize, count: usize, f: F) -> Vec<T>

@@ -96,7 +96,7 @@ fn cell_config(
 /// bounds: `mean ± hw` always covers the true `[lo, hi]`. The CSV renderers
 /// carry the exact asymmetric bounds.
 fn ci_cell(samples: &Samples, config: &BootstrapConfig) -> String {
-    let _p = mcsched_obs::phase::scope("stats");
+    let _p = mcsched_obs::span!("stats");
     let ci = samples.bootstrap_mean_ci(config);
     let mean = samples.mean();
     let hw = (ci.hi - mean).max(mean - ci.lo).max(0.0);

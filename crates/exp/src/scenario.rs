@@ -109,7 +109,7 @@ pub fn generate_scenarios_with(
         .enumerate()
     {
         let workload = {
-            let _p = mcsched_obs::phase::scope("workload-gen");
+            let _p = mcsched_obs::span!("workload-gen");
             source.generate(request)?
         };
         for platform in &platforms {

@@ -65,9 +65,9 @@ fn push_fields_object(out: &mut String, fields: &[(&'static str, FieldValue)]) {
 }
 
 /// Renders the dump as a Chrome-trace JSON object (`traceEvents` array
-/// with `B`/`E`/`i` events plus `thread_name` metadata), loadable in
-/// Perfetto. Timestamps are microseconds since the trace epoch; `tid` is
-/// the thread's registration ordinal.
+/// with `B`/`E` events plus `thread_name` metadata), loadable in
+/// Perfetto. Timestamps are microseconds since the collector was created;
+/// `tid` is the thread's ordinal in the collector.
 #[must_use]
 pub fn chrome_trace(dump: &TraceDump) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
@@ -91,7 +91,6 @@ pub fn chrome_trace(dump: &TraceDump) -> String {
             let ph = match event.kind {
                 EventKind::Begin => "B",
                 EventKind::End => "E",
-                EventKind::Instant => "i",
             };
             let mut line = format!(
                 "{{\"ph\":\"{ph}\",\"pid\":1,\"tid\":{},\"ts\":{:.3},\"name\":",
@@ -99,9 +98,6 @@ pub fn chrome_trace(dump: &TraceDump) -> String {
                 event.t_ns as f64 / 1e3,
             );
             push_json_str(&mut line, event.name);
-            if event.kind == EventKind::Instant {
-                line.push_str(",\"s\":\"t\"");
-            }
             if !event.fields.is_empty() {
                 line.push_str(",\"args\":");
                 push_fields_object(&mut line, &event.fields);
@@ -115,8 +111,8 @@ pub fn chrome_trace(dump: &TraceDump) -> String {
 }
 
 /// Renders the dump as the deterministic JSONL event journal: one JSON
-/// object per span begin / instant event (`{"event":"span"|"instant",
-/// "name":…,"fields":{…}}`), with no timestamps or thread ids, sorted
+/// object per span begin (`{"event":"span","name":…,"fields":{…}}`),
+/// with no timestamps or thread ids, sorted
 /// lexicographically. Byte-identical across runs and thread counts for a
 /// fixed workload.
 #[must_use]
@@ -124,12 +120,10 @@ pub fn journal_jsonl(dump: &TraceDump) -> String {
     let mut lines: Vec<String> = Vec::new();
     for thread in &dump.threads {
         for event in &thread.events {
-            let tag = match event.kind {
-                EventKind::Begin => "span",
-                EventKind::Instant => "instant",
-                EventKind::End => continue,
-            };
-            let mut line = format!("{{\"event\":\"{tag}\",\"name\":");
+            if event.kind == EventKind::End {
+                continue;
+            }
+            let mut line = String::from("{\"event\":\"span\",\"name\":");
             push_json_str(&mut line, event.name);
             line.push_str(",\"fields\":");
             push_fields_object(&mut line, &event.fields);
@@ -176,7 +170,7 @@ mod tests {
                     label: "main".into(),
                     events: vec![Event {
                         name: "tick \"q\"",
-                        kind: EventKind::Instant,
+                        kind: EventKind::Begin,
                         t_ns: 10,
                         fields: vec![("n", FieldValue::U64(3))],
                     }],
@@ -196,8 +190,7 @@ mod tests {
         assert!(json.contains("\"ph\":\"E\""));
         assert!(json.contains("\"ts\":1.500"));
         assert!(json.contains("\"args\":{\"policy\":\"hcpa\"}"));
-        // Instant events carry a scope and escaped names survive.
-        assert!(json.contains("\"s\":\"t\""));
+        // Escaped names survive.
         assert!(json.contains("tick \\\"q\\\""));
     }
 

@@ -8,31 +8,30 @@
 //!
 //! Four pillars:
 //!
-//! * [`mod@span`] — span-based structured tracing: [`span!`] opens a named,
-//!   field-carrying span guard on the current thread; begin/end events land
-//!   in a per-thread buffer (contended only when a drain swaps it out) and
-//!   nest hierarchically in thread order. The whole layer is **off by
-//!   default**: the disabled cost of a `span!` call site is one relaxed
-//!   atomic load and a branch (the runtime subscriber check), and building
-//!   with the `off` feature compiles even that away, so golden figure
-//!   bytes can never depend on whether tracing is compiled in;
-//! * [`metrics`] — a registry of named [`metrics::Counter`]s,
+//! * [`mod@span`] — span-based structured tracing: [`span!`] opens a
+//!   named, field-carrying span guard that records into the scoped
+//!   [`Collector`] installed on the current thread (the runtime pool
+//!   carries it into the run's tasks), and only while one is. There is no
+//!   process-wide tracing switch; with no collector a `span!` site costs
+//!   one thread-local read and a branch;
+//! * [`metrics`] — a process-wide registry of named [`metrics::Counter`]s,
 //!   [`metrics::Gauge`]s and log-scale [`metrics::Histogram`]s
 //!   (steal counts, cache hits, events per simulation, grants per
 //!   allocation, …), registered once via [`counter!`]/[`gauge!`]/
 //!   [`histogram!`] and snapshotted atomically into a sorted table or CSV;
 //! * [`export`] — Chrome-trace/Perfetto JSON for span timelines, a
 //!   deterministically ordered JSONL event journal, and the metrics
-//!   summary, written by [`ObsOptions::finish`] behind the binaries'
+//!   summary, written by [`ObsRun::finish`] behind the binaries'
 //!   `--obs-trace` / `--obs-journal` / `--obs-metrics` flags (env
 //!   equivalents `MCSCHED_OBS_TRACE` / `MCSCHED_OBS_JOURNAL` /
-//!   `MCSCHED_OBS_METRICS`, plus `MCSCHED_OBS=1` to enable tracing without
+//!   `MCSCHED_OBS_METRICS`, plus `MCSCHED_OBS=1` to record spans without
 //!   exporting);
-//! * [`phase`] + [`series`] + [`sink`] — the per-phase wall-clock profile
-//!   (`MCSCHED_PROFILE=1`, byte-compatible with the old
-//!   `mcsched_core::profile` output), a virtual-time [`series::TimeSeries`]
-//!   recorder for the online service, and the one stderr [`note!`] sink all
-//!   informational lines go through (silenced wholesale by `--quiet` /
+//! * [`phase`] + [`series`] + [`sink`] — the per-phase wall-clock report
+//!   (`--profile` / `MCSCHED_PROFILE=1`: the collector's span totals for
+//!   the pipeline phases, in a fixed order and byte format), a
+//!   virtual-time [`series::TimeSeries`] recorder for the online service,
+//!   and the one process-wide stderr [`note!`] sink all informational
+//!   lines go through (silenced wholesale by `--quiet` /
 //!   `MCSCHED_QUIET=1`).
 //!
 //! ## Determinism contract
@@ -63,17 +62,18 @@ pub use manifest::{Heartbeat, RunManifest, RunPhase, RunRecorder};
 pub use metrics::{Counter, Gauge, Histogram, MetricsSnapshot};
 pub use series::TimeSeries;
 pub use span::{
-    disable_tracing, enable_tracing, set_thread_label, tracing_enabled, Event, EventKind,
-    FieldValue, SpanGuard, ThreadEvents, TraceDump,
+    disable_tracing, tracing_enabled, Collector, CollectorGuard, Event, EventKind, FieldValue,
+    SpanGuard, SpanTotal, ThreadEvents, TraceDump,
 };
 
 use std::path::PathBuf;
 
-/// The export/enablement configuration of one process run: where (if
+/// The observability configuration of one process run: where (if
 /// anywhere) to write the Chrome trace, the JSONL journal and the metrics
-/// summary, and whether the stderr sink is quiet. Binaries parse their
-/// `--obs-*`/`--quiet` flags into this and fall back to the environment
-/// ([`ObsOptions::from_env`]).
+/// summary, whether to print the phase report, and whether the stderr sink
+/// is quiet. Binaries parse their `--obs-*`/`--profile`/`--quiet` flags
+/// into this, fall back to the environment ([`ObsOptions::from_env`]),
+/// then bracket the run with [`ObsOptions::start`] and [`ObsRun::finish`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsOptions {
     /// Chrome-trace (Perfetto-loadable) JSON output path (`--obs-trace`).
@@ -92,16 +92,21 @@ pub struct ObsOptions {
     /// [`ObsOptions::dir`] (defaults to `0of1`; the CLI layer sets it from
     /// `--shard`).
     pub run: Option<String>,
+    /// Print the per-phase timing report to stderr at the end of the run
+    /// (`--profile`, `MCSCHED_PROFILE`).
+    pub profile: bool,
+    /// Record spans even with no export requested (`MCSCHED_OBS`), for
+    /// overhead measurements.
+    pub record: bool,
     /// Silence the informational stderr sink (`--quiet`).
     pub quiet: bool,
 }
 
 impl ObsOptions {
     /// Reads the environment equivalents of the CLI flags:
-    /// `MCSCHED_OBS_TRACE`, `MCSCHED_OBS_JOURNAL`, `MCSCHED_OBS_METRICS`
-    /// (paths), `MCSCHED_QUIET` (non-empty, non-`0`). `MCSCHED_OBS` set to
-    /// anything but `0`/empty additionally turns tracing on even with no
-    /// export configured (for overhead measurements).
+    /// `MCSCHED_OBS_TRACE`, `MCSCHED_OBS_JOURNAL`, `MCSCHED_OBS_METRICS`,
+    /// `MCSCHED_OBS_DIR` (paths), and `MCSCHED_PROFILE`, `MCSCHED_OBS`,
+    /// `MCSCHED_QUIET` (on when set to anything but `0`/empty).
     #[must_use]
     pub fn from_env() -> Self {
         let path = |key: &str| {
@@ -110,15 +115,14 @@ impl ObsOptions {
                 .map(PathBuf::from)
         };
         let flag = |key: &str| matches!(std::env::var(key), Ok(v) if !v.is_empty() && v != "0");
-        if flag("MCSCHED_OBS") {
-            enable_tracing();
-        }
         Self {
             trace: path("MCSCHED_OBS_TRACE"),
             journal: path("MCSCHED_OBS_JOURNAL"),
             metrics: path("MCSCHED_OBS_METRICS"),
             dir: path("MCSCHED_OBS_DIR"),
             run: None,
+            profile: flag("MCSCHED_PROFILE"),
+            record: flag("MCSCHED_OBS"),
             quiet: flag("MCSCHED_QUIET"),
         }
     }
@@ -132,29 +136,36 @@ impl ObsOptions {
         self.metrics = self.metrics.or(fallback.metrics);
         self.dir = self.dir.or(fallback.dir);
         self.run = self.run.or(fallback.run);
+        self.profile = self.profile || fallback.profile;
+        self.record = self.record || fallback.record;
         self.quiet = self.quiet || fallback.quiet;
         self
     }
 
-    /// Applies the options to the process: enables tracing when a trace or
-    /// journal export is requested and configures the stderr sink. Call
-    /// once, before the instrumented work starts.
-    pub fn activate(&self) {
-        if self.trace.is_some() || self.journal.is_some() || self.dir.is_some() {
-            enable_tracing();
-        }
+    /// Starts the run's instrumentation on the calling thread: configures
+    /// the stderr sink and, when anything consumes spans, installs a
+    /// collector (keeping the event log only for exports, so `--profile`
+    /// alone stays bounded in memory). Keep the returned [`ObsRun`] for the
+    /// whole run and end it with [`ObsRun::finish`].
+    #[must_use]
+    pub fn start(&self) -> ObsRun {
         if self.quiet {
             sink::set_quiet(true);
         }
-    }
-
-    /// Whether any export artefact was requested.
-    #[must_use]
-    pub fn wants_export(&self) -> bool {
-        self.trace.is_some()
-            || self.journal.is_some()
-            || self.metrics.is_some()
-            || self.dir.is_some()
+        let keeps_events =
+            self.record || self.trace.is_some() || self.journal.is_some() || self.dir.is_some();
+        let collector = if keeps_events {
+            Some(Collector::new())
+        } else if self.profile {
+            Some(Collector::totals_only())
+        } else {
+            None
+        };
+        ObsRun {
+            installed: collector.as_ref().map(Collector::install),
+            collector,
+            options: self.clone(),
+        }
     }
 
     /// File-name stem of this run's fleet artefacts (`run-<shard>`).
@@ -162,30 +173,40 @@ impl ObsOptions {
     pub fn run_stem(&self) -> String {
         manifest::run_stem(self.run.as_deref().unwrap_or("0of1"))
     }
+}
 
-    /// Drains the trace buffers and writes every requested artefact.
-    /// Failures degrade to a `warning:` line on stderr (observability must
-    /// never fail a run); successful writes are narrated through the sink.
-    pub fn finish(&self) {
-        if !self.wants_export() {
-            return;
+/// A started run (see [`ObsOptions::start`]): holds the run's collector
+/// installed on the starting thread.
+#[derive(Debug)]
+pub struct ObsRun {
+    options: ObsOptions,
+    collector: Option<Collector>,
+    installed: Option<CollectorGuard>,
+}
+
+impl ObsRun {
+    /// Ends the run: uninstalls its collector, prints the phase report
+    /// when profiling, and writes every requested artefact. Failures
+    /// degrade to a `warning:` line on stderr (observability must never
+    /// fail a run); successful writes are narrated through the sink.
+    pub fn finish(mut self) {
+        drop(self.installed.take());
+        let opts = &self.options;
+        if let (true, Some(collector)) = (opts.profile, &self.collector) {
+            phase::report(&collector.totals());
         }
-        let dump = if self.trace.is_some() || self.journal.is_some() || self.dir.is_some() {
-            Some(span::drain())
-        } else {
-            None
-        };
+        let dump = self.collector.as_ref().map(Collector::drain);
         let write = |path: &PathBuf, what: &str, text: String| match std::fs::write(path, text) {
             Ok(()) => crate::note!("obs: {what} written to {}", path.display()),
             Err(e) => eprintln!("warning: obs: could not write {} ({e})", path.display()),
         };
-        if let (Some(path), Some(dump)) = (&self.trace, dump.as_ref()) {
+        if let (Some(path), Some(dump)) = (&opts.trace, dump.as_ref()) {
             write(path, "chrome trace", export::chrome_trace(dump));
         }
-        if let (Some(path), Some(dump)) = (&self.journal, dump.as_ref()) {
+        if let (Some(path), Some(dump)) = (&opts.journal, dump.as_ref()) {
             write(path, "event journal", export::journal_jsonl(dump));
         }
-        if let Some(path) = &self.metrics {
+        if let Some(path) = &opts.metrics {
             let snapshot = metrics::snapshot();
             let text = if path.extension().is_some_and(|e| e == "csv") {
                 snapshot.render_csv()
@@ -194,14 +215,14 @@ impl ObsOptions {
             };
             write(path, "metrics summary", text);
         }
-        if let Some(dir) = &self.dir {
+        if let Some(dir) = &opts.dir {
             // Per-shard fleet exports: the deterministic journal and the
             // JSON metrics snapshot `mcsched-obs-merge` unions.
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("warning: obs: cannot create {} ({e})", dir.display());
                 return;
             }
-            let stem = self.run_stem();
+            let stem = opts.run_stem();
             if let Some(dump) = dump.as_ref() {
                 write(
                     &dir.join(format!("{stem}.journal.jsonl")),
@@ -218,8 +239,8 @@ impl ObsOptions {
     }
 }
 
-/// Serializes tests that touch the process-global subscriber/registry
-/// state (the harness runs tests in parallel threads).
+/// Serializes tests that touch the process-global metrics registry or
+/// stderr sink (the harness runs tests in parallel threads).
 #[cfg(test)]
 pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -247,7 +268,23 @@ mod tests {
         assert_eq!(merged.trace, Some(PathBuf::from("/a")));
         assert_eq!(merged.journal, Some(PathBuf::from("/j")));
         assert!(merged.quiet);
-        assert!(merged.wants_export());
-        assert!(!ObsOptions::default().wants_export());
+    }
+
+    #[test]
+    fn start_installs_a_collector_only_when_spans_are_consumed() {
+        ObsOptions::default().start().finish();
+        let run = ObsOptions {
+            profile: true,
+            ..ObsOptions::default()
+        }
+        .start();
+        {
+            let _span = span!("mapping");
+        }
+        let collector = Collector::current().expect("profiling collects");
+        run.finish();
+        assert!(!tracing_enabled(), "finish uninstalls the collector");
+        assert_eq!(collector.totals()[0].calls, 1);
+        assert!(collector.drain().threads.is_empty(), "no event log kept");
     }
 }

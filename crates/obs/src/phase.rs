@@ -1,163 +1,51 @@
-//! Per-phase wall-clock profiling, migrated here from `mcsched_core`.
+//! The per-phase wall-clock report (`--profile` / `MCSCHED_PROFILE=1`).
 //!
-//! A *phase* is a named slice of the pipeline ("beta+alloc", "mapping",
-//! "simx-execute", …) whose aggregate busy time across all threads is worth
-//! a line in the `MCSCHED_PROFILE=1` report. [`scope`] both accumulates
-//! that wall time (when profiling is on) and opens an obs span of the same
-//! name (when tracing is on), so one guard feeds the flat report *and* the
-//! Chrome-trace timeline.
-//!
-//! The rendered report is byte-compatible with the historical
-//! `mcsched_core::profile` output; that module is now a deprecated shim
-//! over this one.
+//! A *phase* is a span name worth a line in the report: the pipeline
+//! stages below, opened with plain [`crate::span!`]s at their call sites.
+//! There is no separate timing registry: the report renders the by-name
+//! [`SpanTotal`]s of the run's [`crate::Collector`], so its totals are
+//! *aggregate* busy time across threads (they can exceed wall time when
+//! pool workers overlap). Other span names (`pool-task`, `cell-eval`, …)
+//! are summed too but not reported.
 
-use crate::span::{tracing_enabled, SpanGuard};
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use crate::span::SpanTotal;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static INIT: OnceLock<()> = OnceLock::new();
+/// The reported phases, in report order:
+///
+/// * `workload-gen` — drawing the PTGs / workloads of a scenario;
+/// * `beta+alloc` — constraint β vectors plus constrained allocations;
+/// * `mapping` — the concurrent mapping step (list scheduling + packing);
+/// * `simx-execute` — simulated executions (concurrent and dedicated);
+/// * `stats` — summaries, bootstrap CIs, paired analysis;
+/// * `online-loop` — the online scheduler's event loop proper, *excluding*
+///   the nested phases it triggers, which report under their own names.
+pub const PHASE_NAMES: [&str; 6] = [
+    "workload-gen",
+    "beta+alloc",
+    "mapping",
+    "simx-execute",
+    "stats",
+    "online-loop",
+];
 
-/// Whether profiling is enabled (`MCSCHED_PROFILE` set to anything but
-/// `0`/empty, or [`enable_profiling`] called). The environment is read
-/// once.
+/// Renders the report over `totals`: a header, then one line per phase of
+/// [`PHASE_NAMES`] that ran, in that order, with its share of the phases'
+/// summed time. `None` when no phase recorded any time.
 #[must_use]
-pub fn profiling_enabled() -> bool {
-    INIT.get_or_init(|| {
-        if matches!(std::env::var("MCSCHED_PROFILE"), Ok(v) if !v.is_empty() && v != "0") {
-            ENABLED.store(true, Ordering::Relaxed);
-        }
-    });
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Turns profiling on for the current process (what `--profile` does).
-pub fn enable_profiling() {
-    let _ = profiling_enabled(); // force env init so it cannot overwrite
-    ENABLED.store(true, Ordering::Relaxed);
-}
-
-/// Accumulated totals of one phase. Process-global atomics: campaign
-/// fan-out threads all add into the same entry, so totals are *aggregate*
-/// busy time (they can exceed wall time when threads overlap).
-#[derive(Debug, Default)]
-pub struct PhaseStats {
-    nanos: AtomicU64,
-    calls: AtomicU64,
-}
-
-impl PhaseStats {
-    /// Adds one timed call of `nanos` wall time.
-    pub fn add(&self, nanos: u64) {
-        self.nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.calls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Accumulated `(seconds, calls)`.
-    #[must_use]
-    pub fn totals(&self) -> (f64, u64) {
-        (
-            self.nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            self.calls.load(Ordering::Relaxed),
-        )
-    }
-
-    fn nanos(&self) -> u64 {
-        self.nanos.load(Ordering::Relaxed)
-    }
-
-    fn calls(&self) -> u64 {
-        self.calls.load(Ordering::Relaxed)
-    }
-
-    fn reset(&self) {
-        self.nanos.store(0, Ordering::Relaxed);
-        self.calls.store(0, Ordering::Relaxed);
-    }
-}
-
-fn registry() -> &'static Mutex<HashMap<&'static str, &'static PhaseStats>> {
-    static REGISTRY: OnceLock<Mutex<HashMap<&'static str, &'static PhaseStats>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// Returns (registering on first use) the stats entry for `name`. Useful
-/// for callers that want to cache the handle; [`scope`] looks it up per
-/// call, which is already cheap next to any phase worth timing.
-#[must_use]
-pub fn stats(name: &'static str) -> &'static PhaseStats {
-    let mut table = registry().lock().unwrap();
-    if let Some(&s) = table.get(name) {
-        return s;
-    }
-    let s: &'static PhaseStats = Box::leak(Box::default());
-    table.insert(name, s);
-    s
-}
-
-/// Times one phase scope: accumulates elapsed wall time into the `name`
-/// entry when the guard drops (profiling on) and brackets the scope in an
-/// obs span of the same name (tracing on). Returns `None` — zero
-/// overhead — when both are off.
-#[must_use]
-pub fn scope(name: &'static str) -> Option<PhaseScope> {
-    let profiling = profiling_enabled();
-    let span = if tracing_enabled() {
-        Some(SpanGuard::begin(name, Vec::new()))
-    } else if !profiling {
-        return None;
-    } else {
-        None
+pub fn render_report(totals: &[SpanTotal]) -> Option<String> {
+    let phase = |name: &str| {
+        totals
+            .iter()
+            .find(|t| t.name == name)
+            .map_or((0, 0), |t| (t.nanos, t.calls))
     };
-    Some(PhaseScope {
-        stats: if profiling { Some(stats(name)) } else { None },
-        start: Instant::now(),
-        _span: span,
-    })
-}
-
-/// Guard returned by [`scope`]; settles the accounting on drop.
-#[derive(Debug)]
-pub struct PhaseScope {
-    stats: Option<&'static PhaseStats>,
-    start: Instant,
-    _span: Option<SpanGuard>,
-}
-
-impl Drop for PhaseScope {
-    fn drop(&mut self) {
-        if let Some(stats) = self.stats {
-            let nanos = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            stats.add(nanos);
-        }
-    }
-}
-
-/// Accumulated `(seconds, calls)` for one phase name (zeros if the phase
-/// never ran).
-#[must_use]
-pub fn totals(name: &'static str) -> (f64, u64) {
-    stats(name).totals()
-}
-
-/// Renders the per-phase report over `names`, in that order, in the
-/// historical `mcsched_core::profile` byte format. `None` when profiling
-/// is off or nothing was recorded.
-#[must_use]
-pub fn render_report(names: &[&'static str]) -> Option<String> {
-    if !profiling_enabled() {
-        return None;
-    }
-    let entries: Vec<(&str, &'static PhaseStats)> = names.iter().map(|&n| (n, stats(n))).collect();
-    let total: u64 = entries.iter().map(|(_, s)| s.nanos()).sum();
+    let total: u64 = PHASE_NAMES.iter().map(|&n| phase(n).0).sum();
     if total == 0 {
         return None;
     }
     let mut out = String::from("profile: phase timings (aggregate across threads)\n");
-    for (name, s) in entries {
-        let (nanos, calls) = (s.nanos(), s.calls());
+    for name in PHASE_NAMES {
+        let (nanos, calls) = phase(name);
         if calls == 0 {
             continue;
         }
@@ -172,52 +60,47 @@ pub fn render_report(names: &[&'static str]) -> Option<String> {
     Some(out)
 }
 
-/// Prints [`render_report`] line by line through the stderr sink (so
-/// `--quiet` silences it), exactly as the old `profile::report` printed
-/// via `eprintln!`.
-pub fn report(names: &[&'static str]) {
-    if let Some(text) = render_report(names) {
+/// Prints [`render_report`] line by line through the stderr sink, so
+/// `--quiet` silences it.
+pub fn report(totals: &[SpanTotal]) {
+    if let Some(text) = render_report(totals) {
         for line in text.lines() {
             crate::note!("{line}");
         }
     }
 }
 
-/// Resets every phase's counters (used by tests).
-pub fn reset() {
-    for s in registry().lock().unwrap().values() {
-        s.reset();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Collector;
 
     #[test]
-    fn scope_accumulates_and_reports_in_byte_format() {
-        let _lock = crate::test_guard();
-        enable_profiling();
-        reset();
+    fn span_sums_report_in_byte_format_and_phase_order() {
+        let collector = Collector::totals_only();
         {
-            let _g = scope("test-phase");
-            std::hint::black_box(0u64);
+            let _installed = collector.install();
+            let _g = crate::span!("mapping");
+            let _other = crate::span!("not-a-phase");
         }
-        let (secs, calls) = totals("test-phase");
-        assert_eq!(calls, 1);
-        assert!(secs >= 0.0);
-        let text = render_report(&["test-phase", "never-ran"]).unwrap();
-        let mut lines = text.lines();
+        let line = render_report(&collector.totals()).unwrap();
+        let line = line.lines().nth(1).unwrap();
+        assert!(line.starts_with("profile:   mapping       "), "{line:?}");
+        assert!(line.ends_with(" 1 calls  100.0%"), "{line:?}");
+        assert!(render_report(&[]).is_none());
+
+        let total = |name, nanos| SpanTotal {
+            name,
+            nanos,
+            calls: 1,
+        };
+        let totals = [total("stats", 1_000_000), total("workload-gen", 3_000_000)];
         assert_eq!(
-            lines.next(),
-            Some("profile: phase timings (aggregate across threads)")
+            render_report(&totals).unwrap(),
+            "profile: phase timings (aggregate across threads)\n\
+             profile:   workload-gen       3.000 ms          1 calls   75.0%\n\
+             profile:   stats              1.000 ms          1 calls   25.0%\n",
+            "phases in report order; those with zero calls omitted"
         );
-        let line = lines.next().unwrap();
-        assert!(line.starts_with("profile:   test-phase   "), "{line:?}");
-        assert!(line.ends_with("100.0%"), "{line:?}");
-        assert!(line.contains(" 1 calls"), "{line:?}");
-        assert_eq!(lines.next(), None, "phases with zero calls are omitted");
-        reset();
-        assert!(render_report(&["test-phase"]).is_none());
     }
 }

@@ -1,4 +1,4 @@
-//! Span-based structured tracing.
+//! Span-based structured tracing into a scoped [`Collector`].
 //!
 //! A *span* is a named interval of work carried out by one thread, opened
 //! with [`crate::span!`] and closed when the returned guard drops. Spans
@@ -7,16 +7,23 @@
 //! the innermost span still open on the same thread — no ids need to be
 //! threaded through APIs.
 //!
-//! Recording is buffered per thread: each thread lazily registers one
-//! buffer in a process-wide registry and appends to it through a
-//! mutex that only the draining side ever contends, so the enabled hot
-//! path is an `Instant::now()` plus a `Vec::push`. The **disabled** hot
-//! path — the common case — is a single relaxed atomic load in
-//! [`tracing_enabled`]; compiling with the `off` feature turns even that
-//! into a constant `false` so the whole call site folds away.
+//! Spans record into the [`Collector`] installed on the current thread,
+//! and only while one is: there is no process-wide on/off switch. A run
+//! installs its collector with [`Collector::install`], whose guard
+//! restores the previous installation on drop; the runtime pool carries
+//! the caller's collector into every task of a fan-out. Each closed span
+//! adds its duration to a per-name [`SpanTotal`] (the `--profile` report
+//! is those sums); a collector made with [`Collector::new`] also keeps the
+//! event log behind the trace and journal exports.
+//!
+//! Recording is buffered per thread and moves into the collector when the
+//! installation ends. The **disabled** hot path — the common case — is
+//! one thread-local read in [`tracing_enabled`].
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::cell::{Cell, RefCell};
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::ThreadId;
 use std::time::Instant;
 
 /// A typed span field value.
@@ -77,8 +84,6 @@ pub enum EventKind {
     Begin,
     /// A span closed (`ph: "E"`).
     End,
-    /// A point event with no duration (`ph: "i"`).
-    Instant,
 }
 
 /// One recorded trace event on one thread.
@@ -86,9 +91,9 @@ pub enum EventKind {
 pub struct Event {
     /// Span or event name (static — names form a small fixed taxonomy).
     pub name: &'static str,
-    /// Begin / end / instant.
+    /// Begin or end.
     pub kind: EventKind,
-    /// Nanoseconds since the process-wide trace epoch.
+    /// Nanoseconds since the collector was created.
     pub t_ns: u64,
     /// Typed fields, in call-site order.
     pub fields: Vec<(&'static str, FieldValue)>,
@@ -97,15 +102,17 @@ pub struct Event {
 /// The drained events of one thread, in program order.
 #[derive(Debug, Clone)]
 pub struct ThreadEvents {
-    /// Stable registration ordinal (used as Chrome-trace `tid`).
+    /// The thread's ordinal within its collector (used as Chrome-trace
+    /// `tid`).
     pub ordinal: usize,
-    /// Human-readable label (`worker-3`, or `thread-N` if never labelled).
+    /// The thread's name (`main`, `mcsched-worker-0-3`, …), or `thread-N`
+    /// for an unnamed thread.
     pub label: String,
     /// Events in the order the thread recorded them.
     pub events: Vec<Event>,
 }
 
-/// Everything [`drain`] pulled out of the per-thread buffers, sorted by
+/// Everything [`Collector::drain`] took out of a collector, sorted by
 /// thread ordinal.
 #[derive(Debug, Clone, Default)]
 pub struct TraceDump {
@@ -113,142 +120,292 @@ pub struct TraceDump {
     pub threads: Vec<ThreadEvents>,
 }
 
-struct ThreadBuf {
-    ordinal: usize,
-    label: Mutex<String>,
-    events: Mutex<Vec<Event>>,
+/// Summed wall time and count of the closed spans of one name: what a
+/// [`Collector`] keeps for every span, with or without an event log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpanTotal {
+    /// Span name.
+    pub name: &'static str,
+    /// Summed wall time in nanoseconds; spans on different threads
+    /// overlap, so this can exceed the run's wall time.
+    pub nanos: u64,
+    /// Number of closed spans.
+    pub calls: u64,
 }
 
-static TRACING: AtomicBool = AtomicBool::new(false);
-static NEXT_ORDINAL: AtomicUsize = AtomicUsize::new(0);
-
-fn registry() -> &'static Mutex<Vec<Arc<ThreadBuf>>> {
-    static REGISTRY: OnceLock<Mutex<Vec<Arc<ThreadBuf>>>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(Vec::new()))
+fn add_total(totals: &mut Vec<SpanTotal>, total: SpanTotal) {
+    match totals.iter_mut().find(|t| t.name == total.name) {
+        Some(t) => {
+            t.nanos += total.nanos;
+            t.calls += total.calls;
+        }
+        None => totals.push(total),
+    }
 }
 
-fn epoch() -> Instant {
-    static EPOCH: OnceLock<Instant> = OnceLock::new();
-    *EPOCH.get_or_init(Instant::now)
+/// The recording target of one run: per-name [`SpanTotal`]s of every span
+/// closed under it and, optionally, the begin/end event log. A cheap,
+/// cloneable handle; two runs with two collectors in one process never
+/// see each other's spans.
+#[derive(Debug, Clone)]
+pub struct Collector(Arc<Shared>);
+
+#[derive(Debug)]
+struct Shared {
+    /// Zero of the event timestamps.
+    epoch: Instant,
+    keep_events: bool,
+    recorded: Mutex<Recorded>,
 }
 
-fn now_ns() -> u64 {
-    epoch().elapsed().as_nanos() as u64
+/// Per-thread event streams, indexed by ordinal, and the span totals.
+type Recorded = (Vec<(ThreadId, ThreadEvents)>, Vec<SpanTotal>);
+
+impl Default for Collector {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Collector {
+    /// A collector that keeps the event log (for trace and journal
+    /// exports) as well as the per-name totals.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::with_events(true)
+    }
+
+    /// A collector that keeps only the per-name totals, so its memory
+    /// stays bounded however long the run (what `--profile` alone needs).
+    #[must_use]
+    pub fn totals_only() -> Self {
+        Self::with_events(false)
+    }
+
+    fn with_events(keep_events: bool) -> Self {
+        Self(Arc::new(Shared {
+            epoch: Instant::now(),
+            keep_events,
+            recorded: Mutex::default(),
+        }))
+    }
+
+    fn recorded(&self) -> MutexGuard<'_, Recorded> {
+        self.0
+            .recorded
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Installs this collector on the current thread until the guard drops.
+    pub fn install(&self) -> CollectorGuard {
+        install(Some(self.clone()))
+    }
+
+    /// The collector installed on the current thread, if any.
+    #[must_use]
+    pub fn current() -> Option<Self> {
+        CURRENT.with(|c| c.borrow().as_ref().map(|f| f.collector.clone()))
+    }
+
+    /// Takes the event log flushed so far (by finished pool tasks and
+    /// dropped [`CollectorGuard`]s), one stream per thread sorted by
+    /// ordinal. Spans still open land in the next drain.
+    #[must_use]
+    pub fn drain(&self) -> TraceDump {
+        let threads = (self.recorded().0.iter_mut())
+            .filter(|(_, t)| !t.events.is_empty())
+            .map(|(_, t)| ThreadEvents {
+                ordinal: t.ordinal,
+                label: t.label.clone(),
+                events: std::mem::take(&mut t.events),
+            })
+            .collect();
+        TraceDump { threads }
+    }
+
+    /// The per-name totals flushed so far, in first-seen order.
+    #[must_use]
+    pub fn totals(&self) -> Vec<SpanTotal> {
+        self.recorded().1.clone()
+    }
+}
+
+/// What one thread records into its installed collector, buffered and
+/// flushed into the collector when the install ends or before a nested
+/// install (which keeps each thread's stream in program order).
+#[derive(Debug)]
+struct Frame {
+    collector: Collector,
+    events: Vec<Event>,
+    totals: Vec<SpanTotal>,
+}
+
+impl Frame {
+    fn push(&mut self, name: &'static str, kind: EventKind, at: Instant, fields: Fields) {
+        if self.collector.0.keep_events {
+            let since = at.saturating_duration_since(self.collector.0.epoch);
+            let t_ns = u64::try_from(since.as_nanos()).unwrap_or(u64::MAX);
+            self.events.push(Event {
+                name,
+                kind,
+                t_ns,
+                fields,
+            });
+        }
+    }
+
+    fn flush(&mut self) {
+        if self.events.is_empty() && self.totals.is_empty() {
+            return;
+        }
+        let mut recorded = self.collector.recorded();
+        let (threads, totals) = &mut *recorded;
+        for total in self.totals.drain(..) {
+            add_total(totals, total);
+        }
+        if self.events.is_empty() {
+            return;
+        }
+        let thread = std::thread::current();
+        let index = threads.iter().position(|(id, _)| *id == thread.id());
+        let index = index.unwrap_or_else(|| {
+            let ordinal = threads.len();
+            let label = match thread.name() {
+                Some(name) => name.to_owned(),
+                None => format!("thread-{ordinal}"),
+            };
+            let events = Vec::new();
+            let stream = ThreadEvents {
+                ordinal,
+                label,
+                events,
+            };
+            threads.push((thread.id(), stream));
+            ordinal
+        });
+        threads[index].1.events.append(&mut self.events);
+    }
 }
 
 thread_local! {
-    static BUF: OnceLock<Arc<ThreadBuf>> = const { OnceLock::new() };
+    /// The current thread's recording frame; `None` means spans are off.
+    static CURRENT: RefCell<Option<Frame>> = const { RefCell::new(None) };
+    /// Whether `CURRENT` holds a frame: the disabled check reads this
+    /// destructor-free flag rather than the frame itself.
+    static ACTIVE: Cell<bool> = const { Cell::new(false) };
 }
 
-fn with_buf<R>(f: impl FnOnce(&ThreadBuf) -> R) -> R {
-    BUF.with(|cell| {
-        let buf = cell.get_or_init(|| {
-            let buf = Arc::new(ThreadBuf {
-                ordinal: NEXT_ORDINAL.fetch_add(1, Ordering::Relaxed),
-                label: Mutex::new(String::new()),
-                events: Mutex::new(Vec::new()),
-            });
-            registry().lock().unwrap().push(Arc::clone(&buf));
-            buf
-        });
-        f(buf)
-    })
+/// Replaces the current thread's frame, keeping `ACTIVE` in step.
+fn swap_frame(frame: Option<Frame>) -> Option<Frame> {
+    ACTIVE.with(|active| active.set(frame.is_some()));
+    CURRENT.try_with(|c| c.replace(frame)).ok().flatten()
 }
 
-/// Whether span recording is live. With the `off` feature this is a
-/// constant `false` and every `span!` call site folds away entirely.
-#[inline(always)]
+/// Installs `collector` (or, with `None`, no collector) on the current
+/// thread until the guard drops, which flushes what the thread recorded
+/// and restores the previous installation.
+pub fn install(collector: Option<Collector>) -> CollectorGuard {
+    let frame = collector.map(|collector| Frame {
+        collector,
+        events: Vec::new(),
+        totals: Vec::new(),
+    });
+    let mut prev = swap_frame(frame);
+    if let Some(prev) = prev.as_mut() {
+        prev.flush();
+    }
+    CollectorGuard {
+        prev,
+        _not_send: PhantomData,
+    }
+}
+
+/// Restores the previous installation on drop; see [`install`].
+#[derive(Debug)]
+#[must_use = "the collector is uninstalled when the guard drops"]
+pub struct CollectorGuard {
+    prev: Option<Frame>,
+    /// Installs are per thread: the guard must drop where it was made.
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for CollectorGuard {
+    fn drop(&mut self) {
+        if let Some(mut frame) = swap_frame(self.prev.take()) {
+            frame.flush();
+        }
+    }
+}
+
+/// Whether a collector is installed on the current thread: one
+/// thread-local read, the whole cost of a `span!` site when none is.
+#[inline]
 #[must_use]
 pub fn tracing_enabled() -> bool {
-    #[cfg(feature = "off")]
-    {
-        false
-    }
-    #[cfg(not(feature = "off"))]
-    {
-        TRACING.load(Ordering::Relaxed)
-    }
+    ACTIVE.with(Cell::get)
 }
 
-/// Turns span recording on (the trace epoch is pinned at first enable).
-/// A no-op under the `off` feature.
-pub fn enable_tracing() {
-    let _ = epoch();
-    TRACING.store(true, Ordering::Relaxed);
-}
-
-/// Turns span recording off again (buffers are kept until [`drain`]).
+/// Uninstalls the current thread's collector, flushing what the thread
+/// recorded into it. An enclosing [`CollectorGuard`] still restores its
+/// previous installation when it drops.
 pub fn disable_tracing() {
-    TRACING.store(false, Ordering::Relaxed);
-}
-
-/// Labels the current thread for trace exports (e.g. `worker-3`). Cheap
-/// and unconditional: labels are recorded even before tracing is enabled
-/// so that late-enabled traces still name their threads.
-pub fn set_thread_label(label: &str) {
-    #[cfg(feature = "off")]
-    {
-        let _ = label;
+    if let Some(mut frame) = swap_frame(None) {
+        frame.flush();
     }
-    #[cfg(not(feature = "off"))]
-    with_buf(|buf| label.clone_into(&mut buf.label.lock().unwrap()));
 }
 
-fn push(event: Event) {
-    with_buf(|buf| buf.events.lock().unwrap().push(event));
+/// Runs `f` on the current thread's frame, if a collector is installed.
+fn with_frame(f: impl FnOnce(&mut Frame)) {
+    let _ = CURRENT.try_with(|c| c.borrow_mut().as_mut().map(f));
 }
 
-/// An open span; records its `End` event when dropped. Construct through
+type Fields = Vec<(&'static str, FieldValue)>;
+
+/// An open span; on drop it adds its duration to its name's total and, if
+/// the collector keeps events, records its `End` event. Construct through
 /// [`crate::span!`], which performs the enabled check first.
 #[derive(Debug)]
 pub struct SpanGuard {
     name: &'static str,
+    start: Instant,
 }
 
 impl SpanGuard {
-    /// Records the `Begin` event and arms the guard. Callers must have
-    /// checked [`tracing_enabled`] — the `span!` macro does.
+    /// Records the `Begin` event (when the collector keeps events) and
+    /// starts the clock.
     #[must_use]
-    pub fn begin(name: &'static str, fields: Vec<(&'static str, FieldValue)>) -> Self {
-        push(Event {
-            name,
-            kind: EventKind::Begin,
-            t_ns: now_ns(),
-            fields,
-        });
-        SpanGuard { name }
+    pub fn begin(name: &'static str, fields: Fields) -> Self {
+        let start = Instant::now();
+        with_frame(|frame| frame.push(name, EventKind::Begin, start, fields));
+        SpanGuard { name, start }
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        push(Event {
-            name: self.name,
-            kind: EventKind::End,
-            t_ns: now_ns(),
-            fields: Vec::new(),
+        let end = Instant::now();
+        with_frame(|frame| {
+            let nanos = end.saturating_duration_since(self.start).as_nanos();
+            let total = SpanTotal {
+                name: self.name,
+                nanos: u64::try_from(nanos).unwrap_or(u64::MAX),
+                calls: 1,
+            };
+            add_total(&mut frame.totals, total);
+            frame.push(self.name, EventKind::End, end, Vec::new());
         });
     }
 }
 
-/// Records a point event (no duration) if tracing is enabled.
-pub fn instant(name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
-    if tracing_enabled() {
-        push(Event {
-            name,
-            kind: EventKind::Instant,
-            t_ns: now_ns(),
-            fields,
-        });
-    }
-}
-
-/// Opens a span if tracing is enabled. Fields are `"key" = value`
-/// pairs; values go through [`FieldValue::from`] and are **not evaluated**
-/// when tracing is off. Bind the result to keep the span open:
+/// Opens a span if a collector is installed on the current thread. Fields
+/// are `"key" = value` pairs; values go through [`FieldValue::from`] and
+/// are **not evaluated** when no collector is installed. Bind the result
+/// to keep the span open:
 ///
 /// ```
-/// mcsched_obs::enable_tracing();
+/// let collector = mcsched_obs::Collector::new();
+/// let _installed = collector.install();
 /// let _span = mcsched_obs::span!("cell", "policy" = "hcpa", "rep" = 3u64);
 /// ```
 #[macro_export]
@@ -272,81 +429,87 @@ macro_rules! span {
     };
 }
 
-/// Swaps every thread's buffer out and returns the accumulated events,
-/// sorted by thread ordinal. Spans still open keep working — their `End`
-/// events simply land in the next drain.
-#[must_use]
-pub fn drain() -> TraceDump {
-    let registry = registry().lock().unwrap();
-    let mut threads: Vec<ThreadEvents> = registry
-        .iter()
-        .map(|buf| ThreadEvents {
-            ordinal: buf.ordinal,
-            label: buf.label.lock().unwrap().clone(),
-            events: std::mem::take(&mut *buf.events.lock().unwrap()),
-        })
-        .filter(|t| !t.events.is_empty())
-        .collect();
-    threads.sort_by_key(|t| t.ordinal);
-    for t in &mut threads {
-        if t.label.is_empty() {
-            t.label = format!("thread-{}", t.ordinal);
-        }
-    }
-    TraceDump { threads }
-}
-
-/// Test hook: disables tracing and discards all buffered events.
-pub fn reset() {
-    disable_tracing();
-    let _ = drain();
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn disabled_span_records_nothing() {
-        // Tests in this crate share the global subscriber; serialize.
-        let _lock = crate::test_guard();
-        reset();
-        {
-            let _g = crate::span!("quiet");
-        }
-        assert!(drain().threads.is_empty());
+    fn names(dump: &TraceDump) -> Vec<(&'static str, EventKind)> {
+        let events = dump.threads.iter().flat_map(|t| &t.events);
+        events.map(|e| (e.name, e.kind)).collect()
     }
 
-    #[cfg(not(feature = "off"))]
     #[test]
     fn spans_nest_and_carry_fields() {
-        let _lock = crate::test_guard();
-        reset();
-        enable_tracing();
-        set_thread_label("tester");
+        let collector = Collector::new();
         {
+            let _g = crate::span!("before-install");
+        }
+        {
+            let _installed = collector.install();
             let _outer = crate::span!("outer", "n" = 2u64);
             let _inner = crate::span!("inner", "policy" = "hcpa");
         }
-        instant("tick", vec![("at", FieldValue::from(1.5))]);
-        disable_tracing();
-        let dump = drain();
+        assert!(!tracing_enabled(), "the guard uninstalled the collector");
+        let dump = collector.drain();
         assert_eq!(dump.threads.len(), 1);
         let t = &dump.threads[0];
-        assert_eq!(t.label, "tester");
-        let kinds: Vec<(&str, EventKind)> = t.events.iter().map(|e| (e.name, e.kind)).collect();
+        assert_eq!(Some(t.label.as_str()), std::thread::current().name());
         assert_eq!(
-            kinds,
+            names(&dump),
             vec![
                 ("outer", EventKind::Begin),
                 ("inner", EventKind::Begin),
                 ("inner", EventKind::End),
                 ("outer", EventKind::End),
-                ("tick", EventKind::Instant),
             ]
         );
         assert_eq!(t.events[0].fields, vec![("n", FieldValue::U64(2))]);
         // Timestamps are monotone within a thread.
         assert!(t.events.windows(2).all(|w| w[0].t_ns <= w[1].t_ns));
+        let calls: Vec<(&str, u64)> = (collector.totals().iter())
+            .map(|t| (t.name, t.calls))
+            .collect();
+        assert_eq!(calls, vec![("inner", 1), ("outer", 1)]);
+        assert!(collector.drain().threads.is_empty(), "drain takes the log");
+    }
+
+    #[test]
+    fn nested_installs_restore_and_keep_program_order() {
+        let (a, b) = (Collector::new(), Collector::totals_only());
+        let in_a = a.install();
+        {
+            let _outer = crate::span!("outer");
+            {
+                let _in_b = b.install();
+                {
+                    let _span = crate::span!("in-b");
+                }
+                {
+                    let _none = install(None);
+                    let _lost = crate::span!("lost");
+                }
+                disable_tracing();
+                let _off = crate::span!("off");
+            }
+            assert!(tracing_enabled(), "A is back");
+            // A nested install of the same collector (a pool worker helping
+            // a fan-out of its own run) keeps the thread's stream in order.
+            let _again = a.install();
+            let _inner = crate::span!("inner");
+        }
+        drop(in_a);
+        let names_of = |c: &Collector| c.totals().iter().map(|t| t.name).collect::<Vec<_>>();
+        assert_eq!(names_of(&a), vec!["inner", "outer"]);
+        assert_eq!(names_of(&b), vec!["in-b"]);
+        assert!(b.drain().threads.is_empty(), "totals-only keeps no events");
+        assert_eq!(
+            names(&a.drain()),
+            vec![
+                ("outer", EventKind::Begin),
+                ("inner", EventKind::Begin),
+                ("inner", EventKind::End),
+                ("outer", EventKind::End),
+            ]
+        );
     }
 }

@@ -42,7 +42,7 @@ use mcsched_core::{
     slowdown, ConcurrentScheduler, DedicatedAllocation, ReferencePlatform, SchedError,
     ScheduleContext,
 };
-use mcsched_obs::{phase, TimeSeries};
+use mcsched_obs::TimeSeries;
 use mcsched_platform::Platform;
 use mcsched_ptg::Ptg;
 use mcsched_simx::Engine;
@@ -290,7 +290,7 @@ impl LoopState<'_, '_> {
                 continue;
             }
             let event = {
-                let _g = phase::scope("online-loop");
+                let _g = mcsched_obs::span!("online-loop");
                 self.select_event()
             };
             match event {
@@ -298,14 +298,14 @@ impl LoopState<'_, '_> {
                 Event::Replan => self.reschedule()?,
                 Event::Quantum(t) => {
                     {
-                        let _g = phase::scope("online-loop");
+                        let _g = mcsched_obs::span!("online-loop");
                         self.advance_to(t);
                     }
                     self.reschedule()?;
                 }
                 Event::Arrival => {
                     let reschedule = {
-                        let _g = phase::scope("online-loop");
+                        let _g = mcsched_obs::span!("online-loop");
                         let arrival = self.next_arrival.expect("selected arrival exists");
                         self.advance_to(arrival.release_time);
                         self.enqueue(arrival);
@@ -318,7 +318,7 @@ impl LoopState<'_, '_> {
                 }
                 Event::Completion(t, pos) => {
                     let reschedule = {
-                        let _g = phase::scope("online-loop");
+                        let _g = mcsched_obs::span!("online-loop");
                         self.advance_to(t);
                         self.complete(pos);
                         matches!(
@@ -419,7 +419,7 @@ impl LoopState<'_, '_> {
                 release_time,
             };
             let ptg = {
-                let _g = phase::scope("workload-gen");
+                let _g = mcsched_obs::span!("workload-gen");
                 self.stream.materialize(&arrival)
             };
             let (dedicated, allocation) = {
@@ -477,7 +477,7 @@ impl LoopState<'_, '_> {
             _ => f64::INFINITY,
         };
         let outcome = {
-            let _g = phase::scope("simx-execute");
+            let _g = mcsched_obs::span!("simx-execute");
             self.engine
                 .execute_until(&schedule.workload, horizon)
                 .map_err(SchedError::from)?

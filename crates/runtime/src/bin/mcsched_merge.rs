@@ -89,7 +89,7 @@ impl Options {
 
 fn main() {
     let opts = Options::from_env();
-    opts.obs.activate();
+    let obs = opts.obs.start();
     for source in &opts.sources {
         if !source.is_dir() {
             eprintln!("error: source `{}` is not a directory", source.display());
@@ -97,7 +97,7 @@ fn main() {
         }
     }
     let outcome = merge_cache_dirs(&opts.sources, &opts.into);
-    opts.obs.finish();
+    obs.finish();
     match outcome {
         Ok(report) => {
             println!("{}", report.summary());

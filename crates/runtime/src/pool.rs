@@ -28,11 +28,18 @@
 //! interleaving — the same deterministic-order contract the legacy executor
 //! had, now verified at 1/2/8 workers by the determinism test tier.
 //!
+//! Observability follows the caller: a fan-out captures the
+//! [`mcsched_obs::Collector`] installed on the calling thread and installs
+//! it around each of its tasks, so tasks record into their caller's
+//! collector (or into none) on whichever worker runs them, including a
+//! worker that helps another fan-out while it waits.
+//!
 //! Panics propagate: the first payload panicking inside a fan-out is
 //! re-raised from [`Pool::run_indexed`] on the caller's thread, after every
 //! task of that fan-out has finished (so no task is left running when the
 //! caller unwinds).
 
+use mcsched_obs::Collector;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -254,52 +261,6 @@ impl Pool {
         run_indexed_on(&self.shared, count, f)
     }
 
-    /// Runs two closures, potentially in parallel: `b` is offered to the
-    /// pool while `a` runs on the calling thread, mirroring a fork-join
-    /// `join` at the two-task grain.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises a panic from either side; a panic in `a` is only raised
-    /// after `b` has finished (no task is left running behind the unwind).
-    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
-    where
-        A: FnOnce() -> RA,
-        B: FnOnce() -> RB + Send + 'static,
-        RA: Send,
-        RB: Send + 'static,
-    {
-        let scope = Arc::new(ScopeState::new(1));
-        let slot: Arc<Mutex<Option<RB>>> = Arc::new(Mutex::new(None));
-        let origin = worker_index_on(&self.shared);
-        {
-            let scope = Arc::clone(&scope);
-            let slot = Arc::clone(&slot);
-            self.shared.push(
-                Box::new(move || {
-                    match catch_unwind(AssertUnwindSafe(b)) {
-                        Ok(value) => *lock(&slot) = Some(value),
-                        Err(payload) => scope.record_panic(payload),
-                    }
-                    scope.complete_one();
-                }),
-                origin,
-            );
-        }
-        let left = catch_unwind(AssertUnwindSafe(a));
-        wait_for_scope(&self.shared, &scope, origin);
-        match left {
-            Ok(left) => {
-                scope.rethrow();
-                let right = lock(&slot)
-                    .take()
-                    .expect("join's right-hand task produced a value");
-                (left, right)
-            }
-            Err(payload) => resume_unwind(payload),
-        }
-    }
-
     /// `run_indexed` over an owned item vector: convenience for fan-outs
     /// whose closure needs the items by value.
     pub fn run_over<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
@@ -333,7 +294,6 @@ fn worker_main(shared: &Arc<PoolShared>, index: usize) {
     WORKER_CONTEXT.with(|ctx| {
         *ctx.borrow_mut() = Some((shared.id, index, Arc::clone(shared)));
     });
-    mcsched_obs::set_thread_label(&format!("mcsched-worker-{}-{index}", shared.id));
     let mut seen_generation = u64::MAX; // force one scan before first park
     loop {
         while let Some(task) = shared.find_task(Some(index)) {
@@ -393,16 +353,21 @@ where
         Arc::new((0..count).map(|_| Mutex::new(None)).collect());
     let scope = Arc::new(ScopeState::new(count));
     let origin = worker_index_on(shared);
+    let collector = Collector::current();
     for index in 0..count {
         let f = Arc::clone(&f);
         let slots = Arc::clone(&slots);
         let scope = Arc::clone(&scope);
+        let collector = collector.clone();
         shared.push(
             Box::new(move || {
-                // The `pool-task` span closes *before* `complete_one`: a
-                // caller that returns from the fan-out and drains the trace
-                // must never observe a still-open task span.
+                // The task records into its caller's collector, or into
+                // none, whatever the executing worker had installed. The
+                // `pool-task` span closes and the install flushes *before*
+                // `complete_one`: a caller that returns from the fan-out
+                // and drains its collector must see the whole task.
                 match catch_unwind(AssertUnwindSafe(|| {
+                    let _installed = mcsched_obs::span::install(collector);
                     let _span = mcsched_obs::span!("pool-task");
                     f(index)
                 })) {
@@ -669,14 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn join_runs_both_sides() {
-        let pool = Pool::new(2);
-        let (a, b) = pool.join(|| 21 * 2, || "right".len());
-        assert_eq!(a, 42);
-        assert_eq!(b, 5);
-    }
-
-    #[test]
     fn run_over_owns_its_items() {
         let pool = Pool::new(2);
         let squares = pool.run_over((0..10).collect::<Vec<i64>>(), |v| v * v);
@@ -697,6 +654,89 @@ mod tests {
         let out = pool.run_indexed(9, |i| i + 1);
         assert_eq!(out.len(), 9);
         drop(pool); // must not hang
+    }
+
+    #[test]
+    fn tasks_record_into_their_callers_collector() {
+        use mcsched_obs::{span, tracing_enabled, Collector};
+        use std::thread::{current, ThreadId};
+        let pool = Arc::new(Pool::new(2));
+        let a = Collector::new();
+        let calls = |name: &str| {
+            a.totals()
+                .iter()
+                .filter(|t| t.name == name)
+                .map(|t| t.calls)
+                .sum::<u64>()
+        };
+        // Rendezvous: the nested task blocking one worker is running; the
+        // uninstrumented fan-out may start; it has finished.
+        let [blocking, start, finished] = [(); 3].map(|()| Arc::new(Barrier::new(2)));
+        let seen: Arc<Mutex<Vec<(ThreadId, bool)>>> = Arc::default();
+
+        // A fan-out with no collector, one of whose tasks panics.
+        let uninstrumented = {
+            let (pool, start, finished) = (Arc::clone(&pool), start.clone(), finished.clone());
+            let seen = Arc::clone(&seen);
+            std::thread::spawn(move || {
+                start.wait();
+                let caught = catch_unwind(AssertUnwindSafe(|| {
+                    pool.run_indexed(4, move |i| {
+                        let _span = span!("uninstrumented");
+                        lock(&seen).push((current().id(), tracing_enabled()));
+                        assert_ne!(i, 2, "uninstrumented task two exploded");
+                    })
+                }));
+                finished.wait();
+                caught.is_err()
+            })
+        };
+
+        let installed = a.install();
+        let helper = pool.run_indexed(1, move |_| {
+            let me = current().id();
+            let (blocking, start, finished) = (blocking.clone(), start.clone(), finished.clone());
+            // Nested under A: one task blocks the other worker until the
+            // uninstrumented fan-out is over, so this worker, once its own
+            // task returns, helps by running all of that fan-out's tasks.
+            run_indexed(2, 2, move |_| {
+                blocking.wait();
+                if current().id() == me {
+                    start.wait();
+                } else {
+                    finished.wait();
+                }
+            });
+            let _span = span!("after-help");
+            me
+        })[0];
+        assert!(uninstrumented.join().expect("the fan-out's thread returns"));
+        let seen = lock(&seen).clone();
+        assert_eq!(seen.len(), 4);
+        assert!(
+            seen.iter().all(|&(thread, on)| thread == helper && !on),
+            "the helping worker ran every uninstrumented task with no collector: {seen:?}"
+        );
+        // The helper got A back after the panicking task.
+        assert_eq!(calls("after-help"), 1);
+        assert_eq!(calls("uninstrumented"), 0);
+
+        let caught = catch_unwind(AssertUnwindSafe(|| {
+            pool.run_indexed(2, |i| {
+                let _span = span!("doomed");
+                assert_ne!(i, 1, "task one exploded");
+            })
+        }));
+        assert!(caught.is_err());
+        // The panicking task's worker unwound its install and flushed into
+        // A before the fan-out returned.
+        assert_eq!(calls("doomed"), 2);
+        assert_eq!(calls("pool-task"), 1 + 2 + 2);
+        drop(installed);
+        // With no collector anywhere, the workers record nothing more.
+        let before = a.totals();
+        assert_eq!(pool.run_indexed(4, |i| i), vec![0, 1, 2, 3]);
+        assert_eq!(a.totals(), before);
     }
 
     #[test]

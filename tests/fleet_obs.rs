@@ -14,19 +14,20 @@
 //! * stale `.tmp` debris from a killed shard is reported as debris, never
 //!   rendered as a live shard.
 //!
-//! Tracing and the metrics registry are process-global, so every test
-//! serializes through one mutex and resets both on entry.
+//! Each shard records its spans into its own collector, but the metrics
+//! registry is process-global, so every test serializes through one mutex
+//! and resets the registry on entry.
 
 use mcsched::exp::{run_campaign, CampaignConfig};
 use mcsched::obs::fleet::{merge_obs_dirs, render_snapshot, scan_fleet, SnapshotOptions};
-use mcsched::obs::{metrics, span, ObsOptions, RunPhase};
+use mcsched::obs::{metrics, ObsOptions, RunPhase};
 use mcsched::ptg::gen::PtgClass;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-/// Serializes tests that flip the process-global tracing subscriber or the
-/// metrics registry.
+/// Serializes tests that reset and read the process-global metrics
+/// registry (a shard's metrics export is a snapshot of it).
 fn obs_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)
@@ -75,7 +76,6 @@ fn campaign_config() -> CampaignConfig {
 /// exports from the `ObsOptions` teardown (what every binary does). The
 /// caller holds the obs lock.
 fn run_shard(dir: &TempDir, index: usize) {
-    span::reset();
     metrics::reset();
     let opts = ObsOptions {
         dir: Some(dir.path()),
@@ -83,13 +83,12 @@ fn run_shard(dir: &TempDir, index: usize) {
         quiet: true,
         ..ObsOptions::default()
     };
-    opts.activate();
+    let obs = opts.start();
     let mut config = campaign_config();
     config.obs_dir = Some(dir.path());
     config.shard = Some((index, 3));
     run_campaign(&config).expect("sharded campaign runs");
-    opts.finish();
-    span::reset();
+    obs.finish();
 }
 
 /// The three per-shard record files of one finished shard.

@@ -10,22 +10,30 @@
 //!   across reruns of the same configuration; the online time-series CSV is
 //!   bit-exact across runs at 8 threads.
 //!
-//! Tracing state is process-global, so every test touching it serializes
-//! through one mutex and resets the buffers on entry.
+//! Each capture records into its own scoped collector, which the worker
+//! pool carries into the campaign's tasks, so these tests need no lock: a
+//! concurrent run in the same process (another test, or the online
+//! campaign the isolation test starts on purpose) cannot leak into them.
 
 use mcsched::exp::{csv_campaign, run_campaign, table_campaign, CampaignConfig};
-use mcsched::obs::{disable_tracing, enable_tracing, export, span};
+use mcsched::obs::{export, Collector, TraceDump};
 use mcsched::online;
 use mcsched::platform::grid5000;
 use mcsched::ptg::gen::PtgClass;
 use mcsched::workload::json::Json;
 use mcsched::workload::WorkloadCatalog;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc;
 
-/// Serializes tests that flip the process-global tracing subscriber.
-fn obs_lock() -> MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+/// Runs `f` with a fresh collector installed on the calling thread and
+/// returns its result with everything the collector recorded.
+fn traced<T>(f: impl FnOnce() -> T) -> (T, TraceDump) {
+    let collector = Collector::new();
+    let out = {
+        let _installed = collector.install();
+        f()
+    };
+    (out, collector.drain())
 }
 
 /// A small-but-not-trivial campaign exercising the full pipeline: 2 PTG
@@ -45,30 +53,52 @@ fn campaign_bytes(threads: usize) -> (String, String) {
     (table_campaign(&result), csv_campaign(&result))
 }
 
+/// The deterministic journal of the two-thread campaign.
+fn journal() -> String {
+    export::journal_jsonl(&traced(|| campaign_bytes(2)).1)
+}
+
+/// The online campaign of the 8-thread series test: per-epoch CSVs of two
+/// strategies × two replications on eight pool threads.
+fn online_series_at_8_threads() -> Vec<String> {
+    let platform = grid5000::lille();
+    let source = WorkloadCatalog::builtin()
+        .resolve("daggen@n=8/poisson@lambda=0.01")
+        .expect("built-in spec resolves");
+    let mut spec = online::CampaignSpec::new(vec![
+        mcsched::core::ConstraintStrategy::EqualShare,
+        mcsched::core::ConstraintStrategy::Selfish,
+    ]);
+    spec.replications = 2;
+    spec.threads = 8;
+    spec.base.max_jobs = 25;
+    spec.base.record_series = true;
+    let result = online::run_campaign(&platform, &source, &spec).expect("campaign runs");
+    let mut csvs = Vec::new();
+    for outcome in &result.outcomes {
+        for report in &outcome.reports {
+            assert_eq!(report.series.len() as u64, report.reschedules);
+            csvs.push(report.series.to_csv());
+        }
+    }
+    csvs
+}
+
 #[test]
 fn figures_are_byte_identical_with_tracing_on_or_off() {
-    let _lock = obs_lock();
-    span::reset(); // also disables tracing
     let baseline = campaign_bytes(1);
-    enable_tracing();
     for threads in [1, 2, 8] {
         assert_eq!(
-            campaign_bytes(threads),
+            traced(|| campaign_bytes(threads)).0,
             baseline,
             "tracing must not perturb figure bytes at {threads} threads"
         );
     }
-    span::reset();
 }
 
 #[test]
 fn chrome_trace_is_valid_json_with_a_span_covered_timeline() {
-    let _lock = obs_lock();
-    span::reset();
-    enable_tracing();
-    let _ = campaign_bytes(2);
-    disable_tracing();
-    let dump = span::drain();
+    let (_, dump) = traced(|| campaign_bytes(2));
     let trace = export::chrome_trace(&dump);
     let doc = Json::parse(&trace).expect("chrome trace parses as JSON");
     let events = doc
@@ -81,7 +111,7 @@ fn chrome_trace_is_valid_json_with_a_span_covered_timeline() {
     let mut ends = 0usize;
     for ev in events {
         let ph = ev.get("ph").and_then(Json::as_str).expect("ph tag");
-        assert!(matches!(ph, "M" | "B" | "E" | "i"), "unknown phase {ph}");
+        assert!(matches!(ph, "M" | "B" | "E"), "unknown phase {ph}");
         match ph {
             "B" => begins += 1,
             "E" => ends += 1,
@@ -105,16 +135,8 @@ fn chrome_trace_is_valid_json_with_a_span_covered_timeline() {
 
 #[test]
 fn journal_is_reproducible_for_a_fixed_configuration() {
-    let _lock = obs_lock();
-    let journal = |threads: usize| {
-        span::reset();
-        enable_tracing();
-        let _ = campaign_bytes(threads);
-        disable_tracing();
-        export::journal_jsonl(&span::drain())
-    };
-    let a = journal(2);
-    let b = journal(2);
+    let a = journal();
+    let b = journal();
     assert!(!a.is_empty(), "the journal must record events");
     assert_eq!(a, b, "same configuration, same journal bytes");
     // Every line is a standalone JSON object and the file is sorted — the
@@ -128,36 +150,55 @@ fn journal_is_reproducible_for_a_fixed_configuration() {
     let mut sorted = lines.clone();
     sorted.sort_unstable();
     assert_eq!(lines, sorted, "journal lines are sorted");
-    span::reset();
+}
+
+#[test]
+fn journal_ignores_a_concurrent_uninstrumented_run() {
+    let solo = journal();
+    // The 8-thread online campaign runs back to back on a second thread,
+    // with no collector, for the whole of the second capture.
+    let (stop, (started, running)) = (AtomicBool::new(false), mpsc::channel());
+    let concurrent = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            started.send(()).expect("the test waits for the start");
+            loop {
+                assert!(!online_series_at_8_threads().is_empty());
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+            }
+        });
+        running.recv().expect("online run started");
+        let concurrent = journal();
+        stop.store(true, Ordering::Relaxed);
+        concurrent
+    });
+    let count = |journal: &str, name: &str| {
+        let needle = format!("\"name\":\"{name}\"");
+        journal.lines().filter(|l| l.contains(&needle)).count()
+    };
+    assert_eq!(
+        count(&concurrent, "online-loop"),
+        0,
+        "no online spans leak in"
+    );
+    for name in ["beta+alloc", "mapping"] {
+        assert_eq!(
+            count(&concurrent, name),
+            count(&solo, name),
+            "`{name}` lines"
+        );
+    }
+    assert_eq!(
+        concurrent, solo,
+        "a concurrent run must not change the journal"
+    );
 }
 
 #[test]
 fn online_series_is_bit_exact_across_runs_at_8_threads() {
-    let platform = grid5000::lille();
-    let source = WorkloadCatalog::builtin()
-        .resolve("daggen@n=8/poisson@lambda=0.01")
-        .expect("built-in spec resolves");
-    let run = || {
-        let mut spec = online::CampaignSpec::new(vec![
-            mcsched::core::ConstraintStrategy::EqualShare,
-            mcsched::core::ConstraintStrategy::Selfish,
-        ]);
-        spec.replications = 2;
-        spec.threads = 8;
-        spec.base.max_jobs = 25;
-        spec.base.record_series = true;
-        let result = online::run_campaign(&platform, &source, &spec).expect("campaign runs");
-        let mut csvs = Vec::new();
-        for outcome in &result.outcomes {
-            for report in &outcome.reports {
-                assert_eq!(report.series.len() as u64, report.reschedules);
-                csvs.push(report.series.to_csv());
-            }
-        }
-        csvs
-    };
-    let a = run();
-    let b = run();
+    let a = online_series_at_8_threads();
+    let b = online_series_at_8_threads();
     assert!(a.iter().all(|csv| csv.lines().count() > 1));
     assert_eq!(a, b, "per-epoch series must be bit-exact across runs");
 }
