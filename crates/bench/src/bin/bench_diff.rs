@@ -20,7 +20,7 @@
 //!
 //! Exit status: 0 ok, 1 regression past threshold, 2 usage/parse errors.
 
-use mcsched_workload::json::Json;
+use mcsched_obs::json::Json;
 
 const USAGE: &str = "usage: mcsched-bench-diff <baseline.json> <candidate.json> \
      [--max-regress <pct>]";

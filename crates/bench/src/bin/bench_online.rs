@@ -12,9 +12,9 @@
 //! `--smoke` shrinks the sweep for CI while keeping the determinism gate:
 //! every point is run twice and the two reports must compare equal.
 
+use mcsched_obs::json::Json;
 use mcsched_online::{OnlineConfig, OnlineScheduler, ReschedulePolicy};
 use mcsched_platform::grid5000;
-use mcsched_workload::json::Json;
 use mcsched_workload::WorkloadCatalog;
 use std::time::Instant;
 

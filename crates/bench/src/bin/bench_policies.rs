@@ -28,6 +28,7 @@ use mcsched_core::policy::ConstraintPolicy;
 use mcsched_core::{
     ConcurrentScheduler, PolicyRegistry, SchedError, ScheduleContext, SchedulerConfig, Workload,
 };
+use mcsched_obs::json::Json;
 use mcsched_platform::{grid5000, Platform};
 use mcsched_ptg::gen::PtgClass;
 use mcsched_ptg::Ptg;
@@ -117,10 +118,6 @@ fn time_pipeline(
         max = max.max(ms);
     }
     Ok((total / iterations as f64, min, max))
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {
@@ -254,15 +251,15 @@ fn main() {
     json.push_str(&format!("  \"apps\": {},\n", opts.apps));
     json.push_str(&format!("  \"seed\": {},\n", opts.seed));
     json.push_str(&format!(
-        "  \"platform\": \"{}\",\n",
-        json_escape(platform.name())
+        "  \"platform\": {},\n",
+        Json::Str(platform.name().into()).render()
     ));
     json.push_str("  \"results\": [\n");
     for (i, m) in measurements.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"family\": \"{}\", \"policy\": \"{}\", \"mean_ms\": {:.4}, \"min_ms\": {:.4}, \"max_ms\": {:.4}}}{}\n",
+            "    {{\"family\": \"{}\", \"policy\": {}, \"mean_ms\": {:.4}, \"min_ms\": {:.4}, \"max_ms\": {:.4}}}{}\n",
             m.family,
-            json_escape(&m.policy),
+            Json::Str(m.policy.clone()).render(),
             m.mean_ms,
             m.min_ms,
             m.max_ms,

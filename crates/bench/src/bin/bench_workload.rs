@@ -7,7 +7,7 @@
 //!     --iterations 20 --apps 8 --out BENCH_workload.json
 //! ```
 
-use mcsched_workload::json::Json;
+use mcsched_obs::json::Json;
 use mcsched_workload::{Trace, WorkloadCatalog, WorkloadRequest};
 use std::time::Instant;
 

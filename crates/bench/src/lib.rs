@@ -1,23 +1,15 @@
 //! # mcsched-bench
 //!
-//! This crate only hosts the Criterion benchmarks (under `benches/`) that
-//! regenerate reduced-scale versions of every table and figure of the paper's
-//! evaluation and time the scheduler's components:
+//! The benchmark snapshot binaries and their comparison tool:
 //!
-//! * `table1_platforms` — Table 1 (platform construction and reference view);
-//! * `fig2_mu_sweep` — Figure 2 (µ calibration of WPS-work);
-//! * `fig3_random`, `fig4_fft`, `fig5_strassen` — Figures 3–5 (strategy
-//!   comparison per application class);
-//! * `scrap_vs_scrapmax` — allocation-procedure ablation;
-//! * `scheduler_components` — allocation / mapping / simulation
-//!   micro-benchmarks.
+//! * `bench_policies`, `bench_workload`, `bench_runtime`, `bench_simx` and
+//!   `bench_online` time one layer or one end-to-end path each and write
+//!   the committed `BENCH_*.json` ledgers;
+//! * `mcsched-bench-diff` compares a fresh snapshot against a committed one.
 //!
-//! The paper-scale data is produced by the `mcsched-exp` binaries; the
-//! benchmarks keep the workloads small so `cargo bench --workspace` finishes
-//! in minutes while still printing the regenerated (reduced) tables. The
-//! `bench_*` snapshot binaries embed [`host`] metadata in their
-//! `BENCH_*.json` files so every committed snapshot records the machine —
-//! and the measured disabled-observability overhead — it came from.
+//! Every snapshot embeds [`host`] metadata, so each committed record names
+//! the machine — and the measured disabled-observability overhead — it
+//! came from.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -28,7 +20,7 @@ pub mod host {
     //! per-call cost of a *disabled* `mcsched_obs::span!` site — the
     //! "zero-cost when off" claim as a number in the committed record.
 
-    use mcsched_workload::json::Json;
+    use mcsched_obs::json::Json;
     use std::time::Instant;
 
     /// Mean cost, in nanoseconds, of one **disabled** `span!` call site

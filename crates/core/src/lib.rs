@@ -62,3 +62,8 @@ pub use scheduler::{
     ConcurrentRun, ConcurrentScheduler, EvaluatedRun, SchedulerBuilder, SchedulerConfig,
 };
 pub use workload::Workload;
+
+// The JSON codec lives in `mcsched-obs`. Re-exported here only so that
+// `mcsched_workload::json` keeps resolving without a new workload → obs
+// dependency edge; new code imports `mcsched_obs::json`.
+pub use mcsched_obs::json;

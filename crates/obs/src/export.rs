@@ -13,41 +13,20 @@
 //!   stealing schedules — it answers "*what* ran, with *which* fields,
 //!   *how many* times", never "when/where".
 //!
-//! This crate sits below the workload crate in the dependency graph, so it
-//! carries its own minimal JSON string escaping rather than reusing
-//! `mcsched_workload::json`.
+//! Both lay out their lines by hand for a stable byte format and quote
+//! strings with the codec's [`write_str`].
 
+use crate::json::write_str;
 use crate::span::{EventKind, FieldValue, TraceDump};
-
-/// Escapes `s` as JSON string contents (without surrounding quotes).
-fn escape_into(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-pub(crate) fn push_json_str(out: &mut String, s: &str) {
-    out.push('"');
-    escape_into(out, s);
-    out.push('"');
-}
 
 fn push_field_value(out: &mut String, value: &FieldValue) {
     match value {
         FieldValue::U64(v) => out.push_str(&format!("{v}")),
         FieldValue::I64(v) => out.push_str(&format!("{v}")),
         FieldValue::F64(v) if v.is_finite() => out.push_str(&format!("{v}")),
-        FieldValue::F64(v) => push_json_str(out, &format!("{v}")),
-        FieldValue::Static(s) => push_json_str(out, s),
-        FieldValue::Str(s) => push_json_str(out, s),
+        FieldValue::F64(v) => write_str(out, &format!("{v}")),
+        FieldValue::Static(s) => write_str(out, s),
+        FieldValue::Str(s) => write_str(out, s),
     }
 }
 
@@ -57,7 +36,7 @@ fn push_fields_object(out: &mut String, fields: &[(&'static str, FieldValue)]) {
         if i > 0 {
             out.push(',');
         }
-        push_json_str(out, key);
+        write_str(out, key);
         out.push(':');
         push_field_value(out, value);
     }
@@ -84,7 +63,7 @@ pub fn chrome_trace(dump: &TraceDump) -> String {
         let mut meta = String::from("{\"ph\":\"M\",\"pid\":1,\"tid\":");
         meta.push_str(&format!("{}", thread.ordinal));
         meta.push_str(",\"name\":\"thread_name\",\"args\":{\"name\":");
-        push_json_str(&mut meta, &thread.label);
+        write_str(&mut meta, &thread.label);
         meta.push_str("}}");
         push_event(meta, &mut first);
         for event in &thread.events {
@@ -97,7 +76,7 @@ pub fn chrome_trace(dump: &TraceDump) -> String {
                 thread.ordinal,
                 event.t_ns as f64 / 1e3,
             );
-            push_json_str(&mut line, event.name);
+            write_str(&mut line, event.name);
             if !event.fields.is_empty() {
                 line.push_str(",\"args\":");
                 push_fields_object(&mut line, &event.fields);
@@ -124,7 +103,7 @@ pub fn journal_jsonl(dump: &TraceDump) -> String {
                 continue;
             }
             let mut line = String::from("{\"event\":\"span\",\"name\":");
-            push_json_str(&mut line, event.name);
+            write_str(&mut line, event.name);
             line.push_str(",\"fields\":");
             push_fields_object(&mut line, &event.fields);
             line.push('}');

@@ -1,10 +1,20 @@
-//! Minimal JSON reader/writer for the trace format.
+//! The workspace's one JSON codec: a [`Json`] value tree, its compact
+//! writer, the JSON string writer every hand-laid-out exporter shares
+//! ([`write_str`]), and a recursive-descent parser.
 //!
-//! The offline workspace vendors a no-op `serde` stand-in (see
-//! `vendor/README.md`), so the trace subsystem carries its own small JSON
-//! implementation. Numbers keep their *raw token text* ([`Json::Num`]), so
-//! `u64` seeds above 2^53 and shortest-round-trip `f64` literals survive an
-//! export → import cycle bit-exactly.
+//! It reads and writes every on-disk format of the workspace: workload
+//! traces (`mcsched_workload::trace`), the runtime's cell-cache shards,
+//! fleet run manifests, heartbeats and metrics snapshots
+//! ([`crate::manifest`], [`crate::metrics`]), the Chrome trace and JSONL
+//! journal ([`crate::export`]) and the `BENCH_*.json` snapshots. It lives
+//! in `mcsched-obs` because that crate has no dependencies, so every other
+//! crate can reach it.
+//!
+//! Numbers keep their *raw token text* ([`Json::Num`]), so `u64` seeds and
+//! counters above 2^53 and shortest-round-trip `f64` literals survive an
+//! export → import cycle bit-exactly. The parser bounds nesting at 128
+//! levels, so a hostile or damaged file yields `Err`, never a stack
+//! overflow.
 
 use std::fmt::Write as _;
 
@@ -95,6 +105,14 @@ impl Json {
         }
     }
 
+    /// The members, in document order, if the value is an object.
+    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
+        match self {
+            Json::Obj(members) => Some(members),
+            _ => None,
+        }
+    }
+
     /// Serializes the value as compact JSON.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -107,7 +125,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(raw) => out.push_str(raw),
-            Json::Str(s) => write_escaped(s, out),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 out.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -124,7 +142,7 @@ impl Json {
                     if i > 0 {
                         out.push(',');
                     }
-                    write_escaped(k, out);
+                    write_str(out, k);
                     out.push(':');
                     v.write(out);
                 }
@@ -141,7 +159,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing data at byte {pos}"));
@@ -150,7 +168,15 @@ impl Json {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Deepest array/object nesting `Json::parse` accepts. The deepest file
+/// the workspace writes (a Chrome trace or a metrics snapshot) nests about
+/// four levels; the bound only keeps a hostile input off the call stack.
+const MAX_DEPTH: usize = 128;
+
+/// Appends `s` to `out` as a quoted JSON string: `"` and `\\` are escaped,
+/// `\n`, `\r` and `\t` get their short escapes, other control characters
+/// become `\u00XX`, and everything else is copied as UTF-8.
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -183,12 +209,16 @@ fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value whose enclosing containers nest `depth` levels deep.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".to_string()),
-        Some(b'{') => parse_object(bytes, pos),
-        Some(b'[') => parse_array(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+        }
+        Some(b'{') => parse_object(bytes, pos, depth + 1),
+        Some(b'[') => parse_array(bytes, pos, depth + 1),
         Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
         Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
         Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
@@ -250,14 +280,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let hex = bytes
+                        // Exactly four hex digits: `from_str_radix` alone
+                        // also accepts a sign (`\\u+041`).
+                        let code = bytes
                             .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "invalid \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "invalid \\u escape")?;
-                        // Surrogate pairs are not needed by the trace format;
-                        // map unpaired surrogates to the replacement char.
+                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
+                            .and_then(|hex| {
+                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()
+                            })
+                            .ok_or_else(|| format!("invalid \\u escape at byte {}", *pos))?;
+                        // Surrogate pairs are not needed by the workspace's
+                        // formats; map unpaired surrogates to the replacement
+                        // char.
                         out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                         *pos += 4;
                     }
@@ -291,7 +325,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -300,7 +334,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -313,7 +347,7 @@ fn parse_array(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -326,7 +360,7 @@ fn parse_object(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -365,6 +399,8 @@ mod tests {
         let text = Json::num_u64(seed).render();
         let back = Json::parse(&text).unwrap();
         assert_eq!(back.as_u64(), Some(seed));
+        let doc = Json::parse(&format!("{{\"v\": {}}}", u64::MAX)).unwrap();
+        assert_eq!(doc.get("v").unwrap().as_u64(), Some(u64::MAX));
     }
 
     #[test]
@@ -383,6 +419,9 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("{\"a\":1} extra").is_err());
         assert!(Json::parse("nul").is_err());
+        assert!(Json::parse("").is_err());
+        assert!(Json::parse("{\"a\":}").is_err());
+        assert!(Json::parse("12 34").is_err());
     }
 
     #[test]
@@ -392,6 +431,29 @@ mod tests {
             v.get("a\tb").unwrap().as_arr().unwrap()[1].as_str(),
             Some("A")
         );
+        let v = Json::parse("{\"a\": 1, \"b\": [true, null, -2.5e3], \"s\": \"x\\n\\\"y\\\"\"}")
+            .unwrap();
+        assert_eq!(v.get("a").unwrap().as_u64(), Some(1));
+        let b = v.get("b").unwrap().as_arr().unwrap();
+        assert_eq!(b[..2], [Json::Bool(true), Json::Null]);
+        assert_eq!(b[2].as_f64(), Some(-2500.0));
+        assert_eq!(v.get("s").unwrap().as_str(), Some("x\n\"y\""));
+    }
+
+    #[test]
+    fn nesting_is_bounded_instead_of_overflowing_the_stack() {
+        assert!(Json::parse(&"[".repeat(50_000)).is_err());
+        let at_bound = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_bound).is_ok());
+        let past_bound = format!("{{\"a\":{at_bound}}}");
+        assert!(Json::parse(&past_bound).is_err());
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert!(Json::parse("\"\\u+041\"").is_err());
+        let v = Json::parse("\"caf\\u00E9 \\u00e9 µ\"").unwrap();
+        assert_eq!(v.as_str(), Some("café é µ"));
     }
 
     #[test]
@@ -401,5 +463,10 @@ mod tests {
         assert!(v.get("a").unwrap().as_f64().is_none());
         assert!(v.get("missing").is_none());
         assert!(Json::Str("x".into()).get("a").is_none());
+        assert!(v.as_obj().is_some() && v.as_arr().is_none());
+        assert!(Json::parse("[1]").unwrap().as_obj().is_none());
+        assert_eq!(Json::Bool(true).as_u64(), None);
+        assert_eq!(Json::parse("-3").unwrap().as_u64(), None);
+        assert_eq!(Json::parse("-3").unwrap().as_f64(), Some(-3.0));
     }
 }

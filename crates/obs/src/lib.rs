@@ -34,6 +34,12 @@
 //!   lines go through (silenced wholesale by `--quiet` /
 //!   `MCSCHED_QUIET=1`).
 //!
+//! Underneath them sits [`json`], the workspace's one JSON codec: these
+//! exporters, the fleet manifests and metrics snapshots, the workload
+//! traces, the runtime's cache shards and the `BENCH_*.json` snapshots all
+//! read and write through it. This crate has no dependencies, so every
+//! other crate can reach the codec.
+//!
 //! ## Determinism contract
 //!
 //! Tracing observes; it never participates. No RNG is touched, no output
@@ -50,7 +56,7 @@
 
 pub mod export;
 pub mod fleet;
-pub mod jsonv;
+pub mod json;
 pub mod manifest;
 pub mod metrics;
 pub mod phase;

@@ -23,6 +23,7 @@
 //! reports instead of mistaking it for progress. Write failures degrade to
 //! one stderr warning per record kind: observability must never fail a run.
 
+use crate::json::Json;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -128,12 +129,6 @@ pub fn run_stem(shard_label: &str) -> String {
     format!("run-{shard_label}")
 }
 
-fn json_str(s: &str) -> String {
-    let mut out = String::new();
-    crate::export::push_json_str(&mut out, s);
-    out
-}
-
 impl RunManifest {
     /// Renders the manifest as key-stable JSON.
     #[must_use]
@@ -143,14 +138,14 @@ impl RunManifest {
              \"shard_of\": {},\n  \"config_digest\": {},\n  \"salt\": {},\n  \
              \"pid\": {},\n  \"start_unix_ms\": {},\n  \"phase\": {}\n}}\n",
             MANIFEST_SCHEMA,
-            json_str(&self.label),
+            Json::Str(self.label.clone()).render(),
             self.shard.0,
             self.shard.1,
-            json_str(&self.config_digest),
-            json_str(&self.salt),
+            Json::Str(self.config_digest.clone()).render(),
+            Json::Str(self.salt.clone()).render(),
             self.pid,
             self.start_unix_ms,
-            json_str(self.phase.name()),
+            Json::Str(self.phase.name().into()).render(),
         )
     }
 
@@ -160,7 +155,7 @@ impl RunManifest {
     ///
     /// A description of the first missing or malformed field.
     pub fn parse_json(text: &str) -> Result<Self, String> {
-        let doc = crate::jsonv::JsonValue::parse(text)?;
+        let doc = Json::parse(text)?;
         let string = |key: &str| {
             doc.get(key)
                 .and_then(|v| v.as_str().map(str::to_string))
@@ -168,7 +163,7 @@ impl RunManifest {
         };
         let uint = |key: &str| {
             doc.get(key)
-                .and_then(crate::jsonv::JsonValue::as_u64)
+                .and_then(Json::as_u64)
                 .ok_or_else(|| format!("manifest misses u64 `{key}`"))
         };
         let phase = string("phase")?;
@@ -197,7 +192,7 @@ impl Heartbeat {
             self.cells_done,
             self.cache_hits,
             self.cache_misses,
-            json_str(&self.detail),
+            Json::Str(self.detail.clone()).render(),
             self.updated_unix_ms,
         )
     }
@@ -208,10 +203,10 @@ impl Heartbeat {
     ///
     /// A description of the first missing or malformed field.
     pub fn parse_json(text: &str) -> Result<Self, String> {
-        let doc = crate::jsonv::JsonValue::parse(text)?;
+        let doc = Json::parse(text)?;
         let uint = |key: &str| {
             doc.get(key)
-                .and_then(crate::jsonv::JsonValue::as_u64)
+                .and_then(Json::as_u64)
                 .ok_or_else(|| format!("heartbeat misses u64 `{key}`"))
         };
         Ok(Heartbeat {

@@ -13,6 +13,7 @@
 //! thread interleaving (the *values* of wall-clock-free metrics are
 //! themselves deterministic for a fixed workload).
 
+use crate::json::{write_str, Json};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -416,26 +417,25 @@ impl MetricsSnapshot {
     /// intermediate). Deterministic: equal snapshots render equal bytes.
     #[must_use]
     pub fn render_json(&self) -> String {
-        use crate::export::push_json_str;
         let mut out = String::from("{\n  \"counters\": {");
         for (i, (name, value)) in self.counters.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
-            push_json_str(&mut out, name);
+            write_str(&mut out, name);
             out.push_str(&format!(": {value}"));
         }
         out.push_str("\n  },\n  \"gauges\": {");
         for (i, (name, value, max)) in self.gauges.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
-            push_json_str(&mut out, name);
+            write_str(&mut out, name);
             out.push_str(&format!(": {{\"value\": {value}, \"max\": {max}}}"));
         }
         out.push_str("\n  },\n  \"histograms\": {");
         for (i, (name, h)) in self.histograms.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
             out.push_str("    ");
-            push_json_str(&mut out, name);
+            write_str(&mut out, name);
             out.push_str(&format!(
                 ": {{\"count\": {}, \"sum\": {}, \"buckets\": {{",
                 h.count, h.sum
@@ -465,15 +465,24 @@ impl MetricsSnapshot {
     /// A description of the first malformed construct (invalid JSON, a
     /// missing section, a non-integer value, a bucket index out of range).
     pub fn parse_json(text: &str) -> Result<Self, String> {
-        let doc = crate::jsonv::JsonValue::parse(text)?;
+        let doc = Json::parse(text)?;
+        // Name-sorted and unique, the invariant `merge` and `render_json`
+        // rely on, whatever order the document lists the metrics in.
         let section = |key: &str| {
-            doc.get(key)
-                .and_then(crate::jsonv::JsonValue::as_object)
-                .ok_or_else(|| format!("missing `{key}` object"))
+            let mut members: Vec<&(String, Json)> = doc
+                .get(key)
+                .and_then(Json::as_obj)
+                .ok_or_else(|| format!("missing `{key}` object"))?
+                .iter()
+                .collect();
+            members.sort_by(|a, b| a.0.cmp(&b.0));
+            match members.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+                Some(pair) => Err(format!("duplicate {key} name `{}`", pair[0].0)),
+                None => Ok(members),
+            }
         };
-        let uint = |v: &crate::jsonv::JsonValue, what: &str| {
-            v.as_u64().ok_or_else(|| format!("`{what}` is not a u64"))
-        };
+        let uint =
+            |v: &Json, what: &str| v.as_u64().ok_or_else(|| format!("`{what}` is not a u64"));
         let mut snapshot = MetricsSnapshot::default();
         for (name, value) in section("counters")? {
             snapshot.counters.push((name.clone(), uint(value, name)?));
@@ -501,7 +510,7 @@ impl MetricsSnapshot {
             };
             let buckets = body
                 .get("buckets")
-                .and_then(crate::jsonv::JsonValue::as_object)
+                .and_then(Json::as_obj)
                 .ok_or_else(|| format!("histogram `{name}` misses `buckets`"))?;
             for (index, n) in buckets {
                 let index: usize = index
@@ -678,6 +687,33 @@ mod tests {
             "{\"counters\":{},\"gauges\":{},\"histograms\":{\"h\":{\"count\":1,\"sum\":1,\
              \"buckets\":{\"65\":1}}}}"
         )
+        .is_err());
+    }
+
+    #[test]
+    fn parsed_sections_are_name_sorted_and_unique() {
+        let parsed = MetricsSnapshot::parse_json(
+            "{\"counters\":{\"b\":2,\"a\":1},\"gauges\":{\"z\":{\"value\":1,\"max\":3},\
+             \"y\":{\"value\":2,\"max\":2}},\"histograms\":{}}",
+        )
+        .unwrap();
+        assert_eq!(
+            parsed.counters,
+            vec![("a".to_string(), 1), ("b".to_string(), 2)]
+        );
+        assert_eq!(
+            parsed.gauges,
+            vec![("y".to_string(), 2, 2), ("z".to_string(), 1, 3)]
+        );
+        let err = MetricsSnapshot::parse_json(
+            "{\"counters\":{\"a\":1,\"b\":2,\"a\":3},\"gauges\":{},\"histograms\":{}}",
+        )
+        .unwrap_err();
+        assert!(err.contains("duplicate counters name `a`"), "{err}");
+        let hist = "{\"count\":0,\"sum\":0,\"buckets\":{}}";
+        assert!(MetricsSnapshot::parse_json(&format!(
+            "{{\"counters\":{{}},\"gauges\":{{}},\"histograms\":{{\"h\":{hist},\"h\":{hist}}}}}"
+        ))
         .is_err());
     }
 

@@ -9,7 +9,7 @@
 //! [`CellMetrics`] — the three floats campaigns aggregate. Cached floats
 //! round-trip *bit-exactly* (numbers are serialized with Rust's
 //! shortest-round-trip formatting and parsed from the raw token text by
-//! `mcsched_workload::json`), so a warm-cache run prints byte-identical
+//! `mcsched_obs::json`), so a warm-cache run prints byte-identical
 //! tables and CSVs to the cold run that populated it.
 //!
 //! ## On-disk layout
@@ -59,7 +59,7 @@
 //! to the one a single unsharded run would have written.
 
 use crate::digest::{CellDigest, CACHE_SALT};
-use mcsched_workload::json::Json;
+use mcsched_obs::json::Json;
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -442,7 +442,7 @@ fn parse_f64_cell(value: &Json) -> Option<f64> {
         return Some(v);
     }
     let hex = value.as_str()?.strip_prefix("bits:")?;
-    if hex.len() != 16 {
+    if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
         return None;
     }
     u64::from_str_radix(hex, 16).ok().map(f64::from_bits)
@@ -969,15 +969,17 @@ mod tests {
                 "{{\"version\":1,\"salt\":\"{CACHE_SALT}\",\"cells\":[\
                  {{\"key\":\"{}\",\"unfairness\":0.5,\"makespan\":10,\"average_slowdown\":2}},\
                  {{\"key\":\"not-hex\",\"unfairness\":1,\"makespan\":1,\"average_slowdown\":1}},\
-                 {{\"key\":\"{}\",\"unfairness\":\"bits:zzzz\",\"makespan\":1,\"average_slowdown\":1}}\
+                 {{\"key\":\"{}\",\"unfairness\":\"bits:zzzz\",\"makespan\":1,\"average_slowdown\":1}},\
+                 {{\"key\":\"{}\",\"unfairness\":\"bits:+7ff800000000000\",\"makespan\":1,\"average_slowdown\":1}}\
                  ]}}",
                 good_a.to_hex(),
                 good_b.to_hex(),
+                key(3).to_hex(),
             ),
         )
         .unwrap();
         let cache = CellCache::open(dir.path(), true).unwrap();
-        // One good record served; the bad key and the bad sentinel skipped.
+        // One good record served; the bad key and the bad sentinels skipped.
         // (good_b shares good_a's file shard only by luck of the digest; it
         // is in this shard file regardless because we wrote it there, and a
         // lookup only consults the file shard its digest maps to — so only

@@ -56,7 +56,8 @@ impl CellDigest {
     /// Parses the 32-hex-character form written by [`CellDigest::to_hex`].
     #[must_use]
     pub fn from_hex(text: &str) -> Option<Self> {
-        if text.len() != 32 {
+        // Hex digits only: `from_str_radix` alone would also take a sign.
+        if text.len() != 32 || !text.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
         u128::from_str_radix(text, 16).ok().map(Self)
@@ -260,6 +261,7 @@ mod tests {
         assert_eq!(CellDigest::from_hex("xyz"), None);
         assert_eq!(CellDigest::from_hex(""), None);
         assert_eq!(CellDigest::from_hex(&"f".repeat(31)), None);
+        assert_eq!(CellDigest::from_hex(&format!("+{}", "f".repeat(31))), None);
     }
 
     #[test]

@@ -75,7 +75,6 @@ pub mod arrival;
 pub mod calibration;
 pub mod catalog;
 pub mod daggen;
-pub mod json;
 pub mod source;
 pub mod stream;
 pub mod trace;
@@ -87,3 +86,9 @@ pub use daggen::{daggen_ptg, DaggenConfig};
 pub use source::{AppGenerator, GeneratorSource, WorkloadRequest, WorkloadSource};
 pub use stream::{Arrival, GeneratorStream, JobStream, StreamRequest};
 pub use trace::{Trace, TraceEntry, TraceSource};
+
+// The JSON codec lives in `mcsched_obs::json`. This alias, reached through
+// `mcsched-core` (which already depends on obs), serves the traces below
+// and the `mcsched-benchmark` package's imports without a new dependency
+// edge.
+pub use mcsched_core::json;

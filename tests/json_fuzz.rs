@@ -1,0 +1,371 @@
+//! Seeded fuzzing of the one JSON codec (`mcsched_obs::json`) and of every
+//! on-disk format read through it: cell-cache shards, workload traces, run
+//! manifests, heartbeats and metrics snapshots.
+//!
+//! Properties:
+//!
+//! * random [`Json`] trees render and parse back to an equal value;
+//! * for documents written by each format's own writer, the reader returns
+//!   the original value, every strict prefix that cuts into the document is
+//!   rejected, and every single-bit flip of an ASCII byte (which keeps the
+//!   text valid UTF-8) returns `Ok` or `Err` — never a panic;
+//! * the non-finite tokens `NaN`, `Infinity` and `-Infinity`, and nesting
+//!   past the parser's depth bound, are errors for every reader.
+//!
+//! The cases are driven by [`mcsched_stats::quickcheck::QuickCheck`]: a
+//! failure message prints the reproducing `(seed, size)` pair for
+//! `QuickCheck::replay`.
+
+use mcsched::core::Workload;
+use mcsched::obs::json::Json;
+use mcsched::obs::metrics::HistogramSnapshot;
+use mcsched::obs::{Heartbeat, Histogram, MetricsSnapshot, RunManifest, RunPhase};
+use mcsched::prelude::*;
+use mcsched::runtime::cache::SHARD_COUNT;
+use mcsched::runtime::{CellCache, CellDigest, CellMetrics};
+use mcsched::workload::{Trace, TraceEntry, WorkloadRequest};
+use rand::{Rng, RngCore};
+use rand_chacha::ChaCha8Rng;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Caps a draw dimension by the harness size bound.
+fn cap(size: u32, max: usize) -> usize {
+    (size as usize).max(1).min(max)
+}
+
+/// Characters that exercise every branch of the string writer and reader:
+/// short escapes, `\u00XX` control escapes, `/`, and 2-, 3- and 4-byte
+/// UTF-8 scalars.
+const ALPHABET: &[char] = &[
+    'a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}', '\u{1f}',
+    '\u{7f}', 'é', 'µ', '€', '\u{2028}', '😀',
+];
+
+fn gen_string(rng: &mut ChaCha8Rng, size: u32) -> String {
+    let len = rng.gen_range(0..=cap(size, 12));
+    (0..len)
+        .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+        .collect()
+}
+
+fn gen_f64(rng: &mut ChaCha8Rng) -> f64 {
+    match rng.gen_range(0..4u32) {
+        0 => rng.gen_range(-1e3..1e3),
+        1 => f64::from_bits(rng.next_u64()),
+        2 => rng.gen_range(0..1000u32) as f64,
+        _ => -0.0,
+    }
+}
+
+fn gen_json(rng: &mut ChaCha8Rng, size: u32, depth: usize) -> Json {
+    let leaf_only = depth >= cap(size / 4, 6);
+    match rng.gen_range(0..if leaf_only { 5u32 } else { 7 }) {
+        0 => Json::Null,
+        1 => Json::Bool(rng.gen_bool(0.5)),
+        2 => {
+            let v = gen_f64(rng);
+            Json::num_f64(if v.is_finite() { v } else { 0.5 })
+        }
+        3 => match rng.gen_range(0..2u32) {
+            0 => Json::num_u64(rng.next_u64()),
+            _ => Json::Num(format!("-{}", rng.gen_range(1..u64::MAX))),
+        },
+        4 => Json::Str(gen_string(rng, size)),
+        5 => Json::Arr(
+            (0..rng.gen_range(0..=cap(size, 5)))
+                .map(|_| gen_json(rng, size, depth + 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.gen_range(0..=cap(size, 5)))
+                .map(|_| (gen_string(rng, size), gen_json(rng, size, depth + 1)))
+                .collect(),
+        ),
+    }
+}
+
+#[test]
+fn random_trees_render_and_parse_back_equal() {
+    QuickCheck::new(0x150A).cases(64).run(|rng, size| {
+        let doc = gen_json(rng, size, 0);
+        let text = doc.render();
+        assert_eq!(Json::parse(&text).as_ref(), Ok(&doc), "document {text}");
+        // Whitespace around the document is insignificant.
+        assert_eq!(Json::parse(&format!(" \n{text}\t\r\n")), Ok(doc));
+    });
+}
+
+/// Feeds `read` every damaged variant of the well-formed document `text`:
+/// every prefix that stops before the document's last non-whitespace byte
+/// must be rejected, and flipping one random bit of each ASCII byte (which
+/// keeps the text valid UTF-8) must return rather than panic.
+fn damage<T>(rng: &mut ChaCha8Rng, text: &str, read: impl Fn(&str) -> Result<T, String>) {
+    let end = text.trim_end().len();
+    for cut in (0..end).filter(|&cut| text.is_char_boundary(cut)) {
+        assert!(
+            read(&text[..cut]).is_err(),
+            "truncation to {cut} bytes accepted: {:?}",
+            &text[..cut]
+        );
+    }
+    let mut bytes = text.as_bytes().to_vec();
+    for i in 0..bytes.len() {
+        let original = bytes[i];
+        if !original.is_ascii() {
+            continue;
+        }
+        bytes[i] = original ^ (1 << rng.gen_range(0..7u32));
+        let flipped = std::str::from_utf8(&bytes).expect("ASCII flips keep UTF-8 valid");
+        let _ = read(flipped);
+        bytes[i] = original;
+    }
+}
+
+fn gen_manifest(rng: &mut ChaCha8Rng, size: u32) -> RunManifest {
+    let of = rng.gen_range(1..=cap(size, 16));
+    RunManifest {
+        label: gen_string(rng, size),
+        shard: (rng.gen_range(0..of), of),
+        config_digest: format!("{:032x}", rng.next_u64()),
+        salt: gen_string(rng, size),
+        pid: rng.next_u32(),
+        start_unix_ms: rng.next_u64(),
+        phase: [RunPhase::Running, RunPhase::Done, RunPhase::Failed][rng.gen_range(0..3usize)],
+    }
+}
+
+fn gen_heartbeat(rng: &mut ChaCha8Rng, size: u32) -> Heartbeat {
+    Heartbeat {
+        points_done: rng.next_u64(),
+        points_total: rng.next_u64(),
+        cells_done: rng.next_u64(),
+        cache_hits: rng.next_u64(),
+        cache_misses: rng.next_u64(),
+        detail: gen_string(rng, size),
+        updated_unix_ms: rng.next_u64(),
+    }
+}
+
+/// A snapshot with name-sorted, unique names in every section (the shape
+/// `metrics::snapshot` produces).
+fn gen_metrics(rng: &mut ChaCha8Rng, size: u32) -> MetricsSnapshot {
+    let names = |rng: &mut ChaCha8Rng| {
+        let mut names: Vec<String> = (0..rng.gen_range(0..=cap(size, 4)))
+            .map(|i| format!("{}.{i}", gen_string(rng, size)))
+            .collect();
+        names.sort();
+        names.dedup();
+        names
+    };
+    let counters = names(rng)
+        .into_iter()
+        .map(|n| (n, rng.next_u64()))
+        .collect();
+    let gauges = names(rng)
+        .into_iter()
+        .map(|n| (n, rng.next_u64(), rng.next_u64()))
+        .collect();
+    let histograms = names(rng)
+        .into_iter()
+        .map(|n| {
+            let h = Histogram::default();
+            for _ in 0..rng.gen_range(0..=cap(size, 8)) {
+                h.record(rng.next_u64() >> rng.gen_range(0..64u32));
+            }
+            (n, h.snapshot())
+        })
+        .collect::<Vec<(String, HistogramSnapshot)>>();
+    MetricsSnapshot {
+        counters,
+        gauges,
+        histograms,
+    }
+}
+
+fn gen_trace(rng: &mut ChaCha8Rng, size: u32) -> Trace {
+    let mut trace = Trace::new(gen_string(rng, size), rng.next_u64());
+    for e in 0..rng.gen_range(1..=cap(size, 2)) {
+        let count = rng.gen_range(1..=cap(size, 2));
+        let config = RandomPtgConfig {
+            num_tasks: cap(size, 5).max(2),
+            ..RandomPtgConfig::default_config()
+        };
+        let ptgs: Vec<Ptg> = (0..count)
+            .map(|i| random_ptg(&config, rng, format!("app{i}")))
+            .collect();
+        let releases = (0..count).map(|_| rng.gen_range(0.0..100.0)).collect();
+        let workload = Workload::released(ptgs, releases)
+            .expect("generated releases are valid")
+            .with_label(gen_string(rng, size));
+        trace.entries.push(TraceEntry {
+            request: WorkloadRequest::new(rng.next_u64(), count, format!("entry-{e}")),
+            workload,
+        });
+    }
+    trace
+}
+
+#[test]
+fn manifests_survive_truncation_and_bit_flips() {
+    QuickCheck::new(0x3A41).cases(12).run(|rng, size| {
+        let manifest = gen_manifest(rng, size);
+        let text = manifest.render_json();
+        assert_eq!(
+            RunManifest::parse_json(&text).expect("well-formed"),
+            manifest
+        );
+        damage(rng, &text, RunManifest::parse_json);
+    });
+}
+
+#[test]
+fn heartbeats_survive_truncation_and_bit_flips() {
+    QuickCheck::new(0x4EA7).cases(12).run(|rng, size| {
+        let heartbeat = gen_heartbeat(rng, size);
+        let text = heartbeat.render_json();
+        assert_eq!(
+            Heartbeat::parse_json(&text).expect("well-formed"),
+            heartbeat
+        );
+        damage(rng, &text, Heartbeat::parse_json);
+    });
+}
+
+#[test]
+fn metrics_snapshots_survive_truncation_and_bit_flips() {
+    QuickCheck::new(0x3E7C).cases(12).run(|rng, size| {
+        let snapshot = gen_metrics(rng, size);
+        let text = snapshot.render_json();
+        assert_eq!(
+            MetricsSnapshot::parse_json(&text).expect("well-formed"),
+            snapshot
+        );
+        damage(rng, &text, MetricsSnapshot::parse_json);
+    });
+}
+
+#[test]
+fn traces_survive_truncation_and_bit_flips() {
+    QuickCheck::new(0x7ACE)
+        .cases(6)
+        .start_size(8)
+        .run(|rng, size| {
+            let trace = gen_trace(rng, size);
+            let text = trace.to_json();
+            assert_eq!(Trace::from_json(&text).expect("well-formed"), trace);
+            damage(rng, &text, |t| {
+                Trace::from_json(t).map_err(|e| e.to_string())
+            });
+        });
+}
+
+/// A unique temporary directory, removed on drop.
+struct TempDir(PathBuf);
+
+impl TempDir {
+    fn new() -> Self {
+        static UNIQUE: AtomicU64 = AtomicU64::new(0);
+        let path = std::env::temp_dir().join(format!(
+            "mcsched-json-fuzz-{}-{}",
+            std::process::id(),
+            UNIQUE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let _ = std::fs::remove_dir_all(&path);
+        Self(path)
+    }
+
+    fn path(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for TempDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+#[test]
+fn cache_shards_survive_truncation_and_bit_flips() {
+    QuickCheck::new(0xCE11).cases(6).run(|rng, size| {
+        // One shard written by the cache itself: every key lands in the
+        // shard of the first, and one metric is non-finite so the
+        // `"bits:…"` sentinel is exercised.
+        let dir = TempDir::new();
+        let cache = CellCache::open(dir.path(), false).expect("fresh cache dir");
+        let first = CellDigest(u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64()));
+        let mut cells = Vec::new();
+        while cells.len() < cap(size, 6) {
+            let key = CellDigest(u128::from(rng.next_u64()) << 64 | u128::from(rng.next_u64()));
+            if cells.is_empty() || key.shard(SHARD_COUNT) == first.shard(SHARD_COUNT) {
+                let metrics = CellMetrics {
+                    unfairness: gen_f64(rng),
+                    makespan: [f64::NAN, f64::INFINITY, 1.5][rng.gen_range(0..3usize)],
+                    average_slowdown: gen_f64(rng),
+                };
+                cache.insert(if cells.is_empty() { first } else { key }, metrics);
+                cells.push(metrics);
+            }
+        }
+        cache.flush().expect("flush");
+        let path = dir
+            .path()
+            .join(format!("shard-{:02x}.json", first.shard(SHARD_COUNT)));
+        let text = std::fs::read_to_string(&path).expect("flushed shard");
+        let reopened = CellCache::open(dir.path(), true).expect("reopen");
+        assert_eq!(reopened.resumed(), cells.len());
+        assert!(reopened.lookup(first).is_some_and(|m| m.bits_eq(&cells[0])));
+        damage(rng, &text, Json::parse);
+    });
+}
+
+/// Whether a reader accepts a document.
+type Accepts = fn(&str) -> bool;
+
+/// Every reader, for the hostile-input checks.
+fn readers() -> [(&'static str, Accepts); 5] {
+    [
+        ("Json::parse", |t| Json::parse(t).is_ok()),
+        ("Trace::from_json", |t| Trace::from_json(t).is_ok()),
+        ("RunManifest::parse_json", |t| {
+            RunManifest::parse_json(t).is_ok()
+        }),
+        ("Heartbeat::parse_json", |t| {
+            Heartbeat::parse_json(t).is_ok()
+        }),
+        ("MetricsSnapshot::parse_json", |t| {
+            MetricsSnapshot::parse_json(t).is_ok()
+        }),
+    ]
+}
+
+#[test]
+fn non_finite_tokens_are_rejected() {
+    for token in ["NaN", "Infinity", "-Infinity", "nan", "inf", "-inf"] {
+        for doc in [
+            token.to_string(),
+            format!("[1,{token}]"),
+            format!("{{\"a\":{token}}}"),
+            format!("{{\"counters\":{{\"c\":{token}}},\"gauges\":{{}},\"histograms\":{{}}}}"),
+            format!("{{\"version\":1,\"salt\":\"s\",\"cells\":[{{\"makespan\":{token}}}]}}"),
+        ] {
+            for (name, read) in readers() {
+                assert!(!read(&doc), "{name} accepted {doc}");
+            }
+        }
+    }
+}
+
+#[test]
+fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+    for doc in [
+        "[".repeat(50_000),
+        "{\"a\":".repeat(50_000),
+        format!("{}{}", "[".repeat(50_000), "]".repeat(50_000)),
+    ] {
+        for (name, read) in readers() {
+            assert!(!read(&doc), "{name} accepted a 50 000-deep document");
+        }
+    }
+}

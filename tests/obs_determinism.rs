@@ -16,11 +16,11 @@
 //! campaign the isolation test starts on purpose) cannot leak into them.
 
 use mcsched::exp::{csv_campaign, run_campaign, table_campaign, CampaignConfig};
+use mcsched::obs::json::Json;
 use mcsched::obs::{export, Collector, TraceDump};
 use mcsched::online;
 use mcsched::platform::grid5000;
 use mcsched::ptg::gen::PtgClass;
-use mcsched::workload::json::Json;
 use mcsched::workload::WorkloadCatalog;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
