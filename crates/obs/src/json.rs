@@ -399,8 +399,15 @@ mod tests {
         let text = Json::num_u64(seed).render();
         let back = Json::parse(&text).unwrap();
         assert_eq!(back.as_u64(), Some(seed));
-        let doc = Json::parse(&format!("{{\"v\": {}}}", u64::MAX)).unwrap();
-        assert_eq!(doc.get("v").unwrap().as_u64(), Some(u64::MAX));
+    }
+
+    #[test]
+    fn large_u64_values_round_trip_exactly() {
+        let raw = format!("{{\"v\": {}}}", u64::MAX);
+        let v = Json::parse(&raw).unwrap();
+        assert_eq!(v.get("v").unwrap().as_u64(), Some(u64::MAX));
+        // An f64 intermediate would have rounded this.
+        assert_ne!(v.get("v").unwrap().as_f64().unwrap() as u64, u64::MAX - 1);
     }
 
     #[test]
@@ -419,9 +426,17 @@ mod tests {
         assert!(Json::parse("\"unterminated").is_err());
         assert!(Json::parse("{\"a\":1} extra").is_err());
         assert!(Json::parse("nul").is_err());
+    }
+
+    #[test]
+    fn malformed_documents_are_rejected() {
         assert!(Json::parse("").is_err());
+        assert!(Json::parse("{").is_err());
         assert!(Json::parse("{\"a\":}").is_err());
+        assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("12 34").is_err());
+        assert!(Json::parse("\"open").is_err());
+        assert!(Json::parse("nul").is_err());
     }
 
     #[test]
@@ -431,6 +446,10 @@ mod tests {
             v.get("a\tb").unwrap().as_arr().unwrap()[1].as_str(),
             Some("A")
         );
+    }
+
+    #[test]
+    fn parses_scalars_and_containers() {
         let v = Json::parse("{\"a\": 1, \"b\": [true, null, -2.5e3], \"s\": \"x\\n\\\"y\\\"\"}")
             .unwrap();
         assert_eq!(v.get("a").unwrap().as_u64(), Some(1));
@@ -464,7 +483,14 @@ mod tests {
         assert!(v.get("missing").is_none());
         assert!(Json::Str("x".into()).get("a").is_none());
         assert!(v.as_obj().is_some() && v.as_arr().is_none());
-        assert!(Json::parse("[1]").unwrap().as_obj().is_none());
+    }
+
+    #[test]
+    fn array_and_scalar_accessors_return_none_on_type_mismatch() {
+        let v = Json::parse("[1]").unwrap();
+        assert!(v.get("x").is_none());
+        assert!(v.as_str().is_none());
+        assert!(v.as_obj().is_none());
         assert_eq!(Json::Bool(true).as_u64(), None);
         assert_eq!(Json::parse("-3").unwrap().as_u64(), None);
         assert_eq!(Json::parse("-3").unwrap().as_f64(), Some(-3.0));
