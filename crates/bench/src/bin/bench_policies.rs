@@ -173,7 +173,7 @@ fn main() {
         let canonical = registry
             .allocation(&name)
             .expect("registry names resolve")
-            .cache_key();
+            .name();
         if !seen.insert(format!("allocation/{canonical}")) {
             continue;
         }
@@ -233,12 +233,12 @@ fn main() {
         });
     };
     measure_paired("crn-shared-context", &|| {
-        let context = ScheduleContext::for_workload(&platform, &workload, base);
+        let context = ScheduleContext::for_workload(&platform, &workload, base.clone());
         context.evaluate_policies(&paired_policies).map(|_| ())
     });
     measure_paired("independent-contexts", &|| {
         for policy in &paired_policies {
-            let context = ScheduleContext::for_workload(&platform, &workload, base);
+            let context = ScheduleContext::for_workload(&platform, &workload, base.clone());
             context.evaluate_policies(std::slice::from_ref(policy))?;
         }
         Ok(())

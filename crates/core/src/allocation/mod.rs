@@ -20,89 +20,6 @@ use mcsched_platform::Platform;
 use mcsched_ptg::{Ptg, TaskId};
 use serde::{Deserialize, Serialize};
 
-/// Which allocation procedure the scheduler uses.
-///
-/// This enum is the thin serde-able *constructor* for the built-in
-/// allocation policies: [`AllocationProcedure::to_policy`] resolves each
-/// variant to its [`crate::policy::AllocationPolicy`] implementation, and
-/// the [`crate::policy::PolicyRegistry`] resolves the same policies by name
-/// (`"scrap-max"`, ...).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AllocationProcedure {
-    /// SCRAP: the resource constraint bounds the *global* average power
-    /// usage of the schedule (sum of task areas over the critical path).
-    Scrap,
-    /// SCRAP-MAX: the resource constraint is applied independently to every
-    /// precedence level (the variant the paper retains).
-    ScrapMax,
-    /// CPA-style allocation (no resource constraint; stops when the critical
-    /// path balances the average area). Used as an unconstrained baseline.
-    Cpa,
-    /// Every task keeps a single processor (degenerate baseline).
-    OneEach,
-}
-
-impl AllocationProcedure {
-    /// Human readable label used in reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            AllocationProcedure::Scrap => "SCRAP",
-            AllocationProcedure::ScrapMax => "SCRAP-MAX",
-            AllocationProcedure::Cpa => "CPA",
-            AllocationProcedure::OneEach => "1-proc",
-        }
-    }
-
-    /// Runs the procedure on one PTG under resource constraint `beta`.
-    pub fn allocate(&self, reference: &ReferencePlatform, ptg: &Ptg, beta: f64) -> RefAllocation {
-        match self {
-            AllocationProcedure::Scrap => scrap_allocate(reference, ptg, beta),
-            AllocationProcedure::ScrapMax => scrap_max_allocate(reference, ptg, beta),
-            AllocationProcedure::Cpa => cpa_allocate(reference, ptg),
-            AllocationProcedure::OneEach => RefAllocation::one_per_task(ptg.num_tasks()),
-        }
-    }
-
-    /// All built-in procedures, in the order of this enum's variants.
-    #[must_use]
-    pub fn all() -> [AllocationProcedure; 4] {
-        [
-            AllocationProcedure::Scrap,
-            AllocationProcedure::ScrapMax,
-            AllocationProcedure::Cpa,
-            AllocationProcedure::OneEach,
-        ]
-    }
-
-    /// The normalized (lowercase) name aliases of this procedure. This is
-    /// the single source of the built-in allocation names: both
-    /// [`AllocationProcedure::from_name`] and the
-    /// [`crate::policy::PolicyRegistry::builtin`] registration iterate it,
-    /// so the two can never drift apart.
-    #[must_use]
-    pub fn aliases(&self) -> &'static [&'static str] {
-        match self {
-            AllocationProcedure::Scrap => &["scrap"],
-            AllocationProcedure::ScrapMax => &["scrap-max", "scrapmax"],
-            AllocationProcedure::Cpa => &["cpa"],
-            AllocationProcedure::OneEach => &["one-each", "1-proc"],
-        }
-    }
-
-    /// Parses a procedure from its registry name (`scrap`, `scrap-max`,
-    /// `cpa`, `one-each`; case-insensitive, label aliases accepted). Returns
-    /// `None` for names outside the built-in family — custom allocation
-    /// policies are dynamic and go through the
-    /// [`crate::policy::PolicyRegistry`] and the scheduler builder instead.
-    #[must_use]
-    pub fn from_name(name: &str) -> Option<Self> {
-        let normalized = name.trim().to_ascii_lowercase();
-        Self::all()
-            .into_iter()
-            .find(|p| p.aliases().contains(&normalized.as_str()))
-    }
-}
-
 /// The homogeneous reference cluster abstracting a heterogeneous platform.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReferencePlatform {
@@ -344,6 +261,9 @@ impl<'a> ConstraintChecker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::policy::{
+        AllocationPolicy, CpaAllocation, OneEachAllocation, ScrapAllocation, ScrapMaxAllocation,
+    };
     use mcsched_platform::PlatformBuilder;
     use mcsched_ptg::{CostModel, DataParallelTask, PtgBuilder};
 
@@ -448,10 +368,10 @@ mod tests {
 
     #[test]
     fn procedure_labels() {
-        assert_eq!(AllocationProcedure::Scrap.label(), "SCRAP");
-        assert_eq!(AllocationProcedure::ScrapMax.label(), "SCRAP-MAX");
-        assert_eq!(AllocationProcedure::Cpa.label(), "CPA");
-        assert_eq!(AllocationProcedure::OneEach.label(), "1-proc");
+        assert_eq!(ScrapAllocation.name(), "SCRAP");
+        assert_eq!(ScrapMaxAllocation.name(), "SCRAP-MAX");
+        assert_eq!(CpaAllocation.name(), "CPA");
+        assert_eq!(OneEachAllocation.name(), "1-proc");
     }
 
     #[test]
@@ -459,7 +379,7 @@ mod tests {
         let p = platform();
         let r = ReferencePlatform::new(&p);
         let g = chain(5);
-        let a = AllocationProcedure::OneEach.allocate(&r, &g, 1.0);
+        let a = OneEachAllocation.allocate(&r, &g, 1.0);
         assert_eq!(a.counts(), &[1, 1, 1, 1, 1]);
     }
 }

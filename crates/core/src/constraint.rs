@@ -19,9 +19,11 @@
 //!   µ = 0.5 for `cp` and µ = 0.5 (random PTGs) or 0.3 (FFT) for `width`.
 
 use crate::allocation::ReferencePlatform;
+use crate::policy::{ConstraintPolicy, EqualShare, ProportionalShare, Selfish, WeightedShare};
 use mcsched_ptg::analysis::{sequential_critical_path, structure};
 use mcsched_ptg::Ptg;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// The PTG characteristic γ used by the proportional strategies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -84,12 +86,11 @@ impl Characteristic {
 
 /// A strategy for computing the per-PTG resource constraints.
 ///
-/// This enum is the thin serde-able *constructor* for the paper's built-in
-/// policies: [`ConstraintStrategy::to_policy`] resolves each variant to its
-/// concrete [`crate::policy::ConstraintPolicy`] implementation, and the
+/// This enum builds the paper's strategy sets ([`ConstraintStrategy::paper_set`]
+/// and friends); [`ConstraintStrategy::to_policy`] resolves each variant to
+/// its concrete [`ConstraintPolicy`], the one form the pipeline runs. The
 /// [`crate::policy::PolicyRegistry`] resolves the same policies by name
-/// (`"es"`, `"wps-work@0.7"`, ...). Custom policies beyond this family are
-/// registered on the registry and driven through the identical pipeline.
+/// (`"es"`, `"wps-work@0.7"`, ...).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ConstraintStrategy {
     /// `S`: every application may use the whole platform (β = 1).
@@ -157,13 +158,17 @@ impl ConstraintStrategy {
         }
     }
 
-    /// Computes the per-PTG resource constraints for a set of applications
-    /// by resolving to the corresponding [`crate::policy::ConstraintPolicy`].
-    ///
-    /// Every returned β lies in `(0, 1]`; degenerate inputs (zero total
-    /// contribution) fall back to the equal share.
-    pub fn betas(&self, ptgs: &[Ptg], reference: &ReferencePlatform) -> Vec<f64> {
-        self.to_policy().betas(ptgs, reference)
+    /// Resolves this strategy to its concrete policy. Every β the policy
+    /// returns lies in `(0, 1]`; degenerate inputs (zero total contribution)
+    /// fall back to the equal share.
+    #[must_use]
+    pub fn to_policy(self) -> Arc<dyn ConstraintPolicy> {
+        match self {
+            ConstraintStrategy::Selfish => Arc::new(Selfish),
+            ConstraintStrategy::EqualShare => Arc::new(EqualShare),
+            ConstraintStrategy::Proportional(c) => Arc::new(ProportionalShare::new(c)),
+            ConstraintStrategy::Weighted(c, mu) => Arc::new(WeightedShare::new(c, mu)),
+        }
     }
 }
 
@@ -210,7 +215,9 @@ mod tests {
     #[test]
     fn selfish_gives_one_to_everyone() {
         let ptgs = vec![chain(3, 8.0e6), bag(4, 8.0e6)];
-        let betas = ConstraintStrategy::Selfish.betas(&ptgs, &reference());
+        let betas = ConstraintStrategy::Selfish
+            .to_policy()
+            .betas(&ptgs, &reference());
         assert_eq!(betas, vec![1.0, 1.0]);
     }
 
@@ -222,7 +229,9 @@ mod tests {
             chain(2, 8.0e6),
             bag(2, 8.0e6),
         ];
-        let betas = ConstraintStrategy::EqualShare.betas(&ptgs, &reference());
+        let betas = ConstraintStrategy::EqualShare
+            .to_policy()
+            .betas(&ptgs, &reference());
         for b in betas {
             assert!((b - 0.25).abs() < 1e-12);
         }
@@ -234,8 +243,9 @@ mod tests {
         let small = chain(2, 8.0e6);
         let big = chain(2, 64.0e6);
         let ptgs = vec![small.clone(), big.clone()];
-        let betas =
-            ConstraintStrategy::Proportional(Characteristic::Work).betas(&ptgs, &reference());
+        let betas = ConstraintStrategy::Proportional(Characteristic::Work)
+            .to_policy()
+            .betas(&ptgs, &reference());
         let expected_small = small.total_work() / (small.total_work() + big.total_work());
         assert!((betas[0] - expected_small).abs() < 1e-9);
         assert!((betas[0] + betas[1] - 1.0).abs() < 1e-9);
@@ -247,6 +257,7 @@ mod tests {
         let narrow = chain(4, 8.0e6);
         let wide = bag(8, 8.0e6);
         let betas = ConstraintStrategy::Proportional(Characteristic::Width)
+            .to_policy()
             .betas(&[narrow, wide], &reference());
         // widths: 1 vs 8
         assert!((betas[0] - 1.0 / 9.0).abs() < 1e-9);
@@ -258,6 +269,7 @@ mod tests {
         let short = chain(1, 8.0e6);
         let long = chain(6, 8.0e6);
         let betas = ConstraintStrategy::Proportional(Characteristic::CriticalPath)
+            .to_policy()
             .betas(&[short, long], &reference());
         assert!(betas[1] > betas[0]);
         assert!((betas[0] + betas[1] - 1.0).abs() < 1e-9);
@@ -267,11 +279,19 @@ mod tests {
     fn weighted_interpolates_between_ps_and_es() {
         let ptgs = vec![chain(2, 8.0e6), chain(2, 64.0e6)];
         let r = reference();
-        let ps = ConstraintStrategy::Proportional(Characteristic::Work).betas(&ptgs, &r);
-        let es = ConstraintStrategy::EqualShare.betas(&ptgs, &r);
-        let w0 = ConstraintStrategy::Weighted(Characteristic::Work, 0.0).betas(&ptgs, &r);
-        let w1 = ConstraintStrategy::Weighted(Characteristic::Work, 1.0).betas(&ptgs, &r);
-        let whalf = ConstraintStrategy::Weighted(Characteristic::Work, 0.5).betas(&ptgs, &r);
+        let ps = ConstraintStrategy::Proportional(Characteristic::Work)
+            .to_policy()
+            .betas(&ptgs, &r);
+        let es = ConstraintStrategy::EqualShare.to_policy().betas(&ptgs, &r);
+        let w0 = ConstraintStrategy::Weighted(Characteristic::Work, 0.0)
+            .to_policy()
+            .betas(&ptgs, &r);
+        let w1 = ConstraintStrategy::Weighted(Characteristic::Work, 1.0)
+            .to_policy()
+            .betas(&ptgs, &r);
+        let whalf = ConstraintStrategy::Weighted(Characteristic::Work, 0.5)
+            .to_policy()
+            .betas(&ptgs, &r);
         for i in 0..2 {
             assert!((w0[i] - ps[i]).abs() < 1e-9, "mu=0 equals PS");
             assert!((w1[i] - es[i]).abs() < 1e-9, "mu=1 equals ES");
@@ -283,8 +303,12 @@ mod tests {
     fn weighted_gives_small_ptg_more_than_ps() {
         let ptgs = vec![chain(2, 8.0e6), chain(2, 100.0e6)];
         let r = reference();
-        let ps = ConstraintStrategy::Proportional(Characteristic::Work).betas(&ptgs, &r);
-        let wps = ConstraintStrategy::Weighted(Characteristic::Work, 0.7).betas(&ptgs, &r);
+        let ps = ConstraintStrategy::Proportional(Characteristic::Work)
+            .to_policy()
+            .betas(&ptgs, &r);
+        let wps = ConstraintStrategy::Weighted(Characteristic::Work, 0.7)
+            .to_policy()
+            .betas(&ptgs, &r);
         assert!(wps[0] > ps[0], "WPS protects the small application");
     }
 
@@ -293,7 +317,7 @@ mod tests {
         let ptgs = vec![chain(1, 4.0e6), bag(10, 121.0e6), chain(5, 50.0e6)];
         let r = reference();
         for strategy in ConstraintStrategy::paper_set() {
-            for b in strategy.betas(&ptgs, &r) {
+            for b in strategy.to_policy().betas(&ptgs, &r) {
                 assert!(b > 0.0 && b <= 1.0, "{} produced β={b}", strategy.name());
             }
         }
@@ -325,7 +349,7 @@ mod tests {
         let ptgs = vec![chain(3, 20.0e6), chain(3, 20.0e6), chain(3, 20.0e6)];
         let r = reference();
         for strategy in ConstraintStrategy::paper_set() {
-            let betas = strategy.betas(&ptgs, &r);
+            let betas = strategy.to_policy().betas(&ptgs, &r);
             assert!((betas[0] - betas[1]).abs() < 1e-9);
             assert!((betas[1] - betas[2]).abs() < 1e-9);
         }
@@ -334,6 +358,7 @@ mod tests {
     #[test]
     fn empty_application_set_yields_no_betas() {
         assert!(ConstraintStrategy::EqualShare
+            .to_policy()
             .betas(&[], &reference())
             .is_empty());
     }

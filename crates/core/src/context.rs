@@ -28,13 +28,11 @@
 //! The caches use interior mutability behind mutexes, so a context can be
 //! shared by reference across the fan-out threads of a campaign.
 
-use crate::allocation::{
-    AllocationProcedure, DedicatedAllocation, RefAllocation, ReferencePlatform,
-};
-use crate::constraint::ConstraintStrategy;
+use crate::allocation::{DedicatedAllocation, RefAllocation, ReferencePlatform};
 use crate::error::SchedError;
-use crate::mapping::{MappingConfig, Schedule};
+use crate::mapping::Schedule;
 use crate::policy::{AllocationPolicy, ConstraintPolicy, MappingPolicy, MappingRequest};
+use crate::scheduler::{ConcurrentScheduler, EvaluatedRun, SchedulerConfig};
 use crate::workload::Workload;
 use mcsched_platform::Platform;
 use mcsched_ptg::Ptg;
@@ -43,8 +41,6 @@ use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-
-use crate::scheduler::SchedulerConfig;
 
 /// Per-policy β cache, keyed by [`ConstraintPolicy::cache_key`].
 type BetaCache = HashMap<String, Arc<Vec<f64>>>;
@@ -68,16 +64,15 @@ enum ReferenceStore<'a> {
 }
 
 /// Memoized evaluation state for one scenario: a platform, the set of PTGs
-/// submitted together (with their release times), and the base policies
-/// shared by every strategy compared on that scenario.
+/// submitted together (with their release times), and the base pipeline
+/// whose allocation and mapping every strategy compared on that scenario
+/// shares.
 #[derive(Debug)]
 pub struct ScheduleContext<'a> {
     platform: &'a Platform,
     ptgs: &'a [Ptg],
     release_times: Vec<f64>,
     base: SchedulerConfig,
-    base_allocation: Arc<dyn AllocationPolicy>,
-    base_mapping: Arc<dyn MappingPolicy>,
     reference: ReferenceStore<'a>,
     engine: EngineStore<'a>,
     betas: Mutex<BetaCache>,
@@ -102,45 +97,16 @@ impl<'a> ScheduleContext<'a> {
     }
 
     /// Creates a context with an explicit base configuration (allocation
-    /// procedure and mapping options used by the dedicated baselines and by
-    /// every strategy evaluated through the context).
+    /// and mapping policies used by the dedicated baselines and by every
+    /// strategy evaluated through the context).
     pub fn with_base(platform: &'a Platform, ptgs: &'a [Ptg], base: SchedulerConfig) -> Self {
-        Self::with_policies(
+        Self::from_stores(
             platform,
             ptgs,
             base,
-            base.allocation.to_policy(),
-            base.mapping.to_policy(),
+            ReferenceStore::Owned(ReferencePlatform::new(platform)),
+            EngineStore::Owned(Box::new(Engine::new(platform))),
         )
-    }
-
-    /// Creates a context whose base allocation and mapping are arbitrary
-    /// policies (possibly outside the enum family). The `base` configuration
-    /// is kept as a serializable echo of the enum-expressible part.
-    pub fn with_policies(
-        platform: &'a Platform,
-        ptgs: &'a [Ptg],
-        base: SchedulerConfig,
-        base_allocation: Arc<dyn AllocationPolicy>,
-        base_mapping: Arc<dyn MappingPolicy>,
-    ) -> Self {
-        Self {
-            reference: ReferenceStore::Owned(ReferencePlatform::new(platform)),
-            engine: EngineStore::Owned(Box::new(Engine::new(platform))),
-            betas: Mutex::new(HashMap::new()),
-            allocations: Mutex::new(HashMap::new()),
-            dedicated_allocations: (0..ptgs.len()).map(|_| OnceLock::new()).collect(),
-            dedicated_allocation_runs: AtomicUsize::new(0),
-            dedicated: (0..ptgs.len()).map(|_| Mutex::new(None)).collect(),
-            dedicated_sims: AtomicUsize::new(0),
-            concurrent_sims: AtomicUsize::new(0),
-            release_times: vec![0.0; ptgs.len()],
-            platform,
-            ptgs,
-            base,
-            base_allocation,
-            base_mapping,
-        }
     }
 
     /// Creates a context that *borrows* an engine and homogeneous reference
@@ -164,9 +130,25 @@ impl<'a> ScheduleContext<'a> {
             &ReferencePlatform::new(platform),
             "engine and reference view must share a platform"
         );
+        Self::from_stores(
+            platform,
+            ptgs,
+            base,
+            ReferenceStore::Shared(reference),
+            EngineStore::Shared(engine),
+        )
+    }
+
+    fn from_stores(
+        platform: &'a Platform,
+        ptgs: &'a [Ptg],
+        base: SchedulerConfig,
+        reference: ReferenceStore<'a>,
+        engine: EngineStore<'a>,
+    ) -> Self {
         Self {
-            reference: ReferenceStore::Shared(reference),
-            engine: EngineStore::Shared(engine),
+            reference,
+            engine,
             betas: Mutex::new(HashMap::new()),
             allocations: Mutex::new(HashMap::new()),
             dedicated_allocations: (0..ptgs.len()).map(|_| OnceLock::new()).collect(),
@@ -178,8 +160,6 @@ impl<'a> ScheduleContext<'a> {
             platform,
             ptgs,
             base,
-            base_allocation: base.allocation.to_policy(),
-            base_mapping: base.mapping.to_policy(),
         }
     }
 
@@ -194,13 +174,6 @@ impl<'a> ScheduleContext<'a> {
         let mut ctx = Self::with_base(platform, workload.ptgs(), base);
         ctx.release_times = workload.release_times().to_vec();
         ctx
-    }
-
-    /// Overrides the context's default release times (used by scheduler
-    /// entry points that pair custom base policies with a workload).
-    pub(crate) fn set_release_times(&mut self, release_times: Vec<f64>) {
-        debug_assert_eq!(release_times.len(), self.ptgs.len());
-        self.release_times = release_times;
     }
 
     /// Returns the context with explicit per-application release times, for
@@ -233,22 +206,21 @@ impl<'a> ScheduleContext<'a> {
         &self.release_times
     }
 
-    /// The base scheduler configuration of the scenario (the serializable
-    /// echo; the operative base policies are
-    /// [`ScheduleContext::base_allocation`] and
-    /// [`ScheduleContext::base_mapping`]).
+    /// The base pipeline of the scenario. Its allocation and mapping
+    /// policies run the dedicated baselines and every policy evaluated by
+    /// [`ScheduleContext::evaluate_policies`].
     pub fn base(&self) -> &SchedulerConfig {
         &self.base
     }
 
     /// The allocation policy used by the dedicated baselines.
     pub fn base_allocation(&self) -> &Arc<dyn AllocationPolicy> {
-        &self.base_allocation
+        &self.base.allocation
     }
 
     /// The mapping policy used by the dedicated baselines.
     pub fn base_mapping(&self) -> &Arc<dyn MappingPolicy> {
-        &self.base_mapping
+        &self.base.mapping
     }
 
     /// The memoized homogeneous reference view of the platform.
@@ -301,7 +273,7 @@ impl<'a> ScheduleContext<'a> {
         // A β = 1 allocation is the dedicated one. A smaller β resumes from
         // the dedicated allocation when one is at hand but never starts one:
         // a schedule without dedicated baselines would pay for it.
-        let base = key.1 == self.base_allocation.cache_key();
+        let base = key.1 == self.base.allocation.cache_key();
         let dedicated: Vec<Option<Arc<DedicatedAllocation>>> = betas
             .iter()
             .enumerate()
@@ -341,7 +313,8 @@ impl<'a> ScheduleContext<'a> {
                 .fetch_add(1, Ordering::Relaxed);
             let _p = mcsched_obs::span!("beta+alloc");
             Arc::new(
-                self.base_allocation
+                self.base
+                    .allocation
                     .dedicated(self.reference(), &self.ptgs[app]),
             )
         }))
@@ -377,25 +350,6 @@ impl<'a> ScheduleContext<'a> {
         self
     }
 
-    /// β constraints under a built-in strategy (enum convenience over
-    /// [`ScheduleContext::betas_for`]).
-    pub fn betas(&self, strategy: ConstraintStrategy) -> Arc<Vec<f64>> {
-        self.betas_for(strategy.to_policy().as_ref())
-    }
-
-    /// Constrained allocations under a built-in `(strategy, procedure)`
-    /// pair (enum convenience over [`ScheduleContext::allocations_for`]).
-    pub fn allocations(
-        &self,
-        strategy: ConstraintStrategy,
-        procedure: AllocationProcedure,
-    ) -> Arc<Vec<RefAllocation>> {
-        self.allocations_for(
-            strategy.to_policy().as_ref(),
-            procedure.to_policy().as_ref(),
-        )
-    }
-
     /// Executes a concurrent workload on the scenario's engine, counting the
     /// simulation.
     ///
@@ -428,21 +382,9 @@ impl<'a> ScheduleContext<'a> {
         })
     }
 
-    /// Maps already-allocated applications onto the platform using the
-    /// context's cached views. The mapping configuration is explicit because
-    /// ablation schedulers may override the context's base options.
-    pub fn map(
-        &self,
-        mapping: &MappingConfig,
-        allocations: &[RefAllocation],
-        release_times: &[f64],
-    ) -> Schedule {
-        self.map_with(mapping.to_policy().as_ref(), allocations, release_times)
-    }
-
     /// Dedicated-platform makespan of application `app` (`M_own`): the PTG
-    /// alone on the whole platform, β = 1, under the base allocation
-    /// procedure and mapping options. Memoized — repeated calls (e.g. one
+    /// alone on the whole platform, β = 1, under the base allocation and
+    /// mapping policies. Memoized — repeated calls (e.g. one
     /// per strategy of a campaign) simulate only once.
     ///
     /// # Errors
@@ -503,16 +445,15 @@ impl<'a> ScheduleContext<'a> {
     pub fn evaluate_policies(
         &self,
         policies: &[Arc<dyn ConstraintPolicy>],
-    ) -> Result<Vec<crate::scheduler::EvaluatedRun>, SchedError> {
+    ) -> Result<Vec<EvaluatedRun>, SchedError> {
         policies
             .iter()
             .map(|policy| {
-                crate::scheduler::ConcurrentScheduler::builder()
-                    .constraint_policy(Arc::clone(policy))
-                    .allocation_procedure(self.base.allocation)
-                    .mapping_config(self.base.mapping)
-                    .build()?
-                    .evaluate_in(self)
+                ConcurrentScheduler::new(SchedulerConfig {
+                    constraint: Arc::clone(policy),
+                    ..self.base.clone()
+                })
+                .evaluate_in(self)
             })
             .collect()
     }
@@ -524,7 +465,7 @@ impl<'a> ScheduleContext<'a> {
         let dedicated = self.dedicated_allocation(app);
         let schedule = {
             let _p = mcsched_obs::span!("mapping");
-            self.base_mapping.map(&MappingRequest {
+            self.base.mapping.map(&MappingRequest {
                 reference: self.reference(),
                 network: self.engine().network(),
                 platform: self.platform,
@@ -543,8 +484,8 @@ impl<'a> ScheduleContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::Characteristic;
-    use crate::scheduler::ConcurrentScheduler;
+    use crate::constraint::{Characteristic, ConstraintStrategy};
+    use crate::policy::{EqualShare, ScrapAllocation, ScrapMaxAllocation, Selfish, WeightedShare};
     use mcsched_platform::grid5000;
     use mcsched_ptg::gen::{random::RandomPtgConfig, random_ptg};
     use rand::SeedableRng;
@@ -568,13 +509,13 @@ mod tests {
         let platform = grid5000::lille();
         let apps = ptgs(3, 1);
         let ctx = ScheduleContext::new(&platform, &apps);
-        let a = ctx.betas(ConstraintStrategy::EqualShare);
-        let b = ctx.betas(ConstraintStrategy::EqualShare);
+        let a = ctx.betas_for(&EqualShare);
+        let b = ctx.betas_for(&EqualShare);
         assert!(
             Arc::ptr_eq(&a, &b),
             "same strategy returns the cached vector"
         );
-        let c = ctx.betas(ConstraintStrategy::Selfish);
+        let c = ctx.betas_for(&Selfish);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(*a, vec![1.0 / 3.0; 3]);
         assert_eq!(*c, vec![1.0; 3]);
@@ -585,9 +526,9 @@ mod tests {
         let platform = grid5000::nancy();
         let apps = ptgs(2, 2);
         let ctx = ScheduleContext::new(&platform, &apps);
-        let a = ctx.betas(ConstraintStrategy::Weighted(Characteristic::Work, 0.5));
-        let b = ctx.betas(ConstraintStrategy::Weighted(Characteristic::Work, 0.7));
-        let a2 = ctx.betas(ConstraintStrategy::Weighted(Characteristic::Work, 0.5));
+        let a = ctx.betas_for(&WeightedShare::new(Characteristic::Work, 0.5));
+        let b = ctx.betas_for(&WeightedShare::new(Characteristic::Work, 0.7));
+        let a2 = ctx.betas_for(&WeightedShare::new(Characteristic::Work, 0.5));
         assert!(
             !Arc::ptr_eq(&a, &b),
             "different mu is a different cache entry"
@@ -600,9 +541,8 @@ mod tests {
         let platform = grid5000::rennes();
         let apps = ptgs(3, 3);
         let ctx = ScheduleContext::new(&platform, &apps);
-        let strategy = ConstraintStrategy::EqualShare;
-        let first = ctx.allocations(strategy, AllocationProcedure::ScrapMax);
-        let second = ctx.allocations(strategy, AllocationProcedure::ScrapMax);
+        let first = ctx.allocations_for(&EqualShare, &ScrapMaxAllocation);
+        let second = ctx.allocations_for(&EqualShare, &ScrapMaxAllocation);
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(
             ctx.dedicated_allocation_runs(),
@@ -615,9 +555,11 @@ mod tests {
         // equal a direct run, and the base procedure runs at β = 1 once per
         // application for all of them and the dedicated baselines.
         let reference = ReferencePlatform::new(&platform);
-        for procedure in [AllocationProcedure::ScrapMax, AllocationProcedure::Scrap] {
+        let procedures: [&dyn AllocationPolicy; 2] = [&ScrapMaxAllocation, &ScrapAllocation];
+        for procedure in procedures {
             for strategy in ConstraintStrategy::paper_set() {
-                let allocations = ctx.allocations(strategy, procedure);
+                let strategy = strategy.to_policy();
+                let allocations = ctx.allocations_for(strategy.as_ref(), procedure);
                 let betas = strategy.betas(&apps, &reference);
                 for ((ptg, alloc), &beta) in apps.iter().zip(allocations.iter()).zip(&betas) {
                     assert_eq!(*alloc, procedure.allocate(&reference, ptg, beta));
@@ -634,7 +576,7 @@ mod tests {
                 .collect(),
         );
         assert_eq!(
-            *seeded.allocations(strategy, AllocationProcedure::ScrapMax),
+            *seeded.allocations_for(&EqualShare, &ScrapMaxAllocation),
             *first
         );
         assert_eq!(seeded.dedicated_makespans(), ctx.dedicated_makespans());

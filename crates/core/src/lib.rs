@@ -6,7 +6,7 @@
 //!
 //! The pipeline, for a set `A` of PTGs submitted together:
 //!
-//! 1. a [`constraint::ConstraintStrategy`] computes a resource constraint
+//! 1. a [`policy::ConstraintPolicy`] computes a resource constraint
 //!    `β_i` for every PTG — the fraction of the platform's total processing
 //!    power its schedule may use (strategies `S`, `ES`, `PS-*`, `WPS-*`);
 //! 2. an [`allocation`] procedure (SCRAP or SCRAP-MAX) decides how many
@@ -29,8 +29,9 @@
 //! [`policy::MappingPolicy`]); the paper's strategies are concrete policy
 //! types resolvable by name through a [`policy::PolicyRegistry`], and
 //! user-defined policies registered there run through the identical
-//! pipeline. Work is submitted as a [`workload::Workload`] (batch or timed
-//! releases), schedulers are assembled with a
+//! pipeline. A [`scheduler::SchedulerConfig`] holds one resolved policy per
+//! step. Work is submitted as a [`workload::Workload`] (batch or timed
+//! releases), schedulers are assembled from a configuration or with a
 //! [`scheduler::SchedulerBuilder`], and every fallible entry point returns a
 //! typed [`error::SchedError`].
 
@@ -49,7 +50,7 @@ pub mod policy;
 pub mod scheduler;
 pub mod workload;
 
-pub use allocation::{AllocationProcedure, DedicatedAllocation, RefAllocation, ReferencePlatform};
+pub use allocation::{DedicatedAllocation, RefAllocation, ReferencePlatform};
 pub use constraint::{Characteristic, ConstraintStrategy};
 pub use context::ScheduleContext;
 pub use error::{PolicyKind, SchedError};

@@ -12,21 +12,22 @@
 //! * [`MappingPolicy`] — step 3, placing the allocated tasks of all
 //!   applications onto concrete processor sets.
 //!
-//! Every strategy of the paper ships as a concrete policy type, and the
-//! serde-able enums ([`ConstraintStrategy`], [`AllocationProcedure`],
-//! [`MappingConfig`]) remain as thin constructors resolving to them:
+//! Every strategy of the paper ships as a concrete policy type:
 //!
-//! | policy | paper | enum constructor |
-//! |---|---|---|
-//! | [`Selfish`] (`S`) | §6, baseline: β = 1 | `ConstraintStrategy::Selfish` |
-//! | [`EqualShare`] (`ES`) | §6: β = 1/\|A\| | `ConstraintStrategy::EqualShare` |
-//! | [`ProportionalShare`] (`PS-cp/width/work`) | §6: β ∝ γ | `ConstraintStrategy::Proportional` |
-//! | [`WeightedShare`] (`WPS-*`) | §6, Eq. 2: µ·ES + (1−µ)·PS | `ConstraintStrategy::Weighted` |
-//! | [`ScrapAllocation`] | §4: global average-power constraint | `AllocationProcedure::Scrap` |
-//! | [`ScrapMaxAllocation`] | §4: per-precedence-level constraint (retained) | `AllocationProcedure::ScrapMax` |
-//! | [`CpaAllocation`] | related work (HCPA), unconstrained | `AllocationProcedure::Cpa` |
-//! | [`OneEachAllocation`] | degenerate 1-processor baseline | `AllocationProcedure::OneEach` |
-//! | [`ListMapping`] | §5: ready-task list mapping (+ packing), Figure 1's global ordering as ablation | `MappingConfig` |
+//! | policy | paper |
+//! |---|---|
+//! | [`Selfish`] (`S`) | §6, baseline: β = 1 |
+//! | [`EqualShare`] (`ES`) | §6: β = 1/\|A\| |
+//! | [`ProportionalShare`] (`PS-cp/width/work`) | §6: β ∝ γ |
+//! | [`WeightedShare`] (`WPS-*`) | §6, Eq. 2: µ·ES + (1−µ)·PS |
+//! | [`ScrapAllocation`] | §4: global average-power constraint |
+//! | [`ScrapMaxAllocation`] | §4: per-precedence-level constraint (retained) |
+//! | [`CpaAllocation`] | related work (HCPA), unconstrained |
+//! | [`OneEachAllocation`] | degenerate 1-processor baseline |
+//! | [`ListMapping`] | §5: ready-task list mapping (+ packing), Figure 1's global ordering as ablation |
+//!
+//! A [`crate::SchedulerConfig`] holds one resolved policy per decision
+//! point; it is the only representation of a pipeline.
 //!
 //! The [`PolicyRegistry`] maps *names* to policy factories so experiment
 //! configurations, CLI binaries and tests can request `"scrap-max"` or
@@ -45,10 +46,10 @@
 //! ```
 
 use crate::allocation::{
-    cpa_allocate, scrap_allocate, scrap_max_allocate, AllocationProcedure, DedicatedAllocation,
-    RefAllocation, ReferencePlatform, ScrapLog, ScrapVariant,
+    cpa_allocate, scrap_allocate, scrap_max_allocate, DedicatedAllocation, RefAllocation,
+    ReferencePlatform, ScrapLog, ScrapVariant,
 };
-use crate::constraint::{Characteristic, ConstraintStrategy};
+use crate::constraint::Characteristic;
 use crate::error::{PolicyKind, SchedError};
 use crate::mapping::{map_concurrent_with, MappingConfig, OrderingMode, Schedule};
 use mcsched_platform::Platform;
@@ -149,6 +150,12 @@ pub struct MappingRequest<'a> {
 pub trait MappingPolicy: std::fmt::Debug + Send + Sync {
     /// Human-readable policy name (`ready-tasks`, `global`, ...).
     fn name(&self) -> String;
+
+    /// Unique memoization key (defaults to [`MappingPolicy::name`]);
+    /// parameterised policies must include every parameter.
+    fn cache_key(&self) -> String {
+        self.name()
+    }
 
     /// Maps the request's applications onto the platform.
     fn map(&self, request: &MappingRequest<'_>) -> Schedule;
@@ -307,6 +314,10 @@ impl AllocationPolicy for ScrapAllocation {
         "SCRAP".to_string()
     }
 
+    fn cache_key(&self) -> String {
+        "scrap".to_string()
+    }
+
     fn allocate(&self, reference: &ReferencePlatform, ptg: &Ptg, beta: f64) -> RefAllocation {
         scrap_allocate(reference, ptg, beta)
     }
@@ -340,6 +351,10 @@ pub struct ScrapMaxAllocation;
 impl AllocationPolicy for ScrapMaxAllocation {
     fn name(&self) -> String {
         "SCRAP-MAX".to_string()
+    }
+
+    fn cache_key(&self) -> String {
+        "scrap-max".to_string()
     }
 
     fn allocate(&self, reference: &ReferencePlatform, ptg: &Ptg, beta: f64) -> RefAllocation {
@@ -377,6 +392,10 @@ impl AllocationPolicy for CpaAllocation {
         "CPA".to_string()
     }
 
+    fn cache_key(&self) -> String {
+        "cpa".to_string()
+    }
+
     fn allocate(&self, reference: &ReferencePlatform, ptg: &Ptg, _beta: f64) -> RefAllocation {
         cpa_allocate(reference, ptg)
     }
@@ -399,6 +418,10 @@ pub struct OneEachAllocation;
 impl AllocationPolicy for OneEachAllocation {
     fn name(&self) -> String {
         "1-proc".to_string()
+    }
+
+    fn cache_key(&self) -> String {
+        "one-each".to_string()
     }
 
     fn allocate(&self, _reference: &ReferencePlatform, ptg: &Ptg, _beta: f64) -> RefAllocation {
@@ -425,14 +448,18 @@ impl ListMapping {
     pub fn new(config: MappingConfig) -> Self {
         Self { config }
     }
+
+    fn ordering_label(&self) -> &'static str {
+        match self.config.ordering {
+            OrderingMode::ReadyTasks => "ready-tasks",
+            OrderingMode::Global => "global",
+        }
+    }
 }
 
 impl MappingPolicy for ListMapping {
     fn name(&self) -> String {
-        let mut name = match self.config.ordering {
-            OrderingMode::ReadyTasks => "ready-tasks".to_string(),
-            OrderingMode::Global => "global".to_string(),
-        };
+        let mut name = self.ordering_label().to_string();
         if !self.config.packing {
             name.push_str("-nopack");
         }
@@ -440,6 +467,15 @@ impl MappingPolicy for ListMapping {
             name.push_str("-nocomm");
         }
         name
+    }
+
+    fn cache_key(&self) -> String {
+        format!(
+            "order={};packing={};comm={}",
+            self.ordering_label(),
+            self.config.packing,
+            self.config.comm_aware
+        )
     }
 
     fn map(&self, request: &MappingRequest<'_>) -> Schedule {
@@ -452,44 +488,6 @@ impl MappingPolicy for ListMapping {
             request.release_times,
             &self.config,
         )
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Enum constructors → policies
-// ---------------------------------------------------------------------------
-
-impl ConstraintStrategy {
-    /// Resolves this serde-able constructor to its concrete policy.
-    #[must_use]
-    pub fn to_policy(self) -> Arc<dyn ConstraintPolicy> {
-        match self {
-            ConstraintStrategy::Selfish => Arc::new(Selfish),
-            ConstraintStrategy::EqualShare => Arc::new(EqualShare),
-            ConstraintStrategy::Proportional(c) => Arc::new(ProportionalShare::new(c)),
-            ConstraintStrategy::Weighted(c, mu) => Arc::new(WeightedShare::new(c, mu)),
-        }
-    }
-}
-
-impl AllocationProcedure {
-    /// Resolves this serde-able constructor to its concrete policy.
-    #[must_use]
-    pub fn to_policy(self) -> Arc<dyn AllocationPolicy> {
-        match self {
-            AllocationProcedure::Scrap => Arc::new(ScrapAllocation),
-            AllocationProcedure::ScrapMax => Arc::new(ScrapMaxAllocation),
-            AllocationProcedure::Cpa => Arc::new(CpaAllocation),
-            AllocationProcedure::OneEach => Arc::new(OneEachAllocation),
-        }
-    }
-}
-
-impl MappingConfig {
-    /// Resolves this serde-able configuration to the list-mapping policy.
-    #[must_use]
-    pub fn to_policy(self) -> Arc<dyn MappingPolicy> {
-        Arc::new(ListMapping::new(self))
     }
 }
 
@@ -586,75 +584,53 @@ impl PolicyRegistry {
     pub fn builtin() -> Self {
         let mut r = Self::default();
 
-        for alias in ["s", "selfish"] {
-            r.register_constraint(alias, |param| {
-                reject_param(
-                    "selfish",
-                    param,
-                    Arc::new(Selfish) as Arc<dyn ConstraintPolicy>,
-                )
-            });
-        }
-        for alias in ["es", "equal-share"] {
-            r.register_constraint(alias, |param| {
-                reject_param(
-                    "equal-share",
-                    param,
-                    Arc::new(EqualShare) as Arc<dyn ConstraintPolicy>,
-                )
-            });
+        let shares: [(&[&str], Arc<dyn ConstraintPolicy>); 2] = [
+            (&["s", "selfish"], Arc::new(Selfish)),
+            (&["es", "equal-share"], Arc::new(EqualShare)),
+        ];
+        for (aliases, policy) in shares {
+            for alias in aliases {
+                r.register_constraint_instance(alias, Arc::clone(&policy));
+            }
         }
         for c in Characteristic::all() {
-            r.register_constraint(&format!("ps-{}", c.label()), move |param| {
-                reject_param(
-                    "proportional-share",
-                    param,
-                    Arc::new(ProportionalShare::new(c)) as Arc<dyn ConstraintPolicy>,
-                )
-            });
+            r.register_constraint_instance(
+                &format!("ps-{}", c.label()),
+                Arc::new(ProportionalShare::new(c)),
+            );
             r.register_constraint(&format!("wps-{}", c.label()), move |param| {
                 let mu = parse_mu(param, c.recommended_mu())?;
                 Ok(Arc::new(WeightedShare::new(c, mu)) as Arc<dyn ConstraintPolicy>)
             });
         }
 
-        // One registration per alias of `AllocationProcedure::aliases`, the
-        // single source of the built-in allocation name table.
-        for procedure in AllocationProcedure::all() {
-            for alias in procedure.aliases() {
-                r.register_allocation(alias, move |param| {
-                    reject_param(alias, param, procedure.to_policy())
-                });
+        // The first name of every built-in allocation is its cache key.
+        let allocations: [(&[&str], Arc<dyn AllocationPolicy>); 4] = [
+            (&["scrap"], Arc::new(ScrapAllocation)),
+            (&["scrap-max", "scrapmax"], Arc::new(ScrapMaxAllocation)),
+            (&["cpa"], Arc::new(CpaAllocation)),
+            (&["one-each", "1-proc"], Arc::new(OneEachAllocation)),
+        ];
+        for (aliases, policy) in allocations {
+            for alias in aliases {
+                r.register_allocation_instance(alias, Arc::clone(&policy));
             }
         }
 
-        r.register_mapping("ready-tasks", |param| {
-            reject_param(
-                "ready-tasks",
-                param,
-                Arc::new(ListMapping::new(MappingConfig::default())) as Arc<dyn MappingPolicy>,
-            )
-        });
-        r.register_mapping("ready-tasks-nopack", |param| {
-            reject_param(
-                "ready-tasks-nopack",
-                param,
-                Arc::new(ListMapping::new(MappingConfig {
-                    packing: false,
-                    ..MappingConfig::default()
-                })) as Arc<dyn MappingPolicy>,
-            )
-        });
-        r.register_mapping("global", |param| {
-            reject_param(
-                "global",
-                param,
-                Arc::new(ListMapping::new(MappingConfig {
-                    ordering: OrderingMode::Global,
-                    ..MappingConfig::default()
-                })) as Arc<dyn MappingPolicy>,
-            )
-        });
+        for config in [
+            MappingConfig::default(),
+            MappingConfig {
+                packing: false,
+                ..MappingConfig::default()
+            },
+            MappingConfig {
+                ordering: OrderingMode::Global,
+                ..MappingConfig::default()
+            },
+        ] {
+            let policy = ListMapping::new(config);
+            r.register_mapping_instance(&policy.name(), Arc::new(policy));
+        }
 
         r
     }
@@ -790,6 +766,7 @@ impl PolicyRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::constraint::ConstraintStrategy;
     use mcsched_ptg::{CostModel, DataParallelTask, PtgBuilder};
 
     fn reference() -> ReferencePlatform {
@@ -816,10 +793,25 @@ mod tests {
     fn policies_match_their_enum_constructors() {
         let ptgs = vec![chain(3, 8.0e6), chain(2, 64.0e6)];
         let r = reference();
-        for strategy in ConstraintStrategy::paper_set() {
-            let direct = strategy.betas(&ptgs, &r);
-            let via_policy = strategy.to_policy().betas(&ptgs, &r);
-            assert_eq!(direct, via_policy, "{}", strategy.name());
+        let mut direct: Vec<Arc<dyn ConstraintPolicy>> =
+            vec![Arc::new(Selfish), Arc::new(EqualShare)];
+        for c in Characteristic::all() {
+            direct.push(Arc::new(ProportionalShare::new(c)));
+        }
+        for c in Characteristic::all() {
+            direct.push(Arc::new(WeightedShare::recommended(c)));
+        }
+        let strategies = ConstraintStrategy::paper_set();
+        assert_eq!(strategies.len(), direct.len());
+        for (strategy, policy) in strategies.into_iter().zip(direct) {
+            let resolved = strategy.to_policy();
+            assert_eq!(resolved.betas(&ptgs, &r), policy.betas(&ptgs, &r));
+            assert_eq!(
+                resolved.cache_key(),
+                policy.cache_key(),
+                "{}",
+                strategy.name()
+            );
         }
     }
 
@@ -837,38 +829,44 @@ mod tests {
     #[test]
     fn allocation_labels_round_trip_through_the_registry() {
         let registry = PolicyRegistry::builtin();
-        for procedure in [
-            AllocationProcedure::Scrap,
-            AllocationProcedure::ScrapMax,
-            AllocationProcedure::Cpa,
-            AllocationProcedure::OneEach,
+        for (key, label) in [
+            ("scrap", "SCRAP"),
+            ("scrap-max", "SCRAP-MAX"),
+            ("cpa", "CPA"),
+            ("one-each", "1-proc"),
         ] {
-            let policy = registry.allocation(procedure.label()).unwrap();
-            assert_eq!(policy.name(), procedure.label());
+            let policy = registry.allocation(label).unwrap();
+            assert_eq!(policy.name(), label);
+            assert_eq!(policy.cache_key(), key);
+            assert_eq!(registry.allocation(key).unwrap().name(), label);
         }
     }
 
     #[test]
-    fn registry_and_enum_allocation_name_tables_cannot_drift() {
+    fn allocation_aliases_resolve_to_their_policies() {
         let registry = PolicyRegistry::builtin();
-        // Every registered allocation name parses back into the enum family
-        // and resolves to the same policy the registry hands out.
-        for name in registry.allocation_names() {
-            let procedure = AllocationProcedure::from_name(&name)
-                .unwrap_or_else(|| panic!("registry name `{name}` unknown to from_name"));
-            assert_eq!(
-                registry.allocation(&name).unwrap().name(),
-                procedure.label()
-            );
+        assert_eq!(
+            registry.allocation_names(),
+            [
+                "1-proc",
+                "cpa",
+                "one-each",
+                "scrap",
+                "scrap-max",
+                "scrapmax"
+            ]
+        );
+        for (alias, key) in [("scrapmax", "scrap-max"), ("1-proc", "one-each")] {
+            assert_eq!(registry.allocation(alias).unwrap().cache_key(), key);
         }
-        // And every alias of every procedure is registered.
-        for procedure in AllocationProcedure::all() {
-            for alias in procedure.aliases() {
-                assert!(
-                    registry.allocation(alias).is_ok(),
-                    "alias `{alias}` not registered"
-                );
-            }
+        // Every registered name resolves to a policy whose cache key is
+        // itself a registered name.
+        for name in registry.allocation_names() {
+            let key = registry.allocation(&name).unwrap().cache_key();
+            assert!(
+                registry.allocation_names().contains(&key),
+                "{name} -> {key}"
+            );
         }
     }
 

@@ -1,10 +1,10 @@
 //! The end-to-end concurrent scheduler driving the whole pipeline.
 //!
-//! A [`ConcurrentScheduler`] is a resolved triple of policies — one
-//! [`ConstraintPolicy`], one [`AllocationPolicy`], one [`MappingPolicy`] —
-//! assembled either from the serde-able [`SchedulerConfig`] enums or through
-//! the [`SchedulerBuilder`], which also resolves policies *by name* from a
-//! [`PolicyRegistry`]:
+//! A [`ConcurrentScheduler`] runs one [`SchedulerConfig`]: a resolved triple
+//! of policies — one [`ConstraintPolicy`], one [`AllocationPolicy`], one
+//! [`MappingPolicy`]. The configuration is built directly from policy
+//! instances or through the [`SchedulerBuilder`], which also resolves
+//! policies *by name* from a [`PolicyRegistry`]:
 //!
 //! ```
 //! use mcsched_core::scheduler::ConcurrentScheduler;
@@ -14,7 +14,7 @@
 //!     .allocation("scrap-max")
 //!     .build()
 //!     .unwrap();
-//! assert_eq!(scheduler.constraint_policy().name(), "WPS-work");
+//! assert_eq!(scheduler.config().constraint.name(), "WPS-work");
 //! ```
 //!
 //! Work is submitted as a [`Workload`] (or anything convertible into one,
@@ -22,39 +22,43 @@
 //! `evaluate` additionally produces the dedicated baselines and fairness
 //! metrics of the paper's evaluation.
 
-use crate::allocation::{AllocationProcedure, RefAllocation};
+use crate::allocation::RefAllocation;
 use crate::constraint::ConstraintStrategy;
 use crate::context::ScheduleContext;
 use crate::error::SchedError;
-use crate::mapping::{MappingConfig, OrderingMode, Schedule};
+use crate::mapping::Schedule;
 use crate::metrics::{fairness_report, FairnessReport};
-use crate::policy::{AllocationPolicy, ConstraintPolicy, MappingPolicy, PolicyRegistry};
+use crate::policy::{
+    AllocationPolicy, ConstraintPolicy, EqualShare, ListMapping, MappingPolicy, PolicyRegistry,
+    ScrapMaxAllocation,
+};
 use crate::workload::Workload;
 use mcsched_platform::Platform;
 use mcsched_ptg::Ptg;
 use mcsched_simx::ExecutionTrace;
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::sync::Arc;
 
-/// Configuration of the concurrent scheduler, restricted to the serde-able
-/// built-in policy family. Arbitrary (possibly user-registered) policies are
-/// assembled with [`SchedulerBuilder`] instead.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+/// The concurrent-scheduling pipeline: one resolved policy per decision
+/// point. Defaults to the paper's retained pipeline — equal share, SCRAP-MAX
+/// and ready-task list mapping with packing.
+#[derive(Debug, Clone)]
 pub struct SchedulerConfig {
-    /// Strategy computing the per-application resource constraints.
-    pub strategy: ConstraintStrategy,
-    /// Allocation procedure run under each constraint.
-    pub allocation: AllocationProcedure,
-    /// Mapping-step configuration.
-    pub mapping: MappingConfig,
+    /// Policy computing the per-application resource constraints.
+    pub constraint: Arc<dyn ConstraintPolicy>,
+    /// Allocation policy run under each constraint.
+    pub allocation: Arc<dyn AllocationPolicy>,
+    /// Mapping policy placing the allocated tasks.
+    pub mapping: Arc<dyn MappingPolicy>,
 }
 
 impl Default for SchedulerConfig {
     fn default() -> Self {
         Self {
-            strategy: ConstraintStrategy::EqualShare,
-            allocation: AllocationProcedure::ScrapMax,
-            mapping: MappingConfig::default(),
+            constraint: Arc::new(EqualShare),
+            allocation: Arc::new(ScrapMaxAllocation),
+            mapping: Arc::new(ListMapping::default()),
         }
     }
 }
@@ -63,21 +67,16 @@ impl SchedulerConfig {
     /// Stable identity of the allocation + mapping pipeline, for
     /// content-addressed result caching (see `mcsched-runtime`): two
     /// configurations with equal keys run every policy evaluation through
-    /// an identical pipeline. The constraint `strategy` is deliberately
+    /// an identical pipeline. The constraint policy is deliberately
     /// **excluded** — the paired-evaluation path overrides it per policy,
     /// and each policy contributes its own parameter-carrying
     /// [`ConstraintPolicy::cache_key`] to the cell digest.
     #[must_use]
     pub fn pipeline_cache_key(&self) -> String {
-        let ordering = match self.mapping.ordering {
-            OrderingMode::ReadyTasks => "ready-tasks",
-            OrderingMode::Global => "global",
-        };
         format!(
-            "alloc={};order={ordering};packing={};comm={}",
-            self.allocation.aliases()[0],
-            self.mapping.packing,
-            self.mapping.comm_aware
+            "alloc={};{}",
+            self.allocation.cache_key(),
+            self.mapping.cache_key()
         )
     }
 }
@@ -135,36 +134,22 @@ pub struct EvaluatedRun {
 
 /// Two-step concurrent scheduler: constraint determination, constrained
 /// allocation, concurrent mapping, simulated execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ConcurrentScheduler {
     config: SchedulerConfig,
-    constraint: Arc<dyn ConstraintPolicy>,
-    allocation: Arc<dyn AllocationPolicy>,
-    mapping: Arc<dyn MappingPolicy>,
-}
-
-impl Default for ConcurrentScheduler {
-    fn default() -> Self {
-        Self::new(SchedulerConfig::default())
-    }
 }
 
 impl ConcurrentScheduler {
-    /// Creates a scheduler with an explicit enum-based configuration.
+    /// Creates a scheduler running `config`.
     pub fn new(config: SchedulerConfig) -> Self {
-        Self {
-            constraint: config.strategy.to_policy(),
-            allocation: config.allocation.to_policy(),
-            mapping: config.mapping.to_policy(),
-            config,
-        }
+        Self { config }
     }
 
     /// Creates a scheduler using the default pipeline (SCRAP-MAX allocation,
     /// ready-task mapping with packing) and the given constraint strategy.
     pub fn with_strategy(strategy: ConstraintStrategy) -> Self {
         Self::new(SchedulerConfig {
-            strategy,
+            constraint: strategy.to_policy(),
             ..SchedulerConfig::default()
         })
     }
@@ -174,58 +159,16 @@ impl ConcurrentScheduler {
         SchedulerBuilder::new()
     }
 
-    /// Creates a scheduler directly from resolved policies. The enum-based
-    /// [`ConcurrentScheduler::config`] echo keeps its defaults.
-    pub fn from_policies(
-        constraint: Arc<dyn ConstraintPolicy>,
-        allocation: Arc<dyn AllocationPolicy>,
-        mapping: Arc<dyn MappingPolicy>,
-    ) -> Self {
-        Self {
-            config: SchedulerConfig::default(),
-            constraint,
-            allocation,
-            mapping,
-        }
-    }
-
-    /// The scheduler's enum-based configuration echo. For schedulers built
-    /// from custom policies this reflects only the enum-expressible part
-    /// (defaults otherwise); the operative policies are exposed by
-    /// [`ConcurrentScheduler::constraint_policy`] and friends.
+    /// The scheduler's pipeline: its resolved policies.
     pub fn config(&self) -> &SchedulerConfig {
         &self.config
-    }
-
-    /// The resolved constraint policy.
-    #[must_use]
-    pub fn constraint_policy(&self) -> &Arc<dyn ConstraintPolicy> {
-        &self.constraint
-    }
-
-    /// The resolved allocation policy.
-    #[must_use]
-    pub fn allocation_policy(&self) -> &Arc<dyn AllocationPolicy> {
-        &self.allocation
-    }
-
-    /// The resolved mapping policy.
-    #[must_use]
-    pub fn mapping_policy(&self) -> &Arc<dyn MappingPolicy> {
-        &self.mapping
     }
 
     /// Builds the memoized evaluation context for one scenario. The context
     /// can be shared by several schedulers that differ only in strategy, so
     /// that β vectors, allocations and dedicated baselines are computed once.
     pub fn context<'a>(&self, platform: &'a Platform, ptgs: &'a [Ptg]) -> ScheduleContext<'a> {
-        ScheduleContext::with_policies(
-            platform,
-            ptgs,
-            self.config,
-            Arc::clone(&self.allocation),
-            Arc::clone(&self.mapping),
-        )
+        ScheduleContext::with_base(platform, ptgs, self.config.clone())
     }
 
     /// Builds the memoized evaluation context for one workload, carrying the
@@ -235,9 +178,7 @@ impl ConcurrentScheduler {
         platform: &'a Platform,
         workload: &'a Workload,
     ) -> ScheduleContext<'a> {
-        let mut ctx = self.context(platform, workload.ptgs());
-        ctx.set_release_times(workload.release_times().to_vec());
-        ctx
+        ScheduleContext::for_workload(platform, workload, self.config.clone())
     }
 
     /// Computes the per-application allocations for a set of PTGs without
@@ -249,7 +190,10 @@ impl ConcurrentScheduler {
     /// Like [`ConcurrentScheduler::allocate`], but memoized through a shared
     /// [`ScheduleContext`].
     pub fn allocate_in(&self, context: &ScheduleContext<'_>) -> Arc<Vec<RefAllocation>> {
-        context.allocations_for(self.constraint.as_ref(), self.allocation.as_ref())
+        context.allocations_for(
+            self.config.constraint.as_ref(),
+            self.config.allocation.as_ref(),
+        )
     }
 
     /// Schedules a workload (a batch of PTGs, or PTGs with explicit release
@@ -300,9 +244,9 @@ impl ConcurrentScheduler {
         // Same contract as `Workload::released`, so the context path cannot
         // smuggle values the workload path rejects.
         crate::workload::validate_release_times(ptgs.len(), release_times)?;
-        let betas = context.betas_for(self.constraint.as_ref());
+        let betas = context.betas_for(self.config.constraint.as_ref());
         let allocations = self.allocate_in(context);
-        let schedule = context.map_with(self.mapping.as_ref(), &allocations, release_times);
+        let schedule = context.map_with(self.config.mapping.as_ref(), &allocations, release_times);
         let outcome = context.execute(&schedule.workload)?;
 
         let apps = ptgs
@@ -377,30 +321,10 @@ impl ConcurrentScheduler {
     }
 }
 
-/// Which way one of the three policies of a [`SchedulerBuilder`] was picked.
-#[derive(Debug)]
-enum Pick<T: ?Sized> {
-    /// Resolve from the builder's registry at `build` time.
-    Named(String),
-    /// Use this instance directly.
-    Instance(Arc<T>),
-}
-
-// Manual impl: `Arc<T>` clones without requiring `T: Clone`, which the
-// derive would demand.
-impl<T: ?Sized> Clone for Pick<T> {
-    fn clone(&self) -> Self {
-        match self {
-            Pick::Named(n) => Pick::Named(n.clone()),
-            Pick::Instance(p) => Pick::Instance(Arc::clone(p)),
-        }
-    }
-}
-
-/// Assembles a [`ConcurrentScheduler`] from policies picked by enum, by
-/// registry name, or as ready-made instances.
+/// Assembles a [`ConcurrentScheduler`] from policies picked by registry name
+/// or as ready-made instances; the last pick of a decision point wins.
 ///
-/// Unset decision points fall back to the paper's defaults (equal share,
+/// Unset decision points keep the [`SchedulerConfig`] defaults (equal share,
 /// SCRAP-MAX, ready-task mapping with packing). Name resolution uses
 /// [`PolicyRegistry::builtin`] unless a custom registry is supplied with
 /// [`SchedulerBuilder::registry`] — which is how user-registered policies
@@ -409,10 +333,11 @@ impl<T: ?Sized> Clone for Pick<T> {
 #[must_use = "a builder does nothing until `build()` is called"]
 pub struct SchedulerBuilder {
     registry: Option<PolicyRegistry>,
-    constraint: Option<Pick<dyn ConstraintPolicy>>,
-    allocation: Option<Pick<dyn AllocationPolicy>>,
-    mapping: Option<Pick<dyn MappingPolicy>>,
     config: SchedulerConfig,
+    /// Names resolved at `build` time, overriding `config`'s policy.
+    constraint: Option<String>,
+    allocation: Option<String>,
+    mapping: Option<String>,
 }
 
 impl SchedulerBuilder {
@@ -428,125 +353,75 @@ impl SchedulerBuilder {
         self
     }
 
-    /// Picks the constraint policy from a built-in strategy enum.
-    pub fn strategy(mut self, strategy: ConstraintStrategy) -> Self {
-        self.config.strategy = strategy;
-        self.constraint = Some(Pick::Instance(strategy.to_policy()));
-        self
-    }
-
     /// Picks the constraint policy by registry name (e.g. `"wps-work@0.7"`).
     pub fn constraint(mut self, name: impl Into<String>) -> Self {
-        self.constraint = Some(Pick::Named(name.into()));
+        self.constraint = Some(name.into());
         self
     }
 
     /// Uses a ready-made constraint policy.
     pub fn constraint_policy(mut self, policy: Arc<dyn ConstraintPolicy>) -> Self {
-        self.constraint = Some(Pick::Instance(policy));
-        self
-    }
-
-    /// Picks the allocation policy from a built-in procedure enum.
-    pub fn allocation_procedure(mut self, procedure: AllocationProcedure) -> Self {
-        self.config.allocation = procedure;
-        self.allocation = Some(Pick::Instance(procedure.to_policy()));
+        self.config.constraint = policy;
+        self.constraint = None;
         self
     }
 
     /// Picks the allocation policy by registry name (e.g. `"scrap-max"`).
     pub fn allocation(mut self, name: impl Into<String>) -> Self {
-        self.allocation = Some(Pick::Named(name.into()));
+        self.allocation = Some(name.into());
         self
     }
 
     /// Uses a ready-made allocation policy.
     pub fn allocation_policy(mut self, policy: Arc<dyn AllocationPolicy>) -> Self {
-        self.allocation = Some(Pick::Instance(policy));
+        self.config.allocation = policy;
+        self.allocation = None;
         self
     }
 
     /// Picks the mapping policy by registry name (e.g. `"global"`).
     pub fn mapping(mut self, name: impl Into<String>) -> Self {
-        self.mapping = Some(Pick::Named(name.into()));
+        self.mapping = Some(name.into());
         self
     }
 
     /// Uses a ready-made mapping policy.
     pub fn mapping_policy(mut self, policy: Arc<dyn MappingPolicy>) -> Self {
-        self.mapping = Some(Pick::Instance(policy));
-        self
-    }
-
-    /// Uses the built-in list mapping with explicit options. Overrides any
-    /// previously picked mapping policy.
-    pub fn mapping_config(mut self, config: MappingConfig) -> Self {
-        self.config.mapping = config;
+        self.config.mapping = policy;
         self.mapping = None;
         self
     }
 
-    /// Tweaks the candidate ordering of the built-in list mapping.
-    /// Overrides any previously picked mapping policy.
-    pub fn ordering(mut self, ordering: OrderingMode) -> Self {
-        self.config.mapping.ordering = ordering;
-        self.mapping = None;
-        self
-    }
-
-    /// Enables or disables allocation packing in the built-in list mapping.
-    /// Overrides any previously picked mapping policy.
-    pub fn packing(mut self, packing: bool) -> Self {
-        self.config.mapping.packing = packing;
-        self.mapping = None;
-        self
-    }
-
-    /// Enables or disables communication-aware finish-time estimates in the
-    /// built-in list mapping. Overrides any previously picked mapping policy.
-    pub fn comm_aware(mut self, comm_aware: bool) -> Self {
-        self.config.mapping.comm_aware = comm_aware;
-        self.mapping = None;
-        self
-    }
-
-    /// Resolves every decision point and assembles the scheduler.
+    /// Resolves every by-name pick and assembles the scheduler. The
+    /// built-in registry is only built when a name needs it.
     ///
     /// # Errors
     ///
     /// [`SchedError::UnknownPolicy`] when a by-name pick is not registered;
     /// [`SchedError::InvalidConfig`] when a name's `@parameter` is rejected.
     pub fn build(self) -> Result<ConcurrentScheduler, SchedError> {
-        let registry = self.registry.unwrap_or_else(PolicyRegistry::builtin);
-        let constraint = match self.constraint {
-            None => self.config.strategy.to_policy(),
-            Some(Pick::Instance(p)) => p,
-            Some(Pick::Named(name)) => registry.constraint(&name)?,
-        };
-        let allocation = match self.allocation {
-            None => self.config.allocation.to_policy(),
-            Some(Pick::Instance(p)) => p,
-            Some(Pick::Named(name)) => registry.allocation(&name)?,
-        };
-        let mapping = match self.mapping {
-            None => self.config.mapping.to_policy(),
-            Some(Pick::Instance(p)) => p,
-            Some(Pick::Named(name)) => registry.mapping(&name)?,
-        };
-        Ok(ConcurrentScheduler {
-            config: self.config,
-            constraint,
-            allocation,
-            mapping,
-        })
+        let registry = self.registry.map_or_else(OnceCell::new, OnceCell::from);
+        let registry = || registry.get_or_init(PolicyRegistry::builtin);
+        let mut config = self.config;
+        if let Some(name) = &self.constraint {
+            config.constraint = registry().constraint(name)?;
+        }
+        if let Some(name) = &self.allocation {
+            config.allocation = registry().allocation(name)?;
+        }
+        if let Some(name) = &self.mapping {
+            config.mapping = registry().mapping(name)?;
+        }
+        Ok(ConcurrentScheduler::new(config))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::ReferencePlatform;
     use crate::constraint::Characteristic;
-    use crate::policy::ConstraintPolicy;
+    use crate::mapping::{MappingConfig, OrderingMode};
     use mcsched_platform::grid5000;
     use mcsched_ptg::gen::{random::RandomPtgConfig, random_ptg};
     use rand::SeedableRng;
@@ -567,31 +442,106 @@ mod tests {
 
     #[test]
     fn pipeline_cache_key_tracks_every_non_strategy_knob() {
+        // Every built-in combination, pinned: the keys feed cell digests and
+        // cache shards, so any change to one must be deliberate.
+        const KEYS: [&str; 32] = [
+            "alloc=scrap;order=ready-tasks;packing=true;comm=true",
+            "alloc=scrap;order=ready-tasks;packing=true;comm=false",
+            "alloc=scrap;order=ready-tasks;packing=false;comm=true",
+            "alloc=scrap;order=ready-tasks;packing=false;comm=false",
+            "alloc=scrap;order=global;packing=true;comm=true",
+            "alloc=scrap;order=global;packing=true;comm=false",
+            "alloc=scrap;order=global;packing=false;comm=true",
+            "alloc=scrap;order=global;packing=false;comm=false",
+            "alloc=scrap-max;order=ready-tasks;packing=true;comm=true",
+            "alloc=scrap-max;order=ready-tasks;packing=true;comm=false",
+            "alloc=scrap-max;order=ready-tasks;packing=false;comm=true",
+            "alloc=scrap-max;order=ready-tasks;packing=false;comm=false",
+            "alloc=scrap-max;order=global;packing=true;comm=true",
+            "alloc=scrap-max;order=global;packing=true;comm=false",
+            "alloc=scrap-max;order=global;packing=false;comm=true",
+            "alloc=scrap-max;order=global;packing=false;comm=false",
+            "alloc=cpa;order=ready-tasks;packing=true;comm=true",
+            "alloc=cpa;order=ready-tasks;packing=true;comm=false",
+            "alloc=cpa;order=ready-tasks;packing=false;comm=true",
+            "alloc=cpa;order=ready-tasks;packing=false;comm=false",
+            "alloc=cpa;order=global;packing=true;comm=true",
+            "alloc=cpa;order=global;packing=true;comm=false",
+            "alloc=cpa;order=global;packing=false;comm=true",
+            "alloc=cpa;order=global;packing=false;comm=false",
+            "alloc=one-each;order=ready-tasks;packing=true;comm=true",
+            "alloc=one-each;order=ready-tasks;packing=true;comm=false",
+            "alloc=one-each;order=ready-tasks;packing=false;comm=true",
+            "alloc=one-each;order=ready-tasks;packing=false;comm=false",
+            "alloc=one-each;order=global;packing=true;comm=true",
+            "alloc=one-each;order=global;packing=true;comm=false",
+            "alloc=one-each;order=global;packing=false;comm=true",
+            "alloc=one-each;order=global;packing=false;comm=false",
+        ];
+        let registry = PolicyRegistry::builtin();
+        let mut keys = Vec::new();
+        for allocation in ["scrap", "scrap-max", "cpa", "one-each"] {
+            for ordering in [OrderingMode::ReadyTasks, OrderingMode::Global] {
+                for packing in [true, false] {
+                    for comm_aware in [true, false] {
+                        let config = SchedulerConfig {
+                            allocation: registry.allocation(allocation).unwrap(),
+                            mapping: Arc::new(ListMapping::new(MappingConfig {
+                                ordering,
+                                packing,
+                                comm_aware,
+                            })),
+                            ..SchedulerConfig::default()
+                        };
+                        keys.push(config.pipeline_cache_key());
+                    }
+                }
+            }
+        }
+        assert_eq!(keys, KEYS);
         let base = SchedulerConfig::default();
         assert_eq!(
             base.pipeline_cache_key(),
             "alloc=scrap-max;order=ready-tasks;packing=true;comm=true"
         );
-        // The strategy is excluded on purpose (per-policy cache keys cover
-        // it); every other knob must move the key.
-        let mut strategy_only = base;
-        strategy_only.strategy = ConstraintStrategy::Selfish;
+        // The constraint is excluded on purpose (per-policy cache keys cover
+        // it).
+        let strategy_only = SchedulerConfig {
+            constraint: ConstraintStrategy::Selfish.to_policy(),
+            ..base.clone()
+        };
         assert_eq!(
             strategy_only.pipeline_cache_key(),
             base.pipeline_cache_key()
         );
-        let mut alloc = base;
-        alloc.allocation = AllocationProcedure::Cpa;
-        assert_ne!(alloc.pipeline_cache_key(), base.pipeline_cache_key());
-        let mut mapping = base;
-        mapping.mapping.packing = false;
-        assert_ne!(mapping.pipeline_cache_key(), base.pipeline_cache_key());
-        let mut ordering = base;
-        ordering.mapping.ordering = OrderingMode::Global;
-        assert_ne!(ordering.pipeline_cache_key(), base.pipeline_cache_key());
-        let mut comm = base;
-        comm.mapping.comm_aware = false;
-        assert_ne!(comm.pipeline_cache_key(), base.pipeline_cache_key());
+        // A custom allocation policy keys by its own cache key, so it never
+        // shares cells with the built-in it delegates to.
+        #[derive(Debug)]
+        struct Tuned;
+        impl AllocationPolicy for Tuned {
+            fn name(&self) -> String {
+                "SCRAP-MAX".to_string()
+            }
+            fn cache_key(&self) -> String {
+                "tuned-scrap-max".to_string()
+            }
+            fn allocate(
+                &self,
+                reference: &ReferencePlatform,
+                ptg: &Ptg,
+                beta: f64,
+            ) -> RefAllocation {
+                ScrapMaxAllocation.allocate(reference, ptg, beta)
+            }
+        }
+        let custom = SchedulerConfig {
+            allocation: Arc::new(Tuned),
+            ..base.clone()
+        };
+        assert_eq!(
+            custom.pipeline_cache_key(),
+            "alloc=tuned-scrap-max;order=ready-tasks;packing=true;comm=true"
+        );
     }
 
     #[test]
@@ -769,12 +719,13 @@ mod tests {
     #[test]
     fn default_config_uses_scrap_max_and_ready_ordering() {
         let cfg = SchedulerConfig::default();
-        assert_eq!(cfg.allocation, AllocationProcedure::ScrapMax);
+        assert_eq!(cfg.constraint.name(), "ES");
+        assert_eq!(cfg.allocation.name(), "SCRAP-MAX");
+        // Ready-task ordering with packing and communication-aware estimates.
         assert_eq!(
-            cfg.mapping.ordering,
-            crate::mapping::OrderingMode::ReadyTasks
+            cfg.mapping.cache_key(),
+            "order=ready-tasks;packing=true;comm=true"
         );
-        assert!(cfg.mapping.packing);
     }
 
     #[test]
@@ -821,13 +772,23 @@ mod tests {
 
     #[test]
     fn builder_mapping_tweaks_override_named_mapping() {
+        let no_packing = Arc::new(ListMapping::new(MappingConfig {
+            packing: false,
+            ..MappingConfig::default()
+        }));
         let scheduler = ConcurrentScheduler::builder()
             .mapping("global")
-            .ordering(OrderingMode::ReadyTasks)
-            .packing(false)
+            .mapping_policy(no_packing.clone())
             .build()
             .unwrap();
-        assert_eq!(scheduler.mapping_policy().name(), "ready-tasks-nopack");
+        assert_eq!(scheduler.config().mapping.name(), "ready-tasks-nopack");
+        // And the other way round: the last pick wins.
+        let scheduler = ConcurrentScheduler::builder()
+            .mapping_policy(no_packing)
+            .mapping("global")
+            .build()
+            .unwrap();
+        assert_eq!(scheduler.config().mapping.name(), "global");
     }
 
     #[test]
@@ -856,7 +817,6 @@ mod tests {
                     .collect()
             }
         }
-        use crate::allocation::ReferencePlatform;
 
         let mut registry = PolicyRegistry::builtin();
         registry.register_constraint_instance("sqrt-share", Arc::new(SquareRootShare));

@@ -1,8 +1,11 @@
 //! Ablation: effect of the allocation-packing mechanism of the mapping step
 //! (Section 5 of the paper) on unfairness and makespan.
 
+use mcsched_core::policy::ListMapping;
+use mcsched_core::MappingConfig;
 use mcsched_exp::{report, CampaignConfig, CliOptions};
 use mcsched_ptg::gen::PtgClass;
+use std::sync::Arc;
 
 fn main() {
     let opts = CliOptions::from_env();
@@ -14,7 +17,10 @@ fn main() {
             CampaignConfig::quick(PtgClass::Random)
         };
         let mut config = CliOptions::or_exit(opts.configure_campaign(base));
-        config.base.mapping.packing = packing;
+        config.base.mapping = Arc::new(ListMapping::new(MappingConfig {
+            packing,
+            ..MappingConfig::default()
+        }));
         // Both arms consume identical workloads; export once, up front.
         if packing {
             opts.maybe_export_campaign_trace(&config);

@@ -3,14 +3,17 @@
 //! (Section 4 of the paper keeps only SCRAP-MAX; this binary quantifies the
 //! difference).
 
-use mcsched_core::AllocationProcedure;
+use mcsched_core::PolicyRegistry;
 use mcsched_exp::{report, CampaignConfig, CliOptions};
 use mcsched_ptg::gen::PtgClass;
 
 fn main() {
     let opts = CliOptions::from_env();
     let obs = opts.obs.start();
-    for procedure in [AllocationProcedure::Scrap, AllocationProcedure::ScrapMax] {
+    let registry = PolicyRegistry::builtin();
+    for name in ["scrap", "scrap-max"] {
+        let procedure = CliOptions::or_exit(registry.allocation(name));
+        let label = procedure.name();
         let base = if opts.full {
             CampaignConfig::paper(PtgClass::Random)
         } else {
@@ -19,17 +22,16 @@ fn main() {
         let mut config = CliOptions::or_exit(opts.configure_campaign(base));
         config.base.allocation = procedure;
         // Both arms consume identical workloads; export once, up front.
-        if procedure == AllocationProcedure::Scrap {
+        if name == "scrap" {
             opts.maybe_export_campaign_trace(&config);
         }
         mcsched_obs::note!(
-            "Ablation ({}): {} combinations x 4 platforms, PTG counts {:?}",
-            procedure.label(),
+            "Ablation ({label}): {} combinations x 4 platforms, PTG counts {:?}",
             config.combinations,
             config.ptg_counts
         );
         let result = CliOptions::or_exit(mcsched_exp::run_campaign(&config));
-        println!("#### allocation procedure: {} ####", procedure.label());
+        println!("#### allocation procedure: {label} ####");
         println!("{}", report::table_campaign(&result));
     }
     println!(

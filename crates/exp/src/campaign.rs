@@ -37,7 +37,8 @@ pub struct CampaignConfig {
     /// policies registered on a [`mcsched_core::PolicyRegistry`] — including
     /// user-defined ones — slot in by name.
     pub strategies: Vec<Arc<dyn ConstraintPolicy>>,
-    /// Base scheduler configuration shared by all strategies.
+    /// Base pipeline shared by all strategies: its allocation and mapping
+    /// policies run every strategy, whose policy replaces its constraint.
     pub base: SchedulerConfig,
     /// Base random seed.
     pub seed: u64,
@@ -301,7 +302,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignResult, SchedErro
         format!("campaign:{}", config.source.short_label()),
         Arc::clone(&config.source),
         config.strategies.clone(),
-        config.base,
+        config.base.clone(),
         config.combinations,
         config.seed,
         config.replications,

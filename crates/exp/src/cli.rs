@@ -82,7 +82,7 @@ use crate::campaign::{CampaignConfig, CampaignResult};
 use crate::mu_sweep::{MuSweepConfig, MuSweepPoint};
 use crate::report;
 use crate::scenario::combo_requests;
-use mcsched_core::{AllocationProcedure, PolicyKind, PolicyRegistry, SchedError};
+use mcsched_core::{AllocationPolicy, PolicyRegistry, SchedError};
 use mcsched_stats::BootstrapConfig;
 use mcsched_workload::{Trace, TraceSource, WorkloadCatalog, WorkloadRequest, WorkloadSource};
 use std::path::PathBuf;
@@ -280,20 +280,13 @@ impl CliOptions {
         opts
     }
 
-    /// Resolves the `--allocation` override into the built-in procedure
-    /// family (custom allocation policies are dynamic and assembled through
-    /// `ConcurrentScheduler::builder`, not through `SchedulerConfig`).
-    fn resolve_allocation(&self) -> Result<Option<AllocationProcedure>, SchedError> {
-        match &self.allocation {
-            None => Ok(None),
-            Some(name) => AllocationProcedure::from_name(name)
-                .map(Some)
-                .ok_or_else(|| SchedError::UnknownPolicy {
-                    kind: PolicyKind::Allocation,
-                    name: name.clone(),
-                    known: PolicyRegistry::builtin().allocation_names(),
-                }),
-        }
+    /// Resolves the `--allocation` override through the built-in
+    /// [`PolicyRegistry`].
+    fn resolve_allocation(&self) -> Result<Option<Arc<dyn AllocationPolicy>>, SchedError> {
+        self.allocation
+            .as_deref()
+            .map(|name| PolicyRegistry::builtin().allocation(name))
+            .transpose()
     }
 
     /// Resolves the `--trace` / `--workload` overrides into a workload
@@ -899,11 +892,46 @@ mod tests {
     }
 
     #[test]
-    fn allocation_override_resolves_to_the_enum_family() {
-        let o = parse(&["--allocation", "scrap"]);
-        let cfg = o
-            .configure_campaign(CampaignConfig::quick(PtgClass::Random))
-            .unwrap();
-        assert_eq!(cfg.base.allocation, AllocationProcedure::Scrap);
+    fn allocation_override_resolves_through_the_registry() {
+        let configure = |name: &str| {
+            parse(&["--allocation", name])
+                .configure_campaign(CampaignConfig::quick(PtgClass::Random))
+        };
+        let cfg = configure("scrap").unwrap();
+        assert_eq!(cfg.base.allocation.name(), "SCRAP");
+        assert_eq!(
+            cfg.base.pipeline_cache_key(),
+            "alloc=scrap;order=ready-tasks;packing=true;comm=true"
+        );
+        for (alias, key) in [
+            ("SCRAP-MAX", "scrap-max"),
+            ("scrapmax", "scrap-max"),
+            ("1-proc", "one-each"),
+        ] {
+            let cfg = configure(alias).unwrap();
+            assert_eq!(cfg.base.allocation.cache_key(), key, "{alias}");
+        }
+        match configure("scrappy").err() {
+            Some(SchedError::UnknownPolicy { kind, name, known }) => {
+                assert_eq!(kind, mcsched_core::PolicyKind::Allocation);
+                assert_eq!(name, "scrappy");
+                assert_eq!(
+                    known,
+                    [
+                        "1-proc",
+                        "cpa",
+                        "one-each",
+                        "scrap",
+                        "scrap-max",
+                        "scrapmax"
+                    ]
+                );
+            }
+            other => panic!("expected UnknownPolicy, got {other:?}"),
+        }
+        assert!(matches!(
+            configure("scrap@x").err(),
+            Some(SchedError::InvalidConfig(_))
+        ));
     }
 }

@@ -34,7 +34,8 @@ pub struct MuSweepConfig {
     pub ptg_counts: Vec<usize>,
     /// Random application combinations per data point.
     pub combinations: usize,
-    /// Base scheduler configuration.
+    /// Base pipeline: its allocation and mapping policies run every µ
+    /// point's weighted policy.
     pub base: SchedulerConfig,
     /// Base random seed.
     pub seed: u64,
@@ -179,7 +180,7 @@ pub fn run_mu_sweep(config: &MuSweepConfig) -> Result<Vec<MuSweepPoint>, SchedEr
         format!("mu-sweep:{}", config.source.short_label()),
         Arc::clone(&config.source),
         policies,
-        config.base,
+        config.base.clone(),
         config.combinations,
         config.seed,
         config.replications,

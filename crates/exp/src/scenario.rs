@@ -173,7 +173,7 @@ impl Scenario {
     /// When [`Scenario::release_times`] violates the [`Workload::released`]
     /// contract (generated scenarios always satisfy it).
     pub fn context<'a>(&'a self, base: &SchedulerConfig) -> ScheduleContext<'a> {
-        ScheduleContext::with_base(&self.platform, &self.ptgs, *base)
+        ScheduleContext::with_base(&self.platform, &self.ptgs, base.clone())
             .with_release_times(self.release_times.clone())
             .expect("Scenario::release_times must be finite, non-negative, one per application")
     }
@@ -212,7 +212,7 @@ impl Scenario {
         policies: &[Arc<dyn ConstraintPolicy>],
     ) -> Vec<ScenarioOutcome> {
         let workload = self.workload();
-        let context = ScheduleContext::for_workload(&self.platform, &workload, *base);
+        let context = ScheduleContext::for_workload(&self.platform, &workload, base.clone());
         let evaluations = context
             .evaluate_policies(policies)
             .expect("scheduler produces valid workloads");
@@ -232,7 +232,10 @@ impl Scenario {
         base: &SchedulerConfig,
         dedicated: &[f64],
     ) -> ScenarioOutcome {
-        let config = SchedulerConfig { strategy, ..*base };
+        let config = SchedulerConfig {
+            constraint: strategy.to_policy(),
+            ..base.clone()
+        };
         let scheduler = ConcurrentScheduler::new(config);
         // Borrow the scenario's PTGs (and release times) through a context
         // instead of cloning them into a one-shot `Workload`.
@@ -420,9 +423,12 @@ mod tests {
             ConstraintStrategy::Proportional(mcsched_core::Characteristic::Work),
         ];
         for &strategy in &strategies {
-            ConcurrentScheduler::new(SchedulerConfig { strategy, ..base })
-                .evaluate_in(&context)
-                .unwrap();
+            ConcurrentScheduler::new(SchedulerConfig {
+                constraint: strategy.to_policy(),
+                ..base.clone()
+            })
+            .evaluate_in(&context)
+            .unwrap();
         }
         assert_eq!(context.dedicated_simulations(), scenario.ptgs.len());
         assert_eq!(context.concurrent_simulations(), strategies.len());

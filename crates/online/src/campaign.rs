@@ -49,7 +49,7 @@ pub struct CampaignSpec {
     /// Worker threads for the fan-out (`0` = one per core).
     pub threads: usize,
     /// The run configuration shared by every cell; per-cell the campaign
-    /// overrides `base.strategy` and derives `seed` per replication.
+    /// overrides `base.constraint` and derives `seed` per replication.
     pub base: OnlineConfig,
     /// Bootstrap configuration of the paired verdicts.
     pub bootstrap: BootstrapConfig,
@@ -211,7 +211,7 @@ pub fn run_campaign(
     let per_cell = run_indexed(spec.threads, cells, move |i| {
         let (si, rep) = (i / reps, i % reps);
         let mut cfg = task_base.clone();
-        cfg.base.strategy = task_strategies[si];
+        cfg.base.constraint = task_strategies[si].to_policy();
         cfg.seed = replication_seed(task_base.seed, rep);
         cfg.label = format!("{}-r{rep}", task_base.label);
         let mut report = OnlineScheduler::new(&task_platform, cfg)?.run(task_source.as_ref())?;

@@ -106,7 +106,7 @@ impl AdmissionPolicy {
 
 /// Full configuration of one online run (everything except the platform and
 /// the workload source, which the caller passes alongside).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct OnlineConfig {
     /// Stream seed (arrival draws and per-job graph seeds derive from it).
     pub seed: u64,
@@ -129,8 +129,8 @@ pub struct OnlineConfig {
     pub reschedule: ReschedulePolicy,
     /// What to shed when the pending queue is full.
     pub admission: AdmissionPolicy,
-    /// Base pipeline configuration (constraint strategy, allocation
-    /// procedure, mapping options) applied to the resident set per event.
+    /// Base pipeline (constraint, allocation and mapping policies) applied
+    /// to the resident set per event.
     pub base: SchedulerConfig,
     /// Record one [`mcsched_obs::TimeSeries`] row per rescheduling epoch
     /// (virtual time, queue depth, resident set, cumulative utilisation and

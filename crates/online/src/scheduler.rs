@@ -117,7 +117,7 @@ impl<'p> OnlineScheduler<'p> {
     pub fn run(&self, source: &dyn WorkloadSource) -> Result<OnlineReport, SchedError> {
         let engine = Engine::new(self.platform);
         let reference = ReferencePlatform::new(self.platform);
-        let scheduler = ConcurrentScheduler::new(self.config.base);
+        let scheduler = ConcurrentScheduler::new(self.config.base.clone());
         let stream = source.stream(&StreamRequest::new(
             self.config.seed,
             self.config.label.clone(),
@@ -149,7 +149,7 @@ impl<'p> OnlineScheduler<'p> {
         Ok(OnlineReport {
             name: format!(
                 "{}/{}",
-                self.config.base.strategy.name(),
+                self.config.base.constraint.name(),
                 self.config.reschedule.spec()
             ),
             avg_queue_depth: if elapsed > 0.0 {
@@ -428,7 +428,7 @@ impl LoopState<'_, '_> {
                     self.engine,
                     self.reference,
                     slice,
-                    self.cfg.base,
+                    self.cfg.base.clone(),
                 );
                 (ctx.dedicated_makespan(0)?, ctx.dedicated_allocation(0))
             };
@@ -454,7 +454,7 @@ impl LoopState<'_, '_> {
             self.engine,
             self.reference,
             &self.res_ptgs,
-            self.cfg.base,
+            self.cfg.base.clone(),
         )
         .with_dedicated_allocations(
             self.res_meta
@@ -464,7 +464,7 @@ impl LoopState<'_, '_> {
         );
         let allocations = self.scheduler.allocate_in(&ctx);
         let schedule = ctx.map_with(
-            self.scheduler.mapping_policy().as_ref(),
+            self.scheduler.config().mapping.as_ref(),
             &allocations,
             &release_times,
         );

@@ -42,7 +42,7 @@ fn main() {
         "strategy", "tiny-chain", "medium", "huge-wide"
     );
     for strategy in ConstraintStrategy::paper_set() {
-        let betas = strategy.betas(&apps, &reference);
+        let betas = strategy.to_policy().betas(&apps, &reference);
         println!(
             "{:<12} {:>12.3} {:>12.3} {:>12.3}",
             strategy.name(),

@@ -48,7 +48,7 @@ fn main() {
         let evaluation = scheduler
             .evaluate(&platform, &workload)
             .expect("the scheduler always produces a simulable schedule");
-        println!("\nStrategy {}:", scheduler.constraint_policy().name());
+        println!("\nStrategy {}:", scheduler.config().constraint.name());
         for (i, app) in evaluation.run.apps.iter().enumerate() {
             println!(
                 "  {:<12} beta {:.2}  makespan {:>8.1}s  dedicated {:>8.1}s  slowdown {:.2}",

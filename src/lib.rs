@@ -39,9 +39,10 @@
 //!
 //! ## Quick start
 //!
-//! Schedulers are assembled with a builder — policies are picked by name
-//! from the [`core::policy::PolicyRegistry`] (or supplied as custom trait
-//! objects) — and work is submitted as a [`core::Workload`]:
+//! A scheduler runs one [`core::SchedulerConfig`]: a constraint, an
+//! allocation and a mapping policy. Its builder picks them by name from the
+//! [`core::policy::PolicyRegistry`] or takes them as trait objects, and work
+//! is submitted as a [`core::Workload`]:
 //!
 //! ```
 //! use mcsched::prelude::*;
@@ -84,11 +85,10 @@ pub use mcsched_workload as workload;
 /// The most commonly used items, re-exported for `use mcsched::prelude::*`.
 pub mod prelude {
     pub use mcsched_core::{
-        allocation::AllocationProcedure, AllocationPolicy, Characteristic, ConcurrentRun,
-        ConcurrentScheduler, ConstraintPolicy, ConstraintStrategy, EvaluatedRun, MappingConfig,
-        MappingPolicy, MappingRequest, OrderingMode, PolicyKind, PolicyRegistry, RefAllocation,
-        ReferencePlatform, SchedError, Schedule, ScheduleContext, SchedulerBuilder,
-        SchedulerConfig, Workload,
+        AllocationPolicy, Characteristic, ConcurrentRun, ConcurrentScheduler, ConstraintPolicy,
+        ConstraintStrategy, EvaluatedRun, MappingConfig, MappingPolicy, MappingRequest,
+        OrderingMode, PolicyKind, PolicyRegistry, RefAllocation, ReferencePlatform, SchedError,
+        Schedule, ScheduleContext, SchedulerBuilder, SchedulerConfig, Workload,
     };
     pub use mcsched_exp::{CampaignConfig, MuSweepConfig};
     pub use mcsched_online::{

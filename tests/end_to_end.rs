@@ -100,7 +100,7 @@ fn scrap_max_allocations_respect_their_betas() {
         ConstraintStrategy::Weighted(Characteristic::Width, 0.5),
         ConstraintStrategy::Proportional(Characteristic::Work),
     ] {
-        let betas = strategy.betas(&apps, &reference);
+        let betas = strategy.to_policy().betas(&apps, &reference);
         let scheduler = ConcurrentScheduler::with_strategy(strategy);
         let allocations = scheduler.allocate(&platform, &apps);
         for ((app, alloc), beta) in apps.iter().zip(&allocations).zip(&betas) {
@@ -229,10 +229,15 @@ fn strassen_width_strategies_degenerate_to_equal_share() {
     let platform = grid5000::nancy();
     let reference = ReferencePlatform::new(&platform);
     let apps = sample_apps(PtgClass::Strassen, 4, 17);
-    let es = ConstraintStrategy::EqualShare.betas(&apps, &reference);
-    let ps_width = ConstraintStrategy::Proportional(Characteristic::Width).betas(&apps, &reference);
-    let wps_width =
-        ConstraintStrategy::Weighted(Characteristic::Width, 0.5).betas(&apps, &reference);
+    let es = ConstraintStrategy::EqualShare
+        .to_policy()
+        .betas(&apps, &reference);
+    let ps_width = ConstraintStrategy::Proportional(Characteristic::Width)
+        .to_policy()
+        .betas(&apps, &reference);
+    let wps_width = ConstraintStrategy::Weighted(Characteristic::Width, 0.5)
+        .to_policy()
+        .betas(&apps, &reference);
     for i in 0..apps.len() {
         assert!((es[i] - ps_width[i]).abs() < 1e-12);
         assert!((es[i] - wps_width[i]).abs() < 1e-12);

@@ -154,3 +154,41 @@ fn parameterised_names_reach_the_scheduler_pipeline() {
     assert_eq!(a.apps, b.apps);
     assert_eq!(a.global_makespan, b.global_makespan);
 }
+
+#[test]
+fn paired_evaluation_runs_the_schedulers_own_pipeline() {
+    // A non-default allocation and mapping picked by name must drive the
+    // paired path exactly as they drive `evaluate`: same concurrent runs,
+    // same allocations, same dedicated baselines.
+    let platform = grid5000::lille();
+    let apps = sample_apps(4, 7);
+    let scheduler = ConcurrentScheduler::builder()
+        .constraint("es")
+        .allocation("cpa")
+        .mapping("global")
+        .build()
+        .unwrap();
+    let direct = scheduler.evaluate(&platform, apps.clone()).unwrap();
+    let ctx = scheduler.context(&platform, &apps);
+    assert_eq!(ctx.base().allocation.name(), "CPA");
+    assert_eq!(ctx.base().mapping.name(), "global");
+    let es = PolicyRegistry::builtin().constraint("es").unwrap();
+    let paired = ctx.evaluate_policies(&[es]).unwrap().remove(0);
+    let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+    assert_eq!(
+        bits(paired.run.app_makespans()),
+        bits(direct.run.app_makespans())
+    );
+    let procs = |e: &EvaluatedRun| {
+        e.run
+            .apps
+            .iter()
+            .map(|a| a.allocated_procs)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(procs(&paired), procs(&direct));
+    assert_eq!(
+        bits(paired.dedicated_makespans),
+        bits(direct.dedicated_makespans)
+    );
+}

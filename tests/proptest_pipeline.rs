@@ -83,7 +83,7 @@ fn scheduler_always_produces_a_valid_run() {
         let strategy = gen_strategy(rng);
 
         let reference = ReferencePlatform::new(&platform);
-        let betas = strategy.betas(&apps, &reference);
+        let betas = strategy.to_policy().betas(&apps, &reference);
         assert_eq!(betas.len(), apps.len());
         for b in &betas {
             assert!(*b > 0.0 && *b <= 1.0, "beta {b} out of (0, 1]");
