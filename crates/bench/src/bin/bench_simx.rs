@@ -97,7 +97,6 @@ fn push_job(w: &mut SimWorkload, rng: &mut ChaCha8Rng, platform: &Platform, max_
     let first = rng.gen_range(0..platform.clusters()[cluster].num_procs() - nprocs + 1);
     let count = rng.gen_range(1..=nprocs);
     let mut job = SimJob::new(
-        format!("j{}", w.num_jobs()),
         ProcSet::contiguous(cluster, first, count),
         rng.gen_range(0.1..10.0),
         rng.gen_range(0..8),
@@ -157,7 +156,6 @@ fn build_family(family: &str, n: usize, platform: &Platform, seed: u64) -> SimWo
             for s in 0..stages {
                 for i in 0..WIDTH {
                     w.add_job(SimJob::new(
-                        format!("j{}", w.num_jobs()),
                         ProcSet::contiguous((s + i) % nc, i / nc, 1),
                         1.0,
                         s as u64,

@@ -61,7 +61,7 @@ pub fn mheft_schedule(platform: &Platform, ptg: &Ptg) -> Schedule {
         .map(|c| vec![0.0f64; c.num_procs()])
         .collect();
     let mut finish_time = vec![0.0f64; ptg.num_tasks()];
-    let mut placements: Vec<Option<(ProcSet, f64, f64)>> = vec![None; ptg.num_tasks()];
+    let mut placements: Vec<Option<(usize, f64, f64)>> = vec![None; ptg.num_tasks()];
     let mut workload = SimWorkload::new();
     let mut jobs = vec![0usize; ptg.num_tasks()];
 
@@ -103,19 +103,17 @@ pub fn mheft_schedule(platform: &Platform, ptg: &Ptg) -> Schedule {
         for &p in &chosen {
             avail[k][p] = finish;
         }
-        let procs = ProcSet::new(k, chosen);
         finish_time[t] = finish;
         let duration = ptg
             .task(t)
             .parallel_time(nprocs, platform.clusters()[k].speed());
         jobs[t] = workload.add_job(SimJob {
-            name: ptg.task(t).name().to_string(),
-            procs: procs.clone(),
+            procs: ProcSet::new(k, chosen),
             duration,
             release_time: 0.0,
             priority: rank as u64,
         });
-        placements[t] = Some((procs, start, finish));
+        placements[t] = Some((k, start, finish));
     }
 
     for e in ptg.edges() {
@@ -128,9 +126,9 @@ pub fn mheft_schedule(platform: &Platform, ptg: &Ptg) -> Schedule {
             .into_iter()
             .enumerate()
             .map(|(t, p)| {
-                let (procs, est_start, est_finish) = p.expect("all tasks mapped");
+                let (cluster, est_start, est_finish) = p.expect("all tasks mapped");
                 crate::mapping::TaskPlacement {
-                    procs,
+                    cluster,
                     est_start,
                     est_finish,
                     job: jobs[t],

@@ -19,11 +19,12 @@
 //! later than with its original allocation.
 
 use crate::allocation::{RefAllocation, ReferencePlatform};
-use mcsched_platform::{Platform, ProcSet};
-use mcsched_ptg::analysis::analyze;
+use mcsched_platform::{ClusterId, Platform, ProcId, ProcSet};
 use mcsched_ptg::Ptg;
-use mcsched_simx::{JobId, Route, SimJob, SimWorkload, SiteNetwork};
+use mcsched_simx::{JobId, SimJob, SimWorkload, SiteNetwork};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// How the candidate tasks are ordered during mapping.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -64,10 +65,13 @@ impl Default for MappingConfig {
 }
 
 /// Where one task ended up.
+///
+/// The processors themselves are kept once, in the generated job:
+/// `schedule.workload.jobs[placement.job].procs`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TaskPlacement {
-    /// Processors reserved for the task.
-    pub procs: ProcSet,
+    /// Cluster hosting the task.
+    pub cluster: ClusterId,
     /// Estimated start time used by the mapping heuristic.
     pub est_start: f64,
     /// Estimated finish time used by the mapping heuristic.
@@ -165,54 +169,102 @@ pub fn map_concurrent_with(
 ) -> Schedule {
     assert_eq!(ptgs.len(), allocations.len(), "one allocation per PTG");
     assert_eq!(ptgs.len(), release_times.len(), "one release time per PTG");
+    let clusters = platform.clusters();
+    let nc = clusters.len();
+
+    // Sequential cost of every task, evaluated once. Every execution time
+    // below is `flops / speed` scaled by the Amdahl factor (see
+    // `parallel_time`), which is bit-identical to
+    // `DataParallelTask::parallel_time`.
+    let flops: Vec<Vec<f64>> = ptgs
+        .iter()
+        .map(|g| g.task_ids().map(|t| g.task(t).flops()).collect())
+        .collect();
+
     // Bottom levels under the current allocations (communications ignored, as
-    // in the paper's priority definition).
+    // in the paper's priority definition): one backward pass in reverse
+    // topological order over non-negative task times.
     let bottom_levels: Vec<Vec<f64>> = ptgs
         .iter()
         .zip(allocations)
-        .map(|(ptg, alloc)| {
-            analyze(
-                ptg,
-                |t| reference.task_time(ptg, t, alloc.procs_of(t)),
-                |_| 0.0,
-            )
-            .bottom_levels
+        .zip(&flops)
+        .map(|((ptg, alloc), flops)| {
+            let mut bottom = vec![0.0f64; ptg.num_tasks()];
+            for &t in ptg.topological_order().iter().rev() {
+                let tail = ptg
+                    .succs(t)
+                    .iter()
+                    .fold(0.0f64, |b, &(s, _)| b.max(bottom[s]));
+                let seq = flops[t] / reference.speed();
+                bottom[t] = parallel_time(seq, ptg.task(t).alpha(), alloc.procs_of(t)) + tail;
+            }
+            bottom
         })
         .collect();
 
-    // Per-processor availability times, kept sorted by (time, index) per
-    // cluster: `avail_sorted[k][q - 1].0` is the q-th smallest availability
-    // of cluster `k`. Maintaining the order incrementally (only the
-    // reserved processors move on each mapping) replaces the per-task,
-    // per-cluster clone-and-sort of the naive formulation.
-    let mut avail_sorted: Vec<Vec<(f64, usize)>> = platform
-        .clusters()
+    // Per-processor availability, one run-length profile per cluster: the
+    // q-th earliest availability of cluster `k` is found by walking its runs,
+    // a reservation pops the earliest processors, and they come back as one
+    // run at the task's finish time. Only the runs a reservation touches
+    // change, where a sorted per-processor list shifts every entry behind
+    // each moved processor.
+    let mut profiles: Vec<Profile> = clusters
         .iter()
-        .map(|c| (0..c.num_procs()).map(|p| (0.0f64, p)).collect())
+        .map(|c| Profile::new(c.num_procs()))
         .collect();
 
-    // Inter-cluster routes depend only on the cluster pair, so memoize them
-    // once (row-major) instead of rebuilding one per predecessor and
-    // candidate cluster; the diagonal is never read (same-cluster
-    // redistribution is treated as free in the estimate).
-    let nc = platform.num_clusters();
-    let cluster_routes: Vec<Route> = (0..nc)
-        .flat_map(|c1| {
-            (0..nc).map(move |c2| (ProcSet::contiguous(c1, 0, 1), ProcSet::contiguous(c2, 0, 1)))
+    // Estimated redistribution cost between two clusters, tabulated once per
+    // ordered pair (row-major) as `(latency, bottleneck capacity)`, the terms
+    // of `SiteNetwork::uncontended_time`. The diagonal is never read:
+    // same-cluster redistribution is treated as free in the estimate.
+    let links: Vec<(f64, f64)> = (0..nc)
+        .flat_map(|c1| (0..nc).map(move |c2| (c1, c2)))
+        .map(|(c1, c2)| {
+            let route = network.route(
+                &ProcSet::contiguous(c1, 0, 1),
+                &ProcSet::contiguous(c2, 0, 1),
+            );
+            let min_cap = route
+                .links
+                .iter()
+                .map(|&l| network.capacity(l))
+                .fold(f64::MAX, f64::min);
+            (route.latency, min_cap)
         })
-        .map(|(src, dst)| network.route(&src, &dst))
         .collect();
 
-    // Placement state.
-    let mut placements: Vec<Vec<Option<TaskPlacement>>> =
-        ptgs.iter().map(|p| vec![None; p.num_tasks()]).collect();
+    // Placement state. Every entry is overwritten when its task is mapped,
+    // and a task is only read once mapped (its successors are selected
+    // after it).
+    let unmapped = TaskPlacement {
+        cluster: usize::MAX,
+        est_start: f64::NAN,
+        est_finish: f64::NAN,
+        job: usize::MAX,
+    };
+    let mut placements: Vec<Vec<TaskPlacement>> = ptgs
+        .iter()
+        .map(|p| vec![unmapped.clone(); p.num_tasks()])
+        .collect();
     let mut unmapped_preds: Vec<Vec<usize>> = ptgs
         .iter()
         .map(|p| p.task_ids().map(|t| p.preds(t).len()).collect())
         .collect();
 
-    let mut workload = SimWorkload::new();
+    let total_tasks: usize = ptgs.iter().map(Ptg::num_tasks).sum();
+    assert!(
+        ptgs.len() <= u32::MAX as usize && ptgs.iter().all(|p| p.num_tasks() <= u32::MAX as usize),
+        "applications and tasks are numbered in 32 bits"
+    );
+    let mut workload = SimWorkload {
+        jobs: Vec::with_capacity(total_tasks),
+        transfers: Vec::with_capacity(ptgs.iter().map(Ptg::num_edges).sum()),
+    };
+    // The job of the `i`-th mapped task has priority `i`.
     let mut priority_counter: u64 = 0;
+    // Per mapped task: the cluster, estimated finish time and volume of each
+    // incoming edge.
+    let mut inputs: Vec<(ClusterId, f64, f64)> = Vec::new();
 
     // The candidate pool.
     //
@@ -224,133 +276,130 @@ pub fn map_concurrent_with(
     //   small application's entry tasks (Figure 1).
     // * In Global mode it holds every task up front, sorted once by bottom
     //   level, and is consumed front to back.
-    let mut candidates: Vec<(usize, usize, f64)> = Vec::new();
-    match config.ordering {
+    let mut candidates = match config.ordering {
         OrderingMode::ReadyTasks => {
+            let mut queue = ReadyQueue::new(&bottom_levels, total_tasks);
             for (app, ptg) in ptgs.iter().enumerate() {
                 for t in ptg.task_ids() {
                     if ptg.preds(t).is_empty() {
-                        candidates.push((app, t, release_times[app]));
+                        queue.push(app, t, release_times[app]);
                     }
                 }
             }
+            Candidates::Ready(queue)
         }
         OrderingMode::Global => {
-            for (app, ptg) in ptgs.iter().enumerate() {
-                for t in ptg.task_ids() {
-                    candidates.push((app, t, release_times[app]));
-                }
-            }
+            let mut order: Vec<(usize, usize)> = ptgs
+                .iter()
+                .enumerate()
+                .flat_map(|(app, ptg)| ptg.task_ids().map(move |t| (app, t)))
+                .collect();
             // Highest bottom level first; the list is then consumed front to
             // back (respecting precedence inside each application because a
             // predecessor's bottom level always exceeds its successors').
-            candidates.sort_by(|&(aa, at, _), &(ba, bt, _)| {
+            order.sort_unstable_by(|&(aa, at), &(ba, bt)| {
                 bottom_levels[ba][bt]
                     .total_cmp(&bottom_levels[aa][at])
                     .then(aa.cmp(&ba))
                     .then(at.cmp(&bt))
             });
+            Candidates::Global(order.into_iter())
         }
-    }
+    };
 
     // In Global mode, no task may start before the start time of the tasks
     // mapped before it (no backfilling).
     let mut no_backfill_floor = 0.0f64;
-    // In ReadyTasks mode, the scheduler's clock: only tasks ready at or
-    // before this instant compete on bottom level.
-    let mut clock = 0.0f64;
 
-    let total_tasks: usize = ptgs.iter().map(Ptg::num_tasks).sum();
-    for _ in 0..total_tasks {
-        // Select the next task.
-        let (app, task, _ready_at) = match config.ordering {
-            OrderingMode::ReadyTasks => {
-                // Advance the clock to the earliest ready time if nothing is
-                // ready yet.
-                let min_ready = candidates
-                    .iter()
-                    .map(|&(_, _, r)| r)
-                    .fold(f64::INFINITY, f64::min);
-                if min_ready > clock {
-                    clock = min_ready;
-                }
-                let eps = 1e-9 * clock.abs().max(1.0);
-                let best = candidates
-                    .iter()
-                    .enumerate()
-                    .filter(|&(_, &(_, _, r))| r <= clock + eps)
-                    .max_by(|&(_, &(aa, at, _)), &(_, &(ba, bt, _))| {
-                        bottom_levels[aa][at]
-                            .total_cmp(&bottom_levels[ba][bt])
-                            .then(ba.cmp(&aa))
-                            .then(bt.cmp(&at))
-                    })
-                    .map(|(i, _)| i)
-                    .expect("at least one candidate is ready at the clock");
-                candidates.swap_remove(best)
-            }
-            OrderingMode::Global => candidates.remove(0),
-        };
-
+    while let Some((app, task)) = match &mut candidates {
+        Candidates::Ready(queue) => queue.pop(),
+        Candidates::Global(order) => order.next(),
+    } {
         let ptg = &ptgs[app];
-        let alloc = &allocations[app];
-        let n_ref = alloc.procs_of(task);
+        let n_ref = allocations[app].procs_of(task);
+        let alpha = ptg.task(task).alpha();
+        let task_flops = flops[app][task];
+        inputs.clear();
+        inputs.extend(ptg.preds(task).iter().map(|&(pred, edge)| {
+            let p = &placements[app][pred];
+            assert_ne!(
+                p.job,
+                usize::MAX,
+                "predecessors are mapped before their successors"
+            );
+            (p.cluster, p.est_finish, ptg.edge(edge).bytes)
+        }));
 
-        // Data-ready time on each cluster: predecessors' estimated finish
-        // plus an estimated redistribution cost when crossing clusters.
-        let data_ready = |dst_cluster: usize| -> f64 {
+        // Evaluate every cluster.
+        let mut best: Option<Choice> = None;
+        for (k, cluster) in clusters.iter().enumerate() {
+            let speed = cluster.speed();
+            let seq = task_flops / speed;
+            let full = reference.translate(n_ref, speed).min(cluster.num_procs());
+
+            // Data-ready time on cluster k: predecessors' estimated finish
+            // plus an estimated redistribution cost when crossing clusters.
+            // Same-cluster redistribution is treated as free in the estimate
+            // (the simulation still charges it when the processor sets
+            // differ).
             let mut ready = release_times[app];
-            for &(pred, edge) in ptg.preds(task) {
-                let placement = placements[app][pred]
-                    .as_ref()
-                    .expect("predecessors are mapped before their successors");
-                let mut t = placement.est_finish;
-                // Same-cluster redistribution is treated as free in the
-                // estimate (the simulation still charges it when the
-                // processor sets differ).
-                if config.comm_aware && placement.procs.cluster() != dst_cluster {
-                    let route = &cluster_routes[placement.procs.cluster() * nc + dst_cluster];
-                    t += network.uncontended_time(route, ptg.edge(edge).bytes);
+            for &(from, est_finish, bytes) in &inputs {
+                let mut t = est_finish;
+                if config.comm_aware && from != k {
+                    let (latency, min_cap) = links[from * nc + k];
+                    t += if bytes <= 0.0 {
+                        0.0
+                    } else {
+                        latency + bytes / min_cap
+                    };
                 }
                 ready = ready.max(t);
             }
-            ready
-        };
-
-        // Evaluate every cluster.
-        let mut best: Option<(f64, f64, usize, usize)> = None; // finish, start, cluster, nprocs
-        for (k, cluster) in platform.clusters().iter().enumerate() {
-            let full = reference
-                .translate(n_ref, cluster.speed())
-                .min(cluster.num_procs());
-            let ready = data_ready(k).max(no_backfill_floor);
+            let ready = ready.max(no_backfill_floor);
 
             // Earliest start with `q` processors on cluster k: the q-th
             // smallest availability time.
-            let sorted_avail = &avail_sorted[k];
-            let start_with = |q: usize| -> f64 { ready.max(sorted_avail[q - 1].0) };
-
-            let full_start = start_with(full);
-            let full_finish = full_start + ptg.task(task).parallel_time(full, cluster.speed());
-            let mut chosen = (full_finish, full_start, k, full);
+            let profile = &profiles[k];
+            let (mut run, mut earlier) = profile.locate(full);
+            let full_start = ready.max(profile.runs[run].time);
+            let full_time = parallel_time(seq, alpha, full);
+            let mut chosen = Choice {
+                finish: full_start + full_time,
+                start: full_start,
+                cluster: k,
+                nprocs: full,
+                duration: full_time,
+            };
 
             // Allocation packing: only when the task is delayed by processor
             // availability rather than by its input data.
             if config.packing && full_start > ready + 1e-12 {
                 for q in (1..full).rev() {
-                    let s = start_with(q);
-                    let f = s + ptg.task(task).parallel_time(q, cluster.speed());
-                    if s < chosen.1 - 1e-12 && f <= chosen.0 + 1e-12 {
-                        chosen = (f, s, k, q);
+                    while q <= earlier {
+                        run += 1;
+                        earlier -= profile.runs[run].len;
+                    }
+                    let s = ready.max(profile.runs[run].time);
+                    let time = parallel_time(seq, alpha, q);
+                    let f = s + time;
+                    if s < chosen.start - 1e-12 && f <= chosen.finish + 1e-12 {
+                        chosen = Choice {
+                            finish: f,
+                            start: s,
+                            cluster: k,
+                            nprocs: q,
+                            duration: time,
+                        };
                     }
                 }
             }
 
-            match best {
+            match &best {
                 None => best = Some(chosen),
                 Some(b)
-                    if chosen.0 < b.0 - 1e-12
-                        || ((chosen.0 - b.0).abs() <= 1e-12 && chosen.1 < b.1 - 1e-12) =>
+                    if chosen.finish < b.finish - 1e-12
+                        || ((chosen.finish - b.finish).abs() <= 1e-12
+                            && chosen.start < b.start - 1e-12) =>
                 {
                     best = Some(chosen)
                 }
@@ -358,88 +407,342 @@ pub fn map_concurrent_with(
             }
         }
 
-        let (finish, start, cluster_id, nprocs) =
-            best.expect("a platform always has at least one cluster");
+        let Choice {
+            finish,
+            start,
+            cluster,
+            nprocs,
+            duration,
+        } = best.expect("a platform always has at least one cluster");
 
-        // Reserve the `nprocs` processors of `cluster_id` with the smallest
-        // availability times.
-        let list = &mut avail_sorted[cluster_id];
-        let chosen_procs: Vec<usize> = list[..nprocs].iter().map(|&(_, p)| p).collect();
-        list.drain(..nprocs);
-        for &p in &chosen_procs {
-            let pos = list.partition_point(|&(v, i)| v.total_cmp(&finish).then(i.cmp(&p)).is_lt());
-            list.insert(pos, (finish, p));
-        }
-        let procs = ProcSet::new(cluster_id, chosen_procs);
-
-        let duration = ptg
-            .task(task)
-            .parallel_time(nprocs, platform.clusters()[cluster_id].speed());
         let job = workload.add_job(SimJob {
-            name: format!("{}::{}", ptg.name(), ptg.task(task).name()),
-            procs: procs.clone(),
+            procs: profiles[cluster].reserve(cluster, nprocs, finish),
             duration,
             release_time: release_times[app],
             priority: priority_counter,
         });
         priority_counter += 1;
 
-        placements[app][task] = Some(TaskPlacement {
-            procs,
+        placements[app][task] = TaskPlacement {
+            cluster,
             est_start: start,
             est_finish: finish,
             job,
-        });
-        if config.ordering == OrderingMode::Global {
-            no_backfill_floor = no_backfill_floor.max(start);
-        }
+        };
 
-        // Newly ready successors (ReadyTasks mode only). A successor becomes
-        // ready when all its predecessors have *completed* according to the
-        // current estimates, not merely when they have been mapped.
-        for &(succ, _) in ptg.succs(task) {
-            unmapped_preds[app][succ] -= 1;
-            if config.ordering == OrderingMode::ReadyTasks && unmapped_preds[app][succ] == 0 {
-                let ready_at = ptg
-                    .preds(succ)
-                    .iter()
-                    .map(|&(p, _)| {
-                        placements[app][p]
-                            .as_ref()
-                            .expect("all predecessors are mapped")
-                            .est_finish
-                    })
-                    .fold(release_times[app], f64::max);
-                candidates.push((app, succ, ready_at));
+        match &mut candidates {
+            // Newly ready successors. A successor becomes ready when all its
+            // predecessors have *completed* according to the current
+            // estimates, not merely when they have been mapped.
+            Candidates::Ready(queue) => {
+                for &(succ, _) in ptg.succs(task) {
+                    unmapped_preds[app][succ] -= 1;
+                    if unmapped_preds[app][succ] == 0 {
+                        let ready_at = ptg
+                            .preds(succ)
+                            .iter()
+                            .map(|&(p, _)| placements[app][p].est_finish)
+                            .fold(release_times[app], f64::max);
+                        queue.push(app, succ, ready_at);
+                    }
+                }
             }
+            Candidates::Global(_) => no_backfill_floor = no_backfill_floor.max(start),
         }
     }
+
+    assert_eq!(
+        priority_counter as usize, total_tasks,
+        "every task is mapped"
+    );
 
     // Materialise the transfers of every application edge.
     for (app, ptg) in ptgs.iter().enumerate() {
         for e in ptg.edges() {
-            let from = placements[app][e.src]
-                .as_ref()
-                .expect("all tasks mapped")
-                .job;
-            let to = placements[app][e.dst]
-                .as_ref()
-                .expect("all tasks mapped")
-                .job;
-            workload.add_transfer(from, to, e.bytes);
+            workload.add_transfer(
+                placements[app][e.src].job,
+                placements[app][e.dst].job,
+                e.bytes,
+            );
         }
     }
 
     Schedule {
         workload,
-        placements: placements
-            .into_iter()
-            .map(|v| {
-                v.into_iter()
-                    .map(|p| p.expect("all tasks mapped"))
-                    .collect()
-            })
-            .collect(),
+        placements,
+    }
+}
+
+/// Execution time of a task of sequential time `seq` and Amdahl fraction
+/// `alpha` on `p` processors: the expression of
+/// `DataParallelTask::parallel_time`, so the results are bit-identical to it,
+/// without re-evaluating the cost model on every call.
+fn parallel_time(seq: f64, alpha: f64, p: usize) -> f64 {
+    if p == 0 {
+        return f64::INFINITY;
+    }
+    seq * (alpha + (1.0 - alpha) / p as f64)
+}
+
+/// One cluster's evaluation for the task being mapped.
+struct Choice {
+    finish: f64,
+    start: f64,
+    cluster: ClusterId,
+    nprocs: usize,
+    duration: f64,
+}
+
+/// Availability of one cluster's processors as a run-length profile.
+///
+/// Each run is an availability time with the processors that become free at
+/// that time. Ordering processors by (time, index) and taking the first `q`
+/// is what defines "the `q` earliest-available processors"; a run holds a
+/// contiguous stretch of that order, so a reservation touches a few run
+/// headers instead of shifting every processor it moves.
+struct Profile {
+    /// Runs in *descending* time order, distinct under `total_cmp`: the
+    /// earliest run is last, where reservations pop it.
+    runs: Vec<Run>,
+    /// The processors of a run form a chain in ascending index order:
+    /// `next[p]` follows `p` in its run.
+    next: Vec<ProcId>,
+}
+
+/// The processors of one cluster that become available at `time`.
+struct Run {
+    time: f64,
+    /// Lowest processor index of the run; the others follow through
+    /// [`Profile::next`].
+    first: ProcId,
+    len: usize,
+}
+
+impl Profile {
+    /// All `n` processors available at time 0.
+    fn new(n: usize) -> Self {
+        Self {
+            runs: vec![Run {
+                time: 0.0,
+                first: 0,
+                len: n,
+            }],
+            next: (1..=n).collect(),
+        }
+    }
+
+    /// The run holding the `q`-th earliest processor (1-based), and the
+    /// number of processors in the runs before it.
+    fn locate(&self, q: usize) -> (usize, usize) {
+        let mut earlier = 0;
+        for (i, run) in self.runs.iter().enumerate().rev() {
+            if earlier + run.len >= q {
+                return (i, earlier);
+            }
+            earlier += run.len;
+        }
+        panic!("a task never gets more processors than its cluster has")
+    }
+
+    /// Reserves the `n` earliest-available processors of `cluster` (the
+    /// profile's cluster) until `finish` and returns them.
+    fn reserve(&mut self, cluster: ClusterId, n: usize, finish: f64) -> ProcSet {
+        let mut taken = Vec::with_capacity(n);
+        while taken.len() < n {
+            let run = self
+                .runs
+                .last_mut()
+                .expect("a task never gets more processors than its cluster has");
+            let k = run.len.min(n - taken.len());
+            let mut p = run.first;
+            for _ in 0..k {
+                taken.push(p);
+                p = self.next[p];
+            }
+            run.first = p;
+            run.len -= k;
+            if run.len == 0 {
+                self.runs.pop();
+            }
+        }
+        let taken = ProcSet::new(cluster, taken);
+        // A task usually finishes after every other reservation, so the
+        // position is found by a scan from the latest run.
+        let pos = self
+            .runs
+            .iter()
+            .position(|r| r.time.total_cmp(&finish).is_le())
+            .unwrap_or(self.runs.len());
+        match self.runs.get_mut(pos) {
+            Some(run) if run.time.total_cmp(&finish).is_eq() => {
+                run.first = merge_chain(&mut self.next, run.first, run.len, taken.procs());
+                run.len += n;
+            }
+            _ => {
+                for w in taken.procs().windows(2) {
+                    self.next[w[0]] = w[1];
+                }
+                self.runs.insert(
+                    pos,
+                    Run {
+                        time: finish,
+                        first: taken.procs()[0],
+                        len: n,
+                    },
+                );
+            }
+        }
+        taken
+    }
+}
+
+/// Merges the ascending `extra` processors into the ascending chain of `len`
+/// processors starting at `first`; returns the head of the merged chain.
+fn merge_chain(next: &mut [ProcId], first: ProcId, len: usize, extra: &[ProcId]) -> ProcId {
+    let mut merged = Vec::with_capacity(len + extra.len());
+    let mut p = first;
+    let mut rest = extra.iter().copied().peekable();
+    for _ in 0..len {
+        while let Some(q) = rest.next_if(|&q| q < p) {
+            merged.push(q);
+        }
+        merged.push(p);
+        p = next[p];
+    }
+    merged.extend(rest);
+    for w in merged.windows(2) {
+        next[w[0]] = w[1];
+    }
+    merged[0]
+}
+
+/// The candidate pool of one mapping call.
+enum Candidates<'a> {
+    Ready(ReadyQueue<'a>),
+    /// Every task, sorted once by bottom level.
+    Global(std::vec::IntoIter<(usize, usize)>),
+}
+
+/// A candidate's heap key: `value` in `total_cmp` order in the high half and
+/// `(app, task)` in the low half, so that one integer comparison orders
+/// candidates by value, then application, then task.
+fn candidate_key(value: f64, app: usize, task: usize) -> u128 {
+    let bits = value.to_bits();
+    // `total_cmp` as an unsigned order: negative values have every bit
+    // flipped, the others only their sign bit.
+    let ordered = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (u128::from(ordered) << 64) | ((app as u128) << 32) | task as u128
+}
+
+/// The value and `(app, task)` of a [`candidate_key`].
+fn decode_key(key: u128) -> (f64, usize, usize) {
+    let ordered = (key >> 64) as u64;
+    let bits = if ordered >> 63 == 1 {
+        ordered & !(1 << 63)
+    } else {
+        !ordered
+    };
+    let id = key as u64;
+    (
+        f64::from_bits(bits),
+        (id >> 32) as usize,
+        id as u32 as usize,
+    )
+}
+
+/// The ready-task candidate pool, `(app, task)` pairs with their ready times.
+///
+/// The selection rule: advance the clock to the earliest ready time of *all*
+/// candidates when that is later than the clock (so it also moves, by less
+/// than the tolerance, when the earliest candidate is already within it);
+/// among the candidates ready within `1e-9 · max(clock, 1)` of the clock,
+/// take the highest bottom level, then the lower application, then the lower
+/// task. The clock never decreases and starts at 0, so a candidate once
+/// within the tolerance stays within it; candidates therefore move from
+/// `waiting` to `ready` once and never back.
+struct ReadyQueue<'a> {
+    bottom_levels: &'a [Vec<f64>],
+    clock: f64,
+    /// Candidates not yet within the tolerance, by [`candidate_key`] of
+    /// their ready time, earliest first.
+    waiting: BinaryHeap<Reverse<u128>>,
+    /// Candidates within the tolerance, best first: the [`candidate_key`]
+    /// of the bottom level with the `(app, task)` half complemented (so
+    /// ties go to the lower application, then the lower task), and the bits
+    /// of the ready time, which never decide a comparison.
+    ready: BinaryHeap<(u128, u64)>,
+    /// How many `ready` candidates have a ready time at or before the clock.
+    at_clock: usize,
+}
+
+impl<'a> ReadyQueue<'a> {
+    fn new(bottom_levels: &'a [Vec<f64>], capacity: usize) -> Self {
+        Self {
+            bottom_levels,
+            clock: 0.0,
+            waiting: BinaryHeap::with_capacity(capacity),
+            ready: BinaryHeap::with_capacity(capacity),
+            at_clock: 0,
+        }
+    }
+
+    fn horizon(&self) -> f64 {
+        self.clock + 1e-9 * self.clock.abs().max(1.0)
+    }
+
+    fn push(&mut self, app: usize, task: usize, ready_at: f64) {
+        if ready_at <= self.horizon() {
+            self.admit(app, task, ready_at);
+        } else {
+            self.waiting
+                .push(Reverse(candidate_key(ready_at, app, task)));
+        }
+    }
+
+    fn admit(&mut self, app: usize, task: usize, ready_at: f64) {
+        if ready_at <= self.clock {
+            self.at_clock += 1;
+        }
+        let key = candidate_key(self.bottom_levels[app][task], app, task) ^ u128::from(u64::MAX);
+        self.ready.push((key, ready_at.to_bits()));
+    }
+
+    /// Selects the next task.
+    fn pop(&mut self) -> Option<(usize, usize)> {
+        // A candidate at or before the clock holds it in place, so the
+        // `ready` candidates are only scanned when all of them are ahead of
+        // the clock (within the tolerance), or there are none.
+        if self.at_clock == 0 {
+            let earliest = self
+                .waiting
+                .peek()
+                .map_or(f64::INFINITY, |&Reverse(key)| decode_key(key).0);
+            let ready_times = self.ready.iter().map(|&(_, r)| f64::from_bits(r));
+            let min_ready = ready_times.clone().fold(earliest, f64::min);
+            if min_ready > self.clock {
+                self.clock = min_ready;
+                self.at_clock = ready_times.filter(|&r| r <= min_ready).count();
+            }
+        }
+        let horizon = self.horizon();
+        while let Some(&Reverse(key)) = self.waiting.peek() {
+            let (ready_at, app, task) = decode_key(key);
+            if ready_at > horizon {
+                break;
+            }
+            self.waiting.pop();
+            self.admit(app, task, ready_at);
+        }
+        let (key, ready_at) = self.ready.pop()?;
+        if f64::from_bits(ready_at) <= self.clock {
+            self.at_clock -= 1;
+        }
+        let (_, app, task) = decode_key(key ^ u128::from(u64::MAX));
+        Some((app, task))
     }
 }
 
@@ -545,8 +848,10 @@ mod tests {
             &MappingConfig::default(),
         );
         let placement = &schedule.placements[0][0];
-        let nprocs = placement.procs.len();
-        let cluster = placement.procs.cluster();
+        let procs = &schedule.workload.jobs[placement.job].procs;
+        let nprocs = procs.len();
+        let cluster = procs.cluster();
+        assert_eq!(cluster, placement.cluster);
         if cluster == 1 {
             assert_eq!(nprocs, 2);
         } else {
@@ -656,7 +961,7 @@ mod tests {
             packed_small.est_start < unpacked_small.est_start,
             "packing should let the small task start earlier"
         );
-        assert!(packed_small.procs.len() < 4);
+        assert!(packed.workload.jobs[packed_small.job].procs.len() < 4);
         assert!(packed_small.est_finish <= unpacked_small.est_finish + 1e-9);
     }
 
@@ -730,6 +1035,199 @@ mod tests {
             &MappingConfig::default(),
         );
         assert_eq!(schedule.workload.transfers.len(), total_edges);
+    }
+
+    /// Random multi-PTG inputs on the Grid'5000 sites with non-zero release
+    /// times, mapped under every ordering × packing × comm-aware setting.
+    /// A platform, its PTGs, their allocations and their release times.
+    type Input = (Platform, Vec<Ptg>, Vec<RefAllocation>, Vec<f64>);
+
+    fn random_inputs(seed: u64) -> Vec<Input> {
+        use mcsched_platform::grid5000;
+        use mcsched_ptg::gen::{random_ptg, RandomPtgConfig};
+        use rand::{Rng, SeedableRng};
+        use rand_chacha::ChaCha8Rng;
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let sites = grid5000::all_sites();
+        (0..12)
+            .map(|case| {
+                let platform = sites[case % sites.len()].clone();
+                let max = platform.clusters().iter().map(|c| c.num_procs()).max();
+                let max = max.expect("sites have clusters");
+                let napps = rng.gen_range(2..=6);
+                let ptgs: Vec<Ptg> = (0..napps)
+                    .map(|i| {
+                        let cfg = RandomPtgConfig::sample_paper_grid(&mut rng);
+                        random_ptg(&cfg, &mut rng, format!("g{i}"))
+                    })
+                    .collect();
+                let allocs = ptgs
+                    .iter()
+                    .map(|g| {
+                        let counts = (0..g.num_tasks()).map(|_| rng.gen_range(1..=max));
+                        RefAllocation::from_counts(counts.collect())
+                    })
+                    .collect();
+                let releases = (0..napps).map(|_| rng.gen_range(0.5..100.0)).collect();
+                (platform, ptgs, allocs, releases)
+            })
+            .collect()
+    }
+
+    fn all_configs() -> impl Iterator<Item = MappingConfig> {
+        [OrderingMode::ReadyTasks, OrderingMode::Global]
+            .into_iter()
+            .flat_map(|ordering| [false, true].map(|packing| (ordering, packing)))
+            .flat_map(|(ordering, packing)| {
+                [false, true].map(|comm_aware| MappingConfig {
+                    ordering,
+                    packing,
+                    comm_aware,
+                })
+            })
+    }
+
+    #[test]
+    fn estimates_never_overlap_on_a_processor() {
+        for (platform, ptgs, allocs, releases) in random_inputs(0x1A7E) {
+            for config in all_configs() {
+                let s = map_concurrent(&platform, &ptgs, &allocs, &releases, &config);
+                // Estimated busy intervals of every (cluster, processor).
+                let mut busy: Vec<Vec<Vec<(f64, f64)>>> = platform
+                    .clusters()
+                    .iter()
+                    .map(|c| vec![Vec::new(); c.num_procs()])
+                    .collect();
+                for (app, ptg) in ptgs.iter().enumerate() {
+                    for (t, p) in s.placements[app].iter().enumerate() {
+                        let job = &s.workload.jobs[p.job];
+                        let cluster = &platform.clusters()[p.cluster];
+                        assert_eq!(job.procs.cluster(), p.cluster);
+                        assert!(job.procs.iter().all(|q| q < cluster.num_procs()));
+                        // The set has exactly the processor count the
+                        // estimate and the job's duration were computed for.
+                        let time = ptg.task(t).parallel_time(job.procs.len(), cluster.speed());
+                        assert_eq!(job.duration.to_bits(), time.to_bits());
+                        assert!(p.est_start >= releases[app]);
+                        assert_eq!(p.est_finish.to_bits(), (p.est_start + time).to_bits());
+                        for q in job.procs.iter() {
+                            busy[p.cluster][q].push((p.est_start, p.est_finish));
+                        }
+                    }
+                }
+                for intervals in busy.iter_mut().flatten() {
+                    intervals.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.total_cmp(&b.1)));
+                    for w in intervals.windows(2) {
+                        assert!(
+                            w[0].1 <= w[1].0,
+                            "{config:?}: {:?} overlaps {:?}",
+                            w[0],
+                            w[1]
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "manual performance probe, run with --release --ignored"]
+    fn bench_mapping() {
+        use crate::allocation::scrap_max_allocate;
+        use mcsched_platform::grid5000;
+        use mcsched_ptg::gen::{random_ptg, RandomPtgConfig};
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+        // Fixed sets of ten paper-grid PTGs per site, allocated by SCRAP-MAX
+        // under β = 1/10: the shape of one campaign scenario.
+        let mut rng = ChaCha8Rng::seed_from_u64(0xBEEF);
+        let inputs: Vec<_> = grid5000::all_sites()
+            .into_iter()
+            .flat_map(|site| std::iter::repeat_n(site, 8))
+            .map(|site| {
+                let ptgs: Vec<Ptg> = (0..10)
+                    .map(|i| {
+                        let cfg = RandomPtgConfig::sample_paper_grid(&mut rng);
+                        random_ptg(&cfg, &mut rng, format!("g{i}"))
+                    })
+                    .collect();
+                let reference = ReferencePlatform::new(&site);
+                let allocs: Vec<RefAllocation> = ptgs
+                    .iter()
+                    .map(|g| scrap_max_allocate(&reference, g, 0.1))
+                    .collect();
+                let network = SiteNetwork::new(&site);
+                (site, reference, network, ptgs, allocs)
+            })
+            .collect();
+        let tasks: usize = inputs
+            .iter()
+            .map(|(_, _, _, ptgs, _)| ptgs.iter().map(Ptg::num_tasks).sum::<usize>())
+            .sum();
+        let configs: Vec<MappingConfig> = [OrderingMode::ReadyTasks, OrderingMode::Global]
+            .into_iter()
+            .flat_map(|ordering| {
+                [true, false].map(|packing| MappingConfig {
+                    ordering,
+                    packing,
+                    comm_aware: true,
+                })
+            })
+            .collect();
+        // Rounds alternate between the settings (the first one warms up),
+        // and each setting keeps its fastest round.
+        let mut best = vec![f64::INFINITY; configs.len()];
+        for round in 0..=30 {
+            for (config, best) in configs.iter().zip(&mut best) {
+                let start = std::time::Instant::now();
+                for (platform, reference, network, ptgs, allocs) in &inputs {
+                    let releases = vec![0.0; ptgs.len()];
+                    std::hint::black_box(map_concurrent_with(
+                        reference, network, platform, ptgs, allocs, &releases, config,
+                    ));
+                }
+                if round > 0 {
+                    *best = best.min(start.elapsed().as_secs_f64());
+                }
+            }
+        }
+        for (config, best) in configs.iter().zip(best) {
+            eprintln!(
+                "{:?}, packing {}: {tasks} tasks, {:.0} ns/task",
+                config.ordering,
+                config.packing,
+                best * 1e9 / tasks as f64
+            );
+        }
+    }
+
+    #[test]
+    fn candidate_keys_follow_total_cmp_and_round_trip() {
+        let values = [
+            f64::NEG_INFINITY,
+            -3.5e10,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            1.0,
+            1.0 + f64::EPSILON,
+            7.25e9,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for &a in &values {
+            let (back, app, task) = decode_key(candidate_key(a, 3, 41));
+            assert_eq!((back.to_bits(), app, task), (a.to_bits(), 3, 41));
+            for &b in &values {
+                let keys = candidate_key(a, 0, 0).cmp(&candidate_key(b, 0, 0));
+                assert_eq!(keys, a.total_cmp(&b), "{a} vs {b}");
+            }
+        }
+        // Equal values order by application, then task.
+        assert!(candidate_key(2.0, 1, 9) < candidate_key(2.0, 2, 0));
+        assert!(candidate_key(2.0, 1, 8) < candidate_key(2.0, 1, 9));
     }
 
     #[test]

@@ -74,7 +74,7 @@ fn main() {
                     ptg.task(t).name(),
                     p.est_start,
                     p.est_finish,
-                    p.procs.procs()
+                    schedule.workload.jobs[p.job].procs.procs()
                 );
             }
             println!(

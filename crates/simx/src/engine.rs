@@ -553,7 +553,7 @@ mod tests {
     fn single_job_runs_for_its_duration() {
         let p = platform();
         let mut w = SimWorkload::new();
-        w.add_job(SimJob::new("j", pset(0, 0, 2), 3.5, 0));
+        w.add_job(SimJob::new(pset(0, 0, 2), 3.5, 0));
         let out = Engine::new(&p).execute(&w).unwrap();
         assert!((out.makespan - 3.5).abs() < 1e-9);
         let rec = out.trace.job(0).unwrap();
@@ -565,8 +565,8 @@ mod tests {
     fn independent_jobs_run_in_parallel() {
         let p = platform();
         let mut w = SimWorkload::new();
-        w.add_job(SimJob::new("a", pset(0, 0, 2), 3.0, 0));
-        w.add_job(SimJob::new("b", pset(0, 2, 2), 4.0, 1));
+        w.add_job(SimJob::new(pset(0, 0, 2), 3.0, 0));
+        w.add_job(SimJob::new(pset(0, 2, 2), 4.0, 1));
         let out = Engine::new(&p).execute(&w).unwrap();
         assert!((out.makespan - 4.0).abs() < 1e-9);
         assert_eq!(out.trace.job(1).unwrap().start, 0.0);
@@ -577,8 +577,8 @@ mod tests {
         let p = platform();
         let mut w = SimWorkload::new();
         // Same processors; job 1 has the better (smaller) priority.
-        w.add_job(SimJob::new("low", pset(0, 0, 4), 2.0, 10));
-        w.add_job(SimJob::new("high", pset(0, 0, 4), 3.0, 1));
+        w.add_job(SimJob::new(pset(0, 0, 4), 2.0, 10));
+        w.add_job(SimJob::new(pset(0, 0, 4), 3.0, 1));
         let out = Engine::new(&p).execute(&w).unwrap();
         let high = out.trace.job(1).unwrap();
         let low = out.trace.job(0).unwrap();
@@ -595,8 +595,8 @@ mod tests {
         let p = platform();
         let mut w = SimWorkload::new();
         // Same processors: high runs [0, 3), low runs [3, 5).
-        w.add_job(SimJob::new("low", pset(0, 0, 4), 2.0, 10));
-        w.add_job(SimJob::new("high", pset(0, 0, 4), 3.0, 1));
+        w.add_job(SimJob::new(pset(0, 0, 4), 2.0, 10));
+        w.add_job(SimJob::new(pset(0, 0, 4), 3.0, 1));
         let engine = Engine::new(&p);
 
         // Horizon 2: only the t = 0 events ran; high started (committed
@@ -627,8 +627,8 @@ mod tests {
     fn partial_overlap_also_serialises() {
         let p = platform();
         let mut w = SimWorkload::new();
-        w.add_job(SimJob::new("a", pset(0, 0, 3), 2.0, 0));
-        w.add_job(SimJob::new("b", pset(0, 2, 2), 2.0, 1)); // shares proc 2
+        w.add_job(SimJob::new(pset(0, 0, 3), 2.0, 0));
+        w.add_job(SimJob::new(pset(0, 2, 2), 2.0, 1)); // shares proc 2
         let out = Engine::new(&p).execute(&w).unwrap();
         assert!((out.trace.job(1).unwrap().start - 2.0).abs() < 1e-9);
     }
@@ -637,8 +637,8 @@ mod tests {
     fn chain_with_intercluster_transfer_waits_for_data() {
         let p = platform();
         let mut w = SimWorkload::new();
-        let a = w.add_job(SimJob::new("a", pset(0, 0, 2), 1.0, 0));
-        let b = w.add_job(SimJob::new("b", pset(1, 0, 2), 1.0, 1));
+        let a = w.add_job(SimJob::new(pset(0, 0, 2), 1.0, 0));
+        let b = w.add_job(SimJob::new(pset(1, 0, 2), 1.0, 1));
         // 125 MB over a gigabit bottleneck: 1 second of transfer.
         w.add_transfer(a, b, 1.25e8);
         let out = Engine::new(&p).execute(&w).unwrap();
@@ -657,8 +657,8 @@ mod tests {
     fn local_transfer_is_instantaneous() {
         let p = platform();
         let mut w = SimWorkload::new();
-        let a = w.add_job(SimJob::new("a", pset(0, 0, 2), 1.0, 0));
-        let b = w.add_job(SimJob::new("b", pset(0, 0, 2), 1.0, 1));
+        let a = w.add_job(SimJob::new(pset(0, 0, 2), 1.0, 0));
+        let b = w.add_job(SimJob::new(pset(0, 0, 2), 1.0, 1));
         w.add_transfer(a, b, 1.0e9);
         let out = Engine::new(&p).execute(&w).unwrap();
         assert!((out.trace.job(b).unwrap().start - 1.0).abs() < 1e-9);
@@ -672,10 +672,10 @@ mod tests {
         // cluster 0 to cluster 1: both cross cluster 0's uplink and the
         // fabric, so each gets half the bandwidth.
         let mut w = SimWorkload::new();
-        let a1 = w.add_job(SimJob::new("a1", pset(0, 0, 1), 1.0, 0));
-        let a2 = w.add_job(SimJob::new("a2", pset(0, 1, 1), 1.0, 1));
-        let b1 = w.add_job(SimJob::new("b1", pset(1, 0, 1), 1.0, 2));
-        let b2 = w.add_job(SimJob::new("b2", pset(1, 1, 1), 1.0, 3));
+        let a1 = w.add_job(SimJob::new(pset(0, 0, 1), 1.0, 0));
+        let a2 = w.add_job(SimJob::new(pset(0, 1, 1), 1.0, 1));
+        let b1 = w.add_job(SimJob::new(pset(1, 0, 1), 1.0, 2));
+        let b2 = w.add_job(SimJob::new(pset(1, 1, 1), 1.0, 3));
         w.add_transfer(a1, b1, 1.25e8);
         w.add_transfer(a2, b2, 1.25e8);
         let out = Engine::new(&p).execute(&w).unwrap();
@@ -689,7 +689,7 @@ mod tests {
     fn release_time_delays_start() {
         let p = platform();
         let mut w = SimWorkload::new();
-        let mut job = SimJob::new("late", pset(0, 0, 1), 1.0, 0);
+        let mut job = SimJob::new(pset(0, 0, 1), 1.0, 0);
         job.release_time = 5.0;
         w.add_job(job);
         let out = Engine::new(&p).execute(&w).unwrap();
@@ -708,7 +708,7 @@ mod tests {
     fn invalid_workload_is_rejected() {
         let p = platform();
         let mut w = SimWorkload::new();
-        w.add_job(SimJob::new("bad", ProcSet::empty(0), 1.0, 0));
+        w.add_job(SimJob::new(ProcSet::empty(0), 1.0, 0));
         assert!(Engine::new(&p).execute(&w).is_err());
     }
 
@@ -716,10 +716,10 @@ mod tests {
     fn diamond_dependency_waits_for_both_parents() {
         let p = platform();
         let mut w = SimWorkload::new();
-        let s = w.add_job(SimJob::new("s", pset(0, 0, 1), 1.0, 0));
-        let a = w.add_job(SimJob::new("a", pset(0, 1, 1), 1.0, 1));
-        let b = w.add_job(SimJob::new("b", pset(0, 2, 1), 5.0, 2));
-        let t = w.add_job(SimJob::new("t", pset(0, 3, 1), 1.0, 3));
+        let s = w.add_job(SimJob::new(pset(0, 0, 1), 1.0, 0));
+        let a = w.add_job(SimJob::new(pset(0, 1, 1), 1.0, 1));
+        let b = w.add_job(SimJob::new(pset(0, 2, 1), 5.0, 2));
+        let t = w.add_job(SimJob::new(pset(0, 3, 1), 1.0, 3));
         for (x, y) in [(s, a), (s, b), (a, t), (b, t)] {
             w.add_transfer(x, y, 0.0);
         }
@@ -733,8 +733,8 @@ mod tests {
     fn zero_duration_jobs_complete() {
         let p = platform();
         let mut w = SimWorkload::new();
-        let a = w.add_job(SimJob::new("a", pset(0, 0, 1), 0.0, 0));
-        let b = w.add_job(SimJob::new("b", pset(0, 0, 1), 0.0, 1));
+        let a = w.add_job(SimJob::new(pset(0, 0, 1), 0.0, 0));
+        let b = w.add_job(SimJob::new(pset(0, 0, 1), 0.0, 1));
         w.add_transfer(a, b, 0.0);
         let out = Engine::new(&p).execute(&w).unwrap();
         assert_eq!(out.makespan, 0.0);
@@ -745,9 +745,9 @@ mod tests {
     fn execute_all_runs_every_workload() {
         let p = platform();
         let mut w1 = SimWorkload::new();
-        w1.add_job(SimJob::new("a", pset(0, 0, 1), 2.0, 0));
+        w1.add_job(SimJob::new(pset(0, 0, 1), 2.0, 0));
         let mut w2 = SimWorkload::new();
-        w2.add_job(SimJob::new("b", pset(1, 0, 2), 3.0, 0));
+        w2.add_job(SimJob::new(pset(1, 0, 2), 3.0, 0));
         let outcomes = Engine::new(&p).execute_all([&w1, &w2]).unwrap();
         assert_eq!(outcomes.len(), 2);
         assert!((outcomes[0].makespan - 2.0).abs() < 1e-9);
@@ -758,7 +758,7 @@ mod tests {
     fn execute_all_propagates_errors() {
         let p = platform();
         let mut bad = SimWorkload::new();
-        bad.add_job(SimJob::new("bad", ProcSet::empty(0), 1.0, 0));
+        bad.add_job(SimJob::new(ProcSet::empty(0), 1.0, 0));
         let good = SimWorkload::new();
         assert!(Engine::new(&p).execute_all([&good, &bad]).is_err());
     }
@@ -769,7 +769,6 @@ mod tests {
         let mut w = SimWorkload::new();
         for i in 0..6 {
             w.add_job(SimJob::new(
-                format!("j{i}"),
                 pset(i % 2, (i / 2) % 4, 1),
                 1.0 + i as f64,
                 i as u64,
@@ -791,7 +790,6 @@ mod tests {
         let mut w = SimWorkload::new();
         for i in 0..8 {
             let mut job = SimJob::new(
-                format!("j{i}"),
                 pset(i % 2, (i / 3) % 4, 1 + i % 2),
                 0.5 + i as f64,
                 (8 - i) as u64,
@@ -837,9 +835,9 @@ mod tests {
         // bump), found still blocked, and starts only once b also finishes.
         let p = platform();
         let mut w = SimWorkload::new();
-        w.add_job(SimJob::new("a", pset(0, 0, 2), 1.0, 0));
-        w.add_job(SimJob::new("b", pset(0, 2, 2), 3.0, 1));
-        w.add_job(SimJob::new("c", pset(0, 0, 4), 1.0, 2));
+        w.add_job(SimJob::new(pset(0, 0, 2), 1.0, 0));
+        w.add_job(SimJob::new(pset(0, 2, 2), 3.0, 1));
+        w.add_job(SimJob::new(pset(0, 0, 4), 1.0, 2));
         let out = Engine::new(&p).execute(&w).unwrap();
         assert!((out.trace.job(2).unwrap().start - 3.0).abs() < 1e-9);
         assert!((out.makespan - 4.0).abs() < 1e-9);

@@ -14,11 +14,14 @@ use serde::{Deserialize, Serialize};
 pub type JobId = usize;
 
 /// One schedulable unit: a data-parallel task pinned to a processor set.
+///
+/// A job carries no label: the scheduler that built the workload knows which
+/// task each [`JobId`] stands for (see `TaskPlacement::job` in the core
+/// crate), and the engine only needs the fields below.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimJob {
-    /// Human readable label (application and task names).
-    pub name: String,
-    /// Processors reserved for the job.
+    /// Processors reserved for the job. This is the only copy of the set:
+    /// schedulers refer to it through the job's identifier.
     pub procs: ProcSet,
     /// Execution time on `procs`, in seconds.
     pub duration: f64,
@@ -33,9 +36,8 @@ pub struct SimJob {
 
 impl SimJob {
     /// Convenience constructor with release time 0.
-    pub fn new(name: impl Into<String>, procs: ProcSet, duration: f64, priority: u64) -> Self {
+    pub fn new(procs: ProcSet, duration: f64, priority: u64) -> Self {
         Self {
-            name: name.into(),
             procs,
             duration,
             release_time: 0.0,
@@ -185,7 +187,7 @@ mod tests {
     }
 
     fn job(cluster: usize, first: usize, n: usize, dur: f64) -> SimJob {
-        SimJob::new("j", ProcSet::contiguous(cluster, first, n), dur, 0)
+        SimJob::new(ProcSet::contiguous(cluster, first, n), dur, 0)
     }
 
     #[test]
@@ -201,7 +203,7 @@ mod tests {
     #[test]
     fn empty_procset_is_rejected() {
         let mut w = SimWorkload::new();
-        w.add_job(SimJob::new("j", ProcSet::empty(0), 1.0, 0));
+        w.add_job(SimJob::new(ProcSet::empty(0), 1.0, 0));
         assert!(matches!(
             w.validate(&platform()),
             Err(SimError::InvalidProcSet { job: 0, .. })

@@ -319,7 +319,6 @@ mod tests {
         let mut w = SimWorkload::new();
         for i in 0..6 {
             w.add_job(SimJob::new(
-                format!("j{i}"),
                 ProcSet::contiguous(i % 2, (i / 2) % 4, 1),
                 1.0 + i as f64,
                 i as u64,
@@ -336,7 +335,7 @@ mod tests {
     fn reference_rejects_invalid_workloads() {
         let p = platform();
         let mut w = SimWorkload::new();
-        w.add_job(SimJob::new("bad", ProcSet::empty(0), 1.0, 0));
+        w.add_job(SimJob::new(ProcSet::empty(0), 1.0, 0));
         assert!(reference_execute(&p, &w).is_err());
     }
 }

@@ -57,7 +57,6 @@ fn random_workload(rng: &mut ChaCha8Rng, size: u32, platform: &Platform) -> SimW
         };
         let priority = rng.gen_range(0..1 + n as u64 / 2);
         let mut job = SimJob::new(
-            format!("j{}", w.num_jobs()),
             ProcSet::contiguous(cluster, first, count),
             duration,
             priority,
@@ -210,7 +209,6 @@ fn dense_all_to_all(rng: &mut ChaCha8Rng, platform: &Platform) -> SimWorkload {
         for _ in 0..width {
             let cluster = rng.gen_range(0..nc);
             w.add_job(SimJob::new(
-                format!("j{}", w.num_jobs()),
                 ProcSet::contiguous(cluster, used[cluster], 1),
                 [1.0, 1.0, 2.0][rng.gen_range(0..3)],
                 s as u64,
