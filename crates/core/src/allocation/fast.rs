@@ -21,8 +21,10 @@
 //!   zero during allocation, and `x + 0.0` only differs from `x` for
 //!   `x = -0.0`, which cannot arise from non-negative times);
 //! * the constraint check needs the critical-path *length* only, so the
-//!   witness-path walk is skipped there and performed once per outer
-//!   iteration for candidate selection.
+//!   witness path is walked once per outer iteration, and that walk also
+//!   picks the best grant candidate from a cached per-task gain (one load
+//!   per path task); the path is scanned again only after a candidate is
+//!   frozen.
 
 use super::{RefAllocation, ReferencePlatform};
 use mcsched_ptg::{Ptg, TaskId};
@@ -41,6 +43,13 @@ pub(crate) struct AllocScratch {
     pub next_times: Vec<f64>,
     /// Area of each task under the current allocation.
     pub areas: Vec<f64>,
+    /// What one more processor saves a grant candidate:
+    /// `times[t] - next_times[t]` while `t` is below `max_procs`, and 0
+    /// once it is capped or [frozen](AllocScratch::freeze), so that a
+    /// positive (or NaN) gain alone marks a candidate.
+    gain: Vec<f64>,
+    /// The single-cluster bound on a task's allocation.
+    max_procs: usize,
     top: Vec<f64>,
     bottom: Vec<f64>,
     /// Cached `top[t] + times[t]` — the one quantity the forward pass and
@@ -95,6 +104,8 @@ impl AllocScratch {
             times: vec![0.0; n],
             next_times: vec![0.0; n],
             areas: vec![0.0; n],
+            gain: vec![0.0; n],
+            max_procs: reference.max_task_procs(),
             top: vec![0.0; n],
             bottom: vec![0.0; n],
             finish: vec![0.0; n],
@@ -152,6 +163,31 @@ impl AllocScratch {
         self.times[t] = self.time(t, procs);
         self.next_times[t] = self.time(t, procs + 1);
         self.areas[t] = self.times[t] * procs as f64 * self.speed;
+        self.gain[t] = if procs < self.max_procs {
+            self.times[t] - self.next_times[t]
+        } else {
+            0.0
+        };
+    }
+
+    /// Removes `t` from the grant candidates until its allocation changes
+    /// again: a grant that violated the constraint freezes its task.
+    pub fn freeze(&mut self, t: TaskId) {
+        self.gain[t] = 0.0;
+    }
+
+    /// `best` with `t` considered: the larger gain by `total_cmp`, then the
+    /// lower task id. A gain of at most 0 is not a candidate; a NaN gain is.
+    #[inline]
+    fn pick(&self, best: Option<(f64, TaskId)>, t: TaskId) -> Option<(f64, TaskId)> {
+        let gain = self.gain[t];
+        if gain <= 0.0 {
+            return best;
+        }
+        match best {
+            Some((bg, bt)) if gain.total_cmp(&bg).then(bt.cmp(&t)).is_le() => best,
+            _ => Some((gain, t)),
+        }
     }
 
     fn preds_of(&self, t: usize) -> &[u32] {
@@ -365,9 +401,11 @@ impl AllocScratch {
 
     /// Rebuilds the witness critical path into [`AllocScratch::path`],
     /// replicating the walk of `mcsched_ptg::analysis::analyze` (with zero
-    /// edge costs) exactly. Requires the level passes for the current times
-    /// (call [`AllocScratch::critical_path_length`] first).
-    pub fn witness_path(&mut self, cp_entry: TaskId) {
+    /// edge costs) exactly, and returns its best grant candidate (the one
+    /// [`AllocScratch::best_on_path`] would return). Requires the levels
+    /// for the current times and their arg-max task, which
+    /// [`AllocScratch::cp`] and [`AllocScratch::cp_and_area`] return.
+    pub fn witness_path(&mut self, cp_entry: TaskId) -> Option<TaskId> {
         let mut start = cp_entry;
         loop {
             let target = self.top[start];
@@ -387,6 +425,7 @@ impl AllocScratch {
         }
         self.path.clear();
         self.path.push(start);
+        let mut best = self.pick(None, start);
         let mut cur = start;
         loop {
             let target = self.bottom[cur] - self.times[cur];
@@ -402,11 +441,23 @@ impl AllocScratch {
             match next {
                 Some(s) => {
                     self.path.push(s);
+                    best = self.pick(best, s);
                     cur = s;
                 }
                 None => break,
             }
         }
+        best.map(|(_, t)| t)
+    }
+
+    /// The best grant candidate on [`AllocScratch::path`]: the task with
+    /// the largest gain, then the lowest id, among those whose gain is
+    /// positive or NaN.
+    pub fn best_on_path(&self) -> Option<TaskId> {
+        self.path
+            .iter()
+            .fold(None, |best, &t| self.pick(best, t))
+            .map(|(_, t)| t)
     }
 }
 
@@ -486,5 +537,105 @@ mod tests {
         assert_eq!(s.times[2].to_bits(), r.task_time(&g, 2, 5).to_bits());
         assert_eq!(s.next_times[2].to_bits(), r.task_time(&g, 2, 6).to_bits());
         assert_eq!(s.areas[2].to_bits(), r.task_area(&g, 2, 5).to_bits());
+    }
+
+    /// Random DAG of 12 tasks whose Amdahl fractions include 0 and 1 (a
+    /// task that gains nothing from one more processor).
+    fn random_graph(next: &mut impl FnMut(u64) -> u64) -> Ptg {
+        let mut b = PtgBuilder::new("r");
+        for i in 0..12 {
+            let alpha = [0.0, 0.05, 0.3, 1.0][next(4) as usize];
+            let data = (1.0 + next(50) as f64) * 1.0e6;
+            b.add_task(DataParallelTask::new(
+                format!("t{i}"),
+                data,
+                CostModel::MatrixProduct,
+                alpha,
+            ));
+            for p in 0..i {
+                if next(4) == 0 {
+                    b.add_data_edge(p, i);
+                }
+            }
+        }
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn gain_cache_and_pick_track_allocation_and_freezes() {
+        let r = reference(6);
+        let mut seed = 0x6A1Au64;
+        let mut next = |m: u64| {
+            seed = seed
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (seed >> 33) % m
+        };
+        for case in 0..20 {
+            let g = random_graph(&mut next);
+            let n = g.num_tasks();
+            let mut s = AllocScratch::new(&r, &g);
+            let mut alloc = RefAllocation::one_per_task(n);
+            let mut frozen = vec![false; n];
+            for step in 0..200 {
+                let t = next(n as u64) as usize;
+                match next(10) {
+                    0..=5 => {
+                        let procs = 1 + next(r.max_task_procs() as u64) as usize;
+                        alloc = RefAllocation::from_counts(
+                            (0..n)
+                                .map(|u| if u == t { procs } else { alloc.procs_of(u) })
+                                .collect(),
+                        );
+                        s.set_procs(t, procs);
+                        frozen[t] = false;
+                    }
+                    6..=8 => {
+                        s.freeze(t);
+                        frozen[t] = true;
+                    }
+                    _ => {
+                        s.set_all(&alloc);
+                        frozen.fill(false);
+                    }
+                }
+                let context = format!("case {case} step {step}");
+                for (u, &frozen) in frozen.iter().enumerate() {
+                    let open = !frozen && alloc.procs_of(u) < r.max_task_procs();
+                    let expected = if open {
+                        s.times[u] - s.next_times[u]
+                    } else {
+                        0.0
+                    };
+                    assert_eq!(
+                        s.gain[u].to_bits(),
+                        expected.to_bits(),
+                        "{context} task {u}"
+                    );
+                }
+                let (_, entry) = s.cp();
+                let pick = s.witness_path(entry);
+                // The candidate scan as the grant loop wrote it before the
+                // gain cache.
+                let mut best: Option<(f64, usize)> = None;
+                for &u in &s.path {
+                    if frozen[u] || alloc.procs_of(u) >= r.max_task_procs() {
+                        continue;
+                    }
+                    let gain = s.times[u] - s.next_times[u];
+                    if gain <= 0.0 {
+                        continue;
+                    }
+                    best = match best {
+                        Some((bg, bt)) if gain.total_cmp(&bg).then(bt.cmp(&u)).is_le() => {
+                            Some((bg, bt))
+                        }
+                        _ => Some((gain, u)),
+                    };
+                }
+                assert_eq!(pick, best.map(|(_, u)| u), "{context}");
+                assert_eq!(s.best_on_path(), pick, "{context}");
+            }
+        }
     }
 }

@@ -40,10 +40,18 @@
 //! before it and runs the grant loop on from there. The result is
 //! bit-identical to a fresh run under β, and the dedicated baseline of the
 //! same PTG — which is the β = 1 run — comes for free.
+//!
+//! β enters a resumed run only through its threshold `budget(β) + 1e-9`,
+//! and the same thresholds come back: the equal-share strategy gives each
+//! of `k` applications β = 1/k, and `k` rarely changes between the online
+//! scheduler's re-plans. So the log also keeps the last 16 allocations it
+//! resumed, keyed by the threshold's bits, and a repeated threshold costs a
+//! lookup and a clone.
 
 use super::fast::AllocScratch;
 use super::{ConstraintChecker, RefAllocation, ReferencePlatform};
 use mcsched_ptg::Ptg;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Which violation test an allocation run uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,8 +122,9 @@ impl Trials {
     }
 }
 
-/// The state of a SCRAP or SCRAP-MAX run: the allocation, the frozen
-/// candidates and the caches the grant loop reads.
+/// The state of a SCRAP or SCRAP-MAX run: the allocation and the caches
+/// the grant loop reads, frozen candidates included
+/// ([`AllocScratch::freeze`]).
 #[derive(Debug, Clone)]
 struct Run {
     variant: ScrapVariant,
@@ -127,7 +136,6 @@ struct Run {
     /// exactly the ordered `level_usage` sum, bit for bit.
     level_sums: Vec<usize>,
     alloc: RefAllocation,
-    frozen: Vec<bool>,
     scratch: AllocScratch,
 }
 
@@ -147,7 +155,6 @@ impl Run {
             levels: checker.levels,
             level_sums,
             alloc: RefAllocation::one_per_task(n),
-            frozen: vec![false; n],
             scratch: AllocScratch::new(reference, ptg),
         }
     }
@@ -183,32 +190,17 @@ impl Run {
         let (_, mut entry) = self.scratch.cp();
         'outer: while iter < max_iters {
             iter += 1;
-            self.scratch.witness_path(entry);
             // Candidates: critical-path tasks that are not frozen, still
             // below the single-cluster bound and that actually benefit from
             // one more processor, consumed best-first (largest execution-time
-            // gain, then lowest task id). A failed candidate is frozen — and
-            // a revert restores the scratch bitwise — so re-scanning for the
-            // argmax after each freeze yields exactly the sorted consumption
-            // order without materializing the candidate list.
+            // gain, then lowest task id). The witness walk picks the first
+            // one. A failed candidate is frozen — and a revert restores the
+            // scratch bitwise — so re-scanning the path for the argmax after
+            // each freeze yields exactly the sorted consumption order
+            // without materializing the candidate list.
+            let mut best = self.scratch.witness_path(entry);
             loop {
-                let mut best: Option<(f64, usize)> = None;
-                for &t in &self.scratch.path {
-                    if self.frozen[t] || self.alloc.procs_of(t) >= self.max_per_task {
-                        continue;
-                    }
-                    let gain = self.scratch.times[t] - self.scratch.next_times[t];
-                    if gain <= 0.0 {
-                        continue;
-                    }
-                    best = match best {
-                        Some((bg, bt)) if gain.total_cmp(&bg).then(bt.cmp(&t)).is_le() => {
-                            Some((bg, bt))
-                        }
-                        _ => Some((gain, t)),
-                    };
-                }
-                let Some((_, t)) = best else {
+                let Some(t) = best else {
                     // No eligible critical-path task is left: the allocation
                     // is final.
                     break 'outer;
@@ -241,7 +233,8 @@ impl Run {
                 self.alloc.remove_proc(t);
                 self.level_sums[level] -= 1;
                 self.scratch.set_procs(t, self.alloc.procs_of(t));
-                self.frozen[t] = true;
+                self.scratch.freeze(t);
+                best = self.scratch.best_on_path();
             }
         }
         grants
@@ -260,6 +253,29 @@ pub struct ScrapLog {
     trials: Trials,
     grants: u64,
     allocation: RefAllocation,
+    memo: Memo,
+}
+
+/// The most allocations a [`ScrapLog`] keeps resumed.
+const MEMO_CAPACITY: usize = 16;
+
+/// The allocations a [`ScrapLog`] has resumed, keyed by the bits of their
+/// threshold, oldest first; at most [`MEMO_CAPACITY`] of them.
+#[derive(Debug, Default)]
+struct Memo(Mutex<Vec<(u64, RefAllocation)>>);
+
+impl Memo {
+    fn lock(&self) -> MutexGuard<'_, Vec<(u64, RefAllocation)>> {
+        // An entry is only pushed once complete, so a panic under the lock
+        // leaves nothing half-written.
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for Memo {
+    fn clone(&self) -> Self {
+        Self(Mutex::new(self.lock().clone()))
+    }
 }
 
 impl ScrapLog {
@@ -286,6 +302,7 @@ impl ScrapLog {
             trials,
             grants,
             allocation: run.alloc,
+            memo: Memo::default(),
         }
     }
 
@@ -307,9 +324,33 @@ impl ScrapLog {
     /// from there. The replayed grants are counted by the
     /// `alloc.replayed_grants` counter, the computed ones by the
     /// `alloc.grants` histogram.
+    ///
+    /// A run depends on `beta` only through its threshold, so the log keeps
+    /// the last few allocations it resumed, keyed by their threshold. A
+    /// repeated threshold returns the kept allocation and counts one
+    /// `alloc.resume_hits`, and nothing in the two metrics above, which
+    /// count computed work. A new threshold is computed under the memo's
+    /// lock, so concurrent callers compute each threshold once and the
+    /// counts do not depend on how their calls interleave.
     #[must_use]
     pub fn resume(&self, beta: f64) -> RefAllocation {
         let limit = threshold(&self.reference, beta);
+        let key = limit.to_bits();
+        let mut memo = self.memo.lock();
+        if let Some((_, allocation)) = memo.iter().find(|(k, _)| *k == key) {
+            mcsched_obs::counter!("alloc.resume_hits").inc();
+            return allocation.clone();
+        }
+        let allocation = self.compute(limit);
+        if memo.len() == MEMO_CAPACITY {
+            memo.remove(0);
+        }
+        memo.push((key, allocation.clone()));
+        allocation
+    }
+
+    /// [`ScrapLog::resume`] under the threshold `limit`, without the memo.
+    fn compute(&self, limit: f64) -> RefAllocation {
         if limit.is_nan() {
             // A NaN budget violates nothing, while the log's violations
             // stand: no outcome of the log is known to repeat. Any other β
@@ -327,20 +368,24 @@ impl ScrapLog {
         };
         let mut run = self.start.clone();
         let mut replayed = 0usize;
-        for &entry in &trials.tasks[..split as usize] {
-            let t = (entry & !GRANTED) as usize;
+        let prefix = &trials.tasks[..split as usize];
+        for &entry in prefix {
             if entry & GRANTED != 0 {
+                let t = (entry & !GRANTED) as usize;
                 run.alloc.add_proc(t);
                 run.level_sums[run.levels[t]] += 1;
                 replayed += 1;
-            } else {
-                run.frozen[t] = true;
             }
         }
         // The loop goes on within the same outer iteration, whose witness
         // path follows from the rebuilt state: it retries the diverging
         // grant, which `beta`'s budget violates, and freezes its task.
         run.scratch.set_all(&run.alloc);
+        for &entry in prefix {
+            if entry & GRANTED == 0 {
+                run.scratch.freeze(entry as usize);
+            }
+        }
         mcsched_obs::counter!("alloc.replayed_grants").add(replayed as u64);
         run.finish(limit, replayed)
     }
@@ -396,45 +441,51 @@ mod tests {
             el * 1e6 / calls as f64,
             el * 1e9 / grants.max(1) as f64
         );
-        // The constrained allocations of the same PTGs, run afresh and
-        // resumed from their β = 1 logs.
-        let logs: Vec<ScrapLog> = refs
-            .iter()
-            .flat_map(|r| {
-                ptgs.iter()
-                    .map(move |g| ScrapLog::record(r, g, ScrapVariant::PerLevel))
-            })
-            .collect();
+        // The constrained allocations of the same PTGs: run afresh, resumed
+        // from fresh β = 1 logs, and resumed again from the same logs, which
+        // answer from their memo.
         let betas = [0.5, 0.25, 0.1];
-        let best_of_5 = |f: &dyn Fn()| {
-            (0..5)
-                .map(|_| {
-                    let start = std::time::Instant::now();
-                    f();
-                    start.elapsed().as_secs_f64()
-                })
-                .fold(f64::INFINITY, f64::min)
+        let timed = |f: &dyn Fn()| {
+            let start = std::time::Instant::now();
+            f();
+            start.elapsed().as_secs_f64()
         };
-        let fresh = best_of_5(&|| {
-            for r in &refs {
-                for g in &ptgs {
-                    for &b in &betas {
-                        std::hint::black_box(scrap_max_allocate(r, g, b));
+        let (mut fresh, mut resumed, mut repeated) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        let mut resumes = 0usize;
+        for _ in 0..5 {
+            fresh = fresh.min(timed(&|| {
+                for r in &refs {
+                    for g in &ptgs {
+                        for &b in &betas {
+                            std::hint::black_box(scrap_max_allocate(r, g, b));
+                        }
                     }
                 }
-            }
-        });
-        let resumed = best_of_5(&|| {
-            for log in &logs {
-                for &b in &betas {
-                    std::hint::black_box(log.resume(b));
+            }));
+            let logs: Vec<ScrapLog> = refs
+                .iter()
+                .flat_map(|r| {
+                    ptgs.iter()
+                        .map(move |g| ScrapLog::record(r, g, ScrapVariant::PerLevel))
+                })
+                .collect();
+            let resume_all = || {
+                for log in &logs {
+                    for &b in &betas {
+                        std::hint::black_box(log.resume(b));
+                    }
                 }
-            }
-        });
+            };
+            resumed = resumed.min(timed(&resume_all));
+            repeated = repeated.min(timed(&resume_all));
+            resumes = logs.len() * betas.len();
+        }
         eprintln!(
-            "beta {betas:?}: fresh {:.1} ms, resumed {:.1} ms",
+            "beta {betas:?}: fresh {:.1} ms, resumed {:.1} ms, repeated {:.2} ms ({:.0} ns per memo hit)",
             fresh * 1e3,
-            resumed * 1e3
+            resumed * 1e3,
+            repeated * 1e3,
+            repeated * 1e9 / resumes as f64
         );
     }
     use crate::allocation::ConstraintChecker;
@@ -751,31 +802,43 @@ mod tests {
     }
 
     /// Checks the fast path and runs resumed from the β = 1 log against the
-    /// naive spec at `betas`, and resumed runs against fresh ones at the
-    /// edges of the log: a β whose budget is exactly a peak load (the grant
-    /// stands) or just below it (the run diverges there), plus a zero, a
-    /// clamped and a NaN β.
+    /// naive spec at `betas` and at the edges of the log: a β whose budget
+    /// is exactly a peak load (the grant stands) or just below it (the run
+    /// diverges there), plus a zero, a clamped and a NaN β. Every β is
+    /// resumed twice, the second pass in reverse order, so that the second
+    /// answers come from the log's memo (or, for the thresholds it has
+    /// evicted, are computed again).
     fn check_against_spec(r: &ReferencePlatform, g: &Ptg, betas: &[f64], case: usize) {
         for variant in [ScrapVariant::Global, ScrapVariant::PerLevel] {
             let log = ScrapLog::record(r, g, variant);
             assert_eq!(*log.allocation(), run(r, g, 1.0, variant), "case {case}");
-            for &beta in betas {
-                let naive = naive_run(r, g, beta, variant);
-                let context = format!("case {case} beta {beta} variant {variant:?}");
-                assert_eq!(run(r, g, beta, variant), naive, "fast path: {context}");
-                assert_eq!(log.resume(beta), naive, "resumed: {context}");
-            }
             let loads = &log.trials.peak_loads;
             let procs = r.procs() as f64;
-            let mut edges = vec![0.0, 1.5, f64::NAN];
+            let mut all = betas.to_vec();
+            all.extend([0.0, 1.5, f64::NAN]);
             for &load in loads.iter().step_by((loads.len() / 6).max(1)) {
-                edges.extend([load / procs, (load - 2e-9) / procs]);
+                all.extend([load / procs, (load - 2e-9) / procs]);
             }
-            for beta in edges {
+            let naive: Vec<RefAllocation> = all
+                .iter()
+                .map(|&beta| {
+                    let naive = naive_run(r, g, beta, variant);
+                    let context = format!("case {case} beta {beta} variant {variant:?}");
+                    assert_eq!(run(r, g, beta, variant), naive, "fast path: {context}");
+                    naive
+                })
+                .collect();
+            let forward = 0..all.len();
+            for (pass, i) in forward
+                .clone()
+                .map(|i| (1, i))
+                .chain(forward.rev().map(|i| (2, i)))
+            {
+                let beta = all[i];
                 assert_eq!(
                     log.resume(beta),
-                    run(r, g, beta, variant),
-                    "resumed at an edge: case {case} beta {beta} variant {variant:?}"
+                    naive[i],
+                    "resumed, pass {pass}: case {case} beta {beta} variant {variant:?}"
                 );
             }
         }

@@ -34,7 +34,11 @@
 //! events). Likewise each job's β = 1 allocation, computed once at
 //! admission for its dedicated baseline, is handed to every later
 //! context ([`ScheduleContext::with_dedicated_allocations`]), so a re-plan
-//! resumes each resident's allocation from its SCRAP trial log.
+//! resumes each resident's allocation from its SCRAP trial log. The log
+//! also remembers the allocations it resumed, by threshold: a resident
+//! whose β is the one an earlier re-plan gave it (under equal share, the
+//! resident count did not change) gets that allocation back without a
+//! grant ([`mcsched_core::allocation::ScrapLog::resume`]).
 
 use crate::config::{AdmissionPolicy, OnlineConfig, ReschedulePolicy};
 use crate::metrics::{AdmissionCounters, JobOutcome, OnlineReport, SERIES_COLUMNS};
