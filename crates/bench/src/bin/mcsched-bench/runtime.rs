@@ -1,0 +1,136 @@
+//! `runtime`: the paper-scale paired campaign (daggen-grid, 8 concurrent
+//! PTGs, 25 combinations × 4 platforms × 4 replications = 400 pairs,
+//! PS-work against WPS-work; `--smoke`: 3 combinations × 2 replications)
+//! at each `--threads` count, as four families: `legacy-fanout` (the
+//! deprecated `mcsched_exp::fanout`: one throwaway `thread::scope` per data
+//! point), `pool-cold` (`run_campaign` on the work-stealing pool, no
+//! cache), `shard-cold` (shard 0 of a 3-way split, cold: what one process
+//! of a sharded run pays) and `pool-warm` (against a pre-populated cell
+//! cache). Cold families time at least 3 samples. The ratios to
+//! `legacy-fanout` and the shard split factor go to stderr.
+
+use mcsched_bench::ledger::{time, Args, Ledger};
+use mcsched_core::policy::ConstraintPolicy;
+use mcsched_core::PolicyRegistry;
+use mcsched_exp::scenario::{generate_scenarios_with, replication_seed};
+use mcsched_exp::{run_campaign, CampaignConfig};
+use mcsched_obs::json::Json;
+use mcsched_ptg::gen::PtgClass;
+use mcsched_workload::WorkloadCatalog;
+use std::sync::Arc;
+
+const SEED: u64 = 0x5EED;
+
+/// The benchmarked campaign: the conformance tier's paper-scale paired
+/// campaign, or its smoke reduction.
+fn campaign_shape(smoke: bool) -> CampaignConfig {
+    let registry = PolicyRegistry::builtin();
+    let strategies: Vec<Arc<dyn ConstraintPolicy>> = ["ps-work", "wps-work"]
+        .iter()
+        .map(|n| registry.constraint(n).expect("registry names resolve"))
+        .collect();
+    let (combinations, replications) = if smoke { (3, 2) } else { (25, 4) };
+    CampaignConfig {
+        source: WorkloadCatalog::builtin()
+            .resolve("daggen-grid")
+            .expect("calibrated spec resolves"),
+        ptg_counts: vec![8],
+        combinations,
+        replications,
+        strategies,
+        seed: SEED,
+        ..CampaignConfig::paper(PtgClass::Random)
+    }
+}
+
+/// Replays the pre-runtime harness: sequential data points, one throwaway
+/// scoped fan-out per data point (the deprecated legacy executor),
+/// aggregation through a single result vector.
+#[allow(deprecated)]
+fn legacy_campaign(config: &CampaignConfig, threads: usize) -> f64 {
+    let mut checksum = 0.0f64;
+    for replication in 0..config.replications.max(1) {
+        let seed = replication_seed(config.seed, replication);
+        for &num_ptgs in &config.ptg_counts {
+            let scenarios = generate_scenarios_with(
+                config.source.as_ref(),
+                num_ptgs,
+                config.combinations,
+                seed,
+            )
+            .expect("generator sources cannot fail");
+            let per_scenario = mcsched_exp::fanout::run_indexed(threads, scenarios.len(), |i| {
+                scenarios[i].evaluate_policies(&config.base, &config.strategies)
+            });
+            for outcomes in per_scenario {
+                for o in outcomes {
+                    checksum += o.unfairness + o.makespan;
+                }
+            }
+        }
+    }
+    checksum
+}
+
+pub fn run(args: &Args) -> Ledger {
+    let threads = args.threads.clone().unwrap_or_else(|| vec![1, 2, 4, 8]);
+    let warm_iterations = args.iterations.unwrap_or(2);
+    let cold_iterations = warm_iterations.max(3);
+    let shape = campaign_shape(args.smoke);
+    let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+    let note = format!(
+        "rows with more than one thread are not evidence of scaling: \
+         the host has available_parallelism = {parallelism}"
+    );
+    eprintln!("runtime: {note}");
+    let mut ledger = Ledger::new(vec![
+        ("smoke".into(), Json::Bool(args.smoke)),
+        ("cold_iterations".into(), Json::num_usize(cold_iterations)),
+        ("warm_iterations".into(), Json::num_usize(warm_iterations)),
+        ("combinations".into(), Json::num_usize(shape.combinations)),
+        ("replications".into(), Json::num_usize(shape.replications)),
+        ("seed".into(), Json::num_u64(SEED)),
+        ("note".into(), Json::Str(note)),
+    ]);
+
+    // One warm cache, populated once and shared by every pool-warm row
+    // (the cells are identical across thread counts).
+    let warm_dir =
+        std::env::temp_dir().join(format!("mcsched-bench-runtime-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&warm_dir);
+    let mut populate = shape.clone();
+    populate.cache_dir = Some(warm_dir.clone());
+    populate.threads = threads.iter().copied().max().unwrap_or(1);
+    run_campaign(&populate).expect("cache pre-population runs");
+
+    for &n in &threads {
+        let case = format!("threads={n}");
+        ledger.push(time("legacy-fanout", &case, cold_iterations, || {
+            std::hint::black_box(legacy_campaign(&shape, n));
+        }));
+        let mut cold = shape.clone();
+        cold.threads = n;
+        let mut shard = cold.clone();
+        shard.shard = Some((0, 3));
+        let mut warm = cold.clone();
+        warm.cache_dir = Some(warm_dir.clone());
+        for (family, config, iterations) in [
+            ("pool-cold", &cold, cold_iterations),
+            ("shard-cold", &shard, cold_iterations),
+            ("pool-warm", &warm, warm_iterations),
+        ] {
+            ledger.push(time(family, &case, iterations, || {
+                std::hint::black_box(run_campaign(config).expect("campaign runs"));
+            }));
+        }
+        let mean = |family| ledger.row(family, &case).map_or(f64::NAN, |r| r.mean_ms);
+        eprintln!(
+            "{case}: pool-cold {:.2}x and pool-warm {:.1}x legacy-fanout, shard split factor {:.2}",
+            mean("legacy-fanout") / mean("pool-cold"),
+            mean("legacy-fanout") / mean("pool-warm"),
+            mean("pool-cold") / mean("shard-cold"),
+        );
+    }
+    let _ = std::fs::remove_dir_all(&warm_dir);
+    ledger
+}

@@ -1,53 +1,53 @@
 //! # mcsched-bench
 //!
-//! The benchmark snapshot binaries and their comparison tool:
+//! One binary, `mcsched-bench`, times one layer or one end-to-end path per
+//! subcommand and writes it as a `BENCH_<family>.json` ledger, or compares
+//! two ledgers:
 //!
-//! * `bench_policies`, `bench_workload`, `bench_runtime`, `bench_simx` and
-//!   `bench_online` time one layer or one end-to-end path each and write
-//!   the committed `BENCH_*.json` ledgers;
-//! * `mcsched-bench-diff` compares a fresh snapshot against a committed one.
+//! ```text
+//! mcsched-bench <policies|workload|runtime|simx|online|mapping|allocation>
+//!               [--iterations N] [--smoke] [--out PATH]
+//! mcsched-bench runtime [..] [--threads N,N,..]
+//! mcsched-bench diff <baseline.json> <candidate.json> [--max-regress PCT]
+//! ```
 //!
-//! Every snapshot embeds [`host`] metadata, so each committed record names
-//! the machine — and the measured disabled-observability overhead — it
-//! came from.
+//! Every family writes the one schema of the [`ledger`] module through
+//! [`mcsched_obs::json`], with the [`host`] it ran on, and keeps its safety
+//! gate on every run, `--smoke` included: `simx` checks the engine against
+//! the reference bit for bit before timing, `online` checks that every run
+//! reproduces the first. `diff` keys rows by `(family, case)` and compares
+//! `mean_ms`. Exit status: 0 ok, 1 a row slower than `--max-regress`
+//! percent, 2 a usage or parse error.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
+pub mod ledger;
+
 pub mod host {
-    //! Host metadata embedded in every `BENCH_*.json` snapshot: the
-    //! machine's shape (parallelism, OS, architecture) plus a measured
-    //! per-call cost of a *disabled* `mcsched_obs::span!` site — the
-    //! "zero-cost when off" claim as a number in the committed record.
+    //! Host metadata embedded in every ledger: the machine's shape
+    //! (parallelism, OS, architecture) plus a measured per-call cost of a
+    //! *disabled* `mcsched_obs::span!` site — the "zero-cost when off"
+    //! claim as a number in the committed record.
 
     use mcsched_obs::json::Json;
     use std::time::Instant;
 
-    /// Mean cost, in nanoseconds, of one **disabled** `span!` call site
-    /// (no collector installed on the thread: one thread-local read plus a
-    /// jump), measured over `iters` calls. Fields are not evaluated on the
-    /// disabled path, so this is the overhead every instrumented hot loop
-    /// pays when observability is off.
+    /// The `"host"` object of a ledger. `obs_disabled_span_ns` is the mean
+    /// cost of one **disabled** `span!` call site (no collector installed on
+    /// the thread: one thread-local read plus a jump) over 10⁶ calls: the
+    /// overhead every instrumented hot loop pays when observability is off.
     #[must_use]
-    pub fn obs_disabled_span_ns(iters: u64) -> f64 {
+    pub fn host() -> Vec<(String, Json)> {
         mcsched_obs::disable_tracing();
         let start = Instant::now();
-        for i in 0..iters {
+        for i in 0..1_000_000u64 {
             let span = mcsched_obs::span!("bench-probe", "i" = i);
             std::hint::black_box(&span);
         }
-        start.elapsed().as_nanos() as f64 / iters.max(1) as f64
-    }
-
-    /// The `"host"` object of a snapshot. The overhead probe runs 10⁶
-    /// disabled span sites (sub-millisecond on anything).
-    #[must_use]
-    pub fn host_json() -> Json {
-        let parallelism = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1);
-        let ns = obs_disabled_span_ns(1_000_000);
-        Json::Obj(vec![
+        let ns = start.elapsed().as_nanos() as f64 / 1e6;
+        let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
+        vec![
             ("available_parallelism".into(), Json::num_usize(parallelism)),
             ("os".into(), Json::Str(std::env::consts::OS.into())),
             ("arch".into(), Json::Str(std::env::consts::ARCH.into())),
@@ -55,14 +55,7 @@ pub mod host {
                 "obs_disabled_span_ns".into(),
                 Json::num_f64((ns * 100.0).round() / 100.0),
             ),
-        ])
-    }
-
-    /// [`host_json`] rendered as a compact JSON string, for the snapshot
-    /// writers that hand-roll their documents.
-    #[must_use]
-    pub fn host_json_string() -> String {
-        host_json().render()
+        ]
     }
 
     #[cfg(test)]
@@ -71,8 +64,8 @@ pub mod host {
 
         #[test]
         fn host_metadata_is_well_formed() {
-            let rendered = host_json_string();
-            let parsed = Json::parse(&rendered).expect("host metadata parses");
+            let host = Json::Obj(host());
+            let parsed = Json::parse(&host.render()).expect("host metadata parses");
             assert!(parsed.get("available_parallelism").unwrap().as_usize() >= Some(1));
             assert_eq!(
                 parsed.get("os").unwrap().as_str(),

@@ -394,100 +394,6 @@ impl ScrapLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    #[ignore = "manual performance probe, run with --release --ignored"]
-    fn bench_dedicated_allocations() {
-        use mcsched_platform::grid5000;
-        use mcsched_ptg::gen::{random_ptg, RandomPtgConfig};
-        use rand::SeedableRng;
-        use rand_chacha::ChaCha8Rng;
-        let mut rng = ChaCha8Rng::seed_from_u64(0xBEEF);
-        let mut sites = grid5000::all_sites();
-        sites.truncate(4);
-        let ptgs: Vec<Ptg> = (0..64)
-            .map(|i| {
-                let cfg = RandomPtgConfig::sample_paper_grid(&mut rng);
-                random_ptg(&cfg, &mut rng, format!("g{i}"))
-            })
-            .collect();
-        let refs: Vec<ReferencePlatform> = sites.iter().map(ReferencePlatform::new).collect();
-        for r in &refs {
-            for g in &ptgs {
-                std::hint::black_box(scrap_max_allocate(r, g, 1.0));
-            }
-        }
-        let mut grants = 0usize;
-        let mut calls = 0usize;
-        let mut el = f64::INFINITY;
-        for round in 0..5 {
-            let start = std::time::Instant::now();
-            for r in &refs {
-                for g in &ptgs {
-                    let a = scrap_max_allocate(r, g, 1.0);
-                    if round == 0 {
-                        grants += (0..g.num_tasks()).map(|t| a.procs_of(t)).sum::<usize>()
-                            - g.num_tasks();
-                        calls += 1;
-                    }
-                }
-            }
-            el = el.min(start.elapsed().as_secs_f64());
-        }
-        eprintln!(
-            "calls {calls}, grants/call {}, total {:.1} ms, {:.1} us/call, {:.0} ns/grant",
-            grants / calls,
-            el * 1e3,
-            el * 1e6 / calls as f64,
-            el * 1e9 / grants.max(1) as f64
-        );
-        // The constrained allocations of the same PTGs: run afresh, resumed
-        // from fresh β = 1 logs, and resumed again from the same logs, which
-        // answer from their memo.
-        let betas = [0.5, 0.25, 0.1];
-        let timed = |f: &dyn Fn()| {
-            let start = std::time::Instant::now();
-            f();
-            start.elapsed().as_secs_f64()
-        };
-        let (mut fresh, mut resumed, mut repeated) = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-        let mut resumes = 0usize;
-        for _ in 0..5 {
-            fresh = fresh.min(timed(&|| {
-                for r in &refs {
-                    for g in &ptgs {
-                        for &b in &betas {
-                            std::hint::black_box(scrap_max_allocate(r, g, b));
-                        }
-                    }
-                }
-            }));
-            let logs: Vec<ScrapLog> = refs
-                .iter()
-                .flat_map(|r| {
-                    ptgs.iter()
-                        .map(move |g| ScrapLog::record(r, g, ScrapVariant::PerLevel))
-                })
-                .collect();
-            let resume_all = || {
-                for log in &logs {
-                    for &b in &betas {
-                        std::hint::black_box(log.resume(b));
-                    }
-                }
-            };
-            resumed = resumed.min(timed(&resume_all));
-            repeated = repeated.min(timed(&resume_all));
-            resumes = logs.len() * betas.len();
-        }
-        eprintln!(
-            "beta {betas:?}: fresh {:.1} ms, resumed {:.1} ms, repeated {:.2} ms ({:.0} ns per memo hit)",
-            fresh * 1e3,
-            resumed * 1e3,
-            repeated * 1e3,
-            repeated * 1e9 / resumes as f64
-        );
-    }
     use crate::allocation::ConstraintChecker;
     use mcsched_platform::PlatformBuilder;
     use mcsched_ptg::analysis::{analyze, structure};

@@ -1131,77 +1131,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "manual performance probe, run with --release --ignored"]
-    fn bench_mapping() {
-        use crate::allocation::scrap_max_allocate;
-        use mcsched_platform::grid5000;
-        use mcsched_ptg::gen::{random_ptg, RandomPtgConfig};
-        use rand::SeedableRng;
-        use rand_chacha::ChaCha8Rng;
-        // Fixed sets of ten paper-grid PTGs per site, allocated by SCRAP-MAX
-        // under β = 1/10: the shape of one campaign scenario.
-        let mut rng = ChaCha8Rng::seed_from_u64(0xBEEF);
-        let inputs: Vec<_> = grid5000::all_sites()
-            .into_iter()
-            .flat_map(|site| std::iter::repeat_n(site, 8))
-            .map(|site| {
-                let ptgs: Vec<Ptg> = (0..10)
-                    .map(|i| {
-                        let cfg = RandomPtgConfig::sample_paper_grid(&mut rng);
-                        random_ptg(&cfg, &mut rng, format!("g{i}"))
-                    })
-                    .collect();
-                let reference = ReferencePlatform::new(&site);
-                let allocs: Vec<RefAllocation> = ptgs
-                    .iter()
-                    .map(|g| scrap_max_allocate(&reference, g, 0.1))
-                    .collect();
-                let network = SiteNetwork::new(&site);
-                (site, reference, network, ptgs, allocs)
-            })
-            .collect();
-        let tasks: usize = inputs
-            .iter()
-            .map(|(_, _, _, ptgs, _)| ptgs.iter().map(Ptg::num_tasks).sum::<usize>())
-            .sum();
-        let configs: Vec<MappingConfig> = [OrderingMode::ReadyTasks, OrderingMode::Global]
-            .into_iter()
-            .flat_map(|ordering| {
-                [true, false].map(|packing| MappingConfig {
-                    ordering,
-                    packing,
-                    comm_aware: true,
-                })
-            })
-            .collect();
-        // Rounds alternate between the settings (the first one warms up),
-        // and each setting keeps its fastest round.
-        let mut best = vec![f64::INFINITY; configs.len()];
-        for round in 0..=30 {
-            for (config, best) in configs.iter().zip(&mut best) {
-                let start = std::time::Instant::now();
-                for (platform, reference, network, ptgs, allocs) in &inputs {
-                    let releases = vec![0.0; ptgs.len()];
-                    std::hint::black_box(map_concurrent_with(
-                        reference, network, platform, ptgs, allocs, &releases, config,
-                    ));
-                }
-                if round > 0 {
-                    *best = best.min(start.elapsed().as_secs_f64());
-                }
-            }
-        }
-        for (config, best) in configs.iter().zip(best) {
-            eprintln!(
-                "{:?}, packing {}: {tasks} tasks, {:.0} ns/task",
-                config.ordering,
-                config.packing,
-                best * 1e9 / tasks as f64
-            );
-        }
-    }
-
-    #[test]
     fn candidate_keys_follow_total_cmp_and_round_trip() {
         let values = [
             f64::NEG_INFINITY,

@@ -7,13 +7,13 @@
 //! contract, but with persistent parked workers, per-worker deques with
 //! stealing, and nested fan-outs. This module preserves the exact
 //! pre-runtime implementation (fresh `std::thread::scope` per call, one
-//! global result mutex, no nesting) so `bench_runtime` can measure the
+//! global result mutex, no nesting) so `mcsched-bench runtime` can measure the
 //! replacement against it; it will be removed once that trajectory is
 //! established. New code must use the runtime pool.
 //!
 //! Its scoped threads run untraced: unlike the pool, it does not carry the
 //! caller's [`mcsched_obs::Collector`] into its workers, so their spans
-//! record nothing. Its only caller, `bench_runtime`'s `legacy-fanout`
+//! record nothing. Its only caller, `mcsched-bench runtime`'s `legacy-fanout`
 //! family, runs without a collector anyway.
 
 use parking_lot::Mutex;

@@ -39,7 +39,7 @@
 //! runs resume from completed shards (`--no-resume` starts cold), and
 //! `--progress` narrates data points on stderr. The deprecated [`fanout`]
 //! module preserves the legacy throwaway-scope executor solely as the
-//! `bench_runtime` baseline.
+//! `mcsched-bench runtime` baseline.
 //!
 //! Point estimates at 100 runs per cell are too noisy to assert the paper's
 //! strict orderings on, so both harnesses run **paired replications**: all

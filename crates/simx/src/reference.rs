@@ -10,7 +10,7 @@
 //! [`Engine::execute`](crate::Engine::execute) is tested against: the
 //! differential suite (`tests/differential.rs`) requires traces and
 //! makespans to be **bit-for-bit identical** between the two on randomized
-//! workloads, and `bench_simx` reports the speedup of the kernel over this
+//! workloads, and `mcsched-bench simx` reports the speedup of the kernel over this
 //! baseline. Do not "optimize" this module; change it only if the intended
 //! semantics change, together with the engine and its golden snapshots.
 

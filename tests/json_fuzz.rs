@@ -1,6 +1,6 @@
 //! Seeded fuzzing of the one JSON codec (`mcsched_obs::json`) and of every
 //! on-disk format read through it: cell-cache shards, workload traces, run
-//! manifests, heartbeats and metrics snapshots.
+//! manifests, heartbeats, metrics snapshots and `BENCH_*.json` ledgers.
 //!
 //! Properties:
 //!
@@ -24,6 +24,7 @@ use mcsched::prelude::*;
 use mcsched::runtime::cache::SHARD_COUNT;
 use mcsched::runtime::{CellCache, CellDigest, CellMetrics};
 use mcsched::workload::{Trace, TraceEntry, WorkloadRequest};
+use mcsched_bench::ledger::{Ledger, Row};
 use rand::{Rng, RngCore};
 use rand_chacha::ChaCha8Rng;
 use std::path::{Path, PathBuf};
@@ -206,6 +207,46 @@ fn gen_trace(rng: &mut ChaCha8Rng, size: u32) -> Trace {
     trace
 }
 
+/// A ledger with random parameters, host fields and rows, each row's
+/// `(family, case)` unique.
+fn gen_ledger(rng: &mut ChaCha8Rng, size: u32) -> Ledger {
+    let members = |rng: &mut ChaCha8Rng| {
+        (0..rng.gen_range(0..=cap(size, 4)))
+            .map(|_| (gen_string(rng, size), gen_json(rng, size, 2)))
+            .collect::<Vec<_>>()
+    };
+    let finite = |rng: &mut ChaCha8Rng| Some(gen_f64(rng)).filter(|v| v.is_finite()).unwrap_or(0.5);
+    let ms = |rng: &mut ChaCha8Rng| finite(rng).abs();
+    let rows = (0..rng.gen_range(0..=cap(size, 6)))
+        .map(|i| Row {
+            family: gen_string(rng, size),
+            case: format!("case-{i}"),
+            mean_ms: ms(rng),
+            min_ms: ms(rng),
+            max_ms: ms(rng),
+            samples: rng.gen_range(1..=cap(size, 100)),
+            values: (0..rng.gen_range(0..=cap(size, 4)))
+                .map(|_| (gen_string(rng, size), finite(rng)))
+                .collect(),
+        })
+        .collect();
+    Ledger {
+        params: members(rng),
+        host: members(rng),
+        rows,
+    }
+}
+
+#[test]
+fn ledgers_survive_truncation_and_bit_flips() {
+    QuickCheck::new(0x1ED6).cases(12).run(|rng, size| {
+        let ledger = gen_ledger(rng, size);
+        let text = ledger.render();
+        assert_eq!(Ledger::parse(&text).expect("well-formed"), ledger);
+        damage(rng, &text, Ledger::parse);
+    });
+}
+
 #[test]
 fn manifests_survive_truncation_and_bit_flips() {
     QuickCheck::new(0x3A41).cases(12).run(|rng, size| {
@@ -324,7 +365,7 @@ fn cache_shards_survive_truncation_and_bit_flips() {
 type Accepts = fn(&str) -> bool;
 
 /// Every reader, for the hostile-input checks.
-fn readers() -> [(&'static str, Accepts); 5] {
+fn readers() -> [(&'static str, Accepts); 6] {
     [
         ("Json::parse", |t| Json::parse(t).is_ok()),
         ("Trace::from_json", |t| Trace::from_json(t).is_ok()),
@@ -337,6 +378,7 @@ fn readers() -> [(&'static str, Accepts); 5] {
         ("MetricsSnapshot::parse_json", |t| {
             MetricsSnapshot::parse_json(t).is_ok()
         }),
+        ("Ledger::parse", |t| Ledger::parse(t).is_ok()),
     ]
 }
 
