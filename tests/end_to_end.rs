@@ -222,6 +222,59 @@ fn golden_fig5_strassen_quick_table_is_byte_stable() {
     );
 }
 
+/// The bootstrap configuration a run without `--ci` reports with.
+fn default_ci(seed: u64) -> BootstrapConfig {
+    BootstrapConfig::seeded(seed).with_level(0.95)
+}
+
+#[test]
+fn golden_fig2_mu_sweep_quick_csv_is_byte_stable() {
+    // The exact CSV a default `fig2 --csv` run writes.
+    let points = run_mu_sweep(&MuSweepConfig::quick()).unwrap();
+    golden_check(
+        "fig2_mu_sweep_quick.csv",
+        &mcsched::exp::csv_mu_sweep(&points),
+    );
+}
+
+#[test]
+fn golden_fig2_mu_sweep_quick_ci_outputs_are_byte_stable() {
+    // The interval table and CSV of `fig2 --replications 2 --csv`.
+    let config = MuSweepConfig {
+        replications: 2,
+        ..MuSweepConfig::quick()
+    };
+    let points = run_mu_sweep(&config).unwrap();
+    let ci = default_ci(config.seed);
+    golden_check(
+        "fig2_mu_sweep_quick_ci.txt",
+        &mcsched::exp::table_mu_sweep_ci(&points, &ci),
+    );
+    golden_check(
+        "fig2_mu_sweep_quick_ci.csv",
+        &mcsched::exp::csv_mu_sweep_ci(&points, &ci),
+    );
+}
+
+#[test]
+fn golden_fig3_random_quick_ci_outputs_are_byte_stable() {
+    // The interval table and CSV of `fig3 --replications 2 --csv`.
+    let config = CampaignConfig {
+        replications: 2,
+        ..CampaignConfig::quick(PtgClass::Random)
+    };
+    let result = run_campaign(&config).unwrap();
+    let ci = default_ci(config.seed);
+    golden_check(
+        "fig3_random_quick_ci.txt",
+        &mcsched::exp::table_campaign_ci(&result, &ci),
+    );
+    golden_check(
+        "fig3_random_quick_ci.csv",
+        &mcsched::exp::csv_campaign_ci(&result, &ci),
+    );
+}
+
 #[test]
 fn strassen_width_strategies_degenerate_to_equal_share() {
     // All Strassen PTGs have the same maximal width, so PS-width and
