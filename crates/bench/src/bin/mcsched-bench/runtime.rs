@@ -1,18 +1,16 @@
 //! `runtime`: the paper-scale paired campaign (daggen-grid, 8 concurrent
 //! PTGs, 25 combinations × 4 platforms × 4 replications = 400 pairs,
 //! PS-work against WPS-work; `--smoke`: 3 combinations × 2 replications)
-//! at each `--threads` count, as four families: `legacy-fanout` (the
-//! deprecated `mcsched_exp::fanout`: one throwaway `thread::scope` per data
-//! point), `pool-cold` (`run_campaign` on the work-stealing pool, no
-//! cache), `shard-cold` (shard 0 of a 3-way split, cold: what one process
-//! of a sharded run pays) and `pool-warm` (against a pre-populated cell
-//! cache). Cold families time at least 3 samples. The ratios to
-//! `legacy-fanout` and the shard split factor go to stderr.
+//! at each `--threads` count, as three families: `pool-cold`
+//! (`run_campaign` on the work-stealing pool, no cache), `shard-cold`
+//! (shard 0 of a 3-way split, cold: what one process of a sharded run pays)
+//! and `pool-warm` (against a pre-populated cell cache). Cold families time
+//! at least 3 samples. The warm speed-up and the shard split factor go to
+//! stderr.
 
 use mcsched_bench::ledger::{time, Args, Ledger};
 use mcsched_core::policy::ConstraintPolicy;
 use mcsched_core::PolicyRegistry;
-use mcsched_exp::scenario::{generate_scenarios_with, replication_seed};
 use mcsched_exp::{run_campaign, CampaignConfig};
 use mcsched_obs::json::Json;
 use mcsched_ptg::gen::PtgClass;
@@ -41,35 +39,6 @@ fn campaign_shape(smoke: bool) -> CampaignConfig {
         seed: SEED,
         ..CampaignConfig::paper(PtgClass::Random)
     }
-}
-
-/// Replays the pre-runtime harness: sequential data points, one throwaway
-/// scoped fan-out per data point (the deprecated legacy executor),
-/// aggregation through a single result vector.
-#[allow(deprecated)]
-fn legacy_campaign(config: &CampaignConfig, threads: usize) -> f64 {
-    let mut checksum = 0.0f64;
-    for replication in 0..config.replications.max(1) {
-        let seed = replication_seed(config.seed, replication);
-        for &num_ptgs in &config.ptg_counts {
-            let scenarios = generate_scenarios_with(
-                config.source.as_ref(),
-                num_ptgs,
-                config.combinations,
-                seed,
-            )
-            .expect("generator sources cannot fail");
-            let per_scenario = mcsched_exp::fanout::run_indexed(threads, scenarios.len(), |i| {
-                scenarios[i].evaluate_policies(&config.base, &config.strategies)
-            });
-            for outcomes in per_scenario {
-                for o in outcomes {
-                    checksum += o.unfairness + o.makespan;
-                }
-            }
-        }
-    }
-    checksum
 }
 
 pub fn run(args: &Args) -> Ledger {
@@ -105,9 +74,6 @@ pub fn run(args: &Args) -> Ledger {
 
     for &n in &threads {
         let case = format!("threads={n}");
-        ledger.push(time("legacy-fanout", &case, cold_iterations, || {
-            std::hint::black_box(legacy_campaign(&shape, n));
-        }));
         let mut cold = shape.clone();
         cold.threads = n;
         let mut shard = cold.clone();
@@ -125,9 +91,8 @@ pub fn run(args: &Args) -> Ledger {
         }
         let mean = |family| ledger.row(family, &case).map_or(f64::NAN, |r| r.mean_ms);
         eprintln!(
-            "{case}: pool-cold {:.2}x and pool-warm {:.1}x legacy-fanout, shard split factor {:.2}",
-            mean("legacy-fanout") / mean("pool-cold"),
-            mean("legacy-fanout") / mean("pool-warm"),
+            "{case}: pool-warm {:.1}x pool-cold, shard split factor {:.2}",
+            mean("pool-cold") / mean("pool-warm"),
             mean("pool-cold") / mean("shard-cold"),
         );
     }

@@ -16,39 +16,42 @@
 //! * dedicated-platform makespans (`M_own`) are computed once per run and
 //!   shared by all strategies.
 //!
-//! The [`campaign`] module runs such sweeps, [`mu_sweep`] reproduces the
-//! µ-calibration of Figure 2, and [`report`] renders the aggregated numbers
-//! as aligned text tables and CSV suitable for regenerating every figure of
-//! the paper.
+//! The [`campaign`] module runs such sweeps, [`mu_sweep`] supplies the
+//! µ-calibration policies of Figure 2 (itself a campaign), and [`report`]
+//! renders the aggregated numbers as aligned text tables and CSV suitable
+//! for regenerating every figure of the paper.
 //!
 //! Workload production is delegated to the `mcsched-workload` subsystem:
-//! campaigns and sweeps consume any `WorkloadSource` (legacy class
-//! generators, DAGGEN configurations, timed arrivals, replayed traces), and
-//! the binaries expose it through `--workload <spec>`, `--trace <file>` and
+//! campaigns consume any `WorkloadSource` (legacy class generators, DAGGEN
+//! configurations, timed arrivals, replayed traces), and the `mcsched-exp`
+//! binary exposes it through `--workload <spec>`, `--trace <file>` and
 //! `--export-trace <file>`.
 //!
-//! Both harnesses run on the persistent work-stealing pool of
-//! `mcsched-runtime` (honouring the configs' `threads` fields): data points
-//! fan out at the outer level, their scenarios nest within them, and every
-//! strategy of a scenario is evaluated through one shared
+//! The `mcsched-exp` binary runs one experiment per invocation —
+//! `mcsched-exp <table1|fig1|fig2|fig3|fig4|fig5|ablation-scrap|ablation-packing|online>`
+//! — with the flags of [`cli`], each accepted only by the experiments it
+//! applies to.
+//!
+//! Campaigns run on the persistent work-stealing pool of `mcsched-runtime`
+//! (honouring the config's `threads` field): data points fan out at the
+//! outer level, their scenarios nest within them, and every strategy of a
+//! scenario is evaluated through one shared
 //! [`mcsched_core::ScheduleContext`], so each dedicated baseline is
 //! simulated exactly once per scenario. With `cache_dir` set (CLI
 //! `--cache-dir`), every (scenario, policy) cell is stored in — and served
 //! from — the content-addressed cell cache of `mcsched-runtime` (see
 //! [`cells`]): re-runs skip finished work byte-identically, interrupted
 //! runs resume from completed shards (`--no-resume` starts cold), and
-//! `--progress` narrates data points on stderr. The deprecated [`fanout`]
-//! module preserves the legacy throwaway-scope executor solely as the
-//! `mcsched-bench runtime` baseline.
+//! `--progress` narrates data points on stderr.
 //!
 //! Point estimates at 100 runs per cell are too noisy to assert the paper's
-//! strict orderings on, so both harnesses run **paired replications**: all
+//! strict orderings on, so campaigns run **paired replications**: all
 //! strategies see byte-identical workload draws per replication (common
 //! random numbers, the `ScheduleContext::evaluate_policies` path), every
 //! cell retains its per-run samples, and `mcsched-stats` turns aligned
 //! sample vectors into bootstrap confidence intervals and sign-test ordering
-//! verdicts. The binaries expose this through `--replications`/`--ci` and
-//! print `mean ±ci` tables when intervals are requested; at one replication
+//! verdicts. The binary exposes this through `--replications`/`--ci` and
+//! prints `mean ±ci` tables when intervals are requested; at one replication
 //! the output stays byte-identical to the pre-statistics harness.
 
 #![warn(missing_docs)]
@@ -57,7 +60,6 @@
 pub mod campaign;
 pub mod cells;
 pub mod cli;
-pub mod fanout;
 pub mod mu_sweep;
 pub mod report;
 pub mod scenario;
@@ -65,7 +67,7 @@ pub mod scenario;
 pub use campaign::{run_campaign, CampaignConfig, CampaignResult, CellSamples, StrategyPoint};
 pub use cells::{cell_digest, evaluate_policies_cached, evaluate_policies_sharded};
 pub use cli::CliOptions;
-pub use mu_sweep::{paired_mu_unfairness, run_mu_sweep, MuSamples, MuSweepConfig, MuSweepPoint};
+pub use mu_sweep::{mu_campaign, mu_policies, PAPER_MU_VALUES, QUICK_MU_VALUES};
 pub use report::{
     csv_campaign, csv_campaign_ci, csv_mu_sweep, csv_mu_sweep_ci, table_campaign,
     table_campaign_ci, table_mu_sweep, table_mu_sweep_ci,

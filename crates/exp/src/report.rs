@@ -8,54 +8,107 @@
 //! seed is derived per cell from the [`mcsched_stats::BootstrapConfig`]'s
 //! base seed and the cell's identity, so regenerating a report reproduces
 //! its intervals bit-for-bit.
+//!
+//! The `*_campaign*` renderers lay a result out by strategy (Figures 3, 4
+//! and 5); the `*_mu_sweep*` renderers lay a Figure 2 campaign — whose
+//! strategies are [`crate::mu_sweep::mu_policies`] of a µ grid — out by µ.
 
-use crate::campaign::CampaignResult;
-use crate::mu_sweep::MuSweepPoint;
+use crate::campaign::{CampaignResult, StrategyPoint};
 use mcsched_stats::{BootstrapConfig, Samples};
 use std::fmt::Write as _;
 
-/// Renders a campaign result as two aligned text tables (unfairness and
-/// average relative makespan), with one row per strategy and one column per
-/// number of concurrent PTGs — the layout of Figures 3, 4 and 5.
-pub fn table_campaign(result: &CampaignResult) -> String {
-    let counts = result.ptg_counts();
-    let strategies = result.strategies();
-    let mut out = String::new();
+/// Selects one metric's samples from a cell.
+type Pick = for<'a> fn(&'a StrategyPoint) -> &'a Samples;
 
-    for (title, pick) in [
-        (
-            "Unfairness",
-            Box::new(|p: &crate::campaign::StrategyPoint| p.unfairness)
-                as Box<dyn Fn(&crate::campaign::StrategyPoint) -> f64>,
-        ),
-        (
-            "Average relative makespan",
-            Box::new(|p: &crate::campaign::StrategyPoint| p.relative_makespan),
-        ),
-    ] {
-        let _ = writeln!(out, "== {} ({} PTGs) ==", title, result.class);
-        let _ = write!(out, "{:<12}", "strategy");
+/// The two metrics of a strategy table: title, bootstrap-seed name, samples.
+const CAMPAIGN_METRICS: [(&str, &str, Pick); 2] = [
+    ("Unfairness", "unfairness", |p| &p.samples.unfairness),
+    ("Average relative makespan", "relative_makespan", |p| {
+        &p.samples.relative_makespan
+    }),
+];
+
+/// The two metrics of a µ table (Figure 2 plots the plain makespan).
+const MU_METRICS: [(&str, &str, Pick); 2] = [
+    ("Unfairness", "unfairness", |p| &p.samples.unfairness),
+    ("Average makespan (s)", "makespan", |p| &p.samples.makespan),
+];
+
+/// Renders one aligned text table per metric: one row per `(key, label)`
+/// (`key` is printed and names the cell's bootstrap seed, `label` is the
+/// campaign strategy) and one `width`-wide column per number of PTGs. Cells
+/// are plain means, or `mean ±hw` under `ci`; missing cells print `-`.
+fn grid_table(
+    result: &CampaignResult,
+    rows: &[(String, String)],
+    (key_name, key_width): (&str, usize),
+    width: usize,
+    metrics: &[(&str, &str, Pick); 2],
+    ci: Option<&BootstrapConfig>,
+    heading: impl Fn(&str) -> String,
+) -> String {
+    let counts = result.ptg_counts();
+    let mut out = String::new();
+    for &(title, metric, pick) in metrics {
+        let _ = writeln!(out, "== {} ==", heading(title));
+        let _ = write!(out, "{key_name:<key_width$}");
         for c in &counts {
-            let _ = write!(out, "{:>10}", format!("{c} PTGs"));
+            let _ = write!(out, "{:>width$}", format!("{c} PTGs"));
         }
         let _ = writeln!(out);
-        for s in &strategies {
-            let _ = write!(out, "{s:<12}");
+        for (key, label) in rows {
+            let _ = write!(out, "{key:<key_width$}");
             for &c in &counts {
-                match result.point(c, s) {
-                    Some(p) => {
-                        let _ = write!(out, "{:>10.3}", pick(p));
+                let cell = match (result.point(c, label), ci) {
+                    (None, _) => "-".to_string(),
+                    (Some(p), None) => format!("{:.3}", pick(p).mean()),
+                    (Some(p), Some(config)) => {
+                        ci_cell(pick(p), &cell_config(config, metric, c, key))
                     }
-                    None => {
-                        let _ = write!(out, "{:>10}", "-");
-                    }
-                }
+                };
+                let _ = write!(out, "{cell:>width$}");
             }
             let _ = writeln!(out);
         }
         let _ = writeln!(out);
     }
     out
+}
+
+/// The strategy tables, plain or with intervals.
+fn campaign_table(result: &CampaignResult, ci: Option<&BootstrapConfig>) -> String {
+    let rows: Vec<(String, String)> = result
+        .strategies()
+        .into_iter()
+        .map(|s| (s.clone(), s))
+        .collect();
+    let (width, suffix) = match ci {
+        None => (10, String::new()),
+        Some(c) => (16, format!(", mean ±ci{:.0}", c.level * 100.0)),
+    };
+    grid_table(
+        result,
+        &rows,
+        ("strategy", 12),
+        width,
+        &CAMPAIGN_METRICS,
+        ci,
+        |title| format!("{title} ({} PTGs{suffix})", result.class),
+    )
+}
+
+/// Renders a campaign result as two aligned text tables (unfairness and
+/// average relative makespan), with one row per strategy and one column per
+/// number of concurrent PTGs — the layout of Figures 3, 4 and 5.
+pub fn table_campaign(result: &CampaignResult) -> String {
+    campaign_table(result, None)
+}
+
+/// Renders a campaign result like [`table_campaign`], but with every cell as
+/// `mean ±hw`: the half-width of the seeded bootstrap confidence interval
+/// over the cell's per-run samples (level and resamples from `config`).
+pub fn table_campaign_ci(result: &CampaignResult, config: &BootstrapConfig) -> String {
+    campaign_table(result, Some(config))
 }
 
 /// Renders a campaign result as CSV
@@ -103,54 +156,6 @@ fn ci_cell(samples: &Samples, config: &BootstrapConfig) -> String {
     format!("{mean:.3} ±{hw:.3}")
 }
 
-/// Renders a campaign result like [`table_campaign`], but with every cell as
-/// `mean ±hw`: the half-width of the seeded bootstrap confidence interval
-/// over the cell's per-run samples (level and resamples from `config`).
-pub fn table_campaign_ci(result: &CampaignResult, config: &BootstrapConfig) -> String {
-    let counts = result.ptg_counts();
-    let strategies = result.strategies();
-    let mut out = String::new();
-
-    type PickCampaign = for<'a> fn(&'a crate::campaign::StrategyPoint) -> &'a Samples;
-    let picks: [(&str, &str, PickCampaign); 2] = [
-        ("Unfairness", "unfairness", |p| &p.samples.unfairness),
-        ("Average relative makespan", "relative_makespan", |p| {
-            &p.samples.relative_makespan
-        }),
-    ];
-    for (title, metric, pick) in picks {
-        let _ = writeln!(
-            out,
-            "== {} ({} PTGs, mean ±ci{:.0}) ==",
-            title,
-            result.class,
-            config.level * 100.0
-        );
-        let _ = write!(out, "{:<12}", "strategy");
-        for c in &counts {
-            let _ = write!(out, "{:>16}", format!("{c} PTGs"));
-        }
-        let _ = writeln!(out);
-        for s in &strategies {
-            let _ = write!(out, "{s:<12}");
-            for &c in &counts {
-                match result.point(c, s) {
-                    Some(p) => {
-                        let cfg = cell_config(config, metric, c, s);
-                        let _ = write!(out, "{:>16}", ci_cell(pick(p), &cfg));
-                    }
-                    None => {
-                        let _ = write!(out, "{:>16}", "-");
-                    }
-                }
-            }
-            let _ = writeln!(out);
-        }
-        let _ = writeln!(out);
-    }
-    out
-}
-
 /// Renders a campaign result as CSV with interval columns
 /// (`class,num_ptgs,strategy,unfairness,unfairness_lo,unfairness_hi,
 /// makespan,relative_makespan,relative_lo,relative_hi,runs`).
@@ -191,148 +196,106 @@ pub fn csv_campaign_ci(result: &CampaignResult, config: &BootstrapConfig) -> Str
     out
 }
 
+/// The rows of a µ sweep in grid order: each µ printed with two decimals
+/// (the row key, which also seeds its bootstrap cells) next to its campaign
+/// label. `result`'s strategies are `mu_policies(mu_values)`, in that order.
+fn mu_rows(result: &CampaignResult, mu_values: &[f64]) -> Vec<(String, String)> {
+    mu_values
+        .iter()
+        .zip(result.strategies())
+        .map(|(mu, label)| (format!("{mu:.2}"), label))
+        .collect()
+}
+
+/// The µ tables, plain or with intervals.
+fn mu_table(result: &CampaignResult, mu_values: &[f64], ci: Option<&BootstrapConfig>) -> String {
+    let (width, suffix) = match ci {
+        None => (12, String::new()),
+        Some(c) => (20, format!(" (mean ±ci{:.0})", c.level * 100.0)),
+    };
+    grid_table(
+        result,
+        &mu_rows(result, mu_values),
+        ("mu", 8),
+        width,
+        &MU_METRICS,
+        ci,
+        |title| format!("{title} vs mu{suffix}"),
+    )
+}
+
 /// Renders a µ sweep as two aligned text tables (unfairness and average
 /// makespan), one row per µ and one column per number of PTGs — the layout
 /// of Figure 2.
-pub fn table_mu_sweep(points: &[MuSweepPoint]) -> String {
-    let mut mus: Vec<f64> = points.iter().map(|p| p.mu).collect();
-    mus.sort_by(f64::total_cmp);
-    mus.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-    let mut counts: Vec<usize> = points.iter().map(|p| p.num_ptgs).collect();
-    counts.sort_unstable();
-    counts.dedup();
-
-    let lookup = |mu: f64, n: usize| {
-        points
-            .iter()
-            .find(|p| (p.mu - mu).abs() < 1e-12 && p.num_ptgs == n)
-    };
-
-    let mut out = String::new();
-    for (title, pick) in [
-        (
-            "Unfairness",
-            Box::new(|p: &MuSweepPoint| p.unfairness) as Box<dyn Fn(&MuSweepPoint) -> f64>,
-        ),
-        (
-            "Average makespan (s)",
-            Box::new(|p: &MuSweepPoint| p.makespan),
-        ),
-    ] {
-        let _ = writeln!(out, "== {title} vs mu ==");
-        let _ = write!(out, "{:<8}", "mu");
-        for c in &counts {
-            let _ = write!(out, "{:>12}", format!("{c} PTGs"));
-        }
-        let _ = writeln!(out);
-        for &mu in &mus {
-            let _ = write!(out, "{mu:<8.2}");
-            for &c in &counts {
-                match lookup(mu, c) {
-                    Some(p) => {
-                        let _ = write!(out, "{:>12.3}", pick(p));
-                    }
-                    None => {
-                        let _ = write!(out, "{:>12}", "-");
-                    }
-                }
-            }
-            let _ = writeln!(out);
-        }
-        let _ = writeln!(out);
-    }
-    out
+pub fn table_mu_sweep(result: &CampaignResult, mu_values: &[f64]) -> String {
+    mu_table(result, mu_values, None)
 }
 
 /// Renders a µ sweep like [`table_mu_sweep`], but with every cell as
 /// `mean ±hw` from the seeded bootstrap interval over the point's samples.
-pub fn table_mu_sweep_ci(points: &[MuSweepPoint], config: &BootstrapConfig) -> String {
-    let mut mus: Vec<f64> = points.iter().map(|p| p.mu).collect();
-    mus.sort_by(f64::total_cmp);
-    mus.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-    let mut counts: Vec<usize> = points.iter().map(|p| p.num_ptgs).collect();
-    counts.sort_unstable();
-    counts.dedup();
+pub fn table_mu_sweep_ci(
+    result: &CampaignResult,
+    mu_values: &[f64],
+    config: &BootstrapConfig,
+) -> String {
+    mu_table(result, mu_values, Some(config))
+}
 
-    let lookup = |mu: f64, n: usize| {
-        points
-            .iter()
-            .find(|p| (p.mu - mu).abs() < 1e-12 && p.num_ptgs == n)
-    };
-
-    let mut out = String::new();
-    type PickSweep = for<'a> fn(&'a MuSweepPoint) -> &'a Samples;
-    let picks: [(&str, &str, PickSweep); 2] = [
-        ("Unfairness", "unfairness", |p| &p.samples.unfairness),
-        ("Average makespan (s)", "makespan", |p| &p.samples.makespan),
-    ];
-    for (title, metric, pick) in picks {
-        let _ = writeln!(
-            out,
-            "== {title} vs mu (mean ±ci{:.0}) ==",
-            config.level * 100.0
-        );
-        let _ = write!(out, "{:<8}", "mu");
-        for c in &counts {
-            let _ = write!(out, "{:>20}", format!("{c} PTGs"));
-        }
-        let _ = writeln!(out);
-        for &mu in &mus {
-            let _ = write!(out, "{mu:<8.2}");
-            for &c in &counts {
-                match lookup(mu, c) {
-                    Some(p) => {
-                        let cfg = cell_config(config, metric, c, &format!("{mu:.2}"));
-                        let _ = write!(out, "{:>20}", ci_cell(pick(p), &cfg));
-                    }
-                    None => {
-                        let _ = write!(out, "{:>20}", "-");
-                    }
-                }
-            }
-            let _ = writeln!(out);
-        }
-        let _ = writeln!(out);
-    }
-    out
+/// The cells of a µ sweep in CSV order (µ-major, PTG counts ascending),
+/// each with its row key.
+fn mu_cells<'a>(result: &'a CampaignResult, mu_values: &[f64]) -> Vec<(String, &'a StrategyPoint)> {
+    let counts = result.ptg_counts();
+    mu_rows(result, mu_values)
+        .into_iter()
+        .flat_map(|(key, label)| {
+            counts
+                .iter()
+                .filter_map(|&c| result.point(c, &label))
+                .map(|p| (key.clone(), p))
+                .collect::<Vec<_>>()
+        })
+        .collect()
 }
 
 /// Renders a µ sweep as CSV with interval columns
 /// (`mu,num_ptgs,unfairness,unfairness_lo,unfairness_hi,makespan,
 /// makespan_lo,makespan_hi,runs`).
-pub fn csv_mu_sweep_ci(points: &[MuSweepPoint], config: &BootstrapConfig) -> String {
+pub fn csv_mu_sweep_ci(
+    result: &CampaignResult,
+    mu_values: &[f64],
+    config: &BootstrapConfig,
+) -> String {
     let mut out = String::from(
         "mu,num_ptgs,unfairness,unfairness_lo,unfairness_hi,makespan,makespan_lo,makespan_hi,runs\n",
     );
-    for p in points {
-        let row = format!("{:.2}", p.mu);
+    for (mu, p) in mu_cells(result, mu_values) {
         let u_ci = p.samples.unfairness.bootstrap_mean_ci(&cell_config(
             config,
             "unfairness",
             p.num_ptgs,
-            &row,
+            &mu,
         ));
         let m_ci = p
             .samples
             .makespan
-            .bootstrap_mean_ci(&cell_config(config, "makespan", p.num_ptgs, &row));
+            .bootstrap_mean_ci(&cell_config(config, "makespan", p.num_ptgs, &mu));
         let _ = writeln!(
             out,
-            "{:.2},{},{:.6},{:.6},{:.6},{:.3},{:.3},{:.3},{}",
-            p.mu, p.num_ptgs, p.unfairness, u_ci.lo, u_ci.hi, p.makespan, m_ci.lo, m_ci.hi, p.runs
+            "{mu},{},{:.6},{:.6},{:.6},{:.3},{:.3},{:.3},{}",
+            p.num_ptgs, p.unfairness, u_ci.lo, u_ci.hi, p.makespan, m_ci.lo, m_ci.hi, p.runs
         );
     }
     out
 }
 
 /// Renders a µ sweep as CSV (`mu,num_ptgs,unfairness,makespan,runs`).
-pub fn csv_mu_sweep(points: &[MuSweepPoint]) -> String {
+pub fn csv_mu_sweep(result: &CampaignResult, mu_values: &[f64]) -> String {
     let mut out = String::from("mu,num_ptgs,unfairness,makespan,runs\n");
-    for p in points {
+    for (mu, p) in mu_cells(result, mu_values) {
         let _ = writeln!(
             out,
-            "{:.2},{},{:.6},{:.3},{}",
-            p.mu, p.num_ptgs, p.unfairness, p.makespan, p.runs
+            "{mu},{},{:.6},{:.3},{}",
+            p.num_ptgs, p.unfairness, p.makespan, p.runs
         );
     }
     out
@@ -341,8 +304,7 @@ pub fn csv_mu_sweep(points: &[MuSweepPoint]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::{CellSamples, StrategyPoint};
-    use crate::mu_sweep::MuSamples;
+    use crate::campaign::CellSamples;
 
     /// Four runs centred on `mean` with a small spread.
     fn spread(mean: f64) -> Samples {
@@ -397,28 +359,23 @@ mod tests {
         assert!(lines[1].contains("random,2,S"));
     }
 
-    fn sweep_point(mu: f64, unfairness: f64, makespan: f64) -> MuSweepPoint {
-        let samples = MuSamples {
-            unfairness: spread(unfairness),
-            makespan: spread(makespan),
-        };
-        MuSweepPoint {
-            mu,
-            num_ptgs: 2,
-            unfairness: samples.unfairness.mean(),
-            makespan: samples.makespan.mean(),
-            runs: samples.unfairness.len(),
-            samples,
-        }
-    }
+    /// A µ sweep over {0, 1}, labelled as [`crate::run_campaign`] labels
+    /// `mu_policies(&[0.0, 1.0])`.
+    const SWEEP_MU: [f64; 2] = [0.0, 1.0];
 
-    fn sample_sweep() -> Vec<MuSweepPoint> {
-        vec![sweep_point(0.0, 0.8, 200.0), sweep_point(1.0, 0.2, 260.0)]
+    fn sample_sweep() -> CampaignResult {
+        CampaignResult {
+            class: "random".into(),
+            points: vec![
+                point(2, "WPS-work@0", 0.8, 200.0, 1.0),
+                point(2, "WPS-work@1", 0.2, 260.0, 1.3),
+            ],
+        }
     }
 
     #[test]
     fn mu_table_lists_all_mu_values() {
-        let t = table_mu_sweep(&sample_sweep());
+        let t = table_mu_sweep(&sample_sweep(), &SWEEP_MU);
         assert!(t.contains("0.00"));
         assert!(t.contains("1.00"));
         assert!(t.contains("Average makespan"));
@@ -426,7 +383,7 @@ mod tests {
 
     #[test]
     fn mu_csv_round_trip() {
-        let c = csv_mu_sweep(&sample_sweep());
+        let c = csv_mu_sweep(&sample_sweep(), &SWEEP_MU);
         assert!(c.starts_with("mu,num_ptgs"));
         assert_eq!(c.lines().count(), 3);
         assert!(c.contains("0.00,2,0.800000,200.000,4"));
@@ -444,17 +401,17 @@ mod tests {
         let other = table_campaign_ci(&sample_campaign(), &BootstrapConfig::seeded(1));
         assert_ne!(t, other, "a different base seed resamples differently");
 
-        let m = table_mu_sweep_ci(&sample_sweep(), &cfg);
+        let m = table_mu_sweep_ci(&sample_sweep(), &SWEEP_MU, &cfg);
         assert!(m.contains("mean ±ci95"));
         assert!(m.contains("0.800 ±"));
-        assert_eq!(m, table_mu_sweep_ci(&sample_sweep(), &cfg));
+        assert_eq!(m, table_mu_sweep_ci(&sample_sweep(), &SWEEP_MU, &cfg));
     }
 
     #[test]
     fn ci_level_flows_into_the_headers() {
         let cfg = BootstrapConfig::seeded(3).with_level(0.9);
         assert!(table_campaign_ci(&sample_campaign(), &cfg).contains("mean ±ci90"));
-        assert!(table_mu_sweep_ci(&sample_sweep(), &cfg).contains("mean ±ci90"));
+        assert!(table_mu_sweep_ci(&sample_sweep(), &SWEEP_MU, &cfg).contains("mean ±ci90"));
     }
 
     #[test]
@@ -473,7 +430,7 @@ mod tests {
         );
         assert!(lo <= mean && mean <= hi, "{lo} <= {mean} <= {hi}");
 
-        let s = csv_mu_sweep_ci(&sample_sweep(), &cfg);
+        let s = csv_mu_sweep_ci(&sample_sweep(), &SWEEP_MU, &cfg);
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 3);
         assert!(lines[0].contains("makespan_lo,makespan_hi"));

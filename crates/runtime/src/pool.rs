@@ -1,10 +1,10 @@
 //! A persistent work-stealing worker pool.
 //!
-//! The legacy `mcsched_exp::fanout` executor spawned a fresh
-//! `std::thread::scope` per fan-out call and funnelled every result through
-//! one global mutex — and, because scoped workers cannot outlive the call,
-//! an inner fan-out (per-scenario, per-policy) had to serialize. This pool
-//! fixes all three:
+//! A throwaway executor would spawn a fresh `std::thread::scope` per
+//! fan-out call and funnel every result through one global mutex — and,
+//! because scoped workers cannot outlive the call, an inner fan-out
+//! (per-scenario, per-policy) would have to serialize. This pool avoids all
+//! three:
 //!
 //! * **persistent workers** — created once per worker count (see
 //!   [`pool_for`]) and reused by every campaign, replication and benchmark
@@ -457,11 +457,10 @@ pub fn pool_for(threads: usize) -> &'static Pool {
 }
 
 /// Runs `f(0..count)` with at most `resolve_threads(threads)` workers
-/// (`0` = one per core) and returns the results in input-index order: the
-/// drop-in replacement for the deprecated `mcsched_exp::fanout::run_indexed`
-/// with three differences — the workers are persistent, tasks may nest
-/// (`f` may itself call [`run_indexed`]), and closures capture their
-/// environment by `Arc`/value (`'static`) rather than by borrow.
+/// (`0` = one per core) and returns the results in input-index order. Unlike
+/// a scoped fan-out, the workers are persistent, tasks may nest (`f` may
+/// itself call [`run_indexed`]), and closures capture their environment by
+/// `Arc`/value (`'static`) rather than by borrow.
 ///
 /// `threads <= 1` (after resolution) or `count <= 1` runs strictly
 /// sequentially on the calling thread. A nested call from inside a pool

@@ -90,7 +90,7 @@ pub mod prelude {
         OrderingMode, PolicyKind, PolicyRegistry, RefAllocation, ReferencePlatform, SchedError,
         Schedule, ScheduleContext, SchedulerBuilder, SchedulerConfig, Workload,
     };
-    pub use mcsched_exp::{CampaignConfig, MuSweepConfig};
+    pub use mcsched_exp::CampaignConfig;
     pub use mcsched_online::{
         AdmissionPolicy, OnlineConfig, OnlineReport, OnlineScheduler, ReschedulePolicy,
     };

@@ -3,7 +3,7 @@
 //! execution and fairness metrics — plus golden-figure snapshots pinning the
 //! byte-identical-output guarantee of the experiment harness.
 
-use mcsched::exp::{run_campaign, run_mu_sweep, CampaignConfig, MuSweepConfig};
+use mcsched::exp::{mu_campaign, run_campaign, CampaignConfig};
 use mcsched::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -185,19 +185,19 @@ fn golden_check(name: &str, actual: &str) {
 
 #[test]
 fn golden_fig2_mu_sweep_quick_table_is_byte_stable() {
-    // The exact table a default `fig2_mu_sweep` run prints (quick config,
-    // default seed): the PR 2/PR 3 "figures byte-identical" guarantee,
-    // enforced mechanically.
-    let points = run_mu_sweep(&MuSweepConfig::quick()).unwrap();
+    // The exact table a default `fig2` run prints (quick config, default
+    // seed): the "figures byte-identical" guarantee, enforced mechanically.
+    let (config, mu_values) = mu_campaign(false);
+    let result = run_campaign(&config).unwrap();
     golden_check(
         "fig2_mu_sweep_quick.txt",
-        &mcsched::exp::table_mu_sweep(&points),
+        &mcsched::exp::table_mu_sweep(&result, mu_values),
     );
 }
 
 #[test]
 fn golden_fig3_random_quick_table_is_byte_stable() {
-    // The exact table a default `fig3_random` run prints.
+    // The exact table a default `fig3` run prints.
     let result = run_campaign(&CampaignConfig::quick(PtgClass::Random)).unwrap();
     golden_check(
         "fig3_random_quick.txt",
@@ -207,14 +207,14 @@ fn golden_fig3_random_quick_table_is_byte_stable() {
 
 #[test]
 fn golden_fig4_fft_quick_table_is_byte_stable() {
-    // The exact table a default `fig4_fft` run prints.
+    // The exact table a default `fig4` run prints.
     let result = run_campaign(&CampaignConfig::quick(PtgClass::Fft)).unwrap();
     golden_check("fig4_fft_quick.txt", &mcsched::exp::table_campaign(&result));
 }
 
 #[test]
 fn golden_fig5_strassen_quick_table_is_byte_stable() {
-    // The exact table a default `fig5_strassen` run prints.
+    // The exact table a default `fig5` run prints.
     let result = run_campaign(&CampaignConfig::quick(PtgClass::Strassen)).unwrap();
     golden_check(
         "fig5_strassen_quick.txt",
@@ -230,29 +230,31 @@ fn default_ci(seed: u64) -> BootstrapConfig {
 #[test]
 fn golden_fig2_mu_sweep_quick_csv_is_byte_stable() {
     // The exact CSV a default `fig2 --csv` run writes.
-    let points = run_mu_sweep(&MuSweepConfig::quick()).unwrap();
+    let (config, mu_values) = mu_campaign(false);
+    let result = run_campaign(&config).unwrap();
     golden_check(
         "fig2_mu_sweep_quick.csv",
-        &mcsched::exp::csv_mu_sweep(&points),
+        &mcsched::exp::csv_mu_sweep(&result, mu_values),
     );
 }
 
 #[test]
 fn golden_fig2_mu_sweep_quick_ci_outputs_are_byte_stable() {
     // The interval table and CSV of `fig2 --replications 2 --csv`.
-    let config = MuSweepConfig {
+    let (quick, mu_values) = mu_campaign(false);
+    let config = CampaignConfig {
         replications: 2,
-        ..MuSweepConfig::quick()
+        ..quick
     };
-    let points = run_mu_sweep(&config).unwrap();
+    let result = run_campaign(&config).unwrap();
     let ci = default_ci(config.seed);
     golden_check(
         "fig2_mu_sweep_quick_ci.txt",
-        &mcsched::exp::table_mu_sweep_ci(&points, &ci),
+        &mcsched::exp::table_mu_sweep_ci(&result, mu_values, &ci),
     );
     golden_check(
         "fig2_mu_sweep_quick_ci.csv",
-        &mcsched::exp::csv_mu_sweep_ci(&points, &ci),
+        &mcsched::exp::csv_mu_sweep_ci(&result, mu_values, &ci),
     );
 }
 

@@ -27,9 +27,7 @@
 //! that directory first; `MCSCHED_PROGRESS=1` narrates data points on
 //! stderr.
 
-use mcsched::exp::{
-    paired_mu_unfairness, run_campaign, run_mu_sweep, CampaignConfig, MuSweepConfig,
-};
+use mcsched::exp::{mu_policies, run_campaign, CampaignConfig};
 use mcsched::prelude::*;
 use mcsched::stats::{OrderingVerdict, PairedSamples};
 
@@ -166,19 +164,21 @@ fn check_mu_endpoint_ordering(scale: Scale) {
     // The sweep honours the same env controls as the campaigns; the cell
     // formats are shared, so one MCSCHED_CACHE_DIR serves both.
     let (cache_dir, resume, progress) = env_runtime_controls();
-    let config = MuSweepConfig {
-        mu_values: vec![0.0, 1.0],
+    let config = CampaignConfig {
+        strategies: mu_policies(&[0.0, 1.0]),
         ptg_counts: vec![8],
         combinations: scale.combinations,
         replications: scale.replications,
         cache_dir,
         resume,
         progress,
-        ..MuSweepConfig::paper()
+        ..CampaignConfig::paper(PtgClass::Random)
     };
-    let points = run_mu_sweep(&config).unwrap();
+    let result = run_campaign(&config).unwrap();
     // a = µ=1 (ES), b = µ=0 (PS): the paper orders a below b.
-    let paired = paired_mu_unfairness(&points, 8, 1.0, 0.0).expect("endpoints evaluated");
+    let paired = result
+        .paired_unfairness(8, "WPS-work@1", "WPS-work@0")
+        .expect("endpoints evaluated");
     let verdict = paired.verdict(&ci_config());
     eprintln!(
         "fig2 mu=1 vs mu=0 unfairness ({} pairs): mean diff {:+.4}, {}",

@@ -2,7 +2,7 @@
 //! checked on reduced workloads: the *shape* of the results (who is fairer,
 //! who is faster) rather than the absolute numbers.
 
-use mcsched::exp::{run_campaign, run_mu_sweep, CampaignConfig, MuSweepConfig};
+use mcsched::exp::{mu_policies, run_campaign, CampaignConfig};
 use mcsched::prelude::*;
 
 /// A small but non-trivial campaign: 3 combinations × 4 platforms × 4 PTGs.
@@ -45,7 +45,7 @@ fn weighting_towards_equal_share_does_not_clearly_hurt_fairness() {
     // Deliberately a *bound*, not the paper's strict WPS < PS ordering. The
     // ordering was re-probed at paper scale (25 combinations × 4 platforms =
     // 100 runs per cell, seeds 0x5EED/1/42/7, via
-    // `fig3_random --combinations 25 --ptgs 8 --strategies ps-work,wps-work,es`):
+    // `mcsched-exp fig3 --combinations 25 --ptgs 8 --strategies ps-work,wps-work,es`):
     // WPS-work's unfairness exceeds PS-work's by a systematic 0.01–0.07 on
     // every seed with this legacy `n^width` generator. Re-probed with the
     // width-calibrated DAGGEN generator (`--workload daggen-grid`, same
@@ -140,16 +140,15 @@ fn mu_interpolates_fairness_against_makespan() {
     // Figure 2: unfairness should trend down as mu goes from 0 to 1; the
     // paper also reports a makespan increase, which on reduced workloads we
     // only require not to be a large improvement.
-    let config = MuSweepConfig {
-        mu_values: vec![0.0, 1.0],
+    let config = CampaignConfig {
+        strategies: mu_policies(&[0.0, 1.0]),
         ptg_counts: vec![8],
         combinations: 3,
-        ..MuSweepConfig::paper()
+        ..CampaignConfig::paper(PtgClass::Random)
     };
-    let points = run_mu_sweep(&config).unwrap();
-    let at = |mu: f64| points.iter().find(|p| (p.mu - mu).abs() < 1e-9).unwrap();
-    let ps = at(0.0);
-    let es = at(1.0);
+    let result = run_campaign(&config).unwrap();
+    let ps = result.point(8, "WPS-work@0").unwrap();
+    let es = result.point(8, "WPS-work@1").unwrap();
     assert!(
         es.unfairness <= ps.unfairness + 0.05,
         "mu=1 (unfairness {:.3}) should be at least as fair as mu=0 ({:.3})",

@@ -13,7 +13,7 @@
 //! * `--no-resume` really starts cold, and damaged cache files degrade to
 //!   recomputation, never to wrong results.
 
-use mcsched::exp::{run_campaign, run_mu_sweep, CampaignConfig, MuSweepConfig};
+use mcsched::exp::{mu_campaign, run_campaign, CampaignConfig, QUICK_MU_VALUES};
 use mcsched::ptg::gen::PtgClass;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,10 +55,10 @@ fn campaign_config() -> CampaignConfig {
     }
 }
 
-fn sweep_config() -> MuSweepConfig {
-    MuSweepConfig {
+fn sweep_config() -> CampaignConfig {
+    CampaignConfig {
         replications: 2,
-        ..MuSweepConfig::quick()
+        ..mu_campaign(false).0
     }
 }
 
@@ -71,11 +71,11 @@ fn campaign_bytes(config: &CampaignConfig) -> (String, String) {
     )
 }
 
-fn sweep_bytes(config: &MuSweepConfig) -> (String, String) {
-    let points = run_mu_sweep(config).expect("sweep runs");
+fn sweep_bytes(config: &CampaignConfig) -> (String, String) {
+    let result = run_campaign(config).expect("sweep runs");
     (
-        mcsched::exp::table_mu_sweep(&points),
-        mcsched::exp::csv_mu_sweep(&points),
+        mcsched::exp::table_mu_sweep(&result, &QUICK_MU_VALUES),
+        mcsched::exp::csv_mu_sweep(&result, &QUICK_MU_VALUES),
     )
 }
 
