@@ -122,7 +122,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The usage line printed after a command-line error.
-pub const USAGE: &str = "usage: mcsched-exp <experiment> [flags]\n\
+const USAGE: &str = "usage: mcsched-exp <experiment> [flags]\n\
      experiments: table1 fig1 fig2 fig3 fig4 fig5 ablation-scrap ablation-packing online\n\
      every experiment: --profile --quiet --obs-trace P --obs-journal P --obs-metrics P --obs-dir P\n\
      fig2..fig5, ablation-*: --full --combinations N --ptgs a,b --strategies a,b \

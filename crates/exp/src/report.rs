@@ -245,16 +245,15 @@ pub fn table_mu_sweep_ci(
 /// each with its row key.
 fn mu_cells<'a>(result: &'a CampaignResult, mu_values: &[f64]) -> Vec<(String, &'a StrategyPoint)> {
     let counts = result.ptg_counts();
-    mu_rows(result, mu_values)
-        .into_iter()
-        .flat_map(|(key, label)| {
-            counts
-                .iter()
-                .filter_map(|&c| result.point(c, &label))
-                .map(|p| (key.clone(), p))
-                .collect::<Vec<_>>()
-        })
-        .collect()
+    let mut cells = Vec::new();
+    for (key, label) in mu_rows(result, mu_values) {
+        for &c in &counts {
+            if let Some(p) = result.point(c, &label) {
+                cells.push((key.clone(), p));
+            }
+        }
+    }
+    cells
 }
 
 /// Renders a µ sweep as CSV with interval columns
