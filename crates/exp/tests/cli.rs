@@ -1,7 +1,9 @@
 //! The `mcsched-exp` binary end to end: experiments print the committed
 //! golden tables, and command-line errors exit 2 naming the culprit.
 
-use std::path::Path;
+use mcsched_obs::fleet::scan_fleet;
+use mcsched_obs::RunPhase;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 fn mcsched_exp(args: &[&str]) -> Output {
@@ -12,11 +14,12 @@ fn mcsched_exp(args: &[&str]) -> Output {
         .expect("the binary runs")
 }
 
+fn read(path: &Path) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
 fn golden(name: &str) -> String {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../../tests/golden")
-        .join(name);
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+    read(&Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../../tests/golden")).join(name))
 }
 
 fn stdout_of(args: &[&str]) -> String {
@@ -51,6 +54,55 @@ fn fig2_prints_the_golden_table() {
 fn online_runs_a_short_stream() {
     let stdout = stdout_of(&["online", "--jobs", "20"]);
     assert!(!stdout.is_empty());
+}
+
+/// Splits a command line on single spaces.
+fn args(line: &str) -> Vec<&str> {
+    line.split(' ').collect()
+}
+
+/// Runs the space-separated `line` plus `out_flag` naming a fresh scratch
+/// path under the test target directory; returns stdout and the path.
+fn writing(line: &str, out_flag: &str, name: &str) -> (String, PathBuf) {
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&path);
+    let _ = std::fs::remove_file(&path);
+    let mut args = args(line);
+    args.extend([out_flag, path.to_str().expect("utf-8 path")]);
+    (stdout_of(&args), path)
+}
+
+/// Two strategies, two replications, 20 jobs.
+const ONLINE_SHORT: &str = "online --strategies es,s --replications 2 --jobs 20";
+
+#[test]
+fn online_prints_the_golden_tables() {
+    assert_eq!(stdout_of(&["online"]), golden("online_default.txt"));
+    let quick = "online --strategies es,s,ps-work,wps-work --replications 2 --jobs 40";
+    let (stdout, csv) = writing(quick, "--csv", "online_quick.csv");
+    assert_eq!(stdout, golden("online_quick.txt"));
+    assert_eq!(read(&csv), golden("online_quick.csv"));
+}
+
+#[test]
+fn online_writes_the_golden_series() {
+    let (_, series) = writing(ONLINE_SHORT, "--obs-series", "online_series_quick.csv");
+    assert_eq!(read(&series), golden("online_series_quick.csv"));
+}
+
+#[test]
+fn online_campaign_writes_its_fleet_manifest() {
+    let (_, dir) = writing(ONLINE_SHORT, "--obs-dir", "online_obs");
+    let fleet = scan_fleet(&[dir]);
+    assert!(fleet.errors.is_empty(), "{:?}", fleet.errors);
+    assert_eq!(fleet.shards.len(), 1);
+    let manifest = &fleet.shards[0].manifest;
+    assert_eq!(manifest.label, "online:online");
+    assert_eq!(manifest.phase, RunPhase::Done);
+    // The fleet digest of this campaign, pinned byte for byte.
+    assert_eq!(manifest.config_digest, "aee95b6ac750f03ce8809af4ba773750");
+    let heartbeat = fleet.shards[0].heartbeat.as_ref().expect("a heartbeat");
+    assert_eq!((heartbeat.cells_done, heartbeat.points_total), (4, 4));
 }
 
 #[test]
