@@ -249,7 +249,7 @@ impl CampaignResult {
 /// `wps-work@0.7`, whose names are both `WPS-work`) fall back to their
 /// parameter-carrying cache key so every row of the result stays
 /// distinguishable and addressable through [`CampaignResult::point`].
-fn strategy_labels(strategies: &[Arc<dyn ConstraintPolicy>]) -> Vec<String> {
+pub(crate) fn strategy_labels(strategies: &[Arc<dyn ConstraintPolicy>]) -> Vec<String> {
     let names: Vec<String> = strategies.iter().map(|p| p.name()).collect();
     names
         .iter()
@@ -298,27 +298,12 @@ fn strategy_labels(strategies: &[Arc<dyn ConstraintPolicy>]) -> Vec<String> {
 /// [`CampaignConfig::cache_dir`].
 pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignResult, SchedError> {
     let labels = strategy_labels(&config.strategies);
-    let job = cells::CellJob::new(
-        format!("campaign:{}", config.source.short_label()),
-        Arc::clone(&config.source),
-        config.strategies.clone(),
-        config.base.clone(),
-        config.combinations,
-        config.seed,
-        config.replications,
-        config.threads,
-        config.cache_dir.as_deref(),
-        config.resume,
-        config.progress,
-        config.ptg_counts.len(),
-        config.shard,
-        config.obs_dir.as_deref(),
-    )?;
+    let job = cells::CellJob::new(config)?;
 
     // (num_ptgs, strategy index) -> per-run samples, aggregated in grid
     // order (identical to the sequential order of the legacy harness).
     let mut cells_map: BTreeMap<(usize, usize), CellSamples> = BTreeMap::new();
-    for (num_ptgs, per_scenario) in job.run_grid(&config.ptg_counts)? {
+    for (num_ptgs, per_scenario) in job.run_grid()? {
         for outcomes in per_scenario {
             let best = outcomes
                 .iter()

@@ -23,11 +23,11 @@
 //! evaluating all of them, which is what makes per-policy cache granularity
 //! sound.
 
+use crate::campaign::CampaignConfig;
 use crate::scenario::{generate_scenarios_with, replication_seed, Scenario, ScenarioOutcome};
 use mcsched_core::policy::ConstraintPolicy;
 use mcsched_core::{SchedError, SchedulerConfig};
 use mcsched_runtime::{run_indexed, CellCache, CellDigest, CellMetrics, DigestBuilder, Progress};
-use mcsched_workload::WorkloadSource;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -39,9 +39,9 @@ use std::sync::Arc;
 /// speeds and links, plus the site topology). Hashing content as well as
 /// provenance means a cell can never be served stale for an input that
 /// changed under an unchanged label: a `--trace` file edited or
-/// regenerated on disk, a custom [`WorkloadSource`] that is not a pure
-/// function of the request, a custom platform sharing a built-in site's
-/// name, or a recalibrated Grid'5000 site spec.
+/// regenerated on disk, a custom [`mcsched_workload::WorkloadSource`] that
+/// is not a pure function of the request, a custom platform sharing a
+/// built-in site's name, or a recalibrated Grid'5000 site spec.
 #[must_use]
 pub fn scenario_digest(
     source_spec: &str,
@@ -118,7 +118,7 @@ pub fn cell_digest(
 /// cleared — a cache that cannot even open is a configuration error, unlike
 /// later flush failures which only cost recomputation and degrade to
 /// warnings.
-pub fn open_cell_cache(
+fn open_cell_cache(
     cache_dir: Option<&Path>,
     resume: bool,
 ) -> Result<Option<Arc<CellCache>>, SchedError> {
@@ -132,7 +132,7 @@ pub fn open_cell_cache(
 
 /// Flushes the cache, downgrading failures to a warning (a cache that
 /// cannot persist costs recomputation, never correctness).
-pub fn flush_cell_cache(cache: &CellCache) {
+fn flush_cell_cache(cache: &CellCache) {
     if let Err(e) = cache.flush() {
         eprintln!("warning: cell cache flush failed: {e}");
     }
@@ -142,37 +142,16 @@ pub fn flush_cell_cache(cache: &CellCache) {
 /// (never stdout: the figure tables stay byte-identical with and without a
 /// cache; `--quiet` silences it). CI's cache-warm smoke step greps for
 /// this line.
-pub fn report_cell_cache(cache: &CellCache) {
+fn report_cell_cache(cache: &CellCache) {
     mcsched_obs::note!("cell cache: {}", cache.summary());
 }
 
 /// Evaluates every policy on the scenario through the paired
 /// (shared-context) path, serving and populating `cache` when present.
 /// Outcomes come back in policy order, bit-identical whether each cell was
-/// computed or served from cache.
-pub fn evaluate_policies_cached(
-    scenario: &Scenario,
-    base: &SchedulerConfig,
-    policies: &[Arc<dyn ConstraintPolicy>],
-    cache: Option<&CellCache>,
-    source_spec: &str,
-    pipeline_key: &str,
-) -> Vec<ScenarioOutcome> {
-    evaluate_policies_sharded(
-        scenario,
-        base,
-        policies,
-        cache,
-        source_spec,
-        pipeline_key,
-        None,
-    )
-    .0
-}
-
-/// The shard-aware core of [`evaluate_policies_cached`]: with
-/// `shard = Some((index, of))`, cells whose digest falls outside partition
-/// `index` of `of` ([`CellDigest::in_shard`]) are **skipped entirely** — no
+/// computed or served from cache. With `shard = Some((index, of))`, cells
+/// whose digest falls outside partition `index` of `of`
+/// ([`CellDigest::in_shard`]) are **skipped entirely** — no
 /// evaluation, no cache lookup, no insert — and recorded as
 /// [`ScenarioOutcome::skipped`] placeholders (all-NaN, invisible to the
 /// best-makespan aggregation). In-shard cells behave exactly as unsharded:
@@ -255,135 +234,130 @@ pub fn evaluate_policies_sharded(
     (outcomes, skipped)
 }
 
+/// Starts the fleet record of one harness run in `dir`: a `running`
+/// manifest stamped with this process, the start time and the cache salt.
+/// The batch grid ([`CellJob::run_grid`]) and the online campaign
+/// ([`crate::online::run_online_campaign`]) both open theirs here.
+pub(crate) fn run_recorder(
+    dir: &Path,
+    label: String,
+    shard: (usize, usize),
+    config_digest: String,
+) -> mcsched_obs::RunRecorder {
+    mcsched_obs::RunRecorder::new(
+        dir,
+        mcsched_obs::RunManifest {
+            label,
+            shard,
+            config_digest,
+            salt: mcsched_runtime::CACHE_SALT.to_string(),
+            pid: std::process::id(),
+            start_unix_ms: mcsched_obs::manifest::unix_ms(),
+            phase: mcsched_obs::RunPhase::Running,
+        },
+    )
+}
+
 /// Per-scenario outcomes of one data point: outer index = scenario in
 /// generation order, inner index = policy in input order.
-pub type DataPointOutcomes = Vec<Vec<ScenarioOutcome>>;
+pub(crate) type DataPointOutcomes = Vec<Vec<ScenarioOutcome>>;
 
-/// The `Arc`-shared state one harness run (campaign or µ-sweep) hands to
-/// its pool tasks: workload source, policy set, pipeline, cache, progress.
-/// Both harnesses drive their grids through [`CellJob::run_grid`], so the
-/// fan-out shape, the cache/flush cadence and the digest inputs live in
+/// The `Arc`-shared state one campaign run hands to its pool tasks: the
+/// configuration, cache and progress. Every campaign — the figures and the
+/// µ calibration alike — drives its grid through [`CellJob::run_grid`], so
+/// the fan-out shape, the cache/flush cadence and the digest inputs live in
 /// exactly one place.
-pub struct CellJob {
-    source: Arc<dyn WorkloadSource>,
-    policies: Vec<Arc<dyn ConstraintPolicy>>,
-    base: SchedulerConfig,
-    combinations: usize,
-    seed: u64,
-    replications: usize,
-    threads: usize,
+pub(crate) struct CellJob {
+    /// The campaign, with at least one replication.
+    config: CampaignConfig,
     cache: Option<Arc<CellCache>>,
     progress: Progress,
     spec: String,
     pipeline_key: String,
-    /// `Some((index, of))` for a sharded run: only cells of partition
-    /// `index` are evaluated; the rest become NaN placeholders.
-    shard: Option<(usize, usize)>,
     /// Out-of-shard cells skipped so far (reported at the end of the grid).
     skipped: std::sync::atomic::AtomicU64,
-    /// Run label without the `[shard i/N]` suffix, for the run manifest.
-    manifest_label: String,
-    /// Fleet obs directory; [`CellJob::run_grid`] writes the run manifest
-    /// there and every data-point flush refreshes the heartbeat.
-    obs_dir: Option<std::path::PathBuf>,
-    /// Created by [`CellJob::run_grid`] once the grid (and with it the
-    /// config digest) is known; data points heartbeat through it.
-    recorder: std::sync::OnceLock<Option<mcsched_obs::RunRecorder>>,
+    /// The fleet record, when the campaign has an obs dir; data points
+    /// heartbeat through it.
+    recorder: Option<mcsched_obs::RunRecorder>,
     /// In-shard cells evaluated or served so far (heartbeat progress).
     cells_done: std::sync::atomic::AtomicU64,
 }
 
 impl CellJob {
-    /// Assembles a job: opens the cache (if configured), derives the
-    /// source spec and pipeline key, and sizes the progress reporter to
-    /// `replications × ptg_count_len` data points. With `shard` set, the
-    /// progress label carries a `[shard i/N]` suffix and only that
-    /// partition of the cell grid is evaluated.
+    /// Assembles the job of a campaign, labelled `campaign:<source>`: opens
+    /// the cache (if configured), derives the source spec and pipeline key,
+    /// and sizes the progress reporter to `replications × ptg_counts` data
+    /// points. A library caller's zero replications run as one. With
+    /// [`CampaignConfig::shard`] set, the progress label carries a
+    /// `[shard i/N]` suffix and only that partition of the cell grid is
+    /// evaluated.
     ///
     /// # Errors
     ///
-    /// Propagates cache-directory failures (see [`open_cell_cache`]) and
-    /// rejects malformed shard specs (`index >= of` or `of == 0`).
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        label: String,
-        source: Arc<dyn WorkloadSource>,
-        policies: Vec<Arc<dyn ConstraintPolicy>>,
-        base: SchedulerConfig,
-        combinations: usize,
-        seed: u64,
-        replications: usize,
-        threads: usize,
-        cache_dir: Option<&Path>,
-        resume: bool,
-        progress: bool,
-        ptg_count_len: usize,
-        shard: Option<(usize, usize)>,
-        obs_dir: Option<&Path>,
-    ) -> Result<Arc<Self>, SchedError> {
-        let replications = replications.max(1);
-        let manifest_label = label.clone();
-        let label = match shard {
+    /// Propagates cache-directory failures (a directory that cannot be
+    /// created or cleared) and rejects malformed shard specs (`index >= of`
+    /// or `of == 0`).
+    pub(crate) fn new(config: &CampaignConfig) -> Result<Arc<Self>, SchedError> {
+        let mut config = config.clone();
+        config.replications = config.replications.max(1);
+        let manifest_label = format!("campaign:{}", config.source.short_label());
+        let label = match config.shard {
             Some((index, of)) => {
                 if of == 0 || index >= of {
                     return Err(SchedError::InvalidConfig(format!(
                         "shard {index}/{of} is out of range (need index < N and N > 0)"
                     )));
                 }
-                format!("{label} [shard {index}/{of}]")
+                format!("{manifest_label} [shard {index}/{of}]")
             }
-            None => label,
+            None => manifest_label.clone(),
         };
-        Ok(Arc::new(Self {
-            spec: source.spec(),
-            pipeline_key: base.pipeline_cache_key(),
-            cache: open_cell_cache(cache_dir, resume)?,
-            progress: Progress::new(label, replications * ptg_count_len, progress),
-            source,
-            policies,
-            base,
-            combinations,
-            seed,
-            replications,
-            threads,
-            shard,
+        let data_points = config.replications * config.ptg_counts.len();
+        let mut job = Self {
+            spec: config.source.spec(),
+            pipeline_key: config.base.pipeline_cache_key(),
+            cache: open_cell_cache(config.cache_dir.as_deref(), config.resume)?,
+            progress: Progress::new(label, data_points, config.progress),
+            config,
             skipped: std::sync::atomic::AtomicU64::new(0),
-            manifest_label,
-            obs_dir: obs_dir.map(Path::to_path_buf),
-            recorder: std::sync::OnceLock::new(),
+            recorder: None,
             cells_done: std::sync::atomic::AtomicU64::new(0),
-        }))
+        };
+        job.recorder = job.config.obs_dir.as_deref().map(|dir| {
+            run_recorder(
+                dir,
+                manifest_label,
+                job.config.shard.unwrap_or((0, 1)),
+                job.config_digest(),
+            )
+        });
+        Ok(Arc::new(job))
     }
 
     /// The fleet config digest of this grid: every input that determines
     /// the campaign's cell set **except** the shard spec, so all shards of
     /// one fleet share it and `mcsched-obs-merge` can refuse to union runs
     /// of different campaigns (mirroring the per-cell digest composition).
-    fn config_digest(&self, ptg_counts: &[usize]) -> String {
+    fn config_digest(&self) -> String {
         let mut digest = DigestBuilder::new()
             .str("fleet-config")
             .str(&self.spec)
             .str(&self.pipeline_key)
-            .u64(self.seed)
-            .usize(self.combinations)
-            .usize(self.replications);
-        for policy in &self.policies {
+            .u64(self.config.seed)
+            .usize(self.config.combinations)
+            .usize(self.config.replications);
+        for policy in &self.config.strategies {
             digest = digest.str(&policy.cache_key());
         }
-        for &n in ptg_counts {
+        for &n in &self.config.ptg_counts {
             digest = digest.usize(n);
         }
         digest.finish().to_hex()
     }
 
-    /// The run recorder, once [`CellJob::run_grid`] has created it.
-    fn recorder(&self) -> Option<&mcsched_obs::RunRecorder> {
-        self.recorder.get().and_then(Option::as_ref)
-    }
-
     /// Refreshes this run's heartbeat record (no-op without an obs dir).
     fn heartbeat(&self, detail: &str) {
-        let Some(recorder) = self.recorder() else {
+        let Some(recorder) = &self.recorder else {
             return;
         };
         recorder.heartbeat(mcsched_obs::Heartbeat {
@@ -408,24 +382,24 @@ impl CellJob {
         num_ptgs: usize,
     ) -> Result<DataPointOutcomes, SchedError> {
         let _span = mcsched_obs::span!("data-point", "ptgs" = num_ptgs, "rep" = replication);
-        let seed = replication_seed(self.seed, replication);
+        let seed = replication_seed(self.config.seed, replication);
         let scenarios = Arc::new(generate_scenarios_with(
-            self.source.as_ref(),
+            self.config.source.as_ref(),
             num_ptgs,
-            self.combinations,
+            self.config.combinations,
             seed,
         )?);
         let job = Arc::clone(self);
         let task_scenarios = Arc::clone(&scenarios);
-        let outcomes = run_indexed(self.threads, scenarios.len(), move |i| {
+        let outcomes = run_indexed(self.config.threads, scenarios.len(), move |i| {
             let (outcomes, skipped) = evaluate_policies_sharded(
                 &task_scenarios[i],
-                &job.base,
-                &job.policies,
+                &job.config.base,
+                &job.config.strategies,
                 job.cache.as_deref(),
                 &job.spec,
                 &job.pipeline_key,
-                job.shard,
+                job.config.shard,
             );
             if skipped > 0 {
                 job.skipped
@@ -443,7 +417,7 @@ impl CellJob {
         let detail = format!(
             "ptgs={num_ptgs} rep={}/{}",
             replication + 1,
-            self.replications
+            self.config.replications
         );
         self.progress.tick(&detail);
         self.heartbeat(&detail);
@@ -459,40 +433,23 @@ impl CellJob {
     /// # Errors
     ///
     /// Propagates the first data-point failure in grid order.
-    pub fn run_grid(
+    pub(crate) fn run_grid(
         self: &Arc<Self>,
-        ptg_counts: &[usize],
     ) -> Result<Vec<(usize, DataPointOutcomes)>, SchedError> {
+        let ptg_counts = &self.config.ptg_counts;
         let _span = mcsched_obs::span!(
             "campaign-grid",
-            "replications" = self.replications,
+            "replications" = self.config.replications,
             "ptg-counts" = ptg_counts.len()
         );
-        // The config digest needs the grid's PTG counts, so the recorder is
-        // born here rather than in `new` (before any data point can flush).
-        let recorder = self.obs_dir.as_deref().map(|dir| {
-            mcsched_obs::RunRecorder::new(
-                dir,
-                mcsched_obs::RunManifest {
-                    label: self.manifest_label.clone(),
-                    shard: self.shard.unwrap_or((0, 1)),
-                    config_digest: self.config_digest(ptg_counts),
-                    salt: mcsched_runtime::CACHE_SALT.to_string(),
-                    pid: std::process::id(),
-                    start_unix_ms: mcsched_obs::manifest::unix_ms(),
-                    phase: mcsched_obs::RunPhase::Running,
-                },
-            )
-        });
-        let _ = self.recorder.set(recorder);
         self.heartbeat("starting");
-        let grid: Vec<(usize, usize)> = (0..self.replications)
+        let grid: Vec<(usize, usize)> = (0..self.config.replications)
             .flat_map(|r| ptg_counts.iter().map(move |&n| (r, n)))
             .collect();
         let per_point = {
             let job = Arc::clone(self);
             let grid = grid.clone();
-            run_indexed(self.threads, grid.len(), move |pi| {
+            run_indexed(self.config.threads, grid.len(), move |pi| {
                 let (replication, num_ptgs) = grid[pi];
                 job.data_point(replication, num_ptgs)
             })
@@ -502,7 +459,7 @@ impl CellJob {
             match point {
                 Ok(point) => points.push((num_ptgs, point)),
                 Err(e) => {
-                    if let Some(recorder) = self.recorder() {
+                    if let Some(recorder) = &self.recorder {
                         recorder.finish(mcsched_obs::RunPhase::Failed);
                     }
                     return Err(e);
@@ -513,7 +470,7 @@ impl CellJob {
             flush_cell_cache(cache);
             report_cell_cache(cache);
         }
-        if let Some((index, of)) = self.shard {
+        if let Some((index, of)) = self.config.shard {
             mcsched_obs::note!(
                 "shard {index}/{of}: skipped {} out-of-shard cell(s); merge the \
                  shard cache dirs (mcsched-merge) and re-run unsharded to render \
@@ -521,7 +478,7 @@ impl CellJob {
                 self.skipped.load(std::sync::atomic::Ordering::Relaxed)
             );
         }
-        if let Some(recorder) = self.recorder() {
+        if let Some(recorder) = &self.recorder {
             recorder.finish(mcsched_obs::RunPhase::Done);
         }
         Ok(points)
@@ -596,36 +553,42 @@ mod tests {
         assert_ne!(d(&scenarios[0]), d(&forged));
     }
 
+    /// An unsharded evaluation of `strassen` cells through `cache`.
+    fn cached(
+        scenario: &Scenario,
+        policies: &[Arc<dyn ConstraintPolicy>],
+        cache: &CellCache,
+    ) -> Vec<ScenarioOutcome> {
+        let base = SchedulerConfig::default();
+        let pipeline = base.pipeline_cache_key();
+        let (outcomes, skipped) = evaluate_policies_sharded(
+            scenario,
+            &base,
+            policies,
+            Some(cache),
+            "strassen",
+            &pipeline,
+            None,
+        );
+        assert_eq!(skipped, 0);
+        outcomes
+    }
+
     #[test]
     fn cached_evaluation_is_bit_identical_to_direct() {
         let base = SchedulerConfig::default();
-        let pipeline = base.pipeline_cache_key();
         let scenarios = generate_scenarios(PtgClass::Strassen, 2, 1, 9);
         let scenario = &scenarios[0];
         let policies = policies();
         let direct = scenario.evaluate_policies(&base, &policies);
 
         let cache = CellCache::in_memory();
-        let cold = evaluate_policies_cached(
-            scenario,
-            &base,
-            &policies,
-            Some(&cache),
-            "strassen",
-            &pipeline,
-        );
+        let cold = cached(scenario, &policies, &cache);
         assert_eq!(cold, direct);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), policies.len() as u64);
 
-        let warm = evaluate_policies_cached(
-            scenario,
-            &base,
-            &policies,
-            Some(&cache),
-            "strassen",
-            &pipeline,
-        );
+        let warm = cached(scenario, &policies, &cache);
         assert_eq!(
             warm, direct,
             "cache hits reproduce the outcomes bit-exactly"
@@ -685,32 +648,17 @@ mod tests {
     #[test]
     fn partially_warm_cache_evaluates_only_the_missing_subset() {
         let base = SchedulerConfig::default();
-        let pipeline = base.pipeline_cache_key();
         let scenarios = generate_scenarios(PtgClass::Strassen, 2, 1, 13);
         let scenario = &scenarios[0];
         let policies = policies();
         let cache = CellCache::in_memory();
         // Warm only the middle policy.
         let middle = vec![Arc::clone(&policies[1])];
-        evaluate_policies_cached(
-            scenario,
-            &base,
-            &middle,
-            Some(&cache),
-            "strassen",
-            &pipeline,
-        );
+        cached(scenario, &middle, &cache);
         assert_eq!(cache.len(), 1);
         // Full evaluation: one hit, two misses, outcomes identical to direct.
         let direct = scenario.evaluate_policies(&base, &policies);
-        let mixed = evaluate_policies_cached(
-            scenario,
-            &base,
-            &policies,
-            Some(&cache),
-            "strassen",
-            &pipeline,
-        );
+        let mixed = cached(scenario, &policies, &cache);
         assert_eq!(mixed, direct);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), policies.len());

@@ -57,7 +57,8 @@
 //!   of generating them (see `--export-trace`);
 //! * `--export-trace PATH` — write every workload the run would consume as
 //!   a replayable JSON trace to `PATH`;
-//! * `--replications N` — number of paired replications: the whole grid is
+//! * `--replications N` — number of paired replications (at least 1; `0`
+//!   is an error here and for `online`): the whole grid is
 //!   redrawn `N` times on deterministically derived seeds (common random
 //!   numbers within each replication); with `N > 1` the tables print
 //!   `mean ±ci` cells instead of bare means. A replayed `--trace` holds one
@@ -96,8 +97,9 @@
 //! * `--queue-cap N` / `--in-flight N` — admission bounds;
 //! * `--reschedule P` — `on-arrival`, `on-completion` or `quantum=SECS`;
 //! * `--admission P` — `drop-newest` or `drop-oldest`;
-//! * `--strategies a,b,c` — paper strategy names (`s,es,ps-cp,wps-width,...`;
-//!   `es` by default);
+//! * `--strategies a,b,c` — constraint policies resolved through the
+//!   built-in [`PolicyRegistry`], as for the figures (`es` by default; e.g.
+//!   `--strategies s,es,wps-work@0.5`);
 //! * `--replications N` — independent streams per strategy (paired verdicts
 //!   are printed when at least two strategies run);
 //! * `--threads N` / `--seed S` / `--csv PATH`;
@@ -199,8 +201,7 @@ pub struct CliOptions {
     pub combinations: Option<usize>,
     /// Override for the PTG counts.
     pub ptg_counts: Option<Vec<usize>>,
-    /// Constraint-policy names to compare (resolved through the registry;
-    /// `online` looks them up in the paper set).
+    /// Constraint-policy names to compare (resolved through the registry).
     pub strategies: Option<Vec<String>>,
     /// Allocation-procedure name override.
     pub allocation: Option<String>,
@@ -326,7 +327,11 @@ impl CliOptions {
                 "--trace" if grid => opts.trace = Some(PathBuf::from(value()?)),
                 "--export-trace" if grid => opts.export_trace = Some(PathBuf::from(value()?)),
                 "--replications" if grid || online => {
-                    opts.replications = Some(numeric(&arg, &value()?)?);
+                    let replications = numeric(&arg, &value()?)?;
+                    if replications == 0 {
+                        return Err("flag `--replications` expects at least 1, got `0`".into());
+                    }
+                    opts.replications = Some(replications);
                 }
                 "--ci" if grid => {
                     let raw = value()?;
@@ -462,7 +467,7 @@ impl CliOptions {
             config.base.allocation = a;
         }
         if let Some(r) = self.replications {
-            config.replications = r.max(1);
+            config.replications = r;
         }
         config.replications = self.clamp_trace_replications(config.replications);
         if let Some(t) = self.threads {
@@ -955,16 +960,24 @@ mod tests {
     }
 
     #[test]
-    fn default_run_does_not_want_ci_and_clamps_zero_replications() {
+    fn default_run_does_not_want_ci_and_rejects_zero_replications() {
         let o = parse(&["fig3"]);
         assert!(!o.wants_ci(1));
         assert!(o.wants_ci(2), "replications alone enable intervals");
         assert_eq!(o.ci_config(0).level, 0.95);
         assert_eq!(o.report_ci(&fig3()), None);
-        // --replications 0 parses but clamps to 1 at configuration time.
-        let o = parse(&["fig3", "--replications", "0"]);
-        let cfg = o.configure_campaign(fig3()).unwrap();
-        assert_eq!(cfg.replications, 1);
+        // --replications 0 is an error at parse time, for every experiment
+        // that takes the flag.
+        for experiment in ["fig2", "fig3", "ablation-scrap", "online"] {
+            assert_eq!(
+                parse_err(&[experiment, "--replications", "0"]),
+                "flag `--replications` expects at least 1, got `0`"
+            );
+        }
+        assert_eq!(
+            parse(&["online", "--replications", "1"]).replications,
+            Some(1)
+        );
     }
 
     #[test]

@@ -19,7 +19,11 @@
 //! The [`campaign`] module runs such sweeps, [`mu_sweep`] supplies the
 //! µ-calibration policies of Figure 2 (itself a campaign), and [`report`]
 //! renders the aggregated numbers as aligned text tables and CSV suitable
-//! for regenerating every figure of the paper.
+//! for regenerating every figure of the paper. [`online`] runs the same
+//! strategy × replication comparison on the event-driven online scheduler
+//! of `mcsched-online`: streamed arrivals instead of snapshots, judged by
+//! paired per-job stretch, over the same replication seeds, worker pool,
+//! fleet records and registry-named policies as the batch grid.
 //!
 //! Workload production is delegated to the `mcsched-workload` subsystem:
 //! campaigns consume any `WorkloadSource` (legacy class generators, DAGGEN
@@ -61,13 +65,15 @@ pub mod campaign;
 pub mod cells;
 pub mod cli;
 pub mod mu_sweep;
+pub mod online;
 pub mod report;
 pub mod scenario;
 
 pub use campaign::{run_campaign, CampaignConfig, CampaignResult, CellSamples, StrategyPoint};
-pub use cells::{cell_digest, evaluate_policies_cached, evaluate_policies_sharded};
+pub use cells::{cell_digest, evaluate_policies_sharded};
 pub use cli::CliOptions;
 pub use mu_sweep::{mu_campaign, mu_policies, PAPER_MU_VALUES, QUICK_MU_VALUES};
+pub use online::{run_online_campaign, OnlineCampaign, OnlineResult};
 pub use report::{
     csv_campaign, csv_campaign_ci, csv_mu_sweep, csv_mu_sweep_ci, table_campaign,
     table_campaign_ci, table_mu_sweep, table_mu_sweep_ci,

@@ -9,16 +9,17 @@
 
 use mcsched_core::mapping::{map_concurrent, MappingConfig, OrderingMode};
 use mcsched_core::policy::ListMapping;
-use mcsched_core::{ConstraintStrategy, PolicyRegistry, RefAllocation, SchedulerConfig};
+use mcsched_core::{PolicyRegistry, RefAllocation, SchedulerConfig};
 use mcsched_exp::cli::Experiment;
+use mcsched_exp::online::{
+    csv_online, run_online_campaign, series_csv, table_online, OnlineCampaign,
+};
 use mcsched_exp::{mu_campaign, report, run_campaign, CampaignConfig, CampaignResult, CliOptions};
-use mcsched_online::CampaignSpec;
 use mcsched_platform::{grid5000, PlatformBuilder};
 use mcsched_ptg::gen::PtgClass;
 use mcsched_ptg::{CostModel, DataParallelTask, Ptg, PtgBuilder};
 use mcsched_stats::BootstrapConfig;
 use mcsched_workload::WorkloadCatalog;
-use std::fmt::Write as _;
 use std::sync::Arc;
 
 fn main() {
@@ -333,26 +334,6 @@ fn ablation<const N: usize>(
     println!("{expected}");
 }
 
-/// Looks a paper strategy up by (case-insensitive) name.
-fn paper_strategy(name: &str) -> Result<ConstraintStrategy, String> {
-    let known = ConstraintStrategy::paper_set();
-    let want = name.to_ascii_lowercase();
-    known
-        .iter()
-        .copied()
-        .find(|s| s.name().to_ascii_lowercase() == want)
-        .ok_or_else(|| {
-            let names: Vec<String> = known
-                .iter()
-                .map(|s| s.name().to_ascii_lowercase())
-                .collect();
-            format!(
-                "unknown strategy `{name}` (expected one of {})",
-                names.join(", ")
-            )
-        })
-}
-
 /// The open-system experiment: streams PTG arrivals through the
 /// event-driven online scheduler and reports open-system metrics (stretch,
 /// shed rate, queue depth, utilisation) per constraint strategy. A bounded
@@ -364,26 +345,26 @@ fn online(opts: &CliOptions) -> Result<(), String> {
         .as_deref()
         .unwrap_or("daggen@n=20/poisson@lambda=0.02");
     let site = opts.platform.as_deref().unwrap_or("lille");
-    let strategies = match &opts.strategies {
-        None => vec![ConstraintStrategy::EqualShare],
-        Some(names) => names
-            .iter()
-            .map(|n| paper_strategy(n))
-            .collect::<Result<_, _>>()?,
-    };
-    let mut spec = CampaignSpec::new(strategies);
-    spec.replications = opts.replications.unwrap_or(1);
-    spec.threads = opts.threads.unwrap_or(spec.threads);
-    spec.base.seed = opts.seed.unwrap_or(spec.base.seed);
-    spec.base.max_jobs = opts.jobs.unwrap_or(200);
-    spec.base.max_time = opts.duration.unwrap_or(spec.base.max_time);
-    spec.base.queue_cap = opts.queue_cap.unwrap_or(spec.base.queue_cap);
-    spec.base.max_in_flight = opts.in_flight.unwrap_or(spec.base.max_in_flight);
-    spec.base.reschedule = opts.reschedule.unwrap_or(spec.base.reschedule);
-    spec.base.admission = opts.admission.unwrap_or(spec.base.admission);
-    spec.base.record_series = opts.obs_series.is_some();
-    spec.obs_dir = opts.obs.dir.clone();
-    spec.bootstrap = BootstrapConfig::seeded(spec.base.seed ^ 0xB007);
+    let registry = PolicyRegistry::builtin();
+    let names = opts.strategies.clone().unwrap_or_else(|| vec!["es".into()]);
+    let strategies = names
+        .iter()
+        .map(|name| registry.constraint(name))
+        .collect::<Result<_, _>>()
+        .map_err(|e| e.to_string())?;
+    let mut campaign = OnlineCampaign::new(strategies);
+    campaign.replications = opts.replications.unwrap_or(1);
+    campaign.threads = opts.threads.unwrap_or(campaign.threads);
+    let base = &mut campaign.base;
+    base.seed = opts.seed.unwrap_or(base.seed);
+    base.max_jobs = opts.jobs.unwrap_or(200);
+    base.max_time = opts.duration.unwrap_or(base.max_time);
+    base.queue_cap = opts.queue_cap.unwrap_or(base.queue_cap);
+    base.max_in_flight = opts.in_flight.unwrap_or(base.max_in_flight);
+    base.reschedule = opts.reschedule.unwrap_or(base.reschedule);
+    base.admission = opts.admission.unwrap_or(base.admission);
+    base.record_series = opts.obs_series.is_some();
+    campaign.obs_dir = opts.obs.dir.clone();
 
     let platform = grid5000::by_name(site).ok_or_else(|| {
         format!("unknown platform `{site}` (expected lille, nancy, rennes or sophia)")
@@ -394,21 +375,20 @@ fn online(opts: &CliOptions) -> Result<(), String> {
     mcsched_obs::note!(
         "online: {workload} on {site}, {} jobs / {} s window, queue {} / in-flight {}, \
          {} x {} replications ({}, {})",
-        spec.base.max_jobs,
-        spec.base.max_time,
-        spec.base.queue_cap,
-        spec.base.max_in_flight,
-        spec.strategies.len(),
-        spec.replications,
-        spec.base.reschedule.spec(),
-        spec.base.admission.spec(),
+        campaign.base.max_jobs,
+        campaign.base.max_time,
+        campaign.base.queue_cap,
+        campaign.base.max_in_flight,
+        campaign.strategies.len(),
+        campaign.replications,
+        campaign.base.reschedule.spec(),
+        campaign.base.admission.spec(),
     );
 
-    let result =
-        mcsched_online::run_campaign(&platform, &source, &spec).map_err(|e| e.to_string())?;
-    print!("{}", mcsched_online::report::table_campaign(&result));
+    let result = run_online_campaign(&platform, &source, &campaign).map_err(|e| e.to_string())?;
+    print!("{}", table_online(&result));
     if let Some(path) = &opts.csv {
-        std::fs::write(path, mcsched_online::report::csv_campaign(&result))
+        std::fs::write(path, csv_online(&result))
             .map_err(|e| format!("cannot write CSV to `{}`: {e}", path.display()))?;
         mcsched_obs::note!("wrote {}", path.display());
     }
@@ -418,27 +398,4 @@ fn online(opts: &CliOptions) -> Result<(), String> {
         mcsched_obs::note!("obs: time series written to {}", path.display());
     }
     Ok(())
-}
-
-/// Renders the per-epoch series of every online campaign run as one flat
-/// CSV (column names shared with [`mcsched_online::SERIES_COLUMNS`],
-/// prefixed by the run identity).
-fn series_csv(result: &mcsched_online::CampaignResult) -> String {
-    let mut out = String::from("strategy,replication");
-    for column in mcsched_online::SERIES_COLUMNS {
-        let _ = write!(out, ",{column}");
-    }
-    out.push('\n');
-    for outcome in &result.outcomes {
-        for (rep, report) in outcome.reports.iter().enumerate() {
-            for row in report.series.rows() {
-                let _ = write!(out, "{},{rep}", outcome.strategy.name());
-                for v in row {
-                    let _ = write!(out, ",{v}");
-                }
-                out.push('\n');
-            }
-        }
-    }
-    out
 }

@@ -5,10 +5,7 @@
 //! the class-equivalent source, drawing byte-identical applications.
 
 use mcsched_core::policy::ConstraintPolicy;
-use mcsched_core::{
-    ConcurrentScheduler, ConstraintStrategy, EvaluatedRun, SchedError, ScheduleContext,
-    SchedulerConfig, Workload,
-};
+use mcsched_core::{EvaluatedRun, SchedError, ScheduleContext, SchedulerConfig, Workload};
 use mcsched_platform::{grid5000, Platform};
 use mcsched_ptg::gen::PtgClass;
 use mcsched_ptg::Ptg;
@@ -165,8 +162,8 @@ impl Scenario {
     /// entry point through which every strategy evaluation runs, so that the
     /// platform views and the dedicated baselines (`M_own`) are computed once
     /// per scenario. Carries the scenario's release times, so every
-    /// evaluation path (including the ablation two-step path) schedules
-    /// timed scenarios identically.
+    /// evaluation path (including the two-step reference the tests check
+    /// the paired path against) schedules timed scenarios identically.
     ///
     /// # Panics
     ///
@@ -184,18 +181,6 @@ impl Scenario {
         self.context(base)
             .dedicated_makespans()
             .expect("scheduler produces valid workloads")
-    }
-
-    /// Evaluates every built-in strategy on the scenario (enum convenience
-    /// over [`Scenario::evaluate_policies`]).
-    pub fn evaluate_all(
-        &self,
-        base: &SchedulerConfig,
-        strategies: &[ConstraintStrategy],
-    ) -> Vec<ScenarioOutcome> {
-        let policies: Vec<Arc<dyn ConstraintPolicy>> =
-            strategies.iter().map(|s| s.to_policy()).collect();
-        self.evaluate_policies(base, &policies)
     }
 
     /// Evaluates every constraint policy on the scenario's workload through
@@ -223,20 +208,22 @@ impl Scenario {
             .collect()
     }
 
-    /// Evaluates one strategy on the scenario given precomputed dedicated
-    /// makespans (kept for ablation call sites that manage their own
-    /// baselines; campaigns should prefer [`Scenario::evaluate_policies`]).
-    pub fn evaluate_strategy(
+    /// Evaluates one policy on the scenario given precomputed dedicated
+    /// makespans: the two-step reference the paired path
+    /// ([`Scenario::evaluate_policies`]) is checked against.
+    #[cfg(test)]
+    fn evaluate_strategy(
         &self,
-        strategy: ConstraintStrategy,
+        policy: Arc<dyn ConstraintPolicy>,
         base: &SchedulerConfig,
         dedicated: &[f64],
     ) -> ScenarioOutcome {
+        let strategy = policy.name();
         let config = SchedulerConfig {
-            constraint: strategy.to_policy(),
+            constraint: policy,
             ..base.clone()
         };
-        let scheduler = ConcurrentScheduler::new(config);
+        let scheduler = mcsched_core::ConcurrentScheduler::new(config);
         // Borrow the scenario's PTGs (and release times) through a context
         // instead of cloning them into a one-shot `Workload`.
         let run = scheduler
@@ -244,7 +231,7 @@ impl Scenario {
             .expect("scheduler produces valid workloads");
         let fairness = mcsched_core::metrics::fairness_report(dedicated, &run.app_makespans());
         ScenarioOutcome {
-            strategy: strategy.name(),
+            strategy,
             unfairness: fairness.unfairness,
             makespan: run.global_makespan,
             average_slowdown: fairness.average_slowdown,
@@ -282,10 +269,17 @@ impl ScenarioOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::CampaignConfig;
+    use mcsched_core::{ConcurrentScheduler, ConstraintStrategy};
 
     #[test]
     fn replication_zero_is_the_configured_seed() {
         assert_eq!(replication_seed(0x5EED, 0), 0x5EED);
+        // Later replications step by the golden-ratio increment.
+        assert_eq!(
+            replication_seed(42, 3),
+            42u64.wrapping_add(3u64.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        );
         let first = replication_seed(0x5EED, 1);
         let second = replication_seed(0x5EED, 2);
         assert_ne!(first, 0x5EED);
@@ -364,7 +358,11 @@ mod tests {
         let base = SchedulerConfig::default();
         let dedicated = scenario.dedicated_makespans(&base);
         assert_eq!(dedicated.len(), 2);
-        let out = scenario.evaluate_strategy(ConstraintStrategy::EqualShare, &base, &dedicated);
+        let out = scenario.evaluate_strategy(
+            ConstraintStrategy::EqualShare.to_policy(),
+            &base,
+            &dedicated,
+        );
         assert!(out.unfairness.is_finite() && out.unfairness >= 0.0);
         assert!(out.makespan > 0.0);
         assert!(out.average_slowdown > 0.0);
@@ -376,11 +374,14 @@ mod tests {
         let scenarios = generate_scenarios(PtgClass::Strassen, 3, 1, 13);
         let scenario = &scenarios[0];
         let base = SchedulerConfig::default();
-        let strategies = [ConstraintStrategy::Selfish, ConstraintStrategy::EqualShare];
-        let combined = scenario.evaluate_all(&base, &strategies);
+        let policies = CampaignConfig::policies(&[
+            ConstraintStrategy::Selfish,
+            ConstraintStrategy::EqualShare,
+        ]);
+        let combined = scenario.evaluate_policies(&base, &policies);
         let dedicated = scenario.dedicated_makespans(&base);
-        for (outcome, &strategy) in combined.iter().zip(&strategies) {
-            let reference = scenario.evaluate_strategy(strategy, &base, &dedicated);
+        for (outcome, policy) in combined.iter().zip(&policies) {
+            let reference = scenario.evaluate_strategy(Arc::clone(policy), &base, &dedicated);
             assert_eq!(*outcome, reference);
         }
     }
@@ -388,9 +389,8 @@ mod tests {
     #[test]
     fn timed_scenarios_evaluate_identically_on_both_paths() {
         use mcsched_workload::{AppGenerator, ArrivalProcess};
-        // The two-step ablation path (context + evaluate_strategy) must
-        // honour the scenario's release times exactly like evaluate_policies
-        // does, or the same Scenario would yield two different results.
+        // The two-step path (context + evaluate_strategy) must honour the
+        // scenario's release times exactly like evaluate_policies does, or the same Scenario would yield two different results.
         let source =
             GeneratorSource::new(AppGenerator::Strassen).with_arrival(ArrivalProcess::Bursty {
                 burst: 1,
@@ -401,10 +401,13 @@ mod tests {
         assert!(scenario.release_times.iter().any(|&t| t > 0.0));
         let base = SchedulerConfig::default();
         let dedicated = scenario.dedicated_makespans(&base);
-        let strategies = [ConstraintStrategy::Selfish, ConstraintStrategy::EqualShare];
-        let combined = scenario.evaluate_all(&base, &strategies);
-        for (outcome, &strategy) in combined.iter().zip(&strategies) {
-            let reference = scenario.evaluate_strategy(strategy, &base, &dedicated);
+        let policies = CampaignConfig::policies(&[
+            ConstraintStrategy::Selfish,
+            ConstraintStrategy::EqualShare,
+        ]);
+        let combined = scenario.evaluate_policies(&base, &policies);
+        for (outcome, policy) in combined.iter().zip(&policies) {
+            let reference = scenario.evaluate_strategy(Arc::clone(policy), &base, &dedicated);
             assert_eq!(*outcome, reference);
         }
         // A released application cannot start before its release instant.

@@ -106,12 +106,35 @@ fn online_campaign_writes_its_fleet_manifest() {
 }
 
 #[test]
+fn online_strategies_resolve_through_the_policy_registry() {
+    let line = "online --strategies wps-work@0.5,equal-share --jobs 20";
+    let stdout = stdout_of(&args(line));
+    // Rows are labelled in a 12-wide column.
+    for row in ["WPS-work", "ES"] {
+        assert!(stdout.contains(&format!("\n{row:<12}")), "{stdout}");
+    }
+    // An unknown name fails exactly as it does for the figures.
+    for experiment in ["online", "fig3"] {
+        let out = mcsched_exp(&[experiment, "--strategies", "bogus"]);
+        assert_eq!(out.status.code(), Some(2), "{experiment}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("unknown constraint policy `bogus`"),
+            "{experiment}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{experiment} ran anyway");
+    }
+}
+
+#[test]
 fn command_line_errors_exit_2_and_name_the_culprit() {
     for (args, culprit) in [
         (&["fig6"][..], "fig6"),
         (&["fig3", "--bogus"][..], "--bogus"),
         (&["table1", "--combinations", "3"][..], "--combinations"),
         (&["ablation-scrap", "--csv", "x"][..], "--csv"),
+        (&["fig3", "--replications", "0"][..], "--replications"),
+        (&["online", "--replications", "0"][..], "--replications"),
     ] {
         let out = mcsched_exp(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}");

@@ -17,26 +17,22 @@
 //!   ([`ReschedulePolicy`] decides when);
 //! * completed jobs are judged by open-system metrics — response, stretch,
 //!   per-job slowdown, shed rate, queue depth and utilisation
-//!   ([`OnlineReport`]) — with the same seeded bootstrap / paired-verdict
-//!   statistics as the batch harness ([`run_campaign`]).
+//!   ([`OnlineReport`], rendered per run by [`report`]).
 //!
 //! Everything is deterministic: a run is a pure function of
-//! `(platform, source, config)`, and campaign bytes are identical at any
-//! worker-thread count.
+//! `(platform, source, config)`. Campaigns — strategies × replications on
+//! shared streams, with paired stretch verdicts — run in the experiment
+//! harness (`mcsched_exp::online`), on the same seed derivation and worker
+//! pool as the batch figures.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod campaign;
 pub mod config;
 pub mod metrics;
 pub mod report;
 pub mod scheduler;
 
-pub use campaign::{
-    replication_seed, run_campaign, CampaignResult, CampaignSpec, StrategyOutcome,
-    StretchComparison,
-};
 pub use config::{AdmissionPolicy, OnlineConfig, ReschedulePolicy};
 pub use metrics::{AdmissionCounters, JobOutcome, OnlineReport, SERIES_COLUMNS};
 pub use scheduler::OnlineScheduler;

@@ -13,7 +13,7 @@
 //!   backpressure picture.
 
 use mcsched_obs::TimeSeries;
-use mcsched_stats::{bootstrap_mean_ci, BootstrapConfig, Ci, Samples};
+use mcsched_stats::Samples;
 
 /// Column names of [`OnlineReport::series`], in order: virtual time of the
 /// epoch, pending-queue depth, resident-set size, cumulative utilisation
@@ -120,15 +120,8 @@ impl OnlineReport {
     }
 
     /// The per-job stretch values as a raw-retaining sample set.
-    #[must_use]
-    pub fn stretch_samples(&self) -> Samples {
+    fn stretch_samples(&self) -> Samples {
         Samples::from(self.jobs.iter().map(|j| j.stretch).collect::<Vec<_>>())
-    }
-
-    /// The per-job slowdown values as a raw-retaining sample set.
-    #[must_use]
-    pub fn slowdown_samples(&self) -> Samples {
-        Samples::from(self.jobs.iter().map(|j| j.slowdown).collect::<Vec<_>>())
     }
 
     /// Mean per-job stretch (NaN-free: 0 when no job completed).
@@ -139,23 +132,6 @@ impl OnlineReport {
         } else {
             self.stretch_samples().mean()
         }
-    }
-
-    /// Mean per-job slowdown (0 when no job completed).
-    #[must_use]
-    pub fn mean_slowdown(&self) -> f64 {
-        if self.jobs.is_empty() {
-            0.0
-        } else {
-            self.slowdown_samples().mean()
-        }
-    }
-
-    /// Seeded bootstrap confidence interval of the mean stretch.
-    #[must_use]
-    pub fn stretch_ci(&self, config: &BootstrapConfig) -> Ci {
-        let values: Vec<f64> = self.jobs.iter().map(|j| j.stretch).collect();
-        bootstrap_mean_ci(&values, config)
     }
 }
 
@@ -210,7 +186,6 @@ mod tests {
         assert!((r.throughput() - 80.0).abs() < 1e-12);
         assert!((r.shed_rate() - 0.5).abs() < 1e-12);
         assert!((r.mean_stretch() - 3.0).abs() < 1e-12);
-        assert!((r.mean_slowdown() - 0.375).abs() < 1e-12);
     }
 
     #[test]
@@ -222,13 +197,5 @@ mod tests {
         assert_eq!(r.throughput(), 0.0);
         assert_eq!(r.shed_rate(), 0.0);
         assert_eq!(r.mean_stretch(), 0.0);
-        assert_eq!(r.mean_slowdown(), 0.0);
-    }
-
-    #[test]
-    fn stretch_ci_brackets_the_mean() {
-        let r = report();
-        let ci = r.stretch_ci(&BootstrapConfig::seeded(1));
-        assert!(ci.lo <= 3.0 && 3.0 <= ci.hi);
     }
 }

@@ -1,12 +1,11 @@
-//! Text-table and CSV rendering of online runs and campaigns.
+//! Text-table and CSV rendering of one online run.
 //!
 //! Same contract as the batch harness renderers: pure functions of the
-//! result value, so equal results produce byte-equal text at any thread
-//! count — the determinism tests compare these bytes directly.
+//! report, so equal reports produce byte-equal text — the determinism tests
+//! compare these bytes directly. Campaign tables live with the campaign
+//! harness in `mcsched-exp`.
 
-use crate::campaign::CampaignResult;
 use crate::metrics::OnlineReport;
-use mcsched_stats::OrderingVerdict;
 use std::fmt::Write as _;
 
 /// Renders one run as an aligned text table: the backpressure counters and
@@ -47,89 +46,6 @@ pub fn csv_jobs(report: &OnlineReport) -> String {
             "{},{:.3},{:.3},{:.3},{:.3},{:.6},{:.6}",
             j.index, j.arrival, j.completion, j.response, j.dedicated, j.stretch, j.slowdown
         );
-    }
-    out
-}
-
-/// Renders a campaign as one summary table (a strategy per row) plus the
-/// paired stretch verdicts.
-#[must_use]
-pub fn table_campaign(result: &CampaignResult) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "== Online campaign ==");
-    let _ = write!(out, "{:<12}", "strategy");
-    for h in ["completed", "shed", "stretch", "jobs/ks", "util"] {
-        let _ = write!(out, "{h:>12}");
-    }
-    let _ = writeln!(out);
-    for o in &result.outcomes {
-        let _ = write!(out, "{:<12}", o.strategy.name());
-        let (tput, util) = {
-            let n = o.reports.len().max(1) as f64;
-            (
-                o.reports.iter().map(OnlineReport::throughput).sum::<f64>() / n,
-                o.reports.iter().map(|r| r.utilization).sum::<f64>() / n,
-            )
-        };
-        let _ = write!(out, "{:>12}", o.completed());
-        let _ = write!(out, "{:>12}", o.shed());
-        let _ = write!(out, "{:>12.4}", o.pooled_mean_stretch());
-        let _ = write!(out, "{:>12.3}", tput);
-        let _ = writeln!(out, "{:>12.4}", util);
-    }
-    if !result.comparisons.is_empty() {
-        let _ = writeln!(out);
-        let _ = writeln!(out, "== Paired stretch verdicts ==");
-        for cmp in &result.comparisons {
-            let verdict = match &cmp.verdict {
-                Some(OrderingVerdict::Ordered { a_below_b, ci, p }) => {
-                    let winner = if *a_below_b { &cmp.a } else { &cmp.b };
-                    format!(
-                        "Ordered: {winner} lower (ci [{:.4}, {:.4}], p={:.4})",
-                        ci.lo, ci.hi, p
-                    )
-                }
-                Some(OrderingVerdict::Inconclusive { ci, p }) => {
-                    format!("Inconclusive (ci [{:.4}, {:.4}], p={:.4})", ci.lo, ci.hi, p)
-                }
-                None => "Inconclusive (too few paired jobs)".into(),
-            };
-            let _ = writeln!(
-                out,
-                "{} vs {} ({} paired jobs): {}",
-                cmp.a, cmp.b, cmp.paired_jobs, verdict
-            );
-        }
-    }
-    out
-}
-
-/// Renders a campaign as CSV, one row per strategy × replication
-/// (`strategy,replication,arrivals,completed,shed,mean_stretch,`
-/// `throughput,utilization,avg_queue_depth,reschedules`).
-#[must_use]
-pub fn csv_campaign(result: &CampaignResult) -> String {
-    let mut out = String::from(
-        "strategy,replication,arrivals,completed,shed,mean_stretch,\
-         throughput,utilization,avg_queue_depth,reschedules\n",
-    );
-    for o in &result.outcomes {
-        for (rep, r) in o.reports.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{},{},{},{},{},{:.6},{:.6},{:.6},{:.6},{}",
-                o.strategy.name(),
-                rep,
-                r.counters.arrivals,
-                r.counters.completed,
-                r.counters.shed,
-                r.mean_stretch(),
-                r.throughput(),
-                r.utilization,
-                r.avg_queue_depth,
-                r.reschedules
-            );
-        }
     }
     out
 }

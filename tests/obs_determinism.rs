@@ -15,10 +15,11 @@
 //! concurrent run in the same process (another test, or the online
 //! campaign the isolation test starts on purpose) cannot leak into them.
 
+use mcsched::core::PolicyRegistry;
+use mcsched::exp::online::{run_online_campaign, OnlineCampaign};
 use mcsched::exp::{csv_campaign, run_campaign, table_campaign, CampaignConfig};
 use mcsched::obs::json::Json;
 use mcsched::obs::{export, Collector, TraceDump};
-use mcsched::online;
 use mcsched::platform::grid5000;
 use mcsched::ptg::gen::PtgClass;
 use mcsched::workload::WorkloadCatalog;
@@ -65,15 +66,18 @@ fn online_series_at_8_threads() -> Vec<String> {
     let source = WorkloadCatalog::builtin()
         .resolve("daggen@n=8/poisson@lambda=0.01")
         .expect("built-in spec resolves");
-    let mut spec = online::CampaignSpec::new(vec![
-        mcsched::core::ConstraintStrategy::EqualShare,
-        mcsched::core::ConstraintStrategy::Selfish,
-    ]);
-    spec.replications = 2;
-    spec.threads = 8;
-    spec.base.max_jobs = 25;
-    spec.base.record_series = true;
-    let result = online::run_campaign(&platform, &source, &spec).expect("campaign runs");
+    let registry = PolicyRegistry::builtin();
+    let mut campaign = OnlineCampaign::new(
+        ["es", "s"]
+            .iter()
+            .map(|name| registry.constraint(name).unwrap())
+            .collect(),
+    );
+    campaign.replications = 2;
+    campaign.threads = 8;
+    campaign.base.max_jobs = 25;
+    campaign.base.record_series = true;
+    let result = run_online_campaign(&platform, &source, &campaign).expect("campaign runs");
     let mut csvs = Vec::new();
     for outcome in &result.outcomes {
         for report in &outcome.reports {

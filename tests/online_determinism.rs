@@ -1,5 +1,5 @@
 //! Determinism and bounded-memory guarantees of the online scheduling
-//! service (`mcsched-online`):
+//! service (`mcsched-online`) and its campaign harness (`mcsched_exp::online`):
 //!
 //! * campaign tables and CSVs are **byte-for-byte identical** at 1, 2 and 8
 //!   worker threads (cells are position-seeded and collected in index
@@ -12,9 +12,8 @@
 //!   PTGs at any moment — the bounded-memory contract of the lazy stream
 //!   (stronger than the required `queue_cap + in_flight`).
 
-use mcsched::online::{
-    report, run_campaign, CampaignSpec, OnlineConfig, OnlineScheduler, ReschedulePolicy,
-};
+use mcsched::exp::online::{csv_online, run_online_campaign, table_online, OnlineCampaign};
+use mcsched::online::{report, OnlineConfig, OnlineScheduler, ReschedulePolicy};
 use mcsched::prelude::*;
 use std::sync::Arc;
 
@@ -25,17 +24,20 @@ fn source(lambda: f64, tasks: usize) -> Arc<dyn WorkloadSource> {
     )
 }
 
-fn spec(threads: usize) -> CampaignSpec {
-    let mut spec = CampaignSpec::new(vec![
-        ConstraintStrategy::EqualShare,
-        ConstraintStrategy::Selfish,
-    ]);
-    spec.replications = 2;
-    spec.threads = threads;
-    spec.base.max_jobs = 25;
-    spec.base.queue_cap = 6;
-    spec.base.max_in_flight = 3;
-    spec
+fn campaign(threads: usize) -> OnlineCampaign {
+    let registry = PolicyRegistry::builtin();
+    let mut campaign = OnlineCampaign::new(
+        ["es", "s"]
+            .iter()
+            .map(|name| registry.constraint(name).unwrap())
+            .collect(),
+    );
+    campaign.replications = 2;
+    campaign.threads = threads;
+    campaign.base.max_jobs = 25;
+    campaign.base.queue_cap = 6;
+    campaign.base.max_in_flight = 3;
+    campaign
 }
 
 #[test]
@@ -45,11 +47,8 @@ fn campaign_bytes_are_identical_at_1_2_and_8_threads() {
     let runs: Vec<(String, String)> = [1usize, 2, 8]
         .iter()
         .map(|&threads| {
-            let result = run_campaign(&platform, &source, &spec(threads)).unwrap();
-            (
-                report::table_campaign(&result),
-                report::csv_campaign(&result),
-            )
+            let result = run_online_campaign(&platform, &source, &campaign(threads)).unwrap();
+            (table_online(&result), csv_online(&result))
         })
         .collect();
     assert_eq!(runs[0], runs[1], "1 vs 2 threads");
