@@ -356,6 +356,19 @@ mod tests {
     }
 
     #[test]
+    fn replication_seed_matches_the_batch_harness_formula() {
+        // Batch and online campaigns both redraw replication `r` on this
+        // seed: replication 0 is the base seed, later ones step by the
+        // golden-ratio increment.
+        use crate::scenario::replication_seed;
+        assert_eq!(replication_seed(42, 0), 42);
+        assert_eq!(
+            replication_seed(42, 3),
+            42u64.wrapping_add(3u64.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        );
+    }
+
+    #[test]
     fn campaign_produces_one_point_per_cell() {
         let result = run_campaign(&tiny_config()).unwrap();
         assert_eq!(result.points.len(), 2);
