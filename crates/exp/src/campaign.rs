@@ -66,14 +66,14 @@ pub struct CampaignConfig {
     /// `of`-way split of the cell grid (`--shard i/N`): out-of-partition
     /// cells are skipped entirely (not evaluated, not cached) and render as
     /// NaN. N such runs with disjoint `cache_dir`s fill disjoint caches;
-    /// merge them (`mcsched-merge`) and re-run unsharded+warm to produce
+    /// merge them (`mcsched-exp merge`) and re-run unsharded+warm to produce
     /// tables byte-identical to a single-process run. `None` (the default)
     /// evaluates everything.
     pub shard: Option<(usize, usize)>,
     /// Fleet obs directory (`--obs-dir`): the run writes a
     /// `run-<shard>.manifest.json` + heartbeat there while running and its
-    /// per-shard journal/metrics exports at the end, so `mcsched-top` and
-    /// `mcsched-obs-merge` can watch and union a sharded fleet. `None`
+    /// per-shard journal/metrics exports at the end, so `mcsched-exp top`
+    /// and `obs-merge` can watch and union a sharded fleet. `None`
     /// (the default) records nothing.
     pub obs_dir: Option<PathBuf>,
 }

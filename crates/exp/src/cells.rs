@@ -336,7 +336,7 @@ impl CellJob {
 
     /// The fleet config digest of this grid: every input that determines
     /// the campaign's cell set **except** the shard spec, so all shards of
-    /// one fleet share it and `mcsched-obs-merge` can refuse to union runs
+    /// one fleet share it and `mcsched-exp obs-merge` can refuse to union runs
     /// of different campaigns (mirroring the per-cell digest composition).
     fn config_digest(&self) -> String {
         let mut digest = DigestBuilder::new()
@@ -473,7 +473,7 @@ impl CellJob {
         if let Some((index, of)) = self.config.shard {
             mcsched_obs::note!(
                 "shard {index}/{of}: skipped {} out-of-shard cell(s); merge the \
-                 shard cache dirs (mcsched-merge) and re-run unsharded to render \
+                 shard cache dirs (mcsched-exp merge) and re-run unsharded to render \
                  complete tables",
                 self.skipped.load(std::sync::atomic::Ordering::Relaxed)
             );

@@ -1,11 +1,14 @@
-//! The command line of `mcsched-exp`: `mcsched-exp <experiment> [flags]`.
+//! The command line of `mcsched-exp`: `mcsched-exp <command> [flags]`.
 //!
-//! The experiment comes first, then its flags. Each flag is accepted only by
-//! the experiments it applies to; an unknown experiment, an unknown flag or
-//! a flag the experiment would ignore is an error (exit status 2) naming the
-//! culprit.
+//! The command comes first, then its flags. A command is one experiment of
+//! the paper's evaluation or one of the three fleet tools (`merge`,
+//! `obs-merge`, `top`). Each flag is accepted only by the commands it
+//! applies to; an unknown command, an unknown flag or a flag the command
+//! would ignore is an error (exit status 2) naming the culprit. Only the
+//! fleet tools take positional directories. `mcsched-exp --help` (or `-h`)
+//! as the only argument prints the usage and exits 0.
 //!
-//! Every experiment takes the observability flags:
+//! Every experiment and `merge` take the observability flags:
 //!
 //! * `--profile` — print per-phase wall-clock timings (workload generation,
 //!   β + allocation, mapping, simulation, statistics) to stderr at the end
@@ -26,8 +29,8 @@
 //!   `run-<shard>.manifest.json` + heartbeat into `PATH` while the run is
 //!   active (refreshed per completed data point) and the per-shard
 //!   deterministic journal + metrics JSON exports at the end. All shards of
-//!   a fleet share one directory; `mcsched-top` renders the live aggregate
-//!   view and `mcsched-obs-merge` unions the finished exports;
+//!   a fleet share one directory; `top` renders the live aggregate view
+//!   and `obs-merge` unions the finished exports;
 //! * `--quiet` — silence informational stderr lines (progress, cache
 //!   summaries, profile output); genuine warnings still print.
 //!
@@ -80,8 +83,8 @@
 //! * `--shard i/N` — evaluate only partition `i` of a deterministic `N`-way
 //!   split of the cell grid (digest modulo `N`, any `N`): the sharded-run
 //!   half of a multi-process campaign. Each of the `N` processes points its
-//!   own `--cache-dir` at a separate directory; afterwards `mcsched-merge`
-//!   unions the directories and a final warm unsharded run renders tables
+//!   own `--cache-dir` at a separate directory; afterwards `merge` unions
+//!   the directories and a final warm unsharded run renders tables
 //!   byte-identical to a single-process run (a sharded run's own tables
 //!   contain NaN placeholders for the cells it skipped);
 //! * `--progress` — narrate one stderr line per completed data point.
@@ -110,9 +113,46 @@
 //!   Virtual-time quantities only, so the file is bit-exact across reruns
 //!   at any `--threads` count.
 //!
-//! Malformed values (`--threads abc`, `--ci 1.5`, a missing value) are hard
-//! errors too: the binary prints the problem and exits with status 2
-//! instead of silently falling back to defaults.
+//! The fleet tools collect and watch a sharded campaign (`--shard i/N`).
+//! Each takes at least one directory:
+//!
+//! * `merge --into DEST SRC...` — union the shards' cell-cache directories
+//!   into `DEST` (see `mcsched_runtime::merge_cache_dirs`). A source written
+//!   under a foreign cache salt is a hard error, and so is one digest with
+//!   different metrics in two sources; nothing is written then. The
+//!   destination is rendered key-sorted, so merging a sharded campaign
+//!   gives the directory an unsharded run would have written, and an
+//!   existing `DEST` acts as one more source. It takes the observability
+//!   flags above (`--obs-metrics` exports the `cache.merge.*` counters);
+//!   `--quiet` also silences the one-line summary on stdout;
+//! * `obs-merge --into DEST DIR...` — union the shards' `--obs-dir`
+//!   exports into `DEST/fleet.journal.jsonl` (every journal line, in the
+//!   journal's canonical order) and `DEST/fleet.metrics.{json,txt}`
+//!   (counters summed, gauges maxed, histograms added bucket-wise; see
+//!   [`mcsched_obs::fleet::merge_obs_dirs`]). Every shard must carry this
+//!   binary's cache salt and one config digest, and no shard label may
+//!   appear twice; shards not `done` are warned about but merged. Any
+//!   source order gives byte-identical files. `--quiet` silences the
+//!   summary;
+//! * `top [--snapshot | --watch] DIR...` — the fleet monitor: one progress
+//!   bar and liveness verdict per shard, fleet-wide cell and cache totals,
+//!   the merged counters and any `.tmp` debris of a killed shard.
+//!   `--snapshot` (the default) prints one frame; `--watch` repaints every
+//!   `--interval SECS` (default 2, at least 0.1) until no shard can still
+//!   make progress. A `running` shard whose pid is gone is `DEAD`, one
+//!   whose heartbeat is older than `--stale-after SECS` (default 30) is
+//!   `STALLED`. A finished fleet never consults the clock, so its snapshot
+//!   is byte-identical in any directory order. `top` is a monitor, not a
+//!   gate: stalled or dead shards still exit 0.
+//!
+//! Both merges exit 2 when a source is not a directory and 1 on a merge
+//! error. `obs-merge` and `top` read no `MCSCHED_OBS_*` or `MCSCHED_QUIET`
+//! variable and record no run of their own, so they never write into the
+//! directories they watch or merge.
+//!
+//! Malformed values (`--threads abc`, `--ci 1.5`, `--interval inf`, a
+//! missing value) are hard errors too: the binary prints the problem and
+//! exits with status 2 instead of silently falling back to defaults.
 
 use crate::campaign::CampaignConfig;
 use crate::scenario::combo_requests;
@@ -123,21 +163,26 @@ use mcsched_workload::{Trace, TraceSource, WorkloadCatalog, WorkloadRequest, Wor
 use std::path::PathBuf;
 use std::sync::Arc;
 
-/// The usage line printed after a command-line error.
-const USAGE: &str = "usage: mcsched-exp <experiment> [flags]\n\
+/// The usage printed after a command-line error and by `--help`.
+const USAGE: &str = "usage: mcsched-exp <command> [flags]\n\
      experiments: table1 fig1 fig2 fig3 fig4 fig5 ablation-scrap ablation-packing online\n\
-     every experiment: --profile --quiet --obs-trace P --obs-journal P --obs-metrics P --obs-dir P\n\
+     every experiment and merge: --profile --quiet --obs-trace P --obs-journal P --obs-metrics P \
+     --obs-dir P\n\
      fig2..fig5, ablation-*: --full --combinations N --ptgs a,b --strategies a,b \
      --allocation NAME --workload SPEC --trace P --export-trace P --replications N --ci L \
      --threads N --seed S --csv P --cache-dir P --no-resume --shard i/N --progress\n\
      online: --workload SPEC --platform NAME --jobs N --duration S --queue-cap N \
      --in-flight N --reschedule P --admission P --strategies a,b --replications N \
      --threads N --seed S --csv P --obs-series P\n\
-     (fig2 takes no --strategies, ablation-scrap no --allocation, the ablations no --csv)";
+     (fig2 takes no --strategies, ablation-scrap no --allocation, the ablations no --csv)\n\
+     fleet tools:\n  \
+     merge --into DEST SRC...\n  \
+     obs-merge --into DEST [--quiet] DIR...\n  \
+     top [--snapshot | --watch] [--interval SECS] [--stale-after SECS] DIR...";
 
-/// One experiment of the paper's evaluation, named by its subcommand.
+/// One subcommand: an experiment of the paper's evaluation or a fleet tool.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Experiment {
+pub enum Command {
     /// `table1`: the four Grid'5000 multi-cluster subsets.
     #[default]
     Table1,
@@ -157,44 +202,66 @@ pub enum Experiment {
     AblationPacking,
     /// `online`: open-system streaming through the online scheduler.
     Online,
+    /// `merge`: union shard cell-cache directories.
+    Merge,
+    /// `obs-merge`: union shard obs exports into one fleet view.
+    ObsMerge,
+    /// `top`: the fleet monitor.
+    Top,
 }
 
-impl Experiment {
-    /// Every experiment, in the order of the paper's evaluation.
-    pub const ALL: [Experiment; 9] = [
-        Experiment::Table1,
-        Experiment::Fig1,
-        Experiment::Fig2,
-        Experiment::Fig3,
-        Experiment::Fig4,
-        Experiment::Fig5,
-        Experiment::AblationScrap,
-        Experiment::AblationPacking,
-        Experiment::Online,
+impl Command {
+    /// Every command: the experiments in the order of the paper's
+    /// evaluation, then the fleet tools.
+    pub const ALL: [Command; 12] = [
+        Command::Table1,
+        Command::Fig1,
+        Command::Fig2,
+        Command::Fig3,
+        Command::Fig4,
+        Command::Fig5,
+        Command::AblationScrap,
+        Command::AblationPacking,
+        Command::Online,
+        Command::Merge,
+        Command::ObsMerge,
+        Command::Top,
     ];
 
-    /// The subcommand naming the experiment.
+    /// The subcommand's name.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            Experiment::Table1 => "table1",
-            Experiment::Fig1 => "fig1",
-            Experiment::Fig2 => "fig2",
-            Experiment::Fig3 => "fig3",
-            Experiment::Fig4 => "fig4",
-            Experiment::Fig5 => "fig5",
-            Experiment::AblationScrap => "ablation-scrap",
-            Experiment::AblationPacking => "ablation-packing",
-            Experiment::Online => "online",
+            Command::Table1 => "table1",
+            Command::Fig1 => "fig1",
+            Command::Fig2 => "fig2",
+            Command::Fig3 => "fig3",
+            Command::Fig4 => "fig4",
+            Command::Fig5 => "fig5",
+            Command::AblationScrap => "ablation-scrap",
+            Command::AblationPacking => "ablation-packing",
+            Command::Online => "online",
+            Command::Merge => "merge",
+            Command::ObsMerge => "obs-merge",
+            Command::Top => "top",
         }
+    }
+
+    /// Whether the command records an observed run: every experiment and
+    /// `merge` do, while `obs-merge` and `top` neither read the
+    /// `MCSCHED_OBS_*` environment nor write into the directories they
+    /// merge or watch.
+    #[must_use]
+    pub fn is_observed(self) -> bool {
+        !matches!(self, Command::ObsMerge | Command::Top)
     }
 }
 
 /// Parsed command-line options.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CliOptions {
-    /// The experiment to run (the subcommand).
-    pub experiment: Experiment,
+    /// The command to run (the subcommand).
+    pub command: Command,
     /// Run the paper-scale configuration.
     pub full: bool,
     /// Override for the number of combinations.
@@ -251,6 +318,18 @@ pub struct CliOptions {
     /// (`--obs-trace`, `--obs-journal`, `--obs-metrics`, `--obs-dir`,
     /// `--profile`, `--quiet`).
     pub obs: mcsched_obs::ObsOptions,
+    /// Fleet-tool destination directory (`--into`).
+    pub into: Option<PathBuf>,
+    /// Fleet-tool source or obs directories (the positional arguments).
+    pub dirs: Vec<PathBuf>,
+    /// `top` repaints until the fleet is done (`--watch`) instead of
+    /// printing one frame (`--snapshot`).
+    pub watch: bool,
+    /// `top --watch` repaint period in milliseconds (`--interval`).
+    pub interval_ms: Option<u64>,
+    /// `top` heartbeat age in milliseconds past which a running shard is
+    /// stalled (`--stale-after`).
+    pub stale_after_ms: Option<u64>,
 }
 
 /// Parses the value of a numeric flag, erroring out on malformed input —
@@ -268,34 +347,54 @@ fn numeric<T: std::str::FromStr>(flag: &str, raw: &str) -> Result<T, String> {
     })
 }
 
+/// Parses a `top` duration flag given in seconds into milliseconds. NaN,
+/// infinite and negative values are errors: they would otherwise clamp to
+/// 0 ms or saturate to `u64::MAX` ms.
+fn millis(flag: &str, raw: &str) -> Result<u64, String> {
+    let secs: f64 = numeric(flag, raw)?;
+    if !(secs.is_finite() && secs >= 0.0) {
+        return Err(format!(
+            "flag `{flag}` expects a finite, non-negative number of seconds, got `{raw}`"
+        ));
+    }
+    Ok((secs * 1000.0) as u64)
+}
+
 impl CliOptions {
     /// Parses options from an iterator of argument strings (without the
-    /// program name): the experiment, then its flags.
+    /// program name): the command, then its flags.
     ///
     /// # Errors
     ///
     /// A human-readable description naming the culprit: a missing or
-    /// unknown experiment, an unknown flag or one the experiment does not
-    /// take, a missing value or a malformed one (the binary reports it and
-    /// exits with status 2 — see [`CliOptions::from_env`]).
+    /// unknown command, an unknown flag or one the command does not take, a
+    /// missing value or a malformed one, or a fleet tool missing `--into` or
+    /// its directories (the binary reports it and exits with status 2 — see
+    /// [`CliOptions::from_env`]).
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Self, String> {
         let mut it = args.into_iter();
-        let name = it.next().ok_or("missing experiment")?;
-        let experiment = Experiment::ALL
+        let name = it.next().ok_or("missing command")?;
+        let command = Command::ALL
             .into_iter()
-            .find(|e| e.name() == name)
-            .ok_or_else(|| format!("unknown experiment `{name}`"))?;
-        use Experiment::{AblationPacking, AblationScrap, Fig2, Fig3, Fig4, Fig5, Online};
+            .find(|c| c.name() == name)
+            .ok_or_else(|| format!("unknown command `{name}`"))?;
+        use Command::{
+            AblationPacking, AblationScrap, Fig2, Fig3, Fig4, Fig5, Merge, ObsMerge, Online, Top,
+        };
         let grid = matches!(
-            experiment,
+            command,
             Fig2 | Fig3 | Fig4 | Fig5 | AblationScrap | AblationPacking
         );
-        let online = experiment == Online;
-        let strategies = (grid && experiment != Fig2) || online;
-        let allocation = grid && experiment != AblationScrap;
-        let csv = matches!(experiment, Fig2 | Fig3 | Fig4 | Fig5 | Online);
+        let online = command == Online;
+        let strategies = (grid && command != Fig2) || online;
+        let allocation = grid && command != AblationScrap;
+        let csv = matches!(command, Fig2 | Fig3 | Fig4 | Fig5 | Online);
+        let observed = command.is_observed();
+        let merges = matches!(command, Merge | ObsMerge);
+        let top = command == Top;
+        let fleet = merges || top;
         let mut opts = CliOptions {
-            experiment,
+            command,
             ..CliOptions::default()
         };
         while let Some(arg) = it.next() {
@@ -378,32 +477,62 @@ impl CliOptions {
                     opts.admission = Some(AdmissionPolicy::parse(&raw).map_err(|e| e.to_string())?);
                 }
                 "--obs-series" if online => opts.obs_series = Some(PathBuf::from(value()?)),
-                "--profile" => opts.obs.profile = true,
-                "--quiet" => opts.obs.quiet = true,
-                "--obs-trace" => opts.obs.trace = Some(PathBuf::from(value()?)),
-                "--obs-journal" => opts.obs.journal = Some(PathBuf::from(value()?)),
-                "--obs-metrics" => opts.obs.metrics = Some(PathBuf::from(value()?)),
-                "--obs-dir" => opts.obs.dir = Some(PathBuf::from(value()?)),
+                "--profile" if observed => opts.obs.profile = true,
+                "--quiet" if !top => opts.obs.quiet = true,
+                "--obs-trace" if observed => opts.obs.trace = Some(PathBuf::from(value()?)),
+                "--obs-journal" if observed => opts.obs.journal = Some(PathBuf::from(value()?)),
+                "--obs-metrics" if observed => opts.obs.metrics = Some(PathBuf::from(value()?)),
+                "--obs-dir" if observed => opts.obs.dir = Some(PathBuf::from(value()?)),
+                "--into" if merges => opts.into = Some(PathBuf::from(value()?)),
+                "--snapshot" if top => opts.watch = false,
+                "--watch" if top => opts.watch = true,
+                "--interval" if top => {
+                    opts.interval_ms = Some(millis(&arg, &value()?)?.max(100));
+                }
+                "--stale-after" if top => {
+                    opts.stale_after_ms = Some(millis(&arg, &value()?)?);
+                }
+                dir if fleet && !dir.starts_with("--") => opts.dirs.push(PathBuf::from(dir)),
                 other => return Err(format!("`{name}` does not take `{other}`")),
             }
+        }
+        if merges && opts.into.is_none() {
+            return Err(format!(
+                "`{name}` requires `--into` (the destination directory)"
+            ));
+        }
+        if fleet && opts.dirs.is_empty() {
+            return Err(format!("`{name}` requires at least one directory"));
         }
         Ok(opts)
     }
 
     /// Parses the current process arguments, exiting with status 2 and the
-    /// usage on any error, and merges the environment into the
+    /// usage on any error, or with status 0 after printing the usage when
+    /// the only argument is `--help` or `-h`. For every command but
+    /// `obs-merge` and `top` it then merges the environment into the
     /// observability options (flags take precedence over `MCSCHED_OBS_*`,
     /// `MCSCHED_PROFILE`, `MCSCHED_QUIET` and, for `online`,
     /// `MCSCHED_OBS_SERIES`). The binary then brackets its work with
     /// `opts.obs.start()` and `ObsRun::finish`.
     pub fn from_env() -> Self {
-        let mut opts = Self::parse(std::env::args().skip(1)).unwrap_or_else(|e| {
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        if let [only] = args.as_slice() {
+            if only == "--help" || only == "-h" {
+                println!("{USAGE}");
+                std::process::exit(0);
+            }
+        }
+        let mut opts = Self::parse(args).unwrap_or_else(|e| {
             eprintln!("error: {e}\n{USAGE}");
             std::process::exit(2);
         });
+        if !opts.command.is_observed() {
+            return opts;
+        }
         opts.obs = opts.obs.or(mcsched_obs::ObsOptions::from_env());
         opts.obs.run = Some(mcsched_obs::manifest::shard_label(opts.shard));
-        if opts.experiment == Experiment::Online && opts.obs_series.is_none() {
+        if opts.command == Command::Online && opts.obs_series.is_none() {
             opts.obs_series = std::env::var_os("MCSCHED_OBS_SERIES")
                 .filter(|v| !v.is_empty())
                 .map(PathBuf::from);
@@ -629,11 +758,19 @@ mod tests {
 
     #[test]
     fn every_experiment_parses_by_name() {
-        for experiment in Experiment::ALL {
-            assert_eq!(parse(&[experiment.name()]).experiment, experiment);
+        for command in Command::ALL {
+            let fleet: &[&str] = match command {
+                Command::Merge | Command::ObsMerge => &["--into", "dest", "src"],
+                Command::Top => &["src"],
+                _ => &[],
+            };
+            assert_eq!(
+                parse(&[&[command.name()][..], fleet].concat()).command,
+                command
+            );
         }
-        assert!(parse_err(&[]).contains("missing experiment"));
-        assert!(parse_err(&["fig3_random"]).contains("unknown experiment `fig3_random`"));
+        assert!(parse_err(&[]).contains("missing command"));
+        assert!(parse_err(&["fig3_random"]).contains("unknown command `fig3_random`"));
     }
 
     #[test]
@@ -656,7 +793,7 @@ mod tests {
             "--no-resume",
             "--progress",
         ]);
-        assert_eq!(o.experiment, Experiment::Fig3);
+        assert_eq!(o.command, Command::Fig3);
         assert!(o.full);
         assert_eq!(o.combinations, Some(7));
         assert_eq!(o.ptg_counts, Some(vec![2, 6]));
@@ -774,6 +911,86 @@ mod tests {
     }
 
     #[test]
+    fn malformed_top_seconds_are_hard_errors() {
+        for flag in ["--interval", "--stale-after"] {
+            for raw in ["nan", "NaN", "-3", "inf", "-inf", "1e400"] {
+                let err = parse_err(&["top", flag, raw, "obs"]);
+                assert_eq!(
+                    err,
+                    format!(
+                        "flag `{flag}` expects a finite, non-negative number of seconds, \
+                         got `{raw}`"
+                    )
+                );
+            }
+            assert!(parse_err(&["top", flag, "soon", "obs"]).contains(flag));
+            assert!(parse_err(&["top", "obs", flag]).contains("expects a value"));
+        }
+    }
+
+    #[test]
+    fn top_flags_parse_into_milliseconds() {
+        let o = parse(&["top", "a", "--watch", "--interval", "0.5", "b"]);
+        assert!(o.watch);
+        assert_eq!(o.dirs, [PathBuf::from("a"), PathBuf::from("b")]);
+        assert_eq!((o.interval_ms, o.stale_after_ms), (Some(500), None));
+        // The repaint period keeps its 100 ms floor; the last mode wins.
+        let o = parse(&["top", "--watch", "--snapshot", "--interval", "0", "a"]);
+        assert!(!o.watch);
+        assert_eq!(o.interval_ms, Some(100));
+        let o = parse(&["top", "--stale-after", "0", "a", "--stale-after", "2.5"]);
+        assert_eq!(o.stale_after_ms, Some(2500));
+    }
+
+    #[test]
+    fn merge_flags_and_directories_parse() {
+        let o = parse(&[
+            "merge",
+            "--into",
+            "m",
+            "s0",
+            "--obs-metrics",
+            "merge.txt",
+            "s1",
+            "--quiet",
+        ]);
+        assert_eq!(o.into, Some(PathBuf::from("m")));
+        assert_eq!(o.dirs, [PathBuf::from("s0"), PathBuf::from("s1")]);
+        assert_eq!(o.obs.metrics, Some(PathBuf::from("merge.txt")));
+        assert!(o.obs.quiet);
+        let o = parse(&["obs-merge", "d1", "--quiet", "--into", "fleet", "d0"]);
+        assert_eq!(o.into, Some(PathBuf::from("fleet")));
+        assert_eq!(o.dirs, [PathBuf::from("d1"), PathBuf::from("d0")]);
+        assert!(o.obs.quiet);
+    }
+
+    #[test]
+    fn fleet_tools_require_a_destination_and_directories() {
+        for command in ["merge", "obs-merge"] {
+            assert_eq!(
+                parse_err(&[command, "s0"]),
+                format!("`{command}` requires `--into` (the destination directory)")
+            );
+            assert_eq!(
+                parse_err(&[command, "--into", "m"]),
+                format!("`{command}` requires at least one directory")
+            );
+            assert!(parse_err(&[command, "s0", "--into"]).contains("expects a value"));
+        }
+        assert_eq!(
+            parse_err(&["top", "--watch"]),
+            "`top` requires at least one directory"
+        );
+        // Only the fleet tools take positional arguments.
+        for experiment in ["table1", "fig3", "online"] {
+            assert_eq!(
+                parse_err(&[experiment, "dir"]),
+                format!("`{experiment}` does not take `dir`")
+            );
+        }
+    }
+
+    #[test]
     fn obs_flags_parse_into_the_options() {
         let obs = [
             "--obs-trace",
@@ -787,9 +1004,14 @@ mod tests {
             "--quiet",
             "--profile",
         ];
-        // Every experiment takes the observability flags.
-        for experiment in Experiment::ALL {
-            let o = parse(&[&[experiment.name()][..], &obs].concat());
+        // Every experiment and `merge` take the observability flags.
+        let observed = Command::ALL.into_iter().filter(|c| c.is_observed());
+        for command in observed {
+            let fleet: &[&str] = match command {
+                Command::Merge => &["--into", "dest", "src"],
+                _ => &[],
+            };
+            let o = parse(&[&[command.name()][..], fleet, &obs].concat());
             assert_eq!(o.obs.trace, Some(PathBuf::from("/tmp/t.json")));
             assert_eq!(o.obs.journal, Some(PathBuf::from("/tmp/j.jsonl")));
             assert_eq!(o.obs.metrics, Some(PathBuf::from("/tmp/m.csv")));
@@ -844,6 +1066,17 @@ mod tests {
             ("online", "--shard"),
             ("fig3", "--platform"),
             ("fig3", "--obs-series"),
+            ("fig3", "--into"),
+            ("fig3", "--watch"),
+            ("merge", "--dest"),
+            ("merge", "--threads"),
+            ("merge", "--interval"),
+            ("obs-merge", "--dest"),
+            ("obs-merge", "--obs-metrics"),
+            ("obs-merge", "--profile"),
+            ("top", "--quiet"),
+            ("top", "--into"),
+            ("top", "--obs-dir"),
         ] {
             assert_eq!(
                 parse_err(&[experiment, flag, "x"]),

@@ -33,8 +33,9 @@
 //!
 //! The `mcsched-exp` binary runs one experiment per invocation —
 //! `mcsched-exp <table1|fig1|fig2|fig3|fig4|fig5|ablation-scrap|ablation-packing|online>`
-//! — with the flags of [`cli`], each accepted only by the experiments it
-//! applies to.
+//! — or one fleet tool of a sharded campaign (`merge`, `obs-merge`, `top`),
+//! with the flags of [`cli`], each accepted only by the commands it applies
+//! to.
 //!
 //! Campaigns run on the persistent work-stealing pool of `mcsched-runtime`
 //! (honouring the config's `threads` field): data points fan out at the

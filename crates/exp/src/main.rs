@@ -1,29 +1,40 @@
 //! `mcsched-exp` — regenerates one table or figure of the paper's
-//! evaluation per invocation (see [`mcsched_exp::cli`] for the flags):
+//! evaluation per invocation, or merges and watches the shards of a
+//! sharded campaign (see [`mcsched_exp::cli`] for the flags):
 //!
 //! ```sh
 //! cargo run --release -p mcsched-exp -- table1
 //! cargo run --release -p mcsched-exp -- fig3 --full
 //! cargo run --release -p mcsched-exp -- online --strategies es,ps-work --replications 2
+//! cargo run --release -p mcsched-exp -- merge --into merged/ shard0/ shard1/ shard2/
+//! cargo run --release -p mcsched-exp -- top --watch obs/
 //! ```
 
 use mcsched_core::mapping::{map_concurrent, MappingConfig, OrderingMode};
 use mcsched_core::policy::ListMapping;
 use mcsched_core::{PolicyRegistry, RefAllocation, SchedulerConfig};
-use mcsched_exp::cli::Experiment;
+use mcsched_exp::cli::Command;
 use mcsched_exp::online::{
     csv_online, run_online_campaign, series_csv, table_online, OnlineCampaign,
 };
 use mcsched_exp::{mu_campaign, report, run_campaign, CampaignConfig, CampaignResult, CliOptions};
+use mcsched_obs::fleet::{render_snapshot, scan_fleet, shard_state, ShardState, SnapshotOptions};
+use mcsched_obs::ObsRun;
 use mcsched_platform::{grid5000, PlatformBuilder};
 use mcsched_ptg::gen::PtgClass;
 use mcsched_ptg::{CostModel, DataParallelTask, Ptg, PtgBuilder};
 use mcsched_stats::BootstrapConfig;
 use mcsched_workload::WorkloadCatalog;
+use std::path::PathBuf;
 use std::sync::Arc;
 
 fn main() {
     let opts = CliOptions::from_env();
+    match opts.command {
+        Command::ObsMerge => return obs_merge(&opts),
+        Command::Top => return top(&opts),
+        _ => {}
+    }
     let obs = opts.obs.start();
     let campaign = |class| {
         if opts.full {
@@ -32,10 +43,10 @@ fn main() {
             CampaignConfig::quick(class)
         }
     };
-    match opts.experiment {
-        Experiment::Table1 => table1(),
-        Experiment::Fig1 => fig1(),
-        Experiment::Fig2 => {
+    match opts.command {
+        Command::Table1 => table1(),
+        Command::Fig1 => fig1(),
+        Command::Fig2 => {
             let (config, mu_values) = mu_campaign(opts.full);
             figure(
                 &opts,
@@ -46,7 +57,7 @@ fn main() {
                  increases; mu = 0.7 offers the balance the paper selects for WPS-work.",
             );
         }
-        Experiment::Fig3 => figure(
+        Command::Fig3 => figure(
             &opts,
             "Figure 3: random PTGs",
             campaign(PtgClass::Random),
@@ -55,7 +66,7 @@ fn main() {
              WPS-width is the fairest (about 2x better than S); PS-cp and PS-work are the least\n\
              fair but achieve the best makespans.",
         ),
-        Experiment::Fig4 => figure(
+        Command::Fig4 => figure(
             &opts,
             "Figure 4: FFT PTGs",
             campaign(PtgClass::Fft),
@@ -64,7 +75,7 @@ fn main() {
              becomes the second-fairest strategy; ES produces clearly the worst makespans\n\
              (up to ~2x the best for 10 concurrent PTGs).",
         ),
-        Experiment::Fig5 => figure(
+        Command::Fig5 => figure(
             &opts,
             "Figure 5: Strassen PTGs",
             campaign(PtgClass::Strassen),
@@ -72,7 +83,7 @@ fn main() {
             "Expected shape (paper): WPS-work is ~25% less fair than ES but ~35% better on\n\
              makespan; PS-work remains the least fair / shortest-schedule strategy.",
         ),
-        Experiment::AblationScrap => {
+        Command::AblationScrap => {
             let registry = PolicyRegistry::builtin();
             let arms = ["scrap", "scrap-max"].map(|name| {
                 let procedure = CliOptions::or_exit(registry.allocation(name));
@@ -91,7 +102,7 @@ fn main() {
                  when the constraint is loose.",
             );
         }
-        Experiment::AblationPacking => {
+        Command::AblationPacking => {
             let arms = [true, false].map(|packing| {
                 let arm: Tweak = Box::new(move |base| {
                     base.mapping = Arc::new(ListMapping::new(MappingConfig {
@@ -111,7 +122,9 @@ fn main() {
                  than with it.",
             );
         }
-        Experiment::Online => CliOptions::or_exit(online(&opts)),
+        Command::Online => CliOptions::or_exit(online(&opts)),
+        Command::Merge => return merge(&opts, obs),
+        Command::ObsMerge | Command::Top => unreachable!("handled before the run starts"),
     }
     obs.finish();
 }
@@ -398,4 +411,123 @@ fn online(opts: &CliOptions) -> Result<(), String> {
         mcsched_obs::note!("obs: time series written to {}", path.display());
     }
     Ok(())
+}
+
+/// Prints a merge failure and exits with status 1.
+fn fail(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(1);
+}
+
+/// The fleet tools' directories, each checked to be one (exit 2 naming the
+/// first that is not).
+fn source_dirs(opts: &CliOptions) -> &[PathBuf] {
+    if let Some(source) = opts.dirs.iter().find(|dir| !dir.is_dir()) {
+        eprintln!("error: source `{}` is not a directory", source.display());
+        std::process::exit(2);
+    }
+    &opts.dirs
+}
+
+/// The `--into` directory the parser guarantees the merges.
+fn destination(opts: &CliOptions) -> &PathBuf {
+    opts.into.as_ref().expect("the parser requires `--into`")
+}
+
+/// `merge`: unions shard cell-cache directories (see
+/// `mcsched_runtime::merge_cache_dirs`). The observed run ends before the
+/// outcome is reported, so `--obs-metrics` exports the `cache.merge.*`
+/// counters of a failed merge too.
+fn merge(opts: &CliOptions, obs: ObsRun) {
+    let sources = source_dirs(opts);
+    let outcome = mcsched_runtime::merge_cache_dirs(sources, destination(opts));
+    obs.finish();
+    match outcome {
+        Ok(report) if !opts.obs.quiet => println!("{}", report.summary()),
+        Ok(_) => {}
+        Err(e) => fail(&e.to_string()),
+    }
+}
+
+/// `obs-merge`: unions the shards' `--obs-dir` exports into
+/// `fleet.journal.jsonl` and `fleet.metrics.{json,txt}`.
+fn obs_merge(opts: &CliOptions) {
+    let into = destination(opts);
+    let merge = mcsched_obs::fleet::merge_obs_dirs(source_dirs(opts)).unwrap_or_else(|e| fail(&e));
+    // The merge checks that the shards agree on the salt; this binary must
+    // match it too, or the fleet it renders describes scheduling semantics
+    // other than those of the tools reading it.
+    if merge.salt != mcsched_runtime::CACHE_SALT {
+        fail(&format!(
+            "fleet was recorded with cache salt `{}`, this binary is compiled with `{}` — \
+             rebuild matching tools before merging",
+            merge.salt,
+            mcsched_runtime::CACHE_SALT
+        ));
+    }
+    if let Err(e) = std::fs::create_dir_all(into) {
+        fail(&format!("cannot create {}: {e}", into.display()));
+    }
+    let write = |name: &str, text: &str| {
+        let path = into.join(name);
+        if let Err(e) = std::fs::write(&path, text) {
+            fail(&format!("cannot write {}: {e}", path.display()));
+        }
+    };
+    write("fleet.journal.jsonl", &merge.journal);
+    write("fleet.metrics.json", &merge.metrics.render_json());
+    write("fleet.metrics.txt", &merge.metrics.render_table());
+    for warning in &merge.warnings {
+        eprintln!("warning: {warning}");
+    }
+    if !opts.obs.quiet {
+        println!(
+            "merged {} shard(s) (config {}) into {}: {} journal line(s), {} counter(s), \
+             {} gauge(s), {} histogram(s)",
+            merge.shards,
+            merge.config_digest,
+            into.display(),
+            merge.journal.lines().count(),
+            merge.metrics.counters.len(),
+            merge.metrics.gauges.len(),
+            merge.metrics.histograms.len(),
+        );
+    }
+}
+
+/// `top`: prints one frame of the fleet view, or with `--watch` repaints
+/// it until no shard can still make progress.
+fn top(opts: &CliOptions) {
+    let stale_after_ms = opts.stale_after_ms.unwrap_or(30_000);
+    let interval = std::time::Duration::from_millis(opts.interval_ms.unwrap_or(2_000));
+    loop {
+        let fleet = scan_fleet(&opts.dirs);
+        let now_ms = mcsched_obs::manifest::unix_ms();
+        let frame = render_snapshot(
+            &fleet,
+            &SnapshotOptions {
+                now_ms,
+                stale_after_ms,
+            },
+        );
+        if !opts.watch {
+            print!("{frame}");
+            return;
+        }
+        // Running and stalled-but-alive shards keep the watch going; dead
+        // and finished ones end it.
+        print!("\x1b[2J\x1b[H{frame}");
+        use std::io::Write as _;
+        let _ = std::io::stdout().flush();
+        let active = fleet.shards.iter().any(|s| {
+            matches!(
+                shard_state(s, now_ms, stale_after_ms),
+                ShardState::Running | ShardState::Stalled
+            )
+        });
+        if !fleet.shards.is_empty() && !active {
+            return;
+        }
+        std::thread::sleep(interval);
+    }
 }

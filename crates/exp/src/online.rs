@@ -49,7 +49,7 @@ pub struct OnlineCampaign {
     pub base: OnlineConfig,
     /// Fleet obs directory (`--obs-dir`): the campaign writes a
     /// `run-0of1.manifest.json` + heartbeat there (refreshed per completed
-    /// cell), so `mcsched-top` can watch an online campaign alongside the
+    /// cell), so `mcsched-exp top` can watch an online campaign alongside the
     /// batch fleet. `None` (the default) records nothing.
     pub obs_dir: Option<PathBuf>,
 }
@@ -70,7 +70,7 @@ impl OnlineCampaign {
 
     /// The fleet config digest of this campaign: everything that determines
     /// its cell grid (source spec, platform, replications, base seed and
-    /// label, row labels), so `mcsched-obs-merge` can refuse to union
+    /// label, row labels), so `mcsched-exp obs-merge` can refuse to union
     /// unrelated runs — mirroring the batch harness.
     fn config_digest(
         &self,

@@ -4,10 +4,10 @@
 //! The reader side of [`crate::manifest`]: [`scan_fleet`] collects every
 //! `run-<shard>.*` record from one or more obs directories,
 //! [`render_snapshot`] turns the collection into the aggregated view
-//! `mcsched-top` prints (per-shard progress bars, stalled/dead verdicts,
+//! `mcsched-exp top` prints (per-shard progress bars, stalled/dead verdicts,
 //! fleet-wide totals, the merged counter table), and [`merge_obs_dirs`]
 //! unions the per-shard exports into one fleet journal + metrics snapshot
-//! (`mcsched-obs-merge`).
+//! (`mcsched-exp obs-merge`).
 //!
 //! Determinism contract: everything derived from the records alone —
 //! [`render_snapshot`] for a *finished* fleet (no `running` shard) and the

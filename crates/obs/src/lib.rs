@@ -223,7 +223,7 @@ impl ObsRun {
         }
         if let Some(dir) = &opts.dir {
             // Per-shard fleet exports: the deterministic journal and the
-            // JSON metrics snapshot `mcsched-obs-merge` unions.
+            // JSON metrics snapshot `mcsched-exp obs-merge` unions.
             if let Err(e) = std::fs::create_dir_all(dir) {
                 eprintln!("warning: obs: cannot create {} ({e})", dir.display());
                 return;

@@ -14,7 +14,7 @@
 //! * **`run-<shard>.heartbeat.json`** — rewritten at the per-data-point
 //!   flush grain (the cell cache's resume grain): data points done/total,
 //!   cells evaluated, cache hits/misses, the current data-point detail and
-//!   a last-update stamp. `mcsched-top` turns heartbeat age into
+//!   a last-update stamp. `mcsched-exp top` turns heartbeat age into
 //!   stalled/dead verdicts for `running` shards.
 //!
 //! Both records are written **atomically** (unique temp file + rename), so

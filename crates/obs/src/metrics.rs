@@ -411,7 +411,7 @@ impl MetricsSnapshot {
     }
 
     /// Renders the snapshot as key-sorted JSON, the exchange format of the
-    /// fleet tooling (`mcsched-obs-merge`, `mcsched-top`). Histogram
+    /// fleet tools (`mcsched-exp obs-merge` and `top`). Histogram
     /// buckets are stored sparsely (`{"index": count}` for non-empty
     /// buckets only), and every `u64` keeps full precision (no `f64`
     /// intermediate). Deterministic: equal snapshots render equal bytes.

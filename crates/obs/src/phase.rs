@@ -32,7 +32,7 @@ pub const PHASE_NAMES: [&str; 6] = [
 /// [`PHASE_NAMES`] that ran, in that order, with its share of the phases'
 /// summed time. `None` when no phase recorded any time.
 #[must_use]
-pub fn render_report(totals: &[SpanTotal]) -> Option<String> {
+fn render_report(totals: &[SpanTotal]) -> Option<String> {
     let phase = |name: &str| {
         totals
             .iter()
@@ -60,7 +60,7 @@ pub fn render_report(totals: &[SpanTotal]) -> Option<String> {
     Some(out)
 }
 
-/// Prints [`render_report`] line by line through the stderr sink, so
+/// Prints the report over `totals` line by line through the stderr sink, so
 /// `--quiet` silences it.
 pub fn report(totals: &[SpanTotal]) {
     if let Some(text) = render_report(totals) {

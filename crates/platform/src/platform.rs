@@ -3,7 +3,6 @@
 use crate::cluster::{Cluster, ClusterId};
 use crate::error::PlatformError;
 use crate::network::NetworkTopology;
-use crate::procset::ProcSet;
 use serde::{Deserialize, Serialize};
 
 /// A multi-cluster platform: a named set of [`Cluster`]s interconnected
@@ -120,7 +119,7 @@ impl Platform {
     }
 
     /// Speed of the fastest processor of the platform (flop/s).
-    pub fn max_speed(&self) -> f64 {
+    fn max_speed(&self) -> f64 {
         self.clusters
             .iter()
             .map(Cluster::speed)
@@ -128,7 +127,7 @@ impl Platform {
     }
 
     /// Speed of the slowest processor of the platform (flop/s).
-    pub fn min_speed(&self) -> f64 {
+    fn min_speed(&self) -> f64 {
         self.clusters
             .iter()
             .map(Cluster::speed)
@@ -160,12 +159,6 @@ impl Platform {
         self.min_speed()
     }
 
-    /// A processor set spanning an entire cluster.
-    pub fn full_cluster(&self, id: ClusterId) -> Result<ProcSet, PlatformError> {
-        let c = self.cluster(id)?;
-        Ok(ProcSet::contiguous(id, 0, c.num_procs()))
-    }
-
     /// Largest cluster size (in processors) on the platform.
     pub fn max_cluster_size(&self) -> usize {
         self.clusters
@@ -173,11 +166,6 @@ impl Platform {
             .map(Cluster::num_procs)
             .max()
             .unwrap_or(0)
-    }
-
-    /// Processing power (flop/s) of `n` processors of cluster `k`.
-    pub fn power_of(&self, cluster: ClusterId, n: usize) -> Result<f64, PlatformError> {
-        Ok(self.cluster(cluster)?.speed() * n as f64)
     }
 }
 
@@ -267,20 +255,6 @@ mod tests {
         let p = toy();
         assert_eq!(p.cluster(1).unwrap().name(), "b");
         assert!(p.cluster(7).is_err());
-    }
-
-    #[test]
-    fn full_cluster_procset() {
-        let p = toy();
-        let s = p.full_cluster(0).unwrap();
-        assert_eq!(s.len(), 10);
-        assert_eq!(s.cluster(), 0);
-    }
-
-    #[test]
-    fn power_of_counts_procs() {
-        let p = toy();
-        assert!((p.power_of(1, 5).unwrap() - 10.0e9).abs() < 1.0);
     }
 
     #[test]

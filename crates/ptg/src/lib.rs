@@ -18,14 +18,12 @@
 //!   bottom levels, critical path, total work ([`analysis`]);
 //! * the three PTG generators used in the paper's evaluation — random
 //!   "workflow-like" DAGs parameterised by width/regularity/density/jumps,
-//!   FFT graphs and Strassen graphs ([`gen`]);
-//! * DOT export for visual inspection ([`dot`]).
+//!   FFT graphs and Strassen graphs ([`gen`]).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod analysis;
-pub mod dot;
 pub mod error;
 pub mod gen;
 pub mod graph;

@@ -49,7 +49,7 @@
 //!
 //! [`merge_cache_dirs`] unions any number of cache directories into a
 //! destination — the collection step of a sharded multi-process campaign
-//! (`--shard i/N` + `mcsched-merge`). Sources are salt- and
+//! (`--shard i/N` + `mcsched-exp merge`). Sources are salt- and
 //! version-checked (a stale source is a hard error, unlike resume, which
 //! merely skips), duplicate cells must agree bit-for-bit, and a digest
 //! mapped to *different* metrics by two sources aborts the merge naming
@@ -622,7 +622,7 @@ impl From<io::Error> for MergeError {
 
 /// Unions any number of cache directories into `dest` — the collection step
 /// of a sharded campaign (`--shard i/N` processes filling disjoint dirs,
-/// then one `mcsched-merge`). If `dest` already holds cells it acts as an
+/// then one `mcsched-exp merge`). If `dest` already holds cells it acts as an
 /// implicit additional source (so merging *into* a partial cache — e.g. to
 /// pre-populate a re-sharded run — works), and merging is idempotent: a
 /// digest may appear in any number of sources as long as every occurrence

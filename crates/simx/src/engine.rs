@@ -244,21 +244,6 @@ impl<'a> Engine<'a> {
         self.platform
     }
 
-    /// Executes a batch of independent workloads, reusing this engine's
-    /// routing tables for all of them (one engine per platform, many
-    /// workloads — e.g. the per-application schedules of one scenario).
-    ///
-    /// # Errors
-    ///
-    /// Returns the first validation/execution error; earlier outcomes are
-    /// discarded (the batch is all-or-nothing).
-    pub fn execute_all<'w>(
-        &self,
-        workloads: impl IntoIterator<Item = &'w SimWorkload>,
-    ) -> Result<Vec<SimOutcome>, SimError> {
-        workloads.into_iter().map(|w| self.execute(w)).collect()
-    }
-
     /// Executes the workload and returns the trace.
     ///
     /// # Errors
@@ -739,28 +724,6 @@ mod tests {
         let out = Engine::new(&p).execute(&w).unwrap();
         assert_eq!(out.makespan, 0.0);
         assert!(out.trace.job(b).is_some());
-    }
-
-    #[test]
-    fn execute_all_runs_every_workload() {
-        let p = platform();
-        let mut w1 = SimWorkload::new();
-        w1.add_job(SimJob::new(pset(0, 0, 1), 2.0, 0));
-        let mut w2 = SimWorkload::new();
-        w2.add_job(SimJob::new(pset(1, 0, 2), 3.0, 0));
-        let outcomes = Engine::new(&p).execute_all([&w1, &w2]).unwrap();
-        assert_eq!(outcomes.len(), 2);
-        assert!((outcomes[0].makespan - 2.0).abs() < 1e-9);
-        assert!((outcomes[1].makespan - 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn execute_all_propagates_errors() {
-        let p = platform();
-        let mut bad = SimWorkload::new();
-        bad.add_job(SimJob::new(ProcSet::empty(0), 1.0, 0));
-        let good = SimWorkload::new();
-        assert!(Engine::new(&p).execute_all([&good, &bad]).is_err());
     }
 
     #[test]

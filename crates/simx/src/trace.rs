@@ -59,22 +59,6 @@ impl ExecutionTrace {
             .fold(0.0, f64::max)
     }
 
-    /// Earliest start time among a subset of jobs.
-    pub fn start_of(&self, jobs: impl IntoIterator<Item = JobId>) -> f64 {
-        jobs.into_iter()
-            .filter_map(|j| self.jobs.get(j).and_then(|r| r.as_ref()))
-            .map(|r| r.start)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Total processor-seconds consumed by a subset of jobs.
-    pub fn proc_seconds_of(&self, jobs: impl IntoIterator<Item = JobId>) -> f64 {
-        jobs.into_iter()
-            .filter_map(|j| self.jobs.get(j).and_then(|r| r.as_ref()))
-            .map(|r| (r.finish - r.start) * r.procs.len() as f64)
-            .sum()
-    }
-
     /// Record of one job, if it ran.
     pub fn job(&self, job: JobId) -> Option<&JobRecord> {
         self.jobs.get(job).and_then(|r| r.as_ref())
@@ -117,20 +101,6 @@ mod tests {
         assert_eq!(t.makespan_of([0]), 2.0);
         assert_eq!(t.makespan_of([0, 1]), 5.0);
         assert_eq!(t.makespan_of([2]), 0.0);
-    }
-
-    #[test]
-    fn start_of_subset() {
-        let t = trace();
-        assert_eq!(t.start_of([1]), 1.0);
-        assert_eq!(t.start_of([0, 1]), 0.0);
-    }
-
-    #[test]
-    fn proc_seconds_accumulate() {
-        let t = trace();
-        // job 0: 2s * 2 procs + job 1: 4s * 4 procs = 20
-        assert_eq!(t.proc_seconds_of([0, 1]), 20.0);
     }
 
     #[test]

@@ -11,10 +11,9 @@
 //!
 //! * *how big is the gap?* — [`PairedSamples::bootstrap_ci`] puts a seeded
 //!   bootstrap percentile interval around the mean difference;
-//! * *how consistent is the direction?* — [`PairedSamples::sign_test_p`] is
-//!   the exact two-sided sign test (a distribution-free Wilcoxon-style
-//!   ordering check: under "no ordering", positive and negative differences
-//!   are equally likely).
+//! * *how consistent is the direction?* — the exact two-sided sign test (a
+//!   distribution-free Wilcoxon-style ordering check: under "no ordering",
+//!   positive and negative differences are equally likely).
 //!
 //! [`PairedSamples::verdict`] condenses both into an [`OrderingVerdict`].
 
@@ -55,7 +54,7 @@ impl PairedSamples {
 
     /// Builds the analysis from precomputed differences `a_i - b_i`.
     #[must_use]
-    pub fn from_diffs(diffs: Vec<f64>) -> Self {
+    fn from_diffs(diffs: Vec<f64>) -> Self {
         let mut a_wins = 0;
         let mut b_wins = 0;
         let mut ties = 0;
@@ -94,18 +93,6 @@ impl PairedSamples {
         self.diffs.is_empty()
     }
 
-    /// Pairs where the first treatment was strictly smaller.
-    #[must_use]
-    pub fn a_wins(&self) -> usize {
-        self.a_wins
-    }
-
-    /// Pairs where the second treatment was strictly smaller.
-    #[must_use]
-    pub fn b_wins(&self) -> usize {
-        self.b_wins
-    }
-
     /// Pairs with exactly equal values.
     #[must_use]
     pub fn ties(&self) -> usize {
@@ -140,7 +127,7 @@ impl PairedSamples {
     /// as is standard; with no untied pair the test is uninformative and
     /// returns 1.
     #[must_use]
-    pub fn sign_test_p(&self) -> f64 {
+    fn sign_test_p(&self) -> f64 {
         let n = self.a_wins + self.b_wins;
         if n == 0 {
             return 1.0;
@@ -279,8 +266,7 @@ mod tests {
     fn pairing_counts_wins_and_ties() {
         let p = PairedSamples::of(&[1.0, 2.0, 3.0, 4.0], &[2.0, 2.0, 1.0, 5.0]);
         assert_eq!(p.len(), 4);
-        assert_eq!(p.a_wins(), 2);
-        assert_eq!(p.b_wins(), 1);
+        assert_eq!((p.a_wins, p.b_wins), (2, 1));
         assert_eq!(p.ties(), 1);
         assert_eq!(p.diffs(), &[-1.0, 0.0, 2.0, -1.0]);
         assert!((p.mean_diff() - 0.0).abs() < 1e-12);

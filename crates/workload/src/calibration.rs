@@ -95,7 +95,7 @@ pub fn width_report<F: FnMut(u64) -> Ptg>(
 
 /// Width statistics of the DAGGEN-style generator for one configuration.
 #[must_use]
-pub fn daggen_width_report(cfg: &DaggenConfig, samples: usize, base_seed: u64) -> WidthReport {
+fn daggen_width_report(cfg: &DaggenConfig, samples: usize, base_seed: u64) -> WidthReport {
     width_report(samples, base_seed, |seed| {
         daggen_ptg(cfg, &mut ChaCha8Rng::seed_from_u64(seed), "cal")
     })
@@ -104,7 +104,7 @@ pub fn daggen_width_report(cfg: &DaggenConfig, samples: usize, base_seed: u64) -
 /// Width statistics of the legacy `mcsched_ptg::gen::random` generator for
 /// one configuration.
 #[must_use]
-pub fn legacy_width_report(cfg: &RandomPtgConfig, samples: usize, base_seed: u64) -> WidthReport {
+fn legacy_width_report(cfg: &RandomPtgConfig, samples: usize, base_seed: u64) -> WidthReport {
     width_report(samples, base_seed, |seed| {
         random_ptg(cfg, &mut ChaCha8Rng::seed_from_u64(seed), "cal")
     })

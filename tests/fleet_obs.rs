@@ -6,9 +6,9 @@
 //!   heartbeat per shard, plus the per-shard journal/metrics exports;
 //! * per-shard journals are deterministic — the same shard rerun produces
 //!   byte-identical `run-<shard>.journal.jsonl` bytes;
-//! * `merge_obs_dirs` (the library half of `mcsched-obs-merge`) yields one
+//! * `merge_obs_dirs` (the library half of `mcsched-exp obs-merge`) yields one
 //!   fleet journal + metrics snapshot byte-identical across merge orders;
-//! * `render_snapshot` (the library half of `mcsched-top --snapshot`) is
+//! * `render_snapshot` (the library half of `mcsched-exp top --snapshot`) is
 //!   byte-identical for a finished fleet regardless of directory order or
 //!   observation time;
 //! * stale `.tmp` debris from a killed shard is reported as debris, never
@@ -155,7 +155,7 @@ fn sharded_campaign_records_manifests_heartbeats_and_exports() {
     assert_eq!(journal_a, journal_b, "per-shard journals are deterministic");
 
     // Obs-merge: one fleet journal + metrics snapshot, byte-identical
-    // across merge orders (the `mcsched-obs-merge` contract).
+    // across merge orders (the `mcsched-exp obs-merge` contract).
     let dirs: Vec<PathBuf> = shards.iter().map(TempDir::path).collect();
     let forward = merge_obs_dirs(&dirs).expect("fleet merges");
     let reversed: Vec<PathBuf> = dirs.iter().rev().cloned().collect();
@@ -181,7 +181,7 @@ fn sharded_campaign_records_manifests_heartbeats_and_exports() {
     );
     assert_eq!(forward.salt, mcsched::runtime::CACHE_SALT);
 
-    // Snapshot rendering (the `mcsched-top --snapshot` contract): a
+    // Snapshot rendering (the `mcsched-exp top --snapshot` contract): a
     // finished fleet renders byte-identically regardless of directory
     // order or observation time.
     let frame = render_snapshot(
