@@ -12,27 +12,38 @@
 //! The `paired` family times the paper's constraint set evaluated through
 //! one shared [`ScheduleContext`] (`crn-shared-context`, dedicated
 //! baselines simulated once) against one fresh context per policy
-//! (`independent-contexts`).
+//! (`independent-contexts`), and the FFT paper set on one shared context
+//! over ten 32-point FFT graphs (`fft-paper-set`), where several policies
+//! give the same allocations.
 
 use mcsched_bench::ledger::{time, Args, Ledger};
 use mcsched_core::policy::ConstraintPolicy;
 use mcsched_core::{
     ConcurrentScheduler, PolicyRegistry, ScheduleContext, SchedulerConfig, Workload,
 };
+use mcsched_exp::CampaignConfig;
 use mcsched_obs::json::Json;
 use mcsched_platform::grid5000;
 use mcsched_ptg::gen::PtgClass;
 use mcsched_ptg::Ptg;
+use mcsched_workload::{WorkloadCatalog, WorkloadRequest};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
 use std::sync::Arc;
 
 const APPS: usize = 6;
+const FFT_APPS: usize = 10;
 const SEED: u64 = 0x5EED;
 
 pub fn run(args: &Args) -> Ledger {
-    let iterations = args.iterations.unwrap_or(if args.smoke { 1 } else { 5 });
+    let iterations = args.iterations.unwrap_or(if args.smoke { 1 } else { 10 });
+    // Runs of a millisecond or less are timed `batch` to a sample: one
+    // stall of the host then moves a sample by a fraction, not a multiple.
+    let batch = if args.smoke { 1 } else { 16 };
+    let batched = |family: &str, case: &str, run: &dyn Fn()| {
+        time(family, case, iterations, || (0..batch).for_each(|_| run())).per(batch)
+    };
     let registry = PolicyRegistry::builtin();
     let platform = grid5000::lille();
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);
@@ -43,6 +54,7 @@ pub fn run(args: &Args) -> Ledger {
     let mut ledger = Ledger::new(vec![
         ("iterations".into(), Json::num_usize(iterations)),
         ("smoke".into(), Json::Bool(args.smoke)),
+        ("batch".into(), Json::num_usize(batch)),
         ("apps".into(), Json::num_usize(APPS)),
         ("seed".into(), Json::num_u64(SEED)),
         ("platform".into(), Json::Str(platform.name().into())),
@@ -53,7 +65,7 @@ pub fn run(args: &Args) -> Ledger {
     // the work being measured.
     let mut pipeline = |family: &str, policy: String, built: Result<ConcurrentScheduler, _>| {
         let scheduler: ConcurrentScheduler = built.expect("registry names build");
-        ledger.push(time(family, policy, iterations, || {
+        ledger.push(batched(family, &policy, &|| {
             let context = scheduler.workload_context(&platform, &workload);
             scheduler.schedule_in(&context).expect("the pipeline runs");
         }));
@@ -88,14 +100,14 @@ pub fn run(args: &Args) -> Ledger {
         .map(|n| registry.constraint(n).expect(resolve))
         .collect();
     let base = SchedulerConfig::default();
-    let shared = time("paired", "crn-shared-context", iterations, || {
+    let shared = batched("paired", "crn-shared-context", &|| {
         let context = ScheduleContext::for_workload(&platform, &workload, base.clone());
         context
             .evaluate_policies(&paired)
             .expect("paired evaluation runs");
     });
     ledger.push(shared);
-    let independent = time("paired", "independent-contexts", iterations, || {
+    let independent = batched("paired", "independent-contexts", &|| {
         for policy in &paired {
             let context = ScheduleContext::for_workload(&platform, &workload, base.clone());
             context
@@ -104,5 +116,18 @@ pub fn run(args: &Args) -> Ledger {
         }
     });
     ledger.push(independent);
+
+    let fft = WorkloadCatalog::builtin()
+        .resolve("fft@points=32")
+        .expect("built-in spec resolves")
+        .generate(&WorkloadRequest::new(SEED, FFT_APPS, "bench-fft"))
+        .expect("generation succeeds");
+    let fft_set = CampaignConfig::paper(PtgClass::Fft).strategies;
+    ledger.push(time("paired", "fft-paper-set", iterations, || {
+        let context = ScheduleContext::for_workload(&platform, &fft, base.clone());
+        context
+            .evaluate_policies(&fft_set)
+            .expect("paired evaluation runs");
+    }));
     ledger
 }

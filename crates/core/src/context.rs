@@ -16,7 +16,13 @@
 //!   its dedicated baseline, by the selfish strategy and — through the
 //!   SCRAP trial log — by its constrained allocations under every other
 //!   strategy, which resume from the log instead of re-running the shared
-//!   prefix of grants.
+//!   prefix of grants;
+//! * the **concurrent mapping and simulation**: one per
+//!   [`ConcurrentScheduler::evaluate_in`] call, and on the paired path
+//!   ([`ScheduleContext::evaluate_policies`]) one per distinct allocation
+//!   vector, since strategies that give the same allocations (PS-width and
+//!   ES on same-width FFT graphs, ES and S when β does not bind) get the
+//!   same schedule. No run outlives the call that made it.
 //!
 //! A [`ScheduleContext`] owns all of them for one `(platform, ptgs, base
 //! config)` triple. The scheduler, the ablation binaries and the `mcsched-exp`
@@ -425,7 +431,10 @@ impl<'a> ScheduleContext<'a> {
         self.dedicated_sims.load(Ordering::Relaxed)
     }
 
-    /// Number of concurrent-schedule simulations executed so far.
+    /// Number of concurrent-schedule simulations executed so far: one per
+    /// [`ConcurrentScheduler::evaluate_in`] call, and one per distinct
+    /// allocation vector within each [`ScheduleContext::evaluate_policies`]
+    /// call.
     pub fn concurrent_simulations(&self) -> usize {
         self.concurrent_sims.load(Ordering::Relaxed)
     }
@@ -439,6 +448,12 @@ impl<'a> ScheduleContext<'a> {
     /// pairable sample-for-sample. Returns one evaluation per policy, in
     /// input order.
     ///
+    /// Each distinct allocation vector is mapped and simulated once per
+    /// call. A policy whose allocations equal an earlier policy's gets a
+    /// copy of that run with its own β: the schedule, trace, makespans and
+    /// fairness depend only on the PTGs, release times, allocations, base
+    /// mapping and engine, all fixed within the call.
+    ///
     /// # Errors
     ///
     /// Propagates simulation validation errors (indicating a scheduler bug).
@@ -446,16 +461,38 @@ impl<'a> ScheduleContext<'a> {
         &self,
         policies: &[Arc<dyn ConstraintPolicy>],
     ) -> Result<Vec<EvaluatedRun>, SchedError> {
-        policies
-            .iter()
-            .map(|policy| {
-                ConcurrentScheduler::new(SchedulerConfig {
-                    constraint: Arc::clone(policy),
-                    ..self.base.clone()
-                })
-                .evaluate_in(self)
-            })
-            .collect()
+        // Baselines first, as `evaluate_in` does: the constrained
+        // allocations looked up below then resume from their β = 1 runs.
+        self.dedicated_makespans()?;
+        // The allocations of every run so far, in run order.
+        let mut seen: Vec<Arc<Vec<RefAllocation>>> = Vec::with_capacity(policies.len());
+        let mut runs: Vec<EvaluatedRun> = Vec::with_capacity(policies.len());
+        for policy in policies {
+            let scheduler = ConcurrentScheduler::new(SchedulerConfig {
+                constraint: Arc::clone(policy),
+                ..self.base.clone()
+            });
+            let allocations = scheduler.allocate_in(self);
+            let repeat = seen.iter().position(|earlier| {
+                Arc::ptr_eq(earlier, &allocations) || **earlier == *allocations
+            });
+            seen.push(allocations);
+            let run = match repeat {
+                // Same allocations, same schedule and simulation: only the
+                // β the policy reports differs.
+                Some(earlier) => {
+                    let mut run = runs[earlier].clone();
+                    let betas = self.betas_for(policy.as_ref());
+                    for (app, &beta) in run.run.apps.iter_mut().zip(betas.iter()) {
+                        app.beta = beta;
+                    }
+                    run
+                }
+                None => scheduler.evaluate_in(self)?,
+            };
+            runs.push(run);
+        }
+        Ok(runs)
     }
 
     /// Runs the full dedicated pipeline for one application: β = 1

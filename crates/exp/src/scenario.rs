@@ -410,6 +410,60 @@ mod tests {
         assert!(combined[0].makespan >= 1000.0);
     }
 
+    /// Checks the paired path on `scenario` against each policy evaluated
+    /// alone on a fresh context, and checks that it simulated each distinct
+    /// allocation vector once, fewer than one per policy.
+    fn assert_paired_path_dedupes(scenario: &Scenario, policies: &[Arc<dyn ConstraintPolicy>]) {
+        let base = SchedulerConfig::default();
+        let context = scenario.context(&base);
+        let paired = context.evaluate_policies(policies).unwrap();
+        assert_eq!(paired.len(), policies.len());
+        let mut distinct: Vec<Arc<Vec<mcsched_core::RefAllocation>>> = Vec::new();
+        for (policy, run) in policies.iter().zip(&paired) {
+            let alone = ConcurrentScheduler::new(SchedulerConfig {
+                constraint: Arc::clone(policy),
+                ..base.clone()
+            })
+            .evaluate_in(&scenario.context(&base))
+            .unwrap();
+            assert_eq!(*run, alone, "{} on {}", policy.name(), scenario.name);
+            let betas = context.betas_for(policy.as_ref());
+            let reported: Vec<f64> = run.run.apps.iter().map(|app| app.beta).collect();
+            assert_eq!(reported, *betas, "{} reports its own β", policy.name());
+            let allocations = context.allocations_for(policy.as_ref(), base.allocation.as_ref());
+            if !distinct.contains(&allocations) {
+                distinct.push(allocations);
+            }
+        }
+        assert_eq!(context.concurrent_simulations(), distinct.len());
+        assert!(distinct.len() < policies.len(), "{}", scenario.name);
+    }
+
+    #[test]
+    fn paired_path_simulates_each_distinct_allocation_once() {
+        // Ten FFT graphs of one size share one width, so PS-width and
+        // WPS-width give ES's β. (The class's mixed 4/8/16-point draws do
+        // not.)
+        let source = GeneratorSource::new(mcsched_workload::AppGenerator::Fft { points: Some(8) });
+        let fft = &generate_scenarios_with(&source, 10, 1, 3).unwrap()[0];
+        assert_paired_path_dedupes(fft, &CampaignConfig::paper(PtgClass::Fft).strategies);
+
+        // Two random applications on a site where the equal share does not
+        // bind: ES allocates what S does, under half the β.
+        let policies = CampaignConfig::paper(PtgClass::Random).strategies;
+        let (selfish, equal) = (&policies[0], &policies[1]);
+        let base = SchedulerConfig::default();
+        let unbound = (0..64)
+            .flat_map(|seed| generate_scenarios(PtgClass::Random, 2, 1, seed))
+            .find(|scenario| {
+                let context = scenario.context(&base);
+                context.allocations_for(selfish.as_ref(), base.allocation.as_ref())
+                    == context.allocations_for(equal.as_ref(), base.allocation.as_ref())
+            })
+            .expect("a two-application scenario where ES equals S");
+        assert_paired_path_dedupes(&unbound, &policies);
+    }
+
     #[test]
     fn evaluate_all_simulates_dedicated_baselines_once_per_app() {
         let scenarios = generate_scenarios(PtgClass::Strassen, 2, 1, 21);
