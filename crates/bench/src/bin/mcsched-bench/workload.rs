@@ -1,9 +1,12 @@
 //! `workload`: generation of every built-in source spec (`generate`
-//! family, `throughput` in workloads/s), and serialization and parsing of
-//! a ten-entry `daggen-grid` trace (`serialize` and `parse` families,
-//! `throughput` in MB/s, `trace_bytes` the document's size).
+//! family, `throughput` in workloads/s), the scenarios of the Fig-3
+//! `daggen-grid` data points (`scenarios` family, `ptgs` applications
+//! generated per run), and serialization and parsing of a ten-entry
+//! `daggen-grid` trace (`serialize` and `parse` families, `throughput` in
+//! MB/s, `trace_bytes` the document's size).
 
 use mcsched_bench::ledger::{time, Args, Ledger};
+use mcsched_exp::generate_scenarios_with;
 use mcsched_obs::json::Json;
 use mcsched_workload::{Trace, WorkloadCatalog, WorkloadRequest};
 
@@ -38,7 +41,20 @@ pub fn run(args: &Args) -> Ledger {
         ledger.push(row.value("throughput", throughput));
     }
 
+    // The Fig-3 grid: PTG counts 2-10, 5 combinations, each on every site.
     let source = catalog.resolve("daggen-grid").expect("spec resolves");
+    let counts = [2, 4, 6, 8, 10];
+    let combinations = 5;
+    let row = time("scenarios", "daggen-grid", iterations, || {
+        for n in counts {
+            let scenarios = generate_scenarios_with(source.as_ref(), n, combinations, SEED)
+                .expect("generation succeeds");
+            std::hint::black_box(scenarios);
+        }
+    });
+    let ptgs = counts.iter().sum::<usize>() * combinations;
+    ledger.push(row.value("ptgs", ptgs as f64));
+
     let requests: Vec<WorkloadRequest> = (0..10)
         .map(|i| WorkloadRequest::new(SEED.wrapping_add(i), APPS, format!("t-{i}")))
         .collect();

@@ -61,6 +61,13 @@ impl Workload {
         &self.ptgs
     }
 
+    /// Takes the workload apart into its applications and their release
+    /// times, dropping the label.
+    #[must_use]
+    pub fn into_parts(self) -> (Vec<Ptg>, Vec<f64>) {
+        (self.ptgs, self.release_times)
+    }
+
     /// One release time per application (all zero for a batch).
     #[must_use]
     pub fn release_times(&self) -> &[f64] {

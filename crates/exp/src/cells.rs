@@ -71,7 +71,7 @@ pub fn scenario_digest(
         .str(topology_label)
         .f64(topology_link.bandwidth)
         .f64(topology_link.latency);
-    for ptg in &scenario.ptgs {
+    for ptg in scenario.ptgs.iter() {
         digest = digest.usize(ptg.num_tasks()).usize(ptg.num_edges());
         for task in ptg.tasks() {
             let (cost_label, cost_param) = match task.cost_model() {

@@ -5,7 +5,7 @@
 //! the class-equivalent source, drawing byte-identical applications.
 
 use mcsched_core::policy::ConstraintPolicy;
-use mcsched_core::{EvaluatedRun, SchedError, ScheduleContext, SchedulerConfig, Workload};
+use mcsched_core::{EvaluatedRun, SchedError, ScheduleContext, SchedulerConfig};
 use mcsched_platform::{grid5000, Platform};
 use mcsched_ptg::gen::PtgClass;
 use mcsched_ptg::Ptg;
@@ -20,13 +20,15 @@ pub struct Scenario {
     pub name: String,
     /// The target platform.
     pub platform: Platform,
-    /// The concurrent applications.
-    pub ptgs: Vec<Ptg>,
+    /// The concurrent applications. The four site scenarios of one
+    /// generated combination share one slice.
+    pub ptgs: Arc<[Ptg]>,
     /// Release time of each application (all zero for the paper's batch
     /// scenarios). Must satisfy the [`Workload::released`] contract — one
-    /// finite, non-negative instant per application; [`Scenario::workload`]
-    /// and [`Scenario::context`] panic on a hand-built scenario that
-    /// violates it.
+    /// finite, non-negative instant per application; [`Scenario::context`]
+    /// panics on a hand-built scenario that violates it.
+    ///
+    /// [`Workload::released`]: mcsched_core::Workload::released
     pub release_times: Vec<f64>,
     /// Seed used to draw the applications (for reproducibility).
     pub seed: u64,
@@ -86,7 +88,9 @@ pub fn combo_requests(
 
 /// Generates the scenarios of one data point from a [`WorkloadSource`]:
 /// `combinations` workload requests, each paired with every one of the four
-/// Grid'5000 subsets (`combinations × 4` scenarios in total).
+/// Grid'5000 subsets (`combinations × 4` scenarios in total). Each request's
+/// applications are built once: its four site scenarios share one
+/// [`Scenario::ptgs`] slice.
 ///
 /// # Errors
 ///
@@ -105,16 +109,17 @@ pub fn generate_scenarios_with(
         .iter()
         .enumerate()
     {
-        let workload = {
+        let (ptgs, release_times) = {
             let _p = mcsched_obs::span!("workload-gen");
-            source.generate(request)?
+            source.generate(request)?.into_parts()
         };
+        let ptgs: Arc<[Ptg]> = ptgs.into();
         for platform in &platforms {
             scenarios.push(Scenario {
                 name: format!("{label}-n{num_ptgs}-c{combo}-{}", platform.name()),
                 platform: platform.clone(),
-                ptgs: workload.ptgs().to_vec(),
-                release_times: workload.release_times().to_vec(),
+                ptgs: Arc::clone(&ptgs),
+                release_times: release_times.clone(),
                 seed: request.seed,
             });
         }
@@ -144,20 +149,6 @@ pub fn generate_scenarios(
 }
 
 impl Scenario {
-    /// The scenario's applications as a submission-ready [`Workload`]
-    /// (labelled with the scenario name, carrying the scenario's release
-    /// times — all zero for the paper's batch scenarios).
-    ///
-    /// # Panics
-    ///
-    /// When [`Scenario::release_times`] violates the [`Workload::released`]
-    /// contract (generated scenarios always satisfy it).
-    pub fn workload(&self) -> Workload {
-        Workload::released(self.ptgs.clone(), self.release_times.clone())
-            .expect("Scenario::release_times must be finite, non-negative, one per application")
-            .with_label(self.name.clone())
-    }
-
     /// Builds the memoized [`ScheduleContext`] for this scenario: the single
     /// entry point through which every strategy evaluation runs, so that the
     /// platform views and the dedicated baselines (`M_own`) are computed once
@@ -167,8 +158,9 @@ impl Scenario {
     ///
     /// # Panics
     ///
-    /// When [`Scenario::release_times`] violates the [`Workload::released`]
-    /// contract (generated scenarios always satisfy it).
+    /// When [`Scenario::release_times`] violates the
+    /// [`Workload::released`](mcsched_core::Workload::released) contract
+    /// (generated scenarios always satisfy it).
     pub fn context<'a>(&'a self, base: &SchedulerConfig) -> ScheduleContext<'a> {
         ScheduleContext::with_base(&self.platform, &self.ptgs, base.clone())
             .with_release_times(self.release_times.clone())
@@ -188,7 +180,8 @@ impl Scenario {
     /// ([`ScheduleContext::evaluate_policies`]): every policy sees the exact
     /// same workload bytes (common random numbers), and the dedicated
     /// baselines are simulated once per application and reused by all
-    /// policies. Returns one outcome per policy, in input order; outcome
+    /// policies. The context borrows the scenario's applications, copying
+    /// none. Returns one outcome per policy, in input order; outcome
     /// vectors of different policies are therefore pairable index-for-index
     /// across the scenarios of a campaign.
     pub fn evaluate_policies(
@@ -196,9 +189,8 @@ impl Scenario {
         base: &SchedulerConfig,
         policies: &[Arc<dyn ConstraintPolicy>],
     ) -> Vec<ScenarioOutcome> {
-        let workload = self.workload();
-        let context = ScheduleContext::for_workload(&self.platform, &workload, base.clone());
-        let evaluations = context
+        let evaluations = self
+            .context(base)
             .evaluate_policies(policies)
             .expect("scheduler produces valid workloads");
         policies
@@ -307,6 +299,21 @@ mod tests {
     }
 
     #[test]
+    fn site_scenarios_of_a_combination_share_one_slice() {
+        let s = generate_scenarios(PtgClass::Fft, 3, 2, 7);
+        let sites = grid5000::all_sites().len();
+        for (i, scenario) in s.iter().enumerate() {
+            let first = &s[i - i % sites];
+            assert!(
+                Arc::ptr_eq(&scenario.ptgs, &first.ptgs),
+                "{}",
+                scenario.name
+            );
+        }
+        assert!(!Arc::ptr_eq(&s[0].ptgs, &s[sites].ptgs));
+    }
+
+    #[test]
     fn generation_is_deterministic() {
         let a = generate_scenarios(PtgClass::Fft, 3, 2, 99);
         let b = generate_scenarios(PtgClass::Fft, 3, 2, 99);
@@ -341,9 +348,8 @@ mod tests {
                 gap: 25.0,
             });
         let scenarios = generate_scenarios_with(&source, 3, 1, 5).unwrap();
-        let w = scenarios[0].workload();
-        assert!(!w.is_batch());
-        assert_eq!(w.release_times(), &[0.0, 25.0, 50.0]);
+        let context = scenarios[0].context(&SchedulerConfig::default());
+        assert_eq!(context.release_times(), &[0.0, 25.0, 50.0]);
     }
 
     #[test]

@@ -3,7 +3,6 @@
 use crate::error::PtgError;
 use crate::task::DataParallelTask;
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 
 /// Index of a task within a [`Ptg`].
 pub type TaskId = usize;
@@ -24,17 +23,53 @@ pub struct Edge {
 
 /// A parallel task graph: a DAG of moldable data-parallel tasks.
 ///
-/// The structure is immutable once built (use [`PtgBuilder`]); the adjacency
-/// lists (`preds`/`succs`) and a topological order are precomputed at build
-/// time so that the scheduler's inner loops never re-derive them.
+/// The structure is immutable once built (use [`PtgBuilder`]); the
+/// predecessors and successors of every task (two compressed sparse rows of
+/// `(task, edge)` items, each task's in edge order) and a topological order
+/// are precomputed at build time so that the scheduler's inner loops never
+/// re-derive them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Ptg {
     name: String,
     tasks: Vec<DataParallelTask>,
     edges: Vec<Edge>,
-    preds: Vec<Vec<(TaskId, EdgeId)>>,
-    succs: Vec<Vec<(TaskId, EdgeId)>>,
+    preds: Csr,
+    succs: Csr,
     topo_order: Vec<TaskId>,
+}
+
+/// One direction of the adjacency in compressed sparse row form: the items
+/// of task `t` are `items[offsets[t]..offsets[t + 1]]`, in edge order.
+#[derive(Debug, Clone, PartialEq)]
+struct Csr {
+    offsets: Vec<usize>,
+    items: Vec<(TaskId, EdgeId)>,
+}
+
+impl Csr {
+    /// Groups `edges` under task `ends(edge).0` by a counting sort; each
+    /// item names the task `ends(edge).1` and the edge's index.
+    fn new(n: usize, edges: &[Edge], ends: impl Fn(&Edge) -> (TaskId, TaskId)) -> Self {
+        let mut offsets = vec![0; n + 1];
+        for e in edges {
+            offsets[ends(e).0 + 1] += 1;
+        }
+        for t in 0..n {
+            offsets[t + 1] += offsets[t];
+        }
+        let mut next = offsets[..n].to_vec();
+        let mut items = vec![(0, 0); edges.len()];
+        for (eid, e) in edges.iter().enumerate() {
+            let (row, other) = ends(e);
+            items[next[row]] = (other, eid);
+            next[row] += 1;
+        }
+        Self { offsets, items }
+    }
+
+    fn row(&self, t: TaskId) -> &[(TaskId, EdgeId)] {
+        &self.items[self.offsets[t]..self.offsets[t + 1]]
+    }
 }
 
 impl Ptg {
@@ -75,25 +110,25 @@ impl Ptg {
 
     /// Predecessors of a task, as `(task, edge)` pairs.
     pub fn preds(&self, id: TaskId) -> &[(TaskId, EdgeId)] {
-        &self.preds[id]
+        self.preds.row(id)
     }
 
     /// Successors of a task, as `(task, edge)` pairs.
     pub fn succs(&self, id: TaskId) -> &[(TaskId, EdgeId)] {
-        &self.succs[id]
+        self.succs.row(id)
     }
 
     /// Tasks without predecessors (entry tasks).
     pub fn entries(&self) -> Vec<TaskId> {
         (0..self.num_tasks())
-            .filter(|&t| self.preds[t].is_empty())
+            .filter(|&t| self.preds(t).is_empty())
             .collect()
     }
 
     /// Tasks without successors (exit tasks).
     pub fn exits(&self) -> Vec<TaskId> {
         (0..self.num_tasks())
-            .filter(|&t| self.succs[t].is_empty())
+            .filter(|&t| self.succs(t).is_empty())
             .collect()
     }
 
@@ -187,29 +222,41 @@ impl PtgBuilder {
         if n == 0 {
             return Err(PtgError::Empty);
         }
-        let mut seen = HashSet::new();
-        for e in &self.edges {
-            if e.src >= n {
-                return Err(PtgError::UnknownTask {
-                    index: e.src,
-                    tasks: n,
-                });
+        // Each edge is checked for an unknown task, then a self-loop, then
+        // a repeat of an earlier edge, and the first failing edge is
+        // reported. Repeats are found by scanning the successor rows of the
+        // edges before the first malformed one.
+        let malformed = self.edges.iter().enumerate().find_map(|(eid, e)| {
+            let error = if let Some(&index) = [e.src, e.dst].iter().find(|&&t| t >= n) {
+                PtgError::UnknownTask { index, tasks: n }
+            } else if e.src == e.dst {
+                PtgError::SelfLoop { task: e.src }
+            } else {
+                return None;
+            };
+            Some((eid, error))
+        });
+        let valid = malformed.as_ref().map_or(self.edges.len(), |(eid, _)| *eid);
+        let succs = Csr::new(n, &self.edges[..valid], |e| (e.src, e.dst));
+        let mut last_src = vec![usize::MAX; n];
+        let mut repeat = valid;
+        for src in 0..n {
+            for &(dst, eid) in succs.row(src) {
+                if last_src[dst] == src {
+                    repeat = repeat.min(eid);
+                }
+                last_src[dst] = src;
             }
-            if e.dst >= n {
-                return Err(PtgError::UnknownTask {
-                    index: e.dst,
-                    tasks: n,
-                });
-            }
-            if e.src == e.dst {
-                return Err(PtgError::SelfLoop { task: e.src });
-            }
-            if !seen.insert((e.src, e.dst)) {
-                return Err(PtgError::DuplicateEdge {
-                    src: e.src,
-                    dst: e.dst,
-                });
-            }
+        }
+        if repeat < valid {
+            let e = &self.edges[repeat];
+            return Err(PtgError::DuplicateEdge {
+                src: e.src,
+                dst: e.dst,
+            });
+        }
+        if let Some((_, error)) = malformed {
+            return Err(error);
         }
         for (i, t) in self.tasks.iter().enumerate() {
             if !t.data_elems().is_finite() || t.data_elems() < 0.0 {
@@ -229,27 +276,19 @@ impl PtgBuilder {
             }
         }
 
-        // Adjacency lists.
-        let mut preds: Vec<Vec<(TaskId, EdgeId)>> = vec![Vec::new(); n];
-        let mut succs: Vec<Vec<(TaskId, EdgeId)>> = vec![Vec::new(); n];
-        for (eid, e) in self.edges.iter().enumerate() {
-            succs[e.src].push((e.dst, eid));
-            preds[e.dst].push((e.src, eid));
-        }
+        let preds = Csr::new(n, &self.edges, |e| (e.dst, e.src));
 
         // Kahn's algorithm to produce a topological order and detect cycles.
-        let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
-        let mut queue: Vec<TaskId> = (0..n).filter(|&t| indeg[t] == 0).collect();
-        let mut topo = Vec::with_capacity(n);
+        let mut indeg: Vec<usize> = (0..n).map(|t| preds.row(t).len()).collect();
+        let mut topo: Vec<TaskId> = (0..n).filter(|&t| indeg[t] == 0).collect();
         let mut head = 0;
-        while head < queue.len() {
-            let t = queue[head];
+        while head < topo.len() {
+            let t = topo[head];
             head += 1;
-            topo.push(t);
-            for &(s, _) in &succs[t] {
+            for &(s, _) in succs.row(t) {
                 indeg[s] -= 1;
                 if indeg[s] == 0 {
-                    queue.push(s);
+                    topo.push(s);
                 }
             }
         }
@@ -355,6 +394,107 @@ mod tests {
         b.add_edge(0, 1, 1.0);
         b.add_edge(0, 1, 2.0);
         assert!(matches!(b.build(), Err(PtgError::DuplicateEdge { .. })));
+    }
+
+    #[test]
+    fn the_first_failing_edge_is_reported() {
+        // Per edge the checks run unknown task, self-loop, duplicate; the
+        // first edge that fails one decides the error.
+        let build = |edges: &[(TaskId, TaskId)]| {
+            let mut b = PtgBuilder::new("x");
+            b.add_task(task("a"));
+            b.add_task(task("b"));
+            for &(src, dst) in edges {
+                b.add_edge(src, dst, 1.0);
+            }
+            b.build().unwrap_err()
+        };
+        let duplicate = |src, dst| PtgError::DuplicateEdge { src, dst };
+        let unknown = PtgError::UnknownTask { index: 7, tasks: 2 };
+        assert_eq!(build(&[(0, 1), (0, 1), (1, 1)]), duplicate(0, 1));
+        assert_eq!(
+            build(&[(0, 1), (1, 1), (0, 1)]),
+            PtgError::SelfLoop { task: 1 }
+        );
+        assert_eq!(build(&[(0, 1), (7, 7), (0, 1)]), unknown);
+        assert_eq!(
+            build(&[(0, 1), (1, 1), (0, 7)]),
+            PtgError::SelfLoop { task: 1 }
+        );
+        assert_eq!(build(&[(0, 1), (0, 1), (0, 7)]), duplicate(0, 1));
+        // The earliest repeat wins, whichever row it sits in.
+        assert_eq!(build(&[(0, 1), (1, 0), (1, 0), (0, 1)]), duplicate(1, 0));
+    }
+
+    /// Checks `g`'s rows against adjacency rebuilt from `edges()` as one
+    /// list per task in edge order, and its entries, exits and topological
+    /// order against those derived from the lists (Kahn's algorithm, queue
+    /// seeded in task order).
+    fn assert_rows_match_edge_lists(g: &Ptg) {
+        let n = g.num_tasks();
+        let mut preds = vec![Vec::new(); n];
+        let mut succs = vec![Vec::new(); n];
+        for (eid, e) in g.edges().iter().enumerate() {
+            succs[e.src].push((e.dst, eid));
+            preds[e.dst].push((e.src, eid));
+        }
+        for t in 0..n {
+            assert_eq!(g.preds(t), preds[t], "{}: preds of {t}", g.name());
+            assert_eq!(g.succs(t), succs[t], "{}: succs of {t}", g.name());
+        }
+        let entries: Vec<TaskId> = (0..n).filter(|&t| preds[t].is_empty()).collect();
+        let exits: Vec<TaskId> = (0..n).filter(|&t| succs[t].is_empty()).collect();
+        assert_eq!(g.entries(), entries, "{}", g.name());
+        assert_eq!(g.exits(), exits, "{}", g.name());
+        let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
+        let mut order = entries;
+        let mut head = 0;
+        while let Some(&t) = order.get(head) {
+            head += 1;
+            for &(s, _) in &succs[t] {
+                indeg[s] -= 1;
+                if indeg[s] == 0 {
+                    order.push(s);
+                }
+            }
+        }
+        assert_eq!(g.topological_order(), order, "{}", g.name());
+    }
+
+    #[test]
+    fn rows_match_the_edge_lists_on_generated_graphs() {
+        use crate::gen::{fft_ptg, random_ptg, strassen_ptg, RandomPtgConfig};
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xC52);
+        for (i, cfg) in RandomPtgConfig::paper_grid().iter().enumerate() {
+            assert_rows_match_edge_lists(&random_ptg(cfg, &mut rng, format!("random-{i}")));
+        }
+        for points in [2, 4, 8, 16, 32] {
+            assert_rows_match_edge_lists(&fft_ptg(points, &mut rng, format!("fft-{points}")));
+        }
+        for i in 0..4 {
+            assert_rows_match_edge_lists(&strassen_ptg(&mut rng, format!("strassen-{i}")));
+        }
+        // Forward edges in a shuffled order, so no row is contiguous in the
+        // edge list.
+        for i in 0..20 {
+            let n = rng.gen_range(2..40);
+            let mut b = PtgBuilder::new(format!("shuffled-{i}"));
+            for t in 0..n {
+                b.add_task(task(&format!("t{t}")));
+            }
+            let mut pairs: Vec<(TaskId, TaskId)> = (0..n)
+                .flat_map(|src| (src + 1..n).map(move |dst| (src, dst)))
+                .filter(|_| rng.gen_bool(0.3))
+                .collect();
+            for k in (1..pairs.len()).rev() {
+                pairs.swap(k, rng.gen_range(0..=k));
+            }
+            for (src, dst) in pairs {
+                b.add_edge(src, dst, 1.0);
+            }
+            assert_rows_match_edge_lists(&b.build().unwrap());
+        }
     }
 
     #[test]

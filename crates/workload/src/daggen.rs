@@ -196,38 +196,40 @@ pub fn daggen_ptg<R: Rng>(cfg: &DaggenConfig, rng: &mut R, name: impl Into<Strin
         assigned += size;
     }
 
-    // 2. Tasks, level by level, with the paper's cost model.
+    // 2. Tasks, level by level, with the paper's cost model: level `l` is
+    //    tasks `bounds[l]..bounds[l + 1]`.
     let mut builder = PtgBuilder::new(name);
-    let mut levels: Vec<Vec<TaskId>> = Vec::with_capacity(level_sizes.len());
+    let mut bounds: Vec<TaskId> = vec![0];
     for (lvl, &size) in level_sizes.iter().enumerate() {
-        let mut ids = Vec::with_capacity(size);
         for i in 0..size {
             let d = rng.gen_range(mcsched_ptg::MIN_DATA_ELEMS..=mcsched_ptg::MAX_DATA_ELEMS);
             let alpha = rng.gen_range(0.0..=0.25);
             let model = cfg.cost_scenario.draw_model(rng);
             let task = mcsched_ptg::DataParallelTask::new(format!("t{lvl}_{i}"), d, model, alpha);
-            ids.push(builder.add_task(task));
+            builder.add_task(task);
         }
-        levels.push(ids);
+        bounds.push(builder.num_tasks());
     }
 
     // 3. Parents: one mandatory from level l-1, extras from the jump window.
-    for l in 1..levels.len() {
-        let window_start = l.saturating_sub(cfg.jump);
-        let window: Vec<TaskId> = levels[window_start..l].iter().flatten().copied().collect();
-        let prev = levels[l - 1].clone();
-        let cur = levels[l].clone();
+    let mut pool: Vec<TaskId> = Vec::new();
+    let mut parents: Vec<TaskId> = Vec::new();
+    for l in 1..level_sizes.len() {
+        let window = bounds[l.saturating_sub(cfg.jump)]..bounds[l];
+        let prev = bounds[l - 1]..bounds[l];
         let max_extra = (cfg.density * (window.len().saturating_sub(1)) as f64).floor() as usize;
-        for &dst in &cur {
-            let mandatory = prev[rng.gen_range(0..prev.len())];
-            let mut parents = vec![mandatory];
+        for dst in bounds[l]..bounds[l + 1] {
+            let mandatory = prev.start + rng.gen_range(0..prev.len());
+            parents.clear();
+            parents.push(mandatory);
             let extra = if max_extra > 0 {
                 rng.gen_range(0..=max_extra)
             } else {
                 0
             };
             // Partial Fisher-Yates over the window to draw distinct parents.
-            let mut pool = window.clone();
+            pool.clear();
+            pool.extend(window.clone());
             for slot in 0..pool.len() {
                 if parents.len() > extra {
                     break;
@@ -239,7 +241,7 @@ pub fn daggen_ptg<R: Rng>(cfg: &DaggenConfig, rng: &mut R, name: impl Into<Strin
                     parents.push(candidate);
                 }
             }
-            for src in parents {
+            for &src in &parents {
                 let bytes = builder.tasks_slice()[src].output_bytes() * cfg.ccr;
                 builder.add_edge(src, dst, bytes);
             }
@@ -374,6 +376,42 @@ mod tests {
             assert!(t.data_elems() <= mcsched_ptg::MAX_DATA_ELEMS);
             assert!(t.alpha() >= 0.0 && t.alpha() <= 0.25);
             assert!(t.flops() > 0.0);
+        }
+    }
+
+    #[test]
+    fn rows_match_the_edge_list() {
+        // Edges are added per consumer, drawn from the whole jump window,
+        // so a producer's successors sit far apart in the edge list.
+        for (i, cfg) in DaggenConfig::paper_grid().iter().enumerate() {
+            let g = daggen_ptg(cfg, &mut rng(i as u64), "g");
+            let n = g.num_tasks();
+            let mut preds = vec![Vec::new(); n];
+            let mut succs = vec![Vec::new(); n];
+            for (eid, e) in g.edges().iter().enumerate() {
+                succs[e.src].push((e.dst, eid));
+                preds[e.dst].push((e.src, eid));
+            }
+            let mut indeg: Vec<usize> = preds.iter().map(Vec::len).collect();
+            let mut order: Vec<TaskId> = (0..n).filter(|&t| indeg[t] == 0).collect();
+            assert_eq!(g.entries(), order);
+            let mut head = 0;
+            while let Some(&t) = order.get(head) {
+                head += 1;
+                for &(s, _) in &succs[t] {
+                    indeg[s] -= 1;
+                    if indeg[s] == 0 {
+                        order.push(s);
+                    }
+                }
+            }
+            assert_eq!(g.topological_order(), order);
+            let exits: Vec<TaskId> = (0..n).filter(|&t| succs[t].is_empty()).collect();
+            assert_eq!(g.exits(), exits);
+            for t in 0..n {
+                assert_eq!(g.preds(t), preds[t]);
+                assert_eq!(g.succs(t), succs[t]);
+            }
         }
     }
 
