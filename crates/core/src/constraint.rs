@@ -76,7 +76,7 @@ impl Characteristic {
     }
 
     /// The µ value the paper recommends for FFT PTGs (only `width` differs).
-    pub fn recommended_mu_fft(&self) -> f64 {
+    fn recommended_mu_fft(&self) -> f64 {
         match self {
             Characteristic::Width => 0.3,
             other => other.recommended_mu(),

@@ -328,7 +328,8 @@ impl<'a> ScheduleContext<'a> {
 
     /// Number of β = 1 allocations computed so far (at most one per
     /// application, however many strategies are evaluated).
-    pub fn dedicated_allocation_runs(&self) -> usize {
+    #[cfg(test)]
+    fn dedicated_allocation_runs(&self) -> usize {
         self.dedicated_allocation_runs.load(Ordering::Relaxed)
     }
 
@@ -556,6 +557,27 @@ mod tests {
         assert!(!Arc::ptr_eq(&a, &c));
         assert_eq!(*a, vec![1.0 / 3.0; 3]);
         assert_eq!(*c, vec![1.0; 3]);
+    }
+
+    #[test]
+    fn with_release_times_rejects_invalid_release_times() {
+        let platform = grid5000::lille();
+        let apps = ptgs(2, 6);
+        for bad in [
+            vec![0.0, f64::NAN],
+            vec![-1.0, 0.0],
+            vec![0.0, f64::INFINITY],
+            vec![0.0],
+        ] {
+            assert!(matches!(
+                ScheduleContext::new(&platform, &apps).with_release_times(bad),
+                Err(SchedError::InvalidConfig(_))
+            ));
+        }
+        let ctx = ScheduleContext::new(&platform, &apps)
+            .with_release_times(vec![0.0, 2.5])
+            .unwrap_or_else(|_| panic!("valid release times are accepted"));
+        assert_eq!(ctx.release_times(), [0.0, 2.5]);
     }
 
     #[test]

@@ -39,8 +39,6 @@
 #![deny(unsafe_code)]
 
 pub mod allocation;
-pub mod analysis;
-pub mod baseline;
 pub mod constraint;
 pub mod context;
 pub mod error;

@@ -110,11 +110,6 @@ impl Schedule {
             .map(|a| self.estimated_app_makespan(a))
             .fold(0.0, f64::max)
     }
-
-    /// Number of applications in the schedule.
-    pub fn num_apps(&self) -> usize {
-        self.placements.len()
-    }
 }
 
 /// Maps the allocated tasks of `ptgs` onto `platform`.
@@ -806,7 +801,7 @@ mod tests {
             &[0.0],
             &MappingConfig::default(),
         );
-        assert_eq!(schedule.num_apps(), 1);
+        assert_eq!(schedule.placements.len(), 1);
         assert_eq!(schedule.workload.num_jobs(), 3);
         assert_eq!(schedule.workload.transfers.len(), 2);
         assert!(schedule.workload.validate(&p).is_ok());

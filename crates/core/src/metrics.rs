@@ -38,20 +38,6 @@ pub fn unfairness(slowdowns: &[f64]) -> f64 {
     slowdowns.iter().map(|s| (s - avg).abs()).sum()
 }
 
-/// Relative makespans: each entry divided by the smallest entry of the slice
-/// (1.0 marks the best strategy of the experiment).
-pub fn relative_makespans(makespans: &[f64]) -> Vec<f64> {
-    let best = makespans
-        .iter()
-        .copied()
-        .filter(|m| *m > 0.0)
-        .fold(f64::INFINITY, f64::min);
-    if !best.is_finite() {
-        return vec![1.0; makespans.len()];
-    }
-    makespans.iter().map(|&m| m / best).collect()
-}
-
 /// Aggregated fairness view of one concurrent run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[non_exhaustive]
@@ -159,19 +145,6 @@ mod tests {
         let tight = unfairness(&[0.9, 1.0, 1.0, 0.95]);
         let loose = unfairness(&[0.2, 1.0, 1.0, 0.3]);
         assert!(loose > tight);
-    }
-
-    #[test]
-    fn relative_makespan_of_best_is_one() {
-        let rel = relative_makespans(&[20.0, 10.0, 15.0]);
-        assert_eq!(rel[1], 1.0);
-        assert_eq!(rel[0], 2.0);
-        assert_eq!(rel[2], 1.5);
-    }
-
-    #[test]
-    fn relative_makespans_of_zeros_are_one() {
-        assert_eq!(relative_makespans(&[0.0, 0.0]), vec![1.0, 1.0]);
     }
 
     #[test]

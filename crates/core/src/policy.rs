@@ -503,9 +503,10 @@ type Factory<T> = Arc<dyn Fn(Option<&str>) -> Result<Arc<T>, SchedError> + Send 
 /// Lookup names are case-insensitive; an `@suffix` is split off and handed
 /// to the factory as a parameter (the built-in `wps-*` entries parse it as
 /// µ, e.g. `"wps-work@0.35"`). [`PolicyRegistry::builtin`] registers every
-/// policy of the paper; downstream users add their own with the
-/// `register_*` methods and can then request them by name everywhere a
-/// built-in name is accepted (builders, CLI flags, experiment configs).
+/// policy of the paper; downstream users add constraint policies of their
+/// own with [`PolicyRegistry::register_constraint_instance`] and can then
+/// request them by name everywhere a built-in name is accepted (builders,
+/// CLI flags, experiment configs).
 #[derive(Clone, Default)]
 pub struct PolicyRegistry {
     constraints: BTreeMap<String, Factory<dyn ConstraintPolicy>>,
@@ -637,7 +638,7 @@ impl PolicyRegistry {
 
     /// Registers (or replaces) a constraint-policy factory under `name`.
     /// The factory receives the optional `@parameter` suffix of the lookup.
-    pub fn register_constraint<F>(&mut self, name: &str, factory: F)
+    fn register_constraint<F>(&mut self, name: &str, factory: F)
     where
         F: Fn(Option<&str>) -> Result<Arc<dyn ConstraintPolicy>, SchedError>
             + Send
@@ -657,7 +658,7 @@ impl PolicyRegistry {
     }
 
     /// Registers (or replaces) an allocation-policy factory under `name`.
-    pub fn register_allocation<F>(&mut self, name: &str, factory: F)
+    fn register_allocation<F>(&mut self, name: &str, factory: F)
     where
         F: Fn(Option<&str>) -> Result<Arc<dyn AllocationPolicy>, SchedError>
             + Send
@@ -668,7 +669,7 @@ impl PolicyRegistry {
     }
 
     /// Registers a ready-made allocation policy under `name`.
-    pub fn register_allocation_instance(&mut self, name: &str, policy: Arc<dyn AllocationPolicy>) {
+    fn register_allocation_instance(&mut self, name: &str, policy: Arc<dyn AllocationPolicy>) {
         let owned = name.to_string();
         self.register_allocation(name, move |param| {
             reject_param(&owned, param, Arc::clone(&policy))
@@ -676,7 +677,7 @@ impl PolicyRegistry {
     }
 
     /// Registers (or replaces) a mapping-policy factory under `name`.
-    pub fn register_mapping<F>(&mut self, name: &str, factory: F)
+    fn register_mapping<F>(&mut self, name: &str, factory: F)
     where
         F: Fn(Option<&str>) -> Result<Arc<dyn MappingPolicy>, SchedError> + Send + Sync + 'static,
     {
@@ -684,7 +685,7 @@ impl PolicyRegistry {
     }
 
     /// Registers a ready-made mapping policy under `name`.
-    pub fn register_mapping_instance(&mut self, name: &str, policy: Arc<dyn MappingPolicy>) {
+    fn register_mapping_instance(&mut self, name: &str, policy: Arc<dyn MappingPolicy>) {
         let owned = name.to_string();
         self.register_mapping(name, move |param| {
             reject_param(&owned, param, Arc::clone(&policy))

@@ -2,9 +2,9 @@
 //!
 //! A [`ConcurrentScheduler`] runs one [`SchedulerConfig`]: a resolved triple
 //! of policies — one [`ConstraintPolicy`], one [`AllocationPolicy`], one
-//! [`MappingPolicy`]. The configuration is built directly from policy
-//! instances or through the [`SchedulerBuilder`], which also resolves
-//! policies *by name* from a [`PolicyRegistry`]:
+//! [`MappingPolicy`]. Policy instances go into a [`SchedulerConfig`]
+//! literal directly; the [`SchedulerBuilder`] resolves policies *by name*
+//! from a [`PolicyRegistry`]:
 //!
 //! ```
 //! use mcsched_core::scheduler::ConcurrentScheduler;
@@ -215,35 +215,19 @@ impl ConcurrentScheduler {
         self.schedule_in(&self.workload_context(platform, &workload))
     }
 
-    /// Schedules the context's applications (at the context's release times)
-    /// through the context's caches.
-    ///
-    /// # Errors
-    ///
-    /// See [`ConcurrentScheduler::schedule`].
-    pub fn schedule_in(&self, context: &ScheduleContext<'_>) -> Result<ConcurrentRun, SchedError> {
-        self.schedule_released_in(context, context.release_times())
-    }
-
-    /// Schedules the context's applications with explicit release times.
+    /// Schedules the context's applications at the context's release times.
     /// β vectors and allocations come from the context's memoized caches;
     /// mapping and simulation reuse its platform views.
     ///
     /// # Errors
     ///
     /// See [`ConcurrentScheduler::schedule`].
-    pub fn schedule_released_in(
-        &self,
-        context: &ScheduleContext<'_>,
-        release_times: &[f64],
-    ) -> Result<ConcurrentRun, SchedError> {
+    pub fn schedule_in(&self, context: &ScheduleContext<'_>) -> Result<ConcurrentRun, SchedError> {
         let ptgs = context.ptgs();
         if ptgs.is_empty() {
             return Err(SchedError::EmptyWorkload);
         }
-        // Same contract as `Workload::released`, so the context path cannot
-        // smuggle values the workload path rejects.
-        crate::workload::validate_release_times(ptgs.len(), release_times)?;
+        let release_times = context.release_times();
         let betas = context.betas_for(self.config.constraint.as_ref());
         let allocations = self.allocate_in(context);
         let schedule = context.map_with(self.config.mapping.as_ref(), &allocations, release_times);
@@ -321,8 +305,9 @@ impl ConcurrentScheduler {
     }
 }
 
-/// Assembles a [`ConcurrentScheduler`] from policies picked by registry name
-/// or as ready-made instances; the last pick of a decision point wins.
+/// Assembles a [`ConcurrentScheduler`] from policies picked by registry
+/// name; the last pick of a decision point wins. Ready-made policy instances
+/// go into a [`SchedulerConfig`] literal instead.
 ///
 /// Unset decision points keep the [`SchedulerConfig`] defaults (equal share,
 /// SCRAP-MAX, ready-task mapping with packing). Name resolution uses
@@ -333,8 +318,7 @@ impl ConcurrentScheduler {
 #[must_use = "a builder does nothing until `build()` is called"]
 pub struct SchedulerBuilder {
     registry: Option<PolicyRegistry>,
-    config: SchedulerConfig,
-    /// Names resolved at `build` time, overriding `config`'s policy.
+    /// Names resolved at `build` time, overriding the default policy.
     constraint: Option<String>,
     allocation: Option<String>,
     mapping: Option<String>,
@@ -359,36 +343,15 @@ impl SchedulerBuilder {
         self
     }
 
-    /// Uses a ready-made constraint policy.
-    pub fn constraint_policy(mut self, policy: Arc<dyn ConstraintPolicy>) -> Self {
-        self.config.constraint = policy;
-        self.constraint = None;
-        self
-    }
-
     /// Picks the allocation policy by registry name (e.g. `"scrap-max"`).
     pub fn allocation(mut self, name: impl Into<String>) -> Self {
         self.allocation = Some(name.into());
         self
     }
 
-    /// Uses a ready-made allocation policy.
-    pub fn allocation_policy(mut self, policy: Arc<dyn AllocationPolicy>) -> Self {
-        self.config.allocation = policy;
-        self.allocation = None;
-        self
-    }
-
     /// Picks the mapping policy by registry name (e.g. `"global"`).
     pub fn mapping(mut self, name: impl Into<String>) -> Self {
         self.mapping = Some(name.into());
-        self
-    }
-
-    /// Uses a ready-made mapping policy.
-    pub fn mapping_policy(mut self, policy: Arc<dyn MappingPolicy>) -> Self {
-        self.config.mapping = policy;
-        self.mapping = None;
         self
     }
 
@@ -402,7 +365,7 @@ impl SchedulerBuilder {
     pub fn build(self) -> Result<ConcurrentScheduler, SchedError> {
         let registry = self.registry.map_or_else(OnceCell::new, OnceCell::from);
         let registry = || registry.get_or_init(PolicyRegistry::builtin);
-        let mut config = self.config;
+        let mut config = SchedulerConfig::default();
         if let Some(name) = &self.constraint {
             config.constraint = registry().constraint(name)?;
         }
@@ -639,28 +602,6 @@ mod tests {
     }
 
     #[test]
-    fn context_path_rejects_invalid_release_times() {
-        let platform = grid5000::lille();
-        let apps = ptgs(2, 6);
-        let scheduler = ConcurrentScheduler::default();
-        let ctx = scheduler.context(&platform, &apps);
-        for bad in [
-            vec![0.0, f64::NAN],
-            vec![-1.0, 0.0],
-            vec![0.0, f64::INFINITY],
-        ] {
-            assert!(matches!(
-                scheduler.schedule_released_in(&ctx, &bad),
-                Err(SchedError::InvalidConfig(_))
-            ));
-        }
-        assert!(matches!(
-            scheduler.schedule_released_in(&ctx, &[0.0]),
-            Err(SchedError::InvalidConfig(_))
-        ));
-    }
-
-    #[test]
     fn empty_workloads_are_rejected() {
         let platform = grid5000::lille();
         let scheduler = ConcurrentScheduler::default();
@@ -768,27 +709,6 @@ mod tests {
         let a = built.evaluate(&platform, &apps).unwrap();
         let b = default.evaluate(&platform, &apps).unwrap();
         assert_eq!(a.fairness, b.fairness);
-    }
-
-    #[test]
-    fn builder_mapping_tweaks_override_named_mapping() {
-        let no_packing = Arc::new(ListMapping::new(MappingConfig {
-            packing: false,
-            ..MappingConfig::default()
-        }));
-        let scheduler = ConcurrentScheduler::builder()
-            .mapping("global")
-            .mapping_policy(no_packing.clone())
-            .build()
-            .unwrap();
-        assert_eq!(scheduler.config().mapping.name(), "ready-tasks-nopack");
-        // And the other way round: the last pick wins.
-        let scheduler = ConcurrentScheduler::builder()
-            .mapping_policy(no_packing)
-            .mapping("global")
-            .build()
-            .unwrap();
-        assert_eq!(scheduler.config().mapping.name(), "global");
     }
 
     #[test]

@@ -36,8 +36,8 @@
 //!
 //! Each `--obs-*`/`--quiet` flag has an environment equivalent
 //! (`MCSCHED_OBS_TRACE`, `MCSCHED_OBS_JOURNAL`, `MCSCHED_OBS_METRICS`,
-//! `MCSCHED_OBS_DIR`, `MCSCHED_QUIET`; flags win), and `MCSCHED_OBS=1`
-//! records spans with no export — see [`mcsched_obs::ObsOptions`].
+//! `MCSCHED_OBS_DIR`, `MCSCHED_QUIET`; flags win) — see
+//! [`mcsched_obs::ObsOptions`].
 //!
 //! `table1` and `fig1` take nothing else. The campaign experiments (`fig2`
 //! to `fig5`, `ablation-scrap`, `ablation-packing`) take:
@@ -252,7 +252,7 @@ impl Command {
     /// `MCSCHED_OBS_*` environment nor write into the directories they
     /// merge or watch.
     #[must_use]
-    pub fn is_observed(self) -> bool {
+    fn is_observed(self) -> bool {
         !matches!(self, Command::ObsMerge | Command::Top)
     }
 }
@@ -656,7 +656,7 @@ impl CliOptions {
     /// replication (the single-replication tables stay byte-identical to the
     /// pre-statistics harness) or an explicit `--ci` level.
     #[must_use]
-    pub fn wants_ci(&self, replications: usize) -> bool {
+    fn wants_ci(&self, replications: usize) -> bool {
         replications > 1 || self.ci.is_some()
     }
 
@@ -669,8 +669,8 @@ impl CliOptions {
     }
 
     /// [`CliOptions::ci_config`] for a configured campaign when the run
-    /// asked for intervals ([`CliOptions::wants_ci`]), `None` for the plain
-    /// tables.
+    /// asked for intervals (more than one replication or an explicit
+    /// `--ci`), `None` for the plain tables.
     #[must_use]
     pub fn report_ci(&self, config: &CampaignConfig) -> Option<BootstrapConfig> {
         self.wants_ci(config.replications)

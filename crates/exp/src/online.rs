@@ -106,7 +106,7 @@ impl StrategyOutcome {
     /// Mean per-job stretch pooled over all replications (0 if none
     /// completed).
     #[must_use]
-    pub fn pooled_mean_stretch(&self) -> f64 {
+    fn pooled_mean_stretch(&self) -> f64 {
         let (sum, n) = self
             .reports
             .iter()

@@ -84,7 +84,7 @@ impl ShardState {
 /// Whether a pid exists, where the platform exposes a process table
 /// (`/proc`); `None` when it cannot tell.
 #[must_use]
-pub fn pid_alive(pid: u32) -> Option<bool> {
+fn pid_alive(pid: u32) -> Option<bool> {
     if Path::new("/proc").is_dir() {
         Some(Path::new(&format!("/proc/{pid}")).exists())
     } else {

@@ -24,8 +24,7 @@
 //!   summary, written by [`ObsRun::finish`] behind the binaries'
 //!   `--obs-trace` / `--obs-journal` / `--obs-metrics` flags (env
 //!   equivalents `MCSCHED_OBS_TRACE` / `MCSCHED_OBS_JOURNAL` /
-//!   `MCSCHED_OBS_METRICS`, plus `MCSCHED_OBS=1` to record spans without
-//!   exporting);
+//!   `MCSCHED_OBS_METRICS`);
 //! * [`phase`] + [`series`] + [`sink`] — the per-phase wall-clock report
 //!   (`--profile` / `MCSCHED_PROFILE=1`: the collector's span totals for
 //!   the pipeline phases, in a fixed order and byte format), a
@@ -101,9 +100,6 @@ pub struct ObsOptions {
     /// Print the per-phase timing report to stderr at the end of the run
     /// (`--profile`, `MCSCHED_PROFILE`).
     pub profile: bool,
-    /// Record spans even with no export requested (`MCSCHED_OBS`), for
-    /// overhead measurements.
-    pub record: bool,
     /// Silence the informational stderr sink (`--quiet`).
     pub quiet: bool,
 }
@@ -111,8 +107,8 @@ pub struct ObsOptions {
 impl ObsOptions {
     /// Reads the environment equivalents of the CLI flags:
     /// `MCSCHED_OBS_TRACE`, `MCSCHED_OBS_JOURNAL`, `MCSCHED_OBS_METRICS`,
-    /// `MCSCHED_OBS_DIR` (paths), and `MCSCHED_PROFILE`, `MCSCHED_OBS`,
-    /// `MCSCHED_QUIET` (on when set to anything but `0`/empty).
+    /// `MCSCHED_OBS_DIR` (paths), and `MCSCHED_PROFILE`, `MCSCHED_QUIET`
+    /// (on when set to anything but `0`/empty).
     #[must_use]
     pub fn from_env() -> Self {
         let path = |key: &str| {
@@ -128,7 +124,6 @@ impl ObsOptions {
             dir: path("MCSCHED_OBS_DIR"),
             run: None,
             profile: flag("MCSCHED_PROFILE"),
-            record: flag("MCSCHED_OBS"),
             quiet: flag("MCSCHED_QUIET"),
         }
     }
@@ -143,7 +138,6 @@ impl ObsOptions {
         self.dir = self.dir.or(fallback.dir);
         self.run = self.run.or(fallback.run);
         self.profile = self.profile || fallback.profile;
-        self.record = self.record || fallback.record;
         self.quiet = self.quiet || fallback.quiet;
         self
     }
@@ -158,8 +152,7 @@ impl ObsOptions {
         if self.quiet {
             sink::set_quiet(true);
         }
-        let keeps_events =
-            self.record || self.trace.is_some() || self.journal.is_some() || self.dir.is_some();
+        let keeps_events = self.trace.is_some() || self.journal.is_some() || self.dir.is_some();
         let collector = if keeps_events {
             Some(Collector::new())
         } else if self.profile {

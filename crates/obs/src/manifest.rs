@@ -283,7 +283,7 @@ impl RunRecorder {
 
     /// Path of the manifest record.
     #[must_use]
-    pub fn manifest_path(&self) -> PathBuf {
+    fn manifest_path(&self) -> PathBuf {
         self.dir.join(format!("{}.manifest.json", self.stem))
     }
 

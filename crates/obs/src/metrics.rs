@@ -108,13 +108,13 @@ impl Default for Histogram {
 
 /// Which bucket a sample lands in: `0 → 0`, otherwise `bit_width(v)`.
 #[must_use]
-pub fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     (u64::BITS - v.leading_zeros()) as usize
 }
 
 /// Inclusive upper bound of a bucket (`u64::MAX` for the last).
 #[must_use]
-pub fn bucket_upper_bound(index: usize) -> u64 {
+fn bucket_upper_bound(index: usize) -> u64 {
     match index {
         0 => 0,
         64 => u64::MAX,
@@ -169,7 +169,8 @@ pub struct HistogramSnapshot {
     pub count: u64,
     /// Sum of samples.
     pub sum: u64,
-    /// Per-bucket sample counts (see [`bucket_index`]).
+    /// Per-bucket sample counts: bucket 0 counts the zeros, bucket `i > 0`
+    /// the samples of bit width `i`.
     pub buckets: [u64; HISTOGRAM_BUCKETS],
 }
 

@@ -19,12 +19,13 @@ pub fn set_quiet(quiet: bool) {
 
 /// Whether the sink is currently silenced.
 #[must_use]
-pub fn is_quiet() -> bool {
+fn is_quiet() -> bool {
     QUIET.load(Ordering::Relaxed)
 }
 
-/// Writes one line to stderr unless the sink is quiet. Prefer the
-/// [`crate::note!`] macro, which builds the `Arguments` for you.
+/// Writes one line to stderr unless the sink is quiet. Public only because
+/// the exported [`crate::note!`] macro expands to it in other crates.
+#[doc(hidden)]
 pub fn note_args(args: fmt::Arguments<'_>) {
     if !is_quiet() {
         eprintln!("{args}");

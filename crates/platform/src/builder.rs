@@ -2,7 +2,7 @@
 
 use crate::cluster::Cluster;
 use crate::error::PlatformError;
-use crate::network::{LinkSpec, NetworkTopology};
+use crate::network::NetworkTopology;
 use crate::platform::Platform;
 
 /// Incrementally assembles a [`Platform`].
@@ -23,7 +23,6 @@ pub struct PlatformBuilder {
     name: String,
     clusters: Vec<Cluster>,
     topology: NetworkTopology,
-    default_link: LinkSpec,
 }
 
 impl PlatformBuilder {
@@ -33,7 +32,6 @@ impl PlatformBuilder {
             name: name.into(),
             clusters: Vec::new(),
             topology: NetworkTopology::shared_gigabit(),
-            default_link: LinkSpec::gigabit(),
         }
     }
 
@@ -43,26 +41,11 @@ impl PlatformBuilder {
         self
     }
 
-    /// Sets the default uplink used by clusters added afterwards with
-    /// [`PlatformBuilder::cluster`].
-    pub fn default_link(mut self, link: LinkSpec) -> Self {
-        self.default_link = link;
-        self
-    }
-
-    /// Adds a cluster with `num_procs` processors at `gflops` GFlop/s using
-    /// the current default uplink.
+    /// Adds a cluster with `num_procs` processors at `gflops` GFlop/s and a
+    /// gigabit uplink ([`Cluster::from_gflops`]).
     pub fn cluster(mut self, name: impl Into<String>, num_procs: usize, gflops: f64) -> Self {
-        self.clusters.push(
-            Cluster::from_gflops(name, num_procs, gflops)
-                .with_link(self.default_link.bandwidth, self.default_link.latency),
-        );
-        self
-    }
-
-    /// Adds an already-constructed [`Cluster`].
-    pub fn cluster_spec(mut self, cluster: Cluster) -> Self {
-        self.clusters.push(cluster);
+        self.clusters
+            .push(Cluster::from_gflops(name, num_procs, gflops));
         self
     }
 
@@ -108,17 +91,6 @@ mod tests {
             .unwrap();
         assert_eq!(p.num_clusters(), 2);
         assert_eq!(p.total_procs(), 24);
-    }
-
-    #[test]
-    fn default_link_is_applied() {
-        let p = PlatformBuilder::new("site")
-            .default_link(LinkSpec::new(5.0e8, 2.0e-4))
-            .cluster("a", 8, 2.0)
-            .build()
-            .unwrap();
-        assert_eq!(p.clusters()[0].link_bandwidth(), 5.0e8);
-        assert_eq!(p.clusters()[0].link_latency(), 2.0e-4);
     }
 
     #[test]

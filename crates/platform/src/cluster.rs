@@ -96,13 +96,6 @@ impl Cluster {
         self.link_latency
     }
 
-    /// Returns a copy of this cluster with a different uplink specification.
-    pub fn with_link(mut self, bandwidth: f64, latency: f64) -> Self {
-        self.link_bandwidth = bandwidth;
-        self.link_latency = latency;
-        self
-    }
-
     /// Time (in seconds) to execute `flops` floating point operations on a
     /// single processor of this cluster.
     pub fn sequential_time(&self, flops: f64) -> f64 {
@@ -135,13 +128,6 @@ mod tests {
         let flops = 8.0e9;
         assert!((slow.sequential_time(flops) - 8.0).abs() < 1e-9);
         assert!((fast.sequential_time(flops) - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn with_link_overrides_network() {
-        let c = Cluster::from_gflops("azur", 74, 3.258).with_link(2.5e8, 5e-5);
-        assert_eq!(c.link_bandwidth(), 2.5e8);
-        assert_eq!(c.link_latency(), 5e-5);
     }
 
     #[test]

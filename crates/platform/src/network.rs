@@ -31,17 +31,8 @@ impl LinkSpec {
     }
 
     /// A 10 Gbit/s backbone link with 100 µs latency.
-    pub fn ten_gigabit() -> Self {
+    fn ten_gigabit() -> Self {
         Self::new(10.0 * crate::GBIT_PER_S, 1.0e-4)
-    }
-
-    /// Time in seconds to transfer `bytes` over this link, ignoring contention.
-    pub fn transfer_time(&self, bytes: f64) -> f64 {
-        if bytes <= 0.0 {
-            0.0
-        } else {
-            self.latency + bytes / self.bandwidth
-        }
     }
 }
 
@@ -94,37 +85,11 @@ impl NetworkTopology {
             NetworkTopology::PerClusterSwitch { backbone } => *backbone,
         }
     }
-
-    /// Latency incurred by a transfer between two *different* clusters of the
-    /// site, ignoring contention: one hop through the shared switch or two
-    /// uplink hops plus the backbone.
-    pub fn inter_cluster_latency(&self, uplink_a: f64, uplink_b: f64) -> f64 {
-        match self {
-            NetworkTopology::SharedSwitch { switch } => uplink_a + switch.latency + uplink_b,
-            NetworkTopology::PerClusterSwitch { backbone } => {
-                uplink_a + backbone.latency + uplink_b
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gigabit_transfer_time() {
-        let l = LinkSpec::gigabit();
-        // 125 MB over 125 MB/s = 1s + latency
-        let t = l.transfer_time(1.25e8);
-        assert!((t - (1.0 + 1.0e-4)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn zero_bytes_is_free() {
-        assert_eq!(LinkSpec::gigabit().transfer_time(0.0), 0.0);
-        assert_eq!(LinkSpec::gigabit().transfer_time(-3.0), 0.0);
-    }
 
     #[test]
     fn shared_flag() {
@@ -137,12 +102,5 @@ mod tests {
         let shared = NetworkTopology::shared_gigabit().shared_link();
         let backbone = NetworkTopology::per_cluster_ten_gigabit().shared_link();
         assert!(backbone.bandwidth > shared.bandwidth);
-    }
-
-    #[test]
-    fn inter_cluster_latency_sums_hops() {
-        let t = NetworkTopology::shared_gigabit();
-        let lat = t.inter_cluster_latency(1e-4, 1e-4);
-        assert!((lat - 3e-4).abs() < 1e-12);
     }
 }

@@ -158,15 +158,6 @@ impl Platform {
     pub fn reference_speed(&self) -> f64 {
         self.min_speed()
     }
-
-    /// Largest cluster size (in processors) on the platform.
-    pub fn max_cluster_size(&self) -> usize {
-        self.clusters
-            .iter()
-            .map(Cluster::num_procs)
-            .max()
-            .unwrap_or(0)
-    }
 }
 
 #[cfg(test)]
@@ -255,10 +246,5 @@ mod tests {
         let p = toy();
         assert_eq!(p.cluster(1).unwrap().name(), "b");
         assert!(p.cluster(7).is_err());
-    }
-
-    #[test]
-    fn max_cluster_size() {
-        assert_eq!(toy().max_cluster_size(), 20);
     }
 }

@@ -111,12 +111,6 @@ pub fn fft_ptg<R: Rng>(points: usize, rng: &mut R, name: impl Into<String>) -> P
         .expect("FFT generator produces valid acyclic graphs by construction")
 }
 
-/// Number of tasks of an FFT PTG over `points` points.
-pub fn fft_task_count(points: usize) -> usize {
-    let stages = points.trailing_zeros() as usize;
-    2 * points - 1 + points * stages
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,6 +120,12 @@ mod tests {
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// Number of tasks of an FFT PTG over `points` points.
+    fn fft_task_count(points: usize) -> usize {
+        let stages = points.trailing_zeros() as usize;
+        2 * points - 1 + points * stages
     }
 
     #[test]

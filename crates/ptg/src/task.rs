@@ -144,28 +144,6 @@ impl DataParallelTask {
         }
         self.parallel_time(p, speed) * (p as f64) * speed
     }
-
-    /// Marginal benefit (reduction of execution time) of going from `p` to
-    /// `p + 1` processors at the given speed. Always non-negative under the
-    /// Amdahl model.
-    pub fn marginal_gain(&self, p: usize, speed: f64) -> f64 {
-        self.parallel_time(p, speed) - self.parallel_time(p + 1, speed)
-    }
-
-    /// Parallel efficiency on `p` processors: speedup divided by `p`.
-    pub fn efficiency(&self, p: usize, speed: f64) -> f64 {
-        if p == 0 {
-            return 0.0;
-        }
-        let speedup = self.sequential_time(speed) / self.parallel_time(p, speed);
-        speedup / p as f64
-    }
-
-    /// Returns a copy of the task with a different Amdahl fraction.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -246,10 +224,12 @@ mod tests {
     #[test]
     fn marginal_gain_non_negative_and_decreasing() {
         let t = DataParallelTask::new("t", 9.0e6, CostModel::MatrixProduct, 0.15);
-        let mut prev = t.marginal_gain(1, GF);
+        // The time saved by the (p + 1)-th processor.
+        let marginal_gain = |p| t.parallel_time(p, GF) - t.parallel_time(p + 1, GF);
+        let mut prev = marginal_gain(1);
         assert!(prev >= 0.0);
         for p in 2..32 {
-            let g = t.marginal_gain(p, GF);
+            let g = marginal_gain(p);
             assert!(g >= 0.0);
             assert!(g <= prev + 1e-12, "diminishing returns expected");
             prev = g;
@@ -259,11 +239,13 @@ mod tests {
     #[test]
     fn efficiency_bounds() {
         let t = DataParallelTask::new("t", 9.0e6, CostModel::MatrixProduct, 0.15);
+        // Parallel efficiency: speedup divided by `p`.
+        let efficiency = |p: usize| t.sequential_time(GF) / t.parallel_time(p, GF) / p as f64;
         for p in 1..32 {
-            let e = t.efficiency(p, GF);
+            let e = efficiency(p);
             assert!(e > 0.0 && e <= 1.0 + 1e-12);
         }
-        assert!((t.efficiency(1, GF) - 1.0).abs() < 1e-12);
+        assert!((efficiency(1) - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -278,11 +260,5 @@ mod tests {
         assert_eq!(z.flops(), 0.0);
         assert_eq!(z.output_bytes(), 0.0);
         assert_eq!(z.parallel_time(3, GF), 0.0);
-    }
-
-    #[test]
-    fn with_alpha_overrides() {
-        let t = DataParallelTask::new("t", 5.0e6, CostModel::MatrixProduct, 0.0).with_alpha(0.5);
-        assert_eq!(t.alpha(), 0.5);
     }
 }

@@ -119,9 +119,9 @@ impl DigestBuilder {
         Self::with_salt(CACHE_SALT)
     }
 
-    /// Starts a digest with an explicit salt (tests; alternative stores).
+    /// Starts a digest with an explicit salt.
     #[must_use]
-    pub fn with_salt(salt: &str) -> Self {
+    fn with_salt(salt: &str) -> Self {
         let mut b = Self {
             lo: FNV_OFFSET,
             // Decorrelate the second lane by perturbing its offset basis.

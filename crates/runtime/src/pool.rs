@@ -260,18 +260,6 @@ impl Pool {
     {
         run_indexed_on(&self.shared, count, f)
     }
-
-    /// `run_indexed` over an owned item vector: convenience for fan-outs
-    /// whose closure needs the items by value.
-    pub fn run_over<T, U, F>(&self, items: Vec<T>, f: F) -> Vec<U>
-    where
-        T: Send + Sync + 'static,
-        U: Send + 'static,
-        F: Fn(&T) -> U + Send + Sync + 'static,
-    {
-        let items = Arc::new(items);
-        self.run_indexed(items.len(), move |i| f(&items[i]))
-    }
 }
 
 impl Drop for Pool {
@@ -630,13 +618,6 @@ mod tests {
         }));
         assert!(caught.is_err());
         assert_eq!(pool.run_indexed(2, |i| i), vec![0, 1]);
-    }
-
-    #[test]
-    fn run_over_owns_its_items() {
-        let pool = Pool::new(2);
-        let squares = pool.run_over((0..10).collect::<Vec<i64>>(), |v| v * v);
-        assert_eq!(squares, (0..10).map(|v| v * v).collect::<Vec<i64>>());
     }
 
     #[test]

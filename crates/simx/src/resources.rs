@@ -111,11 +111,6 @@ impl SiteNetwork {
         self.fabric
     }
 
-    /// Index of the intra-cluster link of cluster `c`.
-    pub fn intra_link(&self, c: usize) -> LinkId {
-        self.intra[c]
-    }
-
     /// Index of the uplink of cluster `c`.
     pub fn uplink(&self, c: usize) -> LinkId {
         self.uplink[c]
@@ -202,7 +197,7 @@ mod tests {
         let a = ProcSet::contiguous(0, 0, 4);
         let b = ProcSet::contiguous(0, 4, 4);
         let r = net.route(&a, &b);
-        assert_eq!(r.links, vec![net.intra_link(0)]);
+        assert_eq!(r.links, vec![net.intra[0]]);
     }
 
     #[test]

@@ -105,18 +105,6 @@ impl Ci {
         self.lo <= other.hi && other.lo <= self.hi
     }
 
-    /// Half the interval width.
-    #[must_use]
-    pub fn half_width(&self) -> f64 {
-        (self.hi - self.lo) / 2.0
-    }
-
-    /// The interval midpoint.
-    #[must_use]
-    pub fn midpoint(&self) -> f64 {
-        (self.lo + self.hi) / 2.0
-    }
-
     /// Whether the whole interval lies strictly below zero.
     #[must_use]
     pub fn below_zero(&self) -> bool {
@@ -223,8 +211,8 @@ mod tests {
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         let ci = bootstrap_mean_ci(&values, &BootstrapConfig::seeded(7));
         assert!(ci.contains(mean), "{ci} should contain {mean}");
-        assert!(ci.half_width() > 0.0);
-        assert!(ci.half_width() < 2.0, "200 samples pin the mean tightly");
+        assert!(ci.hi > ci.lo);
+        assert!(ci.hi - ci.lo < 4.0, "200 samples pin the mean tightly");
     }
 
     #[test]
@@ -232,7 +220,7 @@ mod tests {
         let values: Vec<f64> = (0..100).map(|i| ((i * 37) % 23) as f64).collect();
         let narrow = bootstrap_mean_ci(&values, &BootstrapConfig::seeded(5).with_level(0.80));
         let wide = bootstrap_mean_ci(&values, &BootstrapConfig::seeded(5).with_level(0.99));
-        assert!(wide.half_width() > narrow.half_width());
+        assert!(wide.hi - wide.lo > narrow.hi - narrow.lo);
         assert!(wide.lo <= narrow.lo && narrow.hi <= wide.hi);
     }
 
@@ -280,6 +268,5 @@ mod tests {
         };
         assert!(!a.overlaps(&c));
         assert!(c.above_zero());
-        assert!((c.midpoint() - 0.55).abs() < 1e-12);
     }
 }

@@ -55,7 +55,7 @@ impl QuickCheck {
 
     /// The RNG seed of one case.
     #[must_use]
-    pub fn case_seed(&self, case: u64) -> u64 {
+    fn case_seed(&self, case: u64) -> u64 {
         self.seed ^ case
     }
 

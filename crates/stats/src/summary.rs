@@ -90,18 +90,8 @@ impl Summary {
 
     /// Sample standard deviation.
     #[must_use]
-    pub fn std_dev(&self) -> f64 {
+    fn std_dev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Standard error of the mean (0 when empty).
-    #[must_use]
-    pub fn std_error(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.std_dev() / (self.count as f64).sqrt()
-        }
     }
 
     /// Smallest observation (0 when empty).
@@ -242,7 +232,6 @@ mod tests {
         assert!((s.variance() - 5.0 / 3.0).abs() < 1e-12);
         assert_eq!(s.min(), 1.0);
         assert_eq!(s.max(), 4.0);
-        assert!((s.std_error() - s.std_dev() / 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl WorkloadCatalog {
     /// The resolvable source names: built-in generators, arrival shortcuts
     /// and custom registrations.
     #[must_use]
-    pub fn source_names(&self) -> Vec<String> {
+    fn source_names(&self) -> Vec<String> {
         let mut names: Vec<String> = ["random", "daggen", "daggen-grid", "fft", "strassen"]
             .iter()
             .map(ToString::to_string)
@@ -82,7 +82,7 @@ impl WorkloadCatalog {
 
     /// The built-in arrival-process names.
     #[must_use]
-    pub fn arrival_names() -> Vec<String> {
+    fn arrival_names() -> Vec<String> {
         ["batch", "poisson", "uniform", "bursty"]
             .iter()
             .map(ToString::to_string)

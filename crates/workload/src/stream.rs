@@ -27,8 +27,8 @@
 //! streaming gets order-independence.
 
 use crate::arrival::ReleaseIter;
-use crate::source::{AppGenerator, GeneratorSource, WorkloadSource};
-use mcsched_core::{SchedError, Workload};
+use crate::source::{AppGenerator, GeneratorSource};
+use mcsched_core::SchedError;
 use mcsched_ptg::Ptg;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -147,54 +147,33 @@ impl JobStream for GeneratorStream {
     }
 }
 
-/// Streaming entry point on [`WorkloadSource`]: sources that can produce an
-/// unbounded lazy job stream override this. The default refuses (trace-backed
-/// and other finite sources are batch-only for now).
-///
-/// # Errors
-///
-/// [`SchedError::InvalidConfig`] when the source does not support streaming
-/// or its parameters fail validation.
-pub fn open_stream(
-    source: &dyn WorkloadSource,
-    request: &StreamRequest,
-) -> Result<Box<dyn JobStream>, SchedError> {
-    source.stream(request)
-}
-
-/// Collects the first `count` jobs of a stream into a batch [`Workload`] —
-/// the bridge used by tests and spot-checks to inspect a stream prefix with
-/// the batch tooling. Not the batch generation path: graphs come from the
-/// per-job seed streams.
-///
-/// # Errors
-///
-/// [`SchedError::InvalidConfig`] when the underlying source refuses to
-/// stream, or the collected prefix fails workload validation.
-pub fn collect_prefix(
-    source: &dyn WorkloadSource,
-    request: &StreamRequest,
-    count: usize,
-) -> Result<Workload, SchedError> {
-    let mut stream = source.stream(request)?;
-    let mut ptgs = Vec::with_capacity(count);
-    let mut release_times = Vec::with_capacity(count);
-    for _ in 0..count {
-        let Some(arrival) = stream.next_arrival() else {
-            break;
-        };
-        ptgs.push(stream.materialize(&arrival));
-        release_times.push(arrival.release_time);
-    }
-    Ok(Workload::released(ptgs, release_times)?.with_label(request.label.clone()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arrival::ArrivalProcess;
     use crate::daggen::DaggenConfig;
-    use crate::source::WorkloadRequest;
+    use crate::source::{WorkloadRequest, WorkloadSource};
+    use mcsched_core::Workload;
+
+    /// Collects the first `count` jobs of a stream into a [`Workload`], to
+    /// inspect a stream prefix with the batch tooling.
+    fn collect_prefix(
+        source: &dyn WorkloadSource,
+        request: &StreamRequest,
+        count: usize,
+    ) -> Result<Workload, SchedError> {
+        let mut stream = source.stream(request)?;
+        let mut ptgs = Vec::with_capacity(count);
+        let mut release_times = Vec::with_capacity(count);
+        for _ in 0..count {
+            let Some(arrival) = stream.next_arrival() else {
+                break;
+            };
+            ptgs.push(stream.materialize(&arrival));
+            release_times.push(arrival.release_time);
+        }
+        Ok(Workload::released(ptgs, release_times)?.with_label(request.label.clone()))
+    }
 
     fn poisson_source() -> GeneratorSource {
         GeneratorSource::new(AppGenerator::Daggen(DaggenConfig::new(10)))
