@@ -22,14 +22,17 @@
 //!   ([`ScheduleContext::evaluate_policies`]) one per distinct allocation
 //!   vector, since strategies that give the same allocations (PS-width and
 //!   ES on same-width FFT graphs, ES and S when β does not bind) get the
-//!   same schedule. No run outlives the call that made it.
+//!   same schedule. No run outlives the call that made it: the paired path
+//!   keeps of each policy only its [`PolicyOutcome`] (per-application
+//!   reports, global makespan, fairness), and drops the schedule and trace
+//!   as soon as the outcome is read from them.
 //!
 //! A [`ScheduleContext`] owns all of them for one `(platform, ptgs, base
-//! config)` triple. The scheduler, the ablation binaries and the `mcsched-exp`
-//! campaign/µ-sweep harnesses all drive their pipelines through it, so a
-//! scenario performs **one dedicated simulation per distinct PTG** no matter
-//! how many strategies are compared (asserted by
-//! [`ScheduleContext::dedicated_simulations`]-based tests).
+//! config)` triple. The scheduler, the online re-planner and the
+//! `mcsched-exp` campaign harness (the µ sweep is a campaign) all drive
+//! their pipelines through it, so a scenario performs **one dedicated
+//! simulation per application** no matter how many strategies are compared
+//! (asserted by [`ScheduleContext::dedicated_simulations`]-based tests).
 //!
 //! The caches use interior mutability behind mutexes, so a context can be
 //! shared by reference across the fan-out threads of a campaign.
@@ -38,7 +41,7 @@ use crate::allocation::{DedicatedAllocation, RefAllocation, ReferencePlatform};
 use crate::error::SchedError;
 use crate::mapping::Schedule;
 use crate::policy::{AllocationPolicy, ConstraintPolicy, MappingPolicy, MappingRequest};
-use crate::scheduler::{ConcurrentScheduler, EvaluatedRun, SchedulerConfig};
+use crate::scheduler::{ConcurrentScheduler, PolicyOutcome, SchedulerConfig};
 use crate::workload::Workload;
 use mcsched_platform::Platform;
 use mcsched_ptg::Ptg;
@@ -446,14 +449,16 @@ impl<'a> ScheduleContext<'a> {
     /// numbers: the workload bytes are drawn once, upstream, per
     /// replication), and share this context's memoized platform views and
     /// dedicated baselines, so per-policy metric vectors are directly
-    /// pairable sample-for-sample. Returns one evaluation per policy, in
-    /// input order.
+    /// pairable sample-for-sample. Returns one outcome per policy, in input
+    /// order: [`ConcurrentScheduler::evaluate_in`]'s run reduced to its
+    /// reports and fairness. Each schedule and trace is dropped as soon as
+    /// its outcome is read; the dedicated makespans stay in the context.
     ///
     /// Each distinct allocation vector is mapped and simulated once per
     /// call. A policy whose allocations equal an earlier policy's gets a
-    /// copy of that run with its own β: the schedule, trace, makespans and
-    /// fairness depend only on the PTGs, release times, allocations, base
-    /// mapping and engine, all fixed within the call.
+    /// copy of that outcome with its own β: the schedule, trace, makespans
+    /// and fairness depend only on the PTGs, release times, allocations,
+    /// base mapping and engine, all fixed within the call.
     ///
     /// # Errors
     ///
@@ -461,13 +466,13 @@ impl<'a> ScheduleContext<'a> {
     pub fn evaluate_policies(
         &self,
         policies: &[Arc<dyn ConstraintPolicy>],
-    ) -> Result<Vec<EvaluatedRun>, SchedError> {
+    ) -> Result<Vec<PolicyOutcome>, SchedError> {
         // Baselines first, as `evaluate_in` does: the constrained
         // allocations looked up below then resume from their β = 1 runs.
         self.dedicated_makespans()?;
-        // The allocations of every run so far, in run order.
+        // The allocations of every outcome so far, in outcome order.
         let mut seen: Vec<Arc<Vec<RefAllocation>>> = Vec::with_capacity(policies.len());
-        let mut runs: Vec<EvaluatedRun> = Vec::with_capacity(policies.len());
+        let mut outcomes: Vec<PolicyOutcome> = Vec::with_capacity(policies.len());
         for policy in policies {
             let scheduler = ConcurrentScheduler::new(SchedulerConfig {
                 constraint: Arc::clone(policy),
@@ -478,22 +483,22 @@ impl<'a> ScheduleContext<'a> {
                 Arc::ptr_eq(earlier, &allocations) || **earlier == *allocations
             });
             seen.push(allocations);
-            let run = match repeat {
+            let outcome = match repeat {
                 // Same allocations, same schedule and simulation: only the
                 // β the policy reports differs.
                 Some(earlier) => {
-                    let mut run = runs[earlier].clone();
+                    let mut outcome = outcomes[earlier].clone();
                     let betas = self.betas_for(policy.as_ref());
-                    for (app, &beta) in run.run.apps.iter_mut().zip(betas.iter()) {
+                    for (app, &beta) in outcome.apps.iter_mut().zip(betas.iter()) {
                         app.beta = beta;
                     }
-                    run
+                    outcome
                 }
-                None => scheduler.evaluate_in(self)?,
+                None => scheduler.evaluate_in(self)?.into(),
             };
-            runs.push(run);
+            outcomes.push(outcome);
         }
-        Ok(runs)
+        Ok(outcomes)
     }
 
     /// Runs the full dedicated pipeline for one application: β = 1

@@ -58,7 +58,8 @@ pub use policy::{
     AllocationPolicy, ConstraintPolicy, MappingPolicy, MappingRequest, PolicyRegistry,
 };
 pub use scheduler::{
-    ConcurrentRun, ConcurrentScheduler, EvaluatedRun, SchedulerBuilder, SchedulerConfig,
+    ConcurrentRun, ConcurrentScheduler, EvaluatedRun, PolicyOutcome, SchedulerBuilder,
+    SchedulerConfig,
 };
 pub use workload::Workload;
 

@@ -132,6 +132,32 @@ pub struct EvaluatedRun {
     pub fairness: FairnessReport,
 }
 
+/// The measurements of one evaluation without the schedule and trace they
+/// were read from: what the paired path
+/// ([`ScheduleContext::evaluate_policies`]) keeps of each policy's run.
+#[derive(Debug, Clone, PartialEq)]
+#[non_exhaustive]
+pub struct PolicyOutcome {
+    /// Per-application reports (same order as the submitted PTGs).
+    pub apps: Vec<AppReport>,
+    /// Completion time of the whole run (max over applications).
+    pub global_makespan: f64,
+    /// Slowdowns, average slowdown and unfairness.
+    pub fairness: FairnessReport,
+}
+
+impl From<EvaluatedRun> for PolicyOutcome {
+    /// Keeps the reports and fairness of `run`; its schedule, trace and
+    /// dedicated makespans (the context's memo) are dropped.
+    fn from(run: EvaluatedRun) -> Self {
+        Self {
+            apps: run.run.apps,
+            global_makespan: run.run.global_makespan,
+            fairness: run.fairness,
+        }
+    }
+}
+
 /// Two-step concurrent scheduler: constraint determination, constrained
 /// allocation, concurrent mapping, simulated execution.
 #[derive(Debug, Clone, Default)]

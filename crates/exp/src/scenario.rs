@@ -5,7 +5,7 @@
 //! the class-equivalent source, drawing byte-identical applications.
 
 use mcsched_core::policy::ConstraintPolicy;
-use mcsched_core::{EvaluatedRun, SchedError, ScheduleContext, SchedulerConfig};
+use mcsched_core::{PolicyOutcome, SchedError, ScheduleContext, SchedulerConfig};
 use mcsched_platform::{grid5000, Platform};
 use mcsched_ptg::gen::PtgClass;
 use mcsched_ptg::Ptg;
@@ -189,14 +189,14 @@ impl Scenario {
         base: &SchedulerConfig,
         policies: &[Arc<dyn ConstraintPolicy>],
     ) -> Vec<ScenarioOutcome> {
-        let evaluations = self
+        let outcomes = self
             .context(base)
             .evaluate_policies(policies)
             .expect("scheduler produces valid workloads");
         policies
             .iter()
-            .zip(&evaluations)
-            .map(|(policy, evaluation)| ScenarioOutcome::from_evaluation(policy.name(), evaluation))
+            .zip(&outcomes)
+            .map(|(policy, outcome)| ScenarioOutcome::from_policy(policy.name(), outcome))
             .collect()
     }
 
@@ -232,13 +232,13 @@ impl Scenario {
 }
 
 impl ScenarioOutcome {
-    /// Extracts the campaign-level measurements from a full evaluation.
-    fn from_evaluation(strategy: String, evaluation: &EvaluatedRun) -> Self {
+    /// Extracts the campaign-level measurements from one policy's outcome.
+    fn from_policy(strategy: String, outcome: &PolicyOutcome) -> Self {
         ScenarioOutcome {
             strategy,
-            unfairness: evaluation.fairness.unfairness,
-            makespan: evaluation.run.global_makespan,
-            average_slowdown: evaluation.fairness.average_slowdown,
+            unfairness: outcome.fairness.unfairness,
+            makespan: outcome.global_makespan,
+            average_slowdown: outcome.fairness.average_slowdown,
         }
     }
 
@@ -416,25 +416,51 @@ mod tests {
         assert!(combined[0].makespan >= 1000.0);
     }
 
-    /// Checks the paired path on `scenario` against each policy evaluated
-    /// alone on a fresh context, and checks that it simulated each distinct
-    /// allocation vector once, fewer than one per policy.
+    /// The numbers of an outcome as bit patterns, so that equal means bit
+    /// for bit: per application its β, makespan, estimated makespan and
+    /// allocated processors, then the global makespan and the fairness
+    /// report.
+    fn outcome_bits(outcome: &PolicyOutcome) -> Vec<u64> {
+        let mut bits = Vec::new();
+        for app in &outcome.apps {
+            bits.extend([
+                app.beta.to_bits(),
+                app.makespan.to_bits(),
+                app.estimated_makespan.to_bits(),
+                app.allocated_procs as u64,
+            ]);
+        }
+        bits.push(outcome.global_makespan.to_bits());
+        bits.extend(outcome.fairness.slowdowns.iter().map(|s| s.to_bits()));
+        bits.push(outcome.fairness.average_slowdown.to_bits());
+        bits.push(outcome.fairness.unfairness.to_bits());
+        bits
+    }
+
+    /// Checks the paired path on `scenario` bit for bit against each policy
+    /// evaluated alone on a fresh context and reduced to its outcome, and
+    /// checks that it simulated each distinct allocation vector once, fewer
+    /// than one per policy.
     fn assert_paired_path_dedupes(scenario: &Scenario, policies: &[Arc<dyn ConstraintPolicy>]) {
         let base = SchedulerConfig::default();
         let context = scenario.context(&base);
         let paired = context.evaluate_policies(policies).unwrap();
         assert_eq!(paired.len(), policies.len());
         let mut distinct: Vec<Arc<Vec<mcsched_core::RefAllocation>>> = Vec::new();
-        for (policy, run) in policies.iter().zip(&paired) {
-            let alone = ConcurrentScheduler::new(SchedulerConfig {
-                constraint: Arc::clone(policy),
-                ..base.clone()
-            })
-            .evaluate_in(&scenario.context(&base))
-            .unwrap();
-            assert_eq!(*run, alone, "{} on {}", policy.name(), scenario.name);
+        for (policy, outcome) in policies.iter().zip(&paired) {
+            let alone = PolicyOutcome::from(
+                ConcurrentScheduler::new(SchedulerConfig {
+                    constraint: Arc::clone(policy),
+                    ..base.clone()
+                })
+                .evaluate_in(&scenario.context(&base))
+                .unwrap(),
+            );
+            let label = format!("{} on {}", policy.name(), scenario.name);
+            assert_eq!(outcome_bits(outcome), outcome_bits(&alone), "{label}");
+            assert_eq!(*outcome, alone, "{label}");
             let betas = context.betas_for(policy.as_ref());
-            let reported: Vec<f64> = run.run.apps.iter().map(|app| app.beta).collect();
+            let reported: Vec<f64> = outcome.apps.iter().map(|app| app.beta).collect();
             assert_eq!(reported, *betas, "{} reports its own β", policy.name());
             let allocations = context.allocations_for(policy.as_ref(), base.allocation.as_ref());
             if !distinct.contains(&allocations) {

@@ -497,7 +497,8 @@ impl LoopState<'_, '_> {
                     .iter()
                     .map(|&j| {
                         let rec = outcome.trace.job(j).expect("checked above");
-                        (rec.finish - rec.start) * rec.procs.len() as f64
+                        let procs = schedule.workload.jobs[j].procs.len();
+                        (rec.finish - rec.start) * procs as f64
                     })
                     .sum();
             } else {

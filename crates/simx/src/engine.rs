@@ -483,7 +483,6 @@ impl<'a> Engine<'a> {
                             job: j,
                             start: now,
                             finish,
-                            procs: procs.clone(),
                         });
                         s.queue.push(finish, Ev::JobFinish(j));
                     } else {
@@ -695,6 +694,27 @@ mod tests {
         let mut w = SimWorkload::new();
         w.add_job(SimJob::new(ProcSet::empty(0), 1.0, 0));
         assert!(Engine::new(&p).execute(&w).is_err());
+    }
+
+    #[test]
+    fn non_finite_release_time_is_rejected() {
+        let p = platform();
+        let engine = Engine::new(&p);
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut w = SimWorkload::new();
+            let mut job = SimJob::new(pset(0, 0, 1), 1.0, 0);
+            job.release_time = bad;
+            w.add_job(job);
+            for result in [
+                engine.execute(&w).map(|o| o.makespan),
+                engine.execute_until(&w, 10.0).map(|o| o.makespan),
+            ] {
+                assert!(matches!(
+                    result,
+                    Err(SimError::InvalidReleaseTime { job: 0, .. })
+                ));
+            }
+        }
     }
 
     #[test]

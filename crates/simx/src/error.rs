@@ -24,6 +24,14 @@ pub enum SimError {
         /// The duration value.
         duration: f64,
     },
+    /// A job has a non-finite release time (NaN or infinite), so it could
+    /// never be released at a definite instant.
+    InvalidReleaseTime {
+        /// The offending job identifier.
+        job: usize,
+        /// The release time value.
+        release_time: f64,
+    },
     /// The dependency graph between jobs contains a cycle, so the simulation
     /// can never complete.
     DependencyCycle,
@@ -46,6 +54,9 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidDuration { job, duration } => {
                 write!(f, "job {job} has invalid duration {duration}")
+            }
+            SimError::InvalidReleaseTime { job, release_time } => {
+                write!(f, "job {job} has invalid release time {release_time}")
             }
             SimError::DependencyCycle => write!(f, "the job dependency graph contains a cycle"),
             SimError::AmbiguousPriority { a, b } => write!(

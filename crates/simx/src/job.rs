@@ -90,6 +90,8 @@ impl SimWorkload {
     /// * [`SimError::InvalidProcSet`] — empty set, unknown cluster or
     ///   processor index out of range;
     /// * [`SimError::InvalidDuration`] — negative or non-finite duration;
+    /// * [`SimError::InvalidReleaseTime`] — non-finite release time (a
+    ///   finite negative one is released at time 0);
     /// * [`SimError::UnknownJob`] — a transfer endpoint does not exist;
     /// * [`SimError::DependencyCycle`] — the transfer graph is cyclic.
     pub fn validate(&self, platform: &Platform) -> Result<(), SimError> {
@@ -124,6 +126,12 @@ impl SimWorkload {
                     duration: job.duration,
                 });
             }
+            if !job.release_time.is_finite() {
+                return Err(SimError::InvalidReleaseTime {
+                    job: id,
+                    release_time: job.release_time,
+                });
+            }
         }
         for t in &self.transfers {
             if t.from >= self.jobs.len() {
@@ -137,31 +145,41 @@ impl SimWorkload {
         Ok(())
     }
 
+    /// Kahn's algorithm over the transfer graph, with each job's successors
+    /// stored as one flat CSR slice (offsets plus targets) rather than one
+    /// vector per job: validation runs before every simulation.
     fn check_acyclic(&self) -> Result<(), SimError> {
         let n = self.jobs.len();
-        let mut indeg = vec![0usize; n];
-        let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut indeg = vec![0u32; n];
+        let mut offsets = vec![0u32; n + 1];
         for t in &self.transfers {
-            if t.from < n && t.to < n {
-                indeg[t.to] += 1;
-                succs[t.from].push(t.to);
-            }
+            indeg[t.to] += 1;
+            offsets[t.from + 1] += 1;
         }
-        let mut queue: Vec<usize> = (0..n).filter(|&j| indeg[j] == 0).collect();
-        let mut seen = 0usize;
+        for j in 0..n {
+            offsets[j + 1] += offsets[j];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut succs = vec![0u32; self.transfers.len()];
+        for t in &self.transfers {
+            succs[cursor[t.from] as usize] = t.to as u32;
+            cursor[t.from] += 1;
+        }
+        // `cursor` becomes the queue: every job enters it once.
+        cursor.clear();
+        cursor.extend((0..n as u32).filter(|&j| indeg[j as usize] == 0));
         let mut head = 0usize;
-        while head < queue.len() {
-            let j = queue[head];
+        while head < cursor.len() {
+            let j = cursor[head] as usize;
             head += 1;
-            seen += 1;
-            for &s in &succs[j] {
-                indeg[s] -= 1;
-                if indeg[s] == 0 {
-                    queue.push(s);
+            for &s in &succs[offsets[j] as usize..offsets[j + 1] as usize] {
+                indeg[s as usize] -= 1;
+                if indeg[s as usize] == 0 {
+                    cursor.push(s);
                 }
             }
         }
-        if seen != n {
+        if head != n {
             return Err(SimError::DependencyCycle);
         }
         Ok(())
@@ -259,5 +277,22 @@ mod tests {
         w.add_transfer(a, b, 1.0);
         w.add_transfer(b, a, 1.0);
         assert_eq!(w.validate(&platform()), Err(SimError::DependencyCycle));
+    }
+
+    #[test]
+    fn cycle_behind_fan_out_is_rejected() {
+        // 0 fans out to 1, 2 and 3; 2 -> 4 -> 5 -> 2 closes a cycle that
+        // only the second of 0's successors reaches.
+        let mut w = SimWorkload::new();
+        for p in 0..6 {
+            w.add_job(job(p / 4, p % 4, 1, 1.0));
+        }
+        for (from, to) in [(0, 1), (0, 2), (0, 3), (1, 3), (2, 4), (4, 5), (5, 2)] {
+            w.add_transfer(from, to, 1.0);
+        }
+        assert_eq!(w.validate(&platform()), Err(SimError::DependencyCycle));
+        // Without the back edge the same fan-out graph is a DAG.
+        w.transfers.pop();
+        assert_eq!(w.validate(&platform()), Ok(()));
     }
 }

@@ -198,7 +198,6 @@ pub fn reference_execute(
                     job: j,
                     start: now,
                     finish,
-                    procs: procs.clone(),
                 });
                 queue.push(finish, Ev::JobFinish(j));
             }
@@ -337,5 +336,20 @@ mod tests {
         let mut w = SimWorkload::new();
         w.add_job(SimJob::new(ProcSet::empty(0), 1.0, 0));
         assert!(reference_execute(&p, &w).is_err());
+    }
+
+    #[test]
+    fn reference_rejects_non_finite_release_times() {
+        let p = platform();
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut w = SimWorkload::new();
+            let mut job = SimJob::new(ProcSet::contiguous(0, 0, 1), 1.0, 0);
+            job.release_time = bad;
+            w.add_job(job);
+            assert!(matches!(
+                reference_execute(&p, &w),
+                Err(SimError::InvalidReleaseTime { job: 0, .. })
+            ));
+        }
     }
 }

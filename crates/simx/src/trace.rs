@@ -1,10 +1,12 @@
 //! Execution traces produced by the engine.
 
 use crate::job::JobId;
-use mcsched_platform::ProcSet;
 use serde::{Deserialize, Serialize};
 
-/// Observed execution of one job.
+/// Observed execution of one job: when it ran. Where it ran is not engine
+/// output: the processors are the job's own
+/// [`SimJob::procs`](crate::SimJob::procs) in the simulated workload, the
+/// only copy of the set.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobRecord {
     /// The job.
@@ -13,8 +15,6 @@ pub struct JobRecord {
     pub start: f64,
     /// Simulated completion time (seconds).
     pub finish: f64,
-    /// Processors the job ran on.
-    pub procs: ProcSet,
 }
 
 /// Observed execution of one transfer.
@@ -69,18 +69,13 @@ impl ExecutionTrace {
 mod tests {
     use super::*;
 
-    fn record(job: JobId, start: f64, finish: f64, nprocs: usize) -> Option<JobRecord> {
-        Some(JobRecord {
-            job,
-            start,
-            finish,
-            procs: ProcSet::contiguous(0, 0, nprocs),
-        })
+    fn record(job: JobId, start: f64, finish: f64) -> Option<JobRecord> {
+        Some(JobRecord { job, start, finish })
     }
 
     fn trace() -> ExecutionTrace {
         ExecutionTrace {
-            jobs: vec![record(0, 0.0, 2.0, 2), record(1, 1.0, 5.0, 4), None],
+            jobs: vec![record(0, 0.0, 2.0), record(1, 1.0, 5.0), None],
             transfers: vec![],
         }
     }

@@ -53,7 +53,8 @@ fn simulated_trace_never_oversubscribes_processors() {
     let records: Vec<_> = run.trace.jobs.iter().flatten().collect();
     for (i, a) in records.iter().enumerate() {
         for b in records.iter().skip(i + 1) {
-            if a.procs.intersects(&b.procs) {
+            let procs = |job: usize| &run.schedule.workload.jobs[job].procs;
+            if procs(a.job).intersects(procs(b.job)) {
                 let overlap = a.start < b.finish - 1e-9 && b.start < a.finish - 1e-9;
                 assert!(
                     !overlap,

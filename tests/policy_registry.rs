@@ -176,19 +176,15 @@ fn paired_evaluation_runs_the_schedulers_own_pipeline() {
     let paired = ctx.evaluate_policies(&[es]).unwrap().remove(0);
     let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
     assert_eq!(
-        bits(paired.run.app_makespans()),
+        bits(paired.apps.iter().map(|a| a.makespan).collect()),
         bits(direct.run.app_makespans())
     );
-    let procs = |e: &EvaluatedRun| {
-        e.run
-            .apps
-            .iter()
-            .map(|a| a.allocated_procs)
-            .collect::<Vec<_>>()
+    let procs = |apps: &[mcsched::core::scheduler::AppReport]| {
+        apps.iter().map(|a| a.allocated_procs).collect::<Vec<_>>()
     };
-    assert_eq!(procs(&paired), procs(&direct));
+    assert_eq!(procs(&paired.apps), procs(&direct.run.apps));
     assert_eq!(
-        bits(paired.dedicated_makespans),
+        bits(ctx.dedicated_makespans().unwrap()),
         bits(direct.dedicated_makespans)
     );
 }

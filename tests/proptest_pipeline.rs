@@ -126,7 +126,8 @@ fn scheduler_always_produces_a_valid_run() {
         let records: Vec<_> = run.trace.jobs.iter().flatten().collect();
         for (i, x) in records.iter().enumerate() {
             for y in records.iter().skip(i + 1) {
-                if x.procs.intersects(&y.procs) {
+                let procs = |job: usize| &run.schedule.workload.jobs[job].procs;
+                if procs(x.job).intersects(procs(y.job)) {
                     assert!(
                         x.finish <= y.start + 1e-9 || y.finish <= x.start + 1e-9,
                         "overlapping jobs on shared processors"
