@@ -2,7 +2,7 @@
 //! PTGs, 25 combinations × 4 platforms × 4 replications = 400 pairs,
 //! PS-work against WPS-work; `--smoke`: 3 combinations × 2 replications)
 //! at each `--threads` count, as three families: `pool-cold`
-//! (`run_campaign` on the work-stealing pool, no cache), `shard-cold`
+//! (`run_campaign` on the scoped fan-out, no cache), `shard-cold`
 //! (shard 0 of a 3-way split, cold: what one process of a sharded run pays)
 //! and `pool-warm` (against a pre-populated cell cache). Cold families time
 //! at least 3 samples. The warm speed-up and the shard split factor go to

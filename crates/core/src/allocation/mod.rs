@@ -202,7 +202,6 @@ pub(crate) struct ConstraintChecker<'a> {
     /// Precedence level of every task.
     pub levels: Vec<usize>,
     /// Number of levels.
-    #[allow(dead_code)] // read by unit tests and kept for introspection
     pub num_levels: usize,
 }
 

@@ -273,10 +273,9 @@ pub(crate) fn strategy_labels(strategies: &[Arc<dyn ConstraintPolicy>]) -> Vec<S
 /// workload draw and aggregates unfairness and (relative) makespans into
 /// per-cell sample sets.
 ///
-/// Work runs on the persistent work-stealing pool of `mcsched-runtime`
-/// ([`CampaignConfig::threads`] workers): data points fan out at the outer
-/// level and their scenarios as nested fan-outs within them, so neither
-/// level serializes. With [`CampaignConfig::cache_dir`] set, every
+/// Work runs on the scoped fan-out of `mcsched-runtime`
+/// ([`CampaignConfig::threads`] threads): data points run one after
+/// another, each fanning its scenarios out. With [`CampaignConfig::cache_dir`] set, every
 /// (scenario, policy) cell is served from the content-addressed cell cache
 /// when present and stored after evaluation, with one flush per completed
 /// data point — re-runs skip finished work and interrupted runs resume from

@@ -121,11 +121,11 @@ pub fn cell_digest(
 fn open_cell_cache(
     cache_dir: Option<&Path>,
     resume: bool,
-) -> Result<Option<Arc<CellCache>>, SchedError> {
+) -> Result<Option<CellCache>, SchedError> {
     match cache_dir {
         None => Ok(None),
         Some(dir) => CellCache::open(dir, resume)
-            .map(|cache| Some(Arc::new(cache)))
+            .map(Some)
             .map_err(|e| SchedError::InvalidConfig(format!("cell cache {}: {e}", dir.display()))),
     }
 }
@@ -262,7 +262,7 @@ pub(crate) fn run_recorder(
 /// generation order, inner index = policy in input order.
 pub(crate) type DataPointOutcomes = Vec<Vec<ScenarioOutcome>>;
 
-/// The `Arc`-shared state one campaign run hands to its pool tasks: the
+/// The state one campaign run shares with its fan-out tasks: the
 /// configuration, cache and progress. Every campaign — the figures and the
 /// µ calibration alike — drives its grid through [`CellJob::run_grid`], so
 /// the fan-out shape, the cache/flush cadence and the digest inputs live in
@@ -270,7 +270,7 @@ pub(crate) type DataPointOutcomes = Vec<Vec<ScenarioOutcome>>;
 pub(crate) struct CellJob {
     /// The campaign, with at least one replication.
     config: CampaignConfig,
-    cache: Option<Arc<CellCache>>,
+    cache: Option<CellCache>,
     progress: Progress,
     spec: String,
     pipeline_key: String,
@@ -297,7 +297,7 @@ impl CellJob {
     /// Propagates cache-directory failures (a directory that cannot be
     /// created or cleared) and rejects malformed shard specs (`index >= of`
     /// or `of == 0`).
-    pub(crate) fn new(config: &CampaignConfig) -> Result<Arc<Self>, SchedError> {
+    pub(crate) fn new(config: &CampaignConfig) -> Result<Self, SchedError> {
         let mut config = config.clone();
         config.replications = config.replications.max(1);
         let manifest_label = format!("campaign:{}", config.source.short_label());
@@ -331,7 +331,7 @@ impl CellJob {
                 job.config_digest(),
             )
         });
-        Ok(Arc::new(job))
+        Ok(job)
     }
 
     /// The fleet config digest of this grid: every input that determines
@@ -372,40 +372,37 @@ impl CellJob {
     }
 
     /// Evaluates one (replication, PTG count) data point: generates its
-    /// scenarios and fans them out as a *nested* fan-out — the inner call
-    /// reuses the pool that is running the data point, so small outer
-    /// grids still saturate every worker. Completed data points flush the
-    /// cell cache (the resume grain) and tick the progress reporter.
+    /// scenarios and fans them out over the configured threads. Completed
+    /// data points flush the cell cache (the resume grain) and tick the
+    /// progress reporter.
     fn data_point(
-        self: &Arc<Self>,
+        &self,
         replication: usize,
         num_ptgs: usize,
     ) -> Result<DataPointOutcomes, SchedError> {
         let _span = mcsched_obs::span!("data-point", "ptgs" = num_ptgs, "rep" = replication);
         let seed = replication_seed(self.config.seed, replication);
-        let scenarios = Arc::new(generate_scenarios_with(
+        let scenarios = generate_scenarios_with(
             self.config.source.as_ref(),
             num_ptgs,
             self.config.combinations,
             seed,
-        )?);
-        let job = Arc::clone(self);
-        let task_scenarios = Arc::clone(&scenarios);
-        let outcomes = run_indexed(self.config.threads, scenarios.len(), move |i| {
+        )?;
+        let outcomes = run_indexed(self.config.threads, scenarios.len(), |i| {
             let (outcomes, skipped) = evaluate_policies_sharded(
-                &task_scenarios[i],
-                &job.config.base,
-                &job.config.strategies,
-                job.cache.as_deref(),
-                &job.spec,
-                &job.pipeline_key,
-                job.config.shard,
+                &scenarios[i],
+                &self.config.base,
+                &self.config.strategies,
+                self.cache.as_ref(),
+                &self.spec,
+                &self.pipeline_key,
+                self.config.shard,
             );
             if skipped > 0 {
-                job.skipped
+                self.skipped
                     .fetch_add(skipped, std::sync::atomic::Ordering::Relaxed);
             }
-            job.cells_done.fetch_add(
+            self.cells_done.fetch_add(
                 outcomes.len() as u64 - skipped,
                 std::sync::atomic::Ordering::Relaxed,
             );
@@ -424,18 +421,16 @@ impl CellJob {
         Ok(outcomes)
     }
 
-    /// Runs the whole `replications × ptg_counts` grid on the runtime pool
-    /// (data points at the outer level, scenarios nested within them) and
-    /// returns, **in aggregation order** (replication-major, then PTG
-    /// count), one `(num_ptgs, per-scenario outcomes)` entry per data
-    /// point. Flushes and reports the cache at the end.
+    /// Runs the whole `replications × ptg_counts` grid, one data point
+    /// after another in aggregation order (replication-major, then PTG
+    /// count), each fanning its scenarios out, and returns one
+    /// `(num_ptgs, per-scenario outcomes)` entry per data point. Flushes
+    /// and reports the cache at the end.
     ///
     /// # Errors
     ///
     /// Propagates the first data-point failure in grid order.
-    pub(crate) fn run_grid(
-        self: &Arc<Self>,
-    ) -> Result<Vec<(usize, DataPointOutcomes)>, SchedError> {
+    pub(crate) fn run_grid(&self) -> Result<Vec<(usize, DataPointOutcomes)>, SchedError> {
         let ptg_counts = &self.config.ptg_counts;
         let _span = mcsched_obs::span!(
             "campaign-grid",
@@ -443,26 +438,17 @@ impl CellJob {
             "ptg-counts" = ptg_counts.len()
         );
         self.heartbeat("starting");
-        let grid: Vec<(usize, usize)> = (0..self.config.replications)
-            .flat_map(|r| ptg_counts.iter().map(move |&n| (r, n)))
-            .collect();
-        let per_point = {
-            let job = Arc::clone(self);
-            let grid = grid.clone();
-            run_indexed(self.config.threads, grid.len(), move |pi| {
-                let (replication, num_ptgs) = grid[pi];
-                job.data_point(replication, num_ptgs)
-            })
-        };
-        let mut points = Vec::with_capacity(grid.len());
-        for (&(_, num_ptgs), point) in grid.iter().zip(per_point) {
-            match point {
-                Ok(point) => points.push((num_ptgs, point)),
-                Err(e) => {
-                    if let Some(recorder) = &self.recorder {
-                        recorder.finish(mcsched_obs::RunPhase::Failed);
+        let mut points = Vec::with_capacity(self.config.replications * ptg_counts.len());
+        for replication in 0..self.config.replications {
+            for &num_ptgs in ptg_counts {
+                match self.data_point(replication, num_ptgs) {
+                    Ok(point) => points.push((num_ptgs, point)),
+                    Err(e) => {
+                        if let Some(recorder) = &self.recorder {
+                            recorder.finish(mcsched_obs::RunPhase::Failed);
+                        }
+                        return Err(e);
                     }
-                    return Err(e);
                 }
             }
         }

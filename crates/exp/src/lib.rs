@@ -22,7 +22,7 @@
 //! for regenerating every figure of the paper. [`online`] runs the same
 //! strategy × replication comparison on the event-driven online scheduler
 //! of `mcsched-online`: streamed arrivals instead of snapshots, judged by
-//! paired per-job stretch, over the same replication seeds, worker pool,
+//! paired per-job stretch, over the same replication seeds, fan-out,
 //! fleet records and registry-named policies as the batch grid.
 //!
 //! Workload production is delegated to the `mcsched-workload` subsystem:
@@ -37,10 +37,10 @@
 //! with the flags of [`cli`], each accepted only by the commands it applies
 //! to.
 //!
-//! Campaigns run on the persistent work-stealing pool of `mcsched-runtime`
-//! (honouring the config's `threads` field): data points fan out at the
-//! outer level, their scenarios nest within them, and every strategy of a
-//! scenario is evaluated through one shared
+//! Campaigns run on the scoped fan-out of `mcsched-runtime` (honouring the
+//! config's `threads` field): data points run one after another, each
+//! fanning its scenarios out, and every strategy of a scenario is
+//! evaluated through one shared
 //! [`mcsched_core::ScheduleContext`], so each dedicated baseline is
 //! simulated exactly once per scenario. With `cache_dir` set (CLI
 //! `--cache-dir`), every (scenario, policy) cell is stored in — and served

@@ -189,29 +189,24 @@ pub fn run_online_campaign(
     let reps = campaign.replications;
     let cells = campaign.strategies.len() * reps;
     let recorder = campaign.obs_dir.as_deref().map(|dir| {
-        Arc::new(run_recorder(
+        run_recorder(
             dir,
             format!("online:{}", campaign.base.label),
             (0, 1),
             campaign.config_digest(platform, source, &labels),
-        ))
+        )
     });
     let cells_done = AtomicU64::new(0);
-    let task_platform = platform.clone();
-    let task_source = Arc::clone(source);
-    let task_campaign = campaign.clone();
-    let task_labels = labels.clone();
-    let task_recorder = recorder.clone();
-    let per_cell = run_indexed(campaign.threads, cells, move |i| {
+    let per_cell = run_indexed(campaign.threads, cells, |i| {
         let (si, rep) = (i / reps, i % reps);
-        let base = &task_campaign.base;
+        let base = &campaign.base;
         let mut cfg = base.clone();
-        cfg.base.constraint = Arc::clone(&task_campaign.strategies[si]);
+        cfg.base.constraint = Arc::clone(&campaign.strategies[si]);
         cfg.seed = replication_seed(base.seed, rep);
         cfg.label = format!("{}-r{rep}", base.label);
-        let mut report = OnlineScheduler::new(&task_platform, cfg)?.run(task_source.as_ref())?;
-        report.name = format!("{}/r{rep}", task_labels[si]);
-        if let Some(recorder) = &task_recorder {
+        let mut report = OnlineScheduler::new(platform, cfg)?.run(source.as_ref())?;
+        report.name = format!("{}/r{rep}", labels[si]);
+        if let Some(recorder) = &recorder {
             let done = cells_done.fetch_add(1, Ordering::Relaxed) + 1;
             recorder.heartbeat(mcsched_obs::Heartbeat {
                 points_done: done,

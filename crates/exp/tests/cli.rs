@@ -67,6 +67,21 @@ fn online_runs_a_short_stream() {
     assert!(!stdout.is_empty());
 }
 
+#[test]
+fn fig3_progress_narrates_data_points_in_grid_order() {
+    let args = ["fig3", "--progress", "--threads", "2", "--ptgs", "2,4"];
+    let out = run(&args, "0");
+    assert!(out.status.success(), "{args:?} failed");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    let progress: Vec<&str> = stderr
+        .lines()
+        .filter(|line| line.starts_with("progress["))
+        .collect();
+    assert_eq!(progress.len(), 2, "{stderr}");
+    assert!(progress[0].contains("]: 1/2 ptgs=2 "), "{stderr}");
+    assert!(progress[1].contains("]: 2/2 ptgs=4 "), "{stderr}");
+}
+
 /// Splits a command line on single spaces.
 fn args(line: &str) -> Vec<&str> {
     line.split(' ').collect()

@@ -9,8 +9,8 @@
 //!   run but not byte-reproducible (timestamps are real).
 //! * [`journal_jsonl`] strips timestamps and thread identity and sorts the
 //!   remaining span/instant lines lexicographically, so the journal for a
-//!   fixed workload is byte-identical across runs, thread counts and work
-//!   stealing schedules — it answers "*what* ran, with *which* fields,
+//!   fixed workload is byte-identical across runs, thread counts and
+//!   task-to-thread assignments — it answers "*what* ran, with *which* fields,
 //!   *how many* times", never "when/where".
 //!
 //! Both lay out their lines by hand for a stable byte format and quote

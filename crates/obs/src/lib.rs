@@ -10,13 +10,13 @@
 //!
 //! * [`mod@span`] — span-based structured tracing: [`span!`] opens a
 //!   named, field-carrying span guard that records into the scoped
-//!   [`Collector`] installed on the current thread (the runtime pool
+//!   [`Collector`] installed on the current thread (the runtime's fan-out
 //!   carries it into the run's tasks), and only while one is. There is no
 //!   process-wide tracing switch; with no collector a `span!` site costs
 //!   one thread-local read and a branch;
 //! * [`metrics`] — a process-wide registry of named [`metrics::Counter`]s,
 //!   [`metrics::Gauge`]s and log-scale [`metrics::Histogram`]s
-//!   (steal counts, cache hits, events per simulation, grants per
+//!   (fan-out tasks, cache hits, events per simulation, grants per
 //!   allocation, …), registered once via [`counter!`]/[`gauge!`]/
 //!   [`histogram!`] and snapshotted atomically into a sorted table or CSV;
 //! * [`export`] — Chrome-trace/Perfetto JSON for span timelines, a
@@ -46,8 +46,8 @@
 //! pure function of the work item — so figures are byte-identical with
 //! tracing fully enabled or disabled at any thread count, and the JSONL
 //! journal (which deliberately carries no wall-clock times or thread ids)
-//! is byte-identical across runs of the same configuration even under work
-//! stealing. Wall-clock attribution lives only in the Chrome trace, which
+//! is byte-identical across runs of the same configuration whichever thread
+//! ran each task. Wall-clock attribution lives only in the Chrome trace, which
 //! is inherently run-specific.
 
 #![warn(missing_docs)]

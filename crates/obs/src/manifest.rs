@@ -257,6 +257,8 @@ pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 pub struct RunRecorder {
     dir: PathBuf,
     manifest: Mutex<RunManifest>,
+    /// The highest `points_done` written so far.
+    points_done: Mutex<u64>,
     stem: String,
     warned: std::sync::atomic::AtomicBool,
 }
@@ -271,6 +273,7 @@ impl RunRecorder {
             dir: dir.to_path_buf(),
             stem: run_stem(&shard_label(Some(manifest.shard))),
             manifest: Mutex::new(manifest),
+            points_done: Mutex::new(0),
             warned: std::sync::atomic::AtomicBool::new(false),
         };
         if let Err(e) = std::fs::create_dir_all(dir) {
@@ -293,8 +296,18 @@ impl RunRecorder {
         self.dir.join(format!("{}.heartbeat.json", self.stem))
     }
 
-    /// Atomically replaces the heartbeat record (stamping it now).
+    /// Atomically replaces the heartbeat record (stamping it now), unless
+    /// a record with a higher `points_done` is already written: workers
+    /// that finish out of order cannot move the record backwards.
     pub fn heartbeat(&self, mut heartbeat: Heartbeat) {
+        let mut highest = self
+            .points_done
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if heartbeat.points_done < *highest {
+            return;
+        }
+        *highest = heartbeat.points_done;
         heartbeat.updated_unix_ms = unix_ms();
         if let Err(e) = write_atomic(&self.heartbeat_path(), &heartbeat.render_json()) {
             self.warn(&format!("heartbeat write failed: {e}"));
@@ -416,6 +429,24 @@ mod tests {
             })
             .count();
         assert_eq!(tmp, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn heartbeat_keeps_the_highest_points_done() {
+        let dir = temp_dir("heartbeat-order");
+        let recorder = RunRecorder::new(&dir, sample_manifest());
+        for points_done in [5, 3] {
+            recorder.heartbeat(Heartbeat {
+                points_done,
+                points_total: 5,
+                ..Heartbeat::default()
+            });
+        }
+        let hb =
+            Heartbeat::parse_json(&std::fs::read_to_string(recorder.heartbeat_path()).unwrap())
+                .unwrap();
+        assert_eq!(hb.points_done, 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

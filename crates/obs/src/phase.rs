@@ -5,7 +5,7 @@
 //! There is no separate timing registry: the report renders the by-name
 //! [`SpanTotal`]s of the run's [`crate::Collector`], so its totals are
 //! *aggregate* busy time across threads (they can exceed wall time when
-//! pool workers overlap). Other span names (`pool-task`, `cell-eval`, …)
+//! fan-out threads overlap). Other span names (`pool-task`, `cell-eval`, …)
 //! are summed too but not reported.
 
 use crate::span::SpanTotal;

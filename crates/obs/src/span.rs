@@ -10,7 +10,7 @@
 //! Spans record into the [`Collector`] installed on the current thread,
 //! and only while one is: there is no process-wide on/off switch. A run
 //! installs its collector with [`Collector::install`], whose guard
-//! restores the previous installation on drop; the runtime pool carries
+//! restores the previous installation on drop; the runtime's fan-out carries
 //! the caller's collector into every task of a fan-out. Each closed span
 //! adds its duration to a per-name [`SpanTotal`] (the `--profile` report
 //! is those sums); a collector made with [`Collector::new`] also keeps the
@@ -492,8 +492,8 @@ mod tests {
                 let _off = crate::span!("off");
             }
             assert!(tracing_enabled(), "A is back");
-            // A nested install of the same collector (a pool worker helping
-            // a fan-out of its own run) keeps the thread's stream in order.
+            // A nested install of the same collector keeps the thread's
+            // stream in order.
             let _again = a.install();
             let _inner = crate::span!("inner");
         }

@@ -22,8 +22,8 @@
 //! Everything is deterministic: a run is a pure function of
 //! `(platform, source, config)`. Campaigns — strategies × replications on
 //! shared streams, with paired stretch verdicts — run in the experiment
-//! harness (`mcsched_exp::online`), on the same seed derivation and worker
-//! pool as the batch figures.
+//! harness (`mcsched_exp::online`), on the same seed derivation and
+//! fan-out as the batch figures.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

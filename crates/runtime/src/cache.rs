@@ -129,7 +129,7 @@ struct Shard {
 }
 
 /// In-memory cell store with an optional on-disk shard directory. All
-/// methods take `&self` and are safe to call from any pool worker.
+/// methods take `&self` and are safe to call from any fan-out thread.
 pub struct CellCache {
     shards: Vec<Mutex<Shard>>,
     dir: Option<PathBuf>,

@@ -3,12 +3,11 @@
 //! The execution runtime under the experiment harness: how campaign work
 //! *runs*, as opposed to what it computes. Three pillars:
 //!
-//! * [`pool`] — a persistent work-stealing worker pool (per-worker deques,
-//!   idle parking, panic propagation, nested fan-outs via helping) replacing
-//!   the throwaway `thread::scope` executor, behind the same
-//!   deterministic-index-order contract: [`run_indexed`] returns results by
-//!   input index, never by completion order, so campaign output is
-//!   byte-identical at any worker count;
+//! * [`pool`] — one scoped fan-out: [`run_indexed`] runs `f(0..count)` on
+//!   the caller plus `threads − 1` scoped workers that claim indices from
+//!   one counter, returns results by input index, never by completion
+//!   order, so campaign output is byte-identical at any worker count, and
+//!   runs a nested fan-out inline on its caller's thread;
 //! * [`digest`] — stable 128-bit FNV-1a/SplitMix64 content digests
 //!   identifying each evaluated cell by *what determines its result*
 //!   (workload spec + seed, platform, pipeline configuration, policy
@@ -25,7 +24,7 @@
 //!
 //! The crate is deliberately independent of the scheduler: it knows about
 //! threads, hashes and files, not about PTGs or platforms. `mcsched-exp`
-//! composes the digests and drives the pool; this keeps the runtime
+//! composes the digests and drives the fan-out; this keeps the runtime
 //! reusable for any future embarrassingly-parallel tier (calibration
 //! sweeps, benchmark harnesses, trace validation).
 //!
@@ -51,5 +50,5 @@ pub mod progress;
 
 pub use cache::{merge_cache_dirs, CellCache, CellMetrics, MergeError, MergeReport};
 pub use digest::{CellDigest, DigestBuilder, CACHE_SALT};
-pub use pool::{pool_for, resolve_threads, run_indexed, Pool};
+pub use pool::{pool_for, resolve_threads, run_indexed};
 pub use progress::Progress;

@@ -4,8 +4,8 @@
 //! one line per completed *data point* (the resume grain of the cell
 //! cache), on **stderr** through the obs sink (`mcsched_obs::note!`, so
 //! `--quiet` silences it) — the byte-identical-stdout guarantee of the
-//! figure tables is untouched. The reporter is safe to tick from any pool
-//! worker and deliberately has no notion of ETA — data points are wildly
+//! figure tables is untouched. The reporter is safe to tick from any fan-out
+//! thread and deliberately has no notion of ETA — data points are wildly
 //! uneven (10 PTGs cost far more than 2), so an extrapolation would
 //! mislead.
 

@@ -23,9 +23,9 @@
 //! * [`stats`] — paired-replication statistics downstream of the scheduler:
 //!   streaming summaries, seeded bootstrap confidence intervals, sign-test
 //!   ordering verdicts and a seeded property-test harness;
-//! * [`runtime`] — the execution runtime under the harness: a persistent
-//!   work-stealing pool (deterministic-index-order fan-outs, nesting,
-//!   panic propagation) and the content-addressed cell cache behind
+//! * [`runtime`] — the execution runtime under the harness: a scoped
+//!   fan-out (deterministic index order, nested calls inline, panic
+//!   propagation) and the content-addressed cell cache behind
 //!   `--cache-dir`/resume;
 //! * [`online`] — the event-driven online scheduling service: streamed
 //!   arrivals, admission control with backpressure, and open-system

@@ -10,8 +10,8 @@
 //!   across reruns of the same configuration; the online time-series CSV is
 //!   bit-exact across runs at 8 threads.
 //!
-//! Each capture records into its own scoped collector, which the worker
-//! pool carries into the campaign's tasks, so these tests need no lock: a
+//! Each capture records into its own scoped collector, which the fan-out
+//! carries into the campaign's tasks, so these tests need no lock: a
 //! concurrent run in the same process (another test, or the online
 //! campaign the isolation test starts on purpose) cannot leak into them.
 
