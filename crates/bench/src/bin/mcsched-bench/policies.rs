@@ -61,8 +61,8 @@ pub fn run(args: &Args) -> Ledger {
     ]);
 
     // The full pipeline, context construction included: a fresh context
-    // per run keeps the memoized β/allocation caches from short-circuiting
-    // the work being measured.
+    // per run keeps its memoized β = 1 allocations and platform views from
+    // short-circuiting the work being measured.
     let mut pipeline = |family: &str, policy: String, built: Result<ConcurrentScheduler, _>| {
         let scheduler: ConcurrentScheduler = built.expect("registry names build");
         ledger.push(batched(family, &policy, &|| {

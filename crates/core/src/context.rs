@@ -1,5 +1,5 @@
-//! The shared evaluation context: one scenario's platform views and
-//! memoized intermediate results.
+//! The shared evaluation context: one scenario's platform views and the
+//! intermediates every policy compared on it shares.
 //!
 //! Evaluating one scenario (a platform plus a set of PTGs submitted
 //! together) involves several expensive intermediates that older call sites
@@ -8,8 +8,6 @@
 //! * the [`ReferencePlatform`] view and the routing tables of the
 //!   [`mcsched_simx::Engine`], previously rebuilt by every `allocate`,
 //!   `schedule` and `dedicated_makespan` call;
-//! * the per-strategy β vectors and constrained allocations, previously
-//!   re-derived by duplicated zip/allocate loops in the scheduler;
 //! * the **dedicated makespans** (`M_own`), previously re-simulated once per
 //!   strategy — the N+1 shape of `ConcurrentScheduler::evaluate`;
 //! * the **β = 1 allocation** of every application, run once and shared by
@@ -23,9 +21,12 @@
 //!   vector, since strategies that give the same allocations (PS-width and
 //!   ES on same-width FFT graphs, ES and S when β does not bind) get the
 //!   same schedule. No run outlives the call that made it: the paired path
-//!   keeps of each policy only its [`PolicyOutcome`] (per-application
-//!   reports, global makespan, fairness), and drops the schedule and trace
-//!   as soon as the outcome is read from them.
+//!   keeps of each policy only its [`EvaluatedRun`] (per-application
+//!   reports, global makespan, dedicated makespans, fairness), and drops
+//!   the schedule and trace as soon as the run is read from them.
+//!
+//! A policy's β vector and allocations are not kept: each policy is
+//! evaluated in one pass that holds them.
 //!
 //! A [`ScheduleContext`] owns all of them for one `(platform, ptgs, base
 //! config)` triple. The scheduler, the online re-planner and the
@@ -34,27 +35,24 @@
 //! simulation per application** no matter how many strategies are compared
 //! (asserted by [`ScheduleContext::dedicated_simulations`]-based tests).
 //!
-//! The caches use interior mutability behind mutexes, so a context can be
-//! shared by reference across the fan-out threads of a campaign.
+//! The dedicated slots use interior mutability (a lock or a once-cell per
+//! application), so a context can be shared by reference across the fan-out
+//! threads of a campaign.
 
 use crate::allocation::{DedicatedAllocation, RefAllocation, ReferencePlatform};
 use crate::error::SchedError;
 use crate::mapping::Schedule;
 use crate::policy::{AllocationPolicy, ConstraintPolicy, MappingPolicy, MappingRequest};
-use crate::scheduler::{ConcurrentScheduler, PolicyOutcome, SchedulerConfig};
+#[cfg(doc)]
+use crate::scheduler::ConcurrentScheduler;
+use crate::scheduler::{AppReport, ConcurrentRun, EvaluatedRun, SchedulerConfig};
 use crate::workload::Workload;
 use mcsched_platform::Platform;
 use mcsched_ptg::Ptg;
 use mcsched_simx::{Engine, SimOutcome, SimWorkload, SiteNetwork};
-use parking_lot::Mutex;
-use std::collections::HashMap;
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-
-/// Per-policy β cache, keyed by [`ConstraintPolicy::cache_key`].
-type BetaCache = HashMap<String, Arc<Vec<f64>>>;
-/// Per-(constraint, allocation) cache, keyed by the policies' cache keys.
-type AllocationCache = HashMap<(String, String), Arc<Vec<RefAllocation>>>;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The context's engine: owned for one-shot batch scenarios, borrowed when a
 /// long-lived caller (the online scheduler) keeps one engine — and its warm
@@ -65,14 +63,7 @@ enum EngineStore<'a> {
     Shared(&'a Engine<'a>),
 }
 
-/// Owned-or-borrowed [`ReferencePlatform`], mirroring [`EngineStore`].
-#[derive(Debug)]
-enum ReferenceStore<'a> {
-    Owned(ReferencePlatform),
-    Shared(&'a ReferencePlatform),
-}
-
-/// Memoized evaluation state for one scenario: a platform, the set of PTGs
+/// Shared evaluation state for one scenario: a platform, the set of PTGs
 /// submitted together (with their release times), and the base pipeline
 /// whose allocation and mapping every strategy compared on that scenario
 /// shares.
@@ -82,10 +73,8 @@ pub struct ScheduleContext<'a> {
     ptgs: &'a [Ptg],
     release_times: Vec<f64>,
     base: SchedulerConfig,
-    reference: ReferenceStore<'a>,
+    reference: Cow<'a, ReferencePlatform>,
     engine: EngineStore<'a>,
-    betas: Mutex<BetaCache>,
-    allocations: Mutex<AllocationCache>,
     /// The β = 1 allocation of every application under the base allocation
     /// policy, computed once and shared by its dedicated baseline and by its
     /// allocations under every strategy.
@@ -113,7 +102,7 @@ impl<'a> ScheduleContext<'a> {
             platform,
             ptgs,
             base,
-            ReferenceStore::Owned(ReferencePlatform::new(platform)),
+            Cow::Owned(ReferencePlatform::new(platform)),
             EngineStore::Owned(Box::new(Engine::new(platform))),
         )
     }
@@ -143,7 +132,7 @@ impl<'a> ScheduleContext<'a> {
             platform,
             ptgs,
             base,
-            ReferenceStore::Shared(reference),
+            Cow::Borrowed(reference),
             EngineStore::Shared(engine),
         )
     }
@@ -152,14 +141,12 @@ impl<'a> ScheduleContext<'a> {
         platform: &'a Platform,
         ptgs: &'a [Ptg],
         base: SchedulerConfig,
-        reference: ReferenceStore<'a>,
+        reference: Cow<'a, ReferencePlatform>,
         engine: EngineStore<'a>,
     ) -> Self {
         Self {
             reference,
             engine,
-            betas: Mutex::new(HashMap::new()),
-            allocations: Mutex::new(HashMap::new()),
             dedicated_allocations: (0..ptgs.len()).map(|_| OnceLock::new()).collect(),
             dedicated_allocation_runs: AtomicUsize::new(0),
             dedicated: (0..ptgs.len()).map(|_| Mutex::new(None)).collect(),
@@ -232,15 +219,12 @@ impl<'a> ScheduleContext<'a> {
         &self.base.mapping
     }
 
-    /// The memoized homogeneous reference view of the platform.
+    /// The homogeneous reference view of the platform, built once.
     pub fn reference(&self) -> &ReferencePlatform {
-        match &self.reference {
-            ReferenceStore::Owned(r) => r,
-            ReferenceStore::Shared(r) => r,
-        }
+        &self.reference
     }
 
-    /// The memoized flattened site network (routing and link capacities).
+    /// The flattened site network (routing and link capacities), built once.
     pub fn network(&self) -> &SiteNetwork {
         self.engine().network()
     }
@@ -253,36 +237,37 @@ impl<'a> ScheduleContext<'a> {
         }
     }
 
-    /// β constraints of every application under `policy`, memoized by the
-    /// policy's [`ConstraintPolicy::cache_key`].
-    pub fn betas_for(&self, policy: &dyn ConstraintPolicy) -> Arc<Vec<f64>> {
-        let mut cache = self.betas.lock();
-        Arc::clone(cache.entry(policy.cache_key()).or_insert_with(|| {
-            let _p = mcsched_obs::span!("beta+alloc");
-            Arc::new(policy.betas(self.ptgs, self.reference()))
-        }))
+    /// β constraints of every application under `policy`.
+    pub fn betas_for(&self, policy: &dyn ConstraintPolicy) -> Vec<f64> {
+        let _p = mcsched_obs::span!("beta+alloc");
+        policy.betas(self.ptgs, self.reference())
     }
 
     /// Constrained allocations of every application under the
-    /// `(constraint, allocation)` policy pair, memoized by their cache keys.
-    /// Under the base allocation policy, an application's β = 1 allocation
-    /// is its [`ScheduleContext::dedicated_allocation`], and a smaller β
-    /// resumes from that one once it has been computed.
+    /// `(constraint, allocation)` policy pair. Under the base allocation
+    /// policy, an application's β = 1 allocation is its
+    /// [`ScheduleContext::dedicated_allocation`], and a smaller β resumes
+    /// from that one once it has been computed.
     pub fn allocations_for(
         &self,
         constraint: &dyn ConstraintPolicy,
         allocation: &dyn AllocationPolicy,
-    ) -> Arc<Vec<RefAllocation>> {
-        let betas = self.betas_for(constraint);
-        let key = (constraint.cache_key(), allocation.cache_key());
-        let mut cache = self.allocations.lock();
-        if let Some(allocations) = cache.get(&key) {
-            return Arc::clone(allocations);
-        }
+    ) -> Vec<RefAllocation> {
+        self.allocate(&self.betas_for(constraint), allocation)
+    }
+
+    /// Allocates every application under its β of `betas` (one per
+    /// application, in submission order) with `allocation`.
+    pub(crate) fn allocate(
+        &self,
+        betas: &[f64],
+        allocation: &dyn AllocationPolicy,
+    ) -> Vec<RefAllocation> {
         // A β = 1 allocation is the dedicated one. A smaller β resumes from
         // the dedicated allocation when one is at hand but never starts one:
-        // a schedule without dedicated baselines would pay for it.
-        let base = key.1 == self.base.allocation.cache_key();
+        // a schedule without dedicated baselines would pay for it. The
+        // dedicated runs open their own span, so they come first.
+        let base = allocation.cache_key() == self.base.allocation.cache_key();
         let dedicated: Vec<Option<Arc<DedicatedAllocation>>> = betas
             .iter()
             .enumerate()
@@ -293,19 +278,58 @@ impl<'a> ScheduleContext<'a> {
             })
             .collect();
         let _p = mcsched_obs::span!("beta+alloc");
-        let allocations: Arc<Vec<RefAllocation>> = Arc::new(
-            self.ptgs
-                .iter()
-                .zip(betas.iter())
-                .zip(&dedicated)
-                .map(|((ptg, &beta), dedicated)| match dedicated {
-                    Some(d) => allocation.allocate_from(d, self.reference(), ptg, beta),
-                    None => allocation.allocate(self.reference(), ptg, beta),
-                })
-                .collect(),
-        );
-        cache.insert(key, Arc::clone(&allocations));
-        allocations
+        self.ptgs
+            .iter()
+            .zip(betas)
+            .zip(&dedicated)
+            .map(|((ptg, &beta), dedicated)| match dedicated {
+                Some(d) => allocation.allocate_from(d, self.reference(), ptg, beta),
+                None => allocation.allocate(self.reference(), ptg, beta),
+            })
+            .collect()
+    }
+
+    /// Maps the allocated applications with `mapping` at the context's
+    /// release times, simulates the schedule and reports every application
+    /// under its β of `betas`.
+    ///
+    /// # Errors
+    ///
+    /// [`SchedError::EmptyWorkload`] for a context without applications;
+    /// simulation validation errors otherwise (indicating a scheduler bug).
+    pub(crate) fn schedule(
+        &self,
+        betas: &[f64],
+        allocations: &[RefAllocation],
+        mapping: &dyn MappingPolicy,
+    ) -> Result<ConcurrentRun, SchedError> {
+        if self.ptgs.is_empty() {
+            return Err(SchedError::EmptyWorkload);
+        }
+        let release_times = &self.release_times;
+        let schedule = self.map_with(mapping, allocations, release_times);
+        let outcome = self.execute(&schedule.workload)?;
+        let apps = self
+            .ptgs
+            .iter()
+            .enumerate()
+            .map(|(i, ptg)| {
+                let finish = outcome.trace.makespan_of(schedule.app_jobs(i));
+                AppReport {
+                    name: ptg.name().to_string(),
+                    beta: betas[i],
+                    makespan: (finish - release_times[i]).max(0.0),
+                    estimated_makespan: schedule.estimated_app_makespan(i) - release_times[i],
+                    allocated_procs: allocations[i].total(),
+                }
+            })
+            .collect();
+        Ok(ConcurrentRun {
+            global_makespan: outcome.makespan,
+            trace: outcome.trace,
+            schedule,
+            apps,
+        })
     }
 
     /// The β = 1 allocation of application `app` under the base allocation
@@ -409,7 +433,11 @@ impl<'a> ScheduleContext<'a> {
         // The simulation runs under the slot's own lock: two threads asking
         // for the same application serialize (exactly-once guarantee), while
         // different applications compute in parallel.
-        let mut slot = self.dedicated[app].lock();
+        // A slot is written only once its simulation succeeded, so a lock
+        // poisoned by a panicking simulation still guards a valid slot.
+        let mut slot = self.dedicated[app]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some(m) = *slot {
             return Ok(m);
         }
@@ -447,18 +475,18 @@ impl<'a> ScheduleContext<'a> {
     /// the *paired-evaluation path* of the campaign harness. All policies
     /// see the exact same borrowed PTGs and release times (common random
     /// numbers: the workload bytes are drawn once, upstream, per
-    /// replication), and share this context's memoized platform views and
-    /// dedicated baselines, so per-policy metric vectors are directly
-    /// pairable sample-for-sample. Returns one outcome per policy, in input
-    /// order: [`ConcurrentScheduler::evaluate_in`]'s run reduced to its
-    /// reports and fairness. Each schedule and trace is dropped as soon as
-    /// its outcome is read; the dedicated makespans stay in the context.
+    /// replication), and share this context's platform views and dedicated
+    /// baselines, so per-policy metric vectors are directly pairable
+    /// sample-for-sample. Returns one run per policy, in input order, equal
+    /// to what [`ConcurrentScheduler::evaluate_in`] returns for that policy
+    /// over the base allocation and mapping. Each schedule and trace is
+    /// dropped as soon as its run is read.
     ///
     /// Each distinct allocation vector is mapped and simulated once per
     /// call. A policy whose allocations equal an earlier policy's gets a
-    /// copy of that outcome with its own β: the schedule, trace, makespans
-    /// and fairness depend only on the PTGs, release times, allocations,
-    /// base mapping and engine, all fixed within the call.
+    /// copy of that run with its own β: the schedule, trace, makespans and
+    /// fairness depend only on the PTGs, release times, allocations, base
+    /// mapping and engine, all fixed within the call.
     ///
     /// # Errors
     ///
@@ -466,39 +494,35 @@ impl<'a> ScheduleContext<'a> {
     pub fn evaluate_policies(
         &self,
         policies: &[Arc<dyn ConstraintPolicy>],
-    ) -> Result<Vec<PolicyOutcome>, SchedError> {
+    ) -> Result<Vec<EvaluatedRun>, SchedError> {
         // Baselines first, as `evaluate_in` does: the constrained
-        // allocations looked up below then resume from their β = 1 runs.
-        self.dedicated_makespans()?;
-        // The allocations of every outcome so far, in outcome order.
-        let mut seen: Vec<Arc<Vec<RefAllocation>>> = Vec::with_capacity(policies.len());
-        let mut outcomes: Vec<PolicyOutcome> = Vec::with_capacity(policies.len());
+        // allocations below then resume from their β = 1 runs.
+        let dedicated = self.dedicated_makespans()?;
+        // The allocations of every run so far, in run order.
+        let mut seen: Vec<Vec<RefAllocation>> = Vec::with_capacity(policies.len());
+        let mut runs: Vec<EvaluatedRun> = Vec::with_capacity(policies.len());
         for policy in policies {
-            let scheduler = ConcurrentScheduler::new(SchedulerConfig {
-                constraint: Arc::clone(policy),
-                ..self.base.clone()
-            });
-            let allocations = scheduler.allocate_in(self);
-            let repeat = seen.iter().position(|earlier| {
-                Arc::ptr_eq(earlier, &allocations) || **earlier == *allocations
-            });
-            seen.push(allocations);
-            let outcome = match repeat {
+            let betas = self.betas_for(policy.as_ref());
+            let allocations = self.allocate(&betas, self.base.allocation.as_ref());
+            let run = match seen.iter().position(|earlier| *earlier == allocations) {
                 // Same allocations, same schedule and simulation: only the
                 // β the policy reports differs.
                 Some(earlier) => {
-                    let mut outcome = outcomes[earlier].clone();
-                    let betas = self.betas_for(policy.as_ref());
-                    for (app, &beta) in outcome.apps.iter_mut().zip(betas.iter()) {
+                    let mut run = runs[earlier].clone();
+                    for (app, &beta) in run.apps.iter_mut().zip(&betas) {
                         app.beta = beta;
                     }
-                    outcome
+                    run
                 }
-                None => scheduler.evaluate_in(self)?.into(),
+                None => EvaluatedRun::new(
+                    self.schedule(&betas, &allocations, self.base.mapping.as_ref())?,
+                    dedicated.clone(),
+                ),
             };
-            outcomes.push(outcome);
+            seen.push(allocations);
+            runs.push(run);
         }
-        Ok(outcomes)
+        Ok(runs)
     }
 
     /// Runs the full dedicated pipeline for one application: β = 1
@@ -527,8 +551,9 @@ impl<'a> ScheduleContext<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::constraint::{Characteristic, ConstraintStrategy};
-    use crate::policy::{EqualShare, ScrapAllocation, ScrapMaxAllocation, Selfish, WeightedShare};
+    use crate::constraint::ConstraintStrategy;
+    use crate::policy::{EqualShare, ScrapAllocation, ScrapMaxAllocation};
+    use crate::scheduler::ConcurrentScheduler;
     use mcsched_platform::grid5000;
     use mcsched_ptg::gen::{random::RandomPtgConfig, random_ptg};
     use rand::SeedableRng;
@@ -545,23 +570,6 @@ mod tests {
                 random_ptg(&cfg, &mut rng, format!("app{i}"))
             })
             .collect()
-    }
-
-    #[test]
-    fn betas_are_memoized_per_strategy() {
-        let platform = grid5000::lille();
-        let apps = ptgs(3, 1);
-        let ctx = ScheduleContext::new(&platform, &apps);
-        let a = ctx.betas_for(&EqualShare);
-        let b = ctx.betas_for(&EqualShare);
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "same strategy returns the cached vector"
-        );
-        let c = ctx.betas_for(&Selfish);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(*a, vec![1.0 / 3.0; 3]);
-        assert_eq!(*c, vec![1.0; 3]);
     }
 
     #[test]
@@ -586,28 +594,11 @@ mod tests {
     }
 
     #[test]
-    fn weighted_strategies_are_keyed_by_mu() {
-        let platform = grid5000::nancy();
-        let apps = ptgs(2, 2);
-        let ctx = ScheduleContext::new(&platform, &apps);
-        let a = ctx.betas_for(&WeightedShare::new(Characteristic::Work, 0.5));
-        let b = ctx.betas_for(&WeightedShare::new(Characteristic::Work, 0.7));
-        let a2 = ctx.betas_for(&WeightedShare::new(Characteristic::Work, 0.5));
-        assert!(
-            !Arc::ptr_eq(&a, &b),
-            "different mu is a different cache entry"
-        );
-        assert!(Arc::ptr_eq(&a, &a2));
-    }
-
-    #[test]
     fn allocations_are_memoized_and_match_direct_computation() {
         let platform = grid5000::rennes();
         let apps = ptgs(3, 3);
         let ctx = ScheduleContext::new(&platform, &apps);
         let first = ctx.allocations_for(&EqualShare, &ScrapMaxAllocation);
-        let second = ctx.allocations_for(&EqualShare, &ScrapMaxAllocation);
-        assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(
             ctx.dedicated_allocation_runs(),
             0,
@@ -640,8 +631,8 @@ mod tests {
                 .collect(),
         );
         assert_eq!(
-            *seeded.allocations_for(&EqualShare, &ScrapMaxAllocation),
-            *first
+            seeded.allocations_for(&EqualShare, &ScrapMaxAllocation),
+            first
         );
         assert_eq!(seeded.dedicated_makespans(), ctx.dedicated_makespans());
         assert_eq!(seeded.dedicated_allocation_runs(), 0);

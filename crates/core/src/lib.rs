@@ -19,10 +19,9 @@
 //!    paper's **slowdown / unfairness / relative makespan** figures.
 //!
 //! The [`scheduler::ConcurrentScheduler`] type drives the whole pipeline
-//! through a [`context::ScheduleContext`], which memoizes the platform
-//! views, the per-strategy β/allocation results and the dedicated-platform
-//! baselines of one scenario so that comparing many strategies never repeats
-//! a simulation.
+//! through a [`context::ScheduleContext`], which holds the platform views
+//! and the dedicated-platform baselines of one scenario so that comparing
+//! many strategies never repeats a dedicated simulation.
 //!
 //! Each of the three steps is a pluggable, object-safe [`policy`] trait
 //! ([`policy::ConstraintPolicy`], [`policy::AllocationPolicy`],
@@ -58,8 +57,7 @@ pub use policy::{
     AllocationPolicy, ConstraintPolicy, MappingPolicy, MappingRequest, PolicyRegistry,
 };
 pub use scheduler::{
-    ConcurrentRun, ConcurrentScheduler, EvaluatedRun, PolicyOutcome, SchedulerBuilder,
-    SchedulerConfig,
+    ConcurrentRun, ConcurrentScheduler, EvaluatedRun, SchedulerBuilder, SchedulerConfig,
 };
 pub use workload::Workload;
 

@@ -64,15 +64,15 @@ use std::sync::Arc;
 
 /// Step 1: computes the per-application resource constraints β.
 ///
-/// Implementations must be deterministic for a given input: the evaluation
-/// context memoizes β vectors under [`ConstraintPolicy::cache_key`].
+/// Implementations must be deterministic for a given input: campaign cell
+/// caches key a policy's results by [`ConstraintPolicy::cache_key`].
 pub trait ConstraintPolicy: std::fmt::Debug + Send + Sync {
     /// Human-readable policy name as used in reports (`S`, `ES`, `WPS-work`,
     /// ...). Registered custom policies should return the name they were
     /// registered under.
     fn name(&self) -> String;
 
-    /// Unique memoization key. Defaults to [`ConstraintPolicy::name`];
+    /// Unique identity key. Defaults to [`ConstraintPolicy::name`];
     /// parameterised policies must include their parameters (the built-in
     /// `WPS-*` policies append `@µ`) so that two configurations of the same
     /// policy never share a cache entry.
@@ -90,7 +90,7 @@ pub trait AllocationPolicy: std::fmt::Debug + Send + Sync {
     /// Human-readable policy name (`SCRAP`, `SCRAP-MAX`, ...).
     fn name(&self) -> String;
 
-    /// Unique memoization key (defaults to [`AllocationPolicy::name`]).
+    /// Unique identity key (defaults to [`AllocationPolicy::name`]).
     fn cache_key(&self) -> String {
         self.name()
     }
@@ -151,7 +151,7 @@ pub trait MappingPolicy: std::fmt::Debug + Send + Sync {
     /// Human-readable policy name (`ready-tasks`, `global`, ...).
     fn name(&self) -> String;
 
-    /// Unique memoization key (defaults to [`MappingPolicy::name`]);
+    /// Unique identity key (defaults to [`MappingPolicy::name`]);
     /// parameterised policies must include every parameter.
     fn cache_key(&self) -> String {
         self.name()

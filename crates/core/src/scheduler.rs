@@ -119,41 +119,33 @@ impl ConcurrentRun {
     }
 }
 
-/// A complete evaluation of one scenario: the concurrent run plus the
-/// dedicated-platform makespans and fairness metrics derived from them.
+/// A complete evaluation of one scenario under one policy: the
+/// measurements of the concurrent run plus the dedicated-platform makespans
+/// and the fairness metrics derived from them. The schedule and trace the
+/// measurements were read from are not kept.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct EvaluatedRun {
-    /// The concurrent run.
-    pub run: ConcurrentRun,
+    /// Per-application reports (same order as the submitted PTGs).
+    pub apps: Vec<AppReport>,
+    /// Completion time of the whole run (max over applications).
+    pub global_makespan: f64,
     /// Dedicated makespan of every application (`M_own`).
     pub dedicated_makespans: Vec<f64>,
     /// Slowdowns, average slowdown and unfairness.
     pub fairness: FairnessReport,
 }
 
-/// The measurements of one evaluation without the schedule and trace they
-/// were read from: what the paired path
-/// ([`ScheduleContext::evaluate_policies`]) keeps of each policy's run.
-#[derive(Debug, Clone, PartialEq)]
-#[non_exhaustive]
-pub struct PolicyOutcome {
-    /// Per-application reports (same order as the submitted PTGs).
-    pub apps: Vec<AppReport>,
-    /// Completion time of the whole run (max over applications).
-    pub global_makespan: f64,
-    /// Slowdowns, average slowdown and unfairness.
-    pub fairness: FairnessReport,
-}
-
-impl From<EvaluatedRun> for PolicyOutcome {
-    /// Keeps the reports and fairness of `run`; its schedule, trace and
-    /// dedicated makespans (the context's memo) are dropped.
-    fn from(run: EvaluatedRun) -> Self {
+impl EvaluatedRun {
+    /// Reads the measurements of `run` against the dedicated makespans of
+    /// its applications; the run's schedule and trace are dropped.
+    pub(crate) fn new(run: ConcurrentRun, dedicated_makespans: Vec<f64>) -> Self {
+        let fairness = fairness_report(&dedicated_makespans, &run.app_makespans());
         Self {
-            apps: run.run.apps,
-            global_makespan: run.run.global_makespan,
-            fairness: run.fairness,
+            apps: run.apps,
+            global_makespan: run.global_makespan,
+            dedicated_makespans,
+            fairness,
         }
     }
 }
@@ -190,14 +182,14 @@ impl ConcurrentScheduler {
         &self.config
     }
 
-    /// Builds the memoized evaluation context for one scenario. The context
-    /// can be shared by several schedulers that differ only in strategy, so
-    /// that β vectors, allocations and dedicated baselines are computed once.
+    /// Builds the evaluation context for one scenario. The context can be
+    /// shared by several schedulers that differ only in strategy, so that the
+    /// platform views and dedicated baselines are computed once.
     pub fn context<'a>(&self, platform: &'a Platform, ptgs: &'a [Ptg]) -> ScheduleContext<'a> {
         ScheduleContext::with_base(platform, ptgs, self.config.clone())
     }
 
-    /// Builds the memoized evaluation context for one workload, carrying the
+    /// Builds the evaluation context for one workload, carrying the
     /// workload's release times.
     pub fn workload_context<'a>(
         &self,
@@ -210,13 +202,7 @@ impl ConcurrentScheduler {
     /// Computes the per-application allocations for a set of PTGs without
     /// mapping them (exposed for inspection, ablation and tests).
     pub fn allocate(&self, platform: &Platform, ptgs: &[Ptg]) -> Vec<RefAllocation> {
-        self.allocate_in(&self.context(platform, ptgs)).to_vec()
-    }
-
-    /// Like [`ConcurrentScheduler::allocate`], but memoized through a shared
-    /// [`ScheduleContext`].
-    pub fn allocate_in(&self, context: &ScheduleContext<'_>) -> Arc<Vec<RefAllocation>> {
-        context.allocations_for(
+        self.context(platform, ptgs).allocations_for(
             self.config.constraint.as_ref(),
             self.config.allocation.as_ref(),
         )
@@ -242,45 +228,16 @@ impl ConcurrentScheduler {
     }
 
     /// Schedules the context's applications at the context's release times.
-    /// β vectors and allocations come from the context's memoized caches;
-    /// mapping and simulation reuse its platform views.
+    /// β vectors and allocations are computed for this scheduler's policies;
+    /// mapping and simulation reuse the context's platform views.
     ///
     /// # Errors
     ///
     /// See [`ConcurrentScheduler::schedule`].
     pub fn schedule_in(&self, context: &ScheduleContext<'_>) -> Result<ConcurrentRun, SchedError> {
-        let ptgs = context.ptgs();
-        if ptgs.is_empty() {
-            return Err(SchedError::EmptyWorkload);
-        }
-        let release_times = context.release_times();
         let betas = context.betas_for(self.config.constraint.as_ref());
-        let allocations = self.allocate_in(context);
-        let schedule = context.map_with(self.config.mapping.as_ref(), &allocations, release_times);
-        let outcome = context.execute(&schedule.workload)?;
-
-        let apps = ptgs
-            .iter()
-            .enumerate()
-            .map(|(i, ptg)| {
-                let jobs = schedule.app_jobs(i);
-                let finish = outcome.trace.makespan_of(jobs);
-                AppReport {
-                    name: ptg.name().to_string(),
-                    beta: betas[i],
-                    makespan: (finish - release_times[i]).max(0.0),
-                    estimated_makespan: schedule.estimated_app_makespan(i) - release_times[i],
-                    allocated_procs: allocations[i].total(),
-                }
-            })
-            .collect();
-
-        Ok(ConcurrentRun {
-            global_makespan: outcome.makespan,
-            trace: outcome.trace,
-            schedule,
-            apps,
-        })
+        let allocations = context.allocate(&betas, self.config.allocation.as_ref());
+        context.schedule(&betas, &allocations, self.config.mapping.as_ref())
     }
 
     /// Makespan of one PTG scheduled alone on the dedicated platform
@@ -321,13 +278,7 @@ impl ConcurrentScheduler {
         // Baselines first: the constrained allocations then resume from
         // their β = 1 allocations.
         let dedicated = context.dedicated_makespans()?;
-        let run = self.schedule_in(context)?;
-        let fairness = fairness_report(&dedicated, &run.app_makespans());
-        Ok(EvaluatedRun {
-            run,
-            dedicated_makespans: dedicated,
-            fairness,
-        })
+        Ok(EvaluatedRun::new(self.schedule_in(context)?, dedicated))
     }
 }
 
@@ -680,7 +631,7 @@ mod tests {
         let via_ctx = scheduler.evaluate_in(&ctx).unwrap();
         assert_eq!(one_shot.dedicated_makespans, via_ctx.dedicated_makespans);
         assert_eq!(one_shot.fairness, via_ctx.fairness);
-        assert_eq!(one_shot.run.global_makespan, via_ctx.run.global_makespan);
+        assert_eq!(one_shot.global_makespan, via_ctx.global_makespan);
     }
 
     #[test]
@@ -776,8 +727,8 @@ mod tests {
             .unwrap();
         let eval = scheduler.evaluate(&platform, &apps).unwrap();
         assert_eq!(eval.fairness.slowdowns.len(), 3);
-        assert!(eval.run.global_makespan > 0.0);
-        let betas: Vec<f64> = eval.run.apps.iter().map(|a| a.beta).collect();
+        assert!(eval.global_makespan > 0.0);
+        let betas: Vec<f64> = eval.apps.iter().map(|a| a.beta).collect();
         assert!((betas.iter().sum::<f64>() - 1.0).abs() < 1e-9);
     }
 }

@@ -24,7 +24,7 @@
 //! sound.
 
 use crate::campaign::CampaignConfig;
-use crate::scenario::{generate_scenarios_with, replication_seed, Scenario, ScenarioOutcome};
+use crate::scenario::{generate_scenarios_with, replication_seed, Scenario};
 use mcsched_core::policy::ConstraintPolicy;
 use mcsched_core::{SchedError, SchedulerConfig};
 use mcsched_runtime::{run_indexed, CellCache, CellDigest, CellMetrics, DigestBuilder, Progress};
@@ -146,6 +146,16 @@ fn report_cell_cache(cache: &CellCache) {
     mcsched_obs::note!("cell cache: {}", cache.summary());
 }
 
+/// The placeholder a sharded run (`--shard i/N`) records for a cell outside
+/// its own partition: all-NaN metrics that aggregation treats as "no
+/// measurement" (NaN fails every `> 0.0` best-makespan filter). Never
+/// cached, so merging shard caches can never conflict on a placeholder.
+pub const SKIPPED_CELL: CellMetrics = CellMetrics {
+    unfairness: f64::NAN,
+    makespan: f64::NAN,
+    average_slowdown: f64::NAN,
+};
+
 /// Evaluates every policy on the scenario through the paired
 /// (shared-context) path, serving and populating `cache` when present.
 /// Outcomes come back in policy order, bit-identical whether each cell was
@@ -153,7 +163,7 @@ fn report_cell_cache(cache: &CellCache) {
 /// whose digest falls outside partition `index` of `of`
 /// ([`CellDigest::in_shard`]) are **skipped entirely** — no
 /// evaluation, no cache lookup, no insert — and recorded as
-/// [`ScenarioOutcome::skipped`] placeholders (all-NaN, invisible to the
+/// [`SKIPPED_CELL`] placeholders (all-NaN, invisible to the
 /// best-makespan aggregation). In-shard cells behave exactly as unsharded:
 /// because each policy of the paired path is evaluated independently over
 /// the shared context, evaluating only the in-shard subset yields
@@ -168,7 +178,7 @@ pub fn evaluate_policies_sharded(
     source_spec: &str,
     pipeline_key: &str,
     shard: Option<(usize, usize)>,
-) -> (Vec<ScenarioOutcome>, u64) {
+) -> (Vec<CellMetrics>, u64) {
     let _span = mcsched_obs::span!(
         "cell-eval",
         "scenario" = scenario.name.clone(),
@@ -185,25 +195,17 @@ pub fn evaluate_policies_sharded(
         .map(|p| shared.clone().str(&p.cache_key()).finish())
         .collect();
     let mut skipped = 0u64;
-    let mut outcomes: Vec<Option<ScenarioOutcome>> = keys
+    let mut outcomes: Vec<Option<CellMetrics>> = keys
         .iter()
-        .zip(policies)
-        .map(|(key, policy)| {
+        .map(|key| {
             if let Some((index, of)) = shard {
                 if !key.in_shard(index, of) {
                     skipped += 1;
                     mcsched_obs::counter!("cells.shard_skip").inc();
-                    return Some(ScenarioOutcome::skipped(policy.name()));
+                    return Some(SKIPPED_CELL);
                 }
             }
-            cache.and_then(|cache| {
-                cache.lookup(*key).map(|m| ScenarioOutcome {
-                    strategy: policy.name(),
-                    unfairness: m.unfairness,
-                    makespan: m.makespan,
-                    average_slowdown: m.average_slowdown,
-                })
-            })
+            cache.and_then(|cache| cache.lookup(*key))
         })
         .collect();
     let missing: Vec<usize> = (0..policies.len())
@@ -215,14 +217,7 @@ pub fn evaluate_policies_sharded(
         let fresh = scenario.evaluate_policies(base, &subset);
         for (&slot, outcome) in missing.iter().zip(fresh) {
             if let Some(cache) = cache {
-                cache.insert(
-                    keys[slot],
-                    CellMetrics {
-                        unfairness: outcome.unfairness,
-                        makespan: outcome.makespan,
-                        average_slowdown: outcome.average_slowdown,
-                    },
-                );
+                cache.insert(keys[slot], outcome);
             }
             outcomes[slot] = Some(outcome);
         }
@@ -260,7 +255,7 @@ pub(crate) fn run_recorder(
 
 /// Per-scenario outcomes of one data point: outer index = scenario in
 /// generation order, inner index = policy in input order.
-pub(crate) type DataPointOutcomes = Vec<Vec<ScenarioOutcome>>;
+pub(crate) type DataPointOutcomes = Vec<Vec<CellMetrics>>;
 
 /// The state one campaign run shares with its fan-out tasks: the
 /// configuration, cache and progress. Every campaign — the figures and the
@@ -544,7 +539,7 @@ mod tests {
         scenario: &Scenario,
         policies: &[Arc<dyn ConstraintPolicy>],
         cache: &CellCache,
-    ) -> Vec<ScenarioOutcome> {
+    ) -> Vec<CellMetrics> {
         let base = SchedulerConfig::default();
         let pipeline = base.pipeline_cache_key();
         let (outcomes, skipped) = evaluate_policies_sharded(
@@ -591,7 +586,7 @@ mod tests {
         let policies = policies();
         let direct = scenario.evaluate_policies(&base, &policies);
         let of = 2;
-        let mut merged: Vec<Option<ScenarioOutcome>> = vec![None; policies.len()];
+        let mut merged: Vec<Option<CellMetrics>> = vec![None; policies.len()];
         let mut total_skipped = 0;
         for index in 0..of {
             let cache = CellCache::in_memory();
@@ -622,7 +617,7 @@ mod tests {
         }
         // Every cell was evaluated by exactly one shard, bit-identically to
         // the direct path, and skip counts complement evaluations.
-        let merged: Vec<ScenarioOutcome> = merged.into_iter().map(Option::unwrap).collect();
+        let merged: Vec<CellMetrics> = merged.into_iter().map(Option::unwrap).collect();
         assert_eq!(merged, direct);
         assert_eq!(
             total_skipped as usize,

@@ -81,5 +81,4 @@ pub use report::{
 };
 pub use scenario::{
     combo_requests, generate_scenarios, generate_scenarios_with, replication_seed, Scenario,
-    ScenarioOutcome,
 };

@@ -5,10 +5,11 @@
 //! the class-equivalent source, drawing byte-identical applications.
 
 use mcsched_core::policy::ConstraintPolicy;
-use mcsched_core::{PolicyOutcome, SchedError, ScheduleContext, SchedulerConfig};
+use mcsched_core::{EvaluatedRun, SchedError, ScheduleContext, SchedulerConfig};
 use mcsched_platform::{grid5000, Platform};
 use mcsched_ptg::gen::PtgClass;
 use mcsched_ptg::Ptg;
+use mcsched_runtime::CellMetrics;
 use mcsched_workload::{GeneratorSource, WorkloadRequest, WorkloadSource};
 use std::sync::Arc;
 
@@ -32,19 +33,6 @@ pub struct Scenario {
     pub release_times: Vec<f64>,
     /// Seed used to draw the applications (for reproducibility).
     pub seed: u64,
-}
-
-/// Evaluation of one scenario under one strategy.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioOutcome {
-    /// Strategy name (`S`, `ES`, ...).
-    pub strategy: String,
-    /// Unfairness of the produced schedule (Equation 5).
-    pub unfairness: f64,
-    /// Global makespan of the run (seconds).
-    pub makespan: f64,
-    /// Average slowdown across applications.
-    pub average_slowdown: f64,
 }
 
 /// The base seed of one replication of a paired campaign.
@@ -167,14 +155,6 @@ impl Scenario {
             .expect("Scenario::release_times must be finite, non-negative, one per application")
     }
 
-    /// Dedicated-platform makespans of every application of the scenario
-    /// (`M_own`), shared by every strategy evaluation.
-    pub fn dedicated_makespans(&self, base: &SchedulerConfig) -> Vec<f64> {
-        self.context(base)
-            .dedicated_makespans()
-            .expect("scheduler produces valid workloads")
-    }
-
     /// Evaluates every constraint policy on the scenario's workload through
     /// one shared context — the paired-evaluation path
     /// ([`ScheduleContext::evaluate_policies`]): every policy sees the exact
@@ -188,73 +168,22 @@ impl Scenario {
         &self,
         base: &SchedulerConfig,
         policies: &[Arc<dyn ConstraintPolicy>],
-    ) -> Vec<ScenarioOutcome> {
-        let outcomes = self
-            .context(base)
+    ) -> Vec<CellMetrics> {
+        self.context(base)
             .evaluate_policies(policies)
-            .expect("scheduler produces valid workloads");
-        policies
+            .expect("scheduler produces valid workloads")
             .iter()
-            .zip(&outcomes)
-            .map(|(policy, outcome)| ScenarioOutcome::from_policy(policy.name(), outcome))
+            .map(cell_metrics)
             .collect()
-    }
-
-    /// Evaluates one policy on the scenario given precomputed dedicated
-    /// makespans: the two-step reference the paired path
-    /// ([`Scenario::evaluate_policies`]) is checked against.
-    #[cfg(test)]
-    fn evaluate_strategy(
-        &self,
-        policy: Arc<dyn ConstraintPolicy>,
-        base: &SchedulerConfig,
-        dedicated: &[f64],
-    ) -> ScenarioOutcome {
-        let strategy = policy.name();
-        let config = SchedulerConfig {
-            constraint: policy,
-            ..base.clone()
-        };
-        let scheduler = mcsched_core::ConcurrentScheduler::new(config);
-        // Borrow the scenario's PTGs (and release times) through a context
-        // instead of cloning them into a one-shot `Workload`.
-        let run = scheduler
-            .schedule_in(&self.context(base))
-            .expect("scheduler produces valid workloads");
-        let fairness = mcsched_core::metrics::fairness_report(dedicated, &run.app_makespans());
-        ScenarioOutcome {
-            strategy,
-            unfairness: fairness.unfairness,
-            makespan: run.global_makespan,
-            average_slowdown: fairness.average_slowdown,
-        }
     }
 }
 
-impl ScenarioOutcome {
-    /// Extracts the campaign-level measurements from one policy's outcome.
-    fn from_policy(strategy: String, outcome: &PolicyOutcome) -> Self {
-        ScenarioOutcome {
-            strategy,
-            unfairness: outcome.fairness.unfairness,
-            makespan: outcome.global_makespan,
-            average_slowdown: outcome.fairness.average_slowdown,
-        }
-    }
-
-    /// The placeholder a sharded run (`--shard i/N`) records for a cell
-    /// outside its own partition: all-NaN metrics that aggregation treats
-    /// as "no measurement" (NaN fails every `> 0.0` best-makespan filter).
-    /// Deliberately **never cached** — only real evaluations enter the
-    /// store, so merging shard caches can never conflict on a placeholder.
-    #[must_use]
-    pub fn skipped(strategy: String) -> Self {
-        ScenarioOutcome {
-            strategy,
-            unfairness: f64::NAN,
-            makespan: f64::NAN,
-            average_slowdown: f64::NAN,
-        }
+/// The campaign-level measurements of one policy's run.
+fn cell_metrics(run: &EvaluatedRun) -> CellMetrics {
+    CellMetrics {
+        unfairness: run.fairness.unfairness,
+        makespan: run.global_makespan,
+        average_slowdown: run.fairness.average_slowdown,
     }
 }
 
@@ -263,6 +192,41 @@ mod tests {
     use super::*;
     use crate::CampaignConfig;
     use mcsched_core::{ConcurrentScheduler, ConstraintStrategy};
+
+    /// Dedicated-platform makespans of every application of the scenario
+    /// (`M_own`), shared by every strategy evaluation.
+    fn dedicated_makespans(scenario: &Scenario, base: &SchedulerConfig) -> Vec<f64> {
+        scenario
+            .context(base)
+            .dedicated_makespans()
+            .expect("scheduler produces valid workloads")
+    }
+
+    /// Evaluates one policy on the scenario given precomputed dedicated
+    /// makespans: the two-step reference the paired path
+    /// ([`Scenario::evaluate_policies`]) is checked against.
+    fn evaluate_strategy(
+        scenario: &Scenario,
+        policy: Arc<dyn ConstraintPolicy>,
+        base: &SchedulerConfig,
+        dedicated: &[f64],
+    ) -> CellMetrics {
+        let scheduler = ConcurrentScheduler::new(SchedulerConfig {
+            constraint: policy,
+            ..base.clone()
+        });
+        // Borrow the scenario's PTGs (and release times) through a context
+        // instead of cloning them into a one-shot `Workload`.
+        let run = scheduler
+            .schedule_in(&scenario.context(base))
+            .expect("scheduler produces valid workloads");
+        let fairness = mcsched_core::metrics::fairness_report(dedicated, &run.app_makespans());
+        CellMetrics {
+            unfairness: fairness.unfairness,
+            makespan: run.global_makespan,
+            average_slowdown: fairness.average_slowdown,
+        }
+    }
 
     #[test]
     fn replication_zero_is_the_configured_seed() {
@@ -357,9 +321,10 @@ mod tests {
         let scenarios = generate_scenarios(PtgClass::Strassen, 2, 1, 5);
         let scenario = &scenarios[0];
         let base = SchedulerConfig::default();
-        let dedicated = scenario.dedicated_makespans(&base);
+        let dedicated = dedicated_makespans(scenario, &base);
         assert_eq!(dedicated.len(), 2);
-        let out = scenario.evaluate_strategy(
+        let out = evaluate_strategy(
+            scenario,
             ConstraintStrategy::EqualShare.to_policy(),
             &base,
             &dedicated,
@@ -367,7 +332,6 @@ mod tests {
         assert!(out.unfairness.is_finite() && out.unfairness >= 0.0);
         assert!(out.makespan > 0.0);
         assert!(out.average_slowdown > 0.0);
-        assert_eq!(out.strategy, "ES");
     }
 
     #[test]
@@ -380,9 +344,9 @@ mod tests {
             ConstraintStrategy::EqualShare,
         ]);
         let combined = scenario.evaluate_policies(&base, &policies);
-        let dedicated = scenario.dedicated_makespans(&base);
+        let dedicated = dedicated_makespans(scenario, &base);
         for (outcome, policy) in combined.iter().zip(&policies) {
-            let reference = scenario.evaluate_strategy(Arc::clone(policy), &base, &dedicated);
+            let reference = evaluate_strategy(scenario, Arc::clone(policy), &base, &dedicated);
             assert_eq!(*outcome, reference);
         }
     }
@@ -402,14 +366,14 @@ mod tests {
         let scenario = &scenarios[0];
         assert!(scenario.release_times.iter().any(|&t| t > 0.0));
         let base = SchedulerConfig::default();
-        let dedicated = scenario.dedicated_makespans(&base);
+        let dedicated = dedicated_makespans(scenario, &base);
         let policies = CampaignConfig::policies(&[
             ConstraintStrategy::Selfish,
             ConstraintStrategy::EqualShare,
         ]);
         let combined = scenario.evaluate_policies(&base, &policies);
         for (outcome, policy) in combined.iter().zip(&policies) {
-            let reference = scenario.evaluate_strategy(Arc::clone(policy), &base, &dedicated);
+            let reference = evaluate_strategy(scenario, Arc::clone(policy), &base, &dedicated);
             assert_eq!(*outcome, reference);
         }
         // A released application cannot start before its release instant.
@@ -418,9 +382,9 @@ mod tests {
 
     /// The numbers of an outcome as bit patterns, so that equal means bit
     /// for bit: per application its β, makespan, estimated makespan and
-    /// allocated processors, then the global makespan and the fairness
-    /// report.
-    fn outcome_bits(outcome: &PolicyOutcome) -> Vec<u64> {
+    /// allocated processors, then the global makespan, the dedicated
+    /// makespans and the fairness report.
+    fn outcome_bits(outcome: &EvaluatedRun) -> Vec<u64> {
         let mut bits = Vec::new();
         for app in &outcome.apps {
             bits.extend([
@@ -431,6 +395,7 @@ mod tests {
             ]);
         }
         bits.push(outcome.global_makespan.to_bits());
+        bits.extend(outcome.dedicated_makespans.iter().map(|m| m.to_bits()));
         bits.extend(outcome.fairness.slowdowns.iter().map(|s| s.to_bits()));
         bits.push(outcome.fairness.average_slowdown.to_bits());
         bits.push(outcome.fairness.unfairness.to_bits());
@@ -438,7 +403,7 @@ mod tests {
     }
 
     /// Checks the paired path on `scenario` bit for bit against each policy
-    /// evaluated alone on a fresh context and reduced to its outcome, and
+    /// evaluated alone on a fresh context, and
     /// checks that it simulated each distinct allocation vector once, fewer
     /// than one per policy.
     fn assert_paired_path_dedupes(scenario: &Scenario, policies: &[Arc<dyn ConstraintPolicy>]) {
@@ -446,22 +411,20 @@ mod tests {
         let context = scenario.context(&base);
         let paired = context.evaluate_policies(policies).unwrap();
         assert_eq!(paired.len(), policies.len());
-        let mut distinct: Vec<Arc<Vec<mcsched_core::RefAllocation>>> = Vec::new();
+        let mut distinct: Vec<Vec<mcsched_core::RefAllocation>> = Vec::new();
         for (policy, outcome) in policies.iter().zip(&paired) {
-            let alone = PolicyOutcome::from(
-                ConcurrentScheduler::new(SchedulerConfig {
-                    constraint: Arc::clone(policy),
-                    ..base.clone()
-                })
-                .evaluate_in(&scenario.context(&base))
-                .unwrap(),
-            );
+            let alone = ConcurrentScheduler::new(SchedulerConfig {
+                constraint: Arc::clone(policy),
+                ..base.clone()
+            })
+            .evaluate_in(&scenario.context(&base))
+            .unwrap();
             let label = format!("{} on {}", policy.name(), scenario.name);
             assert_eq!(outcome_bits(outcome), outcome_bits(&alone), "{label}");
             assert_eq!(*outcome, alone, "{label}");
             let betas = context.betas_for(policy.as_ref());
             let reported: Vec<f64> = outcome.apps.iter().map(|app| app.beta).collect();
-            assert_eq!(reported, *betas, "{} reports its own β", policy.name());
+            assert_eq!(reported, betas, "{} reports its own β", policy.name());
             let allocations = context.allocations_for(policy.as_ref(), base.allocation.as_ref());
             if !distinct.contains(&allocations) {
                 distinct.push(allocations);

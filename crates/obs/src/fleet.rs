@@ -227,11 +227,14 @@ impl Default for SnapshotOptions {
 
 fn progress_bar(done: u64, total: u64) -> String {
     const WIDTH: u64 = 20;
-    let filled = (done.min(total) * WIDTH).checked_div(total).unwrap_or(0);
+    // In u128: a heartbeat read from disk may hold any u64.
+    let filled = (u128::from(done.min(total)) * u128::from(WIDTH))
+        .checked_div(u128::from(total))
+        .unwrap_or(0);
     let mut bar = String::with_capacity(WIDTH as usize + 2);
     bar.push('[');
     for i in 0..WIDTH {
-        bar.push(if i < filled { '#' } else { '-' });
+        bar.push(if u128::from(i) < filled { '#' } else { '-' });
     }
     bar.push(']');
     bar
@@ -279,7 +282,7 @@ pub fn render_snapshot(fleet: &Fleet, opts: &SnapshotOptions) -> String {
             shard.manifest.label,
             crate::manifest::shard_label(Some(shard.manifest.shard)),
         );
-        if hb.cache_hits + hb.cache_misses > 0 {
+        if hb.cache_hits > 0 || hb.cache_misses > 0 {
             let _ = write!(out, " hits={} misses={}", hb.cache_hits, hb.cache_misses);
         }
         if !hb.detail.is_empty() {
@@ -308,9 +311,15 @@ pub fn render_snapshot(fleet: &Fleet, opts: &SnapshotOptions) -> String {
         .filter_map(|s| s.heartbeat.as_ref())
         .collect();
     if !heartbeats.is_empty() {
-        let cells: u64 = heartbeats.iter().map(|h| h.cells_done).sum();
-        let hits: u64 = heartbeats.iter().map(|h| h.cache_hits).sum();
-        let misses: u64 = heartbeats.iter().map(|h| h.cache_misses).sum();
+        // Saturating: the counts come from disk and may be anything.
+        let total = |count: fn(&Heartbeat) -> u64| {
+            heartbeats
+                .iter()
+                .fold(0u64, |sum, h| sum.saturating_add(count(h)))
+        };
+        let cells = total(|h| h.cells_done);
+        let hits = total(|h| h.cache_hits);
+        let misses = total(|h| h.cache_misses);
         let _ = write!(
             out,
             "fleet cells: {cells} done, {hits} hit(s), {misses} miss(es)"
@@ -647,6 +656,35 @@ mod tests {
         assert!(one.contains("merged metrics (2 snapshot(s)):"));
         assert!(one.contains("cells"));
         assert!(one.contains("debris: 1 stale temp file(s)"));
+    }
+
+    #[test]
+    fn snapshot_saturates_heartbeat_counts_read_from_disk() {
+        let max = u64::MAX;
+        let shard = |index| ShardStatus {
+            dir: PathBuf::from("obs"),
+            stem: format!("run-{index}of2"),
+            manifest: manifest((index, 2), RunPhase::Done),
+            heartbeat: Some(Heartbeat {
+                points_done: max,
+                points_total: max,
+                cells_done: max,
+                cache_hits: max,
+                cache_misses: max,
+                ..Heartbeat::default()
+            }),
+            metrics_path: None,
+            journal_path: None,
+        };
+        let fleet = Fleet {
+            shards: vec![shard(0), shard(1)],
+            ..Fleet::default()
+        };
+        let out = render_snapshot(&fleet, &SnapshotOptions::default());
+        assert!(out.contains(&format!("[####################] {max}/{max}")));
+        assert!(out.contains(&format!("hits={max} misses={max}")));
+        let totals = format!("fleet cells: {max} done, {max} hit(s), {max} miss(es)");
+        assert!(out.contains(&totals), "{out}");
     }
 
     #[test]

@@ -195,7 +195,7 @@ impl HistogramSnapshot {
         let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0u64;
         for (i, &n) in self.buckets.iter().enumerate() {
-            seen += n;
+            seen = seen.saturating_add(n);
             if seen >= rank {
                 return bucket_upper_bound(i);
             }
@@ -530,13 +530,16 @@ impl MetricsSnapshot {
     /// **sum**, gauges keep the **max** (of both the last value and the
     /// running max — per-process "current" values are meaningless across a
     /// fleet), histograms add **bucket-wise** (counts, sums and every
-    /// bucket). Metrics present in only one side carry over unchanged; the
-    /// result stays name-sorted, so merging in any order yields identical
-    /// snapshots.
+    /// bucket). Counts read from disk may be anything, so every count sum
+    /// saturates at `u64::MAX`; a histogram's `sum` wraps, as
+    /// [`Histogram::sum`] does. Metrics present in only one side carry over
+    /// unchanged; the result stays name-sorted, so merging in any order
+    /// yields identical snapshots.
     pub fn merge(&mut self, other: &MetricsSnapshot) {
         let mut counters: BTreeMap<String, u64> = self.counters.drain(..).collect();
         for (name, value) in &other.counters {
-            *counters.entry(name.clone()).or_insert(0) += value;
+            let slot = counters.entry(name.clone()).or_insert(0);
+            *slot = slot.saturating_add(*value);
         }
         self.counters = counters.into_iter().collect();
 
@@ -559,10 +562,10 @@ impl MetricsSnapshot {
                     sum: 0,
                     buckets: [0; HISTOGRAM_BUCKETS],
                 });
-            slot.count += h.count;
+            slot.count = slot.count.saturating_add(h.count);
             slot.sum = slot.sum.wrapping_add(h.sum);
             for (dst, src) in slot.buckets.iter_mut().zip(&h.buckets) {
-                *dst += src;
+                *dst = dst.saturating_add(*src);
             }
         }
         self.histograms = histograms.into_iter().collect();
@@ -755,6 +758,37 @@ mod tests {
         assert_eq!(h.sum, 105);
         assert_eq!(h.buckets[bucket_index(2)], 2);
         assert_eq!(h.buckets[bucket_index(100)], 1);
+    }
+
+    #[test]
+    fn merge_saturates_counts_read_from_disk() {
+        let max = u64::MAX;
+        let snapshot = |n: u64| {
+            let mut buckets = [0; HISTOGRAM_BUCKETS];
+            buckets[1] = n;
+            MetricsSnapshot {
+                counters: vec![("c".to_string(), n)],
+                gauges: vec![("g".to_string(), n, n)],
+                histograms: vec![(
+                    "h".to_string(),
+                    HistogramSnapshot {
+                        count: n,
+                        sum: max,
+                        buckets,
+                    },
+                )],
+            }
+        };
+        let mut merged = snapshot(max);
+        merged.merge(&snapshot(1));
+        let mut expected = snapshot(max);
+        expected.histograms[0].1.sum = max - 1; // the sum wraps
+        assert_eq!(merged, expected);
+        // Buckets that sum past u64::MAX still render a quantile.
+        let (_, h) = &mut merged.histograms[0];
+        h.buckets[1] = max - 1;
+        h.buckets[2] = 2;
+        assert_eq!(h.quantile_upper_bound(1.0), bucket_upper_bound(2));
     }
 
     #[test]

@@ -42,10 +42,7 @@
 
 use crate::config::{AdmissionPolicy, OnlineConfig, ReschedulePolicy};
 use crate::metrics::{AdmissionCounters, JobOutcome, OnlineReport, SERIES_COLUMNS};
-use mcsched_core::{
-    slowdown, ConcurrentScheduler, DedicatedAllocation, ReferencePlatform, SchedError,
-    ScheduleContext,
-};
+use mcsched_core::{slowdown, DedicatedAllocation, ReferencePlatform, SchedError, ScheduleContext};
 use mcsched_obs::TimeSeries;
 use mcsched_platform::Platform;
 use mcsched_ptg::Ptg;
@@ -121,7 +118,6 @@ impl<'p> OnlineScheduler<'p> {
     pub fn run(&self, source: &dyn WorkloadSource) -> Result<OnlineReport, SchedError> {
         let engine = Engine::new(self.platform);
         let reference = ReferencePlatform::new(self.platform);
-        let scheduler = ConcurrentScheduler::new(self.config.base.clone());
         let stream = source.stream(&StreamRequest::new(
             self.config.seed,
             self.config.label.clone(),
@@ -131,7 +127,6 @@ impl<'p> OnlineScheduler<'p> {
             cfg: &self.config,
             engine: &engine,
             reference: &reference,
-            scheduler: &scheduler,
             stream,
             pending: VecDeque::new(),
             res_meta: Vec::new(),
@@ -181,7 +176,6 @@ struct LoopState<'e, 'p> {
     cfg: &'e OnlineConfig,
     engine: &'e Engine<'p>,
     reference: &'e ReferencePlatform,
-    scheduler: &'e ConcurrentScheduler,
     stream: Box<dyn JobStream>,
     /// Admission queue: `(index, release time)` only — no graphs.
     pending: VecDeque<(u64, f64)>,
@@ -466,12 +460,9 @@ impl LoopState<'_, '_> {
                 .map(|r| Arc::clone(&r.allocation))
                 .collect(),
         );
-        let allocations = self.scheduler.allocate_in(&ctx);
-        let schedule = ctx.map_with(
-            self.scheduler.config().mapping.as_ref(),
-            &allocations,
-            &release_times,
-        );
+        let base = &self.cfg.base;
+        let allocations = ctx.allocations_for(base.constraint.as_ref(), base.allocation.as_ref());
+        let schedule = ctx.map_with(base.mapping.as_ref(), &allocations, &release_times);
         // Under on-arrival rescheduling, any plan beyond the next arrival is
         // guaranteed to be recomputed, so the simulation pauses there.
         let horizon = match self.cfg.reschedule {

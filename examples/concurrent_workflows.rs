@@ -83,7 +83,7 @@ fn main() {
             "{:<12} {:>12.3} {:>12.1} {:>12.2} {:>12.2}",
             strategy.name(),
             evaluation.fairness.unfairness,
-            evaluation.run.global_makespan,
+            evaluation.global_makespan,
             min,
             max
         );

@@ -72,7 +72,7 @@ fn main() {
             "{:<12} {:>22} {:>14.1} {:>12.3}",
             strategy.name(),
             alloc_str,
-            evaluation.run.global_makespan,
+            evaluation.global_makespan,
             evaluation.fairness.unfairness
         );
     }

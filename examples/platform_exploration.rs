@@ -67,7 +67,7 @@ fn main() {
         println!(
             "{:<12} {:>14.1} {:>12.3} {:>14.2}",
             platform.name(),
-            evaluation.run.global_makespan,
+            evaluation.global_makespan,
             evaluation.fairness.unfairness,
             evaluation.fairness.average_slowdown
         );

@@ -49,7 +49,7 @@ fn main() {
             .evaluate(&platform, &workload)
             .expect("the scheduler always produces a simulable schedule");
         println!("\nStrategy {}:", scheduler.config().constraint.name());
-        for (i, app) in evaluation.run.apps.iter().enumerate() {
+        for (i, app) in evaluation.apps.iter().enumerate() {
             println!(
                 "  {:<12} beta {:.2}  makespan {:>8.1}s  dedicated {:>8.1}s  slowdown {:.2}",
                 app.name,
@@ -61,7 +61,7 @@ fn main() {
         }
         println!(
             "  global makespan {:.1}s, unfairness {:.3}",
-            evaluation.run.global_makespan, evaluation.fairness.unfairness
+            evaluation.global_makespan, evaluation.fairness.unfairness
         );
     }
 }

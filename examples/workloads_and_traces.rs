@@ -53,9 +53,9 @@ fn main() {
         .expect("scheduling succeeds");
     println!(
         "\nlive makespan {:.1} s, replayed-from-JSON makespan {:.1} s (identical: {})",
-        live.run.global_makespan,
-        replayed.run.global_makespan,
-        live.run.global_makespan == replayed.run.global_makespan
+        live.global_makespan,
+        replayed.global_makespan,
+        live.global_makespan == replayed.global_makespan
     );
 
     // 3. The width-calibration table: why the DAGGEN generator exists.

@@ -65,7 +65,7 @@
 //! let workload = Workload::batch(apps).with_label("quickstart");
 //! let evaluation = scheduler.evaluate(&platform, &workload).unwrap();
 //! assert_eq!(evaluation.fairness.slowdowns.len(), 3);
-//! assert!(evaluation.run.global_makespan > 0.0);
+//! assert!(evaluation.global_makespan > 0.0);
 //! ```
 
 #![warn(missing_docs)]

@@ -3,9 +3,12 @@
 //! produce typed errors, and a user-registered policy runs end-to-end
 //! through `evaluate` and through a campaign without touching core code.
 
+use mcsched::core::policy::ScrapMaxAllocation;
+use mcsched::core::DedicatedAllocation;
 use mcsched::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 fn sample_apps(n: usize, seed: u64) -> Vec<Ptg> {
@@ -104,11 +107,11 @@ fn custom_registered_policy_runs_end_to_end_through_evaluate() {
     let workload = Workload::batch(apps).with_label("custom-policy-e2e");
     let evaluation = scheduler.evaluate(&platform, &workload).unwrap();
 
-    assert_eq!(evaluation.run.apps.len(), 3);
-    assert!(evaluation.run.global_makespan > 0.0);
+    assert_eq!(evaluation.apps.len(), 3);
+    assert!(evaluation.global_makespan > 0.0);
     assert_eq!(evaluation.fairness.slowdowns.len(), 3);
     // The custom β vector actually drove the pipeline.
-    let betas: Vec<f64> = evaluation.run.apps.iter().map(|a| a.beta).collect();
+    let betas: Vec<f64> = evaluation.apps.iter().map(|a| a.beta).collect();
     assert_eq!(betas, vec![1.0, 0.5, 0.25]);
     for s in &evaluation.fairness.slowdowns {
         assert!(*s > 0.0 && *s <= 1.1);
@@ -177,14 +180,83 @@ fn paired_evaluation_runs_the_schedulers_own_pipeline() {
     let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
     assert_eq!(
         bits(paired.apps.iter().map(|a| a.makespan).collect()),
-        bits(direct.run.app_makespans())
+        bits(direct.apps.iter().map(|a| a.makespan).collect())
     );
     let procs = |apps: &[mcsched::core::scheduler::AppReport]| {
         apps.iter().map(|a| a.allocated_procs).collect::<Vec<_>>()
     };
-    assert_eq!(procs(&paired.apps), procs(&direct.run.apps));
+    assert_eq!(procs(&paired.apps), procs(&direct.apps));
     assert_eq!(
         bits(ctx.dedicated_makespans().unwrap()),
         bits(direct.dedicated_makespans)
     );
+}
+
+/// SCRAP-MAX behind a counter of the allocation runs the pipeline asks for.
+#[derive(Debug, Default)]
+struct CountingScrapMax {
+    dedicated: AtomicUsize,
+    constrained: AtomicUsize,
+}
+
+impl AllocationPolicy for CountingScrapMax {
+    fn name(&self) -> String {
+        "counting-scrap-max".to_string()
+    }
+
+    fn allocate(&self, reference: &ReferencePlatform, ptg: &Ptg, beta: f64) -> RefAllocation {
+        self.constrained.fetch_add(1, Ordering::Relaxed);
+        ScrapMaxAllocation.allocate(reference, ptg, beta)
+    }
+
+    fn dedicated(&self, reference: &ReferencePlatform, ptg: &Ptg) -> DedicatedAllocation {
+        self.dedicated.fetch_add(1, Ordering::Relaxed);
+        ScrapMaxAllocation.dedicated(reference, ptg)
+    }
+
+    fn allocate_from(
+        &self,
+        dedicated: &DedicatedAllocation,
+        reference: &ReferencePlatform,
+        ptg: &Ptg,
+        beta: f64,
+    ) -> RefAllocation {
+        self.constrained.fetch_add(1, Ordering::Relaxed);
+        ScrapMaxAllocation.allocate_from(dedicated, reference, ptg, beta)
+    }
+}
+
+#[test]
+fn one_allocation_run_per_policy_and_application() {
+    // The paired path runs each application's β = 1 allocation once, for
+    // its dedicated baseline, and each policy's allocation of each
+    // application once; the one-policy path runs one per application.
+    let platform = grid5000::lille();
+    let apps = sample_apps(3, 11);
+    let counting = Arc::new(CountingScrapMax::default());
+    let base = SchedulerConfig {
+        allocation: Arc::clone(&counting) as Arc<dyn AllocationPolicy>,
+        ..SchedulerConfig::default()
+    };
+    let registry = PolicyRegistry::builtin();
+    let policies: Vec<Arc<dyn ConstraintPolicy>> = ["s", "es", "ps-work", "wps-work"]
+        .iter()
+        .map(|name| registry.constraint(name).unwrap())
+        .collect();
+    let counts = || {
+        (
+            counting.dedicated.swap(0, Ordering::Relaxed),
+            counting.constrained.swap(0, Ordering::Relaxed),
+        )
+    };
+
+    let ctx = ScheduleContext::with_base(&platform, &apps, base.clone());
+    ctx.evaluate_policies(&policies).unwrap();
+    assert_eq!(counts(), (apps.len(), policies.len() * apps.len()));
+
+    let scheduler = ConcurrentScheduler::new(base.clone());
+    scheduler
+        .schedule_in(&ScheduleContext::with_base(&platform, &apps, base))
+        .unwrap();
+    assert_eq!(counts(), (0, apps.len()));
 }

@@ -15,9 +15,8 @@
 //! * **conflict rejection** — sources disagreeing on one digest abort the
 //!   merge naming both files, writing nothing.
 
-use mcsched::exp::{
-    cell_digest, generate_scenarios, run_campaign, CampaignConfig, ScenarioOutcome,
-};
+use mcsched::exp::cells::SKIPPED_CELL;
+use mcsched::exp::{cell_digest, generate_scenarios, run_campaign, CampaignConfig};
 use mcsched::ptg::gen::PtgClass;
 use mcsched::runtime::{merge_cache_dirs, CellCache, CellMetrics, DigestBuilder, MergeError};
 use std::path::PathBuf;
@@ -301,10 +300,10 @@ fn merge_rejects_conflicting_sources_naming_both() {
 #[test]
 fn skipped_cells_are_nan_placeholders_under_a_real_strategy_name() {
     // The contract the report layer relies on: a sharded run's skipped
-    // cells carry the strategy label (so table shapes are stable) and
-    // all-NaN metrics (so no aggregate mistakes them for measurements).
-    let placeholder = ScenarioOutcome::skipped("ES".to_string());
-    assert_eq!(placeholder.strategy, "ES");
+    // cells keep their slot in policy order, so the report labels them with
+    // their real strategy name (table shapes are stable), and carry all-NaN
+    // metrics (so no aggregate mistakes them for measurements).
+    let placeholder = SKIPPED_CELL;
     assert!(placeholder.unfairness.is_nan());
     assert!(placeholder.makespan.is_nan());
     assert!(placeholder.average_slowdown.is_nan());

@@ -72,7 +72,7 @@ fn single_workload_trace_round_trip_schedules_identically() {
     let scheduler = ConcurrentScheduler::builder().build().unwrap();
     let live = scheduler.evaluate(&platform, &workload).unwrap();
     let again = scheduler.evaluate(&platform, &replayed).unwrap();
-    assert_eq!(live.run.global_makespan, again.run.global_makespan);
+    assert_eq!(live.global_makespan, again.global_makespan);
     assert_eq!(live.fairness.slowdowns, again.fairness.slowdowns);
     assert_eq!(live.fairness.unfairness, again.fairness.unfairness);
 }
