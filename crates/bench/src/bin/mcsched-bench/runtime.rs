@@ -7,13 +7,22 @@
 //! and `pool-warm` (against a pre-populated cell cache). Cold families time
 //! at least 3 samples. The warm speed-up and the shard split factor go to
 //! stderr.
+//!
+//! The warm cache is collected as a sharded campaign's is: the three
+//! shards of a 3-way split run cold into their own directories and
+//! `merge_cache_dirs` unions them. Three single-thread families time the
+//! cache's I/O on it, ten samples per warm iteration: `cache-merge` (the
+//! three shard directories into a fresh one), `cache-open` (loading the
+//! merged cache) and `cache-flush` (writing every cell of it to a fresh
+//! directory, every shard dirty).
 
-use mcsched_bench::ledger::{time, Args, Ledger};
+use mcsched_bench::ledger::{time, time_with, Args, Ledger};
 use mcsched_core::policy::ConstraintPolicy;
 use mcsched_core::PolicyRegistry;
 use mcsched_exp::{run_campaign, CampaignConfig};
 use mcsched_obs::json::Json;
 use mcsched_ptg::gen::PtgClass;
+use mcsched_runtime::{merge_cache_dirs, CellCache};
 use mcsched_workload::WorkloadCatalog;
 use std::sync::Arc;
 
@@ -64,13 +73,57 @@ pub fn run(args: &Args) -> Ledger {
 
     // One warm cache, populated once and shared by every pool-warm row
     // (the cells are identical across thread counts).
-    let warm_dir =
-        std::env::temp_dir().join(format!("mcsched-bench-runtime-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&warm_dir);
-    let mut populate = shape.clone();
-    populate.cache_dir = Some(warm_dir.clone());
-    populate.threads = threads.iter().copied().max().unwrap_or(1);
-    run_campaign(&populate).expect("cache pre-population runs");
+    let work = std::env::temp_dir().join(format!("mcsched-bench-runtime-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&work);
+    let shard_dirs: Vec<_> = (0..3).map(|i| work.join(format!("shard-{i}"))).collect();
+    for (i, dir) in shard_dirs.iter().enumerate() {
+        let mut populate = shape.clone();
+        populate.cache_dir = Some(dir.clone());
+        populate.shard = Some((i, shard_dirs.len()));
+        populate.threads = threads.iter().copied().max().unwrap_or(1);
+        run_campaign(&populate).expect("cache pre-population runs");
+    }
+    let warm_dir = work.join("warm");
+    merge_cache_dirs(&shard_dirs, &warm_dir).expect("the shard caches merge");
+    let cells = CellCache::open(&warm_dir, true)
+        .expect("the warm cache opens")
+        .cells();
+    let cache_case = format!("cells={}", cells.len());
+    let cache_iterations = 10 * warm_iterations;
+    let fresh = |name: &str| {
+        let dir = work.join(name);
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    };
+    ledger.push(time_with(
+        "cache-merge",
+        &cache_case,
+        cache_iterations,
+        || fresh("merged"),
+        |dest| {
+            merge_cache_dirs(&shard_dirs, dest).expect("the shard caches merge");
+        },
+    ));
+    ledger.push(time_with(
+        "cache-open",
+        &cache_case,
+        cache_iterations,
+        || None,
+        |cache| *cache = Some(CellCache::open(&warm_dir, true).expect("the warm cache opens")),
+    ));
+    ledger.push(time_with(
+        "cache-flush",
+        &cache_case,
+        cache_iterations,
+        || {
+            let cache = CellCache::open(fresh("flushed"), false).expect("a fresh cache opens");
+            for &(key, metrics) in &cells {
+                cache.insert(key, metrics);
+            }
+            cache
+        },
+        |cache| cache.flush().expect("the cache flushes"),
+    ));
 
     for &n in &threads {
         let case = format!("threads={n}");
@@ -96,6 +149,6 @@ pub fn run(args: &Args) -> Ledger {
             mean("pool-cold") / mean("shard-cold"),
         );
     }
-    let _ = std::fs::remove_dir_all(&warm_dir);
+    let _ = std::fs::remove_dir_all(&work);
     ledger
 }

@@ -1,6 +1,6 @@
 //! The workspace's one JSON codec: a [`Json`] value tree, its compact
 //! writer, the JSON string writer every hand-laid-out exporter shares
-//! ([`write_str`]), and a recursive-descent parser.
+//! ([`write_str`]), and one pull [`Tokenizer`] with two consumers.
 //!
 //! It reads and writes every on-disk format of the workspace: workload
 //! traces (`mcsched_workload::trace`), the runtime's cell-cache shards,
@@ -10,12 +10,19 @@
 //! in `mcsched-obs` because that crate has no dependencies, so every other
 //! crate can reach it.
 //!
+//! The [`Tokenizer`] holds the grammar: RFC 8259 numbers, strings without
+//! raw control characters, and nesting bounded at 128 levels, so a hostile
+//! or damaged file yields `Err`, never a stack overflow. It borrows from
+//! the text, so a string without escapes and every number come out as
+//! slices of it. Its two consumers are [`Json::parse`], which builds the
+//! tree, and the cell cache's shard reader, which decodes its records
+//! straight from the tokens without building one.
+//!
 //! Numbers keep their *raw token text* ([`Json::Num`]), so `u64` seeds and
 //! counters above 2^53 and shortest-round-trip `f64` literals survive an
-//! export → import cycle bit-exactly. The parser bounds nesting at 128
-//! levels, so a hostile or damaged file yields `Err`, never a stack
-//! overflow.
+//! export → import cycle bit-exactly.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// A parsed JSON value.
@@ -157,21 +164,53 @@ impl Json {
     ///
     /// Returns a human-readable description of the first syntax error.
     pub fn parse(text: &str) -> Result<Json, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing data at byte {pos}"));
-        }
+        let mut tokens = Tokenizer::new(text);
+        let first = tokens.next_token()?;
+        let value = build(&mut tokens, first)?;
+        tokens.finish()?;
         Ok(value)
     }
 }
 
-/// Deepest array/object nesting `Json::parse` accepts. The deepest file
+/// Builds the value whose first token is `token`. Recursion is bounded by
+/// the tokenizer's nesting bound.
+fn build<'a>(tokens: &mut Tokenizer<'a>, token: Token<'a>) -> Result<Json, String> {
+    Ok(match token {
+        Token::Null => Json::Null,
+        Token::Bool(b) => Json::Bool(b),
+        Token::Num(raw) => Json::Num(raw.to_owned()),
+        Token::Str(s) => Json::Str(s.into_owned()),
+        Token::BeginArray => {
+            let mut items = Vec::new();
+            loop {
+                match tokens.next_token()? {
+                    Token::EndArray => break Json::Arr(items),
+                    item => items.push(build(tokens, item)?),
+                }
+            }
+        }
+        Token::BeginObject => {
+            let mut members = Vec::new();
+            while let Token::Key(key) = tokens.next_token()? {
+                let first = tokens.next_token()?;
+                members.push((key.into_owned(), build(tokens, first)?));
+            }
+            Json::Obj(members)
+        }
+        Token::Key(_) | Token::EndArray | Token::EndObject => {
+            unreachable!("the tokenizer yields keys and closing tokens only after an opening one")
+        }
+    })
+}
+
+/// Deepest array/object nesting the tokenizer accepts. The deepest file
 /// the workspace writes (a Chrome trace or a metrics snapshot) nests about
-/// four levels; the bound only keeps a hostile input off the call stack.
+/// four levels; the bound only keeps a hostile input off the call stack of
+/// [`Json::parse`]'s tree builder.
 const MAX_DEPTH: usize = 128;
+
+// The tokenizer keeps one bit per open container in a `u128`.
+const _: () = assert!(MAX_DEPTH <= 128);
 
 /// Appends `s` to `out` as a quoted JSON string: `"` and `\\` are escaped,
 /// `\n`, `\r` and `\t` get their short escapes, other control characters
@@ -194,184 +233,366 @@ pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// One token of a JSON document, borrowed from the text where it can be.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Token<'a> {
+    /// `{`.
+    BeginObject,
+    /// `}`.
+    EndObject,
+    /// `[`.
+    BeginArray,
+    /// `]`.
+    EndArray,
+    /// An object member's key and its `:`, unescaped: borrowed unless the
+    /// key held an escape.
+    Key(Cow<'a, str>),
+    /// A string value, unescaped: borrowed unless it held an escape.
+    Str(Cow<'a, str>),
+    /// A number's raw text, checked against the RFC 8259 grammar.
+    Num(&'a str),
+    /// `true` / `false`.
+    Bool(bool),
+    /// `null`.
+    Null,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, c: u8) -> Result<(), String> {
-    if *pos < bytes.len() && bytes[*pos] == c {
-        *pos += 1;
-        Ok(())
-    } else {
-        Err(format!("expected `{}` at byte {}", c as char, *pos))
-    }
+/// What the tokenizer accepts next.
+#[derive(Debug, Clone, Copy)]
+enum Expect {
+    /// A value: the document's, an array item after `,`, or a member's
+    /// after `:`.
+    Value,
+    /// A key or `}`, just after `{`.
+    FirstKey,
+    /// An item or `]`, just after `[`.
+    FirstItem,
+    /// `,` or the end of the innermost container.
+    CommaOrEnd,
+    /// Nothing: the top-level value is complete.
+    Done,
 }
 
-/// Parses one value whose enclosing containers nest `depth` levels deep.
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".to_string()),
-        Some(b'{' | b'[') if depth == MAX_DEPTH => {
-            Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos))
+/// A pull tokenizer over one JSON document: each [`Tokenizer::next_token`]
+/// checks and returns the next token, so a consumer decodes only what it
+/// needs and skips the rest ([`Tokenizer::skip_rest`]) without building it.
+/// After the top-level value, [`Tokenizer::finish`] checks that only
+/// whitespace follows.
+#[derive(Debug)]
+pub struct Tokenizer<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Bit `i` is set when the container at nesting level `i` is an object.
+    objects: u128,
+    depth: usize,
+    expect: Expect,
+}
+
+impl<'a> Tokenizer<'a> {
+    /// A tokenizer at the start of `text`.
+    #[must_use]
+    pub fn new(text: &'a str) -> Self {
+        Self {
+            text,
+            pos: 0,
+            objects: 0,
+            depth: 0,
+            expect: Expect::Value,
         }
-        Some(b'{') => parse_object(bytes, pos, depth + 1),
-        Some(b'[') => parse_array(bytes, pos, depth + 1),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') => parse_keyword(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_keyword(bytes, pos, "false", Json::Bool(false)),
-        Some(b'n') => parse_keyword(bytes, pos, "null", Json::Null),
-        Some(_) => parse_number(bytes, pos),
     }
-}
 
-fn parse_keyword(bytes: &[u8], pos: &mut usize, word: &str, value: Json) -> Result<Json, String> {
-    if bytes[*pos..].starts_with(word.as_bytes()) {
-        *pos += word.len();
-        Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {}", *pos))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    let start = *pos;
-    if matches!(bytes.get(*pos), Some(b'-')) {
-        *pos += 1;
-    }
-    let digits_start = *pos;
-    while matches!(
-        bytes.get(*pos),
-        Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    ) {
-        *pos += 1;
-    }
-    if *pos == digits_start {
-        return Err(format!("expected a number at byte {start}"));
-    }
-    let raw = std::str::from_utf8(&bytes[start..*pos]).map_err(|_| "invalid utf8".to_string())?;
-    // Validate that the token is a number at all; the raw text is preserved.
-    raw.parse::<f64>()
-        .map_err(|_| format!("invalid number `{raw}` at byte {start}"))?;
-    Ok(Json::Num(raw.to_string()))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        match bytes.get(*pos) {
-            None => return Err("unterminated string".to_string()),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        // Exactly four hex digits: `from_str_radix` alone
-                        // also accepts a sign (`\\u+041`).
-                        let code = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .filter(|hex| hex.iter().all(u8::is_ascii_hexdigit))
-                            .and_then(|hex| {
-                                u32::from_str_radix(std::str::from_utf8(hex).ok()?, 16).ok()
-                            })
-                            .ok_or_else(|| format!("invalid \\u escape at byte {}", *pos))?;
-                        // Surrogate pairs are not needed by the workspace's
-                        // formats; map unpaired surrogates to the replacement
-                        // char.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        *pos += 4;
+    /// The next token.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the syntax error at the token, with
+    /// its byte offset; after the top-level value, every call is an error.
+    pub fn next_token(&mut self) -> Result<Token<'a>, String> {
+        self.skip_ws();
+        match self.expect {
+            Expect::Value => self.value(),
+            Expect::FirstKey if self.peek() == Some(b'}') => Ok(self.close()),
+            Expect::FirstKey => self.key(),
+            Expect::FirstItem if self.peek() == Some(b']') => Ok(self.close()),
+            Expect::FirstItem => self.value(),
+            Expect::CommaOrEnd => {
+                let object = self.objects >> (self.depth - 1) & 1 == 1;
+                match (self.peek(), object) {
+                    (Some(b','), true) => {
+                        self.pos += 1;
+                        self.skip_ws();
+                        self.key()
                     }
-                    _ => return Err(format!("invalid escape at byte {}", *pos)),
+                    (Some(b','), false) => {
+                        self.pos += 1;
+                        self.skip_ws();
+                        self.value()
+                    }
+                    (Some(b'}'), true) | (Some(b']'), false) => Ok(self.close()),
+                    (_, true) => Err(format!("expected `,` or `}}` at byte {}", self.pos)),
+                    (_, false) => Err(format!("expected `,` or `]` at byte {}", self.pos)),
                 }
-                *pos += 1;
             }
-            Some(&b) if b < 0x80 => {
-                out.push(b as char);
-                *pos += 1;
+            Expect::Done if self.pos == self.text.len() => {
+                Err("unexpected end of input".to_string())
             }
-            Some(&b) => {
-                // Advance over one multi-byte UTF-8 scalar value (decode at
-                // most 4 bytes — validating the whole remaining input here
-                // would make parsing quadratic).
-                let len = match b {
-                    0xC0..=0xDF => 2,
-                    0xE0..=0xEF => 3,
-                    0xF0..=0xF7 => 4,
-                    _ => return Err(format!("invalid utf8 at byte {}", *pos)),
-                };
-                let slice = bytes
-                    .get(*pos..*pos + len)
-                    .ok_or("truncated utf8 sequence")?;
-                let s = std::str::from_utf8(slice)
-                    .map_err(|_| format!("invalid utf8 at byte {}", *pos))?;
-                out.push(s.chars().next().ok_or("unterminated string")?);
-                *pos += len;
+            Expect::Done => Err(format!("trailing data at byte {}", self.pos)),
+        }
+    }
+
+    /// Skips the rest of the value that `first`, the token just returned,
+    /// began: nothing for a scalar, everything through the matching close
+    /// for `{` or `[`. The skipped tokens are checked as [`Tokenizer::next_token`]
+    /// checks them.
+    ///
+    /// # Errors
+    ///
+    /// The first syntax error inside the skipped value.
+    pub fn skip_rest(&mut self, first: &Token<'a>) -> Result<(), String> {
+        if matches!(first, Token::BeginObject | Token::BeginArray) {
+            let outer = self.depth.saturating_sub(1);
+            while self.depth > outer {
+                self.next_token()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Checks that the top-level value is complete and only whitespace
+    /// follows it.
+    ///
+    /// # Errors
+    ///
+    /// `trailing data at byte N` when something does, and the syntax error
+    /// of the next token when the value is not complete.
+    pub fn finish(mut self) -> Result<(), String> {
+        if !matches!(self.expect, Expect::Done) {
+            return self
+                .next_token()
+                .and(Err("the top-level value is not complete".to_string()));
+        }
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(format!("trailing data at byte {}", self.pos))
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// What follows a complete value.
+    fn after_value(&self) -> Expect {
+        if self.depth == 0 {
+            Expect::Done
+        } else {
+            Expect::CommaOrEnd
+        }
+    }
+
+    fn value(&mut self) -> Result<Token<'a>, String> {
+        let start = self.pos;
+        let token = match self.peek() {
+            None => return Err("unexpected end of input".to_string()),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => {
+                return Err(format!("nesting deeper than {MAX_DEPTH} at byte {start}"))
+            }
+            Some(b'{') => return Ok(self.open(true)),
+            Some(b'[') => return Ok(self.open(false)),
+            Some(b'"') => Token::Str(self.string()?),
+            Some(b't') => self.keyword("true", Token::Bool(true))?,
+            Some(b'f') => self.keyword("false", Token::Bool(false))?,
+            Some(b'n') => self.keyword("null", Token::Null)?,
+            Some(_) => Token::Num(self.number()?),
+        };
+        self.expect = self.after_value();
+        Ok(token)
+    }
+
+    fn open(&mut self, object: bool) -> Token<'a> {
+        self.objects = self.objects & !(1 << self.depth) | u128::from(object) << self.depth;
+        self.depth += 1;
+        self.pos += 1;
+        if object {
+            self.expect = Expect::FirstKey;
+            Token::BeginObject
+        } else {
+            self.expect = Expect::FirstItem;
+            Token::BeginArray
+        }
+    }
+
+    fn close(&mut self) -> Token<'a> {
+        self.depth -= 1;
+        self.pos += 1;
+        self.expect = self.after_value();
+        if self.objects >> self.depth & 1 == 1 {
+            Token::EndObject
+        } else {
+            Token::EndArray
+        }
+    }
+
+    fn key(&mut self) -> Result<Token<'a>, String> {
+        let key = self.string()?;
+        self.skip_ws();
+        if self.peek() != Some(b':') {
+            return Err(format!("expected `:` at byte {}", self.pos));
+        }
+        self.pos += 1;
+        self.expect = Expect::Value;
+        Ok(Token::Key(key))
+    }
+
+    fn keyword(&mut self, word: &str, token: Token<'a>) -> Result<Token<'a>, String> {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(token)
+        } else {
+            Err(format!("invalid literal at byte {}", self.pos))
+        }
+    }
+
+    /// A number token: the run of number characters from here, which must
+    /// match the RFC 8259 grammar as a whole.
+    fn number(&mut self) -> Result<&'a str, String> {
+        let bytes = self.text.as_bytes();
+        let start = self.pos;
+        let in_run = |b: &u8| matches!(b, b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-');
+        // The grammar's longest match is a prefix of the run, so it is the
+        // whole run exactly when no run character follows it.
+        if let Some(end) = json_number_end(bytes, start) {
+            if !bytes.get(end).is_some_and(in_run) {
+                self.pos = end;
+                return Ok(&self.text[start..end]);
+            }
+        }
+        let digits = start + usize::from(bytes[start] == b'-');
+        let end = digits + bytes[digits..].iter().take_while(|b| in_run(b)).count();
+        if end == digits {
+            Err(format!("expected a number at byte {start}"))
+        } else {
+            Err(format!(
+                "invalid number `{}` at byte {start}",
+                &self.text[start..end]
+            ))
+        }
+    }
+
+    /// A string, unescaped: a slice of the text unless it holds an escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+        let bytes = self.text.as_bytes();
+        if self.peek() != Some(b'"') {
+            return Err(format!("expected `\"` at byte {}", self.pos));
+        }
+        self.pos += 1;
+        // `run` starts the stretch not yet copied into `owned`; it and
+        // `pos` only ever stop at ASCII bytes, so they are char boundaries.
+        let mut run = self.pos;
+        let mut owned: Option<String> = None;
+        loop {
+            self.pos += bytes[self.pos..]
+                .iter()
+                .take_while(|&&b| b != b'"' && b != b'\\' && b >= 0x20)
+                .count();
+            match bytes.get(self.pos) {
+                None => return Err("unterminated string".to_string()),
+                Some(b'"') => {
+                    let tail = &self.text[run..self.pos];
+                    self.pos += 1;
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut out) => {
+                            out.push_str(tail);
+                            Cow::Owned(out)
+                        }
+                    });
+                }
+                Some(b'\\') => {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(&self.text[run..self.pos]);
+                    self.pos += 1;
+                    out.push(match bytes.get(self.pos) {
+                        Some(b'"') => '"',
+                        Some(b'\\') => '\\',
+                        Some(b'/') => '/',
+                        Some(b'n') => '\n',
+                        Some(b'r') => '\r',
+                        Some(b't') => '\t',
+                        Some(b'b') => '\u{8}',
+                        Some(b'f') => '\u{c}',
+                        Some(b'u') => {
+                            // Exactly four hex digits: `from_str_radix`
+                            // alone also accepts a sign (`\\u+041`).
+                            let code = self
+                                .text
+                                .get(self.pos + 1..self.pos + 5)
+                                .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                                .ok_or_else(|| {
+                                    format!("invalid \\u escape at byte {}", self.pos)
+                                })?;
+                            self.pos += 4;
+                            // Surrogate pairs are not needed by the
+                            // workspace's formats; map unpaired surrogates
+                            // to the replacement char.
+                            char::from_u32(code).unwrap_or('\u{fffd}')
+                        }
+                        _ => return Err(format!("invalid escape at byte {}", self.pos)),
+                    });
+                    self.pos += 1;
+                    run = self.pos;
+                }
+                Some(_) => return Err(format!("control character in string at byte {}", self.pos)),
             }
         }
     }
 }
 
-fn parse_array(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    expect(bytes, pos, b'[')?;
-    let mut items = Vec::new();
-    skip_ws(bytes, pos);
-    if matches!(bytes.get(*pos), Some(b']')) {
-        *pos += 1;
-        return Ok(Json::Arr(items));
+/// Where the longest match of the RFC 8259 number grammar,
+/// `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`, from `start` ends;
+/// `None` when no number starts there. Every such text also parses as an
+/// `f64`.
+fn json_number_end(bytes: &[u8], start: usize) -> Option<usize> {
+    let digits = |i: &mut usize| {
+        let first = *i;
+        while bytes.get(*i).is_some_and(u8::is_ascii_digit) {
+            *i += 1;
+        }
+        *i > first
+    };
+    let mut i = start + usize::from(bytes.get(start) == Some(&b'-'));
+    match bytes.get(i) {
+        Some(b'0') => i += 1,
+        Some(b'1'..=b'9') => {
+            digits(&mut i);
+        }
+        _ => return None,
     }
-    loop {
-        items.push(parse_value(bytes, pos, depth)?);
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            _ => return Err(format!("expected `,` or `]` at byte {}", *pos)),
+    if bytes.get(i) == Some(&b'.') {
+        i += 1;
+        if !digits(&mut i) {
+            return None;
         }
     }
-}
-
-fn parse_object(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
-    let mut members = Vec::new();
-    skip_ws(bytes, pos);
-    if matches!(bytes.get(*pos), Some(b'}')) {
-        *pos += 1;
-        return Ok(Json::Obj(members));
-    }
-    loop {
-        skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
-        skip_ws(bytes, pos);
-        expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth)?;
-        members.push((key, value));
-        skip_ws(bytes, pos);
-        match bytes.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Json::Obj(members));
-            }
-            _ => return Err(format!("expected `,` or `}}` at byte {}", *pos)),
+    if matches!(bytes.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        if matches!(bytes.get(i), Some(b'+' | b'-')) {
+            i += 1;
+        }
+        if !digits(&mut i) {
+            return None;
         }
     }
+    Some(i)
 }
 
 #[cfg(test)]
@@ -466,6 +687,79 @@ mod tests {
         assert!(Json::parse(&at_bound).is_ok());
         let past_bound = format!("{{\"a\":{at_bound}}}");
         assert!(Json::parse(&past_bound).is_err());
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_8259_grammar() {
+        for token in [
+            "+1", ".5", "1.", "01", "-01", "1.e5", "1e", "1e+", "-", "1-2", "0x1",
+        ] {
+            for doc in [
+                token.to_string(),
+                format!("[{token}]"),
+                format!("{{\"a\":{token}}}"),
+            ] {
+                assert!(Json::parse(&doc).is_err(), "accepted {doc}");
+            }
+        }
+        for token in ["0", "-0", "10", "0.5", "-1.25e-3", "1E+9", "2e0"] {
+            assert_eq!(Json::parse(token), Ok(Json::Num(token.into())));
+        }
+        assert_eq!(
+            Json::parse("[01]"),
+            Err("invalid number `01` at byte 1".to_string())
+        );
+    }
+
+    #[test]
+    fn raw_control_characters_in_strings_are_rejected() {
+        for c in ['\u{0}', '\n', '\t', '\u{1f}'] {
+            assert!(
+                Json::parse(&format!("\"a{c}b\"")).is_err(),
+                "accepted {c:?}"
+            );
+            assert!(
+                Json::parse(&format!("{{\"a{c}\":1}}")).is_err(),
+                "accepted {c:?}"
+            );
+        }
+        assert_eq!(Json::parse("\"\u{7f}\""), Ok(Json::Str("\u{7f}".into())));
+    }
+
+    #[test]
+    fn tokens_borrow_unescaped_strings_and_skip_values() {
+        let text = r#"{"a":"plain","b\u0041":"x\ny","c":[1,{"d":[]}],"e":-2.5}"#;
+        let mut tokens = Tokenizer::new(text);
+        assert_eq!(tokens.next_token(), Ok(Token::BeginObject));
+        assert!(matches!(
+            tokens.next_token(),
+            Ok(Token::Key(Cow::Borrowed("a")))
+        ));
+        assert!(matches!(
+            tokens.next_token(),
+            Ok(Token::Str(Cow::Borrowed("plain")))
+        ));
+        assert!(matches!(tokens.next_token(), Ok(Token::Key(Cow::Owned(k))) if k == "bA"));
+        assert!(matches!(tokens.next_token(), Ok(Token::Str(Cow::Owned(s))) if s == "x\ny"));
+        assert!(matches!(tokens.next_token(), Ok(Token::Key(k)) if k == "c"));
+        assert_eq!(tokens.next_token(), Ok(Token::BeginArray));
+        tokens.skip_rest(&Token::BeginArray).unwrap();
+        assert!(matches!(tokens.next_token(), Ok(Token::Key(k)) if k == "e"));
+        assert_eq!(tokens.next_token(), Ok(Token::Num("-2.5")));
+        assert_eq!(tokens.next_token(), Ok(Token::EndObject));
+        assert_eq!(
+            tokens.next_token(),
+            Err("unexpected end of input".to_string())
+        );
+        assert_eq!(tokens.finish(), Ok(()));
+        // A skipped value is checked like any other.
+        let mut tokens = Tokenizer::new("[[1,],2]");
+        assert_eq!(tokens.next_token(), Ok(Token::BeginArray));
+        assert_eq!(tokens.next_token(), Ok(Token::BeginArray));
+        assert_eq!(
+            tokens.skip_rest(&Token::BeginArray),
+            Err("expected a number at byte 4".to_string())
+        );
     }
 
     #[test]

@@ -32,6 +32,17 @@
 //! salt differs from [`CACHE_SALT`] are ignored wholesale, which is how
 //! bumping the salt invalidates old caches.
 //!
+//! ## Reading and writing a shard
+//!
+//! No `Json` tree is built for a shard. The writer lays the bytes out by
+//! hand, as the Chrome trace and journal exporters do, quoting through the
+//! codec's `write_str`. The reader walks the document through the codec's
+//! one [`Tokenizer`] and decodes each entry straight into the map. It
+//! accepts exactly what a lookup in the parsed tree would: the whole text
+//! must be valid JSON, and the first of each repeated member counts. A
+//! unit test keeps that tree lookup as the reference and compares the two
+//! on non-canonical documents.
+//!
 //! ## Float fidelity, including non-finite values
 //!
 //! Finite metrics are stored as shortest-round-trip numeric tokens (parsed
@@ -59,8 +70,10 @@
 //! to the one a single unsharded run would have written.
 
 use crate::digest::{CellDigest, CACHE_SALT};
-use mcsched_obs::json::Json;
+use mcsched_obs::json::{write_str, Token, Tokenizer};
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -246,6 +259,16 @@ impl CellCache {
         self.misses.load(Ordering::Relaxed)
     }
 
+    /// Every cell held in memory, in no particular order.
+    #[must_use]
+    pub fn cells(&self) -> Vec<(CellDigest, CellMetrics)> {
+        let mut cells = Vec::new();
+        for shard in &self.shards {
+            cells.extend(lock(shard).cells.iter().map(|(k, m)| (CellDigest(*k), *m)));
+        }
+        cells
+    }
+
     /// Looks up a cell, counting the hit or miss.
     #[must_use]
     pub fn lookup(&self, key: CellDigest) -> Option<CellMetrics> {
@@ -330,7 +353,8 @@ impl CellCache {
             }
             let path = shard_path(dir, index);
             let tmp = path.with_extension("json.tmp");
-            let written = std::fs::write(&tmp, render_shard(&shard.cells))
+            let cells = shard.cells.iter().map(|(k, m)| (*k, *m)).collect();
+            let written = std::fs::write(&tmp, render_shard(cells))
                 .and_then(|()| std::fs::rename(&tmp, &path));
             match written {
                 Ok(()) => {
@@ -421,115 +445,182 @@ fn remove_stale_temporaries(dir: &Path) -> io::Result<()> {
     Ok(())
 }
 
-/// Serializes one metric field. Finite values become shortest-round-trip
+/// Appends one metric field. Finite values become shortest-round-trip
 /// numeric tokens (bit-exact through the raw-token parser); non-finite
 /// values have no JSON literal and become the lossless bit-pattern sentinel
 /// `"bits:<16 hex digits>"` (an early version fed them to the numeric
 /// formatter, producing an invalid `NaN` token that poisoned its shard).
-fn render_f64_cell(value: f64) -> Json {
+fn write_f64_cell(out: &mut String, value: f64) {
     if value.is_finite() {
-        Json::num_f64(value)
+        let _ = write!(out, "{value}");
     } else {
-        Json::Str(format!("bits:{:016x}", value.to_bits()))
+        let _ = write!(out, "\"bits:{:016x}\"", value.to_bits());
     }
 }
 
-/// Parses a metric field written by [`render_f64_cell`]: a numeric token
-/// (any finite value, recovered from the raw token text) or the
+/// Decodes a metric field written by [`write_f64_cell`] from its token: a
+/// number (any finite value, recovered from the raw token text) or the
 /// `"bits:<16 hex digits>"` sentinel (recovered by exact bit pattern).
-fn parse_f64_cell(value: &Json) -> Option<f64> {
-    if let Some(v) = value.as_f64() {
-        return Some(v);
+fn parse_f64_cell(token: &Token<'_>) -> Option<f64> {
+    match token {
+        Token::Num(raw) => raw.parse().ok(),
+        Token::Str(text) => {
+            let hex = text.strip_prefix("bits:")?;
+            if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return None;
+            }
+            u64::from_str_radix(hex, 16).ok().map(f64::from_bits)
+        }
+        _ => None,
     }
-    let hex = value.as_str()?.strip_prefix("bits:")?;
-    if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
-        return None;
-    }
-    u64::from_str_radix(hex, 16).ok().map(f64::from_bits)
 }
 
 /// Serializes a shard. Cells are emitted in key order so flushing the same
-/// content always produces the same bytes (shard files diff cleanly).
-fn render_shard(cells: &HashMap<u128, CellMetrics>) -> String {
-    let mut keys: Vec<&u128> = cells.keys().collect();
-    keys.sort_unstable();
-    let entries: Vec<Json> = keys
-        .into_iter()
-        .map(|key| {
-            let m = &cells[key];
-            Json::Obj(vec![
-                ("key".into(), Json::Str(CellDigest(*key).to_hex())),
-                ("unfairness".into(), render_f64_cell(m.unfairness)),
-                ("makespan".into(), render_f64_cell(m.makespan)),
-                (
-                    "average_slowdown".into(),
-                    render_f64_cell(m.average_slowdown),
-                ),
-            ])
-        })
-        .collect();
-    let doc = Json::Obj(vec![
-        ("version".into(), Json::num_u64(FORMAT_VERSION)),
-        ("salt".into(), Json::Str(CACHE_SALT.to_string())),
-        ("cells".into(), Json::Arr(entries)),
-    ]);
-    let mut text = doc.render();
-    text.push('\n');
-    text
+/// content always produces the same bytes (shard files diff cleanly). The
+/// layout is `{"version":1,"salt":…,"cells":[{"key":…,"unfairness":…,
+/// "makespan":…,"average_slowdown":…},…]}` and a newline, compact.
+fn render_shard(mut cells: Vec<(u128, CellMetrics)>) -> String {
+    cells.sort_unstable_by_key(|&(key, _)| key);
+    let mut out = String::with_capacity(64 + 160 * cells.len());
+    let _ = write!(out, "{{\"version\":{FORMAT_VERSION},\"salt\":");
+    write_str(&mut out, CACHE_SALT);
+    out.push_str(",\"cells\":[");
+    for (i, (key, m)) in cells.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        let _ = write!(out, "{{\"key\":\"{key:032x}\",\"unfairness\":");
+        write_f64_cell(&mut out, m.unfairness);
+        out.push_str(",\"makespan\":");
+        write_f64_cell(&mut out, m.makespan);
+        out.push_str(",\"average_slowdown\":");
+        write_f64_cell(&mut out, m.average_slowdown);
+        out.push('}');
+    }
+    out.push_str("]}\n");
+    out
 }
 
 /// Parses a shard document, returning the recovered cells and the number of
 /// individually malformed entries that were skipped. Failures of the
-/// *document* (unparseable JSON, wrong version, wrong salt, no `cells`
-/// array) still reject the whole shard — those checks guard the contract,
-/// not one record. But within a structurally valid document, recovery is
-/// **per cell**: a malformed entry is skipped and counted while every good
-/// entry is served (an early version discarded the whole shard on one bad
-/// record, silently recomputing everything).
+/// *document* (invalid JSON anywhere, wrong version, wrong salt, no `cells`
+/// array, checked in that order) still reject the whole shard — those
+/// checks guard the contract, not one record. But within a structurally
+/// valid document, recovery is **per cell**: a malformed entry is skipped
+/// and counted while every good entry is served (an early version discarded
+/// the whole shard on one bad record, silently recomputing everything).
+///
+/// The document is walked token by token and each entry decoded straight
+/// into the map. As in an object lookup, the first `version`, `salt` and
+/// `cells` member counts and so does each entry's first `key`,
+/// `unfairness`, `makespan` and `average_slowdown`; every other member is
+/// skipped, its syntax still checked.
 fn parse_shard(text: &str) -> Result<(HashMap<u128, CellMetrics>, usize), String> {
-    let doc = Json::parse(text)?;
-    let version = doc.get("version").and_then(Json::as_u64);
+    let mut tokens = Tokenizer::new(text);
+    let mut version: Option<Option<u64>> = None;
+    let mut salt: Option<Option<Cow<'_, str>>> = None;
+    let mut cells: Option<Option<(HashMap<u128, CellMetrics>, usize)>> = None;
+    let first = tokens.next_token()?;
+    if first == Token::BeginObject {
+        while let Token::Key(name) = tokens.next_token()? {
+            let value = tokens.next_token()?;
+            match &*name {
+                "version" if version.is_none() => {
+                    version = Some(match &value {
+                        Token::Num(raw) => raw.parse().ok(),
+                        _ => None,
+                    });
+                }
+                "salt" if salt.is_none() => {
+                    salt = Some(match &value {
+                        Token::Str(text) => Some(text.clone()),
+                        _ => None,
+                    });
+                }
+                "cells" if cells.is_none() && value == Token::BeginArray => {
+                    // A canonical entry takes more than 96 bytes.
+                    cells = Some(Some(parse_entries(&mut tokens, text.len() / 96)?));
+                    continue;
+                }
+                "cells" if cells.is_none() => cells = Some(None),
+                _ => {}
+            }
+            tokens.skip_rest(&value)?;
+        }
+    } else {
+        tokens.skip_rest(&first)?;
+    }
+    tokens.finish()?;
+    let version = version.flatten();
     if version != Some(FORMAT_VERSION) {
         return Err(format!(
             "unsupported cache format version {version:?} (expected {FORMAT_VERSION})"
         ));
     }
-    let salt = doc.get("salt").and_then(Json::as_str);
-    if salt != Some(CACHE_SALT) {
+    let salt = salt.flatten();
+    if salt.as_deref() != Some(CACHE_SALT) {
         return Err(format!(
-            "cache salt {salt:?} does not match this build's `{CACHE_SALT}`"
+            "cache salt {:?} does not match this build's `{CACHE_SALT}`",
+            salt.as_deref()
         ));
     }
-    let entries = doc
-        .get("cells")
-        .and_then(Json::as_arr)
-        .ok_or("missing `cells` array")?;
-    let mut cells = HashMap::with_capacity(entries.len());
+    cells
+        .flatten()
+        .ok_or_else(|| "missing `cells` array".to_string())
+}
+
+/// Decodes the entries of a `cells` array whose `[` was just read, through
+/// its `]`: the cells and the number of malformed entries skipped.
+fn parse_entries(
+    tokens: &mut Tokenizer<'_>,
+    capacity: usize,
+) -> Result<(HashMap<u128, CellMetrics>, usize), String> {
+    const FIELDS: [&str; 3] = ["unfairness", "makespan", "average_slowdown"];
+    let mut cells = HashMap::with_capacity(capacity);
     let mut skipped = 0usize;
-    for entry in entries {
-        let parsed = entry
-            .get("key")
-            .and_then(Json::as_str)
-            .and_then(CellDigest::from_hex)
-            .and_then(|key| {
-                let field = |name: &str| entry.get(name).and_then(parse_f64_cell);
-                Some((
-                    key,
-                    CellMetrics {
-                        unfairness: field("unfairness")?,
-                        makespan: field("makespan")?,
-                        average_slowdown: field("average_slowdown")?,
-                    },
-                ))
-            });
-        match parsed {
-            Some((key, metrics)) => {
-                cells.insert(key.0, metrics);
+    loop {
+        match tokens.next_token()? {
+            Token::EndArray => return Ok((cells, skipped)),
+            Token::BeginObject => {
+                let mut key: Option<Option<CellDigest>> = None;
+                let mut fields: [Option<Option<f64>>; 3] = [None; 3];
+                while let Token::Key(name) = tokens.next_token()? {
+                    let value = tokens.next_token()?;
+                    if &*name == "key" {
+                        if key.is_none() {
+                            key = Some(match &value {
+                                Token::Str(hex) => CellDigest::from_hex(hex),
+                                _ => None,
+                            });
+                        }
+                    } else if let Some(i) = FIELDS.iter().position(|f| *f == name) {
+                        if fields[i].is_none() {
+                            fields[i] = Some(parse_f64_cell(&value));
+                        }
+                    }
+                    tokens.skip_rest(&value)?;
+                }
+                let [unfairness, makespan, average_slowdown] = fields.map(Option::flatten);
+                match (key.flatten(), unfairness, makespan, average_slowdown) {
+                    (Some(key), Some(unfairness), Some(makespan), Some(average_slowdown)) => {
+                        cells.insert(
+                            key.0,
+                            CellMetrics {
+                                unfairness,
+                                makespan,
+                                average_slowdown,
+                            },
+                        );
+                    }
+                    _ => skipped += 1,
+                }
             }
-            None => skipped += 1,
+            other => {
+                tokens.skip_rest(&other)?;
+                skipped += 1;
+            }
         }
     }
-    Ok((cells, skipped))
 }
 
 /// What [`merge_cache_dirs`] accomplished.
@@ -644,15 +735,17 @@ impl From<io::Error> for MergeError {
 /// (both file paths are named; nothing is written).
 pub fn merge_cache_dirs(sources: &[PathBuf], dest: &Path) -> Result<MergeReport, MergeError> {
     // Union in memory first: conflicts must abort before any byte of the
-    // destination changes.
-    let mut merged: HashMap<u128, (CellMetrics, PathBuf)> = HashMap::new();
+    // destination changes. Each cell remembers the index of the shard file
+    // it came from in `files`, for a conflict report.
+    let mut merged: HashMap<u128, (CellMetrics, usize)> = HashMap::new();
+    let mut files: Vec<PathBuf> = Vec::new();
     let mut duplicates = 0usize;
     let mut skipped = 0usize;
     let mut read_sources = 0usize;
     let mut dest_cells = 0usize;
 
     let mut absorb = |dir: &Path,
-                      merged: &mut HashMap<u128, (CellMetrics, PathBuf)>|
+                      merged: &mut HashMap<u128, (CellMetrics, usize)>|
      -> Result<(usize, usize), MergeError> {
         let mut absorbed = 0usize;
         let mut present = 0usize;
@@ -664,27 +757,29 @@ pub fn merge_cache_dirs(sources: &[PathBuf], dest: &Path) -> Result<MergeReport,
                 Err(e) => return Err(MergeError::Io(e)),
             };
             present += 1;
-            let (cells, bad) = parse_shard(&text).map_err(|reason| MergeError::Incompatible {
-                path: path.clone(),
-                reason,
-            })?;
+            let (cells, bad) = match parse_shard(&text) {
+                Ok(parsed) => parsed,
+                Err(reason) => return Err(MergeError::Incompatible { path, reason }),
+            };
             skipped += bad;
+            let file = files.len();
+            files.push(path);
             for (key, metrics) in cells {
                 match merged.entry(key) {
                     std::collections::hash_map::Entry::Occupied(seen) => {
-                        let (existing, first) = seen.get();
+                        let (existing, first) = *seen.get();
                         if !existing.bits_eq(&metrics) {
                             mcsched_obs::counter!("cache.merge.conflict").inc();
                             return Err(MergeError::Conflict {
                                 digest: CellDigest(key),
-                                first: first.clone(),
-                                second: path.clone(),
+                                first: files[first].clone(),
+                                second: files[file].clone(),
                             });
                         }
                         duplicates += 1;
                     }
                     std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert((metrics, path.clone()));
+                        slot.insert((metrics, file));
                         absorbed += 1;
                     }
                 }
@@ -711,12 +806,11 @@ pub fn merge_cache_dirs(sources: &[PathBuf], dest: &Path) -> Result<MergeReport,
     // non-empty shards get a file — exactly what an unsharded run's
     // flush-on-dirty policy produces, preserving byte-identical dirs.
     std::fs::create_dir_all(dest).map_err(MergeError::Io)?;
-    let mut by_shard: Vec<HashMap<u128, CellMetrics>> =
-        (0..SHARD_COUNT).map(|_| HashMap::new()).collect();
+    let mut by_shard: Vec<Vec<(u128, CellMetrics)>> = vec![Vec::new(); SHARD_COUNT];
     for (key, (metrics, _)) in &merged {
-        by_shard[CellDigest(*key).shard(SHARD_COUNT)].insert(*key, *metrics);
+        by_shard[CellDigest(*key).shard(SHARD_COUNT)].push((*key, *metrics));
     }
-    for (index, cells) in by_shard.iter().enumerate() {
+    for (index, cells) in by_shard.into_iter().enumerate() {
         if cells.is_empty() {
             continue;
         }
@@ -1169,6 +1263,301 @@ mod tests {
         b.insert(key(1), metrics(1.0));
         b.flush().unwrap();
         assert_eq!(snapshot(other.path()), first);
+    }
+
+    /// The shard reader before the token walk, kept as the reference: parse
+    /// the tree, then look the members up in it.
+    fn parse_shard_tree(text: &str) -> Result<(HashMap<u128, CellMetrics>, usize), String> {
+        use mcsched_obs::json::Json;
+        fn f64_cell(value: &Json) -> Option<f64> {
+            if let Some(v) = value.as_f64() {
+                return Some(v);
+            }
+            let hex = value.as_str()?.strip_prefix("bits:")?;
+            if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+                return None;
+            }
+            u64::from_str_radix(hex, 16).ok().map(f64::from_bits)
+        }
+        let doc = Json::parse(text)?;
+        let version = doc.get("version").and_then(Json::as_u64);
+        if version != Some(FORMAT_VERSION) {
+            return Err(format!(
+                "unsupported cache format version {version:?} (expected {FORMAT_VERSION})"
+            ));
+        }
+        let salt = doc.get("salt").and_then(Json::as_str);
+        if salt != Some(CACHE_SALT) {
+            return Err(format!(
+                "cache salt {salt:?} does not match this build's `{CACHE_SALT}`"
+            ));
+        }
+        let entries = doc
+            .get("cells")
+            .and_then(Json::as_arr)
+            .ok_or("missing `cells` array")?;
+        let mut cells = HashMap::new();
+        let mut skipped = 0usize;
+        for entry in entries {
+            let parsed = entry
+                .get("key")
+                .and_then(Json::as_str)
+                .and_then(CellDigest::from_hex)
+                .and_then(|key| {
+                    let field = |name: &str| entry.get(name).and_then(f64_cell);
+                    Some((
+                        key,
+                        CellMetrics {
+                            unfairness: field("unfairness")?,
+                            makespan: field("makespan")?,
+                            average_slowdown: field("average_slowdown")?,
+                        },
+                    ))
+                });
+            match parsed {
+                Some((key, metrics)) => {
+                    cells.insert(key.0, metrics);
+                }
+                None => skipped += 1,
+            }
+        }
+        Ok((cells, skipped))
+    }
+
+    type Outcome = Result<(Vec<(u128, [u64; 3])>, usize), String>;
+
+    /// A reader's result in a comparable form: cells by key, as bits.
+    fn outcome(parsed: Result<(HashMap<u128, CellMetrics>, usize), String>) -> Outcome {
+        parsed.map(|(cells, skipped)| {
+            let mut cells: Vec<_> = cells.into_iter().map(|(k, m)| (k, m.to_bits())).collect();
+            cells.sort_unstable();
+            (cells, skipped)
+        })
+    }
+
+    fn assert_readers_agree(text: &str) -> Outcome {
+        let streamed = outcome(parse_shard(text));
+        assert_eq!(streamed, outcome(parse_shard_tree(text)), "document {text}");
+        streamed
+    }
+
+    /// `text` with its first `0` written as the escape `0`.
+    fn escape_first_zero(text: &str) -> String {
+        text.replacen('0', "\\u0030", 1)
+    }
+
+    #[test]
+    fn shard_walk_matches_the_tree_reader_on_non_canonical_documents() {
+        let hex = key(1).to_hex();
+        let hex_b = key(2).to_hex();
+        let entry =
+            format!(r#"{{"key":"{hex}","unfairness":0.5,"makespan":10,"average_slowdown":2}}"#);
+        let canonical = format!(r#"{{"version":1,"salt":"{CACHE_SALT}","cells":[{entry}]}}"#);
+        let cases = [
+            canonical.clone(),
+            // Members reordered, and whitespace between every token.
+            format!(
+                " {{ \"cells\" :\n[ {entry} ,\t{entry} ] ,\r\n\"salt\" : \"{CACHE_SALT}\" , \"version\" : 1 }} \n"
+            ),
+            // Duplicated top-level members: the first of each counts.
+            format!(r#"{{"version":1,"version":2,"salt":"{CACHE_SALT}","salt":"x","cells":[{entry}],"cells":[]}}"#),
+            format!(r#"{{"version":2,"version":1,"salt":"{CACHE_SALT}","cells":[]}}"#),
+            format!(r#"{{"version":1,"salt":"x","salt":"{CACHE_SALT}","cells":[]}}"#),
+            format!(r#"{{"version":1,"salt":"{CACHE_SALT}","cells":{{}},"cells":[{entry}]}}"#),
+            format!(r#"{{"version":1,"salt":"{CACHE_SALT}","cells":"[]"}}"#),
+            format!(r#"{{"version":1,"salt":"{CACHE_SALT}"}}"#),
+            // Escaped keys, member names and salt.
+            format!(
+                r#"{{"version":1,"salt":"{}","cells":[{{"key":"{}","unfairness":"bits:7ff8000000000000","makespan":1,"average_slowdown":2}}]}}"#,
+                escape_first_zero(&CACHE_SALT.replace('m', "\\u006d")),
+                escape_first_zero(&hex),
+            ),
+            // Extra, duplicated and nested fields in entries.
+            format!(
+                r#"{{"version":1,"salt":"{CACHE_SALT}","note":{{"a":[1,{{"b":null}}]}},"cells":[{{"x":[[]],"key":"{hex}","key":"{hex_b}","unfairness":1,"unfairness":"bits:zz","makespan":2,"average_slowdown":3,"makespan":"4"}}]}}"#
+            ),
+            // Non-object entries and wrongly typed fields.
+            format!(
+                r#"{{"version":1,"salt":"{CACHE_SALT}","cells":[[],1,"x",null,true,{{}},{entry},{{"key":7,"unfairness":1,"makespan":1,"average_slowdown":1}},{{"key":"{hex_b}","unfairness":[1],"makespan":1,"average_slowdown":1}},{{"key":"{hex_b}","unfairness":1,"makespan":{{"v":1}},"average_slowdown":false}},{{"key":"{}","unfairness":1,"makespan":1,"average_slowdown":1}}]}}"#,
+                hex.to_uppercase()
+            ),
+            // The same key twice: the later entry wins.
+            format!(
+                r#"{{"version":1,"salt":"{CACHE_SALT}","cells":[{entry},{{"key":"{hex}","unfairness":1,"makespan":1,"average_slowdown":1}}]}}"#
+            ),
+            // A wrong version with a wrong salt: the version is reported.
+            r#"{"version":3,"salt":"other","cells":[]}"#.to_string(),
+            r#"{"version":"1","salt":"other"}"#.to_string(),
+            format!(r#"{{"version":1.0,"salt":"{CACHE_SALT}","cells":[]}}"#),
+            r#"{"version":1,"salt":7,"cells":[]}"#.to_string(),
+            // Documents that are not objects, and ones that are not JSON.
+            format!("[{canonical}]"),
+            "1".to_string(),
+            "\"shard\"".to_string(),
+            canonical.replace(":0.5", ":.5"),
+            format!("{canonical} x"),
+            canonical[..canonical.len() / 2].to_string(),
+            format!(r#"{{"version":1,"salt":"{CACHE_SALT}","cells":[],"deep":{}{}}}"#, "[".repeat(200), "]".repeat(200)),
+        ];
+        for case in &cases {
+            let _ = assert_readers_agree(case);
+        }
+        assert_eq!(
+            assert_readers_agree(&cases[2]).map(|(cells, _)| cells.len()),
+            Ok(1)
+        );
+        assert_eq!(
+            assert_readers_agree(&cases[12]),
+            Err("unsupported cache format version Some(3) (expected 1)".to_string())
+        );
+        // Every prefix of a non-canonical document, to compare the errors.
+        for end in 0..cases[1].len() {
+            if cases[1].is_char_boundary(end) {
+                let _ = assert_readers_agree(&cases[1][..end]);
+            }
+        }
+    }
+
+    /// SplitMix64, for the generated differential cases.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn pick<'a>(state: &mut u64, options: &[&'a str]) -> &'a str {
+        options[next(state) as usize % options.len()]
+    }
+
+    /// `items` in a random order.
+    fn shuffle(state: &mut u64, items: &mut [String]) {
+        for i in (1..items.len()).rev() {
+            items.swap(i, next(state) as usize % (i + 1));
+        }
+    }
+
+    /// A random shard-like document: each of `version`, `salt` and `cells`
+    /// most likely present and valid, plus duplicated and foreign members,
+    /// in random order, with random whitespace.
+    fn gen_shard_doc(state: &mut u64) -> String {
+        let ws = |state: &mut u64| pick(state, &["", "", " ", "\n\t "]).to_string();
+        let salt = format!("\"{CACHE_SALT}\"");
+        let escaped_salt = format!("\"{}\"", escape_first_zero(CACHE_SALT));
+        let mut members = Vec::new();
+        for slot in 0..3 + next(state) % 3 {
+            if slot < 3 && next(state).is_multiple_of(8) {
+                continue;
+            }
+            let (name, value) = match if slot < 3 { slot } else { next(state) % 4 } {
+                0 => (
+                    "version",
+                    pick(state, &["1", "1", "1", "2", "\"1\"", "1e0"]).to_string(),
+                ),
+                1 => (
+                    "salt",
+                    pick(state, &[&salt, &salt, &escaped_salt, "\"x\"", "[]"]).to_string(),
+                ),
+                2 => {
+                    let entries: Vec<String> =
+                        (0..next(state) % 5).map(|_| gen_entry(state)).collect();
+                    let value = format!("[{}]", entries.join(&format!("{},", ws(state))));
+                    (
+                        "cells",
+                        if next(state).is_multiple_of(8) {
+                            "{}".to_string()
+                        } else {
+                            value
+                        },
+                    )
+                }
+                _ => (
+                    pick(state, &["note", "c\\u0065lls"]),
+                    "{\"a\":[1,{}]}".to_string(),
+                ),
+            };
+            members.push(format!(
+                "{}\"{name}\"{}:{}{value}",
+                ws(state),
+                ws(state),
+                ws(state)
+            ));
+        }
+        shuffle(state, &mut members);
+        format!("{{{}}}{}", members.join(","), ws(state))
+    }
+
+    /// A random entry: most likely an object with the four fields, mostly
+    /// valid, plus duplicated and foreign ones, in random order.
+    fn gen_entry(state: &mut u64) -> String {
+        if next(state).is_multiple_of(8) {
+            return pick(state, &["[]", "null", "3", "\"k\""]).to_string();
+        }
+        let hex = key(next(state) % 6).to_hex();
+        let hexes = [
+            hex.clone(),
+            hex.clone(),
+            escape_first_zero(&hex),
+            hex.to_uppercase(),
+        ];
+        let names = ["key", "unfairness", "makespan", "average_slowdown"];
+        let extra = ["key", "makespan", "x", "m\\u0061kespan"];
+        let mut fields = Vec::new();
+        for slot in 0..4 + next(state) % 3 {
+            if slot < 4 && next(state).is_multiple_of(12) {
+                continue;
+            }
+            let name = if slot < 4 {
+                names[slot as usize]
+            } else {
+                pick(state, &extra)
+            };
+            let value = if name == "key" {
+                match next(state) % 10 {
+                    8 => "\"zz\"".to_string(),
+                    9 => "1".to_string(),
+                    i => format!("\"{}\"", hexes[i as usize % 4]),
+                }
+            } else if next(state).is_multiple_of(8) {
+                pick(
+                    state,
+                    &["\"bits:zz\"", "\"bits:7ff8\"", "true", "[1]", "{\"a\":{}}"],
+                )
+                .to_string()
+            } else {
+                pick(
+                    state,
+                    &["0.25", "-1e-3", "7", "2.5E2", "\"bits:7ff0000000000000\""],
+                )
+                .to_string()
+            };
+            fields.push(format!("\"{name}\":{value}"));
+        }
+        shuffle(state, &mut fields);
+        format!("{{{}}}", fields.join(","))
+    }
+
+    #[test]
+    fn shard_walk_matches_the_tree_reader_on_generated_documents() {
+        let mut state = 0x5EED_CE11;
+        let (mut accepted, mut cells, mut skipped) = (0, 0, 0);
+        for _ in 0..2000 {
+            let doc = gen_shard_doc(&mut state);
+            if let Ok((found, bad)) = assert_readers_agree(&doc) {
+                accepted += 1;
+                cells += found.len();
+                skipped += bad;
+            }
+            let cut = next(&mut state) as usize % (doc.len() + 1);
+            let _ = assert_readers_agree(&doc[..cut]);
+        }
+        // The generator reaches the accepting path, with cells and skipped
+        // entries, often.
+        assert!(
+            accepted > 200 && cells > 150 && skipped > 50,
+            "{accepted} accepted, {cells} cells, {skipped} skipped"
+        );
     }
 
     #[test]

@@ -8,9 +8,12 @@
 //! * for documents written by each format's own writer, the reader returns
 //!   the original value, every strict prefix that cuts into the document is
 //!   rejected, and every single-bit flip of an ASCII byte (which keeps the
-//!   text valid UTF-8) returns `Ok` or `Err` — never a panic;
+//!   text valid UTF-8) returns `Ok` or `Err` — never a panic. A shard is
+//!   damaged on disk and read back through `CellCache::open`, the cache's
+//!   own reader: a cut-short shard recovers no cell;
 //! * the non-finite tokens `NaN`, `Infinity` and `-Infinity`, and nesting
-//!   past the parser's depth bound, are errors for every reader.
+//!   past the parser's depth bound, are errors for every reader, the shard
+//!   reader (through `merge_cache_dirs`) included.
 //!
 //! The cases are driven by [`mcsched_stats::quickcheck::QuickCheck`]: a
 //! failure message prints the reproducing `(seed, size)` pair for
@@ -22,7 +25,9 @@ use mcsched::obs::metrics::HistogramSnapshot;
 use mcsched::obs::{Heartbeat, Histogram, MetricsSnapshot, RunManifest, RunPhase};
 use mcsched::prelude::*;
 use mcsched::runtime::cache::SHARD_COUNT;
-use mcsched::runtime::{CellCache, CellDigest, CellMetrics};
+use mcsched::runtime::{
+    merge_cache_dirs, CellCache, CellDigest, CellMetrics, MergeError, CACHE_SALT,
+};
 use mcsched::workload::{Trace, TraceEntry, WorkloadRequest};
 use mcsched_bench::ledger::{Ledger, Row};
 use rand::{Rng, RngCore};
@@ -357,17 +362,40 @@ fn cache_shards_survive_truncation_and_bit_flips() {
         let reopened = CellCache::open(dir.path(), true).expect("reopen");
         assert_eq!(reopened.resumed(), cells.len());
         assert!(reopened.lookup(first).is_some_and(|m| m.bits_eq(&cells[0])));
-        damage(rng, &text, Json::parse);
+        // Damage the file and reopen through the cache's own shard reader:
+        // a cut-short shard recovers no cell, a flipped one never panics.
+        damage(rng, &text, |damaged| {
+            std::fs::write(&path, damaged).expect("rewrite the shard");
+            match CellCache::open(dir.path(), true).expect("reopen").resumed() {
+                0 => Err("no cell recovered".to_string()),
+                n => Ok(n),
+            }
+        });
     });
+}
+
+/// Whether `merge_cache_dirs` accepts `text` as the one shard of a source:
+/// it reports a shard its reader rejects as `Incompatible`.
+fn shard_reader_accepts(text: &str) -> bool {
+    let source = TempDir::new();
+    let dest = TempDir::new();
+    std::fs::create_dir_all(source.path()).expect("source dir");
+    std::fs::write(source.path().join("shard-00.json"), text).expect("write the shard");
+    match merge_cache_dirs(&[source.path().to_path_buf()], dest.path()) {
+        Ok(_) => true,
+        Err(MergeError::Incompatible { .. }) => false,
+        Err(e) => panic!("merge failed outside the shard reader: {e}"),
+    }
 }
 
 /// Whether a reader accepts a document.
 type Accepts = fn(&str) -> bool;
 
 /// Every reader, for the hostile-input checks.
-fn readers() -> [(&'static str, Accepts); 6] {
+fn readers() -> [(&'static str, Accepts); 7] {
     [
         ("Json::parse", |t| Json::parse(t).is_ok()),
+        ("cache shard reader", shard_reader_accepts),
         ("Trace::from_json", |t| Trace::from_json(t).is_ok()),
         ("RunManifest::parse_json", |t| {
             RunManifest::parse_json(t).is_ok()
@@ -384,6 +412,14 @@ fn readers() -> [(&'static str, Accepts); 6] {
 
 #[test]
 fn non_finite_tokens_are_rejected() {
+    let shard = |token: &str| {
+        format!(
+            "{{\"version\":1,\"salt\":\"{CACHE_SALT}\",\"cells\":[{{\"key\":\"{}\",\
+             \"unfairness\":0.5,\"makespan\":{token},\"average_slowdown\":1}}]}}",
+            "0".repeat(32)
+        )
+    };
+    assert!(shard_reader_accepts(&shard("2.5")));
     for token in ["NaN", "Infinity", "-Infinity", "nan", "inf", "-inf"] {
         for doc in [
             token.to_string(),
@@ -391,6 +427,7 @@ fn non_finite_tokens_are_rejected() {
             format!("{{\"a\":{token}}}"),
             format!("{{\"counters\":{{\"c\":{token}}},\"gauges\":{{}},\"histograms\":{{}}}}"),
             format!("{{\"version\":1,\"salt\":\"s\",\"cells\":[{{\"makespan\":{token}}}]}}"),
+            shard(token),
         ] {
             for (name, read) in readers() {
                 assert!(!read(&doc), "{name} accepted {doc}");
