@@ -274,12 +274,14 @@ pub(crate) fn strategy_labels(strategies: &[Arc<dyn ConstraintPolicy>]) -> Vec<S
 /// per-cell sample sets.
 ///
 /// Work runs on the scoped fan-out of `mcsched-runtime`
-/// ([`CampaignConfig::threads`] threads): data points run one after
-/// another, each fanning its scenarios out. With [`CampaignConfig::cache_dir`] set, every
-/// (scenario, policy) cell is served from the content-addressed cell cache
-/// when present and stored after evaluation, with one flush per completed
-/// data point — re-runs skip finished work and interrupted runs resume from
-/// the completed shards (see [`crate::cells`]).
+/// ([`CampaignConfig::threads`] threads): one fan-out over the whole grid,
+/// one task per combination, each generating its applications and
+/// evaluating their four site scenarios. With [`CampaignConfig::cache_dir`]
+/// set, every (scenario, policy) cell is served from the content-addressed
+/// cell cache when present and stored after evaluation, with one flush per
+/// completed data point, in grid order — re-runs skip finished work and
+/// interrupted runs resume from the completed shards (see
+/// [`crate::cells`]).
 ///
 /// Each scenario drives all strategies through one shared
 /// [`mcsched_core::ScheduleContext`] (the paired-evaluation path), so the

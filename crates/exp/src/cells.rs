@@ -22,14 +22,24 @@
 //! evaluating a *subset* of policies yields bit-identical results to
 //! evaluating all of them, which is what makes per-policy cache granularity
 //! sound.
+//!
+//! Every campaign runs its grid through `CellJob::run_grid`: one fan-out
+//! over all (replication, PTG count, combination) triples in grid order,
+//! each task generating one combination and evaluating its four site
+//! scenarios. There is no barrier per data point. Results, side effects
+//! (cache flush, progress tick, heartbeat) and errors all follow grid
+//! order, and at most `threads` combinations' graphs are alive at once.
 
 use crate::campaign::CampaignConfig;
-use crate::scenario::{generate_scenarios_with, replication_seed, Scenario};
+use crate::scenario::{generate_combination, replication_seed, Scenario};
 use mcsched_core::policy::ConstraintPolicy;
 use mcsched_core::{SchedError, SchedulerConfig};
+use mcsched_platform::{grid5000, Platform};
 use mcsched_runtime::{run_indexed, CellCache, CellDigest, CellMetrics, DigestBuilder, Progress};
+use std::ops::Range;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// The digest builder of one scenario, covering every policy-independent
 /// input: provenance (source spec, request seed, scenario name, pipeline
@@ -261,7 +271,10 @@ pub(crate) type DataPointOutcomes = Vec<Vec<CellMetrics>>;
 /// configuration, cache and progress. Every campaign — the figures and the
 /// µ calibration alike — drives its grid through [`CellJob::run_grid`], so
 /// the fan-out shape, the cache/flush cadence and the digest inputs live in
-/// exactly one place.
+/// exactly one place. One task is one combination of one data point: it
+/// generates the combination's applications, evaluates its site scenarios
+/// and drops the graphs, so at most `threads` combinations' graphs are
+/// alive at once.
 pub(crate) struct CellJob {
     /// The campaign, with at least one replication.
     config: CampaignConfig,
@@ -269,13 +282,57 @@ pub(crate) struct CellJob {
     progress: Progress,
     spec: String,
     pipeline_key: String,
+    /// The source's short label, prefixing request and scenario names.
+    label: String,
+    /// The Grid'5000 sites every combination is evaluated on.
+    platforms: Vec<Platform>,
     /// Out-of-shard cells skipped so far (reported at the end of the grid).
-    skipped: std::sync::atomic::AtomicU64,
+    skipped: AtomicU64,
     /// The fleet record, when the campaign has an obs dir; data points
     /// heartbeat through it.
     recorder: Option<mcsched_obs::RunRecorder>,
     /// In-shard cells evaluated or served so far (heartbeat progress).
-    cells_done: std::sync::atomic::AtomicU64,
+    cells_done: AtomicU64,
+    /// The progress detail of every completed data point, in tick order.
+    #[cfg(test)]
+    ticks: Mutex<Vec<String>>,
+}
+
+/// The grid-order cursor of [`CellJob::run_grid`]: counts the unfinished
+/// combinations of each data point and releases data points in grid order,
+/// each once its own and every earlier data point's combinations have all
+/// finished.
+struct GridCursor {
+    /// Unfinished combinations per data point.
+    pending: Vec<usize>,
+    /// The first data point not yet released.
+    next: usize,
+}
+
+impl GridCursor {
+    fn new(points: usize, combinations: usize) -> Self {
+        Self {
+            pending: vec![combinations; points],
+            next: 0,
+        }
+    }
+
+    /// Releases every data point that is complete and follows only
+    /// released ones; returns them in grid order.
+    fn release(&mut self) -> Range<usize> {
+        let start = self.next;
+        while self.pending.get(self.next) == Some(&0) {
+            self.next += 1;
+        }
+        start..self.next
+    }
+
+    /// Records one finished combination of data point `point`, then
+    /// [`GridCursor::release`]s.
+    fn finish(&mut self, point: usize) -> Range<usize> {
+        self.pending[point] -= 1;
+        self.release()
+    }
 }
 
 impl CellJob {
@@ -311,12 +368,16 @@ impl CellJob {
         let mut job = Self {
             spec: config.source.spec(),
             pipeline_key: config.base.pipeline_cache_key(),
+            label: config.source.short_label(),
+            platforms: grid5000::all_sites(),
             cache: open_cell_cache(config.cache_dir.as_deref(), config.resume)?,
             progress: Progress::new(label, data_points, config.progress),
             config,
-            skipped: std::sync::atomic::AtomicU64::new(0),
+            skipped: AtomicU64::new(0),
             recorder: None,
-            cells_done: std::sync::atomic::AtomicU64::new(0),
+            cells_done: AtomicU64::new(0),
+            #[cfg(test)]
+            ticks: Mutex::new(Vec::new()),
         };
         job.recorder = job.config.obs_dir.as_deref().map(|dir| {
             run_recorder(
@@ -358,7 +419,7 @@ impl CellJob {
         recorder.heartbeat(mcsched_obs::Heartbeat {
             points_done: self.progress.done() as u64,
             points_total: self.progress.total() as u64,
-            cells_done: self.cells_done.load(std::sync::atomic::Ordering::Relaxed),
+            cells_done: self.cells_done.load(Ordering::Relaxed),
             cache_hits: self.cache.as_ref().map_or(0, |c| c.hits()),
             cache_misses: self.cache.as_ref().map_or(0, |c| c.misses()),
             detail: detail.to_string(),
@@ -366,43 +427,62 @@ impl CellJob {
         });
     }
 
-    /// Evaluates one (replication, PTG count) data point: generates its
-    /// scenarios and fans them out over the configured threads. Completed
-    /// data points flush the cell cache (the resume grain) and tick the
-    /// progress reporter.
-    fn data_point(
-        &self,
-        replication: usize,
-        num_ptgs: usize,
-    ) -> Result<DataPointOutcomes, SchedError> {
-        let _span = mcsched_obs::span!("data-point", "ptgs" = num_ptgs, "rep" = replication);
-        let seed = replication_seed(self.config.seed, replication);
-        let scenarios = generate_scenarios_with(
+    /// The `(replication, PTG count)` of data point `point` (grid order:
+    /// replication-major, then PTG count).
+    fn data_point(&self, point: usize) -> (usize, usize) {
+        let ptg_counts = &self.config.ptg_counts;
+        (
+            point / ptg_counts.len(),
+            ptg_counts[point % ptg_counts.len()],
+        )
+    }
+
+    /// One task of the grid: generates combination `combo` of data point
+    /// `point` and evaluates its site scenarios, returning their outcomes
+    /// in site order.
+    fn combination(&self, point: usize, combo: usize) -> Result<Vec<Vec<CellMetrics>>, SchedError> {
+        let (replication, num_ptgs) = self.data_point(point);
+        let _span = mcsched_obs::span!(
+            "combination",
+            "ptgs" = num_ptgs,
+            "rep" = replication,
+            "combo" = combo
+        );
+        let scenarios = generate_combination(
             self.config.source.as_ref(),
+            &self.label,
+            &self.platforms,
             num_ptgs,
-            self.config.combinations,
-            seed,
+            combo,
+            replication_seed(self.config.seed, replication),
         )?;
-        let outcomes = run_indexed(self.config.threads, scenarios.len(), |i| {
-            let (outcomes, skipped) = evaluate_policies_sharded(
-                &scenarios[i],
-                &self.config.base,
-                &self.config.strategies,
-                self.cache.as_ref(),
-                &self.spec,
-                &self.pipeline_key,
-                self.config.shard,
-            );
-            if skipped > 0 {
-                self.skipped
-                    .fetch_add(skipped, std::sync::atomic::Ordering::Relaxed);
-            }
-            self.cells_done.fetch_add(
-                outcomes.len() as u64 - skipped,
-                std::sync::atomic::Ordering::Relaxed,
-            );
-            outcomes
-        });
+        Ok(scenarios
+            .iter()
+            .map(|scenario| {
+                let (outcomes, skipped) = evaluate_policies_sharded(
+                    scenario,
+                    &self.config.base,
+                    &self.config.strategies,
+                    self.cache.as_ref(),
+                    &self.spec,
+                    &self.pipeline_key,
+                    self.config.shard,
+                );
+                if skipped > 0 {
+                    self.skipped.fetch_add(skipped, Ordering::Relaxed);
+                }
+                self.cells_done
+                    .fetch_add(outcomes.len() as u64 - skipped, Ordering::Relaxed);
+                outcomes
+            })
+            .collect())
+    }
+
+    /// The side effects of completed data point `point`: flushes the cell
+    /// cache (the resume grain), ticks the progress reporter and refreshes
+    /// the heartbeat. The flush may carry cells of later data points too.
+    fn point_done(&self, point: usize) {
+        let (replication, num_ptgs) = self.data_point(point);
         if let Some(cache) = &self.cache {
             flush_cell_cache(cache);
         }
@@ -413,40 +493,75 @@ impl CellJob {
         );
         self.progress.tick(&detail);
         self.heartbeat(&detail);
-        Ok(outcomes)
+        #[cfg(test)]
+        lock(&self.ticks).push(detail);
     }
 
-    /// Runs the whole `replications × ptg_counts` grid, one data point
-    /// after another in aggregation order (replication-major, then PTG
-    /// count), each fanning its scenarios out, and returns one
-    /// `(num_ptgs, per-scenario outcomes)` entry per data point. Flushes
-    /// and reports the cache at the end.
+    /// Runs the whole `replications × ptg_counts × combinations` grid as
+    /// one fan-out over the configured threads, one task per combination,
+    /// and returns one `(num_ptgs, per-scenario outcomes)` entry per data
+    /// point in grid order (replication-major, then PTG count; scenarios
+    /// combination-major, then site). Results land in per-index slots, so
+    /// they do not depend on the thread count or completion order. There
+    /// is no barrier between data points: each one's side effects (cache
+    /// flush, progress tick, heartbeat) run in grid order under one cursor,
+    /// as soon as its last combination and every earlier data point have
+    /// finished. Flushes and reports the cache at the end.
     ///
     /// # Errors
     ///
-    /// Propagates the first data-point failure in grid order.
+    /// Returns the first failure in grid order, after every data point
+    /// before it has been flushed, and marks the run's manifest `failed`.
+    /// Tasks after a known failure skip their work.
     pub(crate) fn run_grid(&self) -> Result<Vec<(usize, DataPointOutcomes)>, SchedError> {
-        let ptg_counts = &self.config.ptg_counts;
+        let combinations = self.config.combinations;
+        let points = self.config.replications * self.config.ptg_counts.len();
         let _span = mcsched_obs::span!(
             "campaign-grid",
             "replications" = self.config.replications,
-            "ptg-counts" = ptg_counts.len()
+            "ptg-counts" = self.config.ptg_counts.len()
         );
         self.heartbeat("starting");
-        let mut points = Vec::with_capacity(self.config.replications * ptg_counts.len());
-        for replication in 0..self.config.replications {
-            for &num_ptgs in ptg_counts {
-                match self.data_point(replication, num_ptgs) {
-                    Ok(point) => points.push((num_ptgs, point)),
-                    Err(e) => {
-                        if let Some(recorder) = &self.recorder {
-                            recorder.finish(mcsched_obs::RunPhase::Failed);
-                        }
-                        return Err(e);
-                    }
-                }
+        let cursor = Mutex::new(GridCursor::new(points, combinations));
+        let emit = |ready: Range<usize>| ready.for_each(|point| self.point_done(point));
+        // Without combinations every data point is complete from the start.
+        emit(lock(&cursor).release());
+        // The lowest failing task so far. `Relaxed`: it only lets later
+        // tasks skip their work; results reach the caller through the
+        // fan-out's slots.
+        let first_failure = AtomicUsize::new(usize::MAX);
+        let tasks = run_indexed(self.config.threads, points * combinations, |task| {
+            if task > first_failure.load(Ordering::Relaxed) {
+                return None;
             }
-        }
+            let point = task / combinations;
+            let outcome = self.combination(point, task % combinations);
+            if outcome.is_ok() {
+                let mut cursor = lock(&cursor);
+                emit(cursor.finish(point));
+            } else {
+                first_failure.fetch_min(task, Ordering::Relaxed);
+            }
+            Some(outcome)
+        });
+        // Only tasks after a failure are skipped, so the first error in
+        // grid order comes before any gap.
+        let combos = match tasks.into_iter().flatten().collect::<Result<Vec<_>, _>>() {
+            Ok(combos) => combos,
+            Err(e) => {
+                if let Some(recorder) = &self.recorder {
+                    recorder.finish(mcsched_obs::RunPhase::Failed);
+                }
+                return Err(e);
+            }
+        };
+        let mut combos = combos.into_iter();
+        let grid = (0..points)
+            .map(|point| {
+                let per_scenario = combos.by_ref().take(combinations).flatten().collect();
+                (self.data_point(point).1, per_scenario)
+            })
+            .collect();
         if let Some(cache) = &self.cache {
             flush_cell_cache(cache);
             report_cell_cache(cache);
@@ -456,22 +571,29 @@ impl CellJob {
                 "shard {index}/{of}: skipped {} out-of-shard cell(s); merge the \
                  shard cache dirs (mcsched-exp merge) and re-run unsharded to render \
                  complete tables",
-                self.skipped.load(std::sync::atomic::Ordering::Relaxed)
+                self.skipped.load(Ordering::Relaxed)
             );
         }
         if let Some(recorder) = &self.recorder {
             recorder.finish(mcsched_obs::RunPhase::Done);
         }
-        Ok(points)
+        Ok(grid)
     }
+}
+
+/// Locks `mutex`, recovering the guard if a panicking task poisoned it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::generate_scenarios;
-    use mcsched_core::ConstraintStrategy;
+    use crate::scenario::{generate_scenarios, generate_scenarios_with};
+    use mcsched_core::{ConstraintStrategy, Workload};
     use mcsched_ptg::gen::PtgClass;
+    use mcsched_workload::{GeneratorSource, WorkloadRequest, WorkloadSource};
+    use std::path::PathBuf;
 
     fn policies() -> Vec<Arc<dyn ConstraintPolicy>> {
         [
@@ -643,5 +765,141 @@ mod tests {
         assert_eq!(mixed, direct);
         assert_eq!(cache.hits(), 1);
         assert_eq!(cache.len(), policies.len());
+    }
+
+    #[test]
+    fn cursor_releases_data_points_in_grid_order() {
+        let mut cursor = GridCursor::new(3, 2);
+        assert_eq!(cursor.release(), 0..0);
+        assert_eq!(cursor.finish(2), 0..0);
+        assert_eq!(cursor.finish(1), 0..0);
+        assert_eq!(cursor.finish(1), 0..0, "data point 0 is still open");
+        assert_eq!(cursor.finish(0), 0..0);
+        assert_eq!(cursor.finish(0), 0..2);
+        assert_eq!(cursor.finish(2), 2..3);
+        assert_eq!(GridCursor::new(2, 0).release(), 0..2);
+    }
+
+    /// A Strassen source that sleeps on requests of `slow` applications,
+    /// so later data points finish first on many threads, and fails on
+    /// combinations 1 and 2 of requests of `fail` applications, on 1 only
+    /// after a sleep, so on many threads 2 fails first.
+    #[derive(Debug)]
+    struct Scripted {
+        slow: usize,
+        fail: usize,
+    }
+
+    impl WorkloadSource for Scripted {
+        fn spec(&self) -> String {
+            "scripted".to_string()
+        }
+
+        fn generate(&self, request: &WorkloadRequest) -> Result<Workload, SchedError> {
+            let late_failure = request.count == self.fail && request.label.ends_with("-1");
+            let failure =
+                late_failure || (request.count == self.fail && request.label.ends_with("-2"));
+            if request.count == self.slow || late_failure {
+                std::thread::sleep(std::time::Duration::from_millis(40));
+            }
+            if failure {
+                return Err(SchedError::InvalidConfig(format!(
+                    "no workload for {}",
+                    request.label
+                )));
+            }
+            GeneratorSource::from_class(PtgClass::Strassen).generate(request)
+        }
+    }
+
+    /// A one-policy grid over `source`: PTG counts 2, 3 and 4, three
+    /// combinations, on `threads` threads.
+    fn scripted_config(source: Scripted, threads: usize) -> CampaignConfig {
+        CampaignConfig {
+            source: Arc::new(source),
+            ptg_counts: vec![2, 3, 4],
+            combinations: 3,
+            strategies: CampaignConfig::policies(&[ConstraintStrategy::EqualShare]),
+            threads,
+            ..CampaignConfig::paper(PtgClass::Strassen)
+        }
+    }
+
+    fn scratch_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mcsched-cells-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn grid_fails_on_the_first_failing_combination_after_flushing_earlier_points() {
+        // Combinations 1 and 2 of the last data point (4 PTGs) fail while
+        // the first data point (2 PTGs) is still generating.
+        let failing = || Scripted { slow: 2, fail: 4 };
+        let policy = ConstraintStrategy::EqualShare.to_policy();
+        let pipeline = SchedulerConfig::default().pipeline_cache_key();
+        let seed = scripted_config(failing(), 1).seed;
+        let mut earlier = Vec::new();
+        for ptgs in [2, 3] {
+            earlier.extend(generate_scenarios_with(&failing(), ptgs, 3, seed).unwrap());
+        }
+        for threads in [1, 2, 8] {
+            let cache_dir = scratch_dir(&format!("fail-cache-{threads}"));
+            let obs_dir = scratch_dir(&format!("fail-obs-{threads}"));
+            let config = CampaignConfig {
+                cache_dir: Some(cache_dir.clone()),
+                obs_dir: Some(obs_dir.clone()),
+                ..scripted_config(failing(), threads)
+            };
+            let error = CellJob::new(&config).unwrap().run_grid().unwrap_err();
+            assert_eq!(
+                error.to_string(),
+                SchedError::InvalidConfig("no workload for scripted-1".to_string()).to_string(),
+                "threads={threads}"
+            );
+            let cache = CellCache::open(&cache_dir, true).unwrap();
+            for scenario in &earlier {
+                let key = cell_digest("scripted", &pipeline, scenario, policy.as_ref());
+                assert!(
+                    cache.lookup(key).is_some(),
+                    "threads={threads}: {} is not on disk",
+                    scenario.name
+                );
+            }
+            let manifest = std::fs::read_to_string(obs_dir.join("run-0of1.manifest.json")).unwrap();
+            let manifest = mcsched_obs::RunManifest::parse_json(&manifest).unwrap();
+            assert_eq!(
+                manifest.phase,
+                mcsched_obs::RunPhase::Failed,
+                "threads={threads}"
+            );
+            let _ = std::fs::remove_dir_all(&cache_dir);
+            let _ = std::fs::remove_dir_all(&obs_dir);
+        }
+    }
+
+    #[test]
+    fn progress_ticks_in_grid_order_at_eight_threads() {
+        // The 2-PTG data points generate slowly, so on eight threads the
+        // later data points finish first.
+        let config = CampaignConfig {
+            replications: 2,
+            ..scripted_config(Scripted { slow: 2, fail: 0 }, 8)
+        };
+        let job = CellJob::new(&config).unwrap();
+        let grid = job.run_grid().unwrap();
+        let ticks = job.ticks.lock().unwrap().clone();
+        let expected: Vec<String> = (1..=2)
+            .flat_map(|rep| [2, 3, 4].map(|ptgs| format!("ptgs={ptgs} rep={rep}/2")))
+            .collect();
+        assert_eq!(ticks, expected);
+        let sequential = CellJob::new(&CampaignConfig {
+            threads: 1,
+            ..config
+        })
+        .unwrap()
+        .run_grid()
+        .unwrap();
+        assert_eq!(grid, sequential, "results land in grid order");
     }
 }

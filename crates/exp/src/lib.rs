@@ -38,8 +38,8 @@
 //! to.
 //!
 //! Campaigns run on the scoped fan-out of `mcsched-runtime` (honouring the
-//! config's `threads` field): data points run one after another, each
-//! fanning its scenarios out, and every strategy of a scenario is
+//! config's `threads` field): one fan-out over the whole grid, one task per
+//! combination, and every strategy of a scenario is
 //! evaluated through one shared
 //! [`mcsched_core::ScheduleContext`], so each dedicated baseline is
 //! simulated exactly once per scenario. With `cache_dir` set (CLI

@@ -64,21 +64,69 @@ pub fn combo_requests(
     base_seed: u64,
 ) -> Vec<WorkloadRequest> {
     (0..combinations)
-        .map(|combo| {
-            let seed = base_seed
-                .wrapping_mul(1_000_003)
-                .wrapping_add((num_ptgs as u64) << 32)
-                .wrapping_add(combo as u64);
-            WorkloadRequest::new(seed, num_ptgs, format!("{label_prefix}-{combo}"))
-        })
+        .map(|combo| combo_request(label_prefix, num_ptgs, combo, base_seed))
         .collect()
+}
+
+/// Request `combo` of [`combo_requests`].
+fn combo_request(
+    label_prefix: &str,
+    num_ptgs: usize,
+    combo: usize,
+    base_seed: u64,
+) -> WorkloadRequest {
+    let seed = base_seed
+        .wrapping_mul(1_000_003)
+        .wrapping_add((num_ptgs as u64) << 32)
+        .wrapping_add(combo as u64);
+    WorkloadRequest::new(seed, num_ptgs, format!("{label_prefix}-{combo}"))
+}
+
+/// Generates the scenarios of combination `combo` of one data point: the
+/// applications of request `combo` of [`combo_requests`], built once and
+/// paired with every platform of `platforms` in order, all sharing one
+/// [`Scenario::ptgs`] slice. `label` is the source's short label. Every
+/// campaign workload is drawn here: the campaign grid calls it once per
+/// combination task, [`generate_scenarios_with`] once per combination of a
+/// data point.
+///
+/// # Errors
+///
+/// Propagates the workload-generation failure of the request.
+pub(crate) fn generate_combination(
+    source: &dyn WorkloadSource,
+    label: &str,
+    platforms: &[Platform],
+    num_ptgs: usize,
+    combo: usize,
+    base_seed: u64,
+) -> Result<Vec<Scenario>, SchedError> {
+    let request = combo_request(label, num_ptgs, combo, base_seed);
+    let (ptgs, release_times) = {
+        let _p = mcsched_obs::span!("workload-gen");
+        source.generate(&request)?.into_parts()
+    };
+    let ptgs: Arc<[Ptg]> = ptgs.into();
+    Ok(platforms
+        .iter()
+        .map(|platform| Scenario {
+            name: format!("{label}-n{num_ptgs}-c{combo}-{}", platform.name()),
+            platform: platform.clone(),
+            ptgs: Arc::clone(&ptgs),
+            release_times: release_times.clone(),
+            seed: request.seed,
+        })
+        .collect())
 }
 
 /// Generates the scenarios of one data point from a [`WorkloadSource`]:
 /// `combinations` workload requests, each paired with every one of the four
-/// Grid'5000 subsets (`combinations × 4` scenarios in total). Each request's
-/// applications are built once: its four site scenarios share one
-/// [`Scenario::ptgs`] slice.
+/// Grid'5000 subsets (`combinations × 4` scenarios in total), in
+/// combination-major order. Each request's applications are built once:
+/// its four site scenarios share one [`Scenario::ptgs`] slice. The
+/// campaigns generate one combination per task instead of a data point at
+/// once; this function draws the same scenarios for tests, `mcsched-bench`
+/// and benchmark set-up.
 ///
 /// # Errors
 ///
@@ -93,24 +141,10 @@ pub fn generate_scenarios_with(
     let platforms = grid5000::all_sites();
     let label = source.short_label();
     let mut scenarios = Vec::with_capacity(combinations * platforms.len());
-    for (combo, request) in combo_requests(&label, num_ptgs, combinations, base_seed)
-        .iter()
-        .enumerate()
-    {
-        let (ptgs, release_times) = {
-            let _p = mcsched_obs::span!("workload-gen");
-            source.generate(request)?.into_parts()
-        };
-        let ptgs: Arc<[Ptg]> = ptgs.into();
-        for platform in &platforms {
-            scenarios.push(Scenario {
-                name: format!("{label}-n{num_ptgs}-c{combo}-{}", platform.name()),
-                platform: platform.clone(),
-                ptgs: Arc::clone(&ptgs),
-                release_times: release_times.clone(),
-                seed: request.seed,
-            });
-        }
+    for combo in 0..combinations {
+        scenarios.extend(generate_combination(
+            source, &label, &platforms, num_ptgs, combo, base_seed,
+        )?);
     }
     Ok(scenarios)
 }

@@ -487,6 +487,15 @@ impl<'a> Tokenizer<'a> {
         }
     }
 
+    /// The code unit of the four hex digits at byte `at`, if there are
+    /// exactly four: `from_str_radix` alone also accepts a sign (`\\u+041`).
+    fn hex4(&self, at: usize) -> Option<u32> {
+        self.text
+            .get(at..at + 4)
+            .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+            .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+    }
+
     /// A string, unescaped: a slice of the text unless it holds an escape.
     fn string(&mut self) -> Result<Cow<'a, str>, String> {
         let bytes = self.text.as_bytes();
@@ -530,21 +539,31 @@ impl<'a> Tokenizer<'a> {
                         Some(b'b') => '\u{8}',
                         Some(b'f') => '\u{c}',
                         Some(b'u') => {
-                            // Exactly four hex digits: `from_str_radix`
-                            // alone also accepts a sign (`\\u+041`).
-                            let code = self
-                                .text
-                                .get(self.pos + 1..self.pos + 5)
-                                .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
-                                .and_then(|hex| u32::from_str_radix(hex, 16).ok())
-                                .ok_or_else(|| {
-                                    format!("invalid \\u escape at byte {}", self.pos)
-                                })?;
+                            let code = self.hex4(self.pos + 1).ok_or_else(|| {
+                                format!("invalid \\u escape at byte {}", self.pos)
+                            })?;
                             self.pos += 4;
-                            // Surrogate pairs are not needed by the
-                            // workspace's formats; map unpaired surrogates
+                            // A high surrogate directly followed by a
+                            // low-surrogate escape is one char beyond the
+                            // BMP; any other surrogate is unpaired and maps
                             // to the replacement char.
-                            char::from_u32(code).unwrap_or('\u{fffd}')
+                            let escape_follows =
+                                bytes.get(self.pos + 1..self.pos + 3) == Some(&b"\\u"[..]);
+                            let low = if (0xD800..0xDC00).contains(&code) && escape_follows {
+                                self.hex4(self.pos + 3)
+                                    .filter(|low| (0xDC00..0xE000).contains(low))
+                            } else {
+                                None
+                            };
+                            match low {
+                                Some(low) => {
+                                    self.pos += 6;
+                                    let pair = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                                    char::from_u32(pair)
+                                        .expect("a surrogate pair is a scalar value")
+                                }
+                                None => char::from_u32(code).unwrap_or('\u{fffd}'),
+                            }
                         }
                         _ => return Err(format!("invalid escape at byte {}", self.pos)),
                     });

@@ -448,3 +448,24 @@ fn hostile_nesting_is_an_error_not_a_stack_overflow() {
         }
     }
 }
+
+#[test]
+fn surrogate_escapes_pair_into_one_char() {
+    let parsed = |text: &str| Json::parse(&format!("\"{text}\""));
+    let string = |s: &str| Ok(Json::Str(s.to_string()));
+    // A high surrogate escape directly followed by a low one is one char.
+    assert_eq!(parsed(r"\ud83d\ude00"), string("\u{1f600}"));
+    assert_eq!(parsed(r"a\uD83D\uDE00b"), string("a\u{1f600}b"));
+    assert_eq!(parsed(r"\udbff\udfff"), string("\u{10ffff}"));
+    // Unpaired surrogates each become U+FFFD.
+    assert_eq!(parsed(r"\ud83d"), string("\u{fffd}"));
+    assert_eq!(parsed(r"\ude00"), string("\u{fffd}"));
+    assert_eq!(parsed(r"\ud83dx"), string("\u{fffd}x"));
+    assert_eq!(parsed(r"\ud83d\u0041"), string("\u{fffd}A"));
+    assert_eq!(parsed(r"\ud83d\n"), string("\u{fffd}\n"));
+    assert_eq!(parsed(r"\ude00\ud83d"), string("\u{fffd}\u{fffd}"));
+    assert_eq!(parsed(r"\ud83d\ud83d\ude00"), string("\u{fffd}\u{1f600}"));
+    // A malformed escape after a high surrogate is still an error.
+    assert!(parsed(r"\ud83d\u+de0").is_err());
+    assert!(parsed(r"\ud83d\ude0").is_err());
+}
