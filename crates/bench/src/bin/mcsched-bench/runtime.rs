@@ -5,8 +5,15 @@
 //! (`run_campaign` on the scoped fan-out, no cache), `shard-cold`
 //! (shard 0 of a 3-way split, cold: what one process of a sharded run pays)
 //! and `pool-warm` (against a pre-populated cell cache). Cold families time
-//! at least 3 samples. The warm speed-up and the shard split factor go to
-//! stderr.
+//! at least 3 samples. The warm speed-up, the shard split factor and the
+//! mean of each of the three shards (a fleet waits for the slowest) go to
+//! stderr. Shards split the grid by scenario, so each shard computes the
+//! dedicated baselines of its own scenarios only. With two policies, a
+//! cell-by-cell split already left (2/3)² ≈ 44% of the scenarios without a
+//! cell in a given shard of three (4% with the figures' eight), so the
+//! baseline work saved here is smaller than on the figure grid. Rows with
+//! more threads than the host's `available_parallelism` carry
+//! `oversubscribed = 1`: they are not evidence of scaling.
 //!
 //! The warm cache is collected as a sharded campaign's is: the three
 //! shards of a 3-way split run cold into their own directories and
@@ -57,8 +64,8 @@ pub fn run(args: &Args) -> Ledger {
     let shape = campaign_shape(args.smoke);
     let parallelism = std::thread::available_parallelism().map_or(1, usize::from);
     let note = format!(
-        "rows with more than one thread are not evidence of scaling: \
-         the host has available_parallelism = {parallelism}"
+        "rows with more threads than available_parallelism = {parallelism} \
+         carry oversubscribed = 1 and are not evidence of scaling"
     );
     eprintln!("runtime: {note}");
     let mut ledger = Ledger::new(vec![
@@ -129,24 +136,44 @@ pub fn run(args: &Args) -> Ledger {
         let case = format!("threads={n}");
         let mut cold = shape.clone();
         cold.threads = n;
-        let mut shard = cold.clone();
-        shard.shard = Some((0, 3));
+        let shards: Vec<CampaignConfig> = (0..3)
+            .map(|i| CampaignConfig {
+                shard: Some((i, 3)),
+                ..cold.clone()
+            })
+            .collect();
         let mut warm = cold.clone();
         warm.cache_dir = Some(warm_dir.clone());
+        let run = |config: &CampaignConfig| {
+            std::hint::black_box(run_campaign(config).expect("campaign runs"));
+        };
         for (family, config, iterations) in [
             ("pool-cold", &cold, cold_iterations),
-            ("shard-cold", &shard, cold_iterations),
+            ("shard-cold", &shards[0], cold_iterations),
             ("pool-warm", &warm, warm_iterations),
         ] {
-            ledger.push(time(family, &case, iterations, || {
-                std::hint::black_box(run_campaign(config).expect("campaign runs"));
-            }));
+            let row = time(family, &case, iterations, || run(config));
+            ledger.push(if n > parallelism {
+                row.value("oversubscribed", 1.0)
+            } else {
+                row
+            });
         }
         let mean = |family| ledger.row(family, &case).map_or(f64::NAN, |r| r.mean_ms);
+        // The row keeps shard 0; the other shards are timed for stderr only.
+        let per_shard: Vec<String> =
+            std::iter::once(mean("shard-cold"))
+                .chain(shards[1..].iter().map(|config| {
+                    time("shard-cold", &case, cold_iterations, || run(config)).mean_ms
+                }))
+                .map(|ms| format!("{ms:.1}"))
+                .collect();
         eprintln!(
-            "{case}: pool-warm {:.1}x pool-cold, shard split factor {:.2}",
+            "{case}: pool-warm {:.1}x pool-cold, shard split factor {:.2}, \
+             shard-cold 0/3 1/3 2/3 {} ms",
             mean("pool-cold") / mean("pool-warm"),
             mean("pool-cold") / mean("shard-cold"),
+            per_shard.join(" "),
         );
     }
     let _ = std::fs::remove_dir_all(&work);

@@ -63,12 +63,18 @@ pub struct CampaignConfig {
     /// byte-identical.
     pub progress: bool,
     /// `Some((index, of))` runs only partition `index` of a deterministic
-    /// `of`-way split of the cell grid (`--shard i/N`): out-of-partition
-    /// cells are skipped entirely (not evaluated, not cached) and render as
-    /// NaN. N such runs with disjoint `cache_dir`s fill disjoint caches;
-    /// merge them (`mcsched-exp merge`) and re-run unsharded+warm to produce
-    /// tables byte-identical to a single-process run. `None` (the default)
-    /// evaluates everything.
+    /// `of`-way split of the campaign's scenarios (`--shard i/N`), keyed by
+    /// each scenario's digest: all cells of a scenario go to one shard, so
+    /// a fleet computes each dedicated baseline once. Cells of
+    /// out-of-partition scenarios are skipped entirely (not evaluated, not
+    /// cached) and render as NaN. N such runs with disjoint `cache_dir`s
+    /// fill disjoint caches; merge them (`mcsched-exp merge`) and re-run
+    /// unsharded+warm to produce tables byte-identical to a single-process
+    /// run. The split balances scenario counts, not cost, and a small grid
+    /// can leave a shard empty. Every shard of one fleet must run the same
+    /// build: a fleet mixing this split with the older per-cell one can
+    /// leave cells no shard computed, which the warm run then computes.
+    /// `None` (the default) evaluates everything.
     pub shard: Option<(usize, usize)>,
     /// Fleet obs directory (`--obs-dir`): the run writes a
     /// `run-<shard>.manifest.json` + heartbeat there while running and its

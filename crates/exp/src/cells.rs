@@ -21,7 +21,9 @@
 //! the shared context (same workload bytes, same dedicated baselines),
 //! evaluating a *subset* of policies yields bit-identical results to
 //! evaluating all of them, which is what makes per-policy cache granularity
-//! sound.
+//! sound. Sharded runs (`--shard i/N`) split by scenario rather than by
+//! cell, so the one shard that owns a scenario also computes its dedicated
+//! baselines, once.
 //!
 //! Every campaign runs its grid through `CellJob::run_grid`: one fan-out
 //! over all (replication, PTG count, combination) triples in grid order,
@@ -169,17 +171,17 @@ pub const SKIPPED_CELL: CellMetrics = CellMetrics {
 /// Evaluates every policy on the scenario through the paired
 /// (shared-context) path, serving and populating `cache` when present.
 /// Outcomes come back in policy order, bit-identical whether each cell was
-/// computed or served from cache. With `shard = Some((index, of))`, cells
-/// whose digest falls outside partition `index` of `of`
-/// ([`CellDigest::in_shard`]) are **skipped entirely** — no
-/// evaluation, no cache lookup, no insert — and recorded as
-/// [`SKIPPED_CELL`] placeholders (all-NaN, invisible to the
-/// best-makespan aggregation). In-shard cells behave exactly as unsharded:
-/// because each policy of the paired path is evaluated independently over
-/// the shared context, evaluating only the in-shard subset yields
-/// bit-identical metrics, so N disjoint shard runs collectively populate
-/// the exact cells one unsharded run would. Returns the outcomes plus the
-/// number of out-of-shard cells skipped.
+/// computed or served from cache. With `shard = Some((index, of))`, the
+/// **scenario** is the unit of the split: the scenario digest (the one every
+/// cell digest of the scenario extends, finalized on its own) picks the
+/// partition ([`CellDigest::in_shard`]). A scenario outside partition
+/// `index` of `of` is **skipped entirely** — no context, no dedicated
+/// baseline, no cache lookup, no insert — and the call returns `None`; a
+/// campaign records [`SKIPPED_CELL`] placeholders for its cells. A scenario
+/// inside it runs the unsharded path over all its policies. So N disjoint
+/// shard runs collectively populate the exact cells one unsharded run
+/// would, and each scenario's dedicated baselines are computed by one shard
+/// only.
 pub fn evaluate_policies_sharded(
     scenario: &Scenario,
     base: &SchedulerConfig,
@@ -188,36 +190,31 @@ pub fn evaluate_policies_sharded(
     source_spec: &str,
     pipeline_key: &str,
     shard: Option<(usize, usize)>,
-) -> (Vec<CellMetrics>, u64) {
+) -> Option<Vec<CellMetrics>> {
     let _span = mcsched_obs::span!(
         "cell-eval",
         "scenario" = scenario.name.clone(),
         "policies" = policies.len()
     );
-    if cache.is_none() && shard.is_none() {
-        return (scenario.evaluate_policies(base, policies), 0);
+    // The content walk over the scenario's graphs happens once: the shard
+    // check finalizes a clone of the shared builder, and so does each
+    // policy's cell key.
+    let shared = (cache.is_some() || shard.is_some())
+        .then(|| scenario_digest(source_spec, pipeline_key, scenario));
+    if let (Some((index, of)), Some(shared)) = (shard, &shared) {
+        if !shared.clone().finish().in_shard(index, of) {
+            return None;
+        }
     }
-    // The content walk over the scenario's graphs happens once; each policy
-    // only finalizes a clone of the shared builder with its cache key.
-    let shared = scenario_digest(source_spec, pipeline_key, scenario);
+    let (Some(cache), Some(shared)) = (cache, shared) else {
+        return Some(scenario.evaluate_policies(base, policies));
+    };
     let keys: Vec<CellDigest> = policies
         .iter()
         .map(|p| shared.clone().str(&p.cache_key()).finish())
         .collect();
-    let mut skipped = 0u64;
-    let mut outcomes: Vec<Option<CellMetrics>> = keys
-        .iter()
-        .map(|key| {
-            if let Some((index, of)) = shard {
-                if !key.in_shard(index, of) {
-                    skipped += 1;
-                    mcsched_obs::counter!("cells.shard_skip").inc();
-                    return Some(SKIPPED_CELL);
-                }
-            }
-            cache.and_then(|cache| cache.lookup(*key))
-        })
-        .collect();
+    let mut outcomes: Vec<Option<CellMetrics>> =
+        keys.iter().map(|&key| cache.lookup(key)).collect();
     let missing: Vec<usize> = (0..policies.len())
         .filter(|&i| outcomes[i].is_none())
         .collect();
@@ -226,17 +223,16 @@ pub fn evaluate_policies_sharded(
             missing.iter().map(|&i| Arc::clone(&policies[i])).collect();
         let fresh = scenario.evaluate_policies(base, &subset);
         for (&slot, outcome) in missing.iter().zip(fresh) {
-            if let Some(cache) = cache {
-                cache.insert(keys[slot], outcome);
-            }
+            cache.insert(keys[slot], outcome);
             outcomes[slot] = Some(outcome);
         }
     }
-    let outcomes = outcomes
-        .into_iter()
-        .map(|o| o.expect("every policy slot is skipped, cached or freshly evaluated"))
-        .collect();
-    (outcomes, skipped)
+    Some(
+        outcomes
+            .into_iter()
+            .map(|o| o.expect("every policy slot is cached or freshly evaluated"))
+            .collect(),
+    )
 }
 
 /// Starts the fleet record of one harness run in `dir`: a `running`
@@ -341,7 +337,7 @@ impl CellJob {
     /// and sizes the progress reporter to `replications × ptg_counts` data
     /// points. A library caller's zero replications run as one. With
     /// [`CampaignConfig::shard`] set, the progress label carries a
-    /// `[shard i/N]` suffix and only that partition of the cell grid is
+    /// `[shard i/N]` suffix and only that partition of the scenarios is
     /// evaluated.
     ///
     /// # Errors
@@ -459,21 +455,27 @@ impl CellJob {
         Ok(scenarios
             .iter()
             .map(|scenario| {
-                let (outcomes, skipped) = evaluate_policies_sharded(
+                let policies = &self.config.strategies;
+                let cells = policies.len() as u64;
+                match evaluate_policies_sharded(
                     scenario,
                     &self.config.base,
-                    &self.config.strategies,
+                    policies,
                     self.cache.as_ref(),
                     &self.spec,
                     &self.pipeline_key,
                     self.config.shard,
-                );
-                if skipped > 0 {
-                    self.skipped.fetch_add(skipped, Ordering::Relaxed);
+                ) {
+                    Some(outcomes) => {
+                        self.cells_done.fetch_add(cells, Ordering::Relaxed);
+                        outcomes
+                    }
+                    None => {
+                        self.skipped.fetch_add(cells, Ordering::Relaxed);
+                        mcsched_obs::counter!("cells.shard_skip").add(cells);
+                        vec![SKIPPED_CELL; policies.len()]
+                    }
                 }
-                self.cells_done
-                    .fetch_add(outcomes.len() as u64 - skipped, Ordering::Relaxed);
-                outcomes
             })
             .collect())
     }
@@ -664,7 +666,7 @@ mod tests {
     ) -> Vec<CellMetrics> {
         let base = SchedulerConfig::default();
         let pipeline = base.pipeline_cache_key();
-        let (outcomes, skipped) = evaluate_policies_sharded(
+        evaluate_policies_sharded(
             scenario,
             &base,
             policies,
@@ -672,9 +674,8 @@ mod tests {
             "strassen",
             &pipeline,
             None,
-        );
-        assert_eq!(skipped, 0);
-        outcomes
+        )
+        .expect("an unsharded call evaluates every cell")
     }
 
     #[test]
@@ -704,48 +705,37 @@ mod tests {
         let base = SchedulerConfig::default();
         let pipeline = base.pipeline_cache_key();
         let scenarios = generate_scenarios(PtgClass::Strassen, 2, 1, 17);
-        let scenario = &scenarios[0];
         let policies = policies();
-        let direct = scenario.evaluate_policies(&base, &policies);
-        let of = 2;
-        let mut merged: Vec<Option<CellMetrics>> = vec![None; policies.len()];
-        let mut total_skipped = 0;
-        for index in 0..of {
-            let cache = CellCache::in_memory();
-            let (outcomes, skipped) = evaluate_policies_sharded(
-                scenario,
-                &base,
-                &policies,
-                Some(&cache),
-                "strassen",
-                &pipeline,
-                Some((index, of)),
-            );
-            total_skipped += skipped;
-            // Placeholders are all-NaN and never cached.
-            let evaluated = outcomes.iter().filter(|o| !o.makespan.is_nan()).count();
-            assert_eq!(cache.len(), evaluated, "only real cells enter the cache");
-            for (slot, outcome) in outcomes.into_iter().enumerate() {
-                if outcome.makespan.is_nan() {
-                    assert!(outcome.unfairness.is_nan());
-                    assert!(outcome.average_slowdown.is_nan());
-                } else {
-                    assert!(
-                        merged[slot].replace(outcome).is_none(),
-                        "each cell is evaluated by exactly one shard"
+        for scenario in &scenarios {
+            let direct = scenario.evaluate_policies(&base, &policies);
+            for of in [2, 3] {
+                let mut owners = 0;
+                for index in 0..of {
+                    let cache = CellCache::in_memory();
+                    let outcomes = evaluate_policies_sharded(
+                        scenario,
+                        &base,
+                        &policies,
+                        Some(&cache),
+                        "strassen",
+                        &pipeline,
+                        Some((index, of)),
                     );
+                    match outcomes {
+                        // The owning shard evaluates and caches every cell,
+                        // bit-identically to the direct path.
+                        Some(outcomes) => {
+                            owners += 1;
+                            assert_eq!(outcomes, direct);
+                            assert_eq!(cache.len(), policies.len());
+                        }
+                        // Every other shard skips the whole scenario.
+                        None => assert_eq!(cache.len(), 0, "skipped cells are never cached"),
+                    }
                 }
+                assert_eq!(owners, 1, "{}: one owner of {of}", scenario.name);
             }
         }
-        // Every cell was evaluated by exactly one shard, bit-identically to
-        // the direct path, and skip counts complement evaluations.
-        let merged: Vec<CellMetrics> = merged.into_iter().map(Option::unwrap).collect();
-        assert_eq!(merged, direct);
-        assert_eq!(
-            total_skipped as usize,
-            policies.len() * (of - 1),
-            "each cell is skipped by all other shards"
-        );
     }
 
     #[test]

@@ -81,12 +81,14 @@
 //! * `--no-resume` — clear the cache directory instead of serving from it
 //!   (escape hatch for a cache suspected stale);
 //! * `--shard i/N` — evaluate only partition `i` of a deterministic `N`-way
-//!   split of the cell grid (digest modulo `N`, any `N`): the sharded-run
-//!   half of a multi-process campaign. Each of the `N` processes points its
-//!   own `--cache-dir` at a separate directory; afterwards `merge` unions
-//!   the directories and a final warm unsharded run renders tables
-//!   byte-identical to a single-process run (a sharded run's own tables
-//!   contain NaN placeholders for the cells it skipped);
+//!   split of the scenarios (scenario digest modulo `N`, any `N`): the
+//!   sharded-run half of a multi-process campaign. All cells of a scenario
+//!   go to one shard, so the fleet computes each dedicated baseline once.
+//!   Each of the `N` processes points its own `--cache-dir` at a separate
+//!   directory; afterwards `merge` unions the directories and a final warm
+//!   unsharded run renders tables byte-identical to a single-process run
+//!   (a sharded run's own tables contain NaN placeholders for the cells it
+//!   skipped). Every shard of one fleet must run the same build;
 //! * `--progress` — narrate one stderr line per completed data point.
 //!
 //! `online` streams PTG arrivals through the event-driven online scheduler
@@ -293,8 +295,8 @@ pub struct CliOptions {
     /// Clear the cache directory instead of resuming from it
     /// (`--no-resume`).
     pub no_resume: bool,
-    /// `Some((index, of))` evaluates only one partition of the cell grid
-    /// (`--shard i/N`).
+    /// `Some((index, of))` evaluates only one partition of the campaign's
+    /// scenarios, every cell of each (`--shard i/N`).
     pub shard: Option<(usize, usize)>,
     /// Narrate per-data-point progress on stderr (`--progress`).
     pub progress: bool,

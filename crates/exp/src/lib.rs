@@ -42,7 +42,8 @@
 //! combination, and every strategy of a scenario is
 //! evaluated through one shared
 //! [`mcsched_core::ScheduleContext`], so each dedicated baseline is
-//! simulated exactly once per scenario. With `cache_dir` set (CLI
+//! simulated exactly once per scenario; `--shard i/N` splits the grid by
+//! scenario, so a sharded fleet keeps that. With `cache_dir` set (CLI
 //! `--cache-dir`), every (scenario, policy) cell is stored in — and served
 //! from — the content-addressed cell cache of `mcsched-runtime` (see
 //! [`cells`]): re-runs skip finished work byte-identically, interrupted

@@ -77,10 +77,12 @@ impl CellDigest {
     }
 
     /// The *campaign* partition this digest belongs to, in `0..of`: the
-    /// distribution key of sharded multi-process campaigns (`--shard i/N`).
-    /// Computed modulo `of` over the **full 128-bit key**, so any partition
-    /// count works — not just the cache's fixed 16 file shards — and the
-    /// partitions are total and pairwise disjoint by construction.
+    /// distribution key of sharded multi-process campaigns (`--shard i/N`),
+    /// which call it on the digest of a whole scenario so that all of its
+    /// cells go to one shard. Computed modulo `of` over the **full 128-bit
+    /// key**, so any partition count works — not just the cache's fixed 16
+    /// file shards — and the partitions are total and pairwise disjoint by
+    /// construction.
     /// Deliberately independent of [`CellDigest::shard`] (top-64 vs full
     /// modulus), so partitioning never correlates with file-shard layout.
     #[must_use]
@@ -90,8 +92,8 @@ impl CellDigest {
     }
 
     /// Whether this digest falls into partition `index` of `of` (see
-    /// [`CellDigest::partition`]). Sharded campaigns evaluate a cell iff
-    /// its digest is in their own partition.
+    /// [`CellDigest::partition`]). Sharded campaigns evaluate a scenario,
+    /// every cell of it, iff its scenario digest is in their own partition.
     #[must_use]
     pub fn in_shard(self, index: usize, of: usize) -> bool {
         self.partition(of) == index

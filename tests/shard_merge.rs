@@ -2,6 +2,9 @@
 //!
 //! * **disjointness** — every cell digest lands in exactly one of N
 //!   partitions for N ∈ {2, 3, 16}, measured over real campaign cells;
+//! * **one baseline per scenario** — shards split the grid by scenario:
+//!   every scenario's cells sit in one shard's cache, and the N shard runs
+//!   together make exactly the allocation calls of one unsharded run;
 //! * **shard/merge byte-identity** — a campaign split `--shard {0,1,2}/3`
 //!   into three separate cache directories, merged, and re-rendered warm
 //!   produces tables and CSVs byte-identical to the single-process run, at
@@ -15,12 +18,21 @@
 //! * **conflict rejection** — sources disagreeing on one digest abort the
 //!   merge naming both files, writing nothing.
 
+use mcsched::core::policy::ScrapMaxAllocation;
+use mcsched::core::{
+    AllocationPolicy, DedicatedAllocation, RefAllocation, ReferencePlatform, SchedulerConfig,
+};
 use mcsched::exp::cells::SKIPPED_CELL;
-use mcsched::exp::{cell_digest, generate_scenarios, run_campaign, CampaignConfig};
+use mcsched::exp::{
+    cell_digest, generate_scenarios, generate_scenarios_with, replication_seed, run_campaign,
+    CampaignConfig,
+};
 use mcsched::ptg::gen::PtgClass;
+use mcsched::ptg::Ptg;
 use mcsched::runtime::{merge_cache_dirs, CellCache, CellMetrics, DigestBuilder, MergeError};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// A unique temporary directory, removed on drop.
 struct TempDir(PathBuf);
@@ -115,6 +127,127 @@ fn every_campaign_cell_lands_in_exactly_one_partition() {
         }
         let total: usize = hit.iter().sum();
         assert_eq!(total, digests.len(), "partitions cover every cell");
+    }
+}
+
+/// SCRAP-MAX behind a counter of the allocation runs the pipeline asks for.
+#[derive(Debug, Default)]
+struct CountingScrapMax {
+    dedicated: AtomicUsize,
+    constrained: AtomicUsize,
+}
+
+impl AllocationPolicy for CountingScrapMax {
+    fn name(&self) -> String {
+        "counting-scrap-max".to_string()
+    }
+
+    fn allocate(&self, reference: &ReferencePlatform, ptg: &Ptg, beta: f64) -> RefAllocation {
+        self.constrained.fetch_add(1, Ordering::Relaxed);
+        ScrapMaxAllocation.allocate(reference, ptg, beta)
+    }
+
+    fn dedicated(&self, reference: &ReferencePlatform, ptg: &Ptg) -> DedicatedAllocation {
+        self.dedicated.fetch_add(1, Ordering::Relaxed);
+        ScrapMaxAllocation.dedicated(reference, ptg)
+    }
+
+    fn allocate_from(
+        &self,
+        dedicated: &DedicatedAllocation,
+        reference: &ReferencePlatform,
+        ptg: &Ptg,
+        beta: f64,
+    ) -> RefAllocation {
+        self.constrained.fetch_add(1, Ordering::Relaxed);
+        ScrapMaxAllocation.allocate_from(dedicated, reference, ptg, beta)
+    }
+}
+
+#[test]
+fn shards_split_scenarios_and_never_repeat_a_baseline() {
+    let counting = Arc::new(CountingScrapMax::default());
+    let full = CampaignConfig {
+        base: SchedulerConfig {
+            allocation: Arc::clone(&counting) as Arc<dyn AllocationPolicy>,
+            ..SchedulerConfig::default()
+        },
+        ..campaign_config()
+    };
+    let counts = || {
+        (
+            counting.dedicated.swap(0, Ordering::Relaxed),
+            counting.constrained.swap(0, Ordering::Relaxed),
+        )
+    };
+    run_campaign(&full).expect("campaign runs");
+    let unsharded = counts();
+    assert!(unsharded.0 > 0 && unsharded.1 > 0);
+
+    let spec = full.source.spec();
+    let pipeline = full.base.pipeline_cache_key();
+    let mut scenarios = Vec::new();
+    for replication in 0..full.replications {
+        for &n in &full.ptg_counts {
+            scenarios.extend(
+                generate_scenarios_with(
+                    full.source.as_ref(),
+                    n,
+                    full.combinations,
+                    replication_seed(full.seed, replication),
+                )
+                .unwrap(),
+            );
+        }
+    }
+    for of in [2usize, 3] {
+        let dirs: Vec<TempDir> = (0..of)
+            .map(|i| TempDir::new(&format!("baseline{i}of{of}")))
+            .collect();
+        let mut sharded = (0, 0);
+        for (index, dir) in dirs.iter().enumerate() {
+            run_campaign(&CampaignConfig {
+                cache_dir: Some(dir.path()),
+                shard: Some((index, of)),
+                ..full.clone()
+            })
+            .expect("shard runs");
+            let (dedicated, constrained) = counts();
+            sharded.0 += dedicated;
+            sharded.1 += constrained;
+        }
+        assert_eq!(
+            sharded, unsharded,
+            "{of} shards together make the (dedicated, constrained) calls of one run"
+        );
+
+        let caches: Vec<CellCache> = dirs
+            .iter()
+            .map(|d| CellCache::open(d.path(), true).unwrap())
+            .collect();
+        for scenario in &scenarios {
+            let held: Vec<usize> = caches
+                .iter()
+                .map(|cache| {
+                    full.strategies
+                        .iter()
+                        .filter(|p| {
+                            let key = cell_digest(&spec, &pipeline, scenario, p.as_ref());
+                            cache.lookup(key).is_some()
+                        })
+                        .count()
+                })
+                .collect();
+            let owner = held.iter().position(|&n| n > 0);
+            let owner = owner.unwrap_or_else(|| panic!("{}: in no shard cache", scenario.name));
+            let mut expected = vec![0; of];
+            expected[owner] = full.strategies.len();
+            assert_eq!(
+                held, expected,
+                "{}: all cells in exactly one of {of} shard caches",
+                scenario.name
+            );
+        }
     }
 }
 
