@@ -17,19 +17,27 @@
 //!
 //! The warm cache is collected as a sharded campaign's is: the three
 //! shards of a 3-way split run cold into their own directories and
-//! `merge_cache_dirs` unions them. Three single-thread families time the
-//! cache's I/O on it, ten samples per warm iteration: `cache-merge` (the
+//! `merge_cache_dirs` unions them. Three families time the cache's I/O on
+//! it, a hundred samples per warm iteration to narrow the sampling noise of
+//! these sub-millisecond rows (on a shared host whole recordings still
+//! shift by 10–25%, so compare alternating recordings): `cache-merge` (the
 //! three shard directories into a fresh one), `cache-open` (loading the
-//! merged cache) and `cache-flush` (writing every cell of it to a fresh
-//! directory, every shard dirty).
+//! merged cache, on one thread as `CellCache::open` does and on two as a
+//! campaign at `--threads 2` does) and `cache-flush` (writing every cell
+//! of it to a fresh directory, every shard dirty). `cache-digest` keys the grid's
+//! cells: the scenario digests of its scenarios, each finalized with the
+//! two policies' keys, hashed one scenario at a time (`per-scenario`) or
+//! one combination of four site scenarios at a time (`per-combination`,
+//! whose `ratio` value is the per-scenario time over its own).
 
-use mcsched_bench::ledger::{time, time_with, Args, Ledger};
+use mcsched_bench::ledger::{time, time_with, Args, Ledger, Row};
 use mcsched_core::policy::ConstraintPolicy;
 use mcsched_core::PolicyRegistry;
-use mcsched_exp::{run_campaign, CampaignConfig};
+use mcsched_exp::cells::{combination_digests, scenario_digest};
+use mcsched_exp::{generate_scenarios_with, replication_seed, run_campaign, CampaignConfig};
 use mcsched_obs::json::Json;
 use mcsched_ptg::gen::PtgClass;
-use mcsched_runtime::{merge_cache_dirs, CellCache};
+use mcsched_runtime::{merge_cache_dirs, CellCache, DigestBuilder};
 use mcsched_workload::WorkloadCatalog;
 use std::sync::Arc;
 
@@ -96,7 +104,7 @@ pub fn run(args: &Args) -> Ledger {
         .expect("the warm cache opens")
         .cells();
     let cache_case = format!("cells={}", cells.len());
-    let cache_iterations = 10 * warm_iterations;
+    let cache_iterations = 100 * warm_iterations;
     let fresh = |name: &str| {
         let dir = work.join(name);
         let _ = std::fs::remove_dir_all(&dir);
@@ -111,13 +119,29 @@ pub fn run(args: &Args) -> Ledger {
             merge_cache_dirs(&shard_dirs, dest).expect("the shard caches merge");
         },
     ));
-    ledger.push(time_with(
-        "cache-open",
-        &cache_case,
-        cache_iterations,
-        || None,
-        |cache| *cache = Some(CellCache::open(&warm_dir, true).expect("the warm cache opens")),
-    ));
+    for threads in [1, 2] {
+        let case = match threads {
+            1 => cache_case.clone(),
+            _ => format!("{cache_case} threads={threads}"),
+        };
+        let row = time_with(
+            "cache-open",
+            case,
+            cache_iterations,
+            || None,
+            |cache| {
+                *cache = Some(
+                    CellCache::open_with_threads(&warm_dir, true, threads)
+                        .expect("the warm cache opens"),
+                );
+            },
+        );
+        ledger.push(if threads > parallelism {
+            row.value("oversubscribed", 1.0)
+        } else {
+            row
+        });
+    }
     ledger.push(time_with(
         "cache-flush",
         &cache_case,
@@ -131,6 +155,9 @@ pub fn run(args: &Args) -> Ledger {
         },
         |cache| cache.flush().expect("the cache flushes"),
     ));
+    for row in digest_rows(&shape, &cache_case, cache_iterations) {
+        ledger.push(row);
+    }
 
     for &n in &threads {
         let case = format!("threads={n}");
@@ -178,4 +205,61 @@ pub fn run(args: &Args) -> Ledger {
     }
     let _ = std::fs::remove_dir_all(&work);
     ledger
+}
+
+/// The `cache-digest` rows: every cell key of the campaign's grid, from
+/// its scenarios hashed one at a time and one combination at a time.
+fn digest_rows(shape: &CampaignConfig, case: &str, iterations: usize) -> [Row; 2] {
+    let spec = shape.source.spec();
+    let pipeline = shape.base.pipeline_cache_key();
+    let policy_keys: Vec<String> = shape.strategies.iter().map(|p| p.cache_key()).collect();
+    let scenarios: Vec<_> = (0..shape.replications)
+        .flat_map(|replication| {
+            shape.ptg_counts.iter().flat_map(move |&n| {
+                generate_scenarios_with(
+                    shape.source.as_ref(),
+                    n,
+                    shape.combinations,
+                    replication_seed(SEED, replication),
+                )
+                .expect("the grid generates")
+            })
+        })
+        .collect();
+    let keys = |builders: Vec<DigestBuilder>| {
+        for builder in builders {
+            for key in &policy_keys {
+                std::hint::black_box(builder.clone().str(key).finish());
+            }
+        }
+    };
+    let serial = time(
+        "cache-digest",
+        format!("{case} per-scenario"),
+        iterations,
+        || {
+            keys(
+                scenarios
+                    .iter()
+                    .map(|s| scenario_digest(&spec, &pipeline, std::hint::black_box(s)))
+                    .collect(),
+            );
+        },
+    );
+    let lanes = time(
+        "cache-digest",
+        format!("{case} per-combination"),
+        iterations,
+        || {
+            for combination in scenarios.chunks(4) {
+                keys(combination_digests(
+                    &spec,
+                    &pipeline,
+                    std::hint::black_box(combination),
+                ));
+            }
+        },
+    );
+    let ratio = serial.mean_ms / lanes.mean_ms;
+    [serial, lanes.value("ratio", ratio)]
 }

@@ -206,6 +206,20 @@ impl Run {
                     break 'outer;
                 };
                 let level = self.levels[t];
+                // A SCRAP-MAX load is at least the level total, so a level
+                // that the grant would take over the budget rules the trial
+                // out whatever the usage: skip the tentative grant and its
+                // revert. A violated load is never read, so the level total
+                // stands in for it in the log.
+                let level_load = (self.level_sums[level] + 1) as f64;
+                if self.variant == ScrapVariant::PerLevel && level_load > threshold {
+                    if let Some(log) = log.as_deref_mut() {
+                        log.push(t, level_load, false);
+                    }
+                    self.scratch.freeze(t);
+                    best = self.scratch.best_on_path();
+                    continue;
+                }
                 self.alloc.add_proc(t);
                 self.level_sums[level] += 1;
                 self.scratch.set_procs(t, self.alloc.procs_of(t));
@@ -746,6 +760,39 @@ mod tests {
                     naive[i],
                     "resumed, pass {pass}: case {case} beta {beta} variant {variant:?}"
                 );
+            }
+        }
+    }
+
+    #[test]
+    fn full_level_trials_match_the_spec_fresh_and_resumed() {
+        // On 16 processors the middle level of fork(16) is full at β = 1,
+        // and that of fork(12) fills at β = 0.75, so SCRAP-MAX rules the
+        // middle tasks out on their level total alone.
+        let r = reference(16);
+        let betas: Vec<f64> = (0..=20).map(|i| f64::from(i) / 20.0).collect();
+        for width in [12, 16] {
+            let g = fork(width);
+            let log = ScrapLog::record(&r, &g, ScrapVariant::PerLevel);
+            if width == 16 {
+                let middle = 1..=width as u32;
+                assert!(
+                    log.trials
+                        .tasks
+                        .iter()
+                        .any(|&e| e & GRANTED == 0 && middle.contains(&e)),
+                    "a middle task is tried on a full level"
+                );
+            }
+            for &beta in &betas {
+                let fresh = scrap_max_allocate(&r, &g, beta);
+                let context = format!("width {width} beta {beta}");
+                assert_eq!(
+                    fresh,
+                    naive_run(&r, &g, beta, ScrapVariant::PerLevel),
+                    "{context}"
+                );
+                assert_eq!(log.resume(beta), fresh, "resumed: {context}");
             }
         }
     }

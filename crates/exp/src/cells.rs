@@ -31,13 +31,24 @@
 //! scenarios. There is no barrier per data point. Results, side effects
 //! (cache flush, progress tick, heartbeat) and errors all follow grid
 //! order, and at most `threads` combinations' graphs are alive at once.
+//!
+//! A task hashes its combination's four site scenarios in one content pass
+//! ([`combination_digests`]): they share their applications, so the
+//! workload bytes go to four digest states in lockstep, bit-identical to
+//! four [`scenario_digest`] calls. Each policy's `cache_key()` is built
+//! once per campaign, and the cell cache is opened on the campaign's
+//! threads (`CellCache::open_with_threads`).
 
 use crate::campaign::CampaignConfig;
 use crate::scenario::{generate_combination, replication_seed, Scenario};
 use mcsched_core::policy::ConstraintPolicy;
 use mcsched_core::{SchedError, SchedulerConfig};
 use mcsched_platform::{grid5000, Platform};
-use mcsched_runtime::{run_indexed, CellCache, CellDigest, CellMetrics, DigestBuilder, Progress};
+use mcsched_ptg::Ptg;
+use mcsched_runtime::{
+    run_indexed, CellCache, CellDigest, CellMetrics, DigestBuilder, DigestFields, DigestLanes,
+    Progress,
+};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -60,6 +71,55 @@ pub fn scenario_digest(
     pipeline_key: &str,
     scenario: &Scenario,
 ) -> DigestBuilder {
+    workload_fields(
+        site_fields(source_spec, pipeline_key, scenario),
+        &scenario.ptgs,
+        &scenario.release_times,
+    )
+}
+
+/// The [`scenario_digest`] builders of the site scenarios of one generated
+/// combination, in order. The four scenarios of a combination differ only
+/// in their provenance and platform fields and share their applications,
+/// so their workload content, nearly all of the bytes, is hashed in one
+/// pass through [`DigestLanes`]. Scenarios that are not four, or that do
+/// not share one [`Scenario::ptgs`] slice and bit-identical release times,
+/// are hashed one by one; the builders are equal either way.
+#[must_use]
+pub fn combination_digests(
+    source_spec: &str,
+    pipeline_key: &str,
+    scenarios: &[Scenario],
+) -> Vec<DigestBuilder> {
+    let shared = <&[Scenario; 4]>::try_from(scenarios).ok().filter(|four| {
+        let release_bits = four[0].release_times.iter().map(|r| r.to_bits());
+        four[1..].iter().all(|s| {
+            Arc::ptr_eq(&s.ptgs, &four[0].ptgs)
+                && s.release_times
+                    .iter()
+                    .map(|r| r.to_bits())
+                    .eq(release_bits.clone())
+        })
+    });
+    let Some(four) = shared else {
+        return scenarios
+            .iter()
+            .map(|scenario| scenario_digest(source_spec, pipeline_key, scenario))
+            .collect();
+    };
+    let lanes = DigestLanes::new(
+        four.each_ref()
+            .map(|s| site_fields(source_spec, pipeline_key, s)),
+    );
+    workload_fields(lanes, &four[0].ptgs, &four[0].release_times)
+        .into_builders()
+        .into()
+}
+
+/// The fields of [`scenario_digest`] that differ between the site
+/// scenarios of one combination: provenance, the pipeline key and the
+/// platform.
+fn site_fields(source_spec: &str, pipeline_key: &str, scenario: &Scenario) -> DigestBuilder {
     let mut digest = DigestBuilder::new()
         .str("cell")
         .str(source_spec)
@@ -79,11 +139,16 @@ pub fn scenario_digest(
         mcsched_platform::NetworkTopology::SharedSwitch { switch } => ("shared", switch),
         mcsched_platform::NetworkTopology::PerClusterSwitch { backbone } => ("backbone", backbone),
     };
-    digest = digest
+    digest
         .str(topology_label)
         .f64(topology_link.bandwidth)
-        .f64(topology_link.latency);
-    for ptg in scenario.ptgs.iter() {
+        .f64(topology_link.latency)
+}
+
+/// The workload content fields of [`scenario_digest`], fed to one digest
+/// state or to four in lockstep.
+fn workload_fields<F: DigestFields>(mut digest: F, ptgs: &[Ptg], release_times: &[f64]) -> F {
+    for ptg in ptgs {
         digest = digest.usize(ptg.num_tasks()).usize(ptg.num_edges());
         for task in ptg.tasks() {
             let (cost_label, cost_param) = match task.cost_model() {
@@ -101,7 +166,7 @@ pub fn scenario_digest(
             digest = digest.usize(edge.src).usize(edge.dst).f64(edge.bytes);
         }
     }
-    for &release in &scenario.release_times {
+    for &release in release_times {
         digest = digest.f64(release);
     }
     digest
@@ -122,7 +187,8 @@ pub fn cell_digest(
         .finish()
 }
 
-/// Opens the configured cell cache, if any.
+/// Opens the configured cell cache, if any, loading its shard files on
+/// the campaign's `threads`.
 ///
 /// # Errors
 ///
@@ -133,10 +199,11 @@ pub fn cell_digest(
 fn open_cell_cache(
     cache_dir: Option<&Path>,
     resume: bool,
+    threads: usize,
 ) -> Result<Option<CellCache>, SchedError> {
     match cache_dir {
         None => Ok(None),
-        Some(dir) => CellCache::open(dir, resume)
+        Some(dir) => CellCache::open_with_threads(dir, resume, threads)
             .map(Some)
             .map_err(|e| SchedError::InvalidConfig(format!("cell cache {}: {e}", dir.display()))),
     }
@@ -191,27 +258,42 @@ pub fn evaluate_policies_sharded(
     pipeline_key: &str,
     shard: Option<(usize, usize)>,
 ) -> Option<Vec<CellMetrics>> {
+    let digest = (cache.is_some() || shard.is_some())
+        .then(|| scenario_digest(source_spec, pipeline_key, scenario));
+    let policy_keys: Vec<String> = policies.iter().map(|p| p.cache_key()).collect();
+    evaluate_scenario(scenario, base, policies, &policy_keys, cache, digest, shard)
+}
+
+/// [`evaluate_policies_sharded`] with the scenario's digest builder (needed
+/// with a cache or a shard) and the policies' `cache_key()`s (read with a
+/// cache) already computed.
+fn evaluate_scenario(
+    scenario: &Scenario,
+    base: &SchedulerConfig,
+    policies: &[Arc<dyn ConstraintPolicy>],
+    policy_keys: &[String],
+    cache: Option<&CellCache>,
+    digest: Option<DigestBuilder>,
+    shard: Option<(usize, usize)>,
+) -> Option<Vec<CellMetrics>> {
     let _span = mcsched_obs::span!(
         "cell-eval",
         "scenario" = scenario.name.clone(),
         "policies" = policies.len()
     );
-    // The content walk over the scenario's graphs happens once: the shard
-    // check finalizes a clone of the shared builder, and so does each
-    // policy's cell key.
-    let shared = (cache.is_some() || shard.is_some())
-        .then(|| scenario_digest(source_spec, pipeline_key, scenario));
-    if let (Some((index, of)), Some(shared)) = (shard, &shared) {
-        if !shared.clone().finish().in_shard(index, of) {
+    // The shard check finalizes a clone of the scenario's builder, and so
+    // does each policy's cell key.
+    if let (Some((index, of)), Some(digest)) = (shard, &digest) {
+        if !digest.clone().finish().in_shard(index, of) {
             return None;
         }
     }
-    let (Some(cache), Some(shared)) = (cache, shared) else {
+    let (Some(cache), Some(digest)) = (cache, digest) else {
         return Some(scenario.evaluate_policies(base, policies));
     };
-    let keys: Vec<CellDigest> = policies
+    let keys: Vec<CellDigest> = policy_keys
         .iter()
-        .map(|p| shared.clone().str(&p.cache_key()).finish())
+        .map(|key| digest.clone().str(key).finish())
         .collect();
     let mut outcomes: Vec<Option<CellMetrics>> =
         keys.iter().map(|&key| cache.lookup(key)).collect();
@@ -278,6 +360,9 @@ pub(crate) struct CellJob {
     progress: Progress,
     spec: String,
     pipeline_key: String,
+    /// Each policy's `cache_key()`, in policy order, built once per
+    /// campaign.
+    policy_keys: Vec<String>,
     /// The source's short label, prefixing request and scenario names.
     label: String,
     /// The Grid'5000 sites every combination is evaluated on.
@@ -364,9 +449,10 @@ impl CellJob {
         let mut job = Self {
             spec: config.source.spec(),
             pipeline_key: config.base.pipeline_cache_key(),
+            policy_keys: config.strategies.iter().map(|p| p.cache_key()).collect(),
             label: config.source.short_label(),
             platforms: grid5000::all_sites(),
-            cache: open_cell_cache(config.cache_dir.as_deref(), config.resume)?,
+            cache: open_cell_cache(config.cache_dir.as_deref(), config.resume, config.threads)?,
             progress: Progress::new(label, data_points, config.progress),
             config,
             skipped: AtomicU64::new(0),
@@ -398,8 +484,8 @@ impl CellJob {
             .u64(self.config.seed)
             .usize(self.config.combinations)
             .usize(self.config.replications);
-        for policy in &self.config.strategies {
-            digest = digest.str(&policy.cache_key());
+        for key in &self.policy_keys {
+            digest = digest.str(key);
         }
         for &n in &self.config.ptg_counts {
             digest = digest.usize(n);
@@ -434,8 +520,9 @@ impl CellJob {
     }
 
     /// One task of the grid: generates combination `combo` of data point
-    /// `point` and evaluates its site scenarios, returning their outcomes
-    /// in site order.
+    /// `point`, hashes its site scenarios in one pass when a cache or a
+    /// shard needs their digests ([`combination_digests`]), and evaluates
+    /// them, returning their outcomes in site order.
     fn combination(&self, point: usize, combo: usize) -> Result<Vec<Vec<CellMetrics>>, SchedError> {
         let (replication, num_ptgs) = self.data_point(point);
         let _span = mcsched_obs::span!(
@@ -452,18 +539,27 @@ impl CellJob {
             combo,
             replication_seed(self.config.seed, replication),
         )?;
+        let digests = if self.cache.is_some() || self.config.shard.is_some() {
+            combination_digests(&self.spec, &self.pipeline_key, &scenarios)
+                .into_iter()
+                .map(Some)
+                .collect()
+        } else {
+            vec![None; scenarios.len()]
+        };
         Ok(scenarios
             .iter()
-            .map(|scenario| {
+            .zip(digests)
+            .map(|(scenario, digest)| {
                 let policies = &self.config.strategies;
                 let cells = policies.len() as u64;
-                match evaluate_policies_sharded(
+                match evaluate_scenario(
                     scenario,
                     &self.config.base,
                     policies,
+                    &self.policy_keys,
                     self.cache.as_ref(),
-                    &self.spec,
-                    &self.pipeline_key,
+                    digest,
                     self.config.shard,
                 ) {
                     Some(outcomes) => {
@@ -656,6 +752,78 @@ mod tests {
         forged.seed = scenarios[0].seed;
         assert_eq!(forged.platform.name(), scenarios[0].platform.name());
         assert_ne!(d(&scenarios[0]), d(&forged));
+    }
+
+    /// The first data point of the paper's Fig-3 campaign (random PTGs),
+    /// with its source spec and pipeline key.
+    fn fig3_point(ptgs: usize, combinations: usize) -> (String, String, Vec<Scenario>) {
+        let config = CampaignConfig::paper(PtgClass::Random);
+        let scenarios =
+            generate_scenarios_with(config.source.as_ref(), ptgs, combinations, config.seed)
+                .unwrap();
+        (
+            config.source.spec(),
+            config.base.pipeline_cache_key(),
+            scenarios,
+        )
+    }
+
+    #[test]
+    fn scenario_digest_of_a_fig3_scenario_is_pinned() {
+        // Every on-disk cache is keyed by this composition: a change here
+        // makes every existing cache directory miss.
+        let (spec, pipeline, scenarios) = fig3_point(2, 1);
+        let digest = scenario_digest(&spec, &pipeline, &scenarios[0]).finish();
+        assert_eq!(digest.to_hex(), "0a32d5821cc66a4e93a518c57a0db2fd");
+    }
+
+    #[test]
+    fn combination_digests_equal_the_per_scenario_digests() {
+        let (spec, pipeline, scenarios) = fig3_point(4, 3);
+        for combination in scenarios.chunks(4) {
+            let serial: Vec<CellDigest> = combination
+                .iter()
+                .map(|s| scenario_digest(&spec, &pipeline, s).finish())
+                .collect();
+            let lanes: Vec<CellDigest> = combination_digests(&spec, &pipeline, combination)
+                .into_iter()
+                .map(DigestBuilder::finish)
+                .collect();
+            assert_eq!(lanes, serial);
+        }
+    }
+
+    #[test]
+    fn combination_digests_fall_back_to_the_serial_walk() {
+        let (spec, pipeline, scenarios) = fig3_point(3, 2);
+        let serial = |scenarios: &[Scenario]| -> Vec<CellDigest> {
+            scenarios
+                .iter()
+                .map(|s| scenario_digest(&spec, &pipeline, s).finish())
+                .collect()
+        };
+        let combined = |scenarios: &[Scenario]| -> Vec<CellDigest> {
+            combination_digests(&spec, &pipeline, scenarios)
+                .into_iter()
+                .map(DigestBuilder::finish)
+                .collect()
+        };
+        // Two, three and five site scenarios.
+        for sites in [&scenarios[..2], &scenarios[..3], &scenarios[..5]] {
+            assert_eq!(combined(sites), serial(sites));
+        }
+        // Four scenarios with equal but unshared applications, and four
+        // whose applications or release times differ.
+        let mut unshared = scenarios[..4].to_vec();
+        unshared[2].ptgs = unshared[2].ptgs.to_vec().into();
+        assert_eq!(combined(&unshared), serial(&unshared));
+        let mut mixed = scenarios[..4].to_vec();
+        mixed[3].ptgs = Arc::clone(&scenarios[4].ptgs);
+        assert_eq!(combined(&mixed), serial(&mixed));
+        let mut retimed = scenarios[..4].to_vec();
+        retimed[1].release_times[0] = -0.0;
+        assert_ne!(combined(&retimed)[1], combined(&scenarios[..4])[1]);
+        assert_eq!(combined(&retimed), serial(&retimed));
     }
 
     /// An unsharded evaluation of `strassen` cells through `cache`.
@@ -866,6 +1034,36 @@ mod tests {
             let _ = std::fs::remove_dir_all(&cache_dir);
             let _ = std::fs::remove_dir_all(&obs_dir);
         }
+    }
+
+    #[test]
+    fn warm_campaign_opens_its_cache_on_the_campaign_threads() {
+        let cache_dir = scratch_dir("open-threads");
+        let config = |threads| CampaignConfig {
+            cache_dir: Some(cache_dir.clone()),
+            ..scripted_config(Scripted { slow: 0, fail: 0 }, threads)
+        };
+        let cold = CellJob::new(&config(1)).unwrap().run_grid().unwrap();
+        // The pool tasks of the open, and of the warm run with `run`.
+        let pool_tasks = |threads, run: bool| {
+            let collector = mcsched_obs::Collector::new();
+            let installed = collector.install();
+            let job = CellJob::new(&config(threads)).unwrap();
+            if run {
+                assert_eq!(job.run_grid().unwrap(), cold);
+                let cache = job.cache.as_ref().unwrap();
+                assert_eq!((cache.resumed(), cache.misses()), (cache.len(), 0));
+            }
+            drop(installed);
+            (collector.totals().iter())
+                .filter(|t| t.name == "pool-task")
+                .map(|t| t.calls)
+                .sum::<u64>()
+        };
+        assert_eq!(pool_tasks(1, true), 0, "one thread spawns nothing");
+        let shards = mcsched_runtime::cache::SHARD_COUNT as u64;
+        assert_eq!(pool_tasks(2, false), shards, "one task per shard file");
+        let _ = std::fs::remove_dir_all(&cache_dir);
     }
 
     #[test]

@@ -32,6 +32,17 @@
 //! salt differs from [`CACHE_SALT`] are ignored wholesale, which is how
 //! bumping the salt invalidates old caches.
 //!
+//! ## Loading on several threads
+//!
+//! [`CellCache::open_with_threads`] reads and parses the 16 shard files
+//! through one [`run_indexed`] fan-out, one task per file. Each task only
+//! returns what it found; the cells are installed and the counters and
+//! warnings emitted afterwards, in shard order, so a cache opened at any
+//! thread count holds the same cells and reports the same way.
+//! [`CellCache::open`] loads on the calling thread alone, and so does a
+//! campaign at `--threads 1`. [`merge_cache_dirs`] stays serial: writing
+//! its files in parallel made it slower.
+//!
 //! ## Reading and writing a shard
 //!
 //! No `Json` tree is built for a shard. The writer lays the bytes out by
@@ -70,6 +81,7 @@
 //! to the one a single unsharded run would have written.
 
 use crate::digest::{CellDigest, CACHE_SALT};
+use crate::pool::run_indexed;
 use mcsched_obs::json::{write_str, Token, Tokenizer};
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -192,6 +204,23 @@ impl CellCache {
     /// corrupt shard *files* are not errors: they are skipped with a
     /// warning on stderr and recomputed.
     pub fn open(dir: impl Into<PathBuf>, resume: bool) -> io::Result<Self> {
+        Self::open_with_threads(dir, resume, 1)
+    }
+
+    /// [`CellCache::open`] that reads and parses the shard files on up to
+    /// `threads` threads (`0` = one per core) through [`run_indexed`].
+    /// Counters and warnings are emitted after the fan-out, in shard order,
+    /// so they do not depend on the thread count; one thread spawns
+    /// nothing.
+    ///
+    /// # Errors
+    ///
+    /// As [`CellCache::open`].
+    pub fn open_with_threads(
+        dir: impl Into<PathBuf>,
+        resume: bool,
+        threads: usize,
+    ) -> io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
         let mut cache = Self {
@@ -207,11 +236,20 @@ impl CellCache {
         // never happened, so their contents are already recomputable.
         remove_stale_temporaries(&dir)?;
         if resume {
-            let mut resumed = 0;
-            for index in 0..SHARD_COUNT {
-                resumed += cache.load_shard(&dir, index);
+            for (shard, load) in cache.shards.iter_mut().zip(load_shards(&dir, threads)) {
+                if load.corrupt_shard {
+                    mcsched_obs::counter!("cache.corrupt_shard").inc();
+                }
+                mcsched_obs::counter!("cache.corrupt_cell").add(load.corrupt_cells as u64);
+                if let Some(warning) = &load.warning {
+                    eprintln!("warning: cell cache: {warning}");
+                }
+                cache.resumed += load.cells.len();
+                shard
+                    .get_mut()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .cells = load.cells;
             }
-            cache.resumed = resumed;
         } else {
             for index in 0..SHARD_COUNT {
                 let path = shard_path(&dir, index);
@@ -377,50 +415,65 @@ impl CellCache {
             )))
         }
     }
+}
 
-    /// Loads one shard file into memory, returning the number of cells
-    /// recovered (0 for missing/corrupt files).
-    fn load_shard(&mut self, dir: &Path, index: usize) -> usize {
+/// What loading one shard file found: the cells it recovered and what the
+/// load reports about the file.
+struct ShardLoad {
+    cells: HashMap<u128, CellMetrics>,
+    /// The file exists but could not be read or parsed.
+    corrupt_shard: bool,
+    /// Malformed cell records skipped in a readable file.
+    corrupt_cells: usize,
+    /// The warning the load prints, without its `cell cache:` prefix.
+    warning: Option<String>,
+}
+
+/// Reads and parses the shard files of `dir` on up to `threads` threads,
+/// one result per shard in shard order. A missing file loads as an empty
+/// shard.
+fn load_shards(dir: &Path, threads: usize) -> Vec<ShardLoad> {
+    run_indexed(threads, SHARD_COUNT, |index| {
         let path = shard_path(dir, index);
+        let mut load = ShardLoad {
+            cells: HashMap::new(),
+            corrupt_shard: false,
+            corrupt_cells: 0,
+            warning: None,
+        };
         let text = match std::fs::read_to_string(&path) {
             Ok(text) => text,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return 0,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return load,
             Err(e) => {
-                mcsched_obs::counter!("cache.corrupt_shard").inc();
-                eprintln!(
-                    "warning: cell cache: cannot read {} ({e}); its cells will be recomputed",
+                load.corrupt_shard = true;
+                load.warning = Some(format!(
+                    "cannot read {} ({e}); its cells will be recomputed",
                     path.display()
-                );
-                return 0;
+                ));
+                return load;
             }
         };
         match parse_shard(&text) {
             Ok((cells, skipped)) => {
+                load.cells = cells;
+                load.corrupt_cells = skipped;
                 if skipped > 0 {
-                    mcsched_obs::counter!("cache.corrupt_cell").add(skipped as u64);
-                    eprintln!(
-                        "warning: cell cache: {} skipped {skipped} malformed cell record(s); \
-                         they will be recomputed",
+                    load.warning = Some(format!(
+                        "{} skipped {skipped} malformed cell record(s); they will be recomputed",
                         path.display()
-                    );
+                    ));
                 }
-                let count = cells.len();
-                let shard = self.shards[index]
-                    .get_mut()
-                    .unwrap_or_else(PoisonError::into_inner);
-                shard.cells = cells;
-                count
             }
             Err(reason) => {
-                mcsched_obs::counter!("cache.corrupt_shard").inc();
-                eprintln!(
-                    "warning: cell cache: ignoring {} ({reason}); its cells will be recomputed",
+                load.corrupt_shard = true;
+                load.warning = Some(format!(
+                    "ignoring {} ({reason}); its cells will be recomputed",
                     path.display()
-                );
-                0
+                ));
             }
         }
-    }
+        load
+    })
 }
 
 fn shard_path(dir: &Path, index: usize) -> PathBuf {
@@ -1050,6 +1103,50 @@ mod tests {
         cache.flush().unwrap();
         let after = std::fs::metadata(&path).unwrap().modified().unwrap();
         assert_eq!(before, after, "identical re-insert must not rewrite");
+    }
+
+    #[test]
+    fn parallel_load_reports_like_the_serial_one() {
+        let dir = TempDir::new("parallel-load");
+        let cache = CellCache::open(dir.path(), true).unwrap();
+        for i in 0..256 {
+            cache.insert(key(i), metrics(i as f64));
+        }
+        cache.flush().unwrap();
+        // One shard is not JSON; another has one malformed cell record.
+        std::fs::write(shard_path(dir.path(), 3), "{\"version\":1,").unwrap();
+        let path = shard_path(dir.path(), 9);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, text.replacen("\"key\":\"", "\"key\":\"zz", 1)).unwrap();
+        let report = |threads| {
+            let loads = load_shards(dir.path(), threads);
+            let shards = loads.iter().filter(|l| l.corrupt_shard).count();
+            let cells: usize = loads.iter().map(|l| l.corrupt_cells).sum();
+            let warnings: Vec<String> = loads.iter().filter_map(|l| l.warning.clone()).collect();
+            (shards, cells, warnings)
+        };
+        let serial = report(1);
+        let (shards, cells, warnings) = &serial;
+        assert_eq!((*shards, *cells), (1, 1));
+        assert_eq!(warnings.len(), 2);
+        assert!(warnings[0].contains("shard-03.json"), "{warnings:?}");
+        assert!(warnings[1].contains("shard-09.json"), "{warnings:?}");
+        assert_eq!(report(2), serial, "counts and warnings in shard order");
+        let sorted = |cache: &CellCache| {
+            let mut cells: Vec<(u128, [u64; 3])> = cache
+                .cells()
+                .iter()
+                .map(|(k, m)| (k.0, m.to_bits()))
+                .collect();
+            cells.sort_unstable();
+            cells
+        };
+        let one = CellCache::open(dir.path(), true).unwrap();
+        let two = CellCache::open_with_threads(dir.path(), true, 2).unwrap();
+        assert_eq!(two.resumed(), one.resumed());
+        assert_eq!(one.resumed(), one.len());
+        assert!(one.resumed() < 255, "the corrupt shards lose their cells");
+        assert_eq!(sorted(&two), sorted(&one));
     }
 
     #[test]

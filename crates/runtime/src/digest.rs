@@ -16,6 +16,19 @@
 //! exact bit patterns are pinned by unit tests so a Rust upgrade or
 //! refactor cannot silently remap an existing on-disk cache.
 //!
+//! ## One framing, one or four states
+//!
+//! Fields are framed by the [`DigestFields`] trait: a tag byte and a
+//! little-endian payload, strings length-prefixed. [`DigestBuilder`] feeds
+//! them to one state; [`DigestLanes`] feeds the same bytes to four states
+//! in lockstep. At about five cycles a byte the serial FNV chain is
+//! latency-bound, and four independent chains overlap in the CPU, so the
+//! four site scenarios of a campaign combination, which share their
+//! applications byte for byte, are hashed in one pass over those bytes
+//! (`mcsched_exp::cells::combination_digests`). A lane's digest is
+//! bit-identical to the serial builder's, so the two paths key the same
+//! cells.
+//!
 //! ## The salt
 //!
 //! [`CACHE_SALT`] names the version of the *scheduling semantics*. Bump it
@@ -106,8 +119,77 @@ impl std::fmt::Display for CellDigest {
     }
 }
 
-/// Incremental digest builder. Fields are length-framed, so `"ab" + "c"`
-/// and `"a" + "bc"` hash differently; all integers are fed little-endian.
+/// One byte of a digest state's two FNV-1a chains: the second chain folds
+/// a rotation of the first one in after each byte, so the two never
+/// converge.
+#[inline(always)]
+fn step((lo, hi): (u64, u64), byte: u8) -> (u64, u64) {
+    let lo = (lo ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    let hi = (hi ^ u64::from(byte)).wrapping_mul(FNV_PRIME) ^ lo.rotate_left(29);
+    (lo, hi)
+}
+
+/// A one-byte tag followed by the little-endian bytes of `value`.
+#[inline(always)]
+fn tagged(tag: u8, value: u64) -> [u8; 9] {
+    let mut bytes = [tag; 9];
+    bytes[1..].copy_from_slice(&value.to_le_bytes());
+    bytes
+}
+
+/// The field framing every digest uses: each field is a tag byte and its
+/// little-endian payload, and strings are framed by their length, so
+/// `"ab" + "c"` and `"a" + "bc"` hash differently. [`DigestBuilder`] and
+/// [`DigestLanes`] share it, so a content walk written once over this
+/// trait feeds the same bytes to one state or to four.
+pub trait DigestFields: Sized {
+    /// Feeds raw bytes to every digest state.
+    fn feed(&mut self, bytes: &[u8]);
+
+    /// Feeds a length-framed string field.
+    #[must_use]
+    #[inline(always)]
+    fn str(mut self, value: &str) -> Self {
+        self.feed(&tagged(b'S', value.len() as u64));
+        self.feed(value.as_bytes());
+        self
+    }
+
+    /// Feeds a `u64` field.
+    #[must_use]
+    #[inline(always)]
+    fn u64(mut self, value: u64) -> Self {
+        self.feed(&tagged(b'U', value));
+        self
+    }
+
+    /// Feeds a `usize` field.
+    #[must_use]
+    #[inline(always)]
+    fn usize(self, value: usize) -> Self {
+        self.u64(value as u64)
+    }
+
+    /// Feeds an `f64` field by its exact bit pattern (so `-0.0 != 0.0` and
+    /// every NaN payload is distinct — digests never canonicalize).
+    #[must_use]
+    #[inline(always)]
+    fn f64(mut self, value: f64) -> Self {
+        self.feed(&tagged(b'F', value.to_bits()));
+        self
+    }
+
+    /// Feeds a `bool` field.
+    #[must_use]
+    #[inline(always)]
+    fn bool(mut self, value: bool) -> Self {
+        self.feed(&[b'B', u8::from(value)]);
+        self
+    }
+}
+
+/// Incremental digest builder over the [`DigestFields`] framing; all
+/// integers are fed little-endian.
 #[derive(Debug, Clone)]
 pub struct DigestBuilder {
     lo: u64,
@@ -129,68 +211,40 @@ impl DigestBuilder {
             // Decorrelate the second lane by perturbing its offset basis.
             hi: splitmix(FNV_OFFSET ^ 0x5851_F42D_4C95_7F2D),
         };
-        b.feed_str(salt);
+        // The salt is length-framed but untagged.
+        b.feed(&(salt.len() as u64).to_le_bytes());
+        b.feed(salt.as_bytes());
         b
     }
 
-    fn feed_byte(&mut self, byte: u8) {
-        self.lo = (self.lo ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        self.hi = (self.hi ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        // Keep the lanes from ever converging: fold a lane-specific rotation
-        // of the other lane in after each byte of the second lane.
-        self.hi ^= self.lo.rotate_left(29);
-    }
-
-    fn feed_str(&mut self, value: &str) {
-        self.feed_u64_raw(value.len() as u64);
-        for byte in value.bytes() {
-            self.feed_byte(byte);
-        }
-    }
-
-    fn feed_u64_raw(&mut self, value: u64) {
-        for byte in value.to_le_bytes() {
-            self.feed_byte(byte);
-        }
-    }
-
-    /// Feeds a length-framed string field.
+    /// Feeds a length-framed string field ([`DigestFields::str`]).
     #[must_use]
-    pub fn str(mut self, value: &str) -> Self {
-        self.feed_byte(b'S');
-        self.feed_str(value);
-        self
+    pub fn str(self, value: &str) -> Self {
+        DigestFields::str(self, value)
     }
 
-    /// Feeds a `u64` field.
+    /// Feeds a `u64` field ([`DigestFields::u64`]).
     #[must_use]
-    pub fn u64(mut self, value: u64) -> Self {
-        self.feed_byte(b'U');
-        self.feed_u64_raw(value);
-        self
+    pub fn u64(self, value: u64) -> Self {
+        DigestFields::u64(self, value)
     }
 
-    /// Feeds a `usize` field.
+    /// Feeds a `usize` field ([`DigestFields::usize`]).
     #[must_use]
     pub fn usize(self, value: usize) -> Self {
-        self.u64(value as u64)
+        DigestFields::usize(self, value)
     }
 
-    /// Feeds an `f64` field by its exact bit pattern (so `-0.0 != 0.0` and
-    /// every NaN payload is distinct — digests never canonicalize).
+    /// Feeds an `f64` field by its bit pattern ([`DigestFields::f64`]).
     #[must_use]
-    pub fn f64(mut self, value: f64) -> Self {
-        self.feed_byte(b'F');
-        self.feed_u64_raw(value.to_bits());
-        self
+    pub fn f64(self, value: f64) -> Self {
+        DigestFields::f64(self, value)
     }
 
-    /// Feeds a `bool` field.
+    /// Feeds a `bool` field ([`DigestFields::bool`]).
     #[must_use]
-    pub fn bool(mut self, value: bool) -> Self {
-        self.feed_byte(b'B');
-        self.feed_byte(u8::from(value));
-        self
+    pub fn bool(self, value: bool) -> Self {
+        DigestFields::bool(self, value)
     }
 
     /// Finalizes both lanes through SplitMix64 and returns the 128-bit
@@ -200,6 +254,56 @@ impl DigestBuilder {
         let lo = splitmix(self.lo);
         let hi = splitmix(self.hi ^ self.lo.rotate_right(17));
         CellDigest((u128::from(hi) << 64) | u128::from(lo))
+    }
+}
+
+impl DigestFields for DigestBuilder {
+    #[inline]
+    fn feed(&mut self, bytes: &[u8]) {
+        let mut state = (self.lo, self.hi);
+        for &byte in bytes {
+            state = step(state, byte);
+        }
+        (self.lo, self.hi) = state;
+    }
+}
+
+/// Four [`DigestBuilder`] states fed the same bytes in one lockstep pass:
+/// the digests of four inputs that share a long common tail, such as the
+/// four site scenarios of one generated combination, which differ in their
+/// platform fields and share their applications. Each byte is one FNV
+/// step per state; the four multiply chains are independent, so the CPU
+/// overlaps them, and the states stay in locals for the whole byte loop so
+/// that they live in registers. Every lane ends bit-identical to its
+/// builder fed the same fields serially.
+#[derive(Debug, Clone)]
+pub struct DigestLanes([DigestBuilder; 4]);
+
+impl DigestLanes {
+    /// The lanes, starting from four builders' states.
+    #[must_use]
+    pub fn new(builders: [DigestBuilder; 4]) -> Self {
+        Self(builders)
+    }
+
+    /// The four builders, in the order [`DigestLanes::new`] took them.
+    #[must_use]
+    pub fn into_builders(self) -> [DigestBuilder; 4] {
+        self.0
+    }
+}
+
+impl DigestFields for DigestLanes {
+    #[inline(always)]
+    fn feed(&mut self, bytes: &[u8]) {
+        let [mut a, mut b, mut c, mut d] = self.0.each_ref().map(|s| (s.lo, s.hi));
+        for &byte in bytes {
+            a = step(a, byte);
+            b = step(b, byte);
+            c = step(c, byte);
+            d = step(d, byte);
+        }
+        self.0 = [a, b, c, d].map(|(lo, hi)| DigestBuilder { lo, hi });
     }
 }
 
@@ -226,6 +330,32 @@ mod tests {
             .usize(3)
             .finish();
         assert_eq!(e.to_hex(), "eeed16d2f0b9d500ad884fd4861e1a8e");
+    }
+
+    /// Every field type, fed after a lane's own prefix.
+    fn shared_tail<F: DigestFields>(digest: F) -> F {
+        digest
+            .str("shared")
+            .u64(u64::MAX)
+            .usize(3)
+            .f64(-0.0)
+            .f64(f64::NAN)
+            .bool(false)
+            .str("")
+    }
+
+    #[test]
+    fn lanes_match_the_serial_builder() {
+        let starts = ["a", "bc", "", "site-d"].map(|s| DigestBuilder::new().str(s).u64(7));
+        let lanes = shared_tail(DigestLanes::new(starts.clone())).into_builders();
+        for (lane, start) in lanes.into_iter().zip(starts) {
+            assert_eq!(lane.finish(), shared_tail(start).finish());
+        }
+        // Lanes fed nothing hand their builders back unchanged.
+        let fresh = DigestLanes::new(std::array::from_fn(|i| DigestBuilder::new().usize(i)));
+        for (i, lane) in fresh.into_builders().into_iter().enumerate() {
+            assert_eq!(lane.finish(), DigestBuilder::new().usize(i).finish());
+        }
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! * [`digest`] — stable 128-bit FNV-1a/SplitMix64 content digests
 //!   identifying each evaluated cell by *what determines its result*
 //!   (workload spec + seed, platform, pipeline configuration, policy
-//!   `cache_key()`, code-version salt [`CACHE_SALT`]);
+//!   `cache_key()`, code-version salt [`CACHE_SALT`]), one state at a
+//!   time ([`DigestBuilder`]) or four in lockstep ([`DigestLanes`]);
 //! * [`cache`] — the content-addressed [`CellCache`]: an in-memory layer
 //!   plus an on-disk JSON shard store (atomic-rename flushes, corruption-
 //!   and salt-tolerant loads) that lets re-runs skip every already-computed
@@ -49,6 +50,6 @@ pub mod pool;
 pub mod progress;
 
 pub use cache::{merge_cache_dirs, CellCache, CellMetrics, MergeError, MergeReport};
-pub use digest::{CellDigest, DigestBuilder, CACHE_SALT};
+pub use digest::{CellDigest, DigestBuilder, DigestFields, DigestLanes, CACHE_SALT};
 pub use pool::{pool_for, resolve_threads, run_indexed};
 pub use progress::Progress;
