@@ -18,9 +18,7 @@
 
 use mcsched_bench::ledger::{time, Args, Ledger};
 use mcsched_core::policy::ConstraintPolicy;
-use mcsched_core::{
-    ConcurrentScheduler, PolicyRegistry, ScheduleContext, SchedulerConfig, Workload,
-};
+use mcsched_core::{PolicyRegistry, ScheduleContext, SchedulerConfig, Workload};
 use mcsched_exp::CampaignConfig;
 use mcsched_obs::json::Json;
 use mcsched_platform::grid5000;
@@ -63,11 +61,11 @@ pub fn run(args: &Args) -> Ledger {
     // The full pipeline, context construction included: a fresh context
     // per run keeps its memoized β = 1 allocations and platform views from
     // short-circuiting the work being measured.
-    let mut pipeline = |family: &str, policy: String, built: Result<ConcurrentScheduler, _>| {
-        let scheduler: ConcurrentScheduler = built.expect("registry names build");
+    let mut pipeline = |family: &str, policy: String, config: SchedulerConfig| {
         ledger.push(batched(family, &policy, &|| {
-            let context = scheduler.workload_context(&platform, &workload);
-            scheduler.schedule_in(&context).expect("the pipeline runs");
+            ScheduleContext::for_workload(&platform, &workload, config.clone())
+                .schedule()
+                .expect("the pipeline runs");
         }));
     };
 
@@ -75,23 +73,38 @@ pub fn run(args: &Args) -> Ledger {
     // claims its row and the rest are skipped.
     let mut seen: HashSet<String> = HashSet::new();
     let resolve = "registry names resolve";
-    let build = ConcurrentScheduler::builder;
+    let base = SchedulerConfig::default();
     for name in registry.constraint_names() {
-        let key = registry.constraint(&name).expect(resolve).cache_key();
+        let constraint = registry.constraint(&name).expect(resolve);
+        let key = constraint.cache_key();
         if seen.insert(format!("constraint/{key}")) {
-            pipeline("constraint", key, build().constraint(name).build());
+            let config = SchedulerConfig {
+                constraint,
+                ..base.clone()
+            };
+            pipeline("constraint", key, config);
         }
     }
     for name in registry.allocation_names() {
-        let key = registry.allocation(&name).expect(resolve).name();
+        let allocation = registry.allocation(&name).expect(resolve);
+        let key = allocation.name();
         if seen.insert(format!("allocation/{key}")) {
-            pipeline("allocation", key, build().allocation(name).build());
+            let config = SchedulerConfig {
+                allocation,
+                ..base.clone()
+            };
+            pipeline("allocation", key, config);
         }
     }
     for name in registry.mapping_names() {
-        let key = registry.mapping(&name).expect(resolve).name();
+        let mapping = registry.mapping(&name).expect(resolve);
+        let key = mapping.name();
         if seen.insert(format!("mapping/{key}")) {
-            pipeline("mapping", key, build().mapping(name).build());
+            let config = SchedulerConfig {
+                mapping,
+                ..base.clone()
+            };
+            pipeline("mapping", key, config);
         }
     }
 
@@ -99,7 +112,6 @@ pub fn run(args: &Args) -> Ledger {
         .iter()
         .map(|n| registry.constraint(n).expect(resolve))
         .collect();
-    let base = SchedulerConfig::default();
     let shared = batched("paired", "crn-shared-context", &|| {
         let context = ScheduleContext::for_workload(&platform, &workload, base.clone());
         context

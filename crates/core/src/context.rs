@@ -1,39 +1,45 @@
 //! The shared evaluation context: one scenario's platform views and the
-//! intermediates every policy compared on it shares.
+//! intermediates every policy compared on it shares, and the one entry
+//! point of the paper's pipeline.
 //!
-//! Evaluating one scenario (a platform plus a set of PTGs submitted
-//! together) involves several expensive intermediates that older call sites
-//! recomputed independently:
+//! A [`ScheduleContext`] runs its base [`SchedulerConfig`] on one scenario
+//! (a platform plus a set of PTGs submitted together):
+//! [`ScheduleContext::schedule`] runs β constraint, allocation, mapping and
+//! simulation, and [`ScheduleContext::evaluate`] adds the dedicated
+//! baselines and fairness metrics of the paper's evaluation. Comparing
+//! several constraint policies on one scenario goes through
+//! [`ScheduleContext::evaluate_policies`].
+//!
+//! The context keeps the expensive intermediates those runs share:
 //!
 //! * the [`ReferencePlatform`] view and the routing tables of the
-//!   [`mcsched_simx::Engine`], previously rebuilt by every `allocate`,
-//!   `schedule` and `dedicated_makespan` call;
-//! * the **dedicated makespans** (`M_own`), previously re-simulated once per
-//!   strategy — the N+1 shape of `ConcurrentScheduler::evaluate`;
+//!   [`mcsched_simx::Engine`], built once per context;
+//! * the **dedicated makespans** (`M_own`), simulated once per application
+//!   however many policies are compared;
 //! * the **β = 1 allocation** of every application, run once and shared by
 //!   its dedicated baseline, by the selfish strategy and — through the
 //!   SCRAP trial log — by its constrained allocations under every other
 //!   strategy, which resume from the log instead of re-running the shared
 //!   prefix of grants;
 //! * the **concurrent mapping and simulation**: one per
-//!   [`ConcurrentScheduler::evaluate_in`] call, and on the paired path
-//!   ([`ScheduleContext::evaluate_policies`]) one per distinct allocation
-//!   vector, since strategies that give the same allocations (PS-width and
-//!   ES on same-width FFT graphs, ES and S when β does not bind) get the
-//!   same schedule. No run outlives the call that made it: the paired path
-//!   keeps of each policy only its [`EvaluatedRun`] (per-application
-//!   reports, global makespan, dedicated makespans, fairness), and drops
-//!   the schedule and trace as soon as the run is read from them.
+//!   [`ScheduleContext::schedule`] or [`ScheduleContext::evaluate`] call,
+//!   and on the paired path ([`ScheduleContext::evaluate_policies`]) one
+//!   per distinct allocation vector, since strategies that give the same
+//!   allocations (PS-width and ES on same-width FFT graphs, ES and S when β
+//!   does not bind) get the same schedule. No run outlives the call that
+//!   made it: the paired path keeps of each policy only its
+//!   [`EvaluatedRun`] (per-application reports, global makespan, dedicated
+//!   makespans, fairness), and drops the schedule and trace as soon as the
+//!   run is read from them.
 //!
 //! A policy's β vector and allocations are not kept: each policy is
 //! evaluated in one pass that holds them.
 //!
-//! A [`ScheduleContext`] owns all of them for one `(platform, ptgs, base
-//! config)` triple. The scheduler, the online re-planner and the
-//! `mcsched-exp` campaign harness (the µ sweep is a campaign) all drive
-//! their pipelines through it, so a scenario performs **one dedicated
-//! simulation per application** no matter how many strategies are compared
-//! (asserted by [`ScheduleContext::dedicated_simulations`]-based tests).
+//! The online re-planner and the `mcsched-exp` campaign harness (the µ
+//! sweep is a campaign) drive their pipelines through a context too, so a
+//! scenario performs **one dedicated simulation per application** no matter
+//! how many strategies are compared (asserted by
+//! [`ScheduleContext::dedicated_simulations`]-based tests).
 //!
 //! The dedicated slots use interior mutability (a lock or a once-cell per
 //! application), so a context can be shared by reference across the fan-out
@@ -43,8 +49,6 @@ use crate::allocation::{DedicatedAllocation, RefAllocation, ReferencePlatform};
 use crate::error::SchedError;
 use crate::mapping::Schedule;
 use crate::policy::{AllocationPolicy, ConstraintPolicy, MappingPolicy, MappingRequest};
-#[cfg(doc)]
-use crate::scheduler::ConcurrentScheduler;
 use crate::scheduler::{AppReport, ConcurrentRun, EvaluatedRun, SchedulerConfig};
 use crate::workload::Workload;
 use mcsched_platform::Platform;
@@ -161,7 +165,7 @@ impl<'a> ScheduleContext<'a> {
 
     /// Creates a context for a [`Workload`]: the PTGs are borrowed from the
     /// workload and its release times become the context's default release
-    /// times (used by [`crate::scheduler::ConcurrentScheduler::schedule_in`]).
+    /// times (used by every schedule the context runs).
     pub fn for_workload(
         platform: &'a Platform,
         workload: &'a Workload,
@@ -258,11 +262,7 @@ impl<'a> ScheduleContext<'a> {
 
     /// Allocates every application under its β of `betas` (one per
     /// application, in submission order) with `allocation`.
-    pub(crate) fn allocate(
-        &self,
-        betas: &[f64],
-        allocation: &dyn AllocationPolicy,
-    ) -> Vec<RefAllocation> {
+    fn allocate(&self, betas: &[f64], allocation: &dyn AllocationPolicy) -> Vec<RefAllocation> {
         // A β = 1 allocation is the dedicated one. A smaller β resumes from
         // the dedicated allocation when one is at hand but never starts one:
         // a schedule without dedicated baselines would pay for it. The
@@ -289,25 +289,49 @@ impl<'a> ScheduleContext<'a> {
             .collect()
     }
 
-    /// Maps the allocated applications with `mapping` at the context's
-    /// release times, simulates the schedule and reports every application
-    /// under its β of `betas`.
+    /// Schedules the context's applications at the context's release times
+    /// under the base pipeline (constraint, allocation, mapping) and
+    /// simulates the schedule.
     ///
     /// # Errors
     ///
     /// [`SchedError::EmptyWorkload`] for a context without applications;
-    /// simulation validation errors otherwise (indicating a scheduler bug).
-    pub(crate) fn schedule(
+    /// [`SchedError::Sim`] for simulation validation errors (which indicate
+    /// a scheduler bug rather than a user error).
+    pub fn schedule(&self) -> Result<ConcurrentRun, SchedError> {
+        let betas = self.betas_for(self.base.constraint.as_ref());
+        let allocations = self.allocate(&betas, self.base.allocation.as_ref());
+        self.simulate_allocated(&betas, &allocations)
+    }
+
+    /// Runs the full evaluation of the base pipeline: the dedicated run of
+    /// every application, the concurrent run, and the fairness metrics
+    /// derived from them. Equal to the base constraint's run of
+    /// [`ScheduleContext::evaluate_policies`].
+    ///
+    /// # Errors
+    ///
+    /// See [`ScheduleContext::schedule`].
+    pub fn evaluate(&self) -> Result<EvaluatedRun, SchedError> {
+        // Baselines first: the constrained allocations then resume from
+        // their β = 1 allocations.
+        let dedicated = self.dedicated_makespans()?;
+        Ok(EvaluatedRun::new(self.schedule()?, dedicated))
+    }
+
+    /// Maps the allocated applications with the base mapping policy at the
+    /// context's release times, simulates the schedule and reports every
+    /// application under its β of `betas`.
+    fn simulate_allocated(
         &self,
         betas: &[f64],
         allocations: &[RefAllocation],
-        mapping: &dyn MappingPolicy,
     ) -> Result<ConcurrentRun, SchedError> {
         if self.ptgs.is_empty() {
             return Err(SchedError::EmptyWorkload);
         }
         let release_times = &self.release_times;
-        let schedule = self.map_with(mapping, allocations, release_times);
+        let schedule = self.map_with(self.base.mapping.as_ref(), allocations, release_times);
         let outcome = self.execute(&schedule.workload)?;
         let apps = self
             .ptgs
@@ -464,9 +488,9 @@ impl<'a> ScheduleContext<'a> {
     }
 
     /// Number of concurrent-schedule simulations executed so far: one per
-    /// [`ConcurrentScheduler::evaluate_in`] call, and one per distinct
-    /// allocation vector within each [`ScheduleContext::evaluate_policies`]
-    /// call.
+    /// [`ScheduleContext::schedule`] or [`ScheduleContext::evaluate`] call,
+    /// and one per distinct allocation vector within each
+    /// [`ScheduleContext::evaluate_policies`] call.
     pub fn concurrent_simulations(&self) -> usize {
         self.concurrent_sims.load(Ordering::Relaxed)
     }
@@ -478,8 +502,9 @@ impl<'a> ScheduleContext<'a> {
     /// replication), and share this context's platform views and dedicated
     /// baselines, so per-policy metric vectors are directly pairable
     /// sample-for-sample. Returns one run per policy, in input order, equal
-    /// to what [`ConcurrentScheduler::evaluate_in`] returns for that policy
-    /// over the base allocation and mapping. Each schedule and trace is
+    /// to what [`ScheduleContext::evaluate`] returns on a fresh context whose
+    /// base pipeline runs that policy over this context's allocation and
+    /// mapping. Each schedule and trace is
     /// dropped as soon as its run is read.
     ///
     /// Each distinct allocation vector is mapped and simulated once per
@@ -495,7 +520,7 @@ impl<'a> ScheduleContext<'a> {
         &self,
         policies: &[Arc<dyn ConstraintPolicy>],
     ) -> Result<Vec<EvaluatedRun>, SchedError> {
-        // Baselines first, as `evaluate_in` does: the constrained
+        // Baselines first, as `evaluate` does: the constrained
         // allocations below then resume from their β = 1 runs.
         let dedicated = self.dedicated_makespans()?;
         // The allocations of every run so far, in run order.
@@ -515,7 +540,7 @@ impl<'a> ScheduleContext<'a> {
                     run
                 }
                 None => EvaluatedRun::new(
-                    self.schedule(&betas, &allocations, self.base.mapping.as_ref())?,
+                    self.simulate_allocated(&betas, &allocations)?,
                     dedicated.clone(),
                 ),
             };
@@ -553,7 +578,6 @@ mod tests {
     use super::*;
     use crate::constraint::ConstraintStrategy;
     use crate::policy::{EqualShare, ScrapAllocation, ScrapMaxAllocation};
-    use crate::scheduler::ConcurrentScheduler;
     use mcsched_platform::grid5000;
     use mcsched_ptg::gen::{random::RandomPtgConfig, random_ptg};
     use rand::SeedableRng;
@@ -658,9 +682,10 @@ mod tests {
         let platform = grid5000::sophia();
         let apps = ptgs(2, 5);
         let ctx = ScheduleContext::new(&platform, &apps);
-        let scheduler = ConcurrentScheduler::default();
         for (i, app) in apps.iter().enumerate() {
-            let direct = scheduler.dedicated_makespan(&platform, app).unwrap();
+            let direct = ScheduleContext::new(&platform, std::slice::from_ref(app))
+                .dedicated_makespan(0)
+                .unwrap();
             let cached = ctx.dedicated_makespan(i).unwrap();
             assert!(
                 (direct - cached).abs() < 1e-9,

@@ -18,10 +18,14 @@
 //!    [`metrics`] turns the observed per-application makespans into the
 //!    paper's **slowdown / unfairness / relative makespan** figures.
 //!
-//! The [`scheduler::ConcurrentScheduler`] type drives the whole pipeline
-//! through a [`context::ScheduleContext`], which holds the platform views
-//! and the dedicated-platform baselines of one scenario so that comparing
-//! many strategies never repeats a dedicated simulation.
+//! A [`context::ScheduleContext`] drives the whole pipeline for one
+//! scenario: [`context::ScheduleContext::schedule`] runs it and simulates
+//! the schedule, [`context::ScheduleContext::evaluate`] adds the dedicated
+//! baselines and fairness metrics, and
+//! [`context::ScheduleContext::evaluate_policies`] compares several
+//! constraint policies. The context holds the platform views and the
+//! dedicated-platform baselines of its scenario, so that comparing many
+//! strategies never repeats a dedicated simulation.
 //!
 //! Each of the three steps is a pluggable, object-safe [`policy`] trait
 //! ([`policy::ConstraintPolicy`], [`policy::AllocationPolicy`],
@@ -29,10 +33,10 @@
 //! types resolvable by name through a [`policy::PolicyRegistry`], and
 //! user-defined policies registered there run through the identical
 //! pipeline. A [`scheduler::SchedulerConfig`] holds one resolved policy per
-//! step. Work is submitted as a [`workload::Workload`] (batch or timed
-//! releases), schedulers are assembled from a configuration or with a
-//! [`scheduler::SchedulerBuilder`], and every fallible entry point returns a
-//! typed [`error::SchedError`].
+//! step and is the context's base pipeline. Work is submitted as a
+//! [`workload::Workload`] (batch or timed releases) or as a borrowed PTG
+//! slice, and every fallible entry point returns a typed
+//! [`error::SchedError`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -56,9 +60,7 @@ pub use metrics::{average_slowdown, slowdown, unfairness};
 pub use policy::{
     AllocationPolicy, ConstraintPolicy, MappingPolicy, MappingRequest, PolicyRegistry,
 };
-pub use scheduler::{
-    ConcurrentRun, ConcurrentScheduler, EvaluatedRun, SchedulerBuilder, SchedulerConfig,
-};
+pub use scheduler::{ConcurrentRun, EvaluatedRun, SchedulerConfig};
 pub use workload::Workload;
 
 // The JSON codec lives in `mcsched-obs`. Re-exported here only so that

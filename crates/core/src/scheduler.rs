@@ -1,43 +1,50 @@
-//! The end-to-end concurrent scheduler driving the whole pipeline.
+//! The pipeline's configuration and results.
 //!
-//! A [`ConcurrentScheduler`] runs one [`SchedulerConfig`]: a resolved triple
-//! of policies — one [`ConstraintPolicy`], one [`AllocationPolicy`], one
-//! [`MappingPolicy`]. Policy instances go into a [`SchedulerConfig`]
-//! literal directly; the [`SchedulerBuilder`] resolves policies *by name*
-//! from a [`PolicyRegistry`]:
+//! A [`SchedulerConfig`] is a resolved triple of policies — one
+//! [`ConstraintPolicy`], one [`AllocationPolicy`], one [`MappingPolicy`].
+//! Policy instances go into a [`SchedulerConfig`] literal directly, or are
+//! resolved *by name* from a [`PolicyRegistry`]. A
+//! [`ScheduleContext`] runs its configuration on one scenario:
+//! [`ScheduleContext::schedule`] runs the pipeline and the simulation into a
+//! [`ConcurrentRun`], and [`ScheduleContext::evaluate`] additionally
+//! produces the dedicated baselines and fairness metrics of the paper's
+//! evaluation, as an [`EvaluatedRun`]:
 //!
 //! ```
-//! use mcsched_core::scheduler::ConcurrentScheduler;
+//! use mcsched_core::{PolicyRegistry, ScheduleContext, SchedulerConfig};
+//! use mcsched_platform::grid5000;
+//! use mcsched_ptg::gen::fft_ptg;
+//! use rand::SeedableRng;
+//! use rand_chacha::ChaCha8Rng;
 //!
-//! let scheduler = ConcurrentScheduler::builder()
-//!     .constraint("wps-work@0.7")
-//!     .allocation("scrap-max")
-//!     .build()
+//! let registry = PolicyRegistry::builtin();
+//! let config = SchedulerConfig {
+//!     constraint: registry.constraint("wps-work@0.7").unwrap(),
+//!     allocation: registry.allocation("scrap-max").unwrap(),
+//!     ..SchedulerConfig::default()
+//! };
+//! assert_eq!(config.constraint.name(), "WPS-work");
+//!
+//! let platform = grid5000::lille();
+//! let mut rng = ChaCha8Rng::seed_from_u64(1);
+//! let apps: Vec<_> = (0..2).map(|i| fft_ptg(4, &mut rng, format!("fft{i}"))).collect();
+//! let evaluation = ScheduleContext::with_base(&platform, &apps, config)
+//!     .evaluate()
 //!     .unwrap();
-//! assert_eq!(scheduler.config().constraint.name(), "WPS-work");
+//! assert_eq!(evaluation.fairness.slowdowns.len(), 2);
 //! ```
-//!
-//! Work is submitted as a [`Workload`] (or anything convertible into one,
-//! such as a `Vec<Ptg>`): `schedule` runs the pipeline and the simulation,
-//! `evaluate` additionally produces the dedicated baselines and fairness
-//! metrics of the paper's evaluation.
 
-use crate::allocation::RefAllocation;
-use crate::constraint::ConstraintStrategy;
+#[cfg(doc)]
 use crate::context::ScheduleContext;
-use crate::error::SchedError;
 use crate::mapping::Schedule;
 use crate::metrics::{fairness_report, FairnessReport};
+#[cfg(doc)]
+use crate::policy::PolicyRegistry;
 use crate::policy::{
-    AllocationPolicy, ConstraintPolicy, EqualShare, ListMapping, MappingPolicy, PolicyRegistry,
-    ScrapMaxAllocation,
+    AllocationPolicy, ConstraintPolicy, EqualShare, ListMapping, MappingPolicy, ScrapMaxAllocation,
 };
-use crate::workload::Workload;
-use mcsched_platform::Platform;
-use mcsched_ptg::Ptg;
 use mcsched_simx::ExecutionTrace;
 use serde::{Deserialize, Serialize};
-use std::cell::OnceCell;
 use std::sync::Arc;
 
 /// The concurrent-scheduling pipeline: one resolved policy per decision
@@ -150,220 +157,18 @@ impl EvaluatedRun {
     }
 }
 
-/// Two-step concurrent scheduler: constraint determination, constrained
-/// allocation, concurrent mapping, simulated execution.
-#[derive(Debug, Clone, Default)]
-pub struct ConcurrentScheduler {
-    config: SchedulerConfig,
-}
-
-impl ConcurrentScheduler {
-    /// Creates a scheduler running `config`.
-    pub fn new(config: SchedulerConfig) -> Self {
-        Self { config }
-    }
-
-    /// Creates a scheduler using the default pipeline (SCRAP-MAX allocation,
-    /// ready-task mapping with packing) and the given constraint strategy.
-    pub fn with_strategy(strategy: ConstraintStrategy) -> Self {
-        Self::new(SchedulerConfig {
-            constraint: strategy.to_policy(),
-            ..SchedulerConfig::default()
-        })
-    }
-
-    /// Starts assembling a scheduler from (possibly name-resolved) policies.
-    pub fn builder() -> SchedulerBuilder {
-        SchedulerBuilder::new()
-    }
-
-    /// The scheduler's pipeline: its resolved policies.
-    pub fn config(&self) -> &SchedulerConfig {
-        &self.config
-    }
-
-    /// Builds the evaluation context for one scenario. The context can be
-    /// shared by several schedulers that differ only in strategy, so that the
-    /// platform views and dedicated baselines are computed once.
-    pub fn context<'a>(&self, platform: &'a Platform, ptgs: &'a [Ptg]) -> ScheduleContext<'a> {
-        ScheduleContext::with_base(platform, ptgs, self.config.clone())
-    }
-
-    /// Builds the evaluation context for one workload, carrying the
-    /// workload's release times.
-    pub fn workload_context<'a>(
-        &self,
-        platform: &'a Platform,
-        workload: &'a Workload,
-    ) -> ScheduleContext<'a> {
-        ScheduleContext::for_workload(platform, workload, self.config.clone())
-    }
-
-    /// Computes the per-application allocations for a set of PTGs without
-    /// mapping them (exposed for inspection, ablation and tests).
-    pub fn allocate(&self, platform: &Platform, ptgs: &[Ptg]) -> Vec<RefAllocation> {
-        self.context(platform, ptgs).allocations_for(
-            self.config.constraint.as_ref(),
-            self.config.allocation.as_ref(),
-        )
-    }
-
-    /// Schedules a workload (a batch of PTGs, or PTGs with explicit release
-    /// times) and simulates the resulting schedule.
-    ///
-    /// Anything convertible into a [`Workload`] is accepted: a `Vec<Ptg>` or
-    /// `&[Ptg]` is treated as a batch released at time 0.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::EmptyWorkload`] for a workload without applications;
-    /// [`SchedError::Sim`] for simulation validation errors (which indicate
-    /// a scheduler bug rather than a user error).
-    pub fn schedule<W>(&self, platform: &Platform, workload: W) -> Result<ConcurrentRun, SchedError>
-    where
-        W: Into<Workload>,
-    {
-        let workload = workload.into();
-        self.schedule_in(&self.workload_context(platform, &workload))
-    }
-
-    /// Schedules the context's applications at the context's release times.
-    /// β vectors and allocations are computed for this scheduler's policies;
-    /// mapping and simulation reuse the context's platform views.
-    ///
-    /// # Errors
-    ///
-    /// See [`ConcurrentScheduler::schedule`].
-    pub fn schedule_in(&self, context: &ScheduleContext<'_>) -> Result<ConcurrentRun, SchedError> {
-        let betas = context.betas_for(self.config.constraint.as_ref());
-        let allocations = context.allocate(&betas, self.config.allocation.as_ref());
-        context.schedule(&betas, &allocations, self.config.mapping.as_ref())
-    }
-
-    /// Makespan of one PTG scheduled alone on the dedicated platform
-    /// (`M_own`): the constraint strategy is irrelevant, β = 1.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation validation errors.
-    pub fn dedicated_makespan(&self, platform: &Platform, ptg: &Ptg) -> Result<f64, SchedError> {
-        self.context(platform, std::slice::from_ref(ptg))
-            .dedicated_makespan(0)
-    }
-
-    /// Runs the full evaluation of one workload: concurrent run, dedicated
-    /// runs of every application and the derived fairness metrics. Each
-    /// application's dedicated baseline is simulated exactly once, through a
-    /// fresh [`ScheduleContext`].
-    ///
-    /// # Errors
-    ///
-    /// See [`ConcurrentScheduler::schedule`].
-    pub fn evaluate<W>(&self, platform: &Platform, workload: W) -> Result<EvaluatedRun, SchedError>
-    where
-        W: Into<Workload>,
-    {
-        let workload = workload.into();
-        self.evaluate_in(&self.workload_context(platform, &workload))
-    }
-
-    /// Evaluates this scheduler's strategy on a shared context. The
-    /// dedicated baselines come from the context's memo, so comparing many
-    /// strategies on one scenario pays for them only once.
-    ///
-    /// # Errors
-    ///
-    /// See [`ConcurrentScheduler::schedule`].
-    pub fn evaluate_in(&self, context: &ScheduleContext<'_>) -> Result<EvaluatedRun, SchedError> {
-        // Baselines first: the constrained allocations then resume from
-        // their β = 1 allocations.
-        let dedicated = context.dedicated_makespans()?;
-        Ok(EvaluatedRun::new(self.schedule_in(context)?, dedicated))
-    }
-}
-
-/// Assembles a [`ConcurrentScheduler`] from policies picked by registry
-/// name; the last pick of a decision point wins. Ready-made policy instances
-/// go into a [`SchedulerConfig`] literal instead.
-///
-/// Unset decision points keep the [`SchedulerConfig`] defaults (equal share,
-/// SCRAP-MAX, ready-task mapping with packing). Name resolution uses
-/// [`PolicyRegistry::builtin`] unless a custom registry is supplied with
-/// [`SchedulerBuilder::registry`] — which is how user-registered policies
-/// enter the pipeline.
-#[derive(Debug, Clone, Default)]
-#[must_use = "a builder does nothing until `build()` is called"]
-pub struct SchedulerBuilder {
-    registry: Option<PolicyRegistry>,
-    /// Names resolved at `build` time, overriding the default policy.
-    constraint: Option<String>,
-    allocation: Option<String>,
-    mapping: Option<String>,
-}
-
-impl SchedulerBuilder {
-    /// A builder with every decision point at the paper's default.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Uses `registry` for all by-name resolutions (defaults to
-    /// [`PolicyRegistry::builtin`]).
-    pub fn registry(mut self, registry: PolicyRegistry) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Picks the constraint policy by registry name (e.g. `"wps-work@0.7"`).
-    pub fn constraint(mut self, name: impl Into<String>) -> Self {
-        self.constraint = Some(name.into());
-        self
-    }
-
-    /// Picks the allocation policy by registry name (e.g. `"scrap-max"`).
-    pub fn allocation(mut self, name: impl Into<String>) -> Self {
-        self.allocation = Some(name.into());
-        self
-    }
-
-    /// Picks the mapping policy by registry name (e.g. `"global"`).
-    pub fn mapping(mut self, name: impl Into<String>) -> Self {
-        self.mapping = Some(name.into());
-        self
-    }
-
-    /// Resolves every by-name pick and assembles the scheduler. The
-    /// built-in registry is only built when a name needs it.
-    ///
-    /// # Errors
-    ///
-    /// [`SchedError::UnknownPolicy`] when a by-name pick is not registered;
-    /// [`SchedError::InvalidConfig`] when a name's `@parameter` is rejected.
-    pub fn build(self) -> Result<ConcurrentScheduler, SchedError> {
-        let registry = self.registry.map_or_else(OnceCell::new, OnceCell::from);
-        let registry = || registry.get_or_init(PolicyRegistry::builtin);
-        let mut config = SchedulerConfig::default();
-        if let Some(name) = &self.constraint {
-            config.constraint = registry().constraint(name)?;
-        }
-        if let Some(name) = &self.allocation {
-            config.allocation = registry().allocation(name)?;
-        }
-        if let Some(name) = &self.mapping {
-            config.mapping = registry().mapping(name)?;
-        }
-        Ok(ConcurrentScheduler::new(config))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::allocation::ReferencePlatform;
-    use crate::constraint::Characteristic;
+    use crate::allocation::{RefAllocation, ReferencePlatform};
+    use crate::context::ScheduleContext;
+    use crate::error::SchedError;
     use crate::mapping::{MappingConfig, OrderingMode};
-    use mcsched_platform::grid5000;
+    use crate::policy::PolicyRegistry;
+    use crate::workload::Workload;
+    use mcsched_platform::{grid5000, Platform};
     use mcsched_ptg::gen::{random::RandomPtgConfig, random_ptg};
+    use mcsched_ptg::Ptg;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -378,6 +183,24 @@ mod tests {
                 random_ptg(&cfg, &mut rng, format!("app{i}"))
             })
             .collect()
+    }
+
+    /// The default pipeline under the constraint policy registered as
+    /// `constraint`.
+    fn config(constraint: &str) -> SchedulerConfig {
+        SchedulerConfig {
+            constraint: PolicyRegistry::builtin().constraint(constraint).unwrap(),
+            ..SchedulerConfig::default()
+        }
+    }
+
+    /// A context running [`config`]`(constraint)` on `apps`.
+    fn context<'a>(
+        platform: &'a Platform,
+        apps: &'a [Ptg],
+        constraint: &str,
+    ) -> ScheduleContext<'a> {
+        ScheduleContext::with_base(platform, apps, config(constraint))
     }
 
     #[test]
@@ -447,7 +270,7 @@ mod tests {
         // The constraint is excluded on purpose (per-policy cache keys cover
         // it).
         let strategy_only = SchedulerConfig {
-            constraint: ConstraintStrategy::Selfish.to_policy(),
+            constraint: registry.constraint("s").unwrap(),
             ..base.clone()
         };
         assert_eq!(
@@ -488,8 +311,7 @@ mod tests {
     fn schedules_concurrent_ptgs_end_to_end() {
         let platform = grid5000::lille();
         let apps = ptgs(3, 1);
-        let scheduler = ConcurrentScheduler::with_strategy(ConstraintStrategy::EqualShare);
-        let run = scheduler.schedule(&platform, &apps).unwrap();
+        let run = context(&platform, &apps, "es").schedule().unwrap();
         assert_eq!(run.apps.len(), 3);
         assert!(run.global_makespan > 0.0);
         for app in &run.apps {
@@ -503,9 +325,7 @@ mod tests {
     fn selfish_betas_are_one() {
         let platform = grid5000::nancy();
         let apps = ptgs(2, 2);
-        let run = ConcurrentScheduler::with_strategy(ConstraintStrategy::Selfish)
-            .schedule(&platform, &apps)
-            .unwrap();
+        let run = context(&platform, &apps, "s").schedule().unwrap();
         for app in &run.apps {
             assert_eq!(app.beta, 1.0);
         }
@@ -515,10 +335,11 @@ mod tests {
     fn dedicated_makespan_is_not_slower_than_concurrent() {
         let platform = grid5000::lille();
         let apps = ptgs(4, 3);
-        let scheduler = ConcurrentScheduler::with_strategy(ConstraintStrategy::EqualShare);
-        let run = scheduler.schedule(&platform, &apps).unwrap();
+        let run = context(&platform, &apps, "es").schedule().unwrap();
         for (i, app) in apps.iter().enumerate() {
-            let own = scheduler.dedicated_makespan(&platform, app).unwrap();
+            let own = context(&platform, std::slice::from_ref(app), "es")
+                .dedicated_makespan(0)
+                .unwrap();
             // Dedicated access can only help (within a small numeric margin
             // coming from heuristic tie-breaking).
             assert!(
@@ -533,12 +354,9 @@ mod tests {
     fn evaluate_produces_consistent_fairness_report() {
         let platform = grid5000::sophia();
         let apps = ptgs(3, 4);
-        let eval = ConcurrentScheduler::with_strategy(ConstraintStrategy::Weighted(
-            Characteristic::Work,
-            0.7,
-        ))
-        .evaluate(&platform, &apps)
-        .unwrap();
+        let eval = context(&platform, &apps, "wps-work@0.7")
+            .evaluate()
+            .unwrap();
         assert_eq!(eval.dedicated_makespans.len(), 3);
         assert_eq!(eval.fairness.slowdowns.len(), 3);
         for s in &eval.fairness.slowdowns {
@@ -551,8 +369,9 @@ mod tests {
     fn allocations_are_exposed_for_inspection() {
         let platform = grid5000::rennes();
         let apps = ptgs(2, 5);
-        let scheduler = ConcurrentScheduler::with_strategy(ConstraintStrategy::EqualShare);
-        let allocs = scheduler.allocate(&platform, &apps);
+        let config = config("es");
+        let allocs: Vec<RefAllocation> = ScheduleContext::new(&platform, &apps)
+            .allocations_for(config.constraint.as_ref(), config.allocation.as_ref());
         assert_eq!(allocs.len(), 2);
         for (ptg, alloc) in apps.iter().zip(&allocs) {
             assert_eq!(alloc.counts().len(), ptg.num_tasks());
@@ -564,13 +383,10 @@ mod tests {
     fn workload_release_times_shift_application_makespans() {
         let platform = grid5000::lille();
         let apps = ptgs(2, 6);
-        let scheduler = ConcurrentScheduler::with_strategy(ConstraintStrategy::EqualShare);
-        let together = scheduler.schedule(&platform, &apps).unwrap();
-        let staggered = scheduler
-            .schedule(
-                &platform,
-                Workload::released(apps.clone(), vec![0.0, 1000.0]).unwrap(),
-            )
+        let together = context(&platform, &apps, "es").schedule().unwrap();
+        let released = Workload::released(apps.clone(), vec![0.0, 1000.0]).unwrap();
+        let staggered = ScheduleContext::for_workload(&platform, &released, config("es"))
+            .schedule()
             .unwrap();
         // The second application is released after the first one finished, so
         // its makespan should not be worse than in the simultaneous case.
@@ -581,10 +397,7 @@ mod tests {
     #[test]
     fn empty_workloads_are_rejected() {
         let platform = grid5000::lille();
-        let scheduler = ConcurrentScheduler::default();
-        let err = scheduler
-            .schedule(&platform, Workload::batch(Vec::new()))
-            .unwrap_err();
+        let err = ScheduleContext::new(&platform, &[]).schedule().unwrap_err();
         assert_eq!(err, SchedError::EmptyWorkload);
     }
 
@@ -592,28 +405,26 @@ mod tests {
     fn evaluate_simulates_each_dedicated_baseline_once() {
         let platform = grid5000::lille();
         let apps = ptgs(3, 7);
-        let scheduler = ConcurrentScheduler::with_strategy(ConstraintStrategy::EqualShare);
-        let ctx = scheduler.context(&platform, &apps);
-        scheduler.evaluate_in(&ctx).unwrap();
+        let ctx = context(&platform, &apps, "es");
+        ctx.evaluate().unwrap();
         assert_eq!(ctx.dedicated_simulations(), apps.len());
         assert_eq!(ctx.concurrent_simulations(), 1);
     }
 
     #[test]
-    fn evaluate_in_shares_dedicated_baselines_across_strategies() {
+    fn evaluate_policies_shares_dedicated_baselines_across_strategies() {
         let platform = grid5000::sophia();
         let apps = ptgs(3, 8);
-        let ctx = ConcurrentScheduler::default().context(&platform, &apps);
-        let strategies = [
-            ConstraintStrategy::Selfish,
-            ConstraintStrategy::EqualShare,
-            ConstraintStrategy::Weighted(Characteristic::Work, 0.7),
-        ];
-        for strategy in strategies {
-            let eval = ConcurrentScheduler::with_strategy(strategy)
-                .evaluate_in(&ctx)
+        let ctx = ScheduleContext::new(&platform, &apps);
+        let strategies = ["s", "es", "wps-work@0.7"];
+        for name in strategies {
+            // One policy per call, so that each call simulates its run even
+            // where two strategies give the same allocations.
+            let policy = config(name).constraint;
+            let eval = ctx
+                .evaluate_policies(std::slice::from_ref(&policy))
                 .unwrap();
-            assert_eq!(eval.fairness.slowdowns.len(), 3);
+            assert_eq!(eval[0].fairness.slowdowns.len(), 3);
         }
         // One dedicated simulation per distinct PTG, however many strategies
         // were compared; one concurrent simulation per strategy.
@@ -623,12 +434,15 @@ mod tests {
 
     #[test]
     fn context_path_matches_one_shot_path() {
+        // A context over a one-shot owned `Workload` and one borrowing the
+        // PTG slice evaluate identically.
         let platform = grid5000::rennes();
         let apps = ptgs(3, 9);
-        let scheduler = ConcurrentScheduler::with_strategy(ConstraintStrategy::EqualShare);
-        let one_shot = scheduler.evaluate(&platform, &apps).unwrap();
-        let ctx = scheduler.context(&platform, &apps);
-        let via_ctx = scheduler.evaluate_in(&ctx).unwrap();
+        let workload = Workload::batch(apps.clone());
+        let one_shot = ScheduleContext::for_workload(&platform, &workload, config("es"))
+            .evaluate()
+            .unwrap();
+        let via_ctx = context(&platform, &apps, "es").evaluate().unwrap();
         assert_eq!(one_shot.dedicated_makespans, via_ctx.dedicated_makespans);
         assert_eq!(one_shot.fairness, via_ctx.fairness);
         assert_eq!(one_shot.global_makespan, via_ctx.global_makespan);
@@ -644,48 +458,6 @@ mod tests {
             cfg.mapping.cache_key(),
             "order=ready-tasks;packing=true;comm=true"
         );
-    }
-
-    #[test]
-    fn builder_resolves_policies_by_name() {
-        let platform = grid5000::lille();
-        let apps = ptgs(2, 10);
-        let by_name = ConcurrentScheduler::builder()
-            .constraint("es")
-            .allocation("scrap-max")
-            .mapping("ready-tasks")
-            .build()
-            .unwrap();
-        let by_enum = ConcurrentScheduler::with_strategy(ConstraintStrategy::EqualShare);
-        let a = by_name.schedule(&platform, &apps).unwrap();
-        let b = by_enum.schedule(&platform, &apps).unwrap();
-        assert_eq!(a.global_makespan, b.global_makespan);
-        assert_eq!(a.apps, b.apps);
-    }
-
-    #[test]
-    fn builder_rejects_unknown_names() {
-        let err = ConcurrentScheduler::builder()
-            .constraint("nonsense")
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, SchedError::UnknownPolicy { .. }));
-        let err = ConcurrentScheduler::builder()
-            .allocation("scrappy")
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, SchedError::UnknownPolicy { .. }));
-    }
-
-    #[test]
-    fn builder_defaults_match_the_default_scheduler() {
-        let platform = grid5000::nancy();
-        let apps = ptgs(2, 11);
-        let built = ConcurrentScheduler::builder().build().unwrap();
-        let default = ConcurrentScheduler::default();
-        let a = built.evaluate(&platform, &apps).unwrap();
-        let b = default.evaluate(&platform, &apps).unwrap();
-        assert_eq!(a.fairness, b.fairness);
     }
 
     #[test]
@@ -720,12 +492,13 @@ mod tests {
 
         let platform = grid5000::sophia();
         let apps = ptgs(3, 12);
-        let scheduler = ConcurrentScheduler::builder()
-            .registry(registry)
-            .constraint("sqrt-share")
-            .build()
+        let config = SchedulerConfig {
+            constraint: registry.constraint("sqrt-share").unwrap(),
+            ..SchedulerConfig::default()
+        };
+        let eval = ScheduleContext::with_base(&platform, &apps, config)
+            .evaluate()
             .unwrap();
-        let eval = scheduler.evaluate(&platform, &apps).unwrap();
         assert_eq!(eval.fairness.slowdowns.len(), 3);
         assert!(eval.global_makespan > 0.0);
         let betas: Vec<f64> = eval.apps.iter().map(|a| a.beta).collect();

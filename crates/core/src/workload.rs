@@ -2,9 +2,10 @@
 //!
 //! The paper's evaluation submits all applications at time 0 (a *batch*),
 //! and sketches timed releases as future work. [`Workload`] unifies both:
-//! every entry point of the scheduler takes one `Workload` (or anything
-//! convertible into one, such as a `Vec<Ptg>`) instead of parallel
-//! `ptgs`/`release_times` arguments.
+//! [`ScheduleContext::for_workload`](crate::ScheduleContext::for_workload)
+//! borrows one `Workload` instead of parallel `ptgs`/`release_times`
+//! arguments, and a batch can also be scheduled straight from a borrowed
+//! PTG slice with [`ScheduleContext::with_base`](crate::ScheduleContext::with_base).
 
 use crate::error::SchedError;
 use mcsched_ptg::Ptg;
@@ -101,8 +102,8 @@ impl Workload {
 }
 
 /// The single source of truth for the release-time contract shared by every
-/// submission boundary ([`Workload::released`], the context and scheduler
-/// entry points): one finite, non-negative instant per application.
+/// submission boundary ([`Workload::released`] and the context's
+/// `with_release_times`): one finite, non-negative instant per application.
 pub(crate) fn validate_release_times(apps: usize, release_times: &[f64]) -> Result<(), SchedError> {
     if apps != release_times.len() {
         return Err(SchedError::InvalidConfig(format!(
@@ -116,36 +117,6 @@ pub(crate) fn validate_release_times(apps: usize, release_times: &[f64]) -> Resu
         )));
     }
     Ok(())
-}
-
-// The borrowing conversions below clone the PTGs: they exist so that the
-// pre-`Workload` call sites (`schedule(&platform, &apps)`) keep compiling.
-// Repeated submissions of the same applications should either build one
-// owned `Workload` up front or borrow through
-// `ConcurrentScheduler::workload_context` + `schedule_in`, which copies
-// nothing.
-impl From<Vec<Ptg>> for Workload {
-    fn from(ptgs: Vec<Ptg>) -> Self {
-        Workload::batch(ptgs)
-    }
-}
-
-impl From<&[Ptg]> for Workload {
-    fn from(ptgs: &[Ptg]) -> Self {
-        Workload::batch(ptgs.to_vec())
-    }
-}
-
-impl From<&Vec<Ptg>> for Workload {
-    fn from(ptgs: &Vec<Ptg>) -> Self {
-        Workload::batch(ptgs.clone())
-    }
-}
-
-impl From<&Workload> for Workload {
-    fn from(w: &Workload) -> Self {
-        w.clone()
-    }
 }
 
 #[cfg(test)]
@@ -189,16 +160,6 @@ mod tests {
         ));
         let w = Workload::released(vec![app("a"), app("b")], vec![0.0, 10.0]).unwrap();
         assert!(!w.is_batch());
-    }
-
-    #[test]
-    fn conversions_from_ptg_collections() {
-        let apps = vec![app("a"), app("b")];
-        let from_ref: Workload = (&apps).into();
-        let from_slice: Workload = apps.as_slice().into();
-        let from_owned: Workload = apps.clone().into();
-        assert_eq!(from_ref, from_slice);
-        assert_eq!(from_ref, from_owned);
     }
 
     #[test]

@@ -225,7 +225,16 @@ fn cell_metrics(run: &EvaluatedRun) -> CellMetrics {
 mod tests {
     use super::*;
     use crate::CampaignConfig;
-    use mcsched_core::{ConcurrentScheduler, ConstraintStrategy};
+    use mcsched_core::PolicyRegistry;
+
+    /// The built-in constraint policies registered under `names`.
+    fn policies(names: &[&str]) -> Vec<Arc<dyn ConstraintPolicy>> {
+        let registry = PolicyRegistry::builtin();
+        names
+            .iter()
+            .map(|name| registry.constraint(name).unwrap())
+            .collect()
+    }
 
     /// Dedicated-platform makespans of every application of the scenario
     /// (`M_own`), shared by every strategy evaluation.
@@ -245,14 +254,14 @@ mod tests {
         base: &SchedulerConfig,
         dedicated: &[f64],
     ) -> CellMetrics {
-        let scheduler = ConcurrentScheduler::new(SchedulerConfig {
-            constraint: policy,
-            ..base.clone()
-        });
         // Borrow the scenario's PTGs (and release times) through a context
         // instead of cloning them into a one-shot `Workload`.
-        let run = scheduler
-            .schedule_in(&scenario.context(base))
+        let run = scenario
+            .context(&SchedulerConfig {
+                constraint: policy,
+                ..base.clone()
+            })
+            .schedule()
             .expect("scheduler produces valid workloads");
         let fairness = mcsched_core::metrics::fairness_report(dedicated, &run.app_makespans());
         CellMetrics {
@@ -357,12 +366,8 @@ mod tests {
         let base = SchedulerConfig::default();
         let dedicated = dedicated_makespans(scenario, &base);
         assert_eq!(dedicated.len(), 2);
-        let out = evaluate_strategy(
-            scenario,
-            ConstraintStrategy::EqualShare.to_policy(),
-            &base,
-            &dedicated,
-        );
+        let equal_share = PolicyRegistry::builtin().constraint("es").unwrap();
+        let out = evaluate_strategy(scenario, equal_share, &base, &dedicated);
         assert!(out.unfairness.is_finite() && out.unfairness >= 0.0);
         assert!(out.makespan > 0.0);
         assert!(out.average_slowdown > 0.0);
@@ -373,10 +378,7 @@ mod tests {
         let scenarios = generate_scenarios(PtgClass::Strassen, 3, 1, 13);
         let scenario = &scenarios[0];
         let base = SchedulerConfig::default();
-        let policies = CampaignConfig::policies(&[
-            ConstraintStrategy::Selfish,
-            ConstraintStrategy::EqualShare,
-        ]);
+        let policies = policies(&["s", "es"]);
         let combined = scenario.evaluate_policies(&base, &policies);
         let dedicated = dedicated_makespans(scenario, &base);
         for (outcome, policy) in combined.iter().zip(&policies) {
@@ -401,10 +403,7 @@ mod tests {
         assert!(scenario.release_times.iter().any(|&t| t > 0.0));
         let base = SchedulerConfig::default();
         let dedicated = dedicated_makespans(scenario, &base);
-        let policies = CampaignConfig::policies(&[
-            ConstraintStrategy::Selfish,
-            ConstraintStrategy::EqualShare,
-        ]);
+        let policies = policies(&["s", "es"]);
         let combined = scenario.evaluate_policies(&base, &policies);
         for (outcome, policy) in combined.iter().zip(&policies) {
             let reference = evaluate_strategy(scenario, Arc::clone(policy), &base, &dedicated);
@@ -447,12 +446,13 @@ mod tests {
         assert_eq!(paired.len(), policies.len());
         let mut distinct: Vec<Vec<mcsched_core::RefAllocation>> = Vec::new();
         for (policy, outcome) in policies.iter().zip(&paired) {
-            let alone = ConcurrentScheduler::new(SchedulerConfig {
-                constraint: Arc::clone(policy),
-                ..base.clone()
-            })
-            .evaluate_in(&scenario.context(&base))
-            .unwrap();
+            let alone = scenario
+                .context(&SchedulerConfig {
+                    constraint: Arc::clone(policy),
+                    ..base.clone()
+                })
+                .evaluate()
+                .unwrap();
             let label = format!("{} on {}", policy.name(), scenario.name);
             assert_eq!(outcome_bits(outcome), outcome_bits(&alone), "{label}");
             assert_eq!(*outcome, alone, "{label}");
@@ -499,18 +499,13 @@ mod tests {
         let scenario = &scenarios[0];
         let base = SchedulerConfig::default();
         let context = scenario.context(&base);
-        let strategies = [
-            ConstraintStrategy::Selfish,
-            ConstraintStrategy::EqualShare,
-            ConstraintStrategy::Proportional(mcsched_core::Characteristic::Work),
-        ];
-        for &strategy in &strategies {
-            ConcurrentScheduler::new(SchedulerConfig {
-                constraint: strategy.to_policy(),
-                ..base.clone()
-            })
-            .evaluate_in(&context)
-            .unwrap();
+        let strategies = policies(&["s", "es", "ps-work"]);
+        // One policy per call, so that each call simulates its run even
+        // where two strategies give the same allocations.
+        for policy in &strategies {
+            context
+                .evaluate_policies(std::slice::from_ref(policy))
+                .unwrap();
         }
         assert_eq!(context.dedicated_simulations(), scenario.ptgs.len());
         assert_eq!(context.concurrent_simulations(), strategies.len());

@@ -62,11 +62,13 @@ fn main() {
         "{:<12} {:>12} {:>12} {:>12} {:>12}",
         "strategy", "unfairness", "makespan(s)", "min slow.", "max slow."
     );
-    for strategy in ConstraintStrategy::paper_set() {
-        let scheduler = ConcurrentScheduler::with_strategy(strategy);
-        let evaluation = scheduler
-            .evaluate(&platform, &apps)
-            .expect("valid schedule");
+    // The paper's strategies compared on one shared context: the dedicated
+    // baselines are simulated once, not once per strategy.
+    let policies = CampaignConfig::paper(PtgClass::Random).strategies;
+    let evaluations = ScheduleContext::new(&platform, &apps)
+        .evaluate_policies(&policies)
+        .expect("valid schedule");
+    for (policy, evaluation) in policies.iter().zip(&evaluations) {
         let min = evaluation
             .fairness
             .slowdowns
@@ -81,7 +83,7 @@ fn main() {
             .fold(0.0f64, f64::max);
         println!(
             "{:<12} {:>12.3} {:>12.1} {:>12.2} {:>12.2}",
-            strategy.name(),
+            policy.name(),
             evaluation.fairness.unfairness,
             evaluation.global_makespan,
             min,

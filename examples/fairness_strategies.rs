@@ -41,11 +41,12 @@ fn main() {
         "{:<12} {:>12} {:>12} {:>12}",
         "strategy", "tiny-chain", "medium", "huge-wide"
     );
-    for strategy in ConstraintStrategy::paper_set() {
-        let betas = strategy.to_policy().betas(&apps, &reference);
+    let policies = CampaignConfig::paper(PtgClass::Random).strategies;
+    for policy in &policies {
+        let betas = policy.betas(&apps, &reference);
         println!(
             "{:<12} {:>12.3} {:>12.3} {:>12.3}",
-            strategy.name(),
+            policy.name(),
             betas[0],
             betas[1],
             betas[2]
@@ -57,12 +58,15 @@ fn main() {
         "{:<12} {:>22} {:>14} {:>12}",
         "strategy", "allocated ref procs", "makespan (s)", "unfairness"
     );
-    for strategy in ConstraintStrategy::paper_set() {
-        let scheduler = ConcurrentScheduler::with_strategy(strategy);
-        let allocations = scheduler.allocate(&platform, &apps);
-        let evaluation = scheduler
-            .evaluate(&platform, &apps)
-            .expect("valid schedule");
+    // Every strategy on one shared context: the dedicated baselines are
+    // simulated once, not once per strategy.
+    let context = ScheduleContext::new(&platform, &apps);
+    let evaluations = context
+        .evaluate_policies(&policies)
+        .expect("valid schedule");
+    for (policy, evaluation) in policies.iter().zip(&evaluations) {
+        let allocations =
+            context.allocations_for(policy.as_ref(), context.base_allocation().as_ref());
         let alloc_str = allocations
             .iter()
             .map(|a| a.total().to_string())
@@ -70,7 +74,7 @@ fn main() {
             .join("/");
         println!(
             "{:<12} {:>22} {:>14.1} {:>12.3}",
-            strategy.name(),
+            policy.name(),
             alloc_str,
             evaluation.global_makespan,
             evaluation.fairness.unfairness

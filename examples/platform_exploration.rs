@@ -51,8 +51,12 @@ fn main() {
     let apps: Vec<Ptg> = (0..4)
         .map(|i| PtgClass::Random.sample(&mut rng, format!("app{i}")))
         .collect();
-    let scheduler =
-        ConcurrentScheduler::with_strategy(ConstraintStrategy::Weighted(Characteristic::Work, 0.7));
+    let config = SchedulerConfig {
+        constraint: PolicyRegistry::builtin()
+            .constraint("wps-work@0.7")
+            .expect("built-in policy names resolve"),
+        ..SchedulerConfig::default()
+    };
 
     let mut platforms = grid5000::all_sites();
     platforms.push(custom);
@@ -63,7 +67,9 @@ fn main() {
         "platform", "makespan (s)", "unfairness", "avg slowdown"
     );
     for platform in &platforms {
-        let evaluation = scheduler.evaluate(platform, &apps).expect("valid schedule");
+        let evaluation = ScheduleContext::with_base(platform, &apps, config.clone())
+            .evaluate()
+            .expect("valid schedule");
         println!(
             "{:<12} {:>14.1} {:>12.3} {:>14.2}",
             platform.name(),

@@ -35,20 +35,25 @@ fn main() {
     }
 
     // 3. Schedule them concurrently with two strategies and compare. The
-    //    builder resolves constraint policies by registry name; `selfish`
-    //    is the dedicated-platform baseline, `wps-width@0.5` the paper's
+    //    registry resolves policies by name; `selfish` is the
+    //    dedicated-platform baseline, `wps-width@0.5` the paper's
     //    recommended weighted proportional share.
+    let registry = PolicyRegistry::builtin();
     let workload = Workload::batch(apps).with_label("quickstart");
     for name in ["selfish", "wps-width@0.5"] {
-        let scheduler = ConcurrentScheduler::builder()
-            .constraint(name)
-            .allocation("scrap-max")
-            .build()
-            .expect("built-in policy names resolve");
-        let evaluation = scheduler
-            .evaluate(&platform, &workload)
+        let config = SchedulerConfig {
+            constraint: registry
+                .constraint(name)
+                .expect("built-in policy names resolve"),
+            allocation: registry
+                .allocation("scrap-max")
+                .expect("built-in policy names resolve"),
+            ..SchedulerConfig::default()
+        };
+        println!("\nStrategy {}:", config.constraint.name());
+        let evaluation = ScheduleContext::for_workload(&platform, &workload, config)
+            .evaluate()
             .expect("the scheduler always produces a simulable schedule");
-        println!("\nStrategy {}:", scheduler.config().constraint.name());
         for (i, app) in evaluation.apps.iter().enumerate() {
             println!(
                 "  {:<12} beta {:.2}  makespan {:>8.1}s  dedicated {:>8.1}s  slowdown {:.2}",

@@ -34,13 +34,18 @@ fn main() {
     // 2. Schedule it, export it as a trace, re-import, and verify the
     //    replayed schedule is identical.
     let platform = grid5000::lille();
-    let scheduler = ConcurrentScheduler::builder()
-        .constraint("wps-work@0.7")
-        .build()
-        .expect("policy names resolve");
-    let live = scheduler
-        .evaluate(&platform, &workload)
-        .expect("scheduling succeeds");
+    let config = SchedulerConfig {
+        constraint: PolicyRegistry::builtin()
+            .constraint("wps-work@0.7")
+            .expect("policy names resolve"),
+        ..SchedulerConfig::default()
+    };
+    let evaluate = |workload: &Workload| {
+        ScheduleContext::for_workload(&platform, workload, config.clone())
+            .evaluate()
+            .expect("scheduling succeeds")
+    };
+    let live = evaluate(&workload);
 
     let trace =
         Trace::record(source.as_ref(), std::slice::from_ref(&request), 42).expect("record ok");
@@ -48,9 +53,7 @@ fn main() {
         TraceSource::new(Trace::from_json(&trace.to_json()).expect("trace round-trips"))
             .generate(&request)
             .expect("replay succeeds");
-    let replayed = scheduler
-        .evaluate(&platform, &replayed_workload)
-        .expect("scheduling succeeds");
+    let replayed = evaluate(&replayed_workload);
     println!(
         "\nlive makespan {:.1} s, replayed-from-JSON makespan {:.1} s (identical: {})",
         live.global_makespan,

@@ -39,10 +39,10 @@
 //!
 //! ## Quick start
 //!
-//! A scheduler runs one [`core::SchedulerConfig`]: a constraint, an
-//! allocation and a mapping policy. Its builder picks them by name from the
-//! [`core::policy::PolicyRegistry`] or takes them as trait objects, and work
-//! is submitted as a [`core::Workload`]:
+//! A [`core::ScheduleContext`] runs one [`core::SchedulerConfig`] (a
+//! constraint, an allocation and a mapping policy, picked by name from the
+//! [`core::policy::PolicyRegistry`] or given as trait objects) on one
+//! scenario, submitted as a [`core::Workload`] or a borrowed PTG slice:
 //!
 //! ```
 //! use mcsched::prelude::*;
@@ -57,13 +57,16 @@
 //!     .collect();
 //!
 //! // Schedule them with the paper's recommended WPS-width strategy.
-//! let scheduler = ConcurrentScheduler::builder()
-//!     .constraint("wps-width@0.5")
-//!     .allocation("scrap-max")
-//!     .build()
-//!     .unwrap();
+//! let registry = PolicyRegistry::builtin();
+//! let config = SchedulerConfig {
+//!     constraint: registry.constraint("wps-width@0.5").unwrap(),
+//!     allocation: registry.allocation("scrap-max").unwrap(),
+//!     ..SchedulerConfig::default()
+//! };
 //! let workload = Workload::batch(apps).with_label("quickstart");
-//! let evaluation = scheduler.evaluate(&platform, &workload).unwrap();
+//! let evaluation = ScheduleContext::for_workload(&platform, &workload, config)
+//!     .evaluate()
+//!     .unwrap();
 //! assert_eq!(evaluation.fairness.slowdowns.len(), 3);
 //! assert!(evaluation.global_makespan > 0.0);
 //! ```
@@ -85,10 +88,10 @@ pub use mcsched_workload as workload;
 /// The most commonly used items, re-exported for `use mcsched::prelude::*`.
 pub mod prelude {
     pub use mcsched_core::{
-        AllocationPolicy, Characteristic, ConcurrentRun, ConcurrentScheduler, ConstraintPolicy,
-        ConstraintStrategy, EvaluatedRun, MappingConfig, MappingPolicy, MappingRequest,
-        OrderingMode, PolicyKind, PolicyRegistry, RefAllocation, ReferencePlatform, SchedError,
-        Schedule, ScheduleContext, SchedulerBuilder, SchedulerConfig, Workload,
+        AllocationPolicy, Characteristic, ConcurrentRun, ConstraintPolicy, ConstraintStrategy,
+        EvaluatedRun, MappingConfig, MappingPolicy, MappingRequest, OrderingMode, PolicyKind,
+        PolicyRegistry, RefAllocation, ReferencePlatform, SchedError, Schedule, ScheduleContext,
+        SchedulerConfig, Workload,
     };
     pub use mcsched_exp::CampaignConfig;
     pub use mcsched_online::{

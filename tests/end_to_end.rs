@@ -7,6 +7,7 @@ use mcsched::exp::{mu_campaign, run_campaign, CampaignConfig};
 use mcsched::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
+use std::sync::Arc;
 
 fn sample_apps(class: PtgClass, n: usize, seed: u64) -> Vec<Ptg> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
@@ -15,18 +16,36 @@ fn sample_apps(class: PtgClass, n: usize, seed: u64) -> Vec<Ptg> {
         .collect()
 }
 
+/// A context running the default pipeline under `constraint`.
+fn context<'a>(
+    platform: &'a Platform,
+    apps: &'a [Ptg],
+    constraint: Arc<dyn ConstraintPolicy>,
+) -> ScheduleContext<'a> {
+    let config = SchedulerConfig {
+        constraint,
+        ..SchedulerConfig::default()
+    };
+    ScheduleContext::with_base(platform, apps, config)
+}
+
+/// The built-in constraint policy registered as `name`.
+fn registered(name: &str) -> Arc<dyn ConstraintPolicy> {
+    PolicyRegistry::builtin().constraint(name).unwrap()
+}
+
 #[test]
 fn every_strategy_schedules_every_class_on_every_site() {
     for platform in grid5000::all_sites() {
         for class in [PtgClass::Random, PtgClass::Fft, PtgClass::Strassen] {
             let apps = sample_apps(class, 3, 0xC0FFEE);
-            for strategy in ConstraintStrategy::paper_set() {
-                let run = ConcurrentScheduler::with_strategy(strategy)
-                    .schedule(&platform, &apps)
+            for policy in CampaignConfig::paper(PtgClass::Random).strategies {
+                let name = policy.name();
+                let run = context(&platform, &apps, policy)
+                    .schedule()
                     .unwrap_or_else(|e| {
                         panic!(
-                            "{} on {} ({}) failed: {e}",
-                            strategy.name(),
+                            "{name} on {} ({}) failed: {e}",
                             platform.name(),
                             class.label()
                         )
@@ -47,8 +66,8 @@ fn every_strategy_schedules_every_class_on_every_site() {
 fn simulated_trace_never_oversubscribes_processors() {
     let platform = grid5000::lille();
     let apps = sample_apps(PtgClass::Random, 4, 7);
-    let run = ConcurrentScheduler::with_strategy(ConstraintStrategy::EqualShare)
-        .schedule(&platform, &apps)
+    let run = context(&platform, &apps, registered("es"))
+        .schedule()
         .unwrap();
     let records: Vec<_> = run.trace.jobs.iter().flatten().collect();
     for (i, a) in records.iter().enumerate() {
@@ -70,8 +89,8 @@ fn simulated_trace_never_oversubscribes_processors() {
 fn simulated_trace_respects_all_precedences() {
     let platform = grid5000::nancy();
     let apps = sample_apps(PtgClass::Fft, 3, 21);
-    let run = ConcurrentScheduler::with_strategy(ConstraintStrategy::EqualShare)
-        .schedule(&platform, &apps)
+    let run = context(&platform, &apps, registered("es"))
+        .schedule()
         .unwrap();
     for (app, ptg) in apps.iter().enumerate() {
         for e in ptg.edges() {
@@ -96,14 +115,11 @@ fn scrap_max_allocations_respect_their_betas() {
     let platform = grid5000::rennes();
     let reference = ReferencePlatform::new(&platform);
     let apps = sample_apps(PtgClass::Random, 5, 99);
-    for strategy in [
-        ConstraintStrategy::EqualShare,
-        ConstraintStrategy::Weighted(Characteristic::Width, 0.5),
-        ConstraintStrategy::Proportional(Characteristic::Work),
-    ] {
-        let betas = strategy.to_policy().betas(&apps, &reference);
-        let scheduler = ConcurrentScheduler::with_strategy(strategy);
-        let allocations = scheduler.allocate(&platform, &apps);
+    for name in ["es", "wps-width@0.5", "ps-work"] {
+        let policy = registered(name);
+        let betas = policy.betas(&apps, &reference);
+        let ctx = ScheduleContext::new(&platform, &apps);
+        let allocations = ctx.allocations_for(policy.as_ref(), ctx.base_allocation().as_ref());
         for ((app, alloc), beta) in apps.iter().zip(&allocations).zip(&betas) {
             // Per-level usage must stay within beta * reference processors
             // (with a one-processor-per-task floor: a level with many tasks
@@ -115,8 +131,7 @@ fn scrap_max_allocations_respect_their_betas() {
                 let floor = level_tasks.len() as f64;
                 assert!(
                     usage as f64 <= budget.max(floor) + 1e-9,
-                    "{}: level usage {usage} exceeds budget {budget:.2}",
-                    strategy.name()
+                    "{name}: level usage {usage} exceeds budget {budget:.2}"
                 );
             }
         }
@@ -127,8 +142,8 @@ fn scrap_max_allocations_respect_their_betas() {
 fn dedicated_runs_bound_concurrent_slowdowns() {
     let platform = grid5000::sophia();
     let apps = sample_apps(PtgClass::Random, 4, 3);
-    let evaluation = ConcurrentScheduler::with_strategy(ConstraintStrategy::EqualShare)
-        .evaluate(&platform, &apps)
+    let evaluation = context(&platform, &apps, registered("es"))
+        .evaluate()
         .unwrap();
     for s in &evaluation.fairness.slowdowns {
         assert!(*s > 0.0);
@@ -146,14 +161,13 @@ fn selfish_strategy_matches_dedicated_when_alone() {
     // concurrent makespan equals the dedicated makespan.
     let platform = grid5000::lille();
     let apps = sample_apps(PtgClass::Strassen, 1, 11);
-    for strategy in ConstraintStrategy::paper_set() {
-        let scheduler = ConcurrentScheduler::with_strategy(strategy);
-        let run = scheduler.schedule(&platform, &apps).unwrap();
-        let own = scheduler.dedicated_makespan(&platform, &apps[0]).unwrap();
+    for policy in CampaignConfig::paper(PtgClass::Random).strategies {
+        let name = policy.name();
+        let evaluation = context(&platform, &apps, policy).evaluate().unwrap();
+        let own = evaluation.dedicated_makespans[0];
         assert!(
-            (run.apps[0].makespan - own).abs() < 1e-6,
-            "{}: single application should behave as dedicated",
-            strategy.name()
+            (evaluation.apps[0].makespan - own).abs() < 1e-6,
+            "{name}: single application should behave as dedicated"
         );
     }
 }
@@ -285,15 +299,9 @@ fn strassen_width_strategies_degenerate_to_equal_share() {
     let platform = grid5000::nancy();
     let reference = ReferencePlatform::new(&platform);
     let apps = sample_apps(PtgClass::Strassen, 4, 17);
-    let es = ConstraintStrategy::EqualShare
-        .to_policy()
-        .betas(&apps, &reference);
-    let ps_width = ConstraintStrategy::Proportional(Characteristic::Width)
-        .to_policy()
-        .betas(&apps, &reference);
-    let wps_width = ConstraintStrategy::Weighted(Characteristic::Width, 0.5)
-        .to_policy()
-        .betas(&apps, &reference);
+    let es = registered("es").betas(&apps, &reference);
+    let ps_width = registered("ps-width").betas(&apps, &reference);
+    let wps_width = registered("wps-width@0.5").betas(&apps, &reference);
     for i in 0..apps.len() {
         assert!((es[i] - ps_width[i]).abs() < 1e-12);
         assert!((es[i] - wps_width[i]).abs() < 1e-12);

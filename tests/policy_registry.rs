@@ -3,7 +3,7 @@
 //! produce typed errors, and a user-registered policy runs end-to-end
 //! through `evaluate` and through a campaign without touching core code.
 
-use mcsched::core::policy::ScrapMaxAllocation;
+use mcsched::core::policy::{ScrapMaxAllocation, WeightedShare};
 use mcsched::core::DedicatedAllocation;
 use mcsched::prelude::*;
 use rand::SeedableRng;
@@ -63,10 +63,13 @@ fn unknown_names_yield_typed_unknown_policy_errors() {
         }
         other => panic!("expected UnknownPolicy, got {other:?}"),
     }
-    // The same error surfaces through the builder...
+    // The same error surfaces for the other families...
     assert!(matches!(
-        ConcurrentScheduler::builder().constraint("nope").build(),
-        Err(SchedError::UnknownPolicy { .. })
+        registry.allocation("scrappy"),
+        Err(SchedError::UnknownPolicy {
+            kind: PolicyKind::Allocation,
+            ..
+        })
     ));
     // ...and carries a readable message naming the family.
     let msg = registry.mapping("nope").unwrap_err().to_string();
@@ -98,14 +101,15 @@ fn custom_registered_policy_runs_end_to_end_through_evaluate() {
 
     let platform = grid5000::sophia();
     let apps = sample_apps(3, 0xDECAF);
-    let scheduler = ConcurrentScheduler::builder()
-        .registry(registry)
-        .constraint("rank-decay")
-        .build()
-        .unwrap();
+    let config = SchedulerConfig {
+        constraint: registry.constraint("rank-decay").unwrap(),
+        ..SchedulerConfig::default()
+    };
 
     let workload = Workload::batch(apps).with_label("custom-policy-e2e");
-    let evaluation = scheduler.evaluate(&platform, &workload).unwrap();
+    let evaluation = ScheduleContext::for_workload(&platform, &workload, config)
+        .evaluate()
+        .unwrap();
 
     assert_eq!(evaluation.apps.len(), 3);
     assert!(evaluation.global_makespan > 0.0);
@@ -146,14 +150,22 @@ fn custom_policy_slots_into_a_campaign_next_to_builtins() {
 fn parameterised_names_reach_the_scheduler_pipeline() {
     let platform = grid5000::lille();
     let apps = sample_apps(2, 7);
-    let by_name = ConcurrentScheduler::builder()
-        .constraint("wps-work@0.7")
-        .build()
+    let by_name = SchedulerConfig {
+        constraint: PolicyRegistry::builtin()
+            .constraint("wps-work@0.7")
+            .unwrap(),
+        ..SchedulerConfig::default()
+    };
+    let by_instance = SchedulerConfig {
+        constraint: Arc::new(WeightedShare::new(Characteristic::Work, 0.7)),
+        ..SchedulerConfig::default()
+    };
+    let a = ScheduleContext::with_base(&platform, &apps, by_name)
+        .schedule()
         .unwrap();
-    let by_enum =
-        ConcurrentScheduler::with_strategy(ConstraintStrategy::Weighted(Characteristic::Work, 0.7));
-    let a = by_name.schedule(&platform, &apps).unwrap();
-    let b = by_enum.schedule(&platform, &apps).unwrap();
+    let b = ScheduleContext::with_base(&platform, &apps, by_instance)
+        .schedule()
+        .unwrap();
     assert_eq!(a.apps, b.apps);
     assert_eq!(a.global_makespan, b.global_makespan);
 }
@@ -165,17 +177,19 @@ fn paired_evaluation_runs_the_schedulers_own_pipeline() {
     // same allocations, same dedicated baselines.
     let platform = grid5000::lille();
     let apps = sample_apps(4, 7);
-    let scheduler = ConcurrentScheduler::builder()
-        .constraint("es")
-        .allocation("cpa")
-        .mapping("global")
-        .build()
+    let registry = PolicyRegistry::builtin();
+    let config = SchedulerConfig {
+        constraint: registry.constraint("es").unwrap(),
+        allocation: registry.allocation("cpa").unwrap(),
+        mapping: registry.mapping("global").unwrap(),
+    };
+    let direct = ScheduleContext::with_base(&platform, &apps, config.clone())
+        .evaluate()
         .unwrap();
-    let direct = scheduler.evaluate(&platform, apps.clone()).unwrap();
-    let ctx = scheduler.context(&platform, &apps);
+    let ctx = ScheduleContext::with_base(&platform, &apps, config);
     assert_eq!(ctx.base().allocation.name(), "CPA");
     assert_eq!(ctx.base().mapping.name(), "global");
-    let es = PolicyRegistry::builtin().constraint("es").unwrap();
+    let es = registry.constraint("es").unwrap();
     let paired = ctx.evaluate_policies(&[es]).unwrap().remove(0);
     let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
     assert_eq!(
@@ -254,9 +268,8 @@ fn one_allocation_run_per_policy_and_application() {
     ctx.evaluate_policies(&policies).unwrap();
     assert_eq!(counts(), (apps.len(), policies.len() * apps.len()));
 
-    let scheduler = ConcurrentScheduler::new(base.clone());
-    scheduler
-        .schedule_in(&ScheduleContext::with_base(&platform, &apps, base))
+    ScheduleContext::with_base(&platform, &apps, base)
+        .schedule()
         .unwrap();
     assert_eq!(counts(), (0, apps.len()));
 }

@@ -63,15 +63,20 @@ fn gen_apps(rng: &mut ChaCha8Rng, size: u32) -> Vec<Ptg> {
         .collect()
 }
 
-/// Draws one strategy from a pool covering every variant.
-fn gen_strategy(rng: &mut ChaCha8Rng) -> ConstraintStrategy {
-    match rng.gen_range(0..6usize) {
-        0 => ConstraintStrategy::Selfish,
-        1 => ConstraintStrategy::EqualShare,
-        2 => ConstraintStrategy::Proportional(Characteristic::Work),
-        3 => ConstraintStrategy::Proportional(Characteristic::Width),
-        4 => ConstraintStrategy::Weighted(Characteristic::Work, rng.gen_range(0.0..=1.0)),
-        _ => ConstraintStrategy::Weighted(Characteristic::CriticalPath, rng.gen_range(0.0..=1.0)),
+/// Draws the default pipeline under one constraint policy from a pool
+/// covering every built-in policy type, named through the registry.
+fn gen_config(rng: &mut ChaCha8Rng) -> SchedulerConfig {
+    let name = match rng.gen_range(0..6usize) {
+        0 => "s".to_string(),
+        1 => "es".to_string(),
+        2 => "ps-work".to_string(),
+        3 => "ps-width".to_string(),
+        4 => format!("wps-work@{}", rng.gen_range(0.0..=1.0)),
+        _ => format!("wps-cp@{}", rng.gen_range(0.0..=1.0)),
+    };
+    SchedulerConfig {
+        constraint: PolicyRegistry::builtin().constraint(&name).unwrap(),
+        ..SchedulerConfig::default()
     }
 }
 
@@ -80,17 +85,17 @@ fn scheduler_always_produces_a_valid_run() {
     QuickCheck::new(0xA11CE).cases(CASES).run(|rng, size| {
         let platform = gen_platform(rng, size);
         let apps = gen_apps(rng, size);
-        let strategy = gen_strategy(rng);
+        let config = gen_config(rng);
 
         let reference = ReferencePlatform::new(&platform);
-        let betas = strategy.to_policy().betas(&apps, &reference);
+        let betas = config.constraint.betas(&apps, &reference);
         assert_eq!(betas.len(), apps.len());
         for b in &betas {
             assert!(*b > 0.0 && *b <= 1.0, "beta {b} out of (0, 1]");
         }
 
-        let run = ConcurrentScheduler::with_strategy(strategy)
-            .schedule(&platform, &apps)
+        let run = ScheduleContext::with_base(&platform, &apps, config)
+            .schedule()
             .expect("scheduling never fails on valid inputs");
 
         // Every task ran, makespans are consistent.
@@ -143,9 +148,10 @@ fn allocations_stay_within_cluster_capacity() {
     QuickCheck::new(0xB0B).cases(CASES).run(|rng, size| {
         let platform = gen_platform(rng, size);
         let apps = gen_apps(rng, size);
-        let scheduler = ConcurrentScheduler::with_strategy(ConstraintStrategy::EqualShare);
+        let ctx = ScheduleContext::new(&platform, &apps);
         let reference = ReferencePlatform::new(&platform);
-        let allocations = scheduler.allocate(&platform, &apps);
+        let equal_share = PolicyRegistry::builtin().constraint("es").unwrap();
+        let allocations = ctx.allocations_for(equal_share.as_ref(), ctx.base_allocation().as_ref());
         for alloc in &allocations {
             for &n in alloc.counts() {
                 assert!(n >= 1);
@@ -164,9 +170,7 @@ fn fairness_metrics_are_well_formed() {
         let apps: Vec<Ptg> = (0..count)
             .map(|i| PtgClass::Strassen.sample(&mut app_rng, format!("s{i}")))
             .collect();
-        let evaluation = ConcurrentScheduler::with_strategy(ConstraintStrategy::EqualShare)
-            .evaluate(&platform, &apps)
-            .unwrap();
+        let evaluation = ScheduleContext::new(&platform, &apps).evaluate().unwrap();
         assert_eq!(evaluation.fairness.slowdowns.len(), count);
         for s in &evaluation.fairness.slowdowns {
             // Slowdowns are usually <= 1 but the two-step heuristic is not

@@ -69,9 +69,13 @@ fn single_workload_trace_round_trip_schedules_identically() {
     assert_eq!(workload, replayed);
 
     let platform = grid5000::lille();
-    let scheduler = ConcurrentScheduler::builder().build().unwrap();
-    let live = scheduler.evaluate(&platform, &workload).unwrap();
-    let again = scheduler.evaluate(&platform, &replayed).unwrap();
+    let evaluate = |workload: &Workload| {
+        ScheduleContext::for_workload(&platform, workload, SchedulerConfig::default())
+            .evaluate()
+            .unwrap()
+    };
+    let live = evaluate(&workload);
+    let again = evaluate(&replayed);
     assert_eq!(live.global_makespan, again.global_makespan);
     assert_eq!(live.fairness.slowdowns, again.fairness.slowdowns);
     assert_eq!(live.fairness.unfairness, again.fairness.unfairness);
@@ -206,7 +210,9 @@ fn timed_workloads_flow_through_the_scheduler() {
         .generate(&WorkloadRequest::new(11, 3, "timed"))
         .unwrap();
     assert_eq!(workload.release_times(), &[0.0, 500.0, 1000.0]);
-    let scheduler = ConcurrentScheduler::builder().build().unwrap();
-    let run = scheduler.schedule(&grid5000::lille(), &workload).unwrap();
+    let platform = grid5000::lille();
+    let run = ScheduleContext::for_workload(&platform, &workload, SchedulerConfig::default())
+        .schedule()
+        .unwrap();
     assert!(run.global_makespan >= 1000.0);
 }
