@@ -757,7 +757,16 @@ mod tests {
     /// The first data point of the paper's Fig-3 campaign (random PTGs),
     /// with its source spec and pipeline key.
     fn fig3_point(ptgs: usize, combinations: usize) -> (String, String, Vec<Scenario>) {
-        let config = CampaignConfig::paper(PtgClass::Random);
+        point(&CampaignConfig::paper(PtgClass::Random), ptgs, combinations)
+    }
+
+    /// The scenarios of `combinations` draws of `ptgs` applications of
+    /// `config`, with its source spec and pipeline key.
+    fn point(
+        config: &CampaignConfig,
+        ptgs: usize,
+        combinations: usize,
+    ) -> (String, String, Vec<Scenario>) {
         let scenarios =
             generate_scenarios_with(config.source.as_ref(), ptgs, combinations, config.seed)
                 .unwrap();
@@ -775,6 +784,23 @@ mod tests {
         let (spec, pipeline, scenarios) = fig3_point(2, 1);
         let digest = scenario_digest(&spec, &pipeline, &scenarios[0]).finish();
         assert_eq!(digest.to_hex(), "0a32d5821cc66a4e93a518c57a0db2fd");
+        // The first scenario of the largest data point of the quick FFT and
+        // Strassen grids pins the bytes those classes draw.
+        for (config, hex) in [
+            (
+                CampaignConfig::quick(PtgClass::Fft),
+                "c461b28e4534e1f3aa00492a4fc8f03b",
+            ),
+            (
+                CampaignConfig::quick(PtgClass::Strassen),
+                "81e38447d7b66e64732295483a1e41ad",
+            ),
+        ] {
+            let ptgs = *config.ptg_counts.last().unwrap();
+            let (spec, pipeline, scenarios) = point(&config, ptgs, 1);
+            let digest = scenario_digest(&spec, &pipeline, &scenarios[0]).finish();
+            assert_eq!(digest.to_hex(), hex, "{}", scenarios[0].name);
+        }
     }
 
     #[test]
