@@ -22,9 +22,8 @@ use mcsched_core::{PolicyRegistry, ScheduleContext, SchedulerConfig, Workload};
 use mcsched_exp::CampaignConfig;
 use mcsched_obs::json::Json;
 use mcsched_platform::grid5000;
-use mcsched_ptg::gen::PtgClass;
 use mcsched_ptg::Ptg;
-use mcsched_workload::{WorkloadCatalog, WorkloadRequest};
+use mcsched_workload::{AppGenerator, WorkloadCatalog, WorkloadRequest};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::HashSet;
@@ -46,7 +45,7 @@ pub fn run(args: &Args) -> Ledger {
     let platform = grid5000::lille();
     let mut rng = ChaCha8Rng::seed_from_u64(SEED);
     let apps: Vec<Ptg> = (0..APPS)
-        .map(|i| PtgClass::Random.sample(&mut rng, format!("bench-{i}")))
+        .map(|i| AppGenerator::Random.sample(&mut rng, format!("bench-{i}")))
         .collect();
     let workload = Workload::batch(apps).with_label("bench_policies");
     let mut ledger = Ledger::new(vec![
@@ -134,7 +133,7 @@ pub fn run(args: &Args) -> Ledger {
         .expect("built-in spec resolves")
         .generate(&WorkloadRequest::new(SEED, FFT_APPS, "bench-fft"))
         .expect("generation succeeds");
-    let fft_set = CampaignConfig::paper(PtgClass::Fft).strategies;
+    let fft_set = CampaignConfig::paper(AppGenerator::Fft { points: None }).strategies;
     ledger.push(time("paired", "fft-paper-set", iterations, || {
         let context = ScheduleContext::for_workload(&platform, &fft, base.clone());
         context

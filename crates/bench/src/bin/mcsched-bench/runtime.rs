@@ -36,9 +36,8 @@ use mcsched_core::PolicyRegistry;
 use mcsched_exp::cells::{combination_digests, scenario_digest};
 use mcsched_exp::{generate_scenarios_with, replication_seed, run_campaign, CampaignConfig};
 use mcsched_obs::json::Json;
-use mcsched_ptg::gen::PtgClass;
 use mcsched_runtime::{merge_cache_dirs, CellCache, DigestBuilder};
-use mcsched_workload::WorkloadCatalog;
+use mcsched_workload::AppGenerator;
 use std::sync::Arc;
 
 const SEED: u64 = 0x5EED;
@@ -53,15 +52,12 @@ fn campaign_shape(smoke: bool) -> CampaignConfig {
         .collect();
     let (combinations, replications) = if smoke { (3, 2) } else { (25, 4) };
     CampaignConfig {
-        source: WorkloadCatalog::builtin()
-            .resolve("daggen-grid")
-            .expect("calibrated spec resolves"),
         ptg_counts: vec![8],
         combinations,
         replications,
         strategies,
         seed: SEED,
-        ..CampaignConfig::paper(PtgClass::Random)
+        ..CampaignConfig::paper(AppGenerator::DaggenGrid)
     }
 }
 

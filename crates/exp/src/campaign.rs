@@ -12,9 +12,8 @@
 use crate::cells;
 use mcsched_core::policy::ConstraintPolicy;
 use mcsched_core::{ConstraintStrategy, SchedError, SchedulerConfig};
-use mcsched_ptg::gen::PtgClass;
 use mcsched_stats::{PairedSamples, Samples};
-use mcsched_workload::{GeneratorSource, WorkloadSource};
+use mcsched_workload::{AppGenerator, GeneratorSource, WorkloadSource};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -23,9 +22,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// The workload source producing the concurrent applications. The
-    /// paper's classes map to [`GeneratorSource::from_class`]; any source
-    /// resolved from the `mcsched-workload` catalog (DAGGEN configurations,
-    /// mixtures, timed arrivals, replayed traces) slots in here.
+    /// paper configurations draw batches from one [`AppGenerator`]; any
+    /// source resolved from the `mcsched-workload` catalog (DAGGEN
+    /// configurations, mixtures, timed arrivals, replayed traces) slots in
+    /// here.
     pub source: Arc<dyn WorkloadSource>,
     /// Numbers of concurrent PTGs to evaluate (the paper uses 2, 4, 6, 8, 10).
     pub ptg_counts: Vec<usize>,
@@ -91,15 +91,17 @@ impl CampaignConfig {
         strategies.iter().map(|s| s.to_policy()).collect()
     }
 
-    /// The paper's full configuration for one application class.
-    pub fn paper(class: PtgClass) -> Self {
-        let strategies = match class {
-            PtgClass::Strassen => ConstraintStrategy::strassen_set(),
-            PtgClass::Fft => ConstraintStrategy::paper_set_fft(),
-            PtgClass::Random => ConstraintStrategy::paper_set(),
+    /// The paper's full configuration for one application generator, with
+    /// the strategy set of its figure: Strassen's (Figure 5), FFT's
+    /// (Figure 4), or the random PTGs' (Figure 3) for any other generator.
+    pub fn paper(generator: AppGenerator) -> Self {
+        let strategies = match generator {
+            AppGenerator::Strassen => ConstraintStrategy::strassen_set(),
+            AppGenerator::Fft { .. } => ConstraintStrategy::paper_set_fft(),
+            _ => ConstraintStrategy::paper_set(),
         };
         Self {
-            source: Arc::new(GeneratorSource::from_class(class)),
+            source: Arc::new(GeneratorSource::new(generator)),
             ptg_counts: vec![2, 4, 6, 8, 10],
             combinations: 25,
             strategies: Self::policies(&strategies),
@@ -117,11 +119,11 @@ impl CampaignConfig {
 
     /// A reduced configuration for quick runs, CI and benchmarks: fewer
     /// combinations and PTG counts but the same strategies.
-    pub fn quick(class: PtgClass) -> Self {
+    pub fn quick(generator: AppGenerator) -> Self {
         Self {
             ptg_counts: vec![2, 4],
             combinations: 2,
-            ..Self::paper(class)
+            ..Self::paper(generator)
         }
     }
 }
@@ -358,7 +360,7 @@ mod tests {
                 ConstraintStrategy::EqualShare,
             ]),
             threads: 2,
-            ..CampaignConfig::paper(PtgClass::Strassen)
+            ..CampaignConfig::paper(AppGenerator::Strassen)
         }
     }
 
@@ -446,12 +448,12 @@ mod tests {
 
     #[test]
     fn paper_and_quick_configs_expose_expected_shape() {
-        let paper = CampaignConfig::paper(PtgClass::Random);
+        let paper = CampaignConfig::paper(AppGenerator::Random);
         assert_eq!(paper.ptg_counts, vec![2, 4, 6, 8, 10]);
         assert_eq!(paper.combinations, 25);
         assert_eq!(paper.strategies.len(), 8);
         assert_eq!(paper.replications, 1);
-        let quick = CampaignConfig::quick(PtgClass::Strassen);
+        let quick = CampaignConfig::quick(AppGenerator::Strassen);
         assert!(quick.combinations < paper.combinations);
         assert_eq!(quick.strategies.len(), 6);
     }

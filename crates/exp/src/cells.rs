@@ -687,10 +687,9 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{generate_scenarios, generate_scenarios_with};
+    use crate::scenario::generate_scenarios_with;
     use mcsched_core::{ConstraintStrategy, Workload};
-    use mcsched_ptg::gen::PtgClass;
-    use mcsched_workload::{GeneratorSource, WorkloadRequest, WorkloadSource};
+    use mcsched_workload::{AppGenerator, GeneratorSource, WorkloadRequest, WorkloadSource};
     use std::path::PathBuf;
 
     fn policies() -> Vec<Arc<dyn ConstraintPolicy>> {
@@ -708,7 +707,9 @@ mod tests {
     fn digests_separate_every_cell_axis() {
         let base = SchedulerConfig::default();
         let pipeline = base.pipeline_cache_key();
-        let scenarios = generate_scenarios(PtgClass::Strassen, 2, 2, 5);
+        let scenarios =
+            generate_scenarios_with(&GeneratorSource::new(AppGenerator::Strassen), 2, 2, 5)
+                .unwrap();
         let policies = policies();
         let d =
             |s: &Scenario, p: usize| cell_digest("strassen", &pipeline, s, policies[p].as_ref());
@@ -737,7 +738,9 @@ mod tests {
         let base = SchedulerConfig::default();
         let pipeline = base.pipeline_cache_key();
         let policies = policies();
-        let scenarios = generate_scenarios(PtgClass::Strassen, 2, 1, 5);
+        let scenarios =
+            generate_scenarios_with(&GeneratorSource::new(AppGenerator::Strassen), 2, 1, 5)
+                .unwrap();
         let d = |s: &Scenario| cell_digest("spec", &pipeline, s, policies[0].as_ref());
         // Same graphs, different release times: different cells.
         let mut retimed = scenarios[0].clone();
@@ -746,7 +749,8 @@ mod tests {
         // A forged scenario with identical provenance (name, seed, platform,
         // spec) but different graph content — the edited-trace threat model —
         // must still get a different digest.
-        let other = generate_scenarios(PtgClass::Fft, 2, 1, 5);
+        let fft = GeneratorSource::new(AppGenerator::Fft { points: None });
+        let other = generate_scenarios_with(&fft, 2, 1, 5).unwrap();
         let mut forged = other[0].clone();
         forged.name = scenarios[0].name.clone();
         forged.seed = scenarios[0].seed;
@@ -757,7 +761,11 @@ mod tests {
     /// The first data point of the paper's Fig-3 campaign (random PTGs),
     /// with its source spec and pipeline key.
     fn fig3_point(ptgs: usize, combinations: usize) -> (String, String, Vec<Scenario>) {
-        point(&CampaignConfig::paper(PtgClass::Random), ptgs, combinations)
+        point(
+            &CampaignConfig::paper(AppGenerator::Random),
+            ptgs,
+            combinations,
+        )
     }
 
     /// The scenarios of `combinations` draws of `ptgs` applications of
@@ -788,11 +796,11 @@ mod tests {
         // Strassen grids pins the bytes those classes draw.
         for (config, hex) in [
             (
-                CampaignConfig::quick(PtgClass::Fft),
+                CampaignConfig::quick(AppGenerator::Fft { points: None }),
                 "c461b28e4534e1f3aa00492a4fc8f03b",
             ),
             (
-                CampaignConfig::quick(PtgClass::Strassen),
+                CampaignConfig::quick(AppGenerator::Strassen),
                 "81e38447d7b66e64732295483a1e41ad",
             ),
         ] {
@@ -875,7 +883,9 @@ mod tests {
     #[test]
     fn cached_evaluation_is_bit_identical_to_direct() {
         let base = SchedulerConfig::default();
-        let scenarios = generate_scenarios(PtgClass::Strassen, 2, 1, 9);
+        let scenarios =
+            generate_scenarios_with(&GeneratorSource::new(AppGenerator::Strassen), 2, 1, 9)
+                .unwrap();
         let scenario = &scenarios[0];
         let policies = policies();
         let direct = scenario.evaluate_policies(&base, &policies);
@@ -898,7 +908,9 @@ mod tests {
     fn sharded_evaluation_unions_to_the_direct_result() {
         let base = SchedulerConfig::default();
         let pipeline = base.pipeline_cache_key();
-        let scenarios = generate_scenarios(PtgClass::Strassen, 2, 1, 17);
+        let scenarios =
+            generate_scenarios_with(&GeneratorSource::new(AppGenerator::Strassen), 2, 1, 17)
+                .unwrap();
         let policies = policies();
         for scenario in &scenarios {
             let direct = scenario.evaluate_policies(&base, &policies);
@@ -935,7 +947,9 @@ mod tests {
     #[test]
     fn partially_warm_cache_evaluates_only_the_missing_subset() {
         let base = SchedulerConfig::default();
-        let scenarios = generate_scenarios(PtgClass::Strassen, 2, 1, 13);
+        let scenarios =
+            generate_scenarios_with(&GeneratorSource::new(AppGenerator::Strassen), 2, 1, 13)
+                .unwrap();
         let scenario = &scenarios[0];
         let policies = policies();
         let cache = CellCache::in_memory();
@@ -992,7 +1006,7 @@ mod tests {
                     request.label
                 )));
             }
-            GeneratorSource::from_class(PtgClass::Strassen).generate(request)
+            GeneratorSource::new(AppGenerator::Strassen).generate(request)
         }
     }
 
@@ -1005,7 +1019,7 @@ mod tests {
             combinations: 3,
             strategies: CampaignConfig::policies(&[ConstraintStrategy::EqualShare]),
             threads,
-            ..CampaignConfig::paper(PtgClass::Strassen)
+            ..CampaignConfig::paper(AppGenerator::Strassen)
         }
     }
 

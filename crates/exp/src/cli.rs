@@ -743,7 +743,7 @@ impl CliOptions {
 mod tests {
     use super::*;
     use crate::mu_sweep::mu_campaign;
-    use mcsched_ptg::gen::PtgClass;
+    use mcsched_workload::AppGenerator;
 
     fn parse(args: &[&str]) -> CliOptions {
         CliOptions::parse(args.iter().map(|s| s.to_string())).expect("arguments parse")
@@ -755,7 +755,7 @@ mod tests {
     }
 
     fn fig3() -> CampaignConfig {
-        CampaignConfig::quick(PtgClass::Random)
+        CampaignConfig::quick(AppGenerator::Random)
     }
 
     #[test]

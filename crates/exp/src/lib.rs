@@ -80,6 +80,4 @@ pub use report::{
     csv_campaign, csv_campaign_ci, csv_mu_sweep, csv_mu_sweep_ci, table_campaign,
     table_campaign_ci, table_mu_sweep, table_mu_sweep_ci,
 };
-pub use scenario::{
-    combo_requests, generate_scenarios, generate_scenarios_with, replication_seed, Scenario,
-};
+pub use scenario::{combo_requests, generate_scenarios_with, replication_seed, Scenario};

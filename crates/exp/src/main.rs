@@ -21,10 +21,9 @@ use mcsched_exp::{mu_campaign, report, run_campaign, CampaignConfig, CampaignRes
 use mcsched_obs::fleet::{render_snapshot, scan_fleet, shard_state, ShardState, SnapshotOptions};
 use mcsched_obs::ObsRun;
 use mcsched_platform::{grid5000, PlatformBuilder};
-use mcsched_ptg::gen::PtgClass;
 use mcsched_ptg::{CostModel, DataParallelTask, Ptg, PtgBuilder};
 use mcsched_stats::BootstrapConfig;
-use mcsched_workload::WorkloadCatalog;
+use mcsched_workload::{AppGenerator, WorkloadCatalog};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -60,7 +59,7 @@ fn main() {
         Command::Fig3 => figure(
             &opts,
             "Figure 3: random PTGs",
-            campaign(PtgClass::Random),
+            campaign(AppGenerator::Random),
             None,
             "Expected shape (paper): ES, WPS-* and PS-width are fairer than the selfish S;\n\
              WPS-width is the fairest (about 2x better than S); PS-cp and PS-work are the least\n\
@@ -69,7 +68,7 @@ fn main() {
         Command::Fig4 => figure(
             &opts,
             "Figure 4: FFT PTGs",
-            campaign(PtgClass::Fft),
+            campaign(AppGenerator::Fft { points: None }),
             None,
             "Expected shape (paper): overall lower unfairness than for random PTGs; PS-width\n\
              becomes the second-fairest strategy; ES produces clearly the worst makespans\n\
@@ -78,7 +77,7 @@ fn main() {
         Command::Fig5 => figure(
             &opts,
             "Figure 5: Strassen PTGs",
-            campaign(PtgClass::Strassen),
+            campaign(AppGenerator::Strassen),
             None,
             "Expected shape (paper): WPS-work is ~25% less fair than ES but ~35% better on\n\
              makespan; PS-work remains the least fair / shortest-schedule strategy.",
@@ -93,7 +92,7 @@ fn main() {
             });
             ablation(
                 &opts,
-                campaign(PtgClass::Random),
+                campaign(AppGenerator::Random),
                 "allocation procedure",
                 arms,
                 "Expected shape (paper, Section 4): both procedures respect their constraint, but\n\
@@ -114,7 +113,7 @@ fn main() {
             });
             ablation(
                 &opts,
-                campaign(PtgClass::Random),
+                campaign(AppGenerator::Random),
                 "allocation packing",
                 arms,
                 "Expected shape: packing removes the idle holes created when a task waits for a\n\

@@ -16,7 +16,7 @@
 use crate::campaign::CampaignConfig;
 use mcsched_core::policy::{ConstraintPolicy, WeightedShare};
 use mcsched_core::Characteristic;
-use mcsched_ptg::gen::PtgClass;
+use mcsched_workload::AppGenerator;
 use std::sync::Arc;
 
 /// The µ grid of the paper's Figure 2.
@@ -41,9 +41,15 @@ pub fn mu_policies(mu_values: &[f64]) -> Vec<Arc<dyn ConstraintPolicy>> {
 /// [`CampaignConfig::quick`] otherwise, both for the random class.
 pub fn mu_campaign(full: bool) -> (CampaignConfig, &'static [f64]) {
     let (base, mu_values): (_, &'static [f64]) = if full {
-        (CampaignConfig::paper(PtgClass::Random), &PAPER_MU_VALUES)
+        (
+            CampaignConfig::paper(AppGenerator::Random),
+            &PAPER_MU_VALUES,
+        )
     } else {
-        (CampaignConfig::quick(PtgClass::Random), &QUICK_MU_VALUES)
+        (
+            CampaignConfig::quick(AppGenerator::Random),
+            &QUICK_MU_VALUES,
+        )
     };
     let config = CampaignConfig {
         strategies: mu_policies(mu_values),

@@ -1,16 +1,17 @@
 //! Scenario generation and per-scenario evaluation.
 //!
 //! Scenarios are produced by a [`WorkloadSource`] (see `mcsched-workload`):
-//! the legacy [`PtgClass`]-based entry point remains as a thin wrapper over
-//! the class-equivalent source, drawing byte-identical applications.
+//! each of the paper's classes is the
+//! [`GeneratorSource`](mcsched_workload::GeneratorSource) of one
+//! [`AppGenerator`](mcsched_workload::AppGenerator), and every other catalog
+//! source slots in the same way.
 
 use mcsched_core::policy::ConstraintPolicy;
 use mcsched_core::{EvaluatedRun, SchedError, ScheduleContext, SchedulerConfig};
 use mcsched_platform::{grid5000, Platform};
-use mcsched_ptg::gen::PtgClass;
 use mcsched_ptg::Ptg;
 use mcsched_runtime::CellMetrics;
-use mcsched_workload::{GeneratorSource, WorkloadRequest, WorkloadSource};
+use mcsched_workload::{WorkloadRequest, WorkloadSource};
 use std::sync::Arc;
 
 /// One experimental scenario: a platform and a set of PTGs submitted
@@ -149,27 +150,6 @@ pub fn generate_scenarios_with(
     Ok(scenarios)
 }
 
-/// Generates the scenarios of one data point of the paper's evaluation:
-/// `combinations` random draws of `num_ptgs` applications of class `class`,
-/// each paired with every one of the four Grid'5000 subsets
-/// (`combinations × 4` scenarios in total). Equivalent to
-/// [`generate_scenarios_with`] over the class's [`GeneratorSource`] (the
-/// draws are byte-identical).
-pub fn generate_scenarios(
-    class: PtgClass,
-    num_ptgs: usize,
-    combinations: usize,
-    base_seed: u64,
-) -> Vec<Scenario> {
-    generate_scenarios_with(
-        &GeneratorSource::from_class(class),
-        num_ptgs,
-        combinations,
-        base_seed,
-    )
-    .expect("class-backed generator sources cannot fail")
-}
-
 impl Scenario {
     /// Builds the memoized [`ScheduleContext`] for this scenario: the single
     /// entry point through which every strategy evaluation runs, so that the
@@ -226,6 +206,7 @@ mod tests {
     use super::*;
     use crate::CampaignConfig;
     use mcsched_core::PolicyRegistry;
+    use mcsched_workload::{AppGenerator, ArrivalProcess, GeneratorSource};
 
     /// The built-in constraint policies registered under `names`.
     fn policies(names: &[&str]) -> Vec<Arc<dyn ConstraintPolicy>> {
@@ -280,23 +261,26 @@ mod tests {
         assert_ne!(first, second);
         // Deterministic and usable as a generation seed: the same
         // replication redraws the exact same scenarios.
-        let a = generate_scenarios(PtgClass::Strassen, 2, 1, first);
-        let b = generate_scenarios(PtgClass::Strassen, 2, 1, first);
+        let strassen = GeneratorSource::new(AppGenerator::Strassen);
+        let a = generate_scenarios_with(&strassen, 2, 1, first).unwrap();
+        let b = generate_scenarios_with(&strassen, 2, 1, first).unwrap();
         assert_eq!(a[0].ptgs, b[0].ptgs);
-        let other = generate_scenarios(PtgClass::Strassen, 2, 1, second);
+        let other = generate_scenarios_with(&strassen, 2, 1, second).unwrap();
         assert_ne!(a[0].ptgs, other[0].ptgs);
     }
 
     #[test]
     fn generates_combinations_times_platforms() {
-        let s = generate_scenarios(PtgClass::Strassen, 2, 3, 42);
+        let s = generate_scenarios_with(&GeneratorSource::new(AppGenerator::Strassen), 2, 3, 42)
+            .unwrap();
         assert_eq!(s.len(), 12);
         assert_eq!(s[0].ptgs.len(), 2);
     }
 
     #[test]
     fn same_combination_shares_ptgs_across_platforms() {
-        let s = generate_scenarios(PtgClass::Strassen, 2, 1, 7);
+        let s = generate_scenarios_with(&GeneratorSource::new(AppGenerator::Strassen), 2, 1, 7)
+            .unwrap();
         assert_eq!(s.len(), 4);
         for w in s.windows(2) {
             assert_eq!(w[0].seed, w[1].seed);
@@ -307,7 +291,8 @@ mod tests {
 
     #[test]
     fn site_scenarios_of_a_combination_share_one_slice() {
-        let s = generate_scenarios(PtgClass::Fft, 3, 2, 7);
+        let fft = GeneratorSource::new(AppGenerator::Fft { points: None });
+        let s = generate_scenarios_with(&fft, 3, 2, 7).unwrap();
         let sites = grid5000::all_sites().len();
         for (i, scenario) in s.iter().enumerate() {
             let first = &s[i - i % sites];
@@ -322,8 +307,9 @@ mod tests {
 
     #[test]
     fn generation_is_deterministic() {
-        let a = generate_scenarios(PtgClass::Fft, 3, 2, 99);
-        let b = generate_scenarios(PtgClass::Fft, 3, 2, 99);
+        let fft = GeneratorSource::new(AppGenerator::Fft { points: None });
+        let a = generate_scenarios_with(&fft, 3, 2, 99).unwrap();
+        let b = generate_scenarios_with(&fft, 3, 2, 99).unwrap();
         assert_eq!(a.len(), b.len());
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.name, y.name);
@@ -332,23 +318,7 @@ mod tests {
     }
 
     #[test]
-    fn class_wrapper_matches_the_source_backed_path() {
-        let legacy = generate_scenarios(PtgClass::Fft, 3, 2, 99);
-        let source = GeneratorSource::from_class(PtgClass::Fft);
-        let routed = generate_scenarios_with(&source, 3, 2, 99).unwrap();
-        assert_eq!(legacy.len(), routed.len());
-        for (a, b) in legacy.iter().zip(&routed) {
-            assert_eq!(a.name, b.name);
-            assert_eq!(a.seed, b.seed);
-            assert_eq!(a.ptgs, b.ptgs);
-            assert_eq!(a.release_times, b.release_times);
-            assert!(a.release_times.iter().all(|&t| t == 0.0));
-        }
-    }
-
-    #[test]
     fn timed_sources_carry_release_times_into_the_workload() {
-        use mcsched_workload::{AppGenerator, ArrivalProcess};
         let source =
             GeneratorSource::new(AppGenerator::Strassen).with_arrival(ArrivalProcess::Bursty {
                 burst: 1,
@@ -361,7 +331,9 @@ mod tests {
 
     #[test]
     fn evaluate_strategy_produces_finite_metrics() {
-        let scenarios = generate_scenarios(PtgClass::Strassen, 2, 1, 5);
+        let scenarios =
+            generate_scenarios_with(&GeneratorSource::new(AppGenerator::Strassen), 2, 1, 5)
+                .unwrap();
         let scenario = &scenarios[0];
         let base = SchedulerConfig::default();
         let dedicated = dedicated_makespans(scenario, &base);
@@ -375,7 +347,9 @@ mod tests {
 
     #[test]
     fn evaluate_all_matches_the_two_step_path() {
-        let scenarios = generate_scenarios(PtgClass::Strassen, 3, 1, 13);
+        let scenarios =
+            generate_scenarios_with(&GeneratorSource::new(AppGenerator::Strassen), 3, 1, 13)
+                .unwrap();
         let scenario = &scenarios[0];
         let base = SchedulerConfig::default();
         let policies = policies(&["s", "es"]);
@@ -389,7 +363,6 @@ mod tests {
 
     #[test]
     fn timed_scenarios_evaluate_identically_on_both_paths() {
-        use mcsched_workload::{AppGenerator, ArrivalProcess};
         // The two-step path (context + evaluate_strategy) must honour the
         // scenario's release times exactly like evaluate_policies does, or
         // the same Scenario would yield two different results.
@@ -473,17 +446,19 @@ mod tests {
         // Ten FFT graphs of one size share one width, so PS-width and
         // WPS-width give ES's β. (The class's mixed 4/8/16-point draws do
         // not.)
-        let source = GeneratorSource::new(mcsched_workload::AppGenerator::Fft { points: Some(8) });
+        let source = GeneratorSource::new(AppGenerator::Fft { points: Some(8) });
         let fft = &generate_scenarios_with(&source, 10, 1, 3).unwrap()[0];
-        assert_paired_path_dedupes(fft, &CampaignConfig::paper(PtgClass::Fft).strategies);
+        let policies = CampaignConfig::paper(AppGenerator::Fft { points: None }).strategies;
+        assert_paired_path_dedupes(fft, &policies);
 
         // Two random applications on a site where the equal share does not
         // bind: ES allocates what S does, under half the β.
-        let policies = CampaignConfig::paper(PtgClass::Random).strategies;
+        let policies = CampaignConfig::paper(AppGenerator::Random).strategies;
         let (selfish, equal) = (&policies[0], &policies[1]);
         let base = SchedulerConfig::default();
+        let random = GeneratorSource::new(AppGenerator::Random);
         let unbound = (0..64)
-            .flat_map(|seed| generate_scenarios(PtgClass::Random, 2, 1, seed))
+            .flat_map(|seed| generate_scenarios_with(&random, 2, 1, seed).unwrap())
             .find(|scenario| {
                 let context = scenario.context(&base);
                 context.allocations_for(selfish.as_ref(), base.allocation.as_ref())
@@ -495,7 +470,9 @@ mod tests {
 
     #[test]
     fn evaluate_all_simulates_dedicated_baselines_once_per_app() {
-        let scenarios = generate_scenarios(PtgClass::Strassen, 2, 1, 21);
+        let scenarios =
+            generate_scenarios_with(&GeneratorSource::new(AppGenerator::Strassen), 2, 1, 21)
+                .unwrap();
         let scenario = &scenarios[0];
         let base = SchedulerConfig::default();
         let context = scenario.context(&base);

@@ -4,11 +4,18 @@
 //!
 //! * [`random`] — synthetic "workflow-like" DAGs of 10, 20 or 50 tasks whose
 //!   shape is controlled by four parameters (width, regularity, density,
-//!   jumps), reproducing the authors' DAG generation program;
+//!   jumps). It follows the paper's description of the authors' DAG
+//!   generation program but not its level widths (see the fidelity caveat
+//!   of [`random`]): prefer the calibrated DAGGEN-style generator of the
+//!   `mcsched-workload` crate (`daggen-grid` spec) when reproducing the
+//!   paper's random-PTG figures;
 //! * [`fft`] — Fast Fourier Transform task graphs (regular, limited task
 //!   parallelism, 15/39/95 tasks for 4/8/16-point transforms);
 //! * [`strassen`] — Strassen matrix multiplication task graphs (25 tasks,
 //!   fixed shape and maximal width of 10).
+//!
+//! The `mcsched-workload` crate's `AppGenerator` names and samples the
+//! classes.
 
 pub mod fft;
 pub mod random;
@@ -17,83 +24,3 @@ pub mod strassen;
 pub use fft::fft_ptg;
 pub use random::{random_ptg, CostScenario, RandomPtgConfig};
 pub use strassen::strassen_ptg;
-
-use crate::graph::Ptg;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-
-/// The application class of a generated PTG (used by the experiment harness
-/// to build the workloads of Figures 3, 4 and 5).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum PtgClass {
-    /// Random synthetic workflow-like DAGs (Figure 3).
-    Random,
-    /// FFT task graphs (Figure 4).
-    Fft,
-    /// Strassen matrix multiplication task graphs (Figure 5).
-    Strassen,
-}
-
-impl PtgClass {
-    /// Human readable label.
-    pub fn label(&self) -> &'static str {
-        match self {
-            PtgClass::Random => "random",
-            PtgClass::Fft => "fft",
-            PtgClass::Strassen => "strassen",
-        }
-    }
-
-    /// Draws one PTG of this class with the paper's default parameter ranges.
-    ///
-    /// * `Random` — a configuration drawn uniformly from the paper's
-    ///   parameter grid (10/20/50 tasks, width/regularity/density/jumps).
-    /// * `Fft` — 4, 8 or 16 points, drawn uniformly.
-    /// * `Strassen` — the fixed 25-task shape with random costs.
-    pub fn sample<R: Rng>(&self, rng: &mut R, name: impl Into<String>) -> Ptg {
-        match self {
-            PtgClass::Random => {
-                let cfg = RandomPtgConfig::sample_paper_grid(rng);
-                random::random_ptg(&cfg, rng, name)
-            }
-            PtgClass::Fft => {
-                let points = [4usize, 8, 16][rng.gen_range(0..3)];
-                fft::fft_ptg(points, rng, name)
-            }
-            PtgClass::Strassen => strassen::strassen_ptg(rng, name),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::SeedableRng;
-    use rand_chacha::ChaCha8Rng;
-
-    #[test]
-    fn labels() {
-        assert_eq!(PtgClass::Random.label(), "random");
-        assert_eq!(PtgClass::Fft.label(), "fft");
-        assert_eq!(PtgClass::Strassen.label(), "strassen");
-    }
-
-    #[test]
-    fn sample_each_class_produces_valid_graphs() {
-        let mut rng = ChaCha8Rng::seed_from_u64(7);
-        for class in [PtgClass::Random, PtgClass::Fft, PtgClass::Strassen] {
-            let g = class.sample(&mut rng, "app");
-            assert!(g.num_tasks() > 0);
-            assert!(g.total_work() > 0.0);
-        }
-    }
-
-    #[test]
-    fn sampling_is_deterministic_per_seed() {
-        let g1 = PtgClass::Random.sample(&mut ChaCha8Rng::seed_from_u64(3), "a");
-        let g2 = PtgClass::Random.sample(&mut ChaCha8Rng::seed_from_u64(3), "a");
-        assert_eq!(g1.num_tasks(), g2.num_tasks());
-        assert_eq!(g1.num_edges(), g2.num_edges());
-        assert!((g1.total_work() - g2.total_work()).abs() < 1e-6);
-    }
-}

@@ -11,7 +11,7 @@ use crate::arrival::ArrivalProcess;
 use crate::daggen::{daggen_ptg, DaggenConfig};
 use crate::stream::{GeneratorStream, JobStream, StreamRequest};
 use mcsched_core::{SchedError, Workload};
-use mcsched_ptg::gen::{fft_ptg, strassen_ptg, PtgClass};
+use mcsched_ptg::gen::{fft_ptg, random_ptg, strassen_ptg, RandomPtgConfig};
 use mcsched_ptg::Ptg;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -92,7 +92,6 @@ pub trait WorkloadSource: std::fmt::Debug + Send + Sync {
 pub enum AppGenerator {
     /// The legacy paper-grid sampler of [`mcsched_ptg::gen::random`]: each
     /// application draws a configuration uniformly from the paper grid.
-    /// Byte-identical to the pre-subsystem generation path.
     Random,
     /// The DAGGEN-style generator with a fixed configuration.
     Daggen(DaggenConfig),
@@ -128,7 +127,6 @@ impl AppGenerator {
     #[must_use]
     pub fn spec(&self) -> String {
         match self {
-            AppGenerator::Random => "random".to_string(),
             AppGenerator::Daggen(cfg) => {
                 let costs = match cfg.cost_scenario {
                     mcsched_ptg::gen::CostScenario::Linear => "linear",
@@ -141,12 +139,13 @@ impl AppGenerator {
                     cfg.num_tasks, cfg.fat, cfg.regularity, cfg.density, cfg.jump, cfg.ccr
                 )
             }
-            AppGenerator::DaggenGrid => "daggen-grid".to_string(),
-            AppGenerator::Fft { points: None } => "fft".to_string(),
             AppGenerator::Fft {
                 points: Some(points),
             } => format!("fft@points={points}"),
-            AppGenerator::Strassen => "strassen".to_string(),
+            AppGenerator::Random
+            | AppGenerator::DaggenGrid
+            | AppGenerator::Fft { points: None }
+            | AppGenerator::Strassen => self.label().to_string(),
         }
     }
 
@@ -168,17 +167,26 @@ impl AppGenerator {
     }
 
     /// Draws one application graph.
+    ///
+    /// * `Random` — a configuration drawn uniformly from the paper's
+    ///   parameter grid (10/20/50 tasks, width/regularity/density/jumps).
+    /// * `Fft { points: None }` — 4, 8 or 16 points, drawn uniformly.
+    /// * `Strassen` — the fixed 25-task shape with random costs.
     pub fn sample<R: Rng>(&self, rng: &mut R, name: impl Into<String>) -> Ptg {
         match self {
-            // Delegate to `PtgClass::sample` so that the draw sequence stays
-            // byte-identical to the legacy generation path.
-            AppGenerator::Random => PtgClass::Random.sample(rng, name),
+            AppGenerator::Random => {
+                let cfg = RandomPtgConfig::sample_paper_grid(rng);
+                random_ptg(&cfg, rng, name)
+            }
             AppGenerator::Daggen(cfg) => daggen_ptg(cfg, rng, name),
             AppGenerator::DaggenGrid => {
                 let cfg = DaggenConfig::sample_paper_grid(rng);
                 daggen_ptg(&cfg, rng, name)
             }
-            AppGenerator::Fft { points: None } => PtgClass::Fft.sample(rng, name),
+            AppGenerator::Fft { points: None } => {
+                let points = [4usize, 8, 16][rng.gen_range(0..3)];
+                fft_ptg(points, rng, name)
+            }
             AppGenerator::Fft {
                 points: Some(points),
             } => fft_ptg(*points, rng, name),
@@ -226,17 +234,6 @@ impl GeneratorSource {
         Ok(Self {
             generators,
             arrival: ArrivalProcess::Batch,
-        })
-    }
-
-    /// The batch source equivalent to the legacy [`PtgClass`] generation
-    /// path (byte-identical draws and names).
-    #[must_use]
-    pub fn from_class(class: PtgClass) -> Self {
-        Self::new(match class {
-            PtgClass::Random => AppGenerator::Random,
-            PtgClass::Fft => AppGenerator::Fft { points: None },
-            PtgClass::Strassen => AppGenerator::Strassen,
         })
     }
 
@@ -305,16 +302,55 @@ mod tests {
     use super::*;
 
     #[test]
-    fn legacy_class_source_matches_direct_sampling() {
-        // The subsystem's contract with the committed figures: routing the
-        // legacy generator through a WorkloadSource draws identical graphs.
-        let source = GeneratorSource::from_class(PtgClass::Random);
-        let request = WorkloadRequest::new(1234, 3, "random-0");
-        let workload = source.generate(&request).unwrap();
+    fn labels() {
+        assert_eq!(AppGenerator::Random.label(), "random");
+        assert_eq!(
+            AppGenerator::Daggen(DaggenConfig::new(20)).label(),
+            "daggen"
+        );
+        assert_eq!(AppGenerator::DaggenGrid.label(), "daggen-grid");
+        assert_eq!(AppGenerator::Fft { points: None }.label(), "fft");
+        assert_eq!(AppGenerator::Strassen.label(), "strassen");
+    }
 
+    #[test]
+    fn sample_each_class_produces_valid_graphs() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        for generator in [
+            AppGenerator::Random,
+            AppGenerator::DaggenGrid,
+            AppGenerator::Fft { points: None },
+            AppGenerator::Strassen,
+        ] {
+            let g = generator.sample(&mut rng, "app");
+            assert!(g.num_tasks() > 0, "{}", generator.spec());
+            assert!(g.total_work() > 0.0, "{}", generator.spec());
+        }
+    }
+
+    #[test]
+    fn sampling_is_deterministic_per_seed() {
+        for generator in [AppGenerator::Random, AppGenerator::Fft { points: None }] {
+            let g1 = generator.sample(&mut ChaCha8Rng::seed_from_u64(3), "a");
+            let g2 = generator.sample(&mut ChaCha8Rng::seed_from_u64(3), "a");
+            assert_eq!(g1, g2, "{}", generator.spec());
+        }
+    }
+
+    #[test]
+    fn legacy_class_source_matches_direct_sampling() {
+        // The contract with the committed figures: the random class makes
+        // these generator calls, in this order, on the request RNG.
+        let request = WorkloadRequest::new(1234, 3, "random-0");
+        let workload = GeneratorSource::new(AppGenerator::Random)
+            .generate(&request)
+            .unwrap();
         let mut rng = ChaCha8Rng::seed_from_u64(1234);
         let direct: Vec<Ptg> = (0..3)
-            .map(|i| PtgClass::Random.sample(&mut rng, format!("random-0-{i}")))
+            .map(|i| {
+                let cfg = RandomPtgConfig::sample_paper_grid(&mut rng);
+                random_ptg(&cfg, &mut rng, format!("random-0-{i}"))
+            })
             .collect();
         assert_eq!(workload.ptgs(), direct.as_slice());
         assert!(workload.is_batch());

@@ -64,7 +64,7 @@ fn main() {
     );
     // The paper's strategies compared on one shared context: the dedicated
     // baselines are simulated once, not once per strategy.
-    let policies = CampaignConfig::paper(PtgClass::Random).strategies;
+    let policies = CampaignConfig::paper(AppGenerator::Random).strategies;
     let evaluations = ScheduleContext::new(&platform, &apps)
         .evaluate_policies(&policies)
         .expect("valid schedule");

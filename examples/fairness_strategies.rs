@@ -41,7 +41,7 @@ fn main() {
         "{:<12} {:>12} {:>12} {:>12}",
         "strategy", "tiny-chain", "medium", "huge-wide"
     );
-    let policies = CampaignConfig::paper(PtgClass::Random).strategies;
+    let policies = CampaignConfig::paper(AppGenerator::Random).strategies;
     for policy in &policies {
         let betas = policy.betas(&apps, &reference);
         println!(

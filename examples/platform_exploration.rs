@@ -49,7 +49,7 @@ fn main() {
     // 3. Run the same 4-application workload on every platform and compare.
     let mut rng = ChaCha8Rng::seed_from_u64(1234);
     let apps: Vec<Ptg> = (0..4)
-        .map(|i| PtgClass::Random.sample(&mut rng, format!("app{i}")))
+        .map(|i| AppGenerator::Random.sample(&mut rng, format!("app{i}")))
         .collect();
     let config = SchedulerConfig {
         constraint: PolicyRegistry::builtin()

@@ -22,7 +22,7 @@ fn main() {
     // 2. Draw four random mixed-parallel applications (PTGs).
     let mut rng = ChaCha8Rng::seed_from_u64(2024);
     let apps: Vec<Ptg> = (0..4)
-        .map(|i| PtgClass::Random.sample(&mut rng, format!("workflow-{i}")))
+        .map(|i| AppGenerator::Random.sample(&mut rng, format!("workflow-{i}")))
         .collect();
     for app in &apps {
         println!(

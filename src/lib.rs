@@ -53,7 +53,7 @@
 //! let platform = grid5000::lille();
 //! let mut rng = ChaCha8Rng::seed_from_u64(42);
 //! let apps: Vec<Ptg> = (0..3)
-//!     .map(|i| PtgClass::Random.sample(&mut rng, format!("app{i}")))
+//!     .map(|i| AppGenerator::Random.sample(&mut rng, format!("app{i}")))
 //!     .collect();
 //!
 //! // Schedule them with the paper's recommended WPS-width strategy.
@@ -100,9 +100,7 @@ pub mod prelude {
     pub use mcsched_platform::{
         grid5000, Cluster, NetworkTopology, Platform, PlatformBuilder, ProcSet,
     };
-    pub use mcsched_ptg::gen::{
-        fft_ptg, random_ptg, strassen_ptg, CostScenario, PtgClass, RandomPtgConfig,
-    };
+    pub use mcsched_ptg::gen::{fft_ptg, random_ptg, strassen_ptg, CostScenario, RandomPtgConfig};
     pub use mcsched_ptg::{CostModel, DataParallelTask, Ptg, PtgBuilder};
     pub use mcsched_simx::{Engine, ExecutionTrace, SimJob, SimWorkload};
     pub use mcsched_stats::{

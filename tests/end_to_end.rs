@@ -9,10 +9,10 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 
-fn sample_apps(class: PtgClass, n: usize, seed: u64) -> Vec<Ptg> {
+fn sample_apps(generator: AppGenerator, n: usize, seed: u64) -> Vec<Ptg> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..n)
-        .map(|i| class.sample(&mut rng, format!("{}-{i}", class.label())))
+        .map(|i| generator.sample(&mut rng, format!("{}-{i}", generator.label())))
         .collect()
 }
 
@@ -37,18 +37,19 @@ fn registered(name: &str) -> Arc<dyn ConstraintPolicy> {
 #[test]
 fn every_strategy_schedules_every_class_on_every_site() {
     for platform in grid5000::all_sites() {
-        for class in [PtgClass::Random, PtgClass::Fft, PtgClass::Strassen] {
-            let apps = sample_apps(class, 3, 0xC0FFEE);
-            for policy in CampaignConfig::paper(PtgClass::Random).strategies {
+        for generator in [
+            AppGenerator::Random,
+            AppGenerator::Fft { points: None },
+            AppGenerator::Strassen,
+        ] {
+            let label = generator.label();
+            let apps = sample_apps(generator, 3, 0xC0FFEE);
+            for policy in CampaignConfig::paper(AppGenerator::Random).strategies {
                 let name = policy.name();
                 let run = context(&platform, &apps, policy)
                     .schedule()
                     .unwrap_or_else(|e| {
-                        panic!(
-                            "{name} on {} ({}) failed: {e}",
-                            platform.name(),
-                            class.label()
-                        )
+                        panic!("{name} on {} ({label}) failed: {e}", platform.name())
                     });
                 assert_eq!(run.apps.len(), 3);
                 assert!(run.global_makespan > 0.0);
@@ -65,7 +66,7 @@ fn every_strategy_schedules_every_class_on_every_site() {
 #[test]
 fn simulated_trace_never_oversubscribes_processors() {
     let platform = grid5000::lille();
-    let apps = sample_apps(PtgClass::Random, 4, 7);
+    let apps = sample_apps(AppGenerator::Random, 4, 7);
     let run = context(&platform, &apps, registered("es"))
         .schedule()
         .unwrap();
@@ -88,7 +89,7 @@ fn simulated_trace_never_oversubscribes_processors() {
 #[test]
 fn simulated_trace_respects_all_precedences() {
     let platform = grid5000::nancy();
-    let apps = sample_apps(PtgClass::Fft, 3, 21);
+    let apps = sample_apps(AppGenerator::Fft { points: None }, 3, 21);
     let run = context(&platform, &apps, registered("es"))
         .schedule()
         .unwrap();
@@ -114,7 +115,7 @@ fn simulated_trace_respects_all_precedences() {
 fn scrap_max_allocations_respect_their_betas() {
     let platform = grid5000::rennes();
     let reference = ReferencePlatform::new(&platform);
-    let apps = sample_apps(PtgClass::Random, 5, 99);
+    let apps = sample_apps(AppGenerator::Random, 5, 99);
     for name in ["es", "wps-width@0.5", "ps-work"] {
         let policy = registered(name);
         let betas = policy.betas(&apps, &reference);
@@ -141,7 +142,7 @@ fn scrap_max_allocations_respect_their_betas() {
 #[test]
 fn dedicated_runs_bound_concurrent_slowdowns() {
     let platform = grid5000::sophia();
-    let apps = sample_apps(PtgClass::Random, 4, 3);
+    let apps = sample_apps(AppGenerator::Random, 4, 3);
     let evaluation = context(&platform, &apps, registered("es"))
         .evaluate()
         .unwrap();
@@ -160,8 +161,8 @@ fn selfish_strategy_matches_dedicated_when_alone() {
     // With a single application, every strategy gives beta = 1 and the
     // concurrent makespan equals the dedicated makespan.
     let platform = grid5000::lille();
-    let apps = sample_apps(PtgClass::Strassen, 1, 11);
-    for policy in CampaignConfig::paper(PtgClass::Random).strategies {
+    let apps = sample_apps(AppGenerator::Strassen, 1, 11);
+    for policy in CampaignConfig::paper(AppGenerator::Random).strategies {
         let name = policy.name();
         let evaluation = context(&platform, &apps, policy).evaluate().unwrap();
         let own = evaluation.dedicated_makespans[0];
@@ -213,7 +214,7 @@ fn golden_fig2_mu_sweep_quick_table_is_byte_stable() {
 #[test]
 fn golden_fig3_random_quick_table_is_byte_stable() {
     // The exact table a default `fig3` run prints.
-    let result = run_campaign(&CampaignConfig::quick(PtgClass::Random)).unwrap();
+    let result = run_campaign(&CampaignConfig::quick(AppGenerator::Random)).unwrap();
     golden_check(
         "fig3_random_quick.txt",
         &mcsched::exp::table_campaign(&result),
@@ -223,14 +224,14 @@ fn golden_fig3_random_quick_table_is_byte_stable() {
 #[test]
 fn golden_fig4_fft_quick_table_is_byte_stable() {
     // The exact table a default `fig4` run prints.
-    let result = run_campaign(&CampaignConfig::quick(PtgClass::Fft)).unwrap();
+    let result = run_campaign(&CampaignConfig::quick(AppGenerator::Fft { points: None })).unwrap();
     golden_check("fig4_fft_quick.txt", &mcsched::exp::table_campaign(&result));
 }
 
 #[test]
 fn golden_fig5_strassen_quick_table_is_byte_stable() {
     // The exact table a default `fig5` run prints.
-    let result = run_campaign(&CampaignConfig::quick(PtgClass::Strassen)).unwrap();
+    let result = run_campaign(&CampaignConfig::quick(AppGenerator::Strassen)).unwrap();
     golden_check(
         "fig5_strassen_quick.txt",
         &mcsched::exp::table_campaign(&result),
@@ -278,7 +279,7 @@ fn golden_fig3_random_quick_ci_outputs_are_byte_stable() {
     // The interval table and CSV of `fig3 --replications 2 --csv`.
     let config = CampaignConfig {
         replications: 2,
-        ..CampaignConfig::quick(PtgClass::Random)
+        ..CampaignConfig::quick(AppGenerator::Random)
     };
     let result = run_campaign(&config).unwrap();
     let ci = default_ci(config.seed);
@@ -298,7 +299,7 @@ fn strassen_width_strategies_degenerate_to_equal_share() {
     // WPS-width produce exactly the ES betas (the reason Figure 5 omits them).
     let platform = grid5000::nancy();
     let reference = ReferencePlatform::new(&platform);
-    let apps = sample_apps(PtgClass::Strassen, 4, 17);
+    let apps = sample_apps(AppGenerator::Strassen, 4, 17);
     let es = registered("es").betas(&apps, &reference);
     let ps_width = registered("ps-width").betas(&apps, &reference);
     let wps_width = registered("wps-width@0.5").betas(&apps, &reference);

@@ -21,7 +21,7 @@
 use mcsched::exp::{run_campaign, CampaignConfig};
 use mcsched::obs::fleet::{merge_obs_dirs, render_snapshot, scan_fleet, SnapshotOptions};
 use mcsched::obs::{metrics, ObsOptions, RunPhase};
-use mcsched::ptg::gen::PtgClass;
+use mcsched::workload::AppGenerator;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -67,7 +67,7 @@ fn campaign_config() -> CampaignConfig {
         ptg_counts: vec![2, 4],
         combinations: 2,
         replications: 2,
-        ..CampaignConfig::quick(PtgClass::Strassen)
+        ..CampaignConfig::quick(AppGenerator::Strassen)
     }
 }
 

@@ -21,8 +21,7 @@ use mcsched::exp::{csv_campaign, run_campaign, table_campaign, CampaignConfig};
 use mcsched::obs::json::Json;
 use mcsched::obs::{export, Collector, TraceDump};
 use mcsched::platform::grid5000;
-use mcsched::ptg::gen::PtgClass;
-use mcsched::workload::WorkloadCatalog;
+use mcsched::workload::{AppGenerator, WorkloadCatalog};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
 
@@ -44,7 +43,7 @@ fn campaign_config(threads: usize) -> CampaignConfig {
         ptg_counts: vec![2, 4],
         combinations: 2,
         threads,
-        ..CampaignConfig::quick(PtgClass::Strassen)
+        ..CampaignConfig::quick(AppGenerator::Strassen)
     }
 }
 

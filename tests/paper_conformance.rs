@@ -9,10 +9,9 @@
 //!   under `cargo test` and pins the machinery: determinism of the seeded
 //!   intervals, pairing alignment, and the noise-tolerant bounds;
 //! * the **paper-scale** checks (25 combinations × 4 platforms × 4
-//!   replications per cell), `#[ignore]`d by default because they take
-//!   minutes. Opt in either with `cargo test --test paper_conformance --
-//!   --ignored` or by setting `MCSCHED_CONFORMANCE=1`, which routes the same
-//!   checks through the always-on `conformance_tier_via_env` driver.
+//!   replications per cell), `#[ignore]`d by default to keep `cargo test`
+//!   fast. Run them with `cargo test --test paper_conformance -- --ignored`
+//!   (CI runs this on every push).
 //!
 //! Measured paper-scale verdicts are recorded in ROADMAP.md (WPS-vs-PS) so
 //! the asserted bands here are regression guards around *measured* reality,
@@ -58,10 +57,6 @@ const PAPER: Scale = Scale {
 
 const SEED: u64 = 0x5EED;
 
-fn conformance_enabled() -> bool {
-    std::env::var("MCSCHED_CONFORMANCE").is_ok_and(|v| v == "1")
-}
-
 /// Reads the `MCSCHED_CACHE_DIR` / `MCSCHED_NO_RESUME` / `MCSCHED_PROGRESS`
 /// environment controls — the conformance driver's equivalent of
 /// `--cache-dir`/`--no-resume`/`--progress` — as `(cache_dir, resume,
@@ -103,7 +98,7 @@ fn campaign(
             .iter()
             .map(|n| registry.constraint(n).expect("registry names resolve"))
             .collect(),
-        ..CampaignConfig::paper(PtgClass::Random)
+        ..CampaignConfig::paper(AppGenerator::Random)
     })
 }
 
@@ -172,7 +167,7 @@ fn check_mu_endpoint_ordering(scale: Scale) {
         cache_dir,
         resume,
         progress,
-        ..CampaignConfig::paper(PtgClass::Random)
+        ..CampaignConfig::paper(AppGenerator::Random)
     };
     let result = run_campaign(&config).unwrap();
     // a = µ=1 (ES), b = µ=0 (PS): the paper orders a below b.
@@ -214,9 +209,7 @@ fn check_mu_endpoint_ordering(scale: Scale) {
 fn check_es_vs_share_based_gap(scale: Scale) {
     let config = campaign(
         scale,
-        std::sync::Arc::new(mcsched::workload::GeneratorSource::from_class(
-            PtgClass::Random,
-        )),
+        std::sync::Arc::new(GeneratorSource::new(AppGenerator::Random)),
         &["ps-work", "es"],
     );
     let result = run_campaign(&config).unwrap();
@@ -309,38 +302,23 @@ fn smoke_verdicts_are_reproducible_across_processes() {
 }
 
 // ---------------------------------------------------------------------------
-// Paper scale: opt-in via `--ignored` or MCSCHED_CONFORMANCE=1.
+// Paper scale: run with `--ignored`.
 // ---------------------------------------------------------------------------
 
 #[test]
-#[ignore = "paper scale (minutes); run with --ignored or MCSCHED_CONFORMANCE=1"]
+#[ignore = "paper scale (tier: 31 s debug, 3.5 s release, on 2 vCPUs); run with --ignored"]
 fn paper_scale_fig3_wps_vs_ps_ci() {
     check_fig3_wps_vs_ps(PAPER);
 }
 
 #[test]
-#[ignore = "paper scale (minutes); run with --ignored or MCSCHED_CONFORMANCE=1"]
+#[ignore = "paper scale (tier: 31 s debug, 3.5 s release, on 2 vCPUs); run with --ignored"]
 fn paper_scale_mu_endpoint_ordering() {
     check_mu_endpoint_ordering(PAPER);
 }
 
 #[test]
-#[ignore = "paper scale (minutes); run with --ignored or MCSCHED_CONFORMANCE=1"]
+#[ignore = "paper scale (tier: 31 s debug, 3.5 s release, on 2 vCPUs); run with --ignored"]
 fn paper_scale_es_vs_share_based_gap() {
-    check_es_vs_share_based_gap(PAPER);
-}
-
-/// Environment-variable driver for the paper-scale tier: a plain `cargo
-/// test` stays fast, `MCSCHED_CONFORMANCE=1 cargo test --test
-/// paper_conformance` runs everything without `--ignored` plumbing (useful
-/// in CI matrices where the test filter is fixed).
-#[test]
-fn conformance_tier_via_env() {
-    if !conformance_enabled() {
-        eprintln!("paper-scale conformance skipped (set MCSCHED_CONFORMANCE=1 to enable)");
-        return;
-    }
-    check_fig3_wps_vs_ps(PAPER);
-    check_mu_endpoint_ordering(PAPER);
     check_es_vs_share_based_gap(PAPER);
 }

@@ -6,17 +6,17 @@ use mcsched::exp::{mu_policies, run_campaign, CampaignConfig};
 use mcsched::prelude::*;
 
 /// A small but non-trivial campaign: 3 combinations × 4 platforms × 4 PTGs.
-fn small_campaign(class: PtgClass) -> CampaignConfig {
+fn small_campaign(generator: AppGenerator) -> CampaignConfig {
     CampaignConfig {
         ptg_counts: vec![4],
         combinations: 3,
-        ..CampaignConfig::paper(class)
+        ..CampaignConfig::paper(generator)
     }
 }
 
 #[test]
 fn equal_share_is_fairer_than_selfish_on_random_ptgs() {
-    let result = run_campaign(&small_campaign(PtgClass::Random)).unwrap();
+    let result = run_campaign(&small_campaign(AppGenerator::Random)).unwrap();
     let es = result.point(4, "ES").expect("ES evaluated").unfairness;
     let s = result.point(4, "S").expect("S evaluated").unfairness;
     assert!(
@@ -36,7 +36,7 @@ fn weighting_towards_equal_share_does_not_clearly_hurt_fairness() {
     let config = CampaignConfig {
         ptg_counts: vec![8],
         combinations: 3,
-        ..CampaignConfig::paper(PtgClass::Random)
+        ..CampaignConfig::paper(AppGenerator::Random)
     };
     let result = run_campaign(&config).unwrap();
     let ps_work = result.point(8, "PS-work").unwrap().unfairness;
@@ -88,7 +88,7 @@ fn calibrated_generator_narrows_the_wps_vs_ps_gap() {
         ptg_counts: vec![8],
         combinations: 3,
         replications: 2,
-        ..CampaignConfig::paper(PtgClass::Random)
+        ..CampaignConfig::paper(AppGenerator::Random)
     };
     let result = run_campaign(&config).unwrap();
     let paired = result
@@ -119,7 +119,7 @@ fn proportional_work_achieves_competitive_makespans_under_contention() {
     let config = CampaignConfig {
         ptg_counts: vec![8],
         combinations: 3,
-        ..CampaignConfig::paper(PtgClass::Random)
+        ..CampaignConfig::paper(AppGenerator::Random)
     };
     let result = run_campaign(&config).unwrap();
     let ps_work = result.point(8, "PS-work").unwrap().relative_makespan;
@@ -144,7 +144,7 @@ fn mu_interpolates_fairness_against_makespan() {
         strategies: mu_policies(&[0.0, 1.0]),
         ptg_counts: vec![8],
         combinations: 3,
-        ..CampaignConfig::paper(PtgClass::Random)
+        ..CampaignConfig::paper(AppGenerator::Random)
     };
     let result = run_campaign(&config).unwrap();
     let ps = result.point(8, "WPS-work@0").unwrap();
@@ -171,7 +171,7 @@ fn unfairness_grows_with_the_number_of_concurrent_ptgs() {
         ptg_counts: vec![2, 8],
         combinations: 3,
         strategies: CampaignConfig::policies(&[ConstraintStrategy::EqualShare]),
-        ..CampaignConfig::paper(PtgClass::Random)
+        ..CampaignConfig::paper(AppGenerator::Random)
     };
     let result = run_campaign(&config).unwrap();
     let few = result.point(2, "ES").unwrap().unfairness;
@@ -186,8 +186,8 @@ fn unfairness_grows_with_the_number_of_concurrent_ptgs() {
 fn fft_campaign_is_overall_fairer_than_random_campaign() {
     // Figure 4: the regularity of FFT graphs yields lower unfairness than the
     // random PTGs of Figure 3 for the same strategies.
-    let random = run_campaign(&small_campaign(PtgClass::Random)).unwrap();
-    let fft = run_campaign(&small_campaign(PtgClass::Fft)).unwrap();
+    let random = run_campaign(&small_campaign(AppGenerator::Random)).unwrap();
+    let fft = run_campaign(&small_campaign(AppGenerator::Fft { points: None })).unwrap();
     let avg = |r: &mcsched::exp::CampaignResult| {
         let pts: Vec<f64> = r.points.iter().map(|p| p.unfairness).collect();
         pts.iter().sum::<f64>() / pts.len() as f64
@@ -202,7 +202,7 @@ fn fft_campaign_is_overall_fairer_than_random_campaign() {
 
 #[test]
 fn best_strategy_has_relative_makespan_close_to_one() {
-    let result = run_campaign(&small_campaign(PtgClass::Strassen)).unwrap();
+    let result = run_campaign(&small_campaign(AppGenerator::Strassen)).unwrap();
     for &count in &result.ptg_counts() {
         let best = result
             .points

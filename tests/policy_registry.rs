@@ -14,7 +14,7 @@ use std::sync::Arc;
 fn sample_apps(n: usize, seed: u64) -> Vec<Ptg> {
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
     (0..n)
-        .map(|i| PtgClass::Random.sample(&mut rng, format!("app-{i}")))
+        .map(|i| AppGenerator::Random.sample(&mut rng, format!("app-{i}")))
         .collect()
 }
 
@@ -134,7 +134,7 @@ fn custom_policy_slots_into_a_campaign_next_to_builtins() {
         combinations: 1,
         strategies,
         threads: 2,
-        ..CampaignConfig::paper(PtgClass::Strassen)
+        ..CampaignConfig::paper(AppGenerator::Strassen)
     };
     let result = run_campaign(&config).unwrap();
     assert_eq!(

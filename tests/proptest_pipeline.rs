@@ -45,19 +45,23 @@ fn gen_platform(rng: &mut ChaCha8Rng, size: u32) -> Platform {
 /// the random-class task count shrink with `size`).
 fn gen_apps(rng: &mut ChaCha8Rng, size: u32) -> Vec<Ptg> {
     let count = rng.gen_range(1..=cap(size, 4));
-    let class = [PtgClass::Random, PtgClass::Fft, PtgClass::Strassen][rng.gen_range(0..3usize)];
+    let generator = match rng.gen_range(0..3usize) {
+        0 => AppGenerator::Random,
+        1 => AppGenerator::Fft { points: None },
+        _ => AppGenerator::Strassen,
+    };
     let mut app_rng = ChaCha8Rng::seed_from_u64(rng.next_u64());
     (0..count)
         .map(|i| {
             // Keep random PTGs small so each case stays fast.
-            if class == PtgClass::Random {
+            if generator == AppGenerator::Random {
                 let cfg = RandomPtgConfig {
                     num_tasks: cap(size, 10).max(2),
                     ..RandomPtgConfig::default_config()
                 };
                 random_ptg(&cfg, &mut app_rng, format!("app{i}"))
             } else {
-                class.sample(&mut app_rng, format!("app{i}"))
+                generator.sample(&mut app_rng, format!("app{i}"))
             }
         })
         .collect()
@@ -168,7 +172,7 @@ fn fairness_metrics_are_well_formed() {
         let platform = grid5000::lille();
         let mut app_rng = ChaCha8Rng::seed_from_u64(rng.next_u64());
         let apps: Vec<Ptg> = (0..count)
-            .map(|i| PtgClass::Strassen.sample(&mut app_rng, format!("s{i}")))
+            .map(|i| AppGenerator::Strassen.sample(&mut app_rng, format!("s{i}")))
             .collect();
         let evaluation = ScheduleContext::new(&platform, &apps).evaluate().unwrap();
         assert_eq!(evaluation.fairness.slowdowns.len(), count);

@@ -14,7 +14,7 @@
 //!   recomputation, never to wrong results.
 
 use mcsched::exp::{mu_campaign, run_campaign, CampaignConfig, QUICK_MU_VALUES};
-use mcsched::ptg::gen::PtgClass;
+use mcsched::workload::AppGenerator;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -51,7 +51,7 @@ fn campaign_config() -> CampaignConfig {
         ptg_counts: vec![2, 4],
         combinations: 2,
         replications: 2,
-        ..CampaignConfig::quick(PtgClass::Strassen)
+        ..CampaignConfig::quick(AppGenerator::Strassen)
     }
 }
 

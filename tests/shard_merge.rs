@@ -24,12 +24,11 @@ use mcsched::core::{
 };
 use mcsched::exp::cells::SKIPPED_CELL;
 use mcsched::exp::{
-    cell_digest, generate_scenarios, generate_scenarios_with, replication_seed, run_campaign,
-    CampaignConfig,
+    cell_digest, generate_scenarios_with, replication_seed, run_campaign, CampaignConfig,
 };
-use mcsched::ptg::gen::PtgClass;
 use mcsched::ptg::Ptg;
 use mcsched::runtime::{merge_cache_dirs, CellCache, CellMetrics, DigestBuilder, MergeError};
+use mcsched::workload::{AppGenerator, GeneratorSource};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -68,7 +67,7 @@ fn campaign_config() -> CampaignConfig {
         ptg_counts: vec![2, 4],
         combinations: 2,
         replications: 2,
-        ..CampaignConfig::quick(PtgClass::Strassen)
+        ..CampaignConfig::quick(AppGenerator::Strassen)
     }
 }
 
@@ -105,7 +104,13 @@ fn every_campaign_cell_lands_in_exactly_one_partition() {
     // the shared campaign shape.
     let config = campaign_config();
     let pipeline = config.base.pipeline_cache_key();
-    let scenarios = generate_scenarios(PtgClass::Strassen, 2, config.combinations, config.seed);
+    let scenarios = generate_scenarios_with(
+        &GeneratorSource::new(AppGenerator::Strassen),
+        2,
+        config.combinations,
+        config.seed,
+    )
+    .unwrap();
     let mut digests = Vec::new();
     for scenario in &scenarios {
         for policy in &config.strategies {

@@ -15,7 +15,7 @@ fn quick_campaign() -> CampaignConfig {
             ConstraintStrategy::Proportional(Characteristic::Work),
         ]),
         threads: 2,
-        ..CampaignConfig::paper(PtgClass::Random)
+        ..CampaignConfig::paper(AppGenerator::Random)
     }
 }
 
